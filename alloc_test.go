@@ -25,7 +25,7 @@ func TestE9MediatedJoinAllocBudget(t *testing.T) {
 	cat, w := scaledCatalog(1000, 42)
 	want := w.Expected.Len()
 	run := func() {
-		res, err := planner.NewExecutor(cat).ExecuteMediation(med)
+		res, err := executeMediation(planner.NewExecutor(cat), med)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -118,7 +118,7 @@ func BenchmarkE3_EndToEndHTTP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := conn.Query(coin.PaperQ1, "c2")
+		res, err := conn.QueryCtx(context.Background(), coin.PaperQ1, "c2", client.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func BenchmarkE9_MediatedExecutionScale(b *testing.B) {
 		cat, w := scaledCatalog(n, 42)
 		b.Run(fmt.Sprintf("companies=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := planner.NewExecutor(cat).ExecuteMediation(med)
+				res, err := executeMediation(planner.NewExecutor(cat), med)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -312,7 +312,7 @@ func BenchmarkParallelJoinScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ex := planner.NewExecutor(cat)
 		ex.DefaultParallelism = runtime.GOMAXPROCS(0)
-		res, err := ex.ExecuteMediation(med)
+		res, err := executeMediation(ex, med)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func BenchmarkE9b_JoinAlgorithms(b *testing.B) {
 				ex := planner.NewExecutor(cat)
 				ex.ForceNestedLoop = alg == "nested-loop"
 				ex.ForceMergeJoin = alg == "merge"
-				if _, err := ex.ExecuteMediation(med); err != nil {
+				if _, err := executeMediation(ex, med); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -359,7 +359,7 @@ func BenchmarkE9c_PushdownAblation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ex := planner.NewExecutor(cat)
 				ex.DisablePushdown = disable
-				if _, err := ex.Execute(sqlparse.MustParse(q)); err != nil {
+				if _, err := execute(ex, sqlparse.MustParse(q)); err != nil {
 					b.Fatal(err)
 				}
 				transferred = ex.Stats().TuplesTransferred
@@ -393,7 +393,7 @@ func BenchmarkE9d_BindJoinVsCrawl(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				site.ResetHits()
-				res, err := planner.NewExecutor(cat).ExecuteMediation(med)
+				res, err := executeMediation(planner.NewExecutor(cat), med)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -424,7 +424,7 @@ func BenchmarkE9e_ParallelBranches(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ex := planner.NewExecutor(cat)
 				ex.Parallel = parallel
-				if _, err := ex.ExecuteMediation(med); err != nil {
+				if _, err := executeMediation(ex, med); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -475,7 +475,7 @@ func BenchmarkBindJoinBatched(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ex := planner.NewExecutor(cat)
 				ex.DisableBatching = mode == "unbatched"
-				res, err := ex.ExecuteCtx(context.Background(), q)
+				res, err := execute(ex, q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -612,7 +612,7 @@ func BenchmarkJoinOrderAdaptive(b *testing.B) {
 			} else {
 				// One warm-up execution teaches the stats store the real
 				// cardinalities; the measured loop runs replanned queries.
-				if _, err := ex.ExecuteCtx(context.Background(), q); err != nil {
+				if _, err := execute(ex, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -620,7 +620,7 @@ func BenchmarkJoinOrderAdaptive(b *testing.B) {
 			var rows int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := ex.ExecuteCtx(context.Background(), q)
+				res, err := execute(ex, q)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -24,8 +24,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/coin"
@@ -74,20 +76,26 @@ func main() {
 		timeout: *timeout, maxRows: *maxRows, maxPerSource: *maxPerSource, stream: *stream,
 		partial: *partial, retryBudget: *retryBudget, parallelism: *parallelism,
 	}
-	if err := run(*serverURL, *contextName, sql, cfg); err != nil {
+	// Interrupting the command cancels the query in flight: locally the
+	// session stops its source fetches, remotely the abandoned request
+	// makes the server cancel its session.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, *serverURL, *contextName, sql, cfg)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "coinquery:", err)
 		os.Exit(1)
 	}
 }
 
-func run(serverURL, receiverCtx, sql string, cfg queryConfig) error {
+func run(ctx context.Context, serverURL, receiverCtx, sql string, cfg queryConfig) error {
 	if serverURL != "" {
-		return runRemote(serverURL, receiverCtx, sql, cfg)
+		return runRemote(ctx, serverURL, receiverCtx, sql, cfg)
 	}
-	return runLocal(receiverCtx, sql, cfg)
+	return runLocal(ctx, receiverCtx, sql, cfg)
 }
 
-func runRemote(serverURL, receiverCtx, sql string, cfg queryConfig) error {
+func runRemote(ctx context.Context, serverURL, receiverCtx, sql string, cfg queryConfig) error {
 	conn, err := client.Open(serverURL)
 	if err != nil {
 		return err
@@ -97,9 +105,9 @@ func runRemote(serverURL, receiverCtx, sql string, cfg queryConfig) error {
 	if cfg.explain || cfg.analyze {
 		var plan string
 		if cfg.analyze {
-			plan, err = conn.ExplainAnalyze(context.Background(), sql, receiverCtx, opts)
+			plan, err = conn.ExplainAnalyze(ctx, sql, receiverCtx, opts)
 		} else {
-			plan, err = conn.Explain(sql, receiverCtx)
+			plan, err = conn.Explain(ctx, sql, receiverCtx)
 		}
 		if err != nil {
 			return err
@@ -108,7 +116,7 @@ func runRemote(serverURL, receiverCtx, sql string, cfg queryConfig) error {
 		return nil
 	}
 	if cfg.stream {
-		cur, err := conn.QueryStream(context.Background(), sql, receiverCtx, cfg.naive, opts)
+		cur, err := conn.QueryStream(ctx, sql, receiverCtx, cfg.naive, opts)
 		if err != nil {
 			return err
 		}
@@ -132,14 +140,14 @@ func runRemote(serverURL, receiverCtx, sql string, cfg queryConfig) error {
 		return cur.Err()
 	}
 	if cfg.naive {
-		res, err := conn.QueryNaiveCtx(context.Background(), sql, opts)
+		res, err := conn.QueryNaiveCtx(ctx, sql, opts)
 		if err != nil {
 			return err
 		}
 		fmt.Print(res.String())
 		return nil
 	}
-	res, err := conn.QueryCtx(context.Background(), sql, receiverCtx, opts)
+	res, err := conn.QueryCtx(ctx, sql, receiverCtx, opts)
 	if err != nil {
 		return err
 	}
@@ -163,11 +171,11 @@ func printWarnings(warns []planner.Warning) {
 	}
 }
 
-func runLocal(receiverCtx, sql string, cfg queryConfig) error {
+func runLocal(ctx context.Context, receiverCtx, sql string, cfg queryConfig) error {
 	sys := coin.Figure2System()
 	// Resolve the local default here (0 → GOMAXPROCS) and install it as the
-	// executor default too, so plain EXPLAIN — which plans without a
-	// session — renders the same placements a run would use.
+	// executor default too, so plain EXPLAIN — which plans under a
+	// zero-limits session — renders the same placements a run would use.
 	par := cfg.parallelism
 	if par == 0 {
 		par = runtime.GOMAXPROCS(0)
@@ -181,9 +189,9 @@ func runLocal(receiverCtx, sql string, cfg queryConfig) error {
 			err  error
 		)
 		if cfg.analyze {
-			plan, err = sys.ExplainAnalyzeCtx(context.Background(), sql, receiverCtx, opts)
+			plan, err = sys.ExplainAnalyzeCtx(ctx, sql, receiverCtx, opts)
 		} else {
-			plan, err = sys.Explain(sql, receiverCtx)
+			plan, err = sys.ExplainCtx(ctx, sql, receiverCtx)
 		}
 		if err != nil {
 			return err
@@ -197,9 +205,9 @@ func runLocal(receiverCtx, sql string, cfg queryConfig) error {
 			err error
 		)
 		if cfg.naive {
-			rs, err = sys.QueryNaiveStreamCtx(context.Background(), sql, opts)
+			rs, err = sys.QueryNaiveStreamCtx(ctx, sql, opts)
 		} else {
-			rs, err = sys.QueryStreamCtx(context.Background(), sql, receiverCtx, opts)
+			rs, err = sys.QueryStreamCtx(ctx, sql, receiverCtx, opts)
 		}
 		if err != nil {
 			return err
@@ -228,7 +236,7 @@ func runLocal(receiverCtx, sql string, cfg queryConfig) error {
 		}
 	}
 	if cfg.naive {
-		rows, err := sys.QueryNaiveCtx(context.Background(), sql, opts)
+		rows, err := sys.QueryNaiveCtx(ctx, sql, opts)
 		if err != nil {
 			return err
 		}
@@ -242,7 +250,7 @@ func runLocal(receiverCtx, sql string, cfg queryConfig) error {
 	if cfg.showMediated {
 		fmt.Printf("-- mediated into %d branch(es):\n%s\n\n", len(med.Branches), med.SQL())
 	}
-	rows, warns, err := sys.ExecuteWarnCtx(context.Background(), med, opts)
+	rows, warns, err := sys.ExecuteWarnCtx(ctx, med, opts)
 	if err != nil {
 		return err
 	}

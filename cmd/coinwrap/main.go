@@ -58,18 +58,18 @@ func runBackend(filesDir, restURL, rel string) error {
 		w   wrapper.Wrapper
 		err error
 	)
+	ctx := context.Background()
 	switch {
 	case filesDir != "" && restURL != "":
 		return fmt.Errorf("-files and -rest are mutually exclusive")
 	case filesDir != "":
 		w, err = filesrc.New("files", filesDir)
 	default:
-		w, err = restsrc.Dial("rest", restURL, nil)
+		w, err = restsrc.DialContext(ctx, "rest", restURL, nil)
 	}
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
 	if rel == "" {
 		for _, r := range w.Relations() {
 			schema, err := w.Schema(r)

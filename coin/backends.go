@@ -8,6 +8,7 @@ package coin
 // for a relation means it is context-free (ancillary-style data).
 
 import (
+	"context"
 	"net/http"
 
 	"repro/internal/wrapper/filesrc"
@@ -33,11 +34,12 @@ func (s *System) AddSQLSource(src *sqlsrc.Source, elevations map[string]*Elevati
 	return s.addSource(src, elevations)
 }
 
-// AddRESTSource dials a REST backend, discovers its relations and
-// statistics from the service's schema document, and registers them with
-// their elevations. A nil client uses http.DefaultClient.
-func (s *System) AddRESTSource(name, baseURL string, client *http.Client, elevations map[string]*Elevation) error {
-	src, err := restsrc.Dial(name, baseURL, client)
+// AddRESTSource dials a REST backend (the discovery request runs under
+// ctx), discovers its relations and statistics from the service's schema
+// document, and registers them with their elevations. A nil client uses
+// http.DefaultClient.
+func (s *System) AddRESTSource(ctx context.Context, name, baseURL string, client *http.Client, elevations map[string]*Elevation) error {
+	src, err := restsrc.DialContext(ctx, name, baseURL, client)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package coin
 
 import (
+	"context"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ func TestHeterogeneousBackendRegistration(t *testing.T) {
 	quotes.MustInsert(relalg.StrV("SONY"), relalg.NumV(61.25))
 	hs := httptest.NewServer(restsrc.NewServer(mdb))
 	t.Cleanup(hs.Close)
-	if err := sys.AddRESTSource("markets", hs.URL, hs.Client(), nil); err != nil {
+	if err := sys.AddRESTSource(context.Background(), "markets", hs.URL, hs.Client(), nil); err != nil {
 		t.Fatalf("AddRESTSource: %v", err)
 	}
 

@@ -27,6 +27,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/relalg"
 	"repro/internal/server"
+	"repro/internal/sqlparse"
 	"repro/internal/store"
 	"repro/internal/wrapper"
 )
@@ -185,41 +186,71 @@ func (s *System) Mediate(sql, receiver string) (*Mediation, error) {
 }
 
 // Query mediates and executes, returning the answer in the receiver's
-// context. It is the ungoverned form of QueryCtx: background context, no
-// limits.
+// context: QueryCtx under a background context and zero limits.
 func (s *System) Query(sql, receiver string) (*Relation, error) {
-	//lint:allow ctxflow Query is the documented ungoverned convenience; governed callers use QueryCtx
+	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use QueryCtx
 	return s.QueryCtx(context.Background(), sql, receiver, QueryOptions{})
 }
 
 // QueryNaive executes SQL without mediation — the paper's "incorrect
-// answer" baseline. The ungoverned form of QueryNaiveCtx.
+// answer" baseline: QueryNaiveCtx under a background context and zero
+// limits.
 func (s *System) QueryNaive(sql string) (*Relation, error) {
-	//lint:allow ctxflow QueryNaive is the documented ungoverned convenience; governed callers use QueryNaiveCtx
+	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use QueryNaiveCtx
 	return s.QueryNaiveCtx(context.Background(), sql, QueryOptions{})
 }
 
 // Explain mediates the query and renders the multi-database engine's
+// execution plan for every branch: ExplainCtx under a background context.
+func (s *System) Explain(sql, receiver string) (string, error) {
+	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use ExplainCtx
+	return s.ExplainCtx(context.Background(), sql, receiver)
+}
+
+// ExplainCtx mediates the query and renders the multi-database engine's
 // execution plan for every branch: access order, pushed vs local filters,
 // bind joins feeding Web-source required bindings, join keys, and cost
-// estimates.
-func (s *System) Explain(sql, receiver string) (string, error) {
+// estimates. Nothing executes, but planning may probe live sources for
+// statistics; those probes run under ctx and stop when it is cancelled.
+func (s *System) ExplainCtx(ctx context.Context, sql, receiver string) (string, error) {
+	// A zero-limits session resolves the executor's default parallelism,
+	// so EXPLAIN shows the exchange/fan-out placements a run would use.
+	return s.explain(ctx, sql, receiver, QueryOptions{}, "planning",
+		func(sess *planner.Session, br *sqlparse.Select) (*planner.BranchPlan, error) {
+			plan, err := s.executor.PlanCtx(sess.Context(), br)
+			if err != nil {
+				return nil, err
+			}
+			s.executor.ParallelizePlan(plan, sess)
+			return plan, nil
+		})
+}
+
+// explain is the body EXPLAIN and EXPLAIN ANALYZE share: mediate, open one
+// session under ctx and opts, render every branch's plan as produce
+// returns it, then the post-union line.
+func (s *System) explain(ctx context.Context, sql, receiver string, opts QueryOptions, verb string,
+	produce func(*planner.Session, *sqlparse.Select) (*planner.BranchPlan, error)) (string, error) {
 	med, err := s.Mediate(sql, receiver)
 	if err != nil {
 		return "", err
 	}
+	sess := s.executor.NewSession(ctx, opts)
+	defer sess.Close()
 	var b strings.Builder
 	fmt.Fprintf(&b, "mediated into %d branch(es)\n", len(med.Branches))
 	for i, br := range med.Branches {
-		plan, err := s.executor.Plan(br)
+		plan, err := produce(sess, br)
 		if err != nil {
-			return "", fmt.Errorf("coin: planning branch %d: %w", i+1, err)
+			if opts.PartialResults && planner.Degradable(err) {
+				// Mirror execution's degradation: the branch is reported as
+				// dropped, the remaining branches still get analyzed.
+				fmt.Fprintf(&b, "branch %d: %s\n  FAILED: %v (branch dropped; partial results)\n",
+					i+1, br.String(), err)
+				continue
+			}
+			return "", fmt.Errorf("coin: %s branch %d: %w", verb, i+1, err)
 		}
-		// Annotate with the executor's default parallelism so EXPLAIN shows
-		// the exchange/fan-out placements execution would use (a nil
-		// session resolves to DefaultParallelism; serial plans render
-		// byte-identically to the pre-exchange planner).
-		s.executor.ParallelizePlan(plan, nil)
 		fmt.Fprintf(&b, "branch %d: %s\n%s", i+1, br.String(), plan.Explain())
 	}
 	if med.Post != nil {
@@ -233,9 +264,10 @@ func (s *System) Explain(sql, receiver string) (string, error) {
 // estimated-vs-actual rows, source queries and cost per step (the
 // est_rows / act_rows columns). The run feeds the adaptive statistics
 // like any execution, so an EXPLAIN ANALYZE followed by EXPLAIN shows
-// the optimizer learning. The ungoverned form of ExplainAnalyzeCtx.
+// the optimizer learning. ExplainAnalyzeCtx under a background context
+// and zero limits.
 func (s *System) ExplainAnalyze(sql, receiver string) (string, error) {
-	//lint:allow ctxflow ExplainAnalyze is the documented ungoverned convenience; governed callers use ExplainAnalyzeCtx
+	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use ExplainAnalyzeCtx
 	return s.ExplainAnalyzeCtx(context.Background(), sql, receiver, QueryOptions{})
 }
 
@@ -243,38 +275,13 @@ func (s *System) ExplainAnalyze(sql, receiver string) (string, error) {
 // limits: the analyzed execution runs inside a governed session, so it
 // can be cancelled or bounded like any query.
 func (s *System) ExplainAnalyzeCtx(ctx context.Context, sql, receiver string, opts QueryOptions) (string, error) {
-	med, err := s.Mediate(sql, receiver)
-	if err != nil {
-		return "", err
-	}
-	sess := s.executor.NewSession(ctx, opts)
-	defer sess.Close()
-	var b strings.Builder
-	fmt.Fprintf(&b, "mediated into %d branch(es)\n", len(med.Branches))
-	for i, br := range med.Branches {
-		plan, err := s.executor.AnalyzeSelect(sess, br)
-		if err != nil {
-			if opts.PartialResults && planner.Degradable(err) {
-				// Mirror execution's degradation: the branch is reported as
-				// dropped, the remaining branches still get analyzed.
-				fmt.Fprintf(&b, "branch %d: %s\n  FAILED: %v (branch dropped; partial results)\n",
-					i+1, br.String(), err)
-				continue
-			}
-			return "", fmt.Errorf("coin: analyzing branch %d: %w", i+1, err)
-		}
-		fmt.Fprintf(&b, "branch %d: %s\n%s", i+1, br.String(), plan.Explain())
-	}
-	if med.Post != nil {
-		b.WriteString("post: aggregation/ordering over the union\n")
-	}
-	return b.String(), nil
+	return s.explain(ctx, sql, receiver, opts, "analyzing", s.executor.AnalyzeSelect)
 }
 
-// Execute runs an already-mediated query. The ungoverned form of
-// ExecuteCtx.
+// Execute runs an already-mediated query: ExecuteCtx under a background
+// context and zero limits.
 func (s *System) Execute(med *Mediation) (*Relation, error) {
-	//lint:allow ctxflow Execute is the documented ungoverned convenience; governed callers use ExecuteCtx
+	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use ExecuteCtx
 	return s.ExecuteCtx(context.Background(), med, QueryOptions{})
 }
 

@@ -3,7 +3,6 @@ package coin
 import (
 	"repro/internal/datalog"
 	"repro/internal/relalg"
-	"repro/internal/sqlparse"
 	"repro/internal/web"
 	"repro/internal/wrapper"
 )
@@ -15,9 +14,6 @@ var builtinSpecSources = map[string]string{
 	StockSpec:          wrapper.StockSpec,
 	ProfileSpec:        wrapper.ProfileSpec,
 }
-
-// parseSQL is the front-end parser used by QueryNaive.
-func parseSQL(sql string) (sqlparse.Statement, error) { return sqlparse.Parse(sql) }
 
 // fixtureCurrencySite builds the simulated currency-exchange site with
 // the paper's rates.

@@ -4,14 +4,15 @@ package coin
 // — a context (cancellation + deadline) plus resource governors — so a
 // receiver that disconnects, times out or exceeds its budgets stops
 // consuming the sources promptly. The context-free methods of coin.go
-// (Query, QueryNaive, Execute) are thin wrappers over these with a
-// background context and no limits.
+// (Query, QueryNaive, Execute, Explain, ExplainAnalyze) are one-liners
+// over these with a background context and zero limits.
 
 import (
 	"context"
 
 	"repro/internal/planner"
 	"repro/internal/relalg"
+	"repro/internal/sqlparse"
 )
 
 // QueryOptions bound one query session: a wall-clock timeout, a cap on
@@ -46,18 +47,51 @@ func (s *System) ExecuteCtx(ctx context.Context, med *Mediation, opts QueryOptio
 	return rel, err
 }
 
+// start begins a query run, the one road every query service below takes:
+// a fresh session under ctx and opts, and the iterator tree that build
+// compiles under it, capped by the MaxRows governor as a final LIMIT (the
+// answer is truncated, not failed). A failed build closes the session;
+// otherwise the caller owns it and must Close it.
+func (s *System) start(ctx context.Context, opts QueryOptions, build func(*planner.Session) (relalg.Iterator, error)) (*planner.Session, relalg.Iterator, error) {
+	sess := s.executor.NewSession(ctx, opts)
+	it, err := build(sess)
+	if err != nil {
+		sess.Close()
+		return nil, nil, err
+	}
+	if opts.MaxRows > 0 {
+		it = relalg.NewLimit(it, opts.MaxRows)
+	}
+	return sess, it, nil
+}
+
+// mediated and naive are the two things start can compile: a mediated
+// query's union of branches, or an un-mediated statement.
+func (s *System) mediated(med *Mediation) func(*planner.Session) (relalg.Iterator, error) {
+	return func(sess *planner.Session) (relalg.Iterator, error) { return s.executor.MediationStream(sess, med) }
+}
+
+func (s *System) naive(sql string) func(*planner.Session) (relalg.Iterator, error) {
+	return func(sess *planner.Session) (relalg.Iterator, error) {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			return nil, err
+		}
+		return s.executor.StatementStream(sess, stmt)
+	}
+}
+
 // ExecuteWarnCtx runs an already-mediated query under ctx and opts,
 // additionally returning the degraded-branch warnings of a
 // partial-results run (nil when the answer is complete — in particular,
 // always nil unless opts.PartialResults is set).
 func (s *System) ExecuteWarnCtx(ctx context.Context, med *Mediation, opts QueryOptions) (*Relation, []Warning, error) {
-	sess := s.executor.NewSession(ctx, opts)
-	defer sess.Close()
-	it, err := s.executor.MediationStream(sess, med)
+	sess, it, err := s.start(ctx, opts, s.mediated(med))
 	if err != nil {
 		return nil, nil, err
 	}
-	rel, err := relalg.Collect(sess.Context(), capRows(it, opts), "")
+	defer sess.Close()
+	rel, err := relalg.Collect(sess.Context(), it, "")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -67,26 +101,12 @@ func (s *System) ExecuteWarnCtx(ctx context.Context, med *Mediation, opts QueryO
 // QueryNaiveCtx executes SQL without mediation under ctx and opts — the
 // paper's "incorrect answer" baseline, now governable.
 func (s *System) QueryNaiveCtx(ctx context.Context, sql string, opts QueryOptions) (*Relation, error) {
-	stmt, err := parseSQL(sql)
+	sess, it, err := s.start(ctx, opts, s.naive(sql))
 	if err != nil {
 		return nil, err
 	}
-	sess := s.executor.NewSession(ctx, opts)
 	defer sess.Close()
-	it, err := s.executor.StatementStream(sess, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return relalg.Collect(sess.Context(), capRows(it, opts), "")
-}
-
-// capRows applies the MaxRows governor as a final LIMIT: the answer is
-// truncated, not failed.
-func capRows(it relalg.Iterator, opts QueryOptions) relalg.Iterator {
-	if opts.MaxRows > 0 {
-		return relalg.NewLimit(it, opts.MaxRows)
-	}
-	return it
+	return relalg.Collect(sess.Context(), it, "")
 }
 
 // RowStream is an open, incrementally-consumable query answer: the
@@ -114,32 +134,20 @@ func (s *System) QueryStreamCtx(ctx context.Context, sql, receiver string, opts 
 	if err != nil {
 		return nil, err
 	}
-	sess := s.executor.NewSession(ctx, opts)
-	it, err := s.executor.MediationStream(sess, med)
-	if err != nil {
-		sess.Close()
-		return nil, err
-	}
-	return openRowStream(sess, capRows(it, opts), med)
+	return s.openRowStream(ctx, opts, s.mediated(med), med)
 }
 
 // QueryNaiveStreamCtx opens a governed row stream over an un-mediated
 // statement.
 func (s *System) QueryNaiveStreamCtx(ctx context.Context, sql string, opts QueryOptions) (*RowStream, error) {
-	stmt, err := parseSQL(sql)
-	if err != nil {
-		return nil, err
-	}
-	sess := s.executor.NewSession(ctx, opts)
-	it, err := s.executor.StatementStream(sess, stmt)
-	if err != nil {
-		sess.Close()
-		return nil, err
-	}
-	return openRowStream(sess, capRows(it, opts), nil)
+	return s.openRowStream(ctx, opts, s.naive(sql), nil)
 }
 
-func openRowStream(sess *planner.Session, it relalg.Iterator, med *Mediation) (*RowStream, error) {
+func (s *System) openRowStream(ctx context.Context, opts QueryOptions, build func(*planner.Session) (relalg.Iterator, error), med *Mediation) (*RowStream, error) {
+	sess, it, err := s.start(ctx, opts, build)
+	if err != nil {
+		return nil, err
+	}
 	if err := it.Open(sess.Context()); err != nil {
 		sess.Close()
 		return nil, err

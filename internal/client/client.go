@@ -157,11 +157,6 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-func (c *Conn) post(path string, req server.QueryRequest, out interface{}) error {
-	//lint:allow ctxflow post backs the context-free convenience API (Query/QueryNaive); ctx forms call postWith directly
-	return c.postWith(context.Background(), c.client, path, req, out)
-}
-
 // governedTimeoutGrace pads the client-side deadline of a governed query
 // beyond the server-side session timeout, leaving room for the error
 // response (or the result transfer) to make it back.
@@ -223,20 +218,10 @@ func queryRequest(sql, context string, naive bool, opts Options) server.QueryReq
 	return req
 }
 
-// Query mediates and executes SQL in the given receiver context.
-func (c *Conn) Query(sql, context string) (*Result, error) {
-	return c.QueryCtx(nil, sql, context, Options{})
-}
-
 // QueryCtx mediates and executes SQL under ctx and opts: canceling ctx
 // abandons the request (the server then cancels the query's session), and
-// opts carry the server-side timeout and row cap. A nil ctx means
-// background.
+// opts carry the server-side timeout and row cap.
 func (c *Conn) QueryCtx(ctx context.Context, sql, context_ string, opts Options) (*Result, error) {
-	if ctx == nil {
-		//lint:allow ctxflow documented nil-context fallback: a nil ctx means background by API contract
-		ctx = context.Background()
-	}
 	var resp server.QueryResponse
 	if err := c.postQuery(ctx, "/api/query", queryRequest(sql, context_, false, opts), opts, &resp); err != nil {
 		return nil, err
@@ -245,17 +230,8 @@ func (c *Conn) QueryCtx(ctx context.Context, sql, context_ string, opts Options)
 		Branches: resp.Branches, Warnings: resp.Warnings}, nil
 }
 
-// QueryNaive executes SQL without mediation.
-func (c *Conn) QueryNaive(sql string) (*Result, error) {
-	return c.QueryNaiveCtx(nil, sql, Options{})
-}
-
 // QueryNaiveCtx executes SQL without mediation under ctx and opts.
 func (c *Conn) QueryNaiveCtx(ctx context.Context, sql string, opts Options) (*Result, error) {
-	if ctx == nil {
-		//lint:allow ctxflow documented nil-context fallback: a nil ctx means background by API contract
-		ctx = context.Background()
-	}
 	var resp server.QueryResponse
 	if err := c.postQuery(ctx, "/api/query", queryRequest(sql, "", true, opts), opts, &resp); err != nil {
 		return nil, err
@@ -269,10 +245,6 @@ func (c *Conn) QueryNaiveCtx(ctx context.Context, sql string, opts Options) (*Re
 // cursor; canceling ctx aborts the stream (and with it the server-side
 // query session). Set naive to skip mediation.
 func (c *Conn) QueryStream(ctx context.Context, sql, context_ string, naive bool, opts Options) (*RowCursor, error) {
-	if ctx == nil {
-		//lint:allow ctxflow documented nil-context fallback: a nil ctx means background by API contract
-		ctx = context.Background()
-	}
 	body, err := json.Marshal(queryRequest(sql, context_, naive, opts))
 	if err != nil {
 		return nil, err
@@ -411,19 +383,22 @@ func (c *RowCursor) Close() error {
 	return c.resp.Body.Close()
 }
 
-// Mediate returns the mediated SQL without executing it.
-func (c *Conn) Mediate(sql, context string) (string, int, error) {
+// Mediate returns the mediated SQL without executing it; canceling ctx
+// abandons the request.
+func (c *Conn) Mediate(ctx context.Context, sql, context_ string) (string, int, error) {
 	var resp server.MediateResponse
-	if err := c.post("/api/mediate", server.QueryRequest{SQL: sql, Context: context}, &resp); err != nil {
+	if err := c.postWith(ctx, c.client, "/api/mediate", server.QueryRequest{SQL: sql, Context: context_}, &resp); err != nil {
 		return "", 0, err
 	}
 	return resp.MediatedSQL, resp.Branches, nil
 }
 
-// Explain returns the server's execution plan for the mediated query.
-func (c *Conn) Explain(sql, context string) (string, error) {
+// Explain returns the server's execution plan for the mediated query;
+// canceling ctx abandons the request (the server then stops planning,
+// statistics probes included).
+func (c *Conn) Explain(ctx context.Context, sql, context_ string) (string, error) {
 	var resp server.ExplainResponse
-	if err := c.post("/api/explain", server.QueryRequest{SQL: sql, Context: context}, &resp); err != nil {
+	if err := c.postWith(ctx, c.client, "/api/explain", server.QueryRequest{SQL: sql, Context: context_}, &resp); err != nil {
 		return "", err
 	}
 	return resp.Plan, nil
@@ -434,10 +409,6 @@ func (c *Conn) Explain(sql, context string) (string, error) {
 // source queries and cost per step. opts govern the analyzed execution's
 // session like a normal query's.
 func (c *Conn) ExplainAnalyze(ctx context.Context, sql, context_ string, opts Options) (string, error) {
-	if ctx == nil {
-		//lint:allow ctxflow documented nil-context fallback: a nil ctx means background by API contract
-		ctx = context.Background()
-	}
 	req := queryRequest(sql, context_, false, opts)
 	req.Analyze = true
 	var resp server.ExplainResponse

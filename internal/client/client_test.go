@@ -29,7 +29,7 @@ func testConn(t *testing.T) *client.Conn {
 
 func TestCursorScan(t *testing.T) {
 	conn := testConn(t)
-	res, err := conn.Query("SELECT r1.cname, r1.revenue FROM r1 ORDER BY r1.revenue DESC", "c2")
+	res, err := conn.QueryCtx(context.Background(), "SELECT r1.cname, r1.revenue FROM r1 ORDER BY r1.revenue DESC", "c2", client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCursorScan(t *testing.T) {
 
 func TestCursorScanErrors(t *testing.T) {
 	conn := testConn(t)
-	res, err := conn.Query("SELECT r2.cname FROM r2", "c2")
+	res, err := conn.QueryCtx(context.Background(), "SELECT r2.cname FROM r2", "c2", client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCursorScanErrors(t *testing.T) {
 
 func TestExplainOverHTTP(t *testing.T) {
 	conn := testConn(t)
-	plan, err := conn.Explain(coin.PaperQ1, "c2")
+	plan, err := conn.Explain(context.Background(), coin.PaperQ1, "c2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,17 @@ func TestExplainOverHTTP(t *testing.T) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
 		}
 	}
-	if _, err := conn.Explain("SELECT nope FROM nosuch", "c2"); err == nil {
+	if _, err := conn.Explain(context.Background(), "SELECT nope FROM nosuch", "c2"); err == nil {
 		t.Error("bad explain succeeded")
+	}
+	// Mediate and Explain ride the caller's context like the query calls.
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := conn.Explain(dead, coin.PaperQ1, "c2"); !errors.Is(err, context.Canceled) {
+		t.Errorf("Explain under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if _, _, err := conn.Mediate(dead, coin.PaperQ1, "c2"); !errors.Is(err, context.Canceled) {
+		t.Errorf("Mediate under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 

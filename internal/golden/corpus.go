@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/coin"
+	"repro/internal/planner"
 	"repro/internal/relalg"
 	"repro/internal/sqlparse"
 )
@@ -137,26 +138,26 @@ type RunOptions struct {
 	Mutate func(*Fixture)
 }
 
-// Run executes one corpus entry and captures its Result.
-func Run(q Query) (*Result, error) { return RunWith(q, RunOptions{}) }
+// Run executes one corpus entry under ctx and captures its Result.
+func Run(ctx context.Context, q Query) (*Result, error) { return RunWith(ctx, q, RunOptions{}) }
 
 // RunWith is Run with self-test hooks.
-func RunWith(q Query, opts RunOptions) (*Result, error) {
+func RunWith(ctx context.Context, q Query, opts RunOptions) (*Result, error) {
 	switch q.Mode {
 	case "engine":
-		return runEngine(q, opts)
+		return runEngine(ctx, q, opts)
 	case "mediate", "mediate-partial":
-		return runMediate(q)
+		return runMediate(ctx, q)
 	default:
 		return nil, fmt.Errorf("golden: %s: unknown mode %q", q.Name, q.Mode)
 	}
 }
 
-// runEngine plans and executes against a fresh four-backend fixture. The
-// plan is rendered before execution, so the baseline pins the cold plan
-// (no adaptive feedback in it).
-func runEngine(q Query, opts RunOptions) (*Result, error) {
-	fx, err := NewFixture()
+// runEngine plans and executes against a fresh four-backend fixture,
+// under one zero-limits session. The plan is rendered before execution,
+// so the baseline pins the cold plan (no adaptive feedback in it).
+func runEngine(ctx context.Context, q Query, opts RunOptions) (*Result, error) {
+	fx, err := NewFixture(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: fixture: %w", q.Name, err)
 	}
@@ -173,20 +174,22 @@ func runEngine(q Query, opts RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: parse: %w", q.Name, err)
 	}
+	sess := fx.Ex.NewSession(ctx, planner.Limits{})
+	defer sess.Close()
 	sels := sqlparse.Selects(stmt)
 	var plan strings.Builder
 	for i, sel := range sels {
-		p, err := fx.Ex.Plan(sel)
+		p, err := fx.Ex.PlanCtx(sess.Context(), sel)
 		if err != nil {
 			return nil, fmt.Errorf("golden: %s: planning branch %d: %w", q.Name, i+1, err)
 		}
-		fx.Ex.ParallelizePlan(p, nil)
+		fx.Ex.ParallelizePlan(p, sess)
 		if len(sels) > 1 {
 			fmt.Fprintf(&plan, "branch %d:\n", i+1)
 		}
 		plan.WriteString(p.Explain())
 	}
-	rel, err := fx.Ex.Execute(stmt)
+	rel, err := fx.Ex.ExecuteSession(sess, stmt)
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: executing: %w", q.Name, err)
 	}
@@ -199,14 +202,14 @@ func runEngine(q Query, opts RunOptions) (*Result, error) {
 // runMediate runs the paper's Figure 2 system: plans from System.Explain,
 // rows from the mediated execution. mediate-partial takes the currency
 // site down and pins the degraded answer plus its warnings.
-func runMediate(q Query) (*Result, error) {
+func runMediate(ctx context.Context, q Query) (*Result, error) {
 	partial := q.Mode == "mediate-partial"
 	sys := coin.Figure2System()
 	if partial {
 		sys = coin.Figure2SystemWith(downFetcher{})
 	}
 	sys.Executor().DefaultParallelism = q.Parallelism
-	plan, err := sys.Explain(q.SQL, q.Receiver)
+	plan, err := sys.ExplainCtx(ctx, q.SQL, q.Receiver)
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: explain: %w", q.Name, err)
 	}
@@ -214,8 +217,7 @@ func runMediate(q Query) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: mediate: %w", q.Name, err)
 	}
-	//lint:allow ctxflow golden harness runs outside any session; corpus queries are short and local
-	rel, warns, err := sys.ExecuteWarnCtx(context.Background(), med,
+	rel, warns, err := sys.ExecuteWarnCtx(ctx, med,
 		coin.QueryOptions{PartialResults: partial, MaxParallelism: q.Parallelism})
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: executing: %w", q.Name, err)

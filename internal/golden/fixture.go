@@ -52,8 +52,9 @@ func boolCol(n string) relalg.Column { return relalg.Column{Name: n, Type: relal
 //	markets  paginated REST        quotes (requires cname), indices
 //
 // All company-bearing relations share cname keys, so the corpus can join
-// across every pairing of backends.
-func NewFixture() (*Fixture, error) {
+// across every pairing of backends. ctx bounds the REST source's discovery
+// request.
+func NewFixture(ctx context.Context) (*Fixture, error) {
 	cat := planner.NewCatalog()
 
 	// hq: the native in-memory relational source.
@@ -148,7 +149,7 @@ func NewFixture() (*Fixture, error) {
 	rest := restsrc.NewServer(mdb)
 	rest.Require = map[string][]string{"quotes": {"cname"}}
 	hs := httptest.NewServer(rest)
-	markets, err := restsrc.Dial("markets", hs.URL, hs.Client())
+	markets, err := restsrc.DialContext(ctx, "markets", hs.URL, hs.Client())
 	if err != nil {
 		hs.Close()
 		return nil, err

@@ -41,7 +41,7 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 	for _, q := range corpus {
 		t.Run(q.Name, func(t *testing.T) {
-			res, err := Run(q)
+			res, err := Run(t.Context(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,11 +71,11 @@ func TestRegenerationDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range corpus {
-		first, err := Run(q)
+		first, err := Run(t.Context(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := Run(q)
+		second, err := Run(t.Context(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ const flipQ = "SELECT earnings.cname, ta.x, tb.y FROM earnings, ta, tb WHERE ta.
 
 func planText(t *testing.T, ex *planner.Executor, sql string) string {
 	t.Helper()
-	p, err := ex.Plan(sqlparse.MustParse(sql).(*sqlparse.Select))
+	p, err := ex.PlanCtx(t.Context(), sqlparse.MustParse(sql).(*sqlparse.Select))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +209,11 @@ func TestHarnessCatchesCostFlip(t *testing.T) {
 // harness fails on structure, not on pricing.
 func TestHarnessIgnoresRepricing(t *testing.T) {
 	q := Query{Name: "reprice", Mode: "engine", SQL: "SELECT accounts.cname, fx.usd FROM accounts, fx WHERE fx.cur = accounts.currency"}
-	base, err := Run(q)
+	base, err := Run(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := RunWith(q, RunOptions{Mutate: func(fx *Fixture) {
+	scaled, err := RunWith(t.Context(), q, RunOptions{Mutate: func(fx *Fixture) {
 		fx.Ex.PerQueryCostHook = func(_ string, perQuery float64) float64 { return perQuery * 1.5 }
 	}})
 	if err != nil {
@@ -231,14 +231,14 @@ func TestHarnessIgnoresRepricing(t *testing.T) {
 // filter from push[] to local[], and the plan diff reports it.
 func TestHarnessCatchesPushdownLoss(t *testing.T) {
 	q := Query{Name: "push", Mode: "engine", SQL: "SELECT earnings.cname FROM earnings WHERE earnings.currency = 'JPY'"}
-	base, err := Run(q)
+	base, err := Run(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(base.Plan, "push[currency = JPY]") {
 		t.Fatalf("baseline should push the filter:\n%s", base.Plan)
 	}
-	ablated, err := RunWith(q, RunOptions{Mutate: func(fx *Fixture) {
+	ablated, err := RunWith(t.Context(), q, RunOptions{Mutate: func(fx *Fixture) {
 		fx.Ex.DisablePushdown = true
 	}})
 	if err != nil {
@@ -257,11 +257,11 @@ func TestHarnessCatchesPushdownLoss(t *testing.T) {
 // with missing/new row messages.
 func TestHarnessCatchesResultChange(t *testing.T) {
 	q := Query{Name: "rows", Mode: "engine", SQL: "SELECT companies.cname, companies.country FROM companies"}
-	base, err := Run(q)
+	base, err := Run(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered, err := Run(q)
+	tampered, err := Run(t.Context(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestHarnessCatchesResultChange(t *testing.T) {
 // correct loud failure for a dead backend.
 func TestPartialResultsFaultScripting(t *testing.T) {
 	q := Query{Name: "down", Mode: "engine", SQL: "SELECT indices.iname FROM indices"}
-	_, err := RunWith(q, RunOptions{Mutate: func(fx *Fixture) {
+	_, err := RunWith(t.Context(), q, RunOptions{Mutate: func(fx *Fixture) {
 		fx.Rest.FailNext(100, 503, "")
 	}})
 	if err == nil {

@@ -252,15 +252,13 @@ type probeEntry struct {
 // source query), and a concurrent identical probe waits for the first
 // one's answer instead of contacting the source again. Errors are not
 // cached — the waiting duplicates observe the error, later probes retry.
-// With a nil session there is no cache and the fetch goes straight
-// through admission.
 func (e *Executor) fetchSource(ctx context.Context, sess *Session, w wrapper.Wrapper, q wrapper.SourceQuery) (*relalg.Relation, error) {
-	cache := sess.probeCacheRef()
-	if cache == nil {
-		return e.querySource(ctx, sess, w, q)
-	}
+	cache := &sess.gov.probe
 	key := w.Source() + "\x00" + q.Canonical()
 	cache.mu.Lock()
+	if cache.entries == nil {
+		cache.entries = map[string]*probeEntry{}
+	}
 	if ent, ok := cache.entries[key]; ok {
 		cache.mu.Unlock()
 		select {
@@ -304,9 +302,10 @@ func (e *Executor) fetchSource(ctx context.Context, sess *Session, w wrapper.Wra
 // querySource runs one materialized source query under admission and the
 // retry/breaker machinery (retry.go), counting it, charging the session's
 // transfer governor, and feeding the adaptive statistics (observed
-// cardinality and query latency). Each attempt re-acquires admission, so
-// no slot is held through a backoff sleep; governor charges happen once,
-// after the attempt that succeeded.
+// cardinality and query latency, buffered on the session until Close).
+// Each attempt re-acquires admission, so no slot is held through a
+// backoff sleep; governor charges happen once, after the attempt that
+// succeeded.
 func (e *Executor) querySource(ctx context.Context, sess *Session, w wrapper.Wrapper, q wrapper.SourceQuery) (*relalg.Relation, error) {
 	var rel *relalg.Relation
 	err := e.withRetry(ctx, sess, w, func() error {
@@ -320,7 +319,7 @@ func (e *Executor) querySource(ctx context.Context, sess *Session, w wrapper.Wra
 		if err != nil {
 			return err
 		}
-		e.observeLatency(sess, w.Source(), time.Since(start))
+		sess.bufferObs(statObs{source: w.Source(), latency: time.Since(start)})
 		return nil
 	})
 	if err != nil {
@@ -330,39 +329,12 @@ func (e *Executor) querySource(ctx context.Context, sess *Session, w wrapper.Wra
 	// budget violation is the query's fault, not the source's, so it must
 	// not feed the breaker or come back source-attributed (it stays fatal
 	// even in partial-results mode).
-	e.observeAccess(sess, q.Relation, q.Filters, rel.Len())
+	sess.bufferObs(statObs{relation: q.Relation, filters: q.Filters, rows: rel.Len()})
 	e.countQuery(rel.Len())
 	if err := sess.chargeTuples(rel.Len()); err != nil {
 		return nil, err
 	}
 	return rel, nil
-}
-
-// observeAccess feeds one completed source access (relation, filters,
-// tuples transferred) into the adaptive statistics: buffered in the
-// session when one governs the run (flushed at Session.Close), recorded
-// directly otherwise. A nil AdaptiveStats disables learning.
-func (e *Executor) observeAccess(sess *Session, relation string, filters []wrapper.Filter, rows int) {
-	if e.AdaptiveStats == nil {
-		return
-	}
-	o := statObs{relation: relation, filters: filters, rows: rows}
-	if sess != nil && sess.bufferObs(o) {
-		return
-	}
-	o.apply(e.AdaptiveStats)
-}
-
-// observeLatency feeds one measured source-query latency the same way.
-func (e *Executor) observeLatency(sess *Session, source string, d time.Duration) {
-	if e.AdaptiveStats == nil {
-		return
-	}
-	o := statObs{source: source, latency: d}
-	if sess != nil && sess.bufferObs(o) {
-		return
-	}
-	o.apply(e.AdaptiveStats)
 }
 
 // fetchAll answers a set of source queries concurrently (each through

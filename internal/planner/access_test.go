@@ -95,7 +95,7 @@ func TestBindJoinBatchesProbes(t *testing.T) {
 
 	cat, ctr := buildBindCatalog(t, feed, rows, batch, false)
 	ex := NewExecutor(cat)
-	batched, err := ex.ExecuteCtx(context.Background(), sqlparse.MustParse(bindQ))
+	batched, err := execute(bg, ex, sqlparse.MustParse(bindQ))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestBindJoinBatchesProbes(t *testing.T) {
 	cat2, ctr2 := buildBindCatalog(t, feed, rows, batch, false)
 	ex2 := NewExecutor(cat2)
 	ex2.DisableBatching = true
-	unbatched, err := ex2.ExecuteCtx(context.Background(), sqlparse.MustParse(bindQ))
+	unbatched, err := execute(bg, ex2, sqlparse.MustParse(bindQ))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestBindJoinSkipsNullFeeders(t *testing.T) {
 		if batch == 1 {
 			ex.DisableBatching = true
 		}
-		res, err := ex.ExecuteCtx(context.Background(), sqlparse.MustParse(bindQ))
+		res, err := execute(bg, ex, sqlparse.MustParse(bindQ))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestProbeCacheDeduplicatesAcrossBranches(t *testing.T) {
 		UnionAll: true,
 	}
 	ex := NewExecutor(cat)
-	res, err := ex.ExecuteMediationCtx(context.Background(), med)
+	res, err := executeMediation(bg, ex, med)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestProbeCacheSingleFlightUnderParallel(t *testing.T) {
 	}
 	ex := NewExecutor(cat)
 	ex.Parallel = true
-	res, err := ex.ExecuteMediationCtx(context.Background(), med)
+	res, err := executeMediation(bg, ex, med)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestDispatcherBoundsInflight(t *testing.T) {
 	}
 
 	ex, ctr := build()
-	if _, err := ex.ExecuteCtx(context.Background(), sqlparse.MustParse(bindQ)); err != nil {
+	if _, err := execute(bg, ex, sqlparse.MustParse(bindQ)); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctr.MaxInflight(); got > 2 {
@@ -320,7 +320,7 @@ func TestParallelBranchFailureCancelsSiblings(t *testing.T) {
 	ex.Parallel = true
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ex.ExecuteMediationCtx(context.Background(), med)
+		_, err := executeMediation(bg, ex, med)
 		errc <- err
 	}()
 	select {
@@ -337,7 +337,7 @@ func TestParallelBranchFailureCancelsSiblings(t *testing.T) {
 // leaf is never opened, so zero source queries run and zero tuples move.
 func TestLimitZeroTransfersNothing(t *testing.T) {
 	ex := NewExecutor(bigCatalog(1000))
-	res, err := ex.Execute(sqlparse.MustParse("SELECT nums.n FROM nums LIMIT 0"))
+	res, err := execute(bg, ex, sqlparse.MustParse("SELECT nums.n FROM nums LIMIT 0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,14 +376,14 @@ func TestBatchedEquivalenceRandomized(t *testing.T) {
 		index := rng.Intn(2) == 0
 
 		cat, _ := buildBindCatalog(t, feed, rows, batch, index)
-		a, err := NewExecutor(cat).ExecuteCtx(context.Background(), sqlparse.MustParse(bindQ))
+		a, err := execute(bg, NewExecutor(cat), sqlparse.MustParse(bindQ))
 		if err != nil {
 			t.Fatalf("seed %d: batched: %v", seed, err)
 		}
 		cat2, _ := buildBindCatalog(t, feed, rows, batch, index)
 		ex2 := NewExecutor(cat2)
 		ex2.DisableBatching = true
-		b, err := ex2.ExecuteCtx(context.Background(), sqlparse.MustParse(bindQ))
+		b, err := execute(bg, ex2, sqlparse.MustParse(bindQ))
 		if err != nil {
 			t.Fatalf("seed %d: unbatched: %v", seed, err)
 		}
@@ -398,7 +398,7 @@ func TestBatchedEquivalenceRandomized(t *testing.T) {
 func TestExplainShowsBatchWidth(t *testing.T) {
 	cat, _ := buildBindCatalog(t, keysOf(4), targetFor(keysOf(4), 1), 7, false)
 	ex := NewExecutor(cat)
-	plan, err := ex.Plan(sqlparse.MustParse(bindQ).(*sqlparse.Select))
+	plan, err := ex.PlanCtx(bg, sqlparse.MustParse(bindQ).(*sqlparse.Select))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,8 +480,7 @@ func TestChaosSlotAccountingUnderFailure(t *testing.T) {
 	cat := NewCatalog()
 	cat.MustAddSource(&failingWrapper{Wrapper: wrapper.NewRelational(bad)})
 	ex := NewExecutor(cat)
-	if _, err := ex.ExecuteCtx(context.Background(),
-		sqlparse.MustParse("SELECT bad.n FROM bad")); !errors.Is(err, errInjected) {
+	if _, err := execute(bg, ex, sqlparse.MustParse("SELECT bad.n FROM bad")); !errors.Is(err, errInjected) {
 		t.Fatalf("scan err = %v", err)
 	}
 	assertNoLeakedSlots(t, ex)
@@ -501,8 +500,7 @@ func TestChaosSlotAccountingUnderFailure(t *testing.T) {
 	}
 	cat3.MustAddSource(feed)
 	ex = NewExecutor(cat3)
-	if _, err := ex.ExecuteCtx(context.Background(),
-		sqlparse.MustParse(bindQ)); !errors.Is(err, errInjected) {
+	if _, err := execute(bg, ex, sqlparse.MustParse(bindQ)); !errors.Is(err, errInjected) {
 		t.Fatalf("bind-join err = %v", err)
 	}
 	assertNoLeakedSlots(t, ex)
@@ -518,7 +516,7 @@ func TestChaosSlotAccountingUnderFailure(t *testing.T) {
 	cat4.MustAddSource(feed)
 	ex = NewExecutor(cat4)
 	ex.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}
-	if _, err := ex.ExecuteCtx(context.Background(), sqlparse.MustParse(bindQ)); err == nil {
+	if _, err := execute(bg, ex, sqlparse.MustParse(bindQ)); err == nil {
 		t.Fatal("bind-join against dead source succeeded")
 	}
 	assertNoLeakedSlots(t, ex)

@@ -82,14 +82,14 @@ func TestInListWithUnitBatchFallsBackToProbes(t *testing.T) {
 	})
 	ex := NewExecutor(cat)
 	sel := sqlparse.MustParse(capsBindQ).(*sqlparse.Select)
-	plan, err := ex.Plan(sel)
+	plan, err := ex.PlanCtx(bg, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(plan.Explain(), "batch[") {
 		t.Fatalf("unit batch width must not plan batching:\n%s", plan.Explain())
 	}
-	res, err := ex.Run(plan)
+	res, err := runPlan(ex, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRequiredBindingSatisfiedOnlyByBindJoin(t *testing.T) {
 	cat, counter := bindCatalog(t, nil)
 	ex := NewExecutor(cat)
 	sel := sqlparse.MustParse(capsBindQ).(*sqlparse.Select)
-	plan, err := ex.Plan(sel)
+	plan, err := ex.PlanCtx(bg, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRequiredBindingSatisfiedOnlyByBindJoin(t *testing.T) {
 	if plan.Steps[0].Relation != "f" {
 		t.Fatalf("feeder must be placed first:\n%s", plan.Explain())
 	}
-	res, err := ex.Run(plan)
+	res, err := runPlan(ex, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func chunkedCatalog(size int) (*Catalog, *wrappertest.Chunked) {
 func TestStreamWithEmptyFinalChunk(t *testing.T) {
 	cat, ch := chunkedCatalog(2)
 	ex := NewExecutor(cat)
-	res, err := ex.Execute(sqlparse.MustParse("SELECT r.k, r.v FROM r"))
+	res, err := execute(bg, ex, sqlparse.MustParse("SELECT r.k, r.v FROM r"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestStreamWithEmptyFinalChunk(t *testing.T) {
 func TestStreamWithNoRows(t *testing.T) {
 	cat, ch := chunkedCatalog(2)
 	ex := NewExecutor(cat)
-	res, err := ex.Execute(sqlparse.MustParse("SELECT r.k FROM r WHERE r.k = 'zzz'"))
+	res, err := execute(bg, ex, sqlparse.MustParse("SELECT r.k FROM r WHERE r.k = 'zzz'"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func runPartial(t *testing.T, ex *Executor, med *core.Mediation) (*relalg.Relati
 func TestChaosPartialVsFailFast(t *testing.T) {
 	// The no-fault answer, and the answer of just the healthy branches.
 	clean := newChaosFixture(t)
-	want, err := NewExecutor(clean.cat).ExecuteMediation(clean.med)
+	want, err := executeMediation(bg, NewExecutor(clean.cat), clean.med)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestChaosPartialVsFailFast(t *testing.T) {
 	}
 	survivors := &core.Mediation{Branches: []*sqlparse.Select{
 		clean.med.Branches[0], clean.med.Branches[2]}}
-	wantPartial, err := NewExecutor(newChaosFixture(t).cat).ExecuteMediation(survivors)
+	wantPartial, err := executeMediation(bg, NewExecutor(newChaosFixture(t).cat), survivors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestChaosPartialVsFailFast(t *testing.T) {
 		f.flaky["srcB"].FailAlways(wrapper.Permanent(errors.New("source decommissioned")))
 		ex := NewExecutor(f.cat)
 		ex.Parallel = parallel
-		_, err := ex.ExecuteMediation(f.med)
+		_, err := executeMediation(bg, ex, f.med)
 		var se *SourceError
 		if !errors.As(err, &se) || se.Source != "srcB" {
 			t.Fatalf("%s fail-fast error = %v, want SourceError for srcB", mode, err)
@@ -220,7 +220,7 @@ func TestRetryFailTwiceThenSucceed(t *testing.T) {
 	ex := NewExecutor(f.cat)
 	ex.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}
 
-	got, err := ex.ExecuteCtx(context.Background(), f.med.Branches[0])
+	got, err := execute(bg, ex, f.med.Branches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestRetryStopsOnPermanentFault(t *testing.T) {
 	ex := NewExecutor(f.cat)
 	ex.Retry = RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond}
 
-	_, err := ex.ExecuteCtx(context.Background(), f.med.Branches[0])
+	_, err := execute(bg, ex, f.med.Branches[0])
 	if !errors.Is(err, wrapper.ErrPermanent) {
 		t.Fatalf("err = %v, want the permanent fault", err)
 	}
@@ -297,7 +297,7 @@ func TestRetryRateLimitedHonorsHint(t *testing.T) {
 	ex.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
 
 	start := time.Now()
-	got, err := ex.ExecuteCtx(context.Background(), f.med.Branches[0])
+	got, err := execute(bg, ex, f.med.Branches[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestRetryMidStreamRecovery(t *testing.T) {
 	ex := NewExecutor(cat)
 	ex.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}
 
-	got, err := ex.ExecuteCtx(context.Background(), mustSelect(t, "SELECT big.n FROM big"))
+	got, err := execute(bg, ex, mustSelect(t, "SELECT big.n FROM big"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestRetryMidStreamWithoutRetriesFailsButKeepsDelivered(t *testing.T) {
 	f := newChaosFixture(t)
 	f.flaky["srcA"].FailAtTuple(2, wrapper.Transient(errors.New("reset")))
 	ex := NewExecutor(f.cat)
-	_, err := ex.ExecuteCtx(context.Background(), f.med.Branches[0])
+	_, err := execute(bg, ex, f.med.Branches[0])
 	if !Degradable(err) {
 		t.Fatalf("err = %v, want SourceError", err)
 	}
@@ -393,7 +393,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	sel := f.med.Branches[0]
 
 	for i := 0; i < 3; i++ {
-		if _, err := ex.ExecuteCtx(context.Background(), sel); err == nil {
+		if _, err := execute(bg, ex, sel); err == nil {
 			t.Fatalf("query %d unexpectedly succeeded", i+1)
 		}
 	}
@@ -407,7 +407,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 	// While open: rejected immediately, the source is not contacted.
 	before := f.counter["srcA"].Queries()
-	_, err := ex.ExecuteCtx(context.Background(), sel)
+	_, err := execute(bg, ex, sel)
 	if !errors.Is(err, ErrSourceTripped) {
 		t.Fatalf("open-breaker error = %v, want ErrSourceTripped", err)
 	}
@@ -424,7 +424,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	// After the cooldown the probe is admitted; the script is exhausted,
 	// so it succeeds and the breaker closes.
 	time.Sleep(cooldown + 10*time.Millisecond)
-	got, err := ex.ExecuteCtx(context.Background(), sel)
+	got, err := execute(bg, ex, sel)
 	if err != nil {
 		t.Fatalf("half-open probe: %v", err)
 	}
@@ -448,10 +448,10 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	sel := f.med.Branches[0]
 
 	for i := 0; i < 3; i++ {
-		ex.ExecuteCtx(context.Background(), sel)
+		execute(bg, ex, sel)
 	}
 	time.Sleep(cooldown + 10*time.Millisecond)
-	if _, err := ex.ExecuteCtx(context.Background(), sel); err == nil {
+	if _, err := execute(bg, ex, sel); err == nil {
 		t.Fatal("failing probe unexpectedly succeeded")
 	}
 	d := ex.disp.get("srcA", 0)
@@ -461,11 +461,11 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	if st := ex.Stats(); st.BreakerTrips != 2 {
 		t.Errorf("BreakerTrips = %d, want 2 (threshold trip + failed probe)", st.BreakerTrips)
 	}
-	if _, err := ex.ExecuteCtx(context.Background(), sel); !errors.Is(err, ErrSourceTripped) {
+	if _, err := execute(bg, ex, sel); !errors.Is(err, ErrSourceTripped) {
 		t.Errorf("post-probe error = %v, want ErrSourceTripped", err)
 	}
 	time.Sleep(cooldown + 10*time.Millisecond)
-	if _, err := ex.ExecuteCtx(context.Background(), sel); err != nil {
+	if _, err := execute(bg, ex, sel); err != nil {
 		t.Errorf("recovered probe: %v", err)
 	}
 	if d.breakerState() != breakerClosed {
@@ -488,7 +488,7 @@ func TestBreakerProbeAbandonedOnContextDeath(t *testing.T) {
 	w := f.counter["srcA"]
 	d := ex.dispatcherFor(w)
 
-	if _, err := ex.ExecuteCtx(context.Background(), f.med.Branches[0]); err == nil {
+	if _, err := execute(bg, ex, f.med.Branches[0]); err == nil {
 		t.Fatal("tripping query unexpectedly succeeded")
 	}
 	if d.breakerState() != breakerOpen {
@@ -519,7 +519,7 @@ func TestBreakerProbeAbandonedOnContextDeath(t *testing.T) {
 	// The probe slot was released: after another cooldown a new probe is
 	// admitted (the fault script is exhausted) and closes the breaker.
 	time.Sleep(cooldown + 10*time.Millisecond)
-	got, err := ex.ExecuteCtx(context.Background(), f.med.Branches[0])
+	got, err := execute(bg, ex, f.med.Branches[0])
 	if err != nil {
 		t.Fatalf("probe after abandonment: %v", err)
 	}
@@ -590,7 +590,7 @@ func TestBreakerTripShortCircuitsRetry(t *testing.T) {
 	ex.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}
 	ex.Breaker = BreakerPolicy{Threshold: 1, Cooldown: time.Minute}
 
-	_, err := ex.ExecuteCtx(context.Background(), f.med.Branches[0])
+	_, err := execute(bg, ex, f.med.Branches[0])
 	if err == nil {
 		t.Fatal("query against dead source unexpectedly succeeded")
 	}
@@ -669,7 +669,7 @@ func TestChaosFailFastCancelsSiblings(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := ex.ExecuteMediation(med)
+		_, err := executeMediation(bg, ex, med)
 		done <- err
 	}()
 	select {
@@ -735,8 +735,7 @@ func TestPartialPaperQ1CurrencySourceDown(t *testing.T) {
 		t.Fatalf("fixture drift: %d/%d branches avoid r3", len(healthy), len(med.Branches))
 	}
 	cat, _ := paperChaosCatalog()
-	want, err := NewExecutor(cat).ExecuteMediation(
-		&core.Mediation{Branches: healthy, UnionAll: med.UnionAll})
+	want, err := executeMediation(bg, NewExecutor(cat), &core.Mediation{Branches: healthy, UnionAll: med.UnionAll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -745,7 +744,7 @@ func TestPartialPaperQ1CurrencySourceDown(t *testing.T) {
 	cat, fl := paperChaosCatalog()
 	fl.FailAlways(wrapper.Transient(errors.New("currency site down")))
 	ex := NewExecutor(cat)
-	_, err = ex.ExecuteMediation(med)
+	_, err = executeMediation(bg, ex, med)
 	var se *SourceError
 	if !errors.As(err, &se) || se.Source != "currencyweb" {
 		t.Fatalf("fail-fast err = %v, want SourceError for currencyweb", err)

@@ -55,7 +55,7 @@ func TestConflictWorkloadOracle(t *testing.T) {
 			cat := NewCatalog()
 			cat.MustAddSource(wrapper.NewRelational(db))
 
-			res, err := NewExecutor(cat).ExecuteMediation(med)
+			res, err := executeMediation(bg, NewExecutor(cat), med)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ import (
 func TestFlippedLiteralFilter(t *testing.T) {
 	cat, _ := paperCatalog()
 	ex := NewExecutor(cat)
-	plan, err := ex.Plan(sqlparse.MustParse("SELECT r1.cname FROM r1 WHERE 2000000 < r1.revenue").(*sqlparse.Select))
+	plan, err := ex.PlanCtx(bg, sqlparse.MustParse("SELECT r1.cname FROM r1 WHERE 2000000 < r1.revenue").(*sqlparse.Select))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestFlippedLiteralFilter(t *testing.T) {
 	if f.Column != "revenue" || f.Op != ">" || f.Value.N != 2000000 {
 		t.Errorf("flipped filter = %+v", f)
 	}
-	res, err := ex.Run(plan)
+	res, err := runPlan(ex, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +40,14 @@ func TestSameBindingComplexPredicate(t *testing.T) {
 	cat, _ := paperCatalog()
 	ex := NewExecutor(cat)
 	sel := sqlparse.MustParse("SELECT r1.cname FROM r1 WHERE r1.revenue * 2 > 1000000").(*sqlparse.Select)
-	plan, err := ex.Plan(sel)
+	plan, err := ex.PlanCtx(bg, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plan.Steps[0].LocalPreds) != 1 {
 		t.Fatalf("local preds = %+v", plan.Steps[0])
 	}
-	res, err := ex.Run(plan)
+	res, err := runPlan(ex, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSameBindingComplexPredicate(t *testing.T) {
 func TestSameBindingEqualityIsLocal(t *testing.T) {
 	cat, _ := paperCatalog()
 	ex := NewExecutor(cat)
-	res, err := ex.Execute(sqlparse.MustParse("SELECT r2.cname FROM r2 WHERE r2.cname = r2.cname"))
+	res, err := execute(bg, ex, sqlparse.MustParse("SELECT r2.cname FROM r2 WHERE r2.cname = r2.cname"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSameBindingEqualityIsLocal(t *testing.T) {
 func TestCrossJoinNoPredicate(t *testing.T) {
 	cat, _ := paperCatalog()
 	ex := NewExecutor(cat)
-	res, err := ex.Execute(sqlparse.MustParse("SELECT r1.cname, r2.cname FROM r1, r2"))
+	res, err := execute(bg, ex, sqlparse.MustParse("SELECT r1.cname, r2.cname FROM r1, r2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCrossJoinNoPredicate(t *testing.T) {
 func TestThreeWayJoinOrder(t *testing.T) {
 	cat, _ := paperCatalog()
 	ex := NewExecutor(cat)
-	res, err := ex.Execute(sqlparse.MustParse(`
+	res, err := execute(bg, ex, sqlparse.MustParse(`
 		SELECT r1.cname, r3.rate FROM r1, r2, r3
 		WHERE r1.cname = r2.cname AND r3.fromCur = r1.currency AND r3.toCur = 'USD'`))
 	if err != nil {
@@ -108,7 +108,7 @@ func TestThreeWayJoinOrder(t *testing.T) {
 func TestProjectionExpression(t *testing.T) {
 	cat, _ := paperCatalog()
 	ex := NewExecutor(cat)
-	res, err := ex.Execute(sqlparse.MustParse(
+	res, err := execute(bg, ex, sqlparse.MustParse(
 		"SELECT r2.cname, r2.expenses / 1000000 AS m FROM r2 ORDER BY m DESC"))
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestBooleanColumns(t *testing.T) {
 	cat := NewCatalog()
 	cat.MustAddSource(wrapper.NewRelational(db))
 	ex := NewExecutor(cat)
-	res, err := ex.Execute(sqlparse.MustParse("SELECT flags.name FROM flags WHERE flags.active = TRUE"))
+	res, err := execute(bg, ex, sqlparse.MustParse("SELECT flags.name FROM flags WHERE flags.active = TRUE"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,10 @@ import (
 // Executor plans and runs statements over the catalog's sources, doing
 // all cross-source work locally. Execution is streaming: plans compile to
 // pull-based iterator trees (see stream.go), so tuples flow through a
-// branch one at a time and early exits stop pulling from the sources.
+// branch in batches and early exits stop pulling from the sources.
 // Every run is governed by a query Session (see session.go) carrying
-// cancellation, deadline and resource limits; the context-free entry
-// points are thin wrappers over an ungoverned background session.
+// cancellation, deadline and resource limits; a run without governors is
+// a session with zero Limits.
 type Executor struct {
 	Catalog *Catalog
 	// Temp, when set, stages every pipeline breaker and step boundary
@@ -143,27 +143,9 @@ func (e *Executor) countQuery(tuples int) {
 	e.mu.Unlock()
 }
 
-// Execute plans and runs a statement under a background, ungoverned
-// session. UNION combines with set semantics unless the Union node says
-// ALL.
-func (e *Executor) Execute(stmt sqlparse.Statement) (*relalg.Relation, error) {
-	//lint:allow ctxflow Execute is the documented ungoverned convenience; governed callers use ExecuteCtx
-	return e.ExecuteCtx(context.Background(), stmt)
-}
-
-// ExecuteCtx plans and runs a statement under ctx: canceling ctx aborts
-// the query mid-stream, source fetches included.
-func (e *Executor) ExecuteCtx(ctx context.Context, stmt sqlparse.Statement) (*relalg.Relation, error) {
-	sess := e.NewSession(ctx, Limits{})
-	defer sess.Close()
-	return e.ExecuteSession(sess, stmt)
-}
-
-// ExecuteSession plans and runs a statement under an existing session.
+// ExecuteSession plans and runs a statement under sess. UNION combines
+// with set semantics unless the Union node says ALL.
 func (e *Executor) ExecuteSession(sess *Session, stmt sqlparse.Statement) (*relalg.Relation, error) {
-	if s, ok := stmt.(*sqlparse.Select); ok {
-		return e.executeSelect(sess, s)
-	}
 	it, err := e.statementStream(sess, stmt)
 	if err != nil {
 		return nil, err
@@ -171,32 +153,13 @@ func (e *Executor) ExecuteSession(sess *Session, stmt sqlparse.Statement) (*rela
 	return relalg.Collect(sess.Context(), it, "")
 }
 
-// ExecuteSelect plans and runs one SELECT block under a background,
-// ungoverned session.
-func (e *Executor) ExecuteSelect(sel *sqlparse.Select) (*relalg.Relation, error) {
-	return e.executeSelect(nil, sel)
-}
-
 // executeSelect plans and runs one SELECT block under sess.
 func (e *Executor) executeSelect(sess *Session, sel *sqlparse.Select) (*relalg.Relation, error) {
-	if hasAggregates(sel) {
-		it, err := e.aggregateStream(sess, sel)
-		if err != nil {
-			return nil, err
-		}
-		return relalg.Collect(sess.Context(), it, "")
-	}
-	plan, err := e.PlanCtx(sess.Context(), sel)
+	it, err := e.selectStream(sess, sel)
 	if err != nil {
 		return nil, err
 	}
-	e.ParallelizePlan(plan, sess)
-	return e.RunSession(sess, plan)
-}
-
-// Run executes a prepared plan under a background, ungoverned session.
-func (e *Executor) Run(plan *BranchPlan) (*relalg.Relation, error) {
-	return e.RunSession(nil, plan)
+	return relalg.Collect(sess.Context(), it, "")
 }
 
 // RunSession executes a prepared plan under sess by compiling it to an
@@ -321,7 +284,8 @@ func (e *Executor) fetchBindStep(ctx context.Context, sess *Session, step *PlanS
 		}
 	}
 	if len(step.LocalPreds) > 0 {
-		if rel, err = relalg.Filter(rel, sqlparse.AndAll(step.LocalPreds)); err != nil {
+		kept := relalg.NewFilter(relalg.NewScan(rel), sqlparse.AndAll(step.LocalPreds))
+		if rel, err = relalg.Collect(ctx, kept, rel.Name); err != nil {
 			return nil, err
 		}
 	}
@@ -495,22 +459,9 @@ func hasAggregates(sel *sqlparse.Select) bool {
 	return false
 }
 
-// ExecuteMediation runs a mediated query under a background, ungoverned
-// session: every branch, combined with the mediation's union semantics,
-// then the post-union step when present.
-func (e *Executor) ExecuteMediation(med *core.Mediation) (*relalg.Relation, error) {
-	return e.ExecuteMediationSession(nil, med)
-}
-
-// ExecuteMediationCtx runs a mediated query under ctx.
-func (e *Executor) ExecuteMediationCtx(ctx context.Context, med *core.Mediation) (*relalg.Relation, error) {
-	sess := e.NewSession(ctx, Limits{})
-	defer sess.Close()
-	return e.ExecuteMediationSession(sess, med)
-}
-
-// ExecuteMediationSession runs a mediated query under an existing
-// session. With Executor.Parallel set, branches run concurrently (they
+// ExecuteMediationSession runs a mediated query under sess: every branch,
+// combined with the mediation's union semantics, then the post-union step
+// when present. With Executor.Parallel set, branches run concurrently (they
 // are independent by construction: each is one conflict-resolution case)
 // and share the session; otherwise the union consumes them lazily in
 // order. See MediationStream for the streaming composition.

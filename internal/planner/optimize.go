@@ -36,25 +36,15 @@ import (
 // the greedy enumerator plans (2^n states would outgrow the win).
 const maxDPRelations = 12
 
-// Plan builds the capability- and cost-aware plan for one SELECT block:
+// PlanCtx builds the capability- and cost-aware plan for one SELECT block:
 // it builds the logical query graph, then enumerates left-deep access
 // orders — dynamic programming by default, the greedy pass under
 // DisableReorder or past maxDPRelations relations — admitting a relation
 // only once its required bindings can be fed by constants or by columns
 // of relations already placed (a bind join), and materializes the winning
-// order into executable steps.
-//
-// Plan is the ungoverned convenience form; the engine's own call sites
-// use PlanCtx with the session context so stat probes die with the
-// session.
-func (e *Executor) Plan(sel *sqlparse.Select) (*BranchPlan, error) {
-	//lint:allow ctxflow Plan is the documented context-free convenience; engine paths call PlanCtx
-	return e.PlanCtx(context.Background(), sel)
-}
-
-// PlanCtx is Plan with an explicit context bounding the cost model's
-// wrapper stat probes (EstimateRows / DistinctCount against live
-// sources).
+// order into executable steps. ctx — the session context at every engine
+// call site — bounds the cost model's wrapper stat probes (EstimateRows /
+// DistinctCount against live sources), so they die with the session.
 func (e *Executor) PlanCtx(ctx context.Context, sel *sqlparse.Select) (*BranchPlan, error) {
 	lq, err := e.buildLogical(sel)
 	if err != nil {

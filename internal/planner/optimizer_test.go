@@ -86,7 +86,7 @@ func TestAdaptiveReplanBeatsStaticGreedy(t *testing.T) {
 	exG := NewExecutor(catG)
 	exG.DisableReorder = true
 	exG.AdaptiveStats = nil
-	resG, err := exG.Execute(q)
+	resG, err := execute(bg, exG, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,12 @@ func TestAdaptiveReplanBeatsStaticGreedy(t *testing.T) {
 	// The adaptive optimizer: warm-up, then replan.
 	catA, _ := skewedCatalog(200, 5)
 	exA := NewExecutor(catA)
-	if _, err := exA.ExecuteCtx(context.Background(), q); err != nil {
+	if _, err := execute(bg, exA, q); err != nil {
 		t.Fatal(err)
 	}
 	coldTuples := exA.Stats().TuplesTransferred
 	exA.ResetStats()
-	resA, err := exA.ExecuteCtx(context.Background(), q)
+	resA, err := execute(bg, exA, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestAdaptiveReplanBeatsStaticGreedy(t *testing.T) {
 	}
 
 	// The learned plan starts from the small relation.
-	plan, err := exA.Plan(q.(*sqlparse.Select))
+	plan, err := exA.PlanCtx(bg, q.(*sqlparse.Select))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +133,14 @@ func TestColdDPNoWorseThanGreedy(t *testing.T) {
 	catD, _ := skewedCatalog(50, 3)
 	exD := NewExecutor(catD)
 	exD.AdaptiveStats = nil
-	if _, err := exD.Execute(q); err != nil {
+	if _, err := execute(bg, exD, q); err != nil {
 		t.Fatal(err)
 	}
 	catG, _ := skewedCatalog(50, 3)
 	exG := NewExecutor(catG)
 	exG.AdaptiveStats = nil
 	exG.DisableReorder = true
-	if _, err := exG.Execute(q); err != nil {
+	if _, err := execute(bg, exG, q); err != nil {
 		t.Fatal(err)
 	}
 	if d, g := exD.Stats().TuplesTransferred, exG.Stats().TuplesTransferred; d > g {
@@ -156,13 +156,13 @@ func TestPlanDeterminism(t *testing.T) {
 	cat, _ := skewedCatalog(50, 3)
 	ex := NewExecutor(cat)
 	sel := sqlparse.MustParse(skewedQ).(*sqlparse.Select)
-	plan, err := ex.Plan(sel)
+	plan, err := ex.PlanCtx(bg, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := plan.Explain()
 	for i := 0; i < 10; i++ {
-		p, err := ex.Plan(sel)
+		p, err := ex.PlanCtx(bg, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestPlanDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			p, err := ex.Plan(sel)
+			p, err := ex.PlanCtx(bg, sel)
 			if err != nil {
 				errs[g] = err.Error()
 				return
@@ -255,13 +255,13 @@ func TestReorderEquivalenceRandomized(t *testing.T) {
 		for qi, q := range queries {
 			stmt := sqlparse.MustParse(q)
 			exD := NewExecutor(cat)
-			resD, err := exD.Execute(stmt)
+			resD, err := execute(bg, exD, stmt)
 			if err != nil {
 				t.Fatalf("seed %d q%d dp: %v", seed, qi, err)
 			}
 			exG := NewExecutor(cat)
 			exG.DisableReorder = true
-			resG, err := exG.Execute(stmt)
+			resG, err := execute(bg, exG, stmt)
 			if err != nil {
 				t.Fatalf("seed %d q%d greedy: %v", seed, qi, err)
 			}
@@ -355,7 +355,7 @@ func TestStatsFlushAtSessionClose(t *testing.T) {
 	cat, _ := skewedCatalog(10, 1)
 	ex := NewExecutor(cat)
 	sess := ex.NewSession(context.Background(), Limits{})
-	plan, err := ex.Plan(sqlparse.MustParse("SELECT a.v FROM a").(*sqlparse.Select))
+	plan, err := ex.PlanCtx(bg, sqlparse.MustParse("SELECT a.v FROM a").(*sqlparse.Select))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,8 +380,7 @@ func TestStatsFlushAtSessionClose(t *testing.T) {
 func TestLimitDoesNotPoisonStats(t *testing.T) {
 	cat, _ := skewedCatalog(10, 1)
 	ex := NewExecutor(cat)
-	if _, err := ex.ExecuteCtx(context.Background(),
-		sqlparse.MustParse("SELECT a.v FROM a LIMIT 2")); err != nil {
+	if _, err := execute(bg, ex, sqlparse.MustParse("SELECT a.v FROM a LIMIT 2")); err != nil {
 		t.Fatal(err)
 	}
 	if rows, ok := ex.AdaptiveStats.RelationRows("a"); ok {
@@ -399,7 +398,7 @@ func TestTooManyRelationsRejected(t *testing.T) {
 		froms[i] = fmt.Sprintf("a a%d", i)
 	}
 	q := "SELECT a0.v FROM " + strings.Join(froms, ", ")
-	_, err := NewExecutor(cat).Plan(sqlparse.MustParse(q).(*sqlparse.Select))
+	_, err := NewExecutor(cat).PlanCtx(bg, sqlparse.MustParse(q).(*sqlparse.Select))
 	if err == nil || !strings.Contains(err.Error(), "at most 64") {
 		t.Errorf("err = %v, want the 64-relation refusal", err)
 	}

@@ -50,7 +50,7 @@ const (
 // session's MaxParallelism when set, else the executor's
 // DefaultParallelism, else 1 (serial).
 func (e *Executor) parallelism(sess *Session) int {
-	if sess != nil && sess.limits.MaxParallelism > 0 {
+	if sess.limits.MaxParallelism > 0 {
 		return sess.limits.MaxParallelism
 	}
 	if e.DefaultParallelism > 1 {
@@ -122,7 +122,7 @@ func (e *Executor) scanFanOut(sess *Session, step *PlanStep, par int) int {
 	} else if parts > c {
 		parts = c
 	}
-	if sess != nil && sess.limits.MaxConcurrentPerSource > 0 && parts > sess.limits.MaxConcurrentPerSource {
+	if sess.limits.MaxConcurrentPerSource > 0 && parts > sess.limits.MaxConcurrentPerSource {
 		parts = sess.limits.MaxConcurrentPerSource
 	}
 	if parts <= 1 {

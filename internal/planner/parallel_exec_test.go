@@ -85,12 +85,13 @@ func TestParallelizePassAnnotations(t *testing.T) {
 	cat, _, _ := buildParCatalog(t, parCatalogOpts{bigRows: 4000, dimRows: 900, seed: 1})
 	ex := NewExecutor(cat)
 	ex.DefaultParallelism = 4
-	plan, err := ex.Plan(sqlparse.MustParse(parJoinQ).(*sqlparse.Select))
+	plan, err := ex.PlanCtx(bg, sqlparse.MustParse(parJoinQ).(*sqlparse.Select))
 	if err != nil {
 		t.Fatal(err)
 	}
 	serialExplain := plan.Explain()
-	ex.ParallelizePlan(plan, nil)
+	sess := zeroSession(t, ex)
+	ex.ParallelizePlan(plan, sess)
 	if plan.Parallelism != 4 {
 		t.Errorf("plan.Parallelism = %d, want 4", plan.Parallelism)
 	}
@@ -114,7 +115,7 @@ func TestParallelizePassAnnotations(t *testing.T) {
 		t.Errorf("no exchange join annotated:\n%s", plan.Explain())
 	}
 	first := plan.Explain()
-	ex.ParallelizePlan(plan, nil) // idempotent: same annotations, same estimates
+	ex.ParallelizePlan(plan, sess) // idempotent: same annotations, same estimates
 	if second := plan.Explain(); second != first {
 		t.Errorf("parallelize pass not idempotent:\n%s\nvs\n%s", first, second)
 	}
@@ -123,7 +124,7 @@ func TestParallelizePassAnnotations(t *testing.T) {
 	}
 	// Re-annotating at parallelism 1 restores the serial rendering exactly.
 	ex.DefaultParallelism = 1
-	ex.ParallelizePlan(plan, nil)
+	ex.ParallelizePlan(plan, sess)
 	if got := plan.Explain(); got != serialExplain {
 		t.Errorf("parallelism=1 EXPLAIN differs from serial plan:\n%s\nvs\n%s", got, serialExplain)
 	}
@@ -138,14 +139,14 @@ func TestParallelismOnePlansByteIdentical(t *testing.T) {
 	sel := sqlparse.MustParse(parJoinQ).(*sqlparse.Select)
 
 	serial := NewExecutor(cat)
-	base, err := serial.Plan(sel)
+	base, err := serial.PlanCtx(bg, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	par := NewExecutor(cat)
 	par.DefaultParallelism = 8
-	plan, err := par.Plan(sel)
+	plan, err := par.PlanCtx(bg, sel)
 	if err != nil {
 		t.Fatal(err)
 	}

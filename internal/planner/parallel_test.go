@@ -28,13 +28,13 @@ func TestParallelBranchesMatchSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	cat, _ := paperCatalog()
-	seq, err := NewExecutor(cat).ExecuteMediation(med)
+	seq, err := executeMediation(bg, NewExecutor(cat), med)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := NewExecutor(cat)
 	par.Parallel = true
-	got, err := par.ExecuteMediation(med)
+	got, err := executeMediation(bg, par, med)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestParallelErrorPropagation(t *testing.T) {
 	cat.MustAddSource(newRelationalFor(t, dbs, "source2"))
 	ex := NewExecutor(cat)
 	ex.Parallel = true
-	if _, err := ex.ExecuteMediation(med); err == nil {
+	if _, err := executeMediation(bg, ex, med); err == nil {
 		t.Error("missing source not reported under parallel execution")
 	}
 }

@@ -61,7 +61,7 @@ func TestCatalogBasics(t *testing.T) {
 func TestNaiveQueryWrongAnswer(t *testing.T) {
 	cat, _ := paperCatalog()
 	ex := NewExecutor(cat)
-	res, err := ex.Execute(sqlparse.MustParse(fixture.PaperQ1))
+	res, err := execute(bg, ex, sqlparse.MustParse(fixture.PaperQ1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPaperExampleEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			ex := NewExecutor(cat)
-			res, err := ex.ExecuteMediation(med)
+			res, err := executeMediation(bg, ex, med)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestBindJoinUsesLookups(t *testing.T) {
 	}
 	ex := NewExecutor(cat)
 	site.ResetHits()
-	if _, err := ex.ExecuteMediation(med); err != nil {
+	if _, err := executeMediation(bg, ex, med); err != nil {
 		t.Fatal(err)
 	}
 	// Branch 2 binds JPY→USD by constants (1 fetch); branch 3 feeds
@@ -130,7 +130,7 @@ func TestBindJoinUsesLookups(t *testing.T) {
 func TestBindJoinInfeasible(t *testing.T) {
 	cat, _ := lookupCatalog()
 	ex := NewExecutor(cat)
-	_, err := ex.Execute(sqlparse.MustParse("SELECT r3.rate FROM r3"))
+	_, err := execute(bg, ex, sqlparse.MustParse("SELECT r3.rate FROM r3"))
 	if err == nil || !strings.Contains(err.Error(), "feasible") {
 		t.Errorf("err = %v", err)
 	}
@@ -141,7 +141,7 @@ func TestPlanExplainShape(t *testing.T) {
 	ex := NewExecutor(cat)
 	sel := sqlparse.MustParse(
 		"SELECT r1.cname FROM r1, r3 WHERE r3.fromCur = r1.currency AND r3.toCur = 'USD'").(*sqlparse.Select)
-	plan, err := ex.Plan(sel)
+	plan, err := ex.PlanCtx(bg, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +168,14 @@ func TestSelectionPushdownAblation(t *testing.T) {
 	q := sqlparse.MustParse("SELECT r1.cname FROM r1 WHERE r1.currency = 'JPY'")
 
 	ex := NewExecutor(cat)
-	if _, err := ex.Execute(q); err != nil {
+	if _, err := execute(bg, ex, q); err != nil {
 		t.Fatal(err)
 	}
 	pushed := ex.Stats().TuplesTransferred
 
 	ex2 := NewExecutor(cat)
 	ex2.DisablePushdown = true
-	res, err := ex2.Execute(q)
+	res, err := execute(bg, ex2, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,19 +191,19 @@ func TestSelectionPushdownAblation(t *testing.T) {
 func TestJoinAlgorithmsSameResult(t *testing.T) {
 	cat, _ := paperCatalog()
 	q := sqlparse.MustParse("SELECT r1.cname, r2.expenses FROM r1, r2 WHERE r1.cname = r2.cname")
-	a, err := NewExecutor(cat).Execute(q)
+	a, err := execute(bg, NewExecutor(cat), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exNL := NewExecutor(cat)
 	exNL.ForceNestedLoop = true
-	b, err := exNL.Execute(q)
+	b, err := execute(bg, exNL, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exMJ := NewExecutor(cat)
 	exMJ.ForceMergeJoin = true
-	c, err := exMJ.Execute(q)
+	c, err := execute(bg, exMJ, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestJoinAlgorithmsSameResult(t *testing.T) {
 func TestAggregateExecution(t *testing.T) {
 	cat, _ := paperCatalog()
 	ex := NewExecutor(cat)
-	res, err := ex.Execute(sqlparse.MustParse(
+	res, err := execute(bg, ex, sqlparse.MustParse(
 		"SELECT r1.currency, COUNT(*) AS n FROM r1 GROUP BY r1.currency ORDER BY n DESC"))
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestAggregateExecution(t *testing.T) {
 func TestOrderLimitDistinct(t *testing.T) {
 	cat, _ := paperCatalog()
 	ex := NewExecutor(cat)
-	res, err := ex.Execute(sqlparse.MustParse(
+	res, err := execute(bg, ex, sqlparse.MustParse(
 		"SELECT DISTINCT r3.toCur FROM r3 ORDER BY r3.toCur LIMIT 2"))
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestMediatedAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewExecutor(cat).ExecuteMediation(med)
+	res, err := executeMediation(bg, NewExecutor(cat), med)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestMediationOracleEquivalence(t *testing.T) {
 		cat.MustAddSource(wrapper.NewRelational(db2))
 		cat.MustAddSource(wrapper.NewRelational(db3))
 
-		res, err := NewExecutor(cat).ExecuteMediation(med)
+		res, err := executeMediation(bg, NewExecutor(cat), med)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -333,7 +333,7 @@ func TestTempStoreStaging(t *testing.T) {
 	ts.SpillThreshold = 1
 	ex := NewExecutor(cat)
 	ex.Temp = ts
-	res, err := ex.Execute(sqlparse.MustParse(
+	res, err := execute(bg, ex, sqlparse.MustParse(
 		"SELECT r1.cname, r2.expenses FROM r1, r2 WHERE r1.cname = r2.cname"))
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func TestTempStoreStaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ex.ExecuteMediation(med)
+	ans, err := executeMediation(bg, ex, med)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestUnreachableSourceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewExecutor(cat).ExecuteMediation(med)
+	_, err = executeMediation(bg, NewExecutor(cat), med)
 	if err == nil || !strings.Contains(err.Error(), "fetching") {
 		t.Errorf("err = %v", err)
 	}
@@ -381,7 +381,7 @@ func TestUnreachableSourceError(t *testing.T) {
 func TestExecStatsCount(t *testing.T) {
 	cat, _ := paperCatalog()
 	ex := NewExecutor(cat)
-	if _, err := ex.Execute(sqlparse.MustParse("SELECT r1.cname FROM r1")); err != nil {
+	if _, err := execute(bg, ex, sqlparse.MustParse("SELECT r1.cname FROM r1")); err != nil {
 		t.Fatal(err)
 	}
 	st := ex.Stats()

@@ -22,7 +22,8 @@ import (
 )
 
 // Limits are the resource-governor knobs of one query session. The zero
-// value means ungoverned (no deadline, no caps).
+// value means ungoverned (no deadline, no caps): NewSession(ctx, Limits{})
+// is how a run without governors is spelled — there is no nil session.
 type Limits struct {
 	// Timeout bounds the session's wall-clock lifetime; enforced as a
 	// context deadline, so exceeding it surfaces as
@@ -151,56 +152,36 @@ func (e *Executor) NewSession(ctx context.Context, lim Limits) *Session {
 // The derived session does not own ctx — Close/Cancel on it are no-ops;
 // lifetime stays with the parent.
 func (s *Session) withContext(ctx context.Context) *Session {
-	if s == nil {
-		return &Session{ctx: ctx, cancel: func() {}, gov: &sessGov{}}
-	}
 	return &Session{ctx: ctx, cancel: func() {}, limits: s.limits, gov: s.gov}
 }
 
 // Context returns the session's context; Open pipeline trees with it.
-func (s *Session) Context() context.Context {
-	if s == nil {
-		//lint:allow ctxflow a nil session is the documented ungoverned case: background is the only context it has
-		return context.Background()
-	}
-	return s.ctx
-}
+func (s *Session) Context() context.Context { return s.ctx }
 
 // Limits returns the session's resource limits.
-func (s *Session) Limits() Limits {
-	if s == nil {
-		return Limits{}
-	}
-	return s.limits
-}
+func (s *Session) Limits() Limits { return s.limits }
 
 // Cancel aborts the session's work without waiting for Close.
-func (s *Session) Cancel() {
-	if s != nil {
-		s.cancel()
-	}
-}
+func (s *Session) Cancel() { s.cancel() }
 
 // Close releases the session: it cancels the context (stopping any
 // in-flight pipeline), frees the deadline timer, and flushes the buffered
 // statistics observations into the executor's adaptive store — the
 // feedback loop's hand-off point. Idempotent.
 func (s *Session) Close() error {
-	if s != nil {
-		s.flushObs()
-		s.cancel()
-	}
+	s.flushObs()
+	s.cancel()
 	return nil
 }
 
-// bufferObs queues a statistics observation on the session, reporting
-// false when the session has no statistics sink (the caller then records
-// directly). Past the buffer bound the surplus drains to the store inline.
-func (s *Session) bufferObs(o statObs) bool {
-	if s == nil || s.gov.obsSink == nil {
-		return false
-	}
+// bufferObs queues a statistics observation on the session (a no-op when
+// the executor has no adaptive store — the learning ablation). Past the
+// buffer bound the surplus drains to the store inline.
+func (s *Session) bufferObs(o statObs) {
 	g := s.gov
+	if g.obsSink == nil {
+		return
+	}
 	var drain []statObs
 	g.obsMu.Lock()
 	g.obs = append(g.obs, o)
@@ -212,17 +193,16 @@ func (s *Session) bufferObs(o statObs) bool {
 	for _, o := range drain {
 		o.apply(g.obsSink)
 	}
-	return true
 }
 
 // flushObs drains the session's buffered observations into the adaptive
 // store. Draining makes it idempotent, so derived branch sessions closing
 // alongside their parent are harmless.
 func (s *Session) flushObs() {
-	if s == nil || s.gov.obsSink == nil {
+	g := s.gov
+	if g.obsSink == nil {
 		return
 	}
-	g := s.gov
 	g.obsMu.Lock()
 	drain := g.obs
 	g.obs = nil
@@ -234,20 +214,12 @@ func (s *Session) flushObs() {
 
 // TuplesTransferred reports the tuples charged against the session's
 // transfer governor so far.
-func (s *Session) TuplesTransferred() int {
-	if s == nil {
-		return 0
-	}
-	return int(s.gov.tuples.Load())
-}
+func (s *Session) TuplesTransferred() int { return int(s.gov.tuples.Load()) }
 
 // chargeTuples records n source tuples against the session's transfer
-// budget, failing once the budget is exhausted. A nil session or a zero
-// MaxTuples is ungoverned.
+// budget, failing once the budget is exhausted. A zero MaxTuples is
+// ungoverned.
 func (s *Session) chargeTuples(n int) error {
-	if s == nil {
-		return nil
-	}
 	total := s.gov.tuples.Add(int64(n))
 	if s.limits.MaxTuples > 0 && total > int64(s.limits.MaxTuples) {
 		return fmt.Errorf("%w (%d > %d)", ErrTuplesExceeded, total, s.limits.MaxTuples)
@@ -260,7 +232,7 @@ func (s *Session) chargeTuples(n int) error {
 // requests so a governed stream never overshoots the limit by more than
 // the one tuple that proves the limit was crossed.
 func (s *Session) tupleBudget() (int, bool) {
-	if s == nil || s.limits.MaxTuples <= 0 {
+	if s.limits.MaxTuples <= 0 {
 		return 0, false
 	}
 	rem := int64(s.limits.MaxTuples) - s.gov.tuples.Load()
@@ -276,9 +248,6 @@ func (s *Session) tupleBudget() (int, bool) {
 // a scan deliver the allowed prefix downstream before surfacing
 // ErrTuplesExceeded, exactly matching what per-tuple charging delivered.
 func (s *Session) chargeTupleBatch(n int) (int, error) {
-	if s == nil {
-		return n, nil
-	}
 	total := s.gov.tuples.Add(int64(n))
 	if s.limits.MaxTuples > 0 && total > int64(s.limits.MaxTuples) {
 		allowed := n - int(total-int64(s.limits.MaxTuples))
@@ -291,21 +260,14 @@ func (s *Session) chargeTupleBatch(n int) (int, error) {
 }
 
 // chargeRetry asks the session for permission to retry one more source
-// operation, charging its RetryBudget. A nil session or a zero budget is
-// unbudgeted.
+// operation, charging its RetryBudget. A zero budget is unbudgeted.
 func (s *Session) chargeRetry() bool {
-	if s == nil {
-		return true
-	}
 	n := s.gov.retries.Add(1)
 	return s.limits.RetryBudget <= 0 || n <= int64(s.limits.RetryBudget)
 }
 
 // warn records one degraded-branch warning on the session.
 func (s *Session) warn(w Warning) {
-	if s == nil {
-		return
-	}
 	s.gov.warnMu.Lock()
 	s.gov.warnings = append(s.gov.warnings, w)
 	s.gov.warnMu.Unlock()
@@ -325,9 +287,6 @@ func (s *Session) warnBranch(branch int, err error) {
 // Warnings returns the degraded-branch warnings accumulated so far (nil
 // when the answer is complete). The copy is safe to retain.
 func (s *Session) Warnings() []Warning {
-	if s == nil {
-		return nil
-	}
 	s.gov.warnMu.Lock()
 	defer s.gov.warnMu.Unlock()
 	if len(s.gov.warnings) == 0 {
@@ -336,24 +295,10 @@ func (s *Session) Warnings() []Warning {
 	return append([]Warning(nil), s.gov.warnings...)
 }
 
-// probeCacheRef returns the session's source-result cache (nil for a nil
-// session: ungoverned runs do not deduplicate).
-func (s *Session) probeCacheRef() *probeCache {
-	if s == nil {
-		return nil
-	}
-	s.gov.probe.mu.Lock()
-	if s.gov.probe.entries == nil {
-		s.gov.probe.entries = map[string]*probeEntry{}
-	}
-	s.gov.probe.mu.Unlock()
-	return &s.gov.probe
-}
-
 // dispatcherFor returns the session-level admission pool for a source,
 // or nil when the session does not cap per-source concurrency.
 func (s *Session) dispatcherFor(source string) *dispatcher {
-	if s == nil || s.limits.MaxConcurrentPerSource <= 0 {
+	if s.limits.MaxConcurrentPerSource <= 0 {
 		return nil
 	}
 	return s.gov.disp.get(source, s.limits.MaxConcurrentPerSource)
@@ -373,15 +318,7 @@ func (st *sessionStager) Stage(rel *relalg.Relation) (*relalg.Relation, error) {
 	if err := st.sess.Context().Err(); err != nil {
 		return nil, err
 	}
-	return st.temp.StageWithin(rel, st.sess.budgetRef())
-}
-
-// budgetRef returns the session's staging budget (nil when ungoverned).
-func (s *Session) budgetRef() *store.Budget {
-	if s == nil {
-		return nil
-	}
-	return s.gov.budget
+	return st.temp.StageWithin(rel, st.sess.gov.budget)
 }
 
 // stagerFor adapts the executor's TempStore to the relalg.Stager hook

@@ -132,7 +132,7 @@ func TestCancelStopsSourceFetchesMidStream(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ex.ExecuteCtx(ctx, sqlparse.MustParse("SELECT nums.n FROM nums"))
+		_, err := execute(ctx, ex, sqlparse.MustParse("SELECT nums.n FROM nums"))
 		errc <- err
 	}()
 
@@ -190,7 +190,7 @@ func TestCancelStopsMediationBranches(t *testing.T) {
 	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := ex.ExecuteMediationCtx(ctx, med)
+		_, err := executeMediation(ctx, ex, med)
 		errc <- err
 	}()
 	<-gw.Emitted // branch 1 offers its first tuple
@@ -301,7 +301,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 	t.Run("full drain", func(t *testing.T) {
 		cat, tw := trackedCatalog(500, 0)
 		ex := NewExecutor(cat)
-		if _, err := ex.Execute(sqlparse.MustParse("SELECT nums.n FROM nums")); err != nil {
+		if _, err := execute(bg, ex, sqlparse.MustParse("SELECT nums.n FROM nums")); err != nil {
 			t.Fatal(err)
 		}
 		tw.assertBalanced(t)
@@ -310,7 +310,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 	t.Run("early exit", func(t *testing.T) {
 		cat, tw := trackedCatalog(500, 0)
 		ex := NewExecutor(cat)
-		if _, err := ex.Execute(sqlparse.MustParse("SELECT nums.n FROM nums LIMIT 3")); err != nil {
+		if _, err := execute(bg, ex, sqlparse.MustParse("SELECT nums.n FROM nums LIMIT 3")); err != nil {
 			t.Fatal(err)
 		}
 		tw.assertBalanced(t)
@@ -319,7 +319,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 	t.Run("self join", func(t *testing.T) {
 		cat, tw := trackedCatalog(100, 0)
 		ex := NewExecutor(cat)
-		if _, err := ex.Execute(sqlparse.MustParse(
+		if _, err := execute(bg, ex, sqlparse.MustParse(
 			"SELECT a.n FROM nums a, nums b WHERE a.n = b.n LIMIT 5")); err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 	t.Run("mid-stream source failure", func(t *testing.T) {
 		cat, tw := trackedCatalog(500, 7)
 		ex := NewExecutor(cat)
-		if _, err := ex.Execute(sqlparse.MustParse("SELECT nums.n FROM nums")); err == nil {
+		if _, err := execute(bg, ex, sqlparse.MustParse("SELECT nums.n FROM nums")); err == nil {
 			t.Fatal("expected injected source failure")
 		}
 		tw.assertBalanced(t)
@@ -338,7 +338,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 	t.Run("failure inside a join", func(t *testing.T) {
 		cat, tw := trackedCatalog(500, 7)
 		ex := NewExecutor(cat)
-		if _, err := ex.Execute(sqlparse.MustParse(
+		if _, err := execute(bg, ex, sqlparse.MustParse(
 			"SELECT a.n FROM nums a, nums b WHERE a.n = b.n")); err == nil {
 			t.Fatal("expected injected source failure")
 		}
@@ -350,7 +350,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 		ex := NewExecutor(cat)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := ex.ExecuteCtx(ctx, sqlparse.MustParse("SELECT nums.n FROM nums")); !errors.Is(err, context.Canceled) {
+		if _, err := execute(ctx, ex, sqlparse.MustParse("SELECT nums.n FROM nums")); !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		tw.assertBalanced(t)
@@ -366,7 +366,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 			UnionAll: true,
 			Post:     &core.Post{Limit: 3},
 		}
-		if _, err := ex.ExecuteMediation(med); err != nil {
+		if _, err := executeMediation(bg, ex, med); err != nil {
 			t.Fatal(err)
 		}
 		tw.assertBalanced(t)
@@ -379,7 +379,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 		b1 := sqlparse.MustParse("SELECT nums.n FROM nums").(*sqlparse.Select)
 		b2 := sqlparse.MustParse("SELECT nums.n FROM nums").(*sqlparse.Select)
 		med := &core.Mediation{Branches: []*sqlparse.Select{b1, b2}, UnionAll: true}
-		if _, err := ex.ExecuteMediation(med); err != nil {
+		if _, err := executeMediation(bg, ex, med); err != nil {
 			t.Fatal(err)
 		}
 		tw.assertBalanced(t)
@@ -395,7 +395,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 		cat, tw := trackedCatalog(100, 0)
 		ex := NewExecutor(cat)
 		ex.Temp = ts
-		if _, err := ex.Execute(sqlparse.MustParse(
+		if _, err := execute(bg, ex, sqlparse.MustParse(
 			"SELECT nums.grp, SUM(nums.n) AS total FROM nums GROUP BY nums.grp")); err != nil {
 			t.Fatal(err)
 		}
@@ -418,5 +418,73 @@ func TestSessionContextIndependentOfParent(t *testing.T) {
 	}
 	if parent.Err() != nil {
 		t.Fatal("closing the session canceled the parent context")
+	}
+}
+
+// TestZeroLimitsSessionIsUngoverned pins the single remaining "no
+// governors" semantics: a session with zero Limits never trips a governor
+// — no deadline, no tuple, staging, retry or per-source cap — while the
+// session-scoped machinery still applies: identical probes within the
+// one session reach the source once.
+func TestZeroLimitsSessionIsUngoverned(t *testing.T) {
+	const source = 20000
+	ts, err := store.NewTempStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	ts.SpillThreshold = 64
+	ex := NewExecutor(bigCatalog(source))
+	ex.Temp = ts
+	sess := ex.NewSession(bg, Limits{})
+	defer sess.Close()
+	if _, ok := sess.Context().Deadline(); ok {
+		t.Error("zero-limits session has a deadline")
+	}
+	res, err := ex.ExecuteSession(sess, sqlparse.MustParse("SELECT nums.n FROM nums ORDER BY nums.n DESC"))
+	if err != nil {
+		t.Fatalf("a governor tripped on a zero-limits session: %v", err)
+	}
+	if res.Len() != source || sess.TuplesTransferred() != source {
+		t.Errorf("rows = %d, transferred = %d, want %d each", res.Len(), sess.TuplesTransferred(), source)
+	}
+	if _, capped := sess.tupleBudget(); capped {
+		t.Error("zero MaxTuples reports a capped transfer budget")
+	}
+	if sess.gov.budget != nil {
+		t.Error("zero MaxStagedBytes installed a staging budget")
+	}
+	if sess.dispatcherFor("bigsrc") != nil {
+		t.Error("zero MaxConcurrentPerSource installed a session admission pool")
+	}
+	for i := 0; i < 1000; i++ {
+		if !sess.chargeRetry() {
+			t.Fatalf("zero RetryBudget refused retry %d", i+1)
+		}
+	}
+	if w := sess.Warnings(); w != nil {
+		t.Errorf("complete answer carries warnings: %v", w)
+	}
+
+	// Identical probes within one session — here the same bind join issued
+	// by two UNION ALL arms — reach the source once.
+	const n, batch = 6, 3
+	keys := keysOf(n)
+	cat, ctr := buildBindCatalog(t, keys, targetFor(keys, 2), batch, false)
+	ex2 := NewExecutor(cat)
+	sess2 := ex2.NewSession(bg, Limits{})
+	defer sess2.Close()
+	both, err := ex2.ExecuteSession(sess2, sqlparse.MustParse(bindQ+" UNION ALL "+bindQ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if both.Len() != 2*n*2 {
+		t.Errorf("answer has %d rows, want %d", both.Len(), 2*n*2)
+	}
+	if d := ctr.MaxDuplicates(); d != 1 {
+		t.Errorf("an identical probe reached the source %d times in one session, want 1", d)
+	}
+	if got, want := ctr.Queries(), (n+batch-1)/batch; got != want {
+		t.Errorf("target reached %d times, want %d", got, want)
 	}
 }

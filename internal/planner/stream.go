@@ -8,7 +8,7 @@ package planner
 // transferring tuples from their sources, and lazily-unioned mediation
 // branches that are never reached never run at all.
 //
-// Every tree is compiled under a *Session (nil: ungoverned): the session's
+// Every tree is compiled under a *Session: the session's
 // context is passed down at Open and bounds the whole run — leaves check
 // it per tuple, deferred bind-join fetches check it per source query, and
 // breaker drains check it per buffered tuple — while its resource
@@ -70,17 +70,17 @@ import (
 // count as pulled and are charged to the transfer governor — they did
 // cross the wire again.
 type sourceScanIter struct {
-	e         *Executor
-	sess      *Session
-	w         wrapper.Wrapper
-	q         wrapper.SourceQuery
-	schema    relalg.Schema
-	act       *StepActuals // non-nil under EXPLAIN ANALYZE
-	est       int          // planner's transfer estimate (presize hint)
-	ctx       context.Context
-	stream    wrapper.TupleStream
-	batch     wrapper.BatchStream // non-nil when the stream block-fetches
-	release   func()
+	e       *Executor
+	sess    *Session
+	w       wrapper.Wrapper
+	q       wrapper.SourceQuery
+	schema  relalg.Schema
+	act     *StepActuals // non-nil under EXPLAIN ANALYZE
+	est     int          // planner's transfer estimate (presize hint)
+	ctx     context.Context
+	stream  wrapper.TupleStream
+	batch   wrapper.BatchStream // non-nil when the stream block-fetches
+	release func()
 	// reserved marks a part scan running under a fan-out's up-front slot
 	// reservation (parallelScanIter): the scan never acquires or releases
 	// admission itself — the slot is held by the reservation for the
@@ -135,7 +135,7 @@ func (s *sourceScanIter) openStream(ctx context.Context) error {
 			}
 			return err
 		}
-		s.e.observeLatency(s.sess, s.w.Source(), time.Since(start))
+		s.sess.bufferObs(statObs{source: s.w.Source(), latency: time.Since(start)})
 		s.stream = stream
 		// Block fetch is an optional stream capability: per-tuple streams
 		// (gated test wrappers, fault injectors) fall back to degenerate
@@ -398,7 +398,7 @@ func (s *sourceScanIter) Close() error {
 	s.e.stats.TuplesTransferred += s.pulled
 	s.e.mu.Unlock()
 	if s.exhausted {
-		s.e.observeAccess(s.sess, s.q.Relation, s.q.Filters, s.pulled)
+		s.sess.bufferObs(statObs{relation: s.q.Relation, filters: s.q.Filters, rows: s.pulled})
 	}
 	s.pulled = 0
 	var err error
@@ -661,10 +661,9 @@ func (e *Executor) sourceIter(sess *Session, step *PlanStep, act *StepActuals) (
 // input. Hash join always builds over the newly fetched side and streams
 // the probe (intermediate) side: the intermediate is a stream of unknown
 // cardinality, and hashing it would break the pipeline (and every early
-// exit upstream). The materialized executor instead hashed whichever
-// input was smaller, so a step fetching a relation much larger than the
-// intermediate now holds the larger hash table; teaching the planner to
-// flip sides from EstRows is future work. Merge join breaks both sides;
+// exit upstream) — so a step fetching a relation much larger than the
+// intermediate holds the larger hash table; teaching the planner to flip
+// sides from EstRows is future work. Merge join breaks both sides;
 // nested loop materializes the inner (fetched) side and streams the
 // outer.
 // residual, when non-nil, is the conjunction of the step's AfterPreds:
@@ -748,8 +747,8 @@ func stageIfSet(st relalg.Stager, rel *relalg.Relation) (*relalg.Relation, error
 }
 
 // BuildStream compiles a prepared plan into an iterator tree governed by
-// sess (nil: ungoverned). Nothing runs until the tree is Opened — open it
-// with the session's context; Collect it (or use Run) for a materialized
+// sess. Nothing runs until the tree is Opened — open it with the
+// session's context; Collect it (or use RunSession) for a materialized
 // answer. The tree is single-use.
 func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator, error) {
 	// One interning pool per compiled pipeline: the tree is single-use and

@@ -1,7 +1,6 @@
 package planner
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -36,7 +35,7 @@ func bigCatalog(n int) *Catalog {
 func TestLimitTransfersOnlyLimitTuples(t *testing.T) {
 	const source = 50000
 	ex := NewExecutor(bigCatalog(source))
-	res, err := ex.Execute(sqlparse.MustParse("SELECT nums.n FROM nums LIMIT 5"))
+	res, err := execute(bg, ex, sqlparse.MustParse("SELECT nums.n FROM nums LIMIT 5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestLimitWithLocalFilterStaysSublinear(t *testing.T) {
 	const source = 50000
 	ex := NewExecutor(bigCatalog(source))
 	ex.DisablePushdown = true
-	res, err := ex.Execute(sqlparse.MustParse(
+	res, err := execute(bg, ex, sqlparse.MustParse(
 		"SELECT nums.n FROM nums WHERE nums.grp = 'odd' LIMIT 4"))
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +76,7 @@ func TestLimitWithLocalFilterStaysSublinear(t *testing.T) {
 // and the stats match the materialized executor's accounting.
 func TestFullScanStillCountsEverything(t *testing.T) {
 	ex := NewExecutor(bigCatalog(1000))
-	if _, err := ex.Execute(sqlparse.MustParse("SELECT nums.n FROM nums")); err != nil {
+	if _, err := execute(bg, ex, sqlparse.MustParse("SELECT nums.n FROM nums")); err != nil {
 		t.Fatal(err)
 	}
 	if st := ex.Stats(); st.TuplesTransferred != 1000 || st.SourceQueries != 1 {
@@ -98,7 +97,7 @@ func TestMediationBranchesLazilySkipped(t *testing.T) {
 		Post:     &core.Post{Limit: 3},
 	}
 	ex := NewExecutor(cat)
-	res, err := ex.ExecuteMediation(med)
+	res, err := executeMediation(bg, ex, med)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestStreamingBreakersStageThroughTempStore(t *testing.T) {
 	ts.SpillThreshold = 8
 	ex := NewExecutor(bigCatalog(100))
 	ex.Temp = ts
-	res, err := ex.Execute(sqlparse.MustParse(
+	res, err := execute(bg, ex, sqlparse.MustParse(
 		"SELECT nums.n FROM nums WHERE nums.n < 50 ORDER BY nums.n DESC LIMIT 2"))
 	if err != nil {
 		t.Fatal(err)
@@ -143,18 +142,19 @@ func TestStreamingBreakersStageThroughTempStore(t *testing.T) {
 // only opening the tree does.
 func TestBuildStreamHasNoSideEffects(t *testing.T) {
 	ex := NewExecutor(bigCatalog(100))
-	plan, err := ex.Plan(sqlparse.MustParse("SELECT nums.n FROM nums").(*sqlparse.Select))
+	plan, err := ex.PlanCtx(bg, sqlparse.MustParse("SELECT nums.n FROM nums").(*sqlparse.Select))
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := ex.BuildStream(nil, plan)
+	sess := zeroSession(t, ex)
+	it, err := ex.BuildStream(sess, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := ex.Stats(); st.SourceQueries != 0 || st.BranchesRun != 0 {
 		t.Errorf("building the stream already ran queries: %+v", st)
 	}
-	if err := it.Open(context.Background()); err != nil {
+	if err := it.Open(sess.Context()); err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()

@@ -13,19 +13,14 @@ type AggItem struct {
 	Expr sqlparse.Expr // may contain FuncCall nodes
 }
 
-// GroupBy groups r by the key expressions and computes the items per
-// group. With no keys, the whole relation is one group (global
-// aggregation); an empty input then yields one row of aggregate identity
-// values (COUNT=0, SUM/AVG/MIN/MAX=NULL), matching SQL.
-func GroupBy(r *Relation, keys []sqlparse.Expr, items []AggItem, having sqlparse.Expr) (*Relation, error) {
-	return groupByInterned(r, keys, items, having, nil)
-}
-
-// groupByInterned is the grouping core. Group keys are hashed as interned
-// fixed-width encodings (KeyEncoder over the given pool, or a private one
-// when in is nil); group output order is first appearance, exactly as
-// before. Handles stay inside this call — the returned relation carries
-// plain Values only.
+// groupByInterned is the grouping core: it groups r by the key
+// expressions and computes the items per group. With no keys, the whole
+// relation is one group (global aggregation); an empty input then yields
+// one row of aggregate identity values (COUNT=0, SUM/AVG/MIN/MAX=NULL),
+// matching SQL. Group keys are hashed as interned fixed-width encodings
+// (KeyEncoder over the given pool, or a private one when in is nil);
+// group output order is first appearance. Handles stay inside this call —
+// the returned relation carries plain Values only.
 func groupByInterned(r *Relation, keys []sqlparse.Expr, items []AggItem, having sqlparse.Expr, in *Interner) (*Relation, error) {
 	type group struct {
 		tuples []Tuple

@@ -24,7 +24,7 @@ func BenchmarkHashJoin(b *testing.B) {
 		ra, rb := benchRelations(n, 1)
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := HashJoin(ra, rb, []string{"a.k"}, []string{"b.k"}, nil); err != nil {
+				if _, err := collect(NewHashJoin(NewScan(ra), NewScan(rb), []string{"a.k"}, []string{"b.k"}, nil, false, nil)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -38,7 +38,7 @@ func BenchmarkNestedLoopJoin(b *testing.B) {
 		ra, rb := benchRelations(n, 1)
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := NestedLoopJoin(ra, rb, pred); err != nil {
+				if _, err := collect(NewNestedLoop(NewScan(ra), rb, pred), nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -51,7 +51,7 @@ func BenchmarkFilterEval(b *testing.B) {
 	pred := sqlparse.Bin(">", sqlparse.Col("a", "v"), sqlparse.Num(500))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Filter(ra, pred); err != nil {
+		if _, err := collect(NewFilter(NewScan(ra), pred), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -66,7 +66,7 @@ func BenchmarkGroupByAgg(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GroupBy(ra, keys, items, nil); err != nil {
+		if _, err := collect(NewGroupBy(NewScan(ra), keys, items, nil, nil), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -125,25 +125,23 @@ func sameRows(t *testing.T, op string, got, want *Relation) {
 	}
 }
 
-// TestIteratorMaterializedEquivalence is the property test of the
-// tentpole refactor: on randomized inputs, every streaming operator must
-// produce exactly the tuples and order of its materialized counterpart —
-// both over plain scans and over ragged batch shapes.
-func TestIteratorMaterializedEquivalence(t *testing.T) {
+// TestOperatorsRaggedBatchEquivalence: on randomized inputs, every
+// streaming operator must produce exactly the same tuples in the same
+// order whether its children deliver full batches or ragged ones, and a
+// hash join the same bag whichever side builds.
+func TestOperatorsRaggedBatchEquivalence(t *testing.T) {
 	pred := mustExpr("v >= 30")
 	joinPred := mustExpr("a.k = b.k")
 	items := []ProjectItem{
 		{Name: "k2", Expr: mustExpr("k * 2")},
 		{Name: "s", Expr: mustExpr("s")},
 	}
-	orderKeys := []OrderKey{
-		{Expr: mustExpr("s")},
-		{Expr: mustExpr("v"), Desc: true},
-	}
 	aggItems := []AggItem{
 		{Name: "s", Expr: mustExpr("s")},
 		{Name: "total", Expr: mustExpr("SUM(v)")},
 	}
+	groupKeys := []sqlparse.Expr{mustExpr("s")}
+	ak, bk := []string{"a.k"}, []string{"b.k"}
 	ragged := []int{3, 1, 7, 2}
 
 	for seed := int64(0); seed < 10; seed++ {
@@ -152,83 +150,46 @@ func TestIteratorMaterializedEquivalence(t *testing.T) {
 		r := randomRelation("r", n, rng)
 		a := randomRelation("x", n, rng).Qualify("a")
 		b := randomRelation("y", 1+rng.Intn(40), rng).Qualify("b")
+		rag := func(rel *Relation) Iterator { return newRaggedScan(rel, ragged) }
 
-		check := func(op string, it Iterator, err error, want *Relation, wantErr error) {
+		check := func(op string, plain, rough Iterator) {
 			t.Helper()
-			if err != nil || wantErr != nil {
-				if (err == nil) != (wantErr == nil) {
-					t.Fatalf("%s: iterator err %v, materialized err %v", op, err, wantErr)
-				}
-				return
-			}
-			got, err := Collect(context.Background(), it, want.Name)
-			if err != nil {
-				t.Fatalf("%s: %v", op, err)
-			}
-			sameRows(t, fmt.Sprintf("seed %d %s", seed, op), got, want)
+			sameRows(t, fmt.Sprintf("seed %d %s", seed, op), drain(t, rough), drain(t, plain))
 		}
+		check("filter", NewFilter(NewScan(r), pred), NewFilter(rag(r), pred))
+		check("project", NewProject(NewScan(r), items), NewProject(rag(r), items))
+		check("nested-loop", NewNestedLoop(NewScan(a), b, joinPred), NewNestedLoop(rag(a), b, joinPred))
+		check("distinct", NewDistinct(NewScan(r)), NewDistinct(rag(r)))
+		check("limit", NewLimit(NewScan(r), n/2), NewLimit(rag(r), n/2))
+		check("group-by", NewGroupBy(NewScan(r), groupKeys, aggItems, nil, nil), NewGroupBy(rag(r), groupKeys, aggItems, nil, nil))
 
-		wf, ef := Filter(r, pred)
-		check("filter", NewFilter(NewScan(r), pred), nil, wf, ef)
-		check("filter-ragged", NewFilter(newRaggedScan(r, ragged), pred), nil, wf, ef)
-
-		wp, ep := Project(r, items)
-		check("project", NewProject(NewScan(r), items), nil, wp, ep)
-		check("project-ragged", NewProject(newRaggedScan(r, ragged), items), nil, wp, ep)
-
-		wnl, enl := NestedLoopJoin(a, b, joinPred)
-		check("nested-loop", NewNestedLoop(NewScan(a), b, joinPred), nil, wnl, enl)
-		check("nested-loop-ragged", NewNestedLoop(newRaggedScan(a, ragged), b, joinPred), nil, wnl, enl)
-
-		check("cross", NewNestedLoop(NewScan(a), b, nil), nil, CrossJoin(a, b), nil)
-
-		whj, ehj := HashJoin(a, b, []string{"a.k"}, []string{"b.k"}, nil)
-		buildLeft := !(len(b.Tuples) < len(a.Tuples))
-		hj, err := NewHashJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, buildLeft, nil)
-		check("hash-join", hj, err, whj, ehj)
-		hjr, err := NewHashJoin(newRaggedScan(a, ragged), newRaggedScan(b, ragged), []string{"a.k"}, []string{"b.k"}, nil, buildLeft, nil)
-		check("hash-join-ragged", hjr, err, whj, ehj)
-
-		// Whichever side builds, a hash join must produce the same bag.
-		hjo, err := NewHashJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, !buildLeft, nil)
+		hj, err := NewHashJoin(NewScan(a), NewScan(b), ak, bk, nil, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotO, err := Collect(context.Background(), hjo, "")
+		hjr, err := NewHashJoin(rag(a), rag(b), ak, bk, nil, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !SameTuples(gotO, whj) {
+		whj := drain(t, hj)
+		sameRows(t, fmt.Sprintf("seed %d hash-join", seed), drain(t, hjr), whj)
+		hjo, err := collect(NewHashJoin(NewScan(a), NewScan(b), ak, bk, nil, true, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !SameTuples(hjo, whj) {
 			t.Fatalf("seed %d: hash join bags differ across build sides", seed)
 		}
 
-		wmj, emj := MergeJoin(a, b, []string{"a.k"}, []string{"b.k"}, nil)
-		mj, err := NewMergeJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, nil)
-		check("merge-join", mj, err, wmj, emj)
-
-		check("distinct", NewDistinct(NewScan(r)), nil, Distinct(r), nil)
-		check("distinct-ragged", NewDistinct(newRaggedScan(r, ragged)), nil, Distinct(r), nil)
-
-		wu, eu := Union(a.Qualify(""), b, false)
 		ua, err := NewUnionAll(NewScan(a), NewScan(b))
-		check("union", NewDistinct(ua), err, wu, eu)
-
-		wua, eua := Union(a, b, true)
-		ual, err := NewUnionAll(NewScan(a), NewScan(b))
-		check("union-all", ual, err, wua, eua)
-
-		uar, err := NewUnionAll(newRaggedScan(a, ragged), newRaggedScan(b, ragged))
-		check("union-all-ragged", uar, err, wua, eua)
-
-		ws, es := Sort(r, orderKeys)
-		check("sort", NewSort(NewScan(r), orderKeys, nil), nil, ws, es)
-
-		check("limit", NewLimit(NewScan(r), n/2), nil, Limit(r, n/2), nil)
-		check("limit-ragged", NewLimit(newRaggedScan(r, ragged), n/2), nil, Limit(r, n/2), nil)
-
-		wg, eg := GroupBy(r, []sqlparse.Expr{mustExpr("s")}, aggItems, nil)
-		check("group-by", NewGroupBy(NewScan(r), []sqlparse.Expr{mustExpr("s")}, aggItems, nil, nil), nil, wg, eg)
-		check("group-by-ragged", NewGroupBy(newRaggedScan(r, ragged), []sqlparse.Expr{mustExpr("s")}, aggItems, nil, nil), nil, wg, eg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uar, err := NewUnionAll(rag(a), rag(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("union-all", ua, uar)
 	}
 }
 
@@ -257,7 +218,7 @@ func TestLimitStopsPulling(t *testing.T) {
 func TestLimitMidBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	rel := randomRelation("big", 5000, rng)
-	want := Limit(rel, 700)
+	want := &Relation{Schema: rel.Schema, Tuples: rel.Tuples[:700]}
 
 	src := newCountingScan(rel)
 	out, err := Collect(context.Background(), NewLimit(src, 700), "")
@@ -312,7 +273,7 @@ func TestLimitTruncatesOversizedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRows(t, "limit-oversize", out, Limit(rel, 5))
+	sameRows(t, "limit-oversize", out, &Relation{Schema: rel.Schema, Tuples: rel.Tuples[:5]})
 }
 
 // TestFilterSkipsEmptyBatches: when whole child batches filter down to
@@ -588,7 +549,7 @@ func TestFlushBeforeFail(t *testing.T) {
 
 	// Reference: rows the join yields before the probe side's 5th row.
 	failAfter := 5
-	ref, err := NewHashJoin(NewScan(Limit(a, failAfter)), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, false, nil)
+	ref, err := NewHashJoin(NewScan(&Relation{Schema: a.Schema, Tuples: a.Tuples[:failAfter]}), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,11 @@
 package relalg
 
 // This file defines the pull-based (Volcano-style) iterator execution
-// model. Every physical operator of the engine exists in two forms: a
-// streaming Iterator (this file and iterops.go) and a materialized
-// function over *Relation (ops.go, mergejoin.go, agg.go). The
-// materialized functions are thin wrappers that build a small iterator
-// tree and drain it, so the two forms cannot drift apart; the planner
-// composes the iterators directly so that tuples flow through a branch
-// plan in batches and a LIMIT (or any other early exit) stops pulling
-// from the sources as soon as it is satisfied.
+// model. Every physical operator of the engine is a streaming Iterator
+// (this file and iterops.go); Collect drains a tree into a materialized
+// *Relation. The planner composes the iterators so that tuples flow
+// through a branch plan in batches and a LIMIT (or any other early exit)
+// stops pulling from the sources as soon as it is satisfied.
 //
 // # The Iterator contract
 //

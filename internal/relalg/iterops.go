@@ -747,7 +747,8 @@ type MergeJoinIter struct {
 }
 
 // NewMergeJoin prepares a sort-merge join of left and right on pairwise
-// equal key columns, with an optional residual predicate.
+// equal key columns (compared with Value.SortKey), with an optional
+// residual predicate.
 func NewMergeJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, st Stager) (*MergeJoinIter, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		return nil, fmt.Errorf("relalg: merge join requires matching non-empty key lists")

@@ -34,7 +34,7 @@ func TestDistinctSurvivesSeparatorInjection(t *testing.T) {
 	rel := NewRelation("inj", schema)
 	rel.MustAdd(StrV("a\x1fsb"), StrV("c"))
 	rel.MustAdd(StrV("a"), StrV("b\x1fsc"))
-	out := Distinct(rel)
+	out := drain(t, NewDistinct(NewScan(rel)))
 	if out.Len() != 2 {
 		t.Fatalf("DISTINCT merged colliding rows: got %d tuples, want 2\n%s", out.Len(), out)
 	}

@@ -11,11 +11,11 @@ import (
 func TestMergeJoinBasic(t *testing.T) {
 	a := figure2R1()
 	b := figure2R2()
-	mj, err := MergeJoin(a, b, []string{"rl.cname"}, []string{"r2.cname"}, nil)
+	mj, err := collect(NewMergeJoin(NewScan(a), NewScan(b), []string{"rl.cname"}, []string{"r2.cname"}, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj, err := HashJoin(a, b, []string{"rl.cname"}, []string{"r2.cname"}, nil)
+	hj, err := collect(NewHashJoin(NewScan(a), NewScan(b), []string{"rl.cname"}, []string{"r2.cname"}, nil, false, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestMergeJoinResidual(t *testing.T) {
 	a := figure2R1()
 	b := figure2R2()
 	pred := sqlparse.Bin(">", sqlparse.Col("rl", "revenue"), sqlparse.Num(2000000))
-	mj, err := MergeJoin(a, b, []string{"rl.cname"}, []string{"r2.cname"}, pred)
+	mj, err := collect(NewMergeJoin(NewScan(a), NewScan(b), []string{"rl.cname"}, []string{"r2.cname"}, pred, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +40,10 @@ func TestMergeJoinResidual(t *testing.T) {
 func TestMergeJoinErrors(t *testing.T) {
 	a := figure2R1()
 	b := figure2R2()
-	if _, err := MergeJoin(a, b, nil, nil, nil); err == nil {
+	if _, err := collect(NewMergeJoin(NewScan(a), NewScan(b), nil, nil, nil, nil)); err == nil {
 		t.Error("empty keys accepted")
 	}
-	if _, err := MergeJoin(a, b, []string{"zzz"}, []string{"r2.cname"}, nil); err == nil {
+	if _, err := collect(NewMergeJoin(NewScan(a), NewScan(b), []string{"zzz"}, []string{"r2.cname"}, nil, nil)); err == nil {
 		t.Error("bad key accepted")
 	}
 }
@@ -69,15 +69,15 @@ func TestThreeJoinsAgreeProperty(t *testing.T) {
 		for i := 0; i < r.Intn(25); i++ {
 			addRow(b)
 		}
-		nl, err := NestedLoopJoin(a, b, pred)
+		nl, err := collect(NewNestedLoop(NewScan(a), b, pred), nil)
 		if err != nil {
 			return false
 		}
-		hj, err := HashJoin(a, b, []string{"a.k"}, []string{"b.k"}, nil)
+		hj, err := collect(NewHashJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, false, nil))
 		if err != nil {
 			return false
 		}
-		mj, err := MergeJoin(a, b, []string{"a.k"}, []string{"b.k"}, nil)
+		mj, err := collect(NewMergeJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, nil))
 		if err != nil {
 			return false
 		}
@@ -94,7 +94,7 @@ func TestMergeJoinOutputOrdered(t *testing.T) {
 		[]Value{NumV(3)}, []Value{NumV(1)}, []Value{NumV(2)})
 	b := testRel("b", "b.k:num",
 		[]Value{NumV(2)}, []Value{NumV(3)}, []Value{NumV(1)})
-	mj, err := MergeJoin(a, b, []string{"a.k"}, []string{"b.k"}, nil)
+	mj, err := collect(NewMergeJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

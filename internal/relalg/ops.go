@@ -1,27 +1,15 @@
 package relalg
 
 import (
-	"context"
 	"sort"
 
 	"repro/internal/sqlparse"
 )
 
-// The materialized operators in this file are thin wrappers over the
-// streaming iterators of iterops.go: each builds a small iterator tree
-// over its input relation(s) and drains it with Collect. Sort and GroupBy
-// go the other way — they are inherently pipeline breakers, so the
+// Sort and GroupBy are inherently pipeline breakers, so their
 // materialized cores live here (and in agg.go) and SortIter/GroupByIter
-// wrap them.
-
-// Filter returns the tuples of r satisfying pred.
-func Filter(r *Relation, pred sqlparse.Expr) (*Relation, error) {
-	if pred == nil {
-		return r, nil
-	}
-	//lint:allow ctxflow materialized op over in-memory relations: the drain does no remote work, nothing to cancel
-	return Collect(context.Background(), NewFilter(NewScan(r), pred), r.Name)
-}
+// wrap them; every other operator exists only as a streaming iterator
+// (iterops.go) — drain one with Collect for a materialized answer.
 
 // ProjectItem names one output column computed by an expression.
 type ProjectItem struct {
@@ -29,81 +17,14 @@ type ProjectItem struct {
 	Expr sqlparse.Expr
 }
 
-// Project computes one output column per item.
-func Project(r *Relation, items []ProjectItem) (*Relation, error) {
-	//lint:allow ctxflow materialized op over in-memory relations: the drain does no remote work, nothing to cancel
-	return Collect(context.Background(), NewProject(NewScan(r), items), r.Name)
-}
-
-// CrossJoin is the Cartesian product; schemas are concatenated.
-func CrossJoin(a, b *Relation) *Relation {
-	out, err := NestedLoopJoin(a, b, nil)
-	if err != nil {
-		// Unreachable: a nil predicate never evaluates an expression.
-		panic(err)
-	}
-	return out
-}
-
-// NestedLoopJoin joins a and b keeping concatenated rows where pred holds.
-// A nil pred degenerates to CrossJoin.
-func NestedLoopJoin(a, b *Relation, pred sqlparse.Expr) (*Relation, error) {
-	//lint:allow ctxflow materialized op over in-memory relations: the drain does no remote work, nothing to cancel
-	return Collect(context.Background(), NewNestedLoop(NewScan(a), b, pred), "")
-}
-
-// HashJoin equi-joins a and b on pairwise key columns (named in each
-// side's schema), then applies the residual predicate if non-nil. The
-// hash table is built over the smaller input; output order follows the
-// larger (probe) side.
-func HashJoin(a, b *Relation, aKeys, bKeys []string, residual sqlparse.Expr) (*Relation, error) {
-	buildLeft := !(len(b.Tuples) < len(a.Tuples))
-	it, err := NewHashJoin(NewScan(a), NewScan(b), aKeys, bKeys, residual, buildLeft, nil)
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow ctxflow materialized op over in-memory relations: the drain does no remote work, nothing to cancel
-	return Collect(context.Background(), it, "")
-}
-
-// Distinct removes duplicate tuples, keeping first occurrences in order.
-func Distinct(r *Relation) *Relation {
-	//lint:allow ctxflow materialized op over in-memory relations: the drain does no remote work, nothing to cancel
-	out, err := Collect(context.Background(), NewDistinct(NewScan(r)), r.Name)
-	if err != nil {
-		// Unreachable: deduplication evaluates no expressions.
-		panic(err)
-	}
-	return out
-}
-
-// Union concatenates two relations (UNION ALL when all is true, set UNION
-// otherwise). Schemas must have equal arity; column names are taken from a.
-func Union(a, b *Relation, all bool) (*Relation, error) {
-	var it Iterator
-	it, err := NewUnionAll(NewScan(a), NewScan(b))
-	if err != nil {
-		return nil, err
-	}
-	if !all {
-		it = NewDistinct(it)
-	}
-	//lint:allow ctxflow materialized op over in-memory relations: the drain does no remote work, nothing to cancel
-	return Collect(context.Background(), it, a.Name)
-}
-
-// OrderKey is one sort key for Sort.
+// OrderKey is one sort key of SortIter.
 type OrderKey struct {
 	Expr sqlparse.Expr
 	Desc bool
 }
 
-// Sort orders tuples by the given keys (stable). It is the materialized
-// sort core; SortIter streams over its result.
-func Sort(r *Relation, keys []OrderKey) (*Relation, error) {
-	return sortRelation(r, keys)
-}
-
+// sortRelation orders tuples by the given keys (stable). It is the
+// materialized sort core; SortIter streams over its result.
 func sortRelation(r *Relation, keys []OrderKey) (*Relation, error) {
 	type decorated struct {
 		t    Tuple
@@ -154,19 +75,5 @@ func sortTuplesByKeyCols(tuples []Tuple, idx []int) []Tuple {
 		}
 		return false
 	})
-	return out
-}
-
-// Limit keeps the first n tuples (n < 0 keeps all).
-func Limit(r *Relation, n int) *Relation {
-	if n < 0 || n >= len(r.Tuples) {
-		return r
-	}
-	//lint:allow ctxflow materialized op over in-memory relations: the drain does no remote work, nothing to cancel
-	out, err := Collect(context.Background(), NewLimit(NewScan(r), n), r.Name)
-	if err != nil {
-		// Unreachable: limiting evaluates no expressions.
-		panic(err)
-	}
 	return out
 }

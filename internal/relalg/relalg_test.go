@@ -1,6 +1,7 @@
 package relalg
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -24,6 +25,35 @@ func testRel(name string, cols string, rows ...[]Value) *Relation {
 		r.MustAdd(row...)
 	}
 	return r
+}
+
+// collect drains an iterator tree into a relation. It takes a
+// constructor's (Iterator, error) pair so fallible constructors compose:
+// collect(NewHashJoin(...)); infallible ones pass a nil error.
+func collect(it Iterator, err error) (*Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return Collect(context.Background(), it, "")
+}
+
+// drain is collect for trees that cannot fail over valid inputs.
+func drain(t testing.TB, it Iterator) *Relation {
+	t.Helper()
+	rel, err := collect(it, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// union drains a ∪ b: UNION ALL when all is set, set UNION otherwise.
+func union(a, b *Relation, all bool) (*Relation, error) {
+	it, err := NewUnionAll(NewScan(a), NewScan(b))
+	if err != nil || all {
+		return collect(it, err)
+	}
+	return collect(NewDistinct(it), nil)
 }
 
 // figure2R1 builds the paper's relation R1 (qualified as rl).
@@ -103,14 +133,14 @@ func TestSchemaIndexQualified(t *testing.T) {
 func TestFilterPaperNaiveQuery(t *testing.T) {
 	// The naive Q1 over Figure 2 data returns the empty answer — the
 	// paper's motivating "incorrect" result.
-	joined, err := NestedLoopJoin(figure2R1(), figure2R2(), expr(t, "rl.cname = r2.cname"))
+	joined, err := collect(NewNestedLoop(NewScan(figure2R1()), figure2R2(), expr(t, "rl.cname = r2.cname")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if joined.Len() != 2 {
 		t.Fatalf("join size = %d, want 2", joined.Len())
 	}
-	res, err := Filter(joined, expr(t, "rl.revenue > r2.expenses"))
+	res, err := collect(NewFilter(NewScan(joined), expr(t, "rl.revenue > r2.expenses")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +153,10 @@ func TestFilterPaperNaiveQuery(t *testing.T) {
 
 func TestProjectComputed(t *testing.T) {
 	r := figure2R1()
-	out, err := Project(r, []ProjectItem{
+	out, err := collect(NewProject(NewScan(r), []ProjectItem{
 		{Name: "cname", Expr: sqlparse.Col("rl", "cname")},
 		{Name: "rev_k", Expr: sqlparse.Bin("/", sqlparse.Col("rl", "revenue"), sqlparse.Num(1000))},
-	})
+	}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +171,11 @@ func TestProjectComputed(t *testing.T) {
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	a := figure2R1()
 	b := figure2R2()
-	nl, err := NestedLoopJoin(a, b, expr(t, "rl.cname = r2.cname"))
+	nl, err := collect(NewNestedLoop(NewScan(a), b, expr(t, "rl.cname = r2.cname")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj, err := HashJoin(a, b, []string{"rl.cname"}, []string{"r2.cname"}, nil)
+	hj, err := collect(NewHashJoin(NewScan(a), NewScan(b), []string{"rl.cname"}, []string{"r2.cname"}, nil, false, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +197,11 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 			b.MustAdd(NumV(float64(r.Intn(5))), NumV(float64(r.Intn(100))))
 		}
 		pred := sqlparse.Bin("=", sqlparse.Col("a", "k"), sqlparse.Col("b", "k"))
-		nl, err := NestedLoopJoin(a, b, pred)
+		nl, err := collect(NewNestedLoop(NewScan(a), b, pred), nil)
 		if err != nil {
 			return false
 		}
-		hj, err := HashJoin(a, b, []string{"a.k"}, []string{"b.k"}, nil)
+		hj, err := collect(NewHashJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, false, nil))
 		if err != nil {
 			return false
 		}
@@ -192,15 +222,15 @@ func TestSelectionCascadeProperty(t *testing.T) {
 		for i := 0; i < r.Intn(40); i++ {
 			a.MustAdd(NumV(float64(r.Intn(100))))
 		}
-		both, err := Filter(a, sqlparse.Bin("AND", p, q))
+		both, err := collect(NewFilter(NewScan(a), sqlparse.Bin("AND", p, q)), nil)
 		if err != nil {
 			return false
 		}
-		first, err := Filter(a, p)
+		first, err := collect(NewFilter(NewScan(a), p), nil)
 		if err != nil {
 			return false
 		}
-		second, err := Filter(first, q)
+		second, err := collect(NewFilter(NewScan(first), q), nil)
 		if err != nil {
 			return false
 		}
@@ -224,20 +254,20 @@ func TestJoinCommutativityProperty(t *testing.T) {
 			b.MustAdd(NumV(float64(r.Intn(4))))
 		}
 		pred := sqlparse.Bin("=", sqlparse.Col("a", "k"), sqlparse.Col("b", "k"))
-		ab, err := NestedLoopJoin(a, b, pred)
+		ab, err := collect(NewNestedLoop(NewScan(a), b, pred), nil)
 		if err != nil {
 			return false
 		}
-		ba, err := NestedLoopJoin(b, a, pred)
+		ba, err := collect(NewNestedLoop(NewScan(b), a, pred), nil)
 		if err != nil {
 			return false
 		}
 		// Project both to a.k to compare modulo column order.
-		pa, err := Project(ab, []ProjectItem{{Name: "k", Expr: sqlparse.Col("a", "k")}})
+		pa, err := collect(NewProject(NewScan(ab), []ProjectItem{{Name: "k", Expr: sqlparse.Col("a", "k")}}), nil)
 		if err != nil {
 			return false
 		}
-		pb, err := Project(ba, []ProjectItem{{Name: "k", Expr: sqlparse.Col("a", "k")}})
+		pb, err := collect(NewProject(NewScan(ba), []ProjectItem{{Name: "k", Expr: sqlparse.Col("a", "k")}}), nil)
 		if err != nil {
 			return false
 		}
@@ -251,21 +281,21 @@ func TestJoinCommutativityProperty(t *testing.T) {
 func TestUnionSetVsAll(t *testing.T) {
 	a := testRel("a", "x:num", []Value{NumV(1)}, []Value{NumV(2)})
 	b := testRel("b", "x:num", []Value{NumV(2)}, []Value{NumV(3)})
-	all, err := Union(a, b, true)
+	all, err := union(a, b, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if all.Len() != 4 {
 		t.Errorf("UNION ALL len = %d, want 4", all.Len())
 	}
-	set, err := Union(a, b, false)
+	set, err := union(a, b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if set.Len() != 3 {
 		t.Errorf("UNION len = %d, want 3", set.Len())
 	}
-	if _, err := Union(a, testRel("c", "x:num, y:num"), true); err == nil {
+	if _, err := union(a, testRel("c", "x:num, y:num"), true); err == nil {
 		t.Error("arity mismatch accepted")
 	}
 }
@@ -282,11 +312,11 @@ func TestUnionCardinalityProperty(t *testing.T) {
 		for i := 0; i < r.Intn(20); i++ {
 			b.MustAdd(NumV(float64(r.Intn(6))))
 		}
-		all, err := Union(a, b, true)
+		all, err := union(a, b, true)
 		if err != nil {
 			return false
 		}
-		set, err := Union(a, b, false)
+		set, err := union(a, b, false)
 		if err != nil {
 			return false
 		}
@@ -295,7 +325,7 @@ func TestUnionCardinalityProperty(t *testing.T) {
 			max = b.Len()
 		}
 		return all.Len() == a.Len()+b.Len() && set.Len() <= all.Len() &&
-			set.Len() >= Distinct(a).Len() && set.Len() >= Distinct(b).Len() && set.Len() >= 0 && max >= 0
+			set.Len() >= drain(t, NewDistinct(NewScan(a))).Len() && set.Len() >= drain(t, NewDistinct(NewScan(b))).Len() && set.Len() >= 0 && max >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -308,18 +338,18 @@ func TestSortAndLimit(t *testing.T) {
 		[]Value{StrV("a"), NumV(3)},
 		[]Value{StrV("c"), NumV(1)},
 	)
-	sorted, err := Sort(r, []OrderKey{{Expr: sqlparse.Col("t", "v"), Desc: true}})
+	sorted, err := collect(NewSort(NewScan(r), []OrderKey{{Expr: sqlparse.Col("t", "v"), Desc: true}}, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sorted.Tuples[0][0].S != "a" || sorted.Tuples[2][0].S != "c" {
 		t.Errorf("sort order wrong: %s", sorted)
 	}
-	top := Limit(sorted, 2)
+	top := drain(t, NewLimit(NewScan(sorted), 2))
 	if top.Len() != 2 || top.Tuples[0][0].S != "a" {
 		t.Errorf("limit wrong: %s", top)
 	}
-	if Limit(sorted, -1).Len() != 3 {
+	if drain(t, NewLimit(NewScan(sorted), -1)).Len() != 3 {
 		t.Error("Limit(-1) should keep all")
 	}
 }
@@ -337,7 +367,7 @@ func TestGroupByAggregates(t *testing.T) {
 		{Name: "avg", Expr: &sqlparse.FuncCall{Name: "AVG", Args: []sqlparse.Expr{sqlparse.Col("s", "v")}}},
 		{Name: "mx", Expr: &sqlparse.FuncCall{Name: "MAX", Args: []sqlparse.Expr{sqlparse.Col("s", "v")}}},
 	}
-	out, err := GroupBy(r, []sqlparse.Expr{sqlparse.Col("s", "grp")}, items, nil)
+	out, err := collect(NewGroupBy(NewScan(r), []sqlparse.Expr{sqlparse.Col("s", "grp")}, items, nil, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +388,7 @@ func TestGroupByHaving(t *testing.T) {
 	)
 	items := []AggItem{{Name: "grp", Expr: sqlparse.Col("s", "grp")}}
 	having := sqlparse.Bin(">", &sqlparse.FuncCall{Name: "COUNT", Star: true}, sqlparse.Num(1))
-	out, err := GroupBy(r, []sqlparse.Expr{sqlparse.Col("s", "grp")}, items, having)
+	out, err := collect(NewGroupBy(NewScan(r), []sqlparse.Expr{sqlparse.Col("s", "grp")}, items, having, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +403,7 @@ func TestGlobalAggregateOnEmpty(t *testing.T) {
 		{Name: "cnt", Expr: &sqlparse.FuncCall{Name: "COUNT", Star: true}},
 		{Name: "sum", Expr: &sqlparse.FuncCall{Name: "SUM", Args: []sqlparse.Expr{sqlparse.Col("s", "v")}}},
 	}
-	out, err := GroupBy(r, nil, items, nil)
+	out, err := collect(NewGroupBy(NewScan(r), nil, items, nil, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +452,7 @@ func TestRelationString(t *testing.T) {
 
 func TestDistinct(t *testing.T) {
 	r := testRel("t", "x:num", []Value{NumV(1)}, []Value{NumV(1)}, []Value{NumV(2)})
-	if Distinct(r).Len() != 2 {
+	if drain(t, NewDistinct(NewScan(r))).Len() != 2 {
 		t.Error("distinct failed")
 	}
 }

@@ -5,14 +5,12 @@
 // joins, union, distinct, sort, limit, grouping/aggregation) the local
 // execution engine composes.
 //
-// Every operator exists in two interchangeable forms: a streaming,
-// pull-based Iterator (Volcano model; see the Iterator contract in
-// iterator.go) that the planner composes into pipelines with early
-// termination, and a materialized function over *Relation that is a thin
-// wrapper draining the corresponding iterator. Only pipeline breakers —
-// Sort, GroupBy, the build side of a hash join, both sides of a merge
-// join — buffer their input, and those buffers can spill through the
-// Stager hook.
+// Every operator is a streaming, pull-based Iterator (Volcano model; see
+// the Iterator contract in iterator.go) that the planner composes into
+// pipelines with early termination; Collect drains one into a
+// materialized *Relation. Only pipeline breakers — Sort, GroupBy, the
+// build side of a hash join, both sides of a merge join — buffer their
+// input, and those buffers can spill through the Stager hook.
 package relalg
 
 import (

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -33,7 +34,7 @@ func TestConcurrentReceivers(t *testing.T) {
 			}
 			for i := 0; i < perWorker; i++ {
 				if w%2 == 0 {
-					res, err := conn.Query(coin.PaperQ1, "c2")
+					res, err := conn.QueryCtx(context.Background(), coin.PaperQ1, "c2", client.Options{})
 					if err != nil {
 						errs <- err
 						return
@@ -43,7 +44,7 @@ func TestConcurrentReceivers(t *testing.T) {
 						return
 					}
 				} else {
-					res, err := conn.QueryNaive(coin.PaperQ1)
+					res, err := conn.QueryNaiveCtx(context.Background(), coin.PaperQ1, client.Options{})
 					if err != nil {
 						errs <- err
 						return

@@ -41,16 +41,14 @@ type RowStream interface {
 	Schema() relalg.Schema
 	// Mediation returns the mediated query, or nil for a naive stream.
 	Mediation() *core.Mediation
-	// Next returns the next row, ok=false at end, or the terminal error.
-	Next() (relalg.Tuple, bool, error)
 	// NextBatch returns the next block of rows (1..max; nil at end, or
 	// the terminal error). The slice is valid until the next call. The
 	// stream handler drains blocks so encode+flush overhead is paid per
 	// batch, not per row.
 	NextBatch(max int) ([]relalg.Tuple, error)
 	// Warnings returns the degraded-branch warnings of a partial-results
-	// stream accumulated so far (nil otherwise); final once Next returned
-	// ok=false.
+	// stream accumulated so far (nil otherwise); final once NextBatch
+	// returned no rows.
 	Warnings() []planner.Warning
 	// Close releases the stream and its query session.
 	Close() error
@@ -62,12 +60,10 @@ type RowStream interface {
 // server can tie query lifetimes to receiver connections.
 type Service interface {
 	Mediate(sql, receiver string) (*core.Mediation, error)
-	QueryCtx(ctx context.Context, sql, receiver string, opts planner.Limits) (*relalg.Relation, error)
-	ExecuteCtx(ctx context.Context, med *core.Mediation, opts planner.Limits) (*relalg.Relation, error)
 	ExecuteWarnCtx(ctx context.Context, med *core.Mediation, opts planner.Limits) (*relalg.Relation, []planner.Warning, error)
 	QueryNaiveCtx(ctx context.Context, sql string, opts planner.Limits) (*relalg.Relation, error)
 	QueryStream(ctx context.Context, sql, receiver string, naive bool, opts planner.Limits) (RowStream, error)
-	Explain(sql, receiver string) (string, error)
+	ExplainCtx(ctx context.Context, sql, receiver string) (string, error)
 	ExplainAnalyzeCtx(ctx context.Context, sql, receiver string, opts planner.Limits) (string, error)
 	Contexts() []string
 	Relations() []string
@@ -238,12 +234,21 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
 }
 
+// maxRequestBytes bounds a request body: the decoder never buffers more
+// of a hostile (or mistaken) receiver's JSON than this.
+const maxRequestBytes = 1 << 20
+
 func (s *srv) decode(w http.ResponseWriter, r *http.Request, req *QueryRequest) bool {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("server: POST required"))
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("server: request body exceeds %d bytes", tooBig.Limit))
+			return false
+		}
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("server: bad request body: %v", err))
 		return false
 	}
@@ -429,7 +434,7 @@ func (s *srv) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 		plan, err = s.svc.ExplainAnalyzeCtx(r.Context(), req.SQL, req.Context, opts)
 	} else {
-		plan, err = s.svc.Explain(req.SQL, req.Context)
+		plan, err = s.svc.ExplainCtx(r.Context(), req.SQL, req.Context)
 	}
 	if err != nil {
 		writeErr(w, statusFor(err), err)
@@ -540,7 +545,7 @@ func (s *srv) handleQBERun(w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			page.MediatedSQL = med.SQL()
 			page.Derivation = med.ExplainText()
-			rel, err = s.svc.ExecuteCtx(r.Context(), med, planner.Limits{})
+			rel, _, err = s.svc.ExecuteWarnCtx(r.Context(), med, planner.Limits{})
 		}
 	}
 	if err != nil {

@@ -1,15 +1,22 @@
 package server_test
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/coin"
 	"repro/internal/client"
+	"repro/internal/relalg"
+	"repro/internal/store"
+	"repro/internal/wrapper"
 )
 
 // TestArchitectureEndToEnd is experiment E3: the full Figure 1 stack —
@@ -43,7 +50,7 @@ func TestArchitectureEndToEnd(t *testing.T) {
 	}
 
 	// Naive baseline: empty answer.
-	naive, err := conn.QueryNaive(coin.PaperQ1)
+	naive, err := conn.QueryNaiveCtx(context.Background(), coin.PaperQ1, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +59,7 @@ func TestArchitectureEndToEnd(t *testing.T) {
 	}
 
 	// Mediated: the paper's correct answer.
-	res, err := conn.Query(coin.PaperQ1, "c2")
+	res, err := conn.QueryCtx(context.Background(), coin.PaperQ1, "c2", client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +74,7 @@ func TestArchitectureEndToEnd(t *testing.T) {
 	}
 
 	// Mediate-only endpoint.
-	sql, branches, err := conn.Mediate(coin.PaperQ1, "c2")
+	sql, branches, err := conn.Mediate(context.Background(), coin.PaperQ1, "c2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +91,13 @@ func TestServerErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Query("SELECT nope FROM nosuch", "c2"); err == nil {
+	if _, err := conn.QueryCtx(context.Background(), "SELECT nope FROM nosuch", "c2", client.Options{}); err == nil {
 		t.Error("bad query succeeded")
 	}
-	if _, err := conn.Query(coin.PaperQ1, "nocontext"); err == nil {
+	if _, err := conn.QueryCtx(context.Background(), coin.PaperQ1, "nocontext", client.Options{}); err == nil {
 		t.Error("unknown context succeeded")
 	}
-	if _, _, err := conn.Mediate("", "c2"); err == nil {
+	if _, _, err := conn.Mediate(context.Background(), "", "c2"); err == nil {
 		t.Error("empty SQL accepted")
 	}
 	if _, err := client.Open("http://127.0.0.1:1"); err == nil {
@@ -155,7 +162,7 @@ func TestConcurrencyKnobOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := conn.QueryCtx(nil, coin.PaperQ1, "c2", client.Options{MaxConcurrentPerSource: 1})
+	res, err := conn.QueryCtx(context.Background(), coin.PaperQ1, "c2", client.Options{MaxConcurrentPerSource: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,5 +219,123 @@ func TestExplainAnalyzeOverWire(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad timeout status = %s, want 400", resp2.Status)
+	}
+}
+
+// slowStats is a source whose statistics probes hang until their context
+// dies, as a slow DBMS's COUNT(DISTINCT) would; seen receives what each
+// probe's context said when it let go (nil: the probe gave up waiting).
+type slowStats struct {
+	wrapper.Wrapper
+	entered chan struct{}
+	seen    chan error
+}
+
+func (s *slowStats) probe(ctx context.Context) {
+	select {
+	case s.entered <- struct{}{}:
+	default:
+	}
+	select {
+	case <-ctx.Done():
+	case <-time.After(5 * time.Second):
+	}
+	s.seen <- ctx.Err()
+}
+
+func (s *slowStats) EstimateRows(ctx context.Context, relation string) int {
+	s.probe(ctx)
+	return 0
+}
+
+func (s *slowStats) DistinctCount(ctx context.Context, relation, column string) (int, bool) {
+	s.probe(ctx)
+	return 0, false
+}
+
+// TestExplainCancelledWithRequest: plain /api/explain plans under the
+// request's context, so a receiver that goes away stops the planner's
+// statistics probes instead of leaving them running against the source.
+func TestExplainCancelledWithRequest(t *testing.T) {
+	sys := coin.Figure2System()
+	db := store.NewDB("statsrc")
+	schema := relalg.NewSchema(relalg.Column{Name: "n", Type: relalg.KindNumber})
+	db.MustCreateTable("nums", schema)
+	src := &slowStats{Wrapper: wrapper.NewRelational(db), entered: make(chan struct{}, 1), seen: make(chan error, 16)}
+	sys.Catalog.MustAddSource(src)
+	if err := sys.Registry.RegisterRelation("nums", schema, nil); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(sys.Handler())
+	defer ts.Close()
+	conn, err := client.Open(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-src.entered
+		cancel()
+	}()
+	start := time.Now()
+	_, err = conn.Explain(ctx, "SELECT a.n FROM nums a, nums b WHERE a.n = b.n", "c2")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Explain under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("cancelled Explain returned after %v", d)
+	}
+	select {
+	case perr := <-src.seen:
+		if !errors.Is(perr, context.Canceled) {
+			t.Errorf("statistics probe ended with ctx.Err() = %v, want context.Canceled", perr)
+		}
+	case <-time.After(3 * time.Second):
+		t.Error("statistics probe still running after the receiver went away")
+	}
+}
+
+// countingBody counts the bytes a handler consumed from a request body.
+type countingBody struct {
+	r    io.Reader
+	read int
+}
+
+func (c *countingBody) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.read += n
+	return n, err
+}
+
+// TestRequestBodyBounded: a request body past the 1 MiB cap is refused
+// with 413 and the usual error JSON, without the handler reading (let
+// alone buffering) the rest of it; an ordinary request is unaffected.
+func TestRequestBodyBounded(t *testing.T) {
+	h := coin.Figure2System().Handler()
+
+	huge := `{"sql": "SELECT r1.cname FROM r1 WHERE r1.cname = '` + strings.Repeat("x", 2<<20) + `'"}`
+	body := &countingBody{r: strings.NewReader(huge)}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/query", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: status = %d, want 413", rec.Code)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(rec.Body).Decode(&e); err != nil || !strings.Contains(e.Error, "exceeds") {
+		t.Errorf("413 body = %q (decode err %v), want an ErrorResponse naming the limit", e.Error, err)
+	}
+	if limit := 1<<20 + 4096; body.read > limit {
+		t.Errorf("handler read %d bytes of an oversized body, want <= %d", body.read, limit)
+	}
+
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/query",
+		strings.NewReader(`{"sql": `+strconv.Quote(coin.PaperQ1)+`, "context": "c2"}`)))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "NTT") {
+		t.Errorf("ordinary request: status = %d body = %s", rec.Code, rec.Body.String())
 	}
 }

@@ -39,7 +39,7 @@ var (
 // Source is the client half: one remote REST service exposed through the
 // wrapper protocol. Schema, row counts, required bindings and distinct
 // statistics come from the service's /schema document, fetched once at
-// Dial time.
+// dial time.
 type Source struct {
 	name   string
 	base   string
@@ -59,15 +59,9 @@ type remoteRelation struct {
 	distinct map[string]int
 }
 
-// Dial fetches baseURL/schema and builds a source named name. client nil
-// means http.DefaultClient. It is the ungoverned form of DialContext.
-func Dial(name, baseURL string, client *http.Client) (*Source, error) {
-	//lint:allow ctxflow Dial is the documented context-free convenience; governed callers use DialContext
-	return DialContext(context.Background(), name, baseURL, client)
-}
-
-// DialContext is Dial with an explicit context bounding the one-time
-// /schema fetch.
+// DialContext fetches baseURL/schema — the one-time discovery request,
+// bounded by ctx — and builds a source named name. client nil means
+// http.DefaultClient.
 func DialContext(ctx context.Context, name, baseURL string, client *http.Client) (*Source, error) {
 	if client == nil {
 		client = http.DefaultClient

@@ -37,7 +37,7 @@ func newFixture(t *testing.T) (*Source, *Server) {
 	srv.Require = map[string][]string{"quotes": {"cname"}}
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
-	src, err := Dial("markets", hs.URL, hs.Client())
+	src, err := DialContext(context.Background(), "markets", hs.URL, hs.Client())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -207,7 +207,9 @@ func TestEngineRetriesAgainstRealHTTP(t *testing.T) {
 
 	srv.FailNext(2, 503, "")
 	before := srv.Hits()
-	res, err := ex.Execute(sqlparse.MustParse("SELECT indices.iname FROM indices WHERE indices.level < 1003"))
+	sess := ex.NewSession(context.Background(), planner.Limits{})
+	defer sess.Close()
+	res, err := ex.ExecuteSession(sess, sqlparse.MustParse("SELECT indices.iname FROM indices WHERE indices.level < 1003"))
 	if err != nil {
 		t.Fatalf("query against flaky HTTP backend: %v", err)
 	}

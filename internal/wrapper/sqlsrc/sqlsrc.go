@@ -131,15 +131,6 @@ func (s *Source) Cost() wrapper.Cost { return s.CostParams }
 // for an estimate that is best-effort anyway.
 const ProbeTimeout = 5 * time.Second
 
-// probeCtx derives the bounded probe context from the planning session's.
-func probeCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		//lint:allow ctxflow nil-context callers (direct wrapper use in tools) still get the probe timeout bound
-		ctx = context.Background()
-	}
-	return context.WithTimeout(ctx, ProbeTimeout)
-}
-
 // EstimateRows implements wrapper.Wrapper via a cached COUNT(*) probe
 // bounded by ctx plus ProbeTimeout — killing the planning session stops
 // its probes. Estimation is best-effort: probe failures report zero rows
@@ -154,7 +145,7 @@ func (s *Source) EstimateRows(ctx context.Context, relation string) int {
 	if _, err := s.Schema(relation); err != nil {
 		return 0
 	}
-	pctx, cancel := probeCtx(ctx)
+	pctx, cancel := context.WithTimeout(ctx, ProbeTimeout)
 	defer cancel()
 	n, err := s.countProbe(pctx, relation, "*")
 	if err != nil {
@@ -182,7 +173,7 @@ func (s *Source) DistinctCount(ctx context.Context, relation, column string) (in
 	if err != nil || schema.Index(column) < 0 {
 		return 0, false
 	}
-	pctx, cancel := probeCtx(ctx)
+	pctx, cancel := context.WithTimeout(ctx, ProbeTimeout)
 	defer cancel()
 	n, err := s.countProbe(pctx, relation, column)
 	if err != nil {
