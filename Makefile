@@ -2,10 +2,12 @@
 
 GO        ?= go
 PKGS      ?= ./...
-# Benchmarks that gate solver-, source-access- and optimizer-performance
-# work (see internal/datalog/README.md and ARCHITECTURE.md "Source access
-# layer" / "Optimizer & statistics").
-BENCH     ?= BenchmarkSolveJoin|BenchmarkAbductiveCaseSplit|BenchmarkE1b_MediationOnly|BenchmarkUnify|BenchmarkBindJoinBatched|BenchmarkJoinOrderAdaptive|BenchmarkFaultFreeOverhead
+# Benchmarks that gate solver-, source-access-, optimizer- and sort-kernel
+# performance work (see internal/datalog/README.md and ARCHITECTURE.md
+# "Source access layer" / "Optimizer & statistics" / "Batch execution &
+# interning"), and the packages that hold them.
+BENCH     ?= BenchmarkSolveJoin|BenchmarkAbductiveCaseSplit|BenchmarkE1b_MediationOnly|BenchmarkUnify|BenchmarkBindJoinBatched|BenchmarkJoinOrderAdaptive|BenchmarkFaultFreeOverhead|BenchmarkSortOrderBy
+BENCHPKGS ?= ./internal/datalog/ ./internal/relalg/ .
 BENCHDIR  ?= .bench
 COUNT     ?= 6
 
@@ -108,7 +110,7 @@ examples:
 # containers, parity) is visible in one sweep; see BENCH_baseline.json for
 # the recorded shape per machine.
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count 1 ./internal/datalog/ .
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count 1 $(BENCHPKGS)
 	$(GO) test -run '^$$' -bench BenchmarkParallelJoinScaling -cpu 1,2,4,8 -benchmem -count 1 .
 
 # One iteration of every gating benchmark plus the batch-execution set
@@ -116,18 +118,18 @@ bench:
 # catches a benchmark that breaks or asserts, not a measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH)|BenchmarkE1c_ExecutionOnly|BenchmarkE9_MediatedExecutionScale' \
-		-benchmem -benchtime 1x -count 1 ./internal/datalog/ .
+		-benchmem -benchtime 1x -count 1 $(BENCHPKGS)
 
 # Record a baseline for bench-compare (run on the commit you compare against).
 bench-base:
 	mkdir -p $(BENCHDIR)
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) ./internal/datalog/ . | tee $(BENCHDIR)/old.txt
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) $(BENCHPKGS) | tee $(BENCHDIR)/old.txt
 
 # Re-run the benchmarks and compare against the recorded baseline with
 # benchstat when it is installed; otherwise print both result files.
 bench-compare:
 	mkdir -p $(BENCHDIR)
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) ./internal/datalog/ . | tee $(BENCHDIR)/new.txt
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) $(BENCHPKGS) | tee $(BENCHDIR)/new.txt
 	@if command -v benchstat >/dev/null 2>&1; then \
 		benchstat $(BENCHDIR)/old.txt $(BENCHDIR)/new.txt; \
 	else \

@@ -71,3 +71,44 @@ func BenchmarkGroupByAgg(b *testing.B) {
 		}
 	}
 }
+
+// sortBenchRel builds n rows of (name string, revenue number): unique
+// names over a shuffled revenue column with ~n/4 distinct values, the
+// shape of the mediated union a receiver's ORDER BY runs over.
+func sortBenchRel(n int) *Relation {
+	r := rand.New(rand.NewSource(1))
+	rel := NewRelation("t", NewSchema(Column{"t.name", KindString}, Column{"t.revenue", KindNumber}))
+	for i := 0; i < n; i++ {
+		rel.MustAdd(StrV(fmt.Sprintf("company-%06d", r.Intn(n))), NumV(float64(r.Intn(n/4+1))*1000))
+	}
+	return rel
+}
+
+// BenchmarkSortOrderBy is the ORDER BY kernel alone: NewSort + Collect
+// over a materialized input, serial (par=0) and in exchange form (par=2),
+// on a single numeric DESC key (the typed comparator) and on a
+// string+number key pair.
+func BenchmarkSortOrderBy(b *testing.B) {
+	revenue := []OrderKey{{Expr: sqlparse.Col("t", "revenue"), Desc: true}}
+	nameRevenue := []OrderKey{{Expr: sqlparse.Col("t", "name")}, {Expr: sqlparse.Col("t", "revenue"), Desc: true}}
+	run := func(b *testing.B, rel *Relation, keys []OrderKey, par int) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := NewSort(NewScan(rel), keys, nil)
+			s.Par = par
+			if _, err := collect(s, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, n := range []int{8, 1000, 10000, 100000} {
+		rel := sortBenchRel(n)
+		for _, par := range []int{0, 2} {
+			b.Run(fmt.Sprintf("rows=%d/par=%d", n, par), func(b *testing.B) { run(b, rel, revenue, par) })
+		}
+	}
+	rel := sortBenchRel(10000)
+	for _, par := range []int{0, 2} {
+		b.Run(fmt.Sprintf("keys=name,revenue/rows=10000/par=%d", par), func(b *testing.B) { run(b, rel, nameRevenue, par) })
+	}
+}

@@ -14,9 +14,11 @@ import (
 // This file holds the intra-query parallelism ("exchange") operators:
 // a hash-repartition exchange embodied in ParallelHashJoinIter (build and
 // probe sides split across N worker pipelines on the join keys), and the
-// partitioned cores behind SortIter.Par (parallel chunk sort + an
-// order-preserving merge exchange) and GroupByIter.Par (hash-partitioned
-// grouping with first-appearance order restored on merge).
+// partitioned core behind GroupByIter.Par (hash-partitioned grouping with
+// first-appearance order restored on merge). SortIter.Par's chunk sort +
+// order-preserving merge is the many-worker case of the one sort kernel
+// (sortTuples in ops.go); both share forChunks and the rows-per-worker
+// floor below.
 //
 // Determinism rule: every parallel operator produces output identical in
 // content AND order to its serial counterpart, so plans never change
@@ -26,9 +28,10 @@ import (
 //     workers and their outputs re-read in the same round-robin order,
 //     so rows flow in exact probe-stream order; same-key build rows all
 //     land in one partition, preserving build-insertion match order.
-//   - parallel sort: contiguous chunks are stable-sorted concurrently
-//     and merged with ties broken by chunk index, reproducing the serial
-//     stable sort exactly.
+//   - parallel sort: contiguous chunks are sorted concurrently and
+//     merged under one comparator that is a strict total order (key
+//     columns by SortKey, then row index), so the merge is the serial
+//     sort by construction — for NaN keys too.
 //   - parallel group-by: rows are hash-partitioned on the group key so
 //     no group spans workers; the merged output is reordered by each
 //     group's first-appearance row index, the serial emission order.
@@ -560,106 +563,53 @@ func (j *ParallelHashJoinIter) Close() error {
 	return err
 }
 
-// parallelSortRelation is the parallel form of sortRelation: the
-// decorated rows are split into par contiguous chunks, each chunk
-// stable-sorted concurrently with the same comparator, and the chunks
-// k-way merged with ties broken by lowest chunk index — which reproduces
-// the serial stable sort exactly (the order-preserving merge exchange).
-func parallelSortRelation(r *Relation, keys []OrderKey, par int) (*Relation, error) {
-	n := len(r.Tuples)
-	if par > n {
-		par = n
+// minRowsPerWorker is the exchange floor of the materialized cores: a
+// worker is only worth its goroutine, WaitGroup hand-off and merge share
+// when it gets at least this many rows (measured, see BENCH_baseline.json
+// PR 13).
+const minRowsPerWorker = 16384
+
+// exchangeWorkers clamps a requested worker count so every worker gets
+// at least minRowsPerWorker of the n rows; 1 means run serially.
+func exchangeWorkers(n, par int) int {
+	if most := n / minRowsPerWorker; par > most {
+		par = most
 	}
-	if par <= 1 || len(keys) == 0 {
-		return sortRelation(r, keys)
+	if par < 1 {
+		par = 1
 	}
-	type decorated struct {
-		t    Tuple
-		keys []Value
+	return par
+}
+
+// forChunks runs fn over par contiguous chunks [n*p/par, n*(p+1)/par) of
+// n rows and returns when all are done: inline for par == 1, one
+// goroutine per chunk otherwise.
+func forChunks(n, par int, fn func(p, lo, hi int)) {
+	if par == 1 {
+		fn(0, 0, n)
+		return
 	}
-	rows := make([]decorated, n)
-	cmp := func(a, b decorated) int {
-		for ki := range keys {
-			c := a.keys[ki].SortKey(b.keys[ki])
-			if c == 0 {
-				continue
-			}
-			if keys[ki].Desc {
-				return -c
-			}
-			return c
-		}
-		return 0
-	}
-	bounds := make([]int, par+1)
-	for p := 0; p <= par; p++ {
-		bounds[p] = n * p / par
-	}
-	errs := make([]error, par)
-	sawNaN := make([]bool, par)
 	var wg sync.WaitGroup
 	for p := 0; p < par; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for i := bounds[p]; i < bounds[p+1]; i++ {
-				t := r.Tuples[i]
-				d := decorated{t: t, keys: make([]Value, len(keys))}
-				for ki, k := range keys {
-					v, err := Eval(k.Expr, r.Schema, t)
-					if err != nil {
-						errs[p] = err
-						return
-					}
-					if v.K == KindNumber && v.N != v.N {
-						sawNaN[p] = true
-					}
-					d.keys[ki] = v
-				}
-				rows[i] = d
-			}
-			if sawNaN[p] {
-				return
-			}
-			chunk := rows[bounds[p]:bounds[p+1]]
-			sort.SliceStable(chunk, func(i, k int) bool { return cmp(chunk[i], chunk[k]) < 0 })
+			fn(p, n*p/par, n*(p+1)/par)
 		}(p)
 	}
 	wg.Wait()
-	// The first error in chunk order is the first error in row order:
-	// each worker records the earliest failure of its own chunk.
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+}
+
+// firstError returns the error of the lowest chunk that failed: each
+// worker records the earliest failure of its own chunk, so this is the
+// first error in row order.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	for _, saw := range sawNaN {
-		if saw {
-			// NaN compares equal to every number (Value.Compare), so
-			// SortKey is not a strict weak order and the serial sort's
-			// tie placement depends on sort internals a chunk merge
-			// cannot reproduce. Fall back to the serial core to keep
-			// parallel output byte-identical.
-			return sortRelation(r, keys)
-		}
-	}
-	out := NewRelation(r.Name, r.Schema)
-	out.Tuples = make([]Tuple, 0, n)
-	pos := make([]int, par)
-	for len(out.Tuples) < n {
-		best := -1
-		for p := 0; p < par; p++ {
-			if bounds[p]+pos[p] >= bounds[p+1] {
-				continue
-			}
-			if best < 0 || cmp(rows[bounds[p]+pos[p]], rows[bounds[best]+pos[best]]) < 0 {
-				best = p
-			}
-		}
-		out.Tuples = append(out.Tuples, rows[bounds[best]+pos[best]].t)
-		pos[best]++
-	}
-	return out, nil
+	return nil
 }
 
 // groupByParallel is the parallel form of groupByInterned: rows are
@@ -676,38 +626,26 @@ func groupByParallel(r *Relation, keys []sqlparse.Expr, items []AggItem, having 
 	if par <= 1 || len(keys) == 0 {
 		return groupByInterned(r, keys, items, having, nil)
 	}
+	errs := make([]error, par)
 
 	// Phase 1: per-row routing hashes, computed over contiguous chunks.
 	hashes := make([]uint64, n)
-	bounds := make([]int, par+1)
-	for p := 0; p <= par; p++ {
-		bounds[p] = n * p / par
-	}
-	errs := make([]error, par)
-	var wg sync.WaitGroup
-	for p := 0; p < par; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			kv := make([]Value, len(keys))
-			for i := bounds[p]; i < bounds[p+1]; i++ {
-				for ki, k := range keys {
-					v, err := Eval(k, r.Schema, r.Tuples[i])
-					if err != nil {
-						errs[p] = err
-						return
-					}
-					kv[ki] = v
+	forChunks(n, par, func(p, lo, hi int) {
+		kv := make([]Value, len(keys))
+		for i := lo; i < hi; i++ {
+			for ki, k := range keys {
+				v, err := Eval(k, r.Schema, r.Tuples[i])
+				if err != nil {
+					errs[p] = err
+					return
 				}
-				hashes[i] = hashValues(kv)
+				kv[ki] = v
 			}
-		}(p)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+			hashes[i] = hashValues(kv)
 		}
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 
 	// Phase 2: scatter rows (with their global indexes) to partitions, in
@@ -730,40 +668,33 @@ func groupByParallel(r *Relation, keys []sqlparse.Expr, items []AggItem, having 
 		tuples []Tuple
 	}
 	partGroups := make([][]*outGroup, par)
-	for p := 0; p < par; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			enc := NewKeyEncoder(nil)
-			index := map[string]int{}
-			var order []*outGroup
-			kv := make([]Value, len(keys))
-			for li, t := range parts[p].rows {
-				for ki, k := range keys {
-					v, err := Eval(k, r.Schema, t)
-					if err != nil {
-						errs[p] = err
-						return
-					}
-					kv[ki] = v
+	forChunks(par, par, func(p, _, _ int) { // one chunk per partition
+		enc := NewKeyEncoder(nil)
+		index := map[string]int{}
+		var order []*outGroup
+		kv := make([]Value, len(keys))
+		for li, t := range parts[p].rows {
+			for ki, k := range keys {
+				v, err := Eval(k, r.Schema, t)
+				if err != nil {
+					errs[p] = err
+					return
 				}
-				hk := enc.FullKey(kv)
-				gi, ok := index[string(hk)]
-				if !ok {
-					gi = len(order)
-					index[string(hk)] = gi
-					order = append(order, &outGroup{first: parts[p].idx[li]})
-				}
-				order[gi].tuples = append(order[gi].tuples, t)
+				kv[ki] = v
 			}
-			partGroups[p] = order
-		}(p)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+			hk := enc.FullKey(kv)
+			gi, ok := index[string(hk)]
+			if !ok {
+				gi = len(order)
+				index[string(hk)] = gi
+				order = append(order, &outGroup{first: parts[p].idx[li]})
+			}
+			order[gi].tuples = append(order[gi].tuples, t)
 		}
+		partGroups[p] = order
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 
 	// Phase 4: merge to first-appearance order. Each partition's list is
@@ -783,44 +714,33 @@ func groupByParallel(r *Relation, keys []sqlparse.Expr, items []AggItem, having 
 	}
 	rowsOut := make([]Tuple, len(all))
 	keep := make([]bool, len(all))
-	gb := make([]int, par+1)
-	for p := 0; p <= par; p++ {
-		gb[p] = len(all) * p / par
-	}
-	for p := 0; p < par; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for gi := gb[p]; gi < gb[p+1]; gi++ {
-				g := all[gi]
-				row := make(Tuple, len(items))
-				for i, it := range items {
-					v, err := evalAgg(it.Expr, r.Schema, g.tuples)
-					if err != nil {
-						errs[p] = err
-						return
-					}
-					row[i] = v
+	forChunks(len(all), par, func(p, lo, hi int) {
+		for gi := lo; gi < hi; gi++ {
+			g := all[gi]
+			row := make(Tuple, len(items))
+			for i, it := range items {
+				v, err := evalAgg(it.Expr, r.Schema, g.tuples)
+				if err != nil {
+					errs[p] = err
+					return
 				}
-				if having != nil {
-					hv, err := evalAgg(having, r.Schema, g.tuples)
-					if err != nil {
-						errs[p] = err
-						return
-					}
-					if hv.K != KindBool || !hv.B {
-						continue
-					}
-				}
-				rowsOut[gi], keep[gi] = row, true
+				row[i] = v
 			}
-		}(p)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+			if having != nil {
+				hv, err := evalAgg(having, r.Schema, g.tuples)
+				if err != nil {
+					errs[p] = err
+					return
+				}
+				if hv.K != KindBool || !hv.B {
+					continue
+				}
+			}
+			rowsOut[gi], keep[gi] = row, true
 		}
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	out := NewRelation(r.Name, Schema{Columns: cols})
 	for gi := range all {

@@ -244,20 +244,32 @@ func TestParallelHashJoinCloseMidStream(t *testing.T) {
 	}
 }
 
-// TestParallelSortMatchesSerial pins the merge exchange: the parallel
-// chunk sort reproduces the serial stable sort byte for byte, including
-// tie order, Desc keys, NULL and NaN keys.
+// TestParallelSortMatchesSerial pins the merge exchange: chunk sort +
+// k-way merge reproduces the one-worker sort byte for byte, including tie
+// order, Desc keys, NULL and NaN keys. The cores are called with an exact
+// worker count (the rows-per-worker floor lives in SortIter.Open), and
+// every input is checked to hold NaN keys and at least par rows, so the
+// exchange form is what runs — there is no serial fallback for NaN.
 func TestParallelSortMatchesSerial(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		rel := randomKeyedRel(rng, "s", 1+rng.Intn(700), 9, seed%2 == 0)
+		rel := randomKeyedRel(rng, "s", 100+rng.Intn(700), 9, seed%2 == 0)
+		nans := 0
+		for _, row := range rel.Tuples {
+			if row[1].N != row[1].N {
+				nans++
+			}
+		}
+		if nans == 0 {
+			t.Fatalf("seed=%d: input holds no NaN key", seed)
+		}
 		keys := []OrderKey{{Expr: mustExpr("nk")}, {Expr: mustExpr("sk"), Desc: seed%2 == 0}}
-		want, err := sortRelation(rel, keys)
+		want, err := sortRelation(rel, keys, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 2, 5, 8} {
-			got, err := parallelSortRelation(rel, keys, par)
+		for _, par := range []int{2, 5, 8} {
+			got, err := sortRelation(rel, keys, par)
 			if err != nil {
 				t.Fatalf("seed=%d par=%d: %v", seed, par, err)
 			}
@@ -300,10 +312,11 @@ func TestParallelGroupByMatchesSerial(t *testing.T) {
 }
 
 // TestParallelIterHooks runs the SortIter.Par and GroupByIter.Par paths
-// end to end through the iterator contract.
+// end to end through the iterator contract, over an input large enough
+// for the rows-per-worker floor to let the exchange forms run.
 func TestParallelIterHooks(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	rel := randomKeyedRel(rng, "s", 400, 6, false)
+	rel := randomKeyedRel(rng, "s", 4*minRowsPerWorker+400, 6, false) // above the floor at Par = 4
 
 	ser := NewSort(NewScan(rel), []OrderKey{{Expr: mustExpr("sk")}}, nil)
 	want := drainOrdered(t, ser, 32)

@@ -784,7 +784,11 @@ func (m *MergeJoinIter) Open(ctx context.Context) error {
 		if rel, err = stage(m.stager, rel); err != nil {
 			return nil, err
 		}
-		return sortTuplesByKeyCols(rel.Tuples, idx), nil
+		fns := make([]CompiledExpr, len(idx))
+		for i, k := range idx {
+			fns[i] = func(t Tuple) (Value, error) { return t[k], nil }
+		}
+		return sortTuples(rel.Tuples, fns, make([]bool, len(idx)), 1)
 	}
 	var err error
 	if m.sa, err = sortSide(m.left, m.leftIdx); err != nil {
@@ -909,9 +913,10 @@ type SortIter struct {
 	child  Iterator
 	keys   []OrderKey
 	stager Stager
-	// Par > 1 sorts with the parallel chunk-sort + merge-exchange core
-	// (see parallelSortRelation); output is identical to the serial
-	// stable sort. Set before Open.
+	// Par > 1 allows up to Par workers (fewer under the rows-per-worker
+	// floor, see exchangeWorkers) to chunk-sort concurrently before an
+	// order-preserving merge (see sortTuples); output is identical to
+	// the serial stable sort. Set before Open.
 	Par int
 	out *ScanIter
 }
@@ -933,12 +938,7 @@ func (s *SortIter) Open(ctx context.Context) error {
 	if rel, err = stage(s.stager, rel); err != nil {
 		return err
 	}
-	var sorted *Relation
-	if s.Par > 1 {
-		sorted, err = parallelSortRelation(rel, s.keys, s.Par)
-	} else {
-		sorted, err = sortRelation(rel, s.keys)
-	}
+	sorted, err := sortRelation(rel, s.keys, exchangeWorkers(len(rel.Tuples), s.Par))
 	if err != nil {
 		return err
 	}
@@ -969,10 +969,11 @@ type GroupByIter struct {
 	// Intern optionally shares a pipeline-wide interner pool with the
 	// grouping core; set it before Open.
 	Intern *Interner
-	// Par > 1 groups with the hash-partitioned parallel core (see
-	// groupByParallel), which uses private pools per partition and
-	// ignores Intern; output is identical to the serial core. Set
-	// before Open.
+	// Par > 1 allows up to Par workers (fewer under the rows-per-worker
+	// floor, see exchangeWorkers); with more than one the
+	// hash-partitioned core runs (see groupByParallel), which uses
+	// private pools per partition and ignores Intern; output is
+	// identical to the serial core. Set before Open.
 	Par int
 	out *ScanIter
 }
@@ -1003,8 +1004,8 @@ func (g *GroupByIter) Open(ctx context.Context) error {
 		return err
 	}
 	var grouped *Relation
-	if g.Par > 1 {
-		grouped, err = groupByParallel(rel, g.keys, g.items, g.having, g.Par)
+	if par := exchangeWorkers(len(rel.Tuples), g.Par); par > 1 {
+		grouped, err = groupByParallel(rel, g.keys, g.items, g.having, par)
 	} else {
 		grouped, err = groupByInterned(rel, g.keys, g.items, g.having, g.Intern)
 	}

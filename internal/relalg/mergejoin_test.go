@@ -1,6 +1,7 @@
 package relalg
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -101,6 +102,45 @@ func TestMergeJoinOutputOrdered(t *testing.T) {
 	for i := 1; i < mj.Len(); i++ {
 		if mj.Tuples[i-1][0].N > mj.Tuples[i][0].N {
 			t.Fatalf("output not key-ordered: %s", mj)
+		}
+	}
+}
+
+// Merge join and hash join agree on NaN and NULL keys: NULL never joins,
+// NaN joins NaN and nothing else (SortKey's NaN rule is the canonical-NaN
+// keying the hash join uses), on one key column and on two.
+func TestMergeHashJoinAgreeOnNaNAndNullKeys(t *testing.T) {
+	pool := []Value{Null, NumV(math.NaN()), NumV(math.Float64frombits(0x7FF8000000000001)), NumV(0), NumV(1), NumV(2)}
+	for seed := int64(0); seed < 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		a := testRel("a", "a.k:num, a.j:num, a.v:num")
+		b := testRel("b", "b.k:num, b.j:num, b.w:num")
+		for i, n := 0, 1+r.Intn(30); i < n; i++ {
+			a.MustAdd(pool[r.Intn(len(pool))], pool[r.Intn(len(pool))], NumV(float64(i)))
+		}
+		for i, n := 0, 1+r.Intn(30); i < n; i++ {
+			b.MustAdd(pool[r.Intn(len(pool))], pool[r.Intn(len(pool))], NumV(float64(i)))
+		}
+		for _, keys := range [][2][]string{
+			{{"a.k"}, {"b.k"}},
+			{{"a.k", "a.j"}, {"b.k", "b.j"}},
+		} {
+			hj, err := collect(NewHashJoin(NewScan(a), NewScan(b), keys[0], keys[1], nil, false, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mj, err := collect(NewMergeJoin(NewScan(a), NewScan(b), keys[0], keys[1], nil, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !SameTuples(mj, hj) {
+				t.Fatalf("seed=%d keys=%v: merge join != hash join:\n%s\nvs\n%s", seed, keys, mj, hj)
+			}
+			for _, row := range mj.Tuples {
+				if ak, bk := row[0], row[3]; ak.IsNull() || (ak.N != ak.N) != (bk.N != bk.N) {
+					t.Fatalf("seed=%d keys=%v: joined %v with %v", seed, keys, ak, bk)
+				}
+			}
 		}
 	}
 }

@@ -138,18 +138,28 @@ func (v Value) Compare(o Value) (cmp int, ok bool) {
 	return 0, false
 }
 
-// SortKey gives a total order across kinds (NULL first), used by ORDER BY
-// and DISTINCT.
+// SortKey gives a total order across kinds, used by ORDER BY and merge
+// join: NULL first, then numbers, strings, booleans; within numbers NaN
+// sorts after every other number and equals only NaN — the canonical-NaN
+// rule hash join, DISTINCT and GROUP BY key by. (Compare keeps SQL
+// comparison semantics, where NaN is neither less nor greater.)
 func (v Value) SortKey(o Value) int {
 	v.checkLive()
 	o.checkLive()
 	if v.K != o.K {
 		return int(v.K) - int(o.K)
 	}
-	if c, ok := v.Compare(o); ok {
-		return c
+	if vNaN, oNaN := v.N != v.N, o.N != o.N; v.K == KindNumber && (vNaN || oNaN) {
+		switch {
+		case !vNaN:
+			return -1
+		case !oNaN:
+			return 1
+		}
+		return 0
 	}
-	return 0
+	c, _ := v.Compare(o)
+	return c
 }
 
 // Key returns a string usable as a hash key that distinguishes values of
