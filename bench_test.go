@@ -407,31 +407,6 @@ func BenchmarkE9d_BindJoinVsCrawl(b *testing.B) {
 	}
 }
 
-// BenchmarkE9e_ParallelBranches compares sequential and concurrent
-// execution of the mediated union's branches.
-func BenchmarkE9e_ParallelBranches(b *testing.B) {
-	med, err := core.New(fixture.Registry()).MediateSQL(fixture.PaperQ1, "c2")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cat, _ := scaledCatalog(5000, 42)
-	for _, parallel := range []bool{false, true} {
-		name := "branches=sequential"
-		if parallel {
-			name = "branches=parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ex := planner.NewExecutor(cat)
-				ex.Parallel = parallel
-				if _, err := executeMediation(ex, med); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- E10: the source access layer ----------------------------------------
 
 // BenchmarkBindJoinBatched measures the dominant communication cost of a

@@ -253,7 +253,7 @@ type probeEntry struct {
 // one's answer instead of contacting the source again. Errors are not
 // cached — the waiting duplicates observe the error, later probes retry.
 func (e *Executor) fetchSource(ctx context.Context, sess *Session, w wrapper.Wrapper, q wrapper.SourceQuery) (*relalg.Relation, error) {
-	cache := &sess.gov.probe
+	cache := &sess.probe
 	key := w.Source() + "\x00" + q.Canonical()
 	cache.mu.Lock()
 	if cache.entries == nil {

@@ -3,8 +3,7 @@ package planner
 // Tests for the source access layer: bind-join batching (⌈N/BatchSize⌉
 // IN-list queries, answers identical to per-value probing), NULL-feeder
 // skipping, the session result cache with single-flight deduplication,
-// dispatcher admission bounds, branch-scoped cancellation of parallel
-// mediation, and the LIMIT 0 short-circuit. The package's race-detector
+// dispatcher admission bounds, and the LIMIT 0 short-circuit. The package's race-detector
 // run (make test-race) covers the concurrent paths.
 
 import (
@@ -13,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -200,37 +200,45 @@ func TestProbeCacheDeduplicatesAcrossBranches(t *testing.T) {
 	}
 }
 
-// TestProbeCacheSingleFlightUnderParallel: with parallel branches and a
-// slow target, concurrent identical probes are joined in flight — the
-// source still sees each canonical query exactly once.
+// TestProbeCacheSingleFlightUnderParallel: identical probes issued
+// concurrently on one session against a slow target are joined in flight
+// — the source sees the canonical query exactly once, and every other
+// caller is served the first one's answer as a cache hit.
 func TestProbeCacheSingleFlightUnderParallel(t *testing.T) {
-	const n, batch = 8, 2
-	keys := keysOf(n)
-	rows := targetFor(keys, 1)
-	cat, ctr := buildBindCatalog(t, keys, rows, batch, false)
-	ctr.Delay = 2 * time.Millisecond
-	med := &core.Mediation{
-		Branches: []*sqlparse.Select{
-			sqlparse.MustParse(bindQ).(*sqlparse.Select),
-			sqlparse.MustParse(bindQ).(*sqlparse.Select),
-			sqlparse.MustParse(bindQ).(*sqlparse.Select),
-		},
-		UnionAll: true,
-	}
+	const callers = 8
+	keys := keysOf(4)
+	cat, ctr := buildBindCatalog(t, keys, targetFor(keys, 1), 2, false)
+	ctr.Delay = 20 * time.Millisecond
 	ex := NewExecutor(cat)
-	ex.Parallel = true
-	res, err := executeMediation(bg, ex, med)
-	if err != nil {
-		t.Fatal(err)
+	sess := ex.NewSession(bg, Limits{})
+	defer sess.Close()
+	q := wrapper.SourceQuery{Relation: "tgt", Filters: []wrapper.Filter{
+		{Column: "k", Op: wrapper.OpIn, Values: keys[:2]}}}
+
+	rels := make([]*relalg.Relation, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range rels {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rels[i], errs[i] = ex.fetchSource(sess.Context(), sess, ctr, q)
+		}()
 	}
-	if res.Len() != 3*n {
-		t.Errorf("answer has %d rows, want %d", res.Len(), 3*n)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+		if rels[i] != rels[0] || rels[i].Len() != 2 {
+			t.Errorf("caller %d got %v, want the one shared 2-row answer", i, rels[i])
+		}
 	}
-	if d := ctr.MaxDuplicates(); d != 1 {
-		t.Errorf("single-flight failed: an identical probe reached the source %d times", d)
+	if got := ctr.Queries(); got != 1 {
+		t.Errorf("single-flight failed: the probe reached the source %d times, want 1", got)
 	}
-	if got, want := ctr.Queries(), (n+batch-1)/batch; got != want {
-		t.Errorf("target reached %d times, want %d", got, want)
+	if st := ex.Stats(); st.CacheHits != callers-1 {
+		t.Errorf("CacheHits = %d, want %d", st.CacheHits, callers-1)
 	}
 }
 
@@ -286,51 +294,6 @@ func (f *failingWrapper) Query(context.Context, wrapper.SourceQuery) (*relalg.Re
 
 func (f *failingWrapper) QueryStream(context.Context, wrapper.SourceQuery) (wrapper.TupleStream, error) {
 	return nil, errInjected
-}
-
-// TestParallelBranchFailureCancelsSiblings pins the branch-scoped
-// cancellation bugfix: when one parallel mediation branch fails, its
-// siblings stop fetching from their sources promptly instead of running
-// to completion. The sibling here is frozen mid-transfer behind a Gate
-// that only the branch context's death can release — before the fix this
-// test hung until timeout.
-func TestParallelBranchFailureCancelsSiblings(t *testing.T) {
-	bad := store.NewDB("badsrc")
-	bad.MustCreateTable("bad", relalg.NewSchema(
-		relalg.Column{Name: "n", Type: relalg.KindNumber}))
-	slow := store.NewDB("slowsrc")
-	stab := slow.MustCreateTable("nums", relalg.NewSchema(
-		relalg.Column{Name: "n", Type: relalg.KindNumber}))
-	for i := 0; i < 1000; i++ {
-		stab.MustInsert(relalg.NumV(float64(i)))
-	}
-	gw := wrappertest.NewGate(wrapper.NewRelational(slow))
-	cat := NewCatalog()
-	cat.MustAddSource(&failingWrapper{Wrapper: wrapper.NewRelational(bad)})
-	cat.MustAddSource(gw)
-
-	med := &core.Mediation{
-		Branches: []*sqlparse.Select{
-			sqlparse.MustParse("SELECT nums.n FROM nums").(*sqlparse.Select),
-			sqlparse.MustParse("SELECT bad.n FROM bad").(*sqlparse.Select),
-		},
-		UnionAll: true,
-	}
-	ex := NewExecutor(cat)
-	ex.Parallel = true
-	errc := make(chan error, 1)
-	go func() {
-		_, err := executeMediation(bg, ex, med)
-		errc <- err
-	}()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, errInjected) {
-			t.Fatalf("mediation error = %v, want the injected branch failure", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("failing branch did not cancel its gated sibling; parallel mediation hung")
-	}
 }
 
 // TestLimitZeroTransfersNothing pins the LIMIT 0 short-circuit: the scan

@@ -37,7 +37,7 @@ import (
 )
 
 // BreakerPolicy configures the per-source circuit breakers. The zero
-// value means defaults; Executor.DisableBreaker turns breaking off.
+// value means defaults.
 type BreakerPolicy struct {
 	// Threshold is the consecutive-failure count that trips the breaker;
 	// 0 means DefaultBreakerThreshold.

@@ -112,7 +112,7 @@ func runPartial(t *testing.T, ex *Executor, med *core.Mediation) (*relalg.Relati
 // 3-branch mediation with one permanently dead source. Fail-fast (the
 // default) reports the failed source; partial-results mode returns
 // exactly the two healthy branches' no-fault answer plus a structured
-// warning naming the dead source. Both lazy and parallel composition.
+// warning naming the dead source.
 func TestChaosPartialVsFailFast(t *testing.T) {
 	// The no-fault answer, and the answer of just the healthy branches.
 	clean := newChaosFixture(t)
@@ -130,83 +130,62 @@ func TestChaosPartialVsFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, parallel := range []bool{false, true} {
-		mode := map[bool]string{false: "lazy", true: "parallel"}[parallel]
-
-		// Fail-fast: the query fails, attributed to srcB.
-		f := newChaosFixture(t)
-		f.flaky["srcB"].FailAlways(wrapper.Permanent(errors.New("source decommissioned")))
-		ex := NewExecutor(f.cat)
-		ex.Parallel = parallel
-		_, err := executeMediation(bg, ex, f.med)
-		var se *SourceError
-		if !errors.As(err, &se) || se.Source != "srcB" {
-			t.Fatalf("%s fail-fast error = %v, want SourceError for srcB", mode, err)
-		}
-		assertNoLeakedSlots(t, ex)
-
-		// Partial: the two healthy branches' exact answer, one warning.
-		f = newChaosFixture(t)
-		f.flaky["srcB"].FailAlways(wrapper.Permanent(errors.New("source decommissioned")))
-		ex = NewExecutor(f.cat)
-		ex.Parallel = parallel
-		got, warns, err := runPartial(t, ex, f.med)
-		if err != nil {
-			t.Fatalf("%s partial: %v", mode, err)
-		}
-		if !relalg.SameTuples(got, wantPartial) {
-			t.Errorf("%s partial answer:\n%s\nwant:\n%s", mode, got, wantPartial)
-		}
-		if len(warns) != 1 || warns[0].Branch != 2 || warns[0].Source != "srcB" {
-			t.Errorf("%s partial warnings = %+v, want one naming branch 2 / srcB", mode, warns)
-		}
-		if st := ex.Stats(); st.BranchesFailed != 1 {
-			t.Errorf("%s BranchesFailed = %d, want 1", mode, st.BranchesFailed)
-		}
-		// The healthy sources each served their one query.
-		if q := f.counter["srcA"].Queries() + f.counter["srcC"].Queries(); q != 2 {
-			t.Errorf("%s healthy sources saw %d queries, want 2", mode, q)
-		}
-		assertNoLeakedSlots(t, ex)
-	}
-}
-
-// TestPartialAllBranchesDegraded: when every branch dies, parallel mode
-// still fails (there is nothing to answer with), while lazy mode — whose
-// stream is already in the receiver's hands — yields an empty answer plus
-// a warning per branch. The asymmetry is documented on MediationStream.
-func TestPartialAllBranchesDegraded(t *testing.T) {
-	boom := wrapper.Transient(errors.New("everything is down"))
-
+	// Fail-fast: the query fails, attributed to srcB.
 	f := newChaosFixture(t)
-	for _, fl := range f.flaky {
-		fl.FailAlways(boom)
-	}
+	f.flaky["srcB"].FailAlways(wrapper.Permanent(errors.New("source decommissioned")))
 	ex := NewExecutor(f.cat)
-	ex.Parallel = true
-	_, warns, err := runPartial(t, ex, f.med)
-	if !Degradable(err) {
-		t.Errorf("parallel all-degraded error = %v, want a degradable SourceError", err)
-	}
-	if len(warns) != 3 {
-		t.Errorf("parallel all-degraded warnings = %+v, want 3", warns)
+	_, err = executeMediation(bg, ex, f.med)
+	var se *SourceError
+	if !errors.As(err, &se) || se.Source != "srcB" {
+		t.Fatalf("fail-fast error = %v, want SourceError for srcB", err)
 	}
 	assertNoLeakedSlots(t, ex)
 
+	// Partial: the two healthy branches' exact answer, one warning.
 	f = newChaosFixture(t)
-	for _, fl := range f.flaky {
-		fl.FailAlways(boom)
-	}
+	f.flaky["srcB"].FailAlways(wrapper.Permanent(errors.New("source decommissioned")))
 	ex = NewExecutor(f.cat)
 	got, warns, err := runPartial(t, ex, f.med)
 	if err != nil {
-		t.Fatalf("lazy all-degraded: %v", err)
+		t.Fatalf("partial: %v", err)
+	}
+	if !relalg.SameTuples(got, wantPartial) {
+		t.Errorf("partial answer:\n%s\nwant:\n%s", got, wantPartial)
+	}
+	if len(warns) != 1 || warns[0].Branch != 2 || warns[0].Source != "srcB" {
+		t.Errorf("partial warnings = %+v, want one naming branch 2 / srcB", warns)
+	}
+	if st := ex.Stats(); st.BranchesFailed != 1 {
+		t.Errorf("BranchesFailed = %d, want 1", st.BranchesFailed)
+	}
+	// The healthy sources each served their one query.
+	if q := f.counter["srcA"].Queries() + f.counter["srcC"].Queries(); q != 2 {
+		t.Errorf("healthy sources saw %d queries, want 2", q)
+	}
+	assertNoLeakedSlots(t, ex)
+}
+
+// TestPartialAllBranchesDegraded: when every branch dies the stream is
+// already in the receiver's hands, so the answer is empty plus a warning
+// per branch — not an error. The contract is stated on MediationStream.
+func TestPartialAllBranchesDegraded(t *testing.T) {
+	f := newChaosFixture(t)
+	for _, fl := range f.flaky {
+		fl.FailAlways(wrapper.Transient(errors.New("everything is down")))
+	}
+	ex := NewExecutor(f.cat)
+	got, warns, err := runPartial(t, ex, f.med)
+	if err != nil {
+		t.Fatalf("all-degraded: %v", err)
 	}
 	if got.Len() != 0 {
-		t.Errorf("lazy all-degraded answer = %s, want empty", got)
+		t.Errorf("all-degraded answer = %s, want empty", got)
 	}
 	if len(warns) != 3 {
-		t.Errorf("lazy all-degraded warnings = %+v, want 3", warns)
+		t.Errorf("all-degraded warnings = %+v, want 3", warns)
+	}
+	if st := ex.Stats(); st.BranchesFailed != 3 {
+		t.Errorf("BranchesFailed = %d, want 3", st.BranchesFailed)
 	}
 	assertNoLeakedSlots(t, ex)
 }
@@ -645,41 +624,6 @@ func TestBreakerDegradesUnderPartial(t *testing.T) {
 	}
 	if after := f.counter["srcB"].Queries(); after != before {
 		t.Errorf("open breaker contacted the source %d time(s)", after-before)
-	}
-	assertNoLeakedSlots(t, ex)
-}
-
-// TestChaosFailFastCancelsSiblings: in parallel fail-fast mode a fatal
-// branch failure cancels its siblings promptly — a branch frozen
-// mid-stream on a gated source is released by the cancellation instead of
-// wedging the query.
-func TestChaosFailFastCancelsSiblings(t *testing.T) {
-	gate := wrappertest.NewGate(wrapper.NewRelational(chaosDB("srcA", "ta", 0, 3)))
-	flaky := wrappertest.NewFlaky(wrapper.NewRelational(chaosDB("srcB", "tb", 10, 3)))
-	flaky.FailAlways(wrapper.Permanent(errors.New("dead source")))
-	cat := NewCatalog()
-	cat.MustAddSource(gate)
-	cat.MustAddSource(flaky)
-	med := &core.Mediation{Branches: []*sqlparse.Select{
-		mustSelect(t, "SELECT ta.n FROM ta"),
-		mustSelect(t, "SELECT tb.n FROM tb"),
-	}}
-	ex := NewExecutor(cat)
-	ex.Parallel = true
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := executeMediation(bg, ex, med)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		var se *SourceError
-		if !errors.As(err, &se) || se.Source != "srcB" {
-			t.Fatalf("err = %v, want SourceError for srcB (not the cancelled sibling)", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("gated sibling was not cancelled: query wedged")
 	}
 	assertNoLeakedSlots(t, ex)
 }

@@ -35,19 +35,15 @@ type Executor struct {
 	// ForceMergeJoin uses sort-merge instead of hash for keyed joins
 	// (ignored when ForceNestedLoop is set).
 	ForceMergeJoin bool
-	// Parallel executes the branches of a mediated union concurrently
-	// (one goroutine per branch). Results are combined in branch order,
-	// so answers are deterministic.
-	Parallel bool
 	// DisableBatching keeps bind joins on one query per feeder value even
 	// against IN-capable sources — the batching ablation.
 	DisableBatching bool
 	// DefaultParallelism bounds the workers of intra-query parallel
-	// operators (exchange joins, partitioned sorts/group-bys, scan
-	// fan-outs) for sessions that do not set Limits.MaxParallelism.
-	// Zero or one keeps every pipeline serial — the library default, so
-	// embedding code sees the historical plans; the binaries (coinserver,
-	// coinquery) default it to GOMAXPROCS. See parallel.go.
+	// operators (exchange joins, partitioned sorts, scan fan-outs) for
+	// sessions that do not set Limits.MaxParallelism. Zero or one keeps
+	// every pipeline serial — the library default, so embedding code sees
+	// the historical plans; the binaries (coinserver, coinquery) default it
+	// to GOMAXPROCS. See parallel.go.
 	DefaultParallelism int
 	// DisableReorder keeps the legacy greedy access ordering instead of
 	// the dynamic-programming enumerator — the join-order ablation.
@@ -58,12 +54,8 @@ type Executor struct {
 	// attempt per operation.
 	Retry RetryPolicy
 	// Breaker configures the per-source circuit breakers (breaker.go);
-	// the zero value uses the defaults. Breaking is on unless
-	// DisableBreaker is set.
+	// the zero value uses the defaults.
 	Breaker BreakerPolicy
-	// DisableBreaker turns per-source circuit breaking off (every attempt
-	// is admitted regardless of the source's recent health).
-	DisableBreaker bool
 
 	// PerQueryCostHook, when non-nil, rescales the cost model's per-query
 	// price of one access against the named source. It is a test seam for
@@ -147,15 +139,6 @@ func (e *Executor) countQuery(tuples int) {
 // with set semantics unless the Union node says ALL.
 func (e *Executor) ExecuteSession(sess *Session, stmt sqlparse.Statement) (*relalg.Relation, error) {
 	it, err := e.statementStream(sess, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return relalg.Collect(sess.Context(), it, "")
-}
-
-// executeSelect plans and runs one SELECT block under sess.
-func (e *Executor) executeSelect(sess *Session, sel *sqlparse.Select) (*relalg.Relation, error) {
-	it, err := e.selectStream(sess, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -461,10 +444,8 @@ func hasAggregates(sel *sqlparse.Select) bool {
 
 // ExecuteMediationSession runs a mediated query under sess: every branch,
 // combined with the mediation's union semantics, then the post-union step
-// when present. With Executor.Parallel set, branches run concurrently (they
-// are independent by construction: each is one conflict-resolution case)
-// and share the session; otherwise the union consumes them lazily in
-// order. See MediationStream for the streaming composition.
+// when present. It drains MediationStream, which states the composition
+// and the partial-results contract.
 func (e *Executor) ExecuteMediationSession(sess *Session, med *core.Mediation) (*relalg.Relation, error) {
 	it, err := e.MediationStream(sess, med)
 	if err != nil {

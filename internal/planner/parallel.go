@@ -20,11 +20,11 @@ package planner
 //     and the cost model says the transfer term dominates the extra
 //     per-query admissions the fan-out costs.
 //   - plan.Parallelism: the bound the compiled pipeline hands to the
-//     partitioned sort (the order-preserving merge exchange of ORDER BY)
-//     and group-by cores. It is an upper bound: relalg runs fewer
-//     workers — one, for small inputs — when a worker would get fewer
-//     rows than its measured floor (relalg's minRowsPerWorker), so
-//     EXPLAIN's merge[n] names the bound, not the worker count.
+//     partitioned sort (the order-preserving merge exchange of ORDER
+//     BY). It is an upper bound: relalg runs fewer workers — one, for
+//     small inputs — when a worker would get fewer rows than its
+//     measured floor (relalg's minRowsPerWorker), so EXPLAIN's merge[n]
+//     names the bound, not the worker count.
 //
 // Admission invariant: a partitioned scan holds ScanParts dispatcher
 // slots at once (see access.go), so the pass clamps ScanParts to the

@@ -429,9 +429,10 @@ func TestSessionGovernorAtomicUnderParallel(t *testing.T) {
 	}
 }
 
-// TestParallelGroupByAndSortMatchSerial covers the merge-exchange paths
-// in isolation: ORDER BY above the partitioned sort, and a partitioned
-// GROUP BY, both at several worker counts on one dataset.
+// TestParallelGroupByAndSortMatchSerial covers the post-pipeline breakers
+// under the knob: ORDER BY above the partitioned sort, and GROUP BY (one
+// serial core, with or without a sort above it) over fanned-out scans,
+// at several worker counts on one dataset.
 func TestParallelGroupByAndSortMatchSerial(t *testing.T) {
 	cat, _, _ := buildParCatalog(t, parCatalogOpts{bigRows: 3000, dimRows: 800, seed: 7, nullKeys: true})
 	ex := NewExecutor(cat)

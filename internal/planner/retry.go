@@ -137,18 +137,13 @@ type Warning struct {
 func (e *Executor) withRetry(ctx context.Context, sess *Session, w wrapper.Wrapper, op func() error) error {
 	d := e.dispatcherFor(w)
 	for attempt := 1; ; attempt++ {
-		probe := false
-		if !e.DisableBreaker {
-			var aerr error
-			if probe, aerr = d.allow(e.Breaker); aerr != nil {
-				return &SourceError{Source: w.Source(), Err: aerr}
-			}
+		probe, aerr := d.allow(e.Breaker)
+		if aerr != nil {
+			return &SourceError{Source: w.Source(), Err: aerr}
 		}
 		err := op()
 		if err == nil {
-			if !e.DisableBreaker {
-				d.succeed(probe)
-			}
+			d.succeed(probe)
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -156,18 +151,14 @@ func (e *Executor) withRetry(ctx context.Context, sess *Session, w wrapper.Wrapp
 			// pass no verdict to the breaker — but release the half-open
 			// probe slot if this attempt held it, or the source would be
 			// stuck "probe in flight" forever.
-			if !e.DisableBreaker {
-				d.abandon(e.Breaker, probe)
-			}
+			d.abandon(e.Breaker, probe)
 			return err
 		}
-		tripped := false
-		if !e.DisableBreaker {
-			if tripped = d.fail(e.Breaker, probe); tripped {
-				e.mu.Lock()
-				e.stats.BreakerTrips++
-				e.mu.Unlock()
-			}
+		tripped := d.fail(e.Breaker, probe)
+		if tripped {
+			e.mu.Lock()
+			e.stats.BreakerTrips++
+			e.mu.Unlock()
 		}
 		werr := &SourceError{Source: w.Source(), Err: err}
 		if tripped || attempt >= e.Retry.attempts() || !wrapper.Retryable(err) {

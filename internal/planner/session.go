@@ -52,10 +52,10 @@ type Limits struct {
 	RetryBudget int
 	// MaxParallelism caps the workers intra-query parallel operators may
 	// use in this session: the hash-repartition join exchange, the
-	// partitioned sort and group-by cores, and the partitioned scan
-	// fan-out. Zero defers to the executor's DefaultParallelism; 1 forces
-	// serial pipelines (plans and EXPLAIN output are byte-identical to
-	// the pre-exchange planner); values above 1 allow that many workers.
+	// partitioned sort and the partitioned scan fan-out. Zero defers to
+	// the executor's DefaultParallelism; 1 forces serial pipelines (plans
+	// and EXPLAIN output are byte-identical to the pre-exchange planner);
+	// values above 1 allow that many workers.
 	MaxParallelism int
 	// PartialResults degrades instead of failing when a mediation branch
 	// is felled by a source fault (after retries and the breaker have had
@@ -71,24 +71,29 @@ type Limits struct {
 // than its Limits.MaxTuples allows.
 var ErrTuplesExceeded = fmt.Errorf("planner: session exceeded max tuples transferred")
 
-// sessGov holds the governor state every pipeline of a query shares —
-// including parallel mediation branches running under derived
-// branch-scoped contexts. It is held by pointer so deriving a session
-// (withContext) shares the counters instead of forking them.
-type sessGov struct {
+// Session is one query's lifetime: a context carrying cancellation and
+// deadline, plus the governor state shared by every pipeline the query
+// runs. Create one per query with Executor.NewSession and Close it when
+// the answer has been consumed; Close cancels the context, which stops any
+// still-running pipeline and releases the deadline timer. The governor
+// fields are safe for concurrent use: scan fan-out and exchange workers
+// of one query charge the same session from several goroutines.
+type Session struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	limits Limits
+
 	budget *store.Budget
 
-	// tuples is atomic, not mutex-guarded: it is charged once per tuple
-	// pulled from a source, and parallel branch pipelines share the
-	// session — a lock here would serialize them per tuple.
+	// tuples is atomic, not mutex-guarded: it is charged once per batch
+	// pulled from a source, by every scan partition of the query.
 	tuples atomic.Int64
 
 	// retries counts retries consumed session-wide against
 	// Limits.RetryBudget.
 	retries atomic.Int64
 
-	// warnings collects the degraded-branch warnings of a partial answer;
-	// parallel branches append concurrently.
+	// warnings collects the degraded-branch warnings of a partial answer.
 	warnMu   sync.Mutex
 	warnings []Warning
 
@@ -100,11 +105,11 @@ type sessGov struct {
 	disp dispatcherPool
 
 	// obs buffers the run's statistics observations (observed source
-	// cardinalities and latencies); Session.Close drains them into sink —
-	// the executor's adaptive StatsStore — so a query's own feedback
-	// reaches the optimizer only once the query is over, and parallel
-	// branch pipelines contend on one small buffer lock instead of the
-	// store. The buffer is bounded; overflow drains inline.
+	// cardinalities and latencies); Close drains them into obsSink — the
+	// executor's adaptive StatsStore — so a query's own feedback reaches
+	// the optimizer only once the query is over, and concurrent scans
+	// contend on one small buffer lock instead of the store. The buffer
+	// is bounded; overflow drains inline.
 	obsMu   sync.Mutex
 	obs     []statObs
 	obsSink *StatsStore
@@ -113,19 +118,6 @@ type sessGov struct {
 // maxBufferedObs bounds a session's observation buffer; a run producing
 // more flushes the surplus to the store inline.
 const maxBufferedObs = 512
-
-// Session is one query's lifetime: a context carrying cancellation and
-// deadline, plus governors shared by every pipeline the query runs
-// (including parallel mediation branches). Create one per query with
-// Executor.NewSession and Close it when the answer has been consumed;
-// Close cancels the context, which stops any still-running pipeline and
-// releases the deadline timer.
-type Session struct {
-	ctx    context.Context
-	cancel context.CancelFunc
-	limits Limits
-	gov    *sessGov
-}
 
 // NewSession derives a query session from ctx with the given limits. The
 // session context inherits ctx's cancellation and gains a deadline when
@@ -137,22 +129,11 @@ func (e *Executor) NewSession(ctx context.Context, lim Limits) *Session {
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
-	s := &Session{ctx: ctx, cancel: cancel, limits: lim, gov: &sessGov{obsSink: e.AdaptiveStats}}
+	s := &Session{ctx: ctx, cancel: cancel, limits: lim, obsSink: e.AdaptiveStats}
 	if lim.MaxStagedBytes > 0 {
-		s.gov.budget = &store.Budget{Max: lim.MaxStagedBytes}
+		s.budget = &store.Budget{Max: lim.MaxStagedBytes}
 	}
 	return s
-}
-
-// withContext derives a view of the session bound to ctx (which must
-// descend from the session context) while sharing every governor: the
-// tuple counter, staging budget, probe cache and per-source admission
-// pools. Parallel mediation uses it to give sibling branches a common
-// branch-scoped context that is cancelled on the first branch failure.
-// The derived session does not own ctx — Close/Cancel on it are no-ops;
-// lifetime stays with the parent.
-func (s *Session) withContext(ctx context.Context) *Session {
-	return &Session{ctx: ctx, cancel: func() {}, limits: s.limits, gov: s.gov}
 }
 
 // Context returns the session's context; Open pipeline trees with it.
@@ -178,49 +159,46 @@ func (s *Session) Close() error {
 // the executor has no adaptive store — the learning ablation). Past the
 // buffer bound the surplus drains to the store inline.
 func (s *Session) bufferObs(o statObs) {
-	g := s.gov
-	if g.obsSink == nil {
+	if s.obsSink == nil {
 		return
 	}
 	var drain []statObs
-	g.obsMu.Lock()
-	g.obs = append(g.obs, o)
-	if len(g.obs) >= maxBufferedObs {
-		drain = g.obs
-		g.obs = nil
+	s.obsMu.Lock()
+	s.obs = append(s.obs, o)
+	if len(s.obs) >= maxBufferedObs {
+		drain = s.obs
+		s.obs = nil
 	}
-	g.obsMu.Unlock()
+	s.obsMu.Unlock()
 	for _, o := range drain {
-		o.apply(g.obsSink)
+		o.apply(s.obsSink)
 	}
 }
 
 // flushObs drains the session's buffered observations into the adaptive
-// store. Draining makes it idempotent, so derived branch sessions closing
-// alongside their parent are harmless.
+// store. Draining makes it idempotent.
 func (s *Session) flushObs() {
-	g := s.gov
-	if g.obsSink == nil {
+	if s.obsSink == nil {
 		return
 	}
-	g.obsMu.Lock()
-	drain := g.obs
-	g.obs = nil
-	g.obsMu.Unlock()
+	s.obsMu.Lock()
+	drain := s.obs
+	s.obs = nil
+	s.obsMu.Unlock()
 	for _, o := range drain {
-		o.apply(g.obsSink)
+		o.apply(s.obsSink)
 	}
 }
 
 // TuplesTransferred reports the tuples charged against the session's
 // transfer governor so far.
-func (s *Session) TuplesTransferred() int { return int(s.gov.tuples.Load()) }
+func (s *Session) TuplesTransferred() int { return int(s.tuples.Load()) }
 
 // chargeTuples records n source tuples against the session's transfer
 // budget, failing once the budget is exhausted. A zero MaxTuples is
 // ungoverned.
 func (s *Session) chargeTuples(n int) error {
-	total := s.gov.tuples.Add(int64(n))
+	total := s.tuples.Add(int64(n))
 	if s.limits.MaxTuples > 0 && total > int64(s.limits.MaxTuples) {
 		return fmt.Errorf("%w (%d > %d)", ErrTuplesExceeded, total, s.limits.MaxTuples)
 	}
@@ -235,7 +213,7 @@ func (s *Session) tupleBudget() (int, bool) {
 	if s.limits.MaxTuples <= 0 {
 		return 0, false
 	}
-	rem := int64(s.limits.MaxTuples) - s.gov.tuples.Load()
+	rem := int64(s.limits.MaxTuples) - s.tuples.Load()
 	if rem < 0 {
 		rem = 0
 	}
@@ -248,7 +226,7 @@ func (s *Session) tupleBudget() (int, bool) {
 // a scan deliver the allowed prefix downstream before surfacing
 // ErrTuplesExceeded, exactly matching what per-tuple charging delivered.
 func (s *Session) chargeTupleBatch(n int) (int, error) {
-	total := s.gov.tuples.Add(int64(n))
+	total := s.tuples.Add(int64(n))
 	if s.limits.MaxTuples > 0 && total > int64(s.limits.MaxTuples) {
 		allowed := n - int(total-int64(s.limits.MaxTuples))
 		if allowed < 0 {
@@ -262,15 +240,15 @@ func (s *Session) chargeTupleBatch(n int) (int, error) {
 // chargeRetry asks the session for permission to retry one more source
 // operation, charging its RetryBudget. A zero budget is unbudgeted.
 func (s *Session) chargeRetry() bool {
-	n := s.gov.retries.Add(1)
+	n := s.retries.Add(1)
 	return s.limits.RetryBudget <= 0 || n <= int64(s.limits.RetryBudget)
 }
 
 // warn records one degraded-branch warning on the session.
 func (s *Session) warn(w Warning) {
-	s.gov.warnMu.Lock()
-	s.gov.warnings = append(s.gov.warnings, w)
-	s.gov.warnMu.Unlock()
+	s.warnMu.Lock()
+	s.warnings = append(s.warnings, w)
+	s.warnMu.Unlock()
 }
 
 // warnBranch records branch (1-based) as dropped for err, attributing the
@@ -287,12 +265,12 @@ func (s *Session) warnBranch(branch int, err error) {
 // Warnings returns the degraded-branch warnings accumulated so far (nil
 // when the answer is complete). The copy is safe to retain.
 func (s *Session) Warnings() []Warning {
-	s.gov.warnMu.Lock()
-	defer s.gov.warnMu.Unlock()
-	if len(s.gov.warnings) == 0 {
+	s.warnMu.Lock()
+	defer s.warnMu.Unlock()
+	if len(s.warnings) == 0 {
 		return nil
 	}
-	return append([]Warning(nil), s.gov.warnings...)
+	return append([]Warning(nil), s.warnings...)
 }
 
 // dispatcherFor returns the session-level admission pool for a source,
@@ -301,7 +279,7 @@ func (s *Session) dispatcherFor(source string) *dispatcher {
 	if s.limits.MaxConcurrentPerSource <= 0 {
 		return nil
 	}
-	return s.gov.disp.get(source, s.limits.MaxConcurrentPerSource)
+	return s.disp.get(source, s.limits.MaxConcurrentPerSource)
 }
 
 // sessionStager adapts the executor's TempStore to the relalg.Stager hook
@@ -318,7 +296,7 @@ func (st *sessionStager) Stage(rel *relalg.Relation) (*relalg.Relation, error) {
 	if err := st.sess.Context().Err(); err != nil {
 		return nil, err
 	}
-	return st.temp.StageWithin(rel, st.sess.gov.budget)
+	return st.temp.StageWithin(rel, st.sess.budget)
 }
 
 // stagerFor adapts the executor's TempStore to the relalg.Stager hook

@@ -372,19 +372,6 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 		tw.assertBalanced(t)
 	})
 
-	t.Run("parallel mediation", func(t *testing.T) {
-		cat, tw := trackedCatalog(100, 0)
-		ex := NewExecutor(cat)
-		ex.Parallel = true
-		b1 := sqlparse.MustParse("SELECT nums.n FROM nums").(*sqlparse.Select)
-		b2 := sqlparse.MustParse("SELECT nums.n FROM nums").(*sqlparse.Select)
-		med := &core.Mediation{Branches: []*sqlparse.Select{b1, b2}, UnionAll: true}
-		if _, err := executeMediation(bg, ex, med); err != nil {
-			t.Fatal(err)
-		}
-		tw.assertBalanced(t)
-	})
-
 	t.Run("aggregate with staging", func(t *testing.T) {
 		ts, err := store.NewTempStore()
 		if err != nil {
@@ -451,7 +438,7 @@ func TestZeroLimitsSessionIsUngoverned(t *testing.T) {
 	if _, capped := sess.tupleBudget(); capped {
 		t.Error("zero MaxTuples reports a capped transfer budget")
 	}
-	if sess.gov.budget != nil {
+	if sess.budget != nil {
 		t.Error("zero MaxStagedBytes installed a staging budget")
 	}
 	if sess.dispatcherFor("bigsrc") != nil {

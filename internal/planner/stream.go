@@ -42,8 +42,8 @@ import (
 // tuple by tuple through the wrapper's chunked-fetch protocol
 // (wrapper.QueryStream). It counts one source query at Open and the
 // tuples actually pulled — accumulated locally and flushed to ExecStats
-// under one lock at Close, so parallel branch pipelines do not contend
-// on the executor mutex per tuple. It retains the Open context and
+// under one lock at Close, so concurrent scans do not contend on the
+// executor mutex per tuple. It retains the Open context and
 // charges the session's transfer governor, so cancellation and the
 // max-tuples limit both take effect mid-chunk.
 //
@@ -335,15 +335,13 @@ func (s *sourceScanIter) recover(orig error) error {
 		return orig
 	}
 	e := s.e
-	tripped := false
-	if !e.DisableBreaker {
-		// Not the half-open probe: the stream's open resolved its own
-		// admission when it succeeded; this is a later, mid-stream fault.
-		if tripped = e.dispatcherFor(s.w).fail(e.Breaker, false); tripped {
-			e.mu.Lock()
-			e.stats.BreakerTrips++
-			e.mu.Unlock()
-		}
+	// Not the half-open probe: the stream's open resolved its own
+	// admission when it succeeded; this is a later, mid-stream fault.
+	tripped := e.dispatcherFor(s.w).fail(e.Breaker, false)
+	if tripped {
+		e.mu.Lock()
+		e.stats.BreakerTrips++
+		e.mu.Unlock()
 	}
 	werr := &SourceError{Source: s.w.Source(), Err: orig}
 	if tripped || !e.Retry.enabled() || !wrapper.Retryable(orig) {
@@ -1008,7 +1006,6 @@ func (e *Executor) aggregateStream(sess *Session, sel *sqlparse.Select) (relalg.
 	pool := relalg.NewInterner()
 	gb := relalg.NewGroupBy(wide, sel.GroupBy, items, sel.Having, e.stagerFor(sess))
 	gb.Intern = pool
-	gb.Par = e.parallelism(sess)
 	var out relalg.Iterator = gb
 	if len(sel.OrderBy) > 0 {
 		keys := make([]relalg.OrderKey, len(sel.OrderBy))
@@ -1030,104 +1027,31 @@ func (e *Executor) aggregateStream(sess *Session, sel *sqlparse.Select) (relalg.
 // MediationStream compiles a mediated query into one iterator tree
 // governed by sess: every branch pipeline feeding a streaming union (with
 // the mediation's union semantics), then the post-union step when present.
-//
-// Without Executor.Parallel, branches are consumed lazily in order — a
-// satisfied LIMIT above the union means later branches never open, never
-// plan-execute, and never contact their sources. With Parallel, all
-// branches run concurrently to materialized results (deterministic branch
-// order is preserved) and the union streams over those; the branches share
-// the session, so canceling it stops every one of them.
+// Building runs no source query; branches open lazily, in order, as the
+// union reaches them — a satisfied LIMIT above the union means later
+// branches never open and never contact their sources.
 //
 // Under Limits.PartialResults, a branch felled by a source fault (a
-// Degradable error, after retries and the breaker) is dropped with a
-// session Warning instead of failing the query; the answer is the union
-// of the surviving branches. In parallel mode a degradable failure does
-// not cancel its siblings (they are the answer now), and only when every
-// branch degrades does the query fail. In lazy mode the failing branch is
-// silenced in-stream (degradedIter); an all-branches-degraded lazy query
-// yields an empty answer plus warnings rather than an error — the stream
-// is already in the receiver's hands when the last branch dies, so there
-// is no error channel left. That asymmetry is inherent to streaming.
+// Degradable error, after retries and the breaker) is silenced in-stream
+// (degradedIter) with a session Warning instead of failing the query; the
+// answer is the union of what the surviving branches deliver. When every
+// branch degrades the answer is empty plus one warning per branch, not an
+// error: the stream is already in the receiver's hands when the last
+// branch dies. Failures that are not source faults stay fatal.
 func (e *Executor) MediationStream(sess *Session, med *core.Mediation) (relalg.Iterator, error) {
 	if len(med.Branches) == 0 {
 		return nil, fmt.Errorf("planner: mediation has no branches")
 	}
-	partial := sess.Limits().PartialResults
-	var children []relalg.Iterator
-	if e.Parallel && len(med.Branches) > 1 {
-		// Branches share a branch-scoped context cancelled on the first
-		// fatal failure, so when one branch dies its siblings stop fetching
-		// from their sources promptly instead of running to completion
-		// against answers nobody will see. (A degradable failure in partial
-		// mode is not fatal: the siblings ARE the answer, so they keep
-		// running.) The derived session shares the parent's governors
-		// (tuple counter, staging budget, probe cache, admission pools);
-		// only the context differs.
-		bctx, bcancel := context.WithCancel(sess.Context())
-		defer bcancel()
-		bsess := sess.withContext(bctx)
-		results := make([]*relalg.Relation, len(med.Branches))
-		errs := make([]error, len(med.Branches))
-		var wg sync.WaitGroup
-		for i, b := range med.Branches {
-			wg.Add(1)
-			go func(i int, b *sqlparse.Select) {
-				defer wg.Done()
-				results[i], errs[i] = e.executeSelect(bsess, b)
-				if errs[i] != nil && !(partial && Degradable(errs[i])) {
-					bcancel()
-				}
-			}(i, b)
+	children := make([]relalg.Iterator, len(med.Branches))
+	for i, b := range med.Branches {
+		it, err := e.selectStream(sess, b)
+		if err != nil {
+			return nil, err
 		}
-		wg.Wait()
-		if partial {
-			fatals := make([]error, len(errs))
-			var firstDegraded error
-			for i, err := range errs {
-				switch {
-				case err == nil:
-					children = append(children, relalg.NewScan(results[i]))
-				case Degradable(err):
-					if firstDegraded == nil {
-						firstDegraded = err
-					}
-					sess.warnBranch(i+1, err)
-					e.mu.Lock()
-					e.stats.BranchesFailed++
-					e.mu.Unlock()
-				default:
-					fatals[i] = err
-				}
-			}
-			// A non-degradable failure (governor, cancellation, planning)
-			// stays fatal even in partial mode; report the first real one.
-			if err := firstRealError(fatals); err != nil {
-				return nil, err
-			}
-			if len(children) == 0 {
-				return nil, firstDegraded
-			}
-		} else {
-			// Report the first branch (by order) that failed for its own
-			// reasons, not with the cancellation derived from a sibling.
-			if err := firstRealError(errs); err != nil {
-				return nil, err
-			}
-			for _, res := range results {
-				children = append(children, relalg.NewScan(res))
-			}
+		if sess.Limits().PartialResults {
+			it = &degradedIter{inner: it, e: e, sess: sess, branch: i + 1}
 		}
-	} else {
-		for i, b := range med.Branches {
-			it, err := e.selectStream(sess, b)
-			if err != nil {
-				return nil, err
-			}
-			if partial {
-				it = &degradedIter{inner: it, e: e, sess: sess, branch: i + 1}
-			}
-			children = append(children, it)
-		}
+		children[i] = it
 	}
 
 	united := children[0]
@@ -1137,13 +1061,9 @@ func (e *Executor) MediationStream(sess *Session, med *core.Mediation) (relalg.I
 			return nil, err
 		}
 		united = u
-	}
-	if !med.UnionAll && len(med.Branches) > 1 {
-		// Keyed on the mediation's branch count, not the survivors': a
-		// partial answer must dedup exactly like the no-fault union
-		// restricted to the surviving branches would (even when a single
-		// branch survives).
-		united = relalg.NewDistinct(united)
+		if !med.UnionAll {
+			united = relalg.NewDistinct(united)
+		}
 	}
 	if med.Post == nil {
 		return united, nil
@@ -1226,7 +1146,6 @@ func (e *Executor) postStream(sess *Session, post *core.Post, in relalg.Iterator
 		}
 		gb := relalg.NewGroupBy(out, post.GroupBy, items, post.Having, e.stagerFor(sess))
 		gb.Intern = pool
-		gb.Par = e.parallelism(sess)
 		out = gb
 	} else if len(post.Items) > 0 {
 		items := make([]relalg.ProjectItem, len(post.Items))

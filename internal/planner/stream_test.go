@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fixture"
 	"repro/internal/relalg"
 	"repro/internal/sqlparse"
 	"repro/internal/store"
@@ -160,5 +161,63 @@ func TestBuildStreamHasNoSideEffects(t *testing.T) {
 	defer it.Close()
 	if st := ex.Stats(); st.SourceQueries != 1 || st.BranchesRun != 1 {
 		t.Errorf("stats after open = %+v", st)
+	}
+}
+
+// TestMediationStreamBuildContactsNoSource: building a mediated union is
+// free of source traffic for every branch, and once opened a post-union
+// LIMIT met by branch 1 leaves the sources of branches 2 and 3 untouched.
+func TestMediationStreamBuildContactsNoSource(t *testing.T) {
+	f := newChaosFixture(t)
+	med := &core.Mediation{Branches: f.med.Branches, UnionAll: true, Post: &core.Post{Limit: 2}}
+	ex := NewExecutor(f.cat)
+	sess := zeroSession(t, ex)
+	it, err := ex.MediationStream(sess, med)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := func() (n int) {
+		for _, c := range f.counter {
+			n += c.Queries()
+		}
+		return n
+	}
+	if st := ex.Stats(); queries() != 0 || st.SourceQueries != 0 || st.BranchesRun != 0 {
+		t.Fatalf("building the stream already ran: %d source queries, stats %+v", queries(), st)
+	}
+	res, err := relalg.Collect(sess.Context(), it, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 2 {
+		t.Fatalf("result = %s, want 2 rows", res)
+	}
+	if a, b, c := f.counter["srcA"].Queries(), f.counter["srcB"].Queries(), f.counter["srcC"].Queries(); a != 1 || b != 0 || c != 0 {
+		t.Errorf("source queries srcA/srcB/srcC = %d/%d/%d, want 1/0/0", a, b, c)
+	}
+	if st := ex.Stats(); st.BranchesRun != 1 {
+		t.Errorf("BranchesRun = %d, want 1", st.BranchesRun)
+	}
+}
+
+// TestMediationPlanningErrorFailsBuild: a branch that cannot be planned
+// fails the whole mediation when the stream is built, before any source
+// is contacted.
+func TestMediationPlanningErrorFailsBuild(t *testing.T) {
+	med, err := core.New(fixture.Registry()).MediateSQL(fixture.PaperQ1, "c2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Catalog missing r3 entirely: the conversion branches cannot plan.
+	dbs := fixture.Databases()
+	cat := NewCatalog()
+	cat.MustAddSource(wrapper.NewRelational(dbs["source1"]))
+	cat.MustAddSource(wrapper.NewRelational(dbs["source2"]))
+	ex := NewExecutor(cat)
+	if _, err := ex.MediationStream(zeroSession(t, ex), med); err == nil {
+		t.Error("missing source not reported when building the mediation stream")
+	}
+	if st := ex.Stats(); st.SourceQueries != 0 {
+		t.Errorf("failed build ran %d source queries", st.SourceQueries)
 	}
 }

@@ -8,8 +8,8 @@ import (
 // CountedIter counts the tuples that flow through it into an external
 // atomic counter, adding no other behavior. The planner's EXPLAIN ANALYZE
 // mode wraps pipeline stages with it to measure actual per-step and
-// per-branch cardinalities; the counter is atomic because analyzed plans
-// may run inside parallel mediation branches.
+// per-branch cardinalities; the counter is atomic because the observer
+// may read it while the pipeline is still running.
 type CountedIter struct {
 	child Iterator
 	n     *atomic.Int64

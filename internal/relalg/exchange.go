@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -13,12 +12,11 @@ import (
 
 // This file holds the intra-query parallelism ("exchange") operators:
 // a hash-repartition exchange embodied in ParallelHashJoinIter (build and
-// probe sides split across N worker pipelines on the join keys), and the
-// partitioned core behind GroupByIter.Par (hash-partitioned grouping with
-// first-appearance order restored on merge). SortIter.Par's chunk sort +
-// order-preserving merge is the many-worker case of the one sort kernel
-// (sortTuples in ops.go); both share forChunks and the rows-per-worker
-// floor below.
+// probe sides split across N worker pipelines on the join keys, over the
+// same hjTable the serial HashJoinIter builds), plus forChunks and the
+// rows-per-worker floor that SortIter.Par's chunk sort + order-preserving
+// merge — the many-worker case of the one sort kernel (sortTuples in
+// ops.go) — runs on.
 //
 // Determinism rule: every parallel operator produces output identical in
 // content AND order to its serial counterpart, so plans never change
@@ -32,9 +30,6 @@ import (
 //     merged under one comparator that is a strict total order (key
 //     columns by SortKey, then row index), so the merge is the serial
 //     sort by construction — for NaN keys too.
-//   - parallel group-by: rows are hash-partitioned on the group key so
-//     no group spans workers; the merged output is reordered by each
-//     group's first-appearance row index, the serial emission order.
 //
 // Isolation rule: no Interner handle, KeyEncoder scratch buffer, or
 // transient batch crosses a worker boundary. Each partition builds with
@@ -48,56 +43,41 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// hashValueInto folds one value into a partition-routing hash that is
-// identical across interner pools: strings hash their raw bytes (handles
-// differ pool to pool), NaN payloads are canonicalized exactly as the key
-// encoding does, and NULL hashes its tag (NULL keys form real GROUP BY
-// groups; hash-join routing drops NULL-keyed rows before hashing).
-func hashValueInto(h uint64, v Value) uint64 {
-	v.checkLive()
-	switch v.K {
-	case KindNumber:
-		bits := math.Float64bits(v.N)
-		if v.N != v.N {
-			bits = math.Float64bits(math.NaN())
-		}
-		h = (h ^ uint64(keyTagNum)) * fnvPrime64
-		for s := 56; s >= 0; s -= 8 {
-			h = (h ^ (bits >> uint(s) & 0xFF)) * fnvPrime64
-		}
-	case KindString:
-		h = (h ^ uint64(keyTagStr)) * fnvPrime64
-		for i := 0; i < len(v.S); i++ {
-			h = (h ^ uint64(v.S[i])) * fnvPrime64
-		}
-		// Terminator so adjacent key strings cannot alias each other.
-		h = (h ^ 0xFF) * fnvPrime64
-	case KindBool:
-		tag := uint64(keyTagFalse)
-		if v.B {
-			tag = keyTagTrue
-		}
-		h = (h ^ tag) * fnvPrime64
-	default:
-		h = (h ^ uint64(keyTagNull)) * fnvPrime64
-	}
-	return h
-}
-
-// partitionHash hashes the values of t at cols for partition routing.
+// partitionHash hashes the values of t at cols for partition routing. The
+// hash is identical across interner pools: strings hash their raw bytes
+// (handles differ pool to pool) and NaN payloads are canonicalized exactly
+// as the key encoding does.
 func partitionHash(t Tuple, cols []int) uint64 {
 	h := fnvOffset64
 	for _, ci := range cols {
-		h = hashValueInto(h, t[ci])
-	}
-	return h
-}
-
-// hashValues is partitionHash over already-evaluated key values.
-func hashValues(vals []Value) uint64 {
-	h := fnvOffset64
-	for _, v := range vals {
-		h = hashValueInto(h, v)
+		v := t[ci]
+		v.checkLive()
+		switch v.K {
+		case KindNumber:
+			bits := math.Float64bits(v.N)
+			if v.N != v.N {
+				bits = math.Float64bits(math.NaN())
+			}
+			h = (h ^ uint64(keyTagNum)) * fnvPrime64
+			for s := 56; s >= 0; s -= 8 {
+				h = (h ^ (bits >> uint(s) & 0xFF)) * fnvPrime64
+			}
+		case KindString:
+			h = (h ^ uint64(keyTagStr)) * fnvPrime64
+			for i := 0; i < len(v.S); i++ {
+				h = (h ^ uint64(v.S[i])) * fnvPrime64
+			}
+			// Terminator so adjacent key strings cannot alias each other.
+			h = (h ^ 0xFF) * fnvPrime64
+		case KindBool:
+			tag := uint64(keyTagFalse)
+			if v.B {
+				tag = keyTagTrue
+			}
+			h = (h ^ tag) * fnvPrime64
+		default:
+			h = (h ^ uint64(keyTagNull)) * fnvPrime64
+		}
 	}
 	return h
 }
@@ -111,82 +91,6 @@ func tupleHasNullKey(t Tuple, cols []int) bool {
 		}
 	}
 	return false
-}
-
-// phjTable is one partition's hash table: the same bucket layout as
-// HashJoinIter (single string keys map raw strings to dense bucket
-// indexes; other shapes use the pool-backed fixed-width encoding), built
-// by exactly one worker and probed read-only afterwards.
-type phjTable struct {
-	in      *Interner
-	stable  map[string]int
-	table   map[string]int
-	buckets []hjBucket
-	single  bool
-}
-
-// buildPHJTable hashes one partition's build rows. Rows with NULL keys
-// were dropped at routing.
-func buildPHJTable(rows []Tuple, idx []int) *phjTable {
-	t := &phjTable{in: NewInterner(), single: len(idx) == 1}
-	if t.single {
-		t.stable = make(map[string]int, len(rows))
-	} else {
-		t.table = make(map[string]int, len(rows))
-	}
-	enc := NewKeyEncoder(t.in)
-	t.buckets = make([]hjBucket, 0, len(rows))
-	for _, tu := range rows {
-		var bi int
-		var ok bool
-		if t.single && tu[idx[0]].K == KindString {
-			s := tu[idx[0]].S
-			if bi, ok = t.stable[s]; !ok {
-				bi = len(t.buckets)
-				t.buckets = append(t.buckets, hjBucket{})
-				t.stable[s] = bi
-			}
-		} else {
-			if t.table == nil {
-				// Single-key build with a non-string value: fall back to
-				// the generic encoded table for this row.
-				t.table = make(map[string]int)
-			}
-			k := enc.Key(tu, idx)
-			if bi, ok = t.table[string(k)]; !ok {
-				bi = len(t.buckets)
-				t.buckets = append(t.buckets, hjBucket{})
-				t.table[string(k)] = bi
-			}
-		}
-		if b := &t.buckets[bi]; b.first == nil {
-			b.first = tu
-		} else {
-			b.rest = append(b.rest, tu)
-		}
-	}
-	return t
-}
-
-// lookup finds the bucket for a probe tuple's key, if any. enc must be a
-// prober-private encoder over t.in; LookupKey keeps the shared pool
-// frozen, so any number of workers may probe one table concurrently.
-func (t *phjTable) lookup(tu Tuple, probeIdx []int, enc *KeyEncoder) (int, bool) {
-	if t.single {
-		if v := tu[probeIdx[0]]; v.K == KindString {
-			bi, ok := t.stable[v.S]
-			return bi, ok
-		}
-	}
-	if t.table == nil {
-		return 0, false
-	}
-	k, ok := enc.LookupKey(tu, probeIdx)
-	if !ok {
-		return 0, false
-	}
-	bi, ok := t.table[string(k)]
-	return bi, ok
 }
 
 // phjChunk is one unit of worker→consumer flow: a durable row slice, a
@@ -234,7 +138,7 @@ type ParallelHashJoinIter struct {
 	// the observer may read them while the exchange runs.
 	WorkerOut []atomic.Int64
 
-	tables    []*phjTable
+	tables    []hjTable
 	probe     Iterator
 	cancel    context.CancelFunc
 	wg        sync.WaitGroup
@@ -321,26 +225,18 @@ func (j *ParallelHashJoinIter) Open(ctx context.Context) error {
 		par = 1
 	}
 	// Route build rows by key hash; same-key rows land in one partition
-	// in build order, so match order inside a bucket is preserved. SQL
-	// equality: NULL keys never join, drop them here.
+	// in build order, so match order inside a bucket is preserved.
 	parts := make([][]Tuple, par)
 	for _, t := range rel.Tuples {
-		if tupleHasNullKey(t, buildIdx) {
-			continue
-		}
 		p := int(partitionHash(t, buildIdx) % uint64(par))
 		parts[p] = append(parts[p], t)
 	}
-	j.tables = make([]*phjTable, par)
-	var bwg sync.WaitGroup
-	for p := 0; p < par; p++ {
-		bwg.Add(1)
-		go func(p int) {
-			defer bwg.Done()
-			j.tables[p] = buildPHJTable(parts[p], buildIdx)
-		}(p)
-	}
-	bwg.Wait()
+	// One table per partition, each built by exactly one worker over a
+	// private pool and probed read-only afterwards.
+	j.tables = make([]hjTable, par)
+	forChunks(par, par, func(p, _, _ int) {
+		j.tables[p] = buildHJTable(parts[p], buildIdx, NewKeyEncoder(nil))
+	})
 
 	j.probe = j.left
 	probeIdx := j.leftIdx
@@ -446,7 +342,7 @@ func (j *ParallelHashJoinIter) worker(ctx context.Context, self int, in chan []T
 				continue
 			}
 			tp := int(partitionHash(t, probeIdx) % uint64(par))
-			tbl := j.tables[tp]
+			tbl := &j.tables[tp]
 			bi, ok := tbl.lookup(t, probeIdx, encs[tp])
 			if !ok {
 				continue
@@ -610,143 +506,4 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// groupByParallel is the parallel form of groupByInterned: rows are
-// hash-partitioned on the evaluated group key so no group spans workers,
-// each partition groups and aggregates with a private interner pool, and
-// the merged output is reordered by each group's first-appearance row
-// index — the serial emission order. Global aggregation (no keys) would
-// need aggregate-state merging and stays serial.
-func groupByParallel(r *Relation, keys []sqlparse.Expr, items []AggItem, having sqlparse.Expr, par int) (*Relation, error) {
-	n := len(r.Tuples)
-	if par > n {
-		par = n
-	}
-	if par <= 1 || len(keys) == 0 {
-		return groupByInterned(r, keys, items, having, nil)
-	}
-	errs := make([]error, par)
-
-	// Phase 1: per-row routing hashes, computed over contiguous chunks.
-	hashes := make([]uint64, n)
-	forChunks(n, par, func(p, lo, hi int) {
-		kv := make([]Value, len(keys))
-		for i := lo; i < hi; i++ {
-			for ki, k := range keys {
-				v, err := Eval(k, r.Schema, r.Tuples[i])
-				if err != nil {
-					errs[p] = err
-					return
-				}
-				kv[ki] = v
-			}
-			hashes[i] = hashValues(kv)
-		}
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-
-	// Phase 2: scatter rows (with their global indexes) to partitions, in
-	// row order, so each partition sees its rows in global order.
-	type partIn struct {
-		rows []Tuple
-		idx  []int
-	}
-	parts := make([]partIn, par)
-	for i, t := range r.Tuples {
-		p := int(hashes[i] % uint64(par))
-		parts[p].rows = append(parts[p].rows, t)
-		parts[p].idx = append(parts[p].idx, i)
-	}
-
-	// Phase 3: group per partition with private pools, tagging each group
-	// with the global index of its first row.
-	type outGroup struct {
-		first  int
-		tuples []Tuple
-	}
-	partGroups := make([][]*outGroup, par)
-	forChunks(par, par, func(p, _, _ int) { // one chunk per partition
-		enc := NewKeyEncoder(nil)
-		index := map[string]int{}
-		var order []*outGroup
-		kv := make([]Value, len(keys))
-		for li, t := range parts[p].rows {
-			for ki, k := range keys {
-				v, err := Eval(k, r.Schema, t)
-				if err != nil {
-					errs[p] = err
-					return
-				}
-				kv[ki] = v
-			}
-			hk := enc.FullKey(kv)
-			gi, ok := index[string(hk)]
-			if !ok {
-				gi = len(order)
-				index[string(hk)] = gi
-				order = append(order, &outGroup{first: parts[p].idx[li]})
-			}
-			order[gi].tuples = append(order[gi].tuples, t)
-		}
-		partGroups[p] = order
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-
-	// Phase 4: merge to first-appearance order. Each partition's list is
-	// already increasing in first, so a sort over the concatenation is a
-	// cheap multiway merge (counts are group counts, not row counts).
-	var all []*outGroup
-	for _, gs := range partGroups {
-		all = append(all, gs...)
-	}
-	sort.Slice(all, func(i, k int) bool { return all[i].first < all[k].first })
-
-	// Phase 5: aggregate per group, in parallel over the merged list;
-	// assembly stays in group order.
-	cols := make([]Column, len(items))
-	for i, it := range items {
-		cols[i] = Column{Name: it.Name, Type: aggType(it.Expr, r.Schema)}
-	}
-	rowsOut := make([]Tuple, len(all))
-	keep := make([]bool, len(all))
-	forChunks(len(all), par, func(p, lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			g := all[gi]
-			row := make(Tuple, len(items))
-			for i, it := range items {
-				v, err := evalAgg(it.Expr, r.Schema, g.tuples)
-				if err != nil {
-					errs[p] = err
-					return
-				}
-				row[i] = v
-			}
-			if having != nil {
-				hv, err := evalAgg(having, r.Schema, g.tuples)
-				if err != nil {
-					errs[p] = err
-					return
-				}
-				if hv.K != KindBool || !hv.B {
-					continue
-				}
-			}
-			rowsOut[gi], keep[gi] = row, true
-		}
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	out := NewRelation(r.Name, Schema{Columns: cols})
-	for gi := range all {
-		if keep[gi] {
-			out.Tuples = append(out.Tuples, rowsOut[gi])
-		}
-	}
-	return out, nil
 }

@@ -278,42 +278,9 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelGroupByMatchesSerial pins the partitioned grouping core:
-// group output order (first appearance), aggregate values (including
-// order-sensitive float sums) and HAVING filtering all match the serial
-// core across seeds and worker counts.
-func TestParallelGroupByMatchesSerial(t *testing.T) {
-	items := []AggItem{
-		{Name: "sk", Expr: mustExpr("sk")},
-		{Name: "n", Expr: mustExpr("COUNT(pay)")},
-		{Name: "total", Expr: mustExpr("SUM(pay)")},
-		{Name: "hi", Expr: mustExpr("MAX(nk)")},
-	}
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		rel := randomKeyedRel(rng, "g", 1+rng.Intn(900), 15, seed%2 == 1)
-		keys := []sqlparse.Expr{mustExpr("sk")}
-		var having sqlparse.Expr
-		if seed%2 == 0 {
-			having = mustExpr("COUNT(pay) > 2")
-		}
-		want, err := groupByInterned(rel, keys, items, having, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{1, 2, 4, 7} {
-			got, err := groupByParallel(rel, keys, items, having, par)
-			if err != nil {
-				t.Fatalf("seed=%d par=%d: %v", seed, par, err)
-			}
-			requireSameRows(t, fmt.Sprintf("groupby seed=%d par=%d", seed, par), want.Tuples, got.Tuples)
-		}
-	}
-}
-
-// TestParallelIterHooks runs the SortIter.Par and GroupByIter.Par paths
-// end to end through the iterator contract, over an input large enough
-// for the rows-per-worker floor to let the exchange forms run.
+// TestParallelIterHooks runs the SortIter.Par path end to end through
+// the iterator contract, over an input large enough for the
+// rows-per-worker floor to let the exchange form run.
 func TestParallelIterHooks(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rel := randomKeyedRel(rng, "s", 4*minRowsPerWorker+400, 6, false) // above the floor at Par = 4
@@ -323,13 +290,6 @@ func TestParallelIterHooks(t *testing.T) {
 	par := NewSort(NewScan(rel), []OrderKey{{Expr: mustExpr("sk")}}, nil)
 	par.Par = 4
 	requireSameRows(t, "SortIter.Par", want, drainOrdered(t, par, 32))
-
-	items := []AggItem{{Name: "sk", Expr: mustExpr("sk")}, {Name: "n", Expr: mustExpr("COUNT(pay)")}}
-	gser := NewGroupBy(NewScan(rel), []sqlparse.Expr{mustExpr("sk")}, items, nil, nil)
-	gwant := drainOrdered(t, gser, 32)
-	gpar := NewGroupBy(NewScan(rel), []sqlparse.Expr{mustExpr("sk")}, items, nil, nil)
-	gpar.Par = 4
-	requireSameRows(t, "GroupByIter.Par", gwant, drainOrdered(t, gpar, 32))
 }
 
 // TestPartitionHashPoolIndependence pins the routing rule that makes

@@ -464,12 +464,9 @@ func (n *NestedLoopIter) Close() error { return n.outer.Close() }
 // hashed at Open (a pipeline breaker, staged through the Stager when
 // set), the probe side streams. Output columns are always
 // left.Schema ++ right.Schema regardless of which side builds; output
-// order follows the probe stream, with matches in build-insertion order.
-// Single string keys map the raw string straight to a bucket index (the
-// table doubles as the interner: bucket index = dense handle); other key
-// shapes use the pool-backed fixed-width encoding. Probing allocates
-// nothing and build-side insertion allocates per distinct key, not per
-// row.
+// order follows the probe stream, with matches in build-insertion order
+// (see hjTable). Probing allocates nothing and build-side insertion
+// allocates per distinct key, not per row.
 type HashJoinIter struct {
 	left, right Iterator
 	leftIdx     []int // key positions in left schema
@@ -486,19 +483,16 @@ type HashJoinIter struct {
 	// only via MarkTransient (see its contract).
 	TransientOutput bool
 
-	table   map[string]int
-	stable  map[string]int // single string-column fast path: raw key string → bucket
-	single  bool           // exactly one key column
-	buckets []hjBucket
-	enc     *KeyEncoder
-	probe   Iterator
-	pb      Batch // current probe batch
-	pi      int   // next probe row within pb
-	cur     Tuple // current probe tuple
-	mb      int   // bucket index of cur's matches, -1 when none pending
-	mi      int   // next match within bucket mb (0 = first, n = rest[n-1])
-	bb      *BatchBuilder
-	pend    error
+	tbl   hjTable
+	enc   *KeyEncoder
+	probe Iterator
+	pb    Batch // current probe batch
+	pi    int   // next probe row within pb
+	cur   Tuple // current probe tuple
+	mb    int   // bucket index of cur's matches, -1 when none pending
+	mi    int   // next match within bucket mb (0 = first, n = rest[n-1])
+	bb    *BatchBuilder
+	pend  error
 }
 
 // hjBucket holds the build tuples sharing one key, in insertion order.
@@ -507,6 +501,88 @@ type HashJoinIter struct {
 type hjBucket struct {
 	first Tuple
 	rest  []Tuple
+}
+
+// hjTable is the hash-join build table, shared by HashJoinIter (one
+// table) and ParallelHashJoinIter (one per partition). Single string keys
+// (the common case) map the raw string straight to a bucket index — the
+// table itself is the interner (bucket index = dense handle), so there is
+// no second hop through the pool and no pool growth per build row; other
+// key shapes use the pool-backed fixed-width encoding.
+type hjTable struct {
+	in      *Interner      // the pool generic keys are encoded over
+	stable  map[string]int // single string key: raw string → bucket
+	table   map[string]int // every other key shape: encoded key → bucket
+	single  bool           // exactly one key column
+	buckets []hjBucket
+}
+
+// buildHJTable hashes rows on the key columns idx, encoding generic keys
+// through enc (whose pool grows). SQL equality: NULL keys never join, so
+// such rows are dropped.
+func buildHJTable(rows []Tuple, idx []int, enc *KeyEncoder) hjTable {
+	t := hjTable{in: enc.in, single: len(idx) == 1, buckets: make([]hjBucket, 0, len(rows))}
+	if t.single {
+		t.stable = make(map[string]int, len(rows))
+	} else {
+		t.table = make(map[string]int, len(rows))
+	}
+	for _, tu := range rows {
+		if tupleHasNullKey(tu, idx) {
+			continue
+		}
+		var bi int
+		var ok bool
+		if t.single && tu[idx[0]].K == KindString {
+			s := tu[idx[0]].S
+			if bi, ok = t.stable[s]; !ok {
+				bi = len(t.buckets)
+				t.buckets = append(t.buckets, hjBucket{})
+				t.stable[s] = bi
+			}
+		} else {
+			if t.table == nil {
+				// Single-key build with a non-string value: fall back to
+				// the generic encoded table for this row.
+				t.table = make(map[string]int)
+			}
+			k := enc.Key(tu, idx)
+			if bi, ok = t.table[string(k)]; !ok {
+				bi = len(t.buckets)
+				t.buckets = append(t.buckets, hjBucket{})
+				t.table[string(k)] = bi
+			}
+		}
+		if b := &t.buckets[bi]; b.first == nil {
+			b.first = tu
+		} else {
+			b.rest = append(b.rest, tu)
+		}
+	}
+	return t
+}
+
+// lookup finds the bucket for a probe tuple's key, if any. Single string
+// keys probe the raw-string table directly — no encoding, no pool
+// traffic. enc must encode over t.in; LookupKey leaves that pool
+// untouched, so any number of probers with private encoders may share one
+// table concurrently.
+func (t *hjTable) lookup(tu Tuple, probeIdx []int, enc *KeyEncoder) (int, bool) {
+	if t.single {
+		if v := tu[probeIdx[0]]; v.K == KindString {
+			bi, ok := t.stable[v.S]
+			return bi, ok
+		}
+	}
+	if t.table == nil {
+		return 0, false
+	}
+	k, ok := enc.LookupKey(tu, probeIdx)
+	if !ok {
+		return 0, false
+	}
+	bi, ok := t.table[string(k)]
+	return bi, ok
 }
 
 // NewHashJoin prepares a hash join of left and right on pairwise equal
@@ -555,60 +631,7 @@ func (h *HashJoinIter) Open(ctx context.Context) error {
 	if h.residual != nil {
 		h.resFn = CompileBool(h.residual, h.schema)
 	}
-	h.single = len(buildIdx) == 1
-	if h.single {
-		// Single string join keys (the common case) map the raw string
-		// straight to its bucket index: the table itself is the interner
-		// (bucket index = dense handle), so there is no second hop
-		// through the shared pool and no pool growth per build row.
-		h.stable = make(map[string]int, len(rel.Tuples))
-	} else {
-		h.table = make(map[string]int, len(rel.Tuples))
-	}
-	h.buckets = h.buckets[:0]
-	if cap(h.buckets) < len(rel.Tuples) {
-		h.buckets = make([]hjBucket, 0, len(rel.Tuples))
-	}
-	for _, t := range rel.Tuples {
-		// SQL equality: NULL keys never join.
-		hasNull := false
-		for _, i := range buildIdx {
-			if t[i].IsNull() {
-				hasNull = true
-				break
-			}
-		}
-		if hasNull {
-			continue
-		}
-		var idx int
-		var ok bool
-		if h.single && t[buildIdx[0]].K == KindString {
-			s := t[buildIdx[0]].S
-			if idx, ok = h.stable[s]; !ok {
-				idx = len(h.buckets)
-				h.buckets = append(h.buckets, hjBucket{})
-				h.stable[s] = idx
-			}
-		} else {
-			if h.table == nil {
-				// Single-key build with a non-string value: fall back to
-				// the generic encoded table for this row.
-				h.table = make(map[string]int)
-			}
-			k := h.enc.Key(t, buildIdx)
-			if idx, ok = h.table[string(k)]; !ok {
-				idx = len(h.buckets)
-				h.buckets = append(h.buckets, hjBucket{})
-				h.table[string(k)] = idx
-			}
-		}
-		if b := &h.buckets[idx]; b.first == nil {
-			b.first = t
-		} else {
-			b.rest = append(b.rest, t)
-		}
-	}
+	h.tbl = buildHJTable(rel.Tuples, buildIdx, h.enc)
 	h.probe = h.left
 	if h.buildLeft {
 		h.probe = h.right
@@ -617,24 +640,6 @@ func (h *HashJoinIter) Open(ctx context.Context) error {
 	h.bb = NewBatchBuilder(len(h.schema.Columns))
 	h.bb.Transient = h.TransientOutput
 	return h.probe.Open(ctx)
-}
-
-// lookup finds the bucket for a probe tuple's key, if any. Single string
-// keys probe the raw-string table directly — no encoding, no pool
-// traffic; only multi-column or non-string keys pay for the generic
-// encoded form.
-func (h *HashJoinIter) lookup(t Tuple, probeIdx []int) (int, bool) {
-	if h.single {
-		if v := t[probeIdx[0]]; v.K == KindString {
-			idx, ok := h.stable[v.S]
-			return idx, ok
-		}
-	}
-	if h.table == nil {
-		return 0, false
-	}
-	idx, ok := h.table[string(h.enc.Key(t, probeIdx))]
-	return idx, ok
 }
 
 // fail flushes an accumulated partial batch before surfacing err.
@@ -676,12 +681,12 @@ func (h *HashJoinIter) Next(max int) (Batch, error) {
 			}
 			t := h.pb.Rows[h.pi]
 			h.pi++
-			if idx, ok := h.lookup(t, probeIdx); ok {
+			if idx, ok := h.tbl.lookup(t, probeIdx, h.enc); ok {
 				h.cur, h.mb, h.mi = t, idx, 0
 			}
 			continue
 		}
-		bkt := &h.buckets[h.mb]
+		bkt := &h.tbl.buckets[h.mb]
 		var bt Tuple
 		if h.mi == 0 {
 			bt = bkt.first
@@ -715,7 +720,7 @@ func (h *HashJoinIter) Next(max int) (Batch, error) {
 
 // Close implements Iterator.
 func (h *HashJoinIter) Close() error {
-	h.table, h.stable, h.buckets, h.enc, h.mb = nil, nil, nil, nil, -1
+	h.tbl, h.enc, h.mb = hjTable{}, nil, -1
 	if h.probe == nil {
 		return nil
 	}
@@ -969,13 +974,7 @@ type GroupByIter struct {
 	// Intern optionally shares a pipeline-wide interner pool with the
 	// grouping core; set it before Open.
 	Intern *Interner
-	// Par > 1 allows up to Par workers (fewer under the rows-per-worker
-	// floor, see exchangeWorkers); with more than one the
-	// hash-partitioned core runs (see groupByParallel), which uses
-	// private pools per partition and ignores Intern; output is
-	// identical to the serial core. Set before Open.
-	Par int
-	out *ScanIter
+	out    *ScanIter
 }
 
 // NewGroupBy groups child by keys and computes items per group (see
@@ -1003,12 +1002,7 @@ func (g *GroupByIter) Open(ctx context.Context) error {
 	if rel, err = stage(g.stager, rel); err != nil {
 		return err
 	}
-	var grouped *Relation
-	if par := exchangeWorkers(len(rel.Tuples), g.Par); par > 1 {
-		grouped, err = groupByParallel(rel, g.keys, g.items, g.having, par)
-	} else {
-		grouped, err = groupByInterned(rel, g.keys, g.items, g.having, g.Intern)
-	}
+	grouped, err := groupByInterned(rel, g.keys, g.items, g.having, g.Intern)
 	if err != nil {
 		return err
 	}

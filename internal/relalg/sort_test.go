@@ -207,8 +207,8 @@ func TestExchangeWorkersFloor(t *testing.T) {
 	}
 }
 
-// TestTinyInputsSkipExchange: an 8-row ORDER BY or GROUP BY at Par = 8
-// allocates exactly what it does at Par = 0 — no goroutine closures,
+// TestTinyInputsSkipExchange: an 8-row ORDER BY at Par = 8 allocates
+// exactly what it does at Par = 0 — no goroutine closures,
 // WaitGroup, partitions or merge state — while above the floor the
 // exchange form shows up as extra allocations, so the comparison can
 // tell the two roads apart.
@@ -226,22 +226,9 @@ func TestTinyInputsSkipExchange(t *testing.T) {
 			}
 		})
 	}
-	items := []AggItem{{Name: "name", Expr: sqlparse.Col("t", "name")}}
-	groupAllocs := func(rel *Relation, par int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			g := NewGroupBy(NewScan(rel), []sqlparse.Expr{sqlparse.Col("t", "name")}, items, nil, nil)
-			g.Par = par
-			if _, err := collect(g, nil); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 	tiny, big := sortBenchRel(8), sortBenchRel(2*minRowsPerWorker)
 	if serial, par := sortAllocs(tiny, 0), sortAllocs(tiny, 8); par != serial {
 		t.Errorf("8-row sort: %.0f allocs at Par=8, %.0f at Par=0 — exchange set-up on a tiny input", par, serial)
-	}
-	if serial, par := groupAllocs(tiny, 0), groupAllocs(tiny, 8); par != serial {
-		t.Errorf("8-row group-by: %.0f allocs at Par=8, %.0f at Par=0 — exchange set-up on a tiny input", par, serial)
 	}
 	if serial, par := sortAllocs(big, 0), sortAllocs(big, 8); par <= serial {
 		t.Errorf("%d-row sort: %.0f allocs at Par=8, %.0f at Par=0 — the exchange form did not run above the floor", big.Len(), par, serial)
