@@ -16,13 +16,13 @@ FUZZTIME  ?= 10s
 # Budget of live //lint:allow annotations outside testdata/ and bench/
 # (make lint fails above it). A ratchet: lower it when an excuse goes
 # away, never raise it to make room for a new one.
-LINT_ALLOW_BUDGET = 10
+LINT_ALLOW_BUDGET = 8
 
 # Budget of non-test Go lines in the engine packages LOC_PKGS (make lint
 # fails above it). The same kind of ratchet: set to the measured value
 # when code is deleted, never raised; ROADMAP item D heads for 8,500.
 LOC_PKGS   = internal/relalg internal/planner coin
-LOC_BUDGET = 8867
+LOC_BUDGET = 8564
 
 .PHONY: all build test test-bench test-race test-chaos test-invariants vet lint docs-check examples bench bench-smoke bench-base bench-compare golden golden-update fuzz clean
 

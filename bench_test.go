@@ -323,19 +323,18 @@ func BenchmarkParallelJoinScaling(b *testing.B) {
 }
 
 // BenchmarkE9b_JoinAlgorithms is the join-algorithm ablation: hash vs
-// sort-merge vs nested-loop on the paper-shaped mediated query.
+// nested-loop on the paper-shaped mediated query.
 func BenchmarkE9b_JoinAlgorithms(b *testing.B) {
 	med, err := core.New(fixture.Registry()).MediateSQL(fixture.PaperQ1, "c2")
 	if err != nil {
 		b.Fatal(err)
 	}
 	cat, _ := scaledCatalog(1000, 42)
-	for _, alg := range []string{"hash", "merge", "nested-loop"} {
+	for _, alg := range []string{"hash", "nested-loop"} {
 		b.Run("join="+alg, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ex := planner.NewExecutor(cat)
 				ex.ForceNestedLoop = alg == "nested-loop"
-				ex.ForceMergeJoin = alg == "merge"
 				if _, err := executeMediation(ex, med); err != nil {
 					b.Fatal(err)
 				}

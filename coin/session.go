@@ -16,11 +16,11 @@ import (
 )
 
 // QueryOptions bound one query session: a wall-clock timeout, a cap on
-// result rows delivered (truncation), caps on tuples transferred from
-// sources and bytes staged through the temp store (both abort the query
-// when exceeded), a cap on the session's concurrent fetches per source
-// (admission waits, it does not fail), a session-wide retry budget, and
-// the PartialResults degradation switch (failed mediation branches are
+// result rows delivered (truncation), a cap on tuples transferred from
+// sources (exceeding it aborts the query), a cap on the session's
+// concurrent fetches per source (admission waits, it does not fail), a
+// session-wide retry budget, a cap on intra-query parallelism, and the
+// PartialResults degradation switch (failed mediation branches are
 // dropped with warnings instead of failing the query). The zero value is
 // ungoverned and fail-fast.
 type QueryOptions = planner.Limits

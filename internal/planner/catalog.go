@@ -4,8 +4,7 @@
 // (selection/projection power, required bindings) and communication costs,
 // controls execution of the resulting plan, and performs the operations
 // sources cannot — cross-source joins, residual predicates, aggregation —
-// locally using internal/relalg, spilling large intermediates through the
-// temporary store.
+// locally using internal/relalg, buffering pipeline breakers in memory.
 //
 // Execution is streaming: a BranchPlan compiles to a pull-based iterator
 // tree (BuildStream) whose leaves fetch from the wrappers tuple by tuple,

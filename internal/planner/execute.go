@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/relalg"
 	"repro/internal/sqlparse"
-	"repro/internal/store"
 	"repro/internal/wrapper"
 )
 
@@ -22,19 +21,11 @@ import (
 // a session with zero Limits.
 type Executor struct {
 	Catalog *Catalog
-	// Temp, when set, stages every pipeline breaker and step boundary
-	// (spilling large ones to disk); Figure 1's second local secondary
-	// storage.
-	Temp *store.TempStore
-
 	// DisablePushdown keeps every non-required filter local — the E9
 	// pushdown ablation.
 	DisablePushdown bool
 	// ForceNestedLoop disables hash joins — the E9b join ablation.
 	ForceNestedLoop bool
-	// ForceMergeJoin uses sort-merge instead of hash for keyed joins
-	// (ignored when ForceNestedLoop is set).
-	ForceMergeJoin bool
 	// DisableBatching keeps bind joins on one query per feeder value even
 	// against IN-capable sources — the batching ablation.
 	DisableBatching bool

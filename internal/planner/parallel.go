@@ -82,7 +82,7 @@ func (e *Executor) ParallelizePlan(plan *BranchPlan, sess *Session) {
 		// has nothing to probe), only when the serial planner would pick a
 		// hash join, and only when the fetched build side is big enough to
 		// amortize the worker pipelines.
-		if i > 0 && len(step.JoinKeys) > 0 && !e.ForceNestedLoop && !e.ForceMergeJoin &&
+		if i > 0 && len(step.JoinKeys) > 0 && !e.ForceNestedLoop &&
 			step.EstRows >= parallelJoinMinBuildRows {
 			step.Workers = par
 		}

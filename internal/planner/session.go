@@ -16,9 +16,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/relalg"
-	"repro/internal/store"
 )
 
 // Limits are the resource-governor knobs of one query session. The zero
@@ -36,10 +33,6 @@ type Limits struct {
 	// MaxTuples caps tuples transferred from sources across the whole
 	// session; exceeding it aborts the query with ErrTuplesExceeded.
 	MaxTuples int
-	// MaxStagedBytes caps the cumulative (approximate) bytes of
-	// intermediates staged through the TempStore; exceeding it aborts
-	// the query with store.ErrStageBudgetExceeded.
-	MaxStagedBytes int64
 	// MaxConcurrentPerSource caps this session's in-flight queries
 	// against any single source, below the source dispatcher's own pool
 	// size (see internal/planner/access.go). Zero leaves the session
@@ -82,8 +75,6 @@ type Session struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	limits Limits
-
-	budget *store.Budget
 
 	// tuples is atomic, not mutex-guarded: it is charged once per batch
 	// pulled from a source, by every scan partition of the query.
@@ -129,11 +120,7 @@ func (e *Executor) NewSession(ctx context.Context, lim Limits) *Session {
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
-	s := &Session{ctx: ctx, cancel: cancel, limits: lim, obsSink: e.AdaptiveStats}
-	if lim.MaxStagedBytes > 0 {
-		s.budget = &store.Budget{Max: lim.MaxStagedBytes}
-	}
-	return s
+	return &Session{ctx: ctx, cancel: cancel, limits: lim, obsSink: e.AdaptiveStats}
 }
 
 // Context returns the session's context; Open pipeline trees with it.
@@ -280,31 +267,4 @@ func (s *Session) dispatcherFor(source string) *dispatcher {
 		return nil
 	}
 	return s.disp.get(source, s.limits.MaxConcurrentPerSource)
-}
-
-// sessionStager adapts the executor's TempStore to the relalg.Stager hook
-// under a session: every staged intermediate first observes the session's
-// cancellation, then is charged against its staging budget inside
-// TempStore.Stage.
-type sessionStager struct {
-	temp *store.TempStore
-	sess *Session
-}
-
-// Stage implements relalg.Stager.
-func (st *sessionStager) Stage(rel *relalg.Relation) (*relalg.Relation, error) {
-	if err := st.sess.Context().Err(); err != nil {
-		return nil, err
-	}
-	return st.temp.StageWithin(rel, st.sess.budget)
-}
-
-// stagerFor adapts the executor's TempStore to the relalg.Stager hook
-// breaker operators use, governed by sess; nil (keep everything resident)
-// without a TempStore.
-func (e *Executor) stagerFor(sess *Session) relalg.Stager {
-	if e.Temp == nil {
-		return nil
-	}
-	return &sessionStager{temp: e.Temp, sess: sess}
 }

@@ -2,7 +2,7 @@ package planner
 
 // Tests for the query-session layer: cancellation propagating all the way
 // into source fetches mid-stream, deadlines, the resource governors
-// (max tuples transferred, max staged bytes), and the no-leak property of
+// (max tuples transferred), and the no-leak property of
 // iterator trees (every source stream opened is closed, on success, early
 // exit and error paths alike).
 
@@ -273,26 +273,6 @@ func TestMaxTuplesGovernorUnderLimitPasses(t *testing.T) {
 	}
 }
 
-// TestMaxStagedBytesGovernor: a sort buffer staged through the TempStore
-// that exceeds the session's byte budget aborts the query with
-// store.ErrStageBudgetExceeded.
-func TestMaxStagedBytesGovernor(t *testing.T) {
-	ts, err := store.NewTempStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	ex := NewExecutor(bigCatalog(1000))
-	ex.Temp = ts
-	sess := ex.NewSession(context.Background(), Limits{MaxStagedBytes: 64})
-	defer sess.Close()
-	_, err = ex.ExecuteSession(sess, sqlparse.MustParse(
-		"SELECT nums.n FROM nums ORDER BY nums.n DESC"))
-	if !errors.Is(err, store.ErrStageBudgetExceeded) {
-		t.Fatalf("err = %v, want store.ErrStageBudgetExceeded", err)
-	}
-}
-
 // TestStreamsClosedOnAllPaths is the leak-tracking audit: across a full
 // drain, an early exit, a mid-stream source failure, a canceled context
 // and a lazily-satisfied mediation, every source stream the engine opened
@@ -372,16 +352,9 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 		tw.assertBalanced(t)
 	})
 
-	t.Run("aggregate with staging", func(t *testing.T) {
-		ts, err := store.NewTempStore()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ts.Close()
-		ts.SpillThreshold = 8
+	t.Run("aggregate", func(t *testing.T) {
 		cat, tw := trackedCatalog(100, 0)
 		ex := NewExecutor(cat)
-		ex.Temp = ts
 		if _, err := execute(bg, ex, sqlparse.MustParse(
 			"SELECT nums.grp, SUM(nums.n) AS total FROM nums GROUP BY nums.grp")); err != nil {
 			t.Fatal(err)
@@ -410,19 +383,12 @@ func TestSessionContextIndependentOfParent(t *testing.T) {
 
 // TestZeroLimitsSessionIsUngoverned pins the single remaining "no
 // governors" semantics: a session with zero Limits never trips a governor
-// — no deadline, no tuple, staging, retry or per-source cap — while the
+// — no deadline, no tuple, retry or per-source cap — while the
 // session-scoped machinery still applies: identical probes within the
 // one session reach the source once.
 func TestZeroLimitsSessionIsUngoverned(t *testing.T) {
 	const source = 20000
-	ts, err := store.NewTempStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	ts.SpillThreshold = 64
 	ex := NewExecutor(bigCatalog(source))
-	ex.Temp = ts
 	sess := ex.NewSession(bg, Limits{})
 	defer sess.Close()
 	if _, ok := sess.Context().Deadline(); ok {
@@ -437,9 +403,6 @@ func TestZeroLimitsSessionIsUngoverned(t *testing.T) {
 	}
 	if _, capped := sess.tupleBudget(); capped {
 		t.Error("zero MaxTuples reports a capped transfer budget")
-	}
-	if sess.budget != nil {
-		t.Error("zero MaxStagedBytes installed a staging budget")
 	}
 	if sess.dispatcherFor("bigsrc") != nil {
 		t.Error("zero MaxConcurrentPerSource installed a session admission pool")

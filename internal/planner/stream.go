@@ -12,17 +12,15 @@ package planner
 // context is passed down at Open and bounds the whole run — leaves check
 // it per tuple, deferred bind-join fetches check it per source query, and
 // breaker drains check it per buffered tuple — while its resource
-// governors (max tuples transferred, max staged bytes) are charged at the
-// same points. Canceling the session context therefore stops source
-// fetches mid-stream, not just between operators.
+// governor (max tuples transferred) is charged at the same points.
+// Canceling the session context therefore stops source fetches
+// mid-stream, not just between operators.
 //
-// Only the pipeline breakers materialize: Sort and GroupBy buffers, the
-// build side of a hash join, both sides of a merge join, the feeding
-// side of a bind join (its distinct binding values must all be known
-// before the dependent source can be queried), and — when the executor
-// has a TempStore — the per-step staging points, all of which route
-// through store.TempStore so large intermediates spill to disk (and so
-// the session's staging budget is enforced).
+// Only the pipeline breakers materialize, and they buffer in memory
+// (relalg.Collect; there is no disk spill): Sort and GroupBy buffers, the
+// build side of a hash join, the inner side of a nested-loop join, and
+// the feeding side of a bind join (its distinct binding values must all
+// be known before the dependent source can be queried).
 
 import (
 	"context"
@@ -111,7 +109,7 @@ func (s *sourceScanIter) Schema() relalg.Schema { return s.schema }
 
 // RowCountHint implements relalg.RowCountHint with the plan step's
 // transfer estimate, so drains that materialize this scan (hash-join
-// build sides, staging) presize instead of regrowing. After the adaptive
+// build sides) presize instead of regrowing. After the adaptive
 // statistics warm up, the estimate is the learned exact cardinality.
 func (s *sourceScanIter) RowCountHint() int { return s.est }
 
@@ -661,14 +659,14 @@ func (e *Executor) sourceIter(sess *Session, step *PlanStep, act *StepActuals) (
 // cardinality, and hashing it would break the pipeline (and every early
 // exit upstream) — so a step fetching a relation much larger than the
 // intermediate holds the larger hash table; teaching the planner to flip
-// sides from EstRows is future work. Merge join breaks both sides;
-// nested loop materializes the inner (fetched) side and streams the
-// outer.
+// sides from EstRows is future work. Nested loop (keyless joins, and
+// the ForceNestedLoop ablation) materializes the inner (fetched) side and
+// streams the outer.
 // residual, when non-nil, is the conjunction of the step's AfterPreds:
 // every join algorithm applies it to the joined row before emitting, so
 // rejected rows never leave the join (and their arena slots are
 // reclaimed) instead of being materialized and filtered above.
-func (e *Executor) joinIter(sess *Session, pool *relalg.Interner, cur, next relalg.Iterator, keys []JoinKey, binding string, residual sqlparse.Expr, workers int, workerRows []atomic.Int64) (relalg.Iterator, error) {
+func (e *Executor) joinIter(pool *relalg.Interner, cur, next relalg.Iterator, keys []JoinKey, binding string, residual sqlparse.Expr, workers int, workerRows []atomic.Int64) (relalg.Iterator, error) {
 	if len(keys) > 0 && !e.ForceNestedLoop {
 		aKeys := make([]string, len(keys))
 		bKeys := make([]string, len(keys))
@@ -676,23 +674,20 @@ func (e *Executor) joinIter(sess *Session, pool *relalg.Interner, cur, next rela
 			aKeys[i] = k.CurQualified
 			bKeys[i] = binding + "." + k.NewColumn
 		}
-		if e.ForceMergeJoin {
-			return relalg.NewMergeJoin(cur, next, aKeys, bKeys, residual, e.stagerFor(sess))
-		}
 		if workers > 1 {
 			// Hash-repartition exchange: build and probe split across
 			// worker pipelines, output re-serialized in exact probe order.
 			// The probe side is NOT marked transient — its batches cross
 			// the exchange asynchronously, so the consumer promise that
 			// makes arena recycling safe cannot be given here.
-			phj, err := relalg.NewParallelHashJoin(cur, next, aKeys, bKeys, residual, false /* build the fetched side */, e.stagerFor(sess), workers)
+			phj, err := relalg.NewParallelHashJoin(cur, next, aKeys, bKeys, residual, false /* build the fetched side */, nil, workers)
 			if err != nil {
 				return nil, err
 			}
 			phj.WorkerOut = workerRows
 			return phj, nil
 		}
-		hj, err := relalg.NewHashJoin(cur, next, aKeys, bKeys, residual, false /* build the fetched side */, e.stagerFor(sess))
+		hj, err := relalg.NewHashJoin(cur, next, aKeys, bKeys, residual, false /* build the fetched side */, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -729,19 +724,8 @@ func (e *Executor) joinIter(sess *Session, pool *relalg.Interner, cur, next rela
 		if err != nil {
 			return nil, err
 		}
-		if inner, err = stageIfSet(e.stagerFor(sess), inner); err != nil {
-			return nil, err
-		}
 		return relalg.NewNestedLoop(nl, inner, pred), nil
 	}), nil
-}
-
-// stageIfSet routes rel through st when non-nil.
-func stageIfSet(st relalg.Stager, rel *relalg.Relation) (*relalg.Relation, error) {
-	if st == nil {
-		return rel, nil
-	}
-	return st.Stage(rel)
 }
 
 // BuildStream compiles a prepared plan into an iterator tree governed by
@@ -752,8 +736,8 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 	// One interning pool per compiled pipeline: the tree is single-use and
 	// pulled by one goroutine, so every key-hashing operator in it (hash
 	// joins, DISTINCT) can share string handles without locking. Handles
-	// never cross the pool boundary — staged relations and probe-cache
-	// entries carry full Value.Key forms.
+	// never cross the pool boundary — probe-cache entries carry full
+	// Value.Key forms.
 	pool := relalg.NewInterner()
 	var cur relalg.Iterator
 	for i := range plan.Steps {
@@ -787,7 +771,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 			}
 			if cur == nil {
 				cur = next
-			} else if cur, err = e.joinIter(sess, pool, cur, next, step.JoinKeys, step.Binding, after, step.Workers, workerRows); err != nil {
+			} else if cur, err = e.joinIter(pool, cur, next, step.JoinKeys, step.Binding, after, step.Workers, workerRows); err != nil {
 				return nil, err
 			} else {
 				afterConsumed = after != nil
@@ -796,8 +780,8 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 			// A bind join is a pipeline breaker on the feeding side: every
 			// distinct combination of feeding values must be known before
 			// the dependent source can be queried, so the intermediate
-			// result materializes here (staged through the TempStore when
-			// configured) and both fetch and join defer to Open time.
+			// result materializes here, in memory, and both fetch and join
+			// defer to Open time.
 			if cur == nil {
 				return nil, fmt.Errorf("planner: bind join for %s with no prior result", step.Relation)
 			}
@@ -816,14 +800,11 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 				if err != nil {
 					return nil, err
 				}
-				if curRel, err = stageIfSet(e.stagerFor(sess), curRel); err != nil {
-					return nil, err
-				}
 				fetched, err := e.fetchBindStep(ctx, sess, step, act, curRel)
 				if err != nil {
 					return nil, err
 				}
-				return e.joinIter(sess, pool, relalg.NewScan(curRel), relalg.NewScan(fetched), step.JoinKeys, step.Binding, after, step.Workers, workerRows)
+				return e.joinIter(pool, relalg.NewScan(curRel), relalg.NewScan(fetched), step.JoinKeys, step.Binding, after, step.Workers, workerRows)
 			})
 			afterConsumed = after != nil
 		}
@@ -834,22 +815,6 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 			// Count the step's downstream output (after joins and local
 			// predicates) for the act_out column of EXPLAIN ANALYZE.
 			cur = relalg.NewCounted(cur, &act.Out)
-		}
-		if e.Temp != nil {
-			// Staging mode: materialize every step boundary through the
-			// temp store, exactly like the materialized executor did, so
-			// resident memory stays bounded by the spill threshold.
-			prev := cur
-			cur = relalg.NewDeferred(prev.Schema(), func(ctx context.Context) (relalg.Iterator, error) {
-				rel, err := relalg.Collect(ctx, prev, "")
-				if err != nil {
-					return nil, err
-				}
-				if rel, err = stageIfSet(e.stagerFor(sess), rel); err != nil {
-					return nil, err
-				}
-				return relalg.NewScan(rel), nil
-			})
 		}
 	}
 
@@ -867,7 +832,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 		// ORDER BY references source columns the projection drops: sort
 		// before projecting (as the materialized executor's fallback did —
 		// including its quirk of skipping DISTINCT on this path).
-		srt := relalg.NewSort(cur, keys, e.stagerFor(sess))
+		srt := relalg.NewSort(cur, keys, nil)
 		srt.Par = plan.Parallelism
 		out = relalg.NewProject(srt, items)
 	} else {
@@ -882,7 +847,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 			out = d
 		}
 		if len(plan.OrderBy) > 0 {
-			srt := relalg.NewSort(out, keys, e.stagerFor(sess))
+			srt := relalg.NewSort(out, keys, nil)
 			srt.Par = plan.Parallelism
 			out = srt
 		}
@@ -1004,7 +969,7 @@ func (e *Executor) aggregateStream(sess *Session, sel *sqlparse.Select) (relalg.
 	// GroupBy and a trailing DISTINCT share one interning pool: both hash
 	// the same value domain, and the tree has a single consumer.
 	pool := relalg.NewInterner()
-	gb := relalg.NewGroupBy(wide, sel.GroupBy, items, sel.Having, e.stagerFor(sess))
+	gb := relalg.NewGroupBy(wide, sel.GroupBy, items, sel.Having, nil)
 	gb.Intern = pool
 	var out relalg.Iterator = gb
 	if len(sel.OrderBy) > 0 {
@@ -1012,7 +977,7 @@ func (e *Executor) aggregateStream(sess *Session, sel *sqlparse.Select) (relalg.
 		for i, o := range sel.OrderBy {
 			keys[i] = relalg.OrderKey{Expr: o.Expr, Desc: o.Desc}
 		}
-		srt := relalg.NewSort(out, keys, e.stagerFor(sess))
+		srt := relalg.NewSort(out, keys, nil)
 		srt.Par = e.parallelism(sess)
 		out = srt
 	}
@@ -1144,7 +1109,7 @@ func (e *Executor) postStream(sess *Session, post *core.Post, in relalg.Iterator
 				items[i].Name = "col" + strconv.Itoa(i+1)
 			}
 		}
-		gb := relalg.NewGroupBy(out, post.GroupBy, items, post.Having, e.stagerFor(sess))
+		gb := relalg.NewGroupBy(out, post.GroupBy, items, post.Having, nil)
 		gb.Intern = pool
 		out = gb
 	} else if len(post.Items) > 0 {
@@ -1171,7 +1136,7 @@ func (e *Executor) postStream(sess *Session, post *core.Post, in relalg.Iterator
 		for i, o := range post.OrderBy {
 			keys[i] = relalg.OrderKey{Expr: o.Expr, Desc: o.Desc}
 		}
-		srt := relalg.NewSort(out, keys, e.stagerFor(sess))
+		srt := relalg.NewSort(out, keys, nil)
 		srt.Par = e.parallelism(sess)
 		out = srt
 	}

@@ -114,31 +114,6 @@ func TestMediationBranchesLazilySkipped(t *testing.T) {
 	}
 }
 
-// TestStreamingBreakersStageThroughTempStore: with a TempStore set, the
-// pipeline breakers stage intermediates (and spill past the threshold)
-// while the streamed answer stays correct.
-func TestStreamingBreakersStageThroughTempStore(t *testing.T) {
-	ts, err := store.NewTempStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	ts.SpillThreshold = 8
-	ex := NewExecutor(bigCatalog(100))
-	ex.Temp = ts
-	res, err := execute(bg, ex, sqlparse.MustParse(
-		"SELECT nums.n FROM nums WHERE nums.n < 50 ORDER BY nums.n DESC LIMIT 2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 2 || res.Tuples[0][0].N != 49 || res.Tuples[1][0].N != 48 {
-		t.Fatalf("result = %s", res)
-	}
-	if ts.Spills() == 0 {
-		t.Error("sort buffer above the threshold did not spill")
-	}
-}
-
 // TestBuildStreamHasNoSideEffects: compiling a plan contacts no source;
 // only opening the tree does.
 func TestBuildStreamHasNoSideEffects(t *testing.T) {

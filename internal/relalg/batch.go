@@ -152,9 +152,6 @@ func MarkTransient(it Iterator) {
 		case *NestedLoopIter:
 			x.TransientOutput = true
 			return
-		case *MergeJoinIter:
-			x.TransientOutput = true
-			return
 		case *ParallelHashJoinIter:
 			// Deliberately unmarked: its batches are produced
 			// asynchronously by worker pipelines and handed across

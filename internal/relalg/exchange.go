@@ -127,7 +127,6 @@ type ParallelHashJoinIter struct {
 	rightIdx    []int
 	residual    sqlparse.Expr
 	buildLeft   bool
-	stager      Stager
 	schema      Schema
 	// Par is the worker count; set before Open (values < 1 run one
 	// worker). The planner only builds this operator when Par > 1.
@@ -177,7 +176,7 @@ func (d *phjDist) err() error {
 // and right on pairwise equal key columns, mirroring NewHashJoin's
 // contract (buildLeft selects the materialized side; residual applies to
 // the concatenated row; output columns are always left ++ right).
-func NewParallelHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool, st Stager, par int) (*ParallelHashJoinIter, error) {
+func NewParallelHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool, _ Stager, par int) (*ParallelHashJoinIter, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		return nil, fmt.Errorf("relalg: hash join requires matching non-empty key lists")
 	}
@@ -197,7 +196,7 @@ func NewParallelHashJoin(left, right Iterator, leftKeys, rightKeys []string, res
 	return &ParallelHashJoinIter{
 		left: left, right: right,
 		leftIdx: li, rightIdx: ri,
-		residual: residual, buildLeft: buildLeft, stager: st,
+		residual: residual, buildLeft: buildLeft,
 		schema: ls.Concat(rs), Par: par,
 	}, nil
 }
@@ -215,9 +214,6 @@ func (j *ParallelHashJoinIter) Open(ctx context.Context) error {
 	}
 	rel, err := Collect(ctx, build, "")
 	if err != nil {
-		return err
-	}
-	if rel, err = stage(j.stager, rel); err != nil {
 		return err
 	}
 	par := j.Par

@@ -10,8 +10,8 @@ import "math"
 // Scope: handles are meaningful only relative to one pool and only for
 // that pool's lifetime. The planner creates one pool per compiled
 // pipeline (a single consumer goroutine pulls a pipeline, so the pool
-// needs no locking; exchange workers build private pools). Anything that crosses a pool boundary — a
-// staged spill, the session probe cache, replay-dedup keys, golden
+// needs no locking; exchange workers build private pools). Anything that crosses a pool boundary —
+// the session probe cache, replay-dedup keys, golden
 // baselines — keeps using the collision-proof Value.Key/Tuple.FullKey
 // encoding from PR 4. An interned handle must never be persisted.
 type Interner struct {

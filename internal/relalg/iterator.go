@@ -22,9 +22,9 @@ package relalg
 //     the context (or exceeding its deadline) makes Next return ctx.Err()
 //     promptly even mid-stream (cancellation is observed per batch, not
 //     per tuple). Opening is where pipeline breakers (Sort, GroupBy, the
-//     build side of HashJoin, both sides of MergeJoin) consume their
-//     children and materialize; a non-breaker operator opens its children
-//     and does no tuple work.
+//     build side of HashJoin) consume their children and buffer them in
+//     memory; a non-breaker operator opens its children and does no
+//     tuple work.
 //  3. Next(max) returns a batch of 1..max(*) tuples while tuples remain,
 //     then an empty batch once exhausted — an empty batch with a nil
 //     error always and only means exhaustion, and an error always comes
@@ -80,26 +80,12 @@ type Iterator interface {
 	Close() error
 }
 
-// Stager is an optional hook breaker operators use to park a fully
-// materialized intermediate (a sort buffer, a hash-build input, a
-// merge-join side). The engine passes a store.TempStore-backed Stager so
-// large intermediates spill to local secondary storage instead of
-// occupying memory (and so per-session staging budgets are enforced at
-// the staging point); a nil Stager keeps everything resident. Staged
-// relations cross an interner pool boundary: they are encoded with the
-// collision-proof Value.Key forms, never with interned handles.
+// Stager is the type of a retired, ignored parameter that NewHashJoin,
+// NewParallelHashJoin, NewSort and NewGroupBy keep only because bench/
+// passes a positional nil there. Nothing implements it and every caller
+// passes nil; it leaves with the next [benchmark] PR.
 type Stager interface {
-	// Stage parks rel and returns the relation to continue with (the
-	// same value, or a disk-backed reload of it).
 	Stage(rel *Relation) (*Relation, error)
-}
-
-// stage applies st to rel when non-nil.
-func stage(st Stager, rel *Relation) (*Relation, error) {
-	if st == nil {
-		return rel, nil
-	}
-	return st.Stage(rel)
 }
 
 // RowCountHint is optionally implemented by iterators that can estimate
@@ -222,7 +208,7 @@ func (s *ScanIter) RowCountHint() int { return len(s.rel.Tuples) }
 // to keep whole mediation branches unplanned and unexecuted until the
 // consumer actually pulls from them (so an upstream LIMIT can skip later
 // branches entirely). The Open context is handed to the build function so
-// deferred work (bind-join fetches, staging drains) stays cancellable.
+// deferred work (bind-join fetches, feeder drains) stays cancellable.
 type DeferredIter struct {
 	schema    Schema
 	build     func(ctx context.Context) (Iterator, error)

@@ -461,12 +461,12 @@ func (n *NestedLoopIter) Next(max int) (Batch, error) {
 func (n *NestedLoopIter) Close() error { return n.outer.Close() }
 
 // HashJoinIter equi-joins two inputs: the build side is drained and
-// hashed at Open (a pipeline breaker, staged through the Stager when
-// set), the probe side streams. Output columns are always
-// left.Schema ++ right.Schema regardless of which side builds; output
-// order follows the probe stream, with matches in build-insertion order
-// (see hjTable). Probing allocates nothing and build-side insertion
-// allocates per distinct key, not per row.
+// hashed at Open (a pipeline breaker, buffered in memory), the probe
+// side streams. Output columns are always left.Schema ++ right.Schema
+// regardless of which side builds; output order follows the probe
+// stream, with matches in build-insertion order (see hjTable). Probing
+// allocates nothing and build-side insertion allocates per distinct key,
+// not per row.
 type HashJoinIter struct {
 	left, right Iterator
 	leftIdx     []int // key positions in left schema
@@ -474,7 +474,6 @@ type HashJoinIter struct {
 	residual    sqlparse.Expr
 	resFn       func(Tuple) (bool, error) // residual compiled against schema
 	buildLeft   bool
-	stager      Stager
 	schema      Schema
 	// Intern optionally shares a pipeline-wide interner pool; set it
 	// before Open (nil: the operator builds a private pool).
@@ -589,7 +588,7 @@ func (t *hjTable) lookup(tu Tuple, probeIdx []int, enc *KeyEncoder) (int, bool) 
 // key columns (resolved in each side's schema). buildLeft selects which
 // side is materialized and hashed; the other side streams. A residual
 // predicate, if non-nil, applies to the concatenated row.
-func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool, st Stager) (*HashJoinIter, error) {
+func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool, _ Stager) (*HashJoinIter, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		return nil, fmt.Errorf("relalg: hash join requires matching non-empty key lists")
 	}
@@ -606,7 +605,7 @@ func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sq
 	return &HashJoinIter{
 		left: left, right: right,
 		leftIdx: li, rightIdx: ri,
-		residual: residual, buildLeft: buildLeft, stager: st,
+		residual: residual, buildLeft: buildLeft,
 		schema: ls.Concat(rs), mb: -1,
 	}, nil
 }
@@ -622,9 +621,6 @@ func (h *HashJoinIter) Open(ctx context.Context) error {
 	}
 	rel, err := Collect(ctx, build, "")
 	if err != nil {
-		return err
-	}
-	if rel, err = stage(h.stager, rel); err != nil {
 		return err
 	}
 	h.enc = NewKeyEncoder(h.Intern)
@@ -727,197 +723,12 @@ func (h *HashJoinIter) Close() error {
 	return h.probe.Close()
 }
 
-// MergeJoinIter equi-joins two inputs by sorting both on the join keys.
-// Both sides are pipeline breakers (drained, staged and sorted at Open);
-// the merge phase itself then streams, emitting the cross product of each
-// pair of equal-key runs incrementally and producing key-ordered output.
-type MergeJoinIter struct {
-	left, right Iterator
-	leftIdx     []int
-	rightIdx    []int
-	residual    sqlparse.Expr
-	resFn       func(Tuple) (bool, error) // residual compiled against schema
-	stager      Stager
-	schema      Schema
-	// TransientOutput recycles the output arena between batches; set
-	// only via MarkTransient (see its contract).
-	TransientOutput bool
-
-	sa, sb []Tuple
-	// Merge state: [i,iEnd) × [j,jEnd) is the active equal-key run pair,
-	// (ii,jj) the next pair inside it; iEnd==i means no active run.
-	i, j, iEnd, jEnd, ii, jj int
-	bb                       *BatchBuilder
-	pend                     error
-}
-
-// NewMergeJoin prepares a sort-merge join of left and right on pairwise
-// equal key columns (compared with Value.SortKey), with an optional
-// residual predicate.
-func NewMergeJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, st Stager) (*MergeJoinIter, error) {
-	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
-		return nil, fmt.Errorf("relalg: merge join requires matching non-empty key lists")
-	}
-	ls, rs := left.Schema(), right.Schema()
-	li := make([]int, len(leftKeys))
-	ri := make([]int, len(rightKeys))
-	for i := range leftKeys {
-		li[i] = ls.Index(leftKeys[i])
-		ri[i] = rs.Index(rightKeys[i])
-		if li[i] < 0 || ri[i] < 0 {
-			return nil, fmt.Errorf("relalg: merge join key %s/%s not found", leftKeys[i], rightKeys[i])
-		}
-	}
-	return &MergeJoinIter{
-		left: left, right: right,
-		leftIdx: li, rightIdx: ri,
-		residual: residual, stager: st,
-		schema: ls.Concat(rs),
-	}, nil
-}
-
-// Schema implements Iterator.
-func (m *MergeJoinIter) Schema() Schema { return m.schema }
-
-// Open implements Iterator: drain, stage and sort both sides.
-func (m *MergeJoinIter) Open(ctx context.Context) error {
-	sortSide := func(it Iterator, idx []int) ([]Tuple, error) {
-		rel, err := Collect(ctx, it, "")
-		if err != nil {
-			return nil, err
-		}
-		if rel, err = stage(m.stager, rel); err != nil {
-			return nil, err
-		}
-		fns := make([]CompiledExpr, len(idx))
-		for i, k := range idx {
-			fns[i] = func(t Tuple) (Value, error) { return t[k], nil }
-		}
-		return sortTuples(rel.Tuples, fns, make([]bool, len(idx)), 1)
-	}
-	var err error
-	if m.sa, err = sortSide(m.left, m.leftIdx); err != nil {
-		return err
-	}
-	if m.sb, err = sortSide(m.right, m.rightIdx); err != nil {
-		return err
-	}
-	m.i, m.j, m.iEnd, m.jEnd = 0, 0, 0, 0
-	m.bb = NewBatchBuilder(len(m.schema.Columns))
-	m.bb.Transient = m.TransientOutput
-	if m.residual != nil {
-		m.resFn = CompileBool(m.residual, m.schema)
-	}
-	m.pend = nil
-	return nil
-}
-
-func (m *MergeJoinIter) cmpKeys(ta, tb Tuple) int {
-	for i := range m.leftIdx {
-		if c := ta[m.leftIdx[i]].SortKey(tb[m.rightIdx[i]]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-func sameKeyRun(tuples []Tuple, idx []int, i, j int) bool {
-	for _, k := range idx {
-		if tuples[i][k].SortKey(tuples[j][k]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Next implements Iterator.
-func (m *MergeJoinIter) Next(max int) (Batch, error) {
-	if m.pend != nil {
-		err := m.pend
-		m.pend = nil
-		return Batch{}, err
-	}
-	if max <= 0 {
-		max = DefaultBatchSize
-	}
-	m.bb.Reset(max)
-	for m.bb.Len() < max {
-		// Emit from the active run pair, if any.
-		if m.ii < m.iEnd {
-			if m.jj >= m.jEnd {
-				m.ii++
-				m.jj = m.j
-				continue
-			}
-			ta, tb := m.sa[m.ii], m.sb[m.jj]
-			m.jj++
-			// SQL equality: NULL keys never join.
-			nullKey := false
-			for k := range m.leftIdx {
-				if ta[m.leftIdx[k]].IsNull() || tb[m.rightIdx[k]].IsNull() {
-					nullKey = true
-					break
-				}
-			}
-			if nullKey {
-				continue
-			}
-			row := m.bb.Concat(ta, tb)
-			if m.resFn != nil {
-				ok, err := m.resFn(row)
-				if err != nil {
-					m.bb.DropLast()
-					if m.bb.Len() > 0 {
-						m.pend = err
-						return m.bb.Batch(), nil
-					}
-					return Batch{}, err
-				}
-				if !ok {
-					m.bb.DropLast()
-				}
-			}
-			continue
-		}
-		if m.iEnd > m.i {
-			// Run pair exhausted; advance past it.
-			m.i, m.j = m.iEnd, m.jEnd
-			m.iEnd = m.i
-		}
-		// Find the next pair of equal-key runs.
-		if m.i >= len(m.sa) || m.j >= len(m.sb) {
-			break
-		}
-		switch c := m.cmpKeys(m.sa[m.i], m.sb[m.j]); {
-		case c < 0:
-			m.i++
-		case c > 0:
-			m.j++
-		default:
-			m.iEnd = m.i + 1
-			for m.iEnd < len(m.sa) && sameKeyRun(m.sa, m.leftIdx, m.i, m.iEnd) {
-				m.iEnd++
-			}
-			m.jEnd = m.j + 1
-			for m.jEnd < len(m.sb) && sameKeyRun(m.sb, m.rightIdx, m.j, m.jEnd) {
-				m.jEnd++
-			}
-			m.ii, m.jj = m.i, m.j
-		}
-	}
-	return m.bb.Batch(), nil
-}
-
-// Close implements Iterator.
-func (m *MergeJoinIter) Close() error { m.sa, m.sb, m.bb = nil, nil, nil; return nil }
-
-// SortIter is the canonical pipeline breaker: Open drains the child,
-// stages the buffer, sorts it with the materialized sort core, and then
+// SortIter is the canonical pipeline breaker: Open drains the child
+// into memory, sorts the buffer with the materialized sort core, and then
 // streams the sorted result (zero-copy batches over the sorted buffer).
 type SortIter struct {
-	child  Iterator
-	keys   []OrderKey
-	stager Stager
+	child Iterator
+	keys  []OrderKey
 	// Par > 1 allows up to Par workers (fewer under the rows-per-worker
 	// floor, see exchangeWorkers) to chunk-sort concurrently before an
 	// order-preserving merge (see sortTuples); output is identical to
@@ -927,8 +738,8 @@ type SortIter struct {
 }
 
 // NewSort sorts child by keys (stable).
-func NewSort(child Iterator, keys []OrderKey, st Stager) *SortIter {
-	return &SortIter{child: child, keys: keys, stager: st}
+func NewSort(child Iterator, keys []OrderKey, _ Stager) *SortIter {
+	return &SortIter{child: child, keys: keys}
 }
 
 // Schema implements Iterator.
@@ -938,9 +749,6 @@ func (s *SortIter) Schema() Schema { return s.child.Schema() }
 func (s *SortIter) Open(ctx context.Context) error {
 	rel, err := Collect(ctx, s.child, "")
 	if err != nil {
-		return err
-	}
-	if rel, err = stage(s.stager, rel); err != nil {
 		return err
 	}
 	sorted, err := sortRelation(rel, s.keys, exchangeWorkers(len(rel.Tuples), s.Par))
@@ -963,13 +771,12 @@ func (s *SortIter) Next(max int) (Batch, error) {
 func (s *SortIter) Close() error { s.out = nil; return nil }
 
 // GroupByIter is the aggregation pipeline breaker: Open drains the
-// child, stages the buffer, and runs the materialized grouping core.
+// child into memory and runs the materialized grouping core.
 type GroupByIter struct {
 	child  Iterator
 	keys   []sqlparse.Expr
 	items  []AggItem
 	having sqlparse.Expr
-	stager Stager
 	schema Schema
 	// Intern optionally shares a pipeline-wide interner pool with the
 	// grouping core; set it before Open.
@@ -980,14 +787,14 @@ type GroupByIter struct {
 // NewGroupBy groups child by keys and computes items per group (see
 // GroupBy for the exact SQL semantics, including the empty-input global
 // aggregate row).
-func NewGroupBy(child Iterator, keys []sqlparse.Expr, items []AggItem, having sqlparse.Expr, st Stager) *GroupByIter {
+func NewGroupBy(child Iterator, keys []sqlparse.Expr, items []AggItem, having sqlparse.Expr, _ Stager) *GroupByIter {
 	in := child.Schema()
 	cols := make([]Column, len(items))
 	for i, it := range items {
 		cols[i] = Column{Name: it.Name, Type: aggType(it.Expr, in)}
 	}
 	return &GroupByIter{child: child, keys: keys, items: items, having: having,
-		stager: st, schema: Schema{Columns: cols}}
+		schema: Schema{Columns: cols}}
 }
 
 // Schema implements Iterator.
@@ -997,9 +804,6 @@ func (g *GroupByIter) Schema() Schema { return g.schema }
 func (g *GroupByIter) Open(ctx context.Context) error {
 	rel, err := Collect(ctx, g.child, "")
 	if err != nil {
-		return err
-	}
-	if rel, err = stage(g.stager, rel); err != nil {
 		return err
 	}
 	grouped, err := groupByInterned(rel, g.keys, g.items, g.having, g.Intern)

@@ -121,8 +121,7 @@ func (s *sortKeys) compare(a, b sortEnt) int {
 }
 
 // sortTuples is the one sort kernel (ORDER BY in serial and exchange
-// form, merge-join run ordering): it evaluates the key expressions once
-// into a key matrix, sorts a row-index permutation with pdqsort under
+// form): it evaluates the key expressions once into a key matrix, sorts a row-index permutation with pdqsort under
 // sortKeys.compare, and gathers the tuples once at the end. With par > 1
 // (callers apply exchangeWorkers), par contiguous chunks are evaluated and
 // sorted concurrently and then k-way merged under the same comparator —

@@ -157,8 +157,8 @@ func (r *Relation) Len() int { return len(r.Tuples) }
 const valueOverheadBytes = 40
 
 // ApproxBytes estimates the resident size of the relation's tuple data:
-// the fixed Value footprint per datum plus string payloads. Resource
-// governors use it to budget staged intermediates; it is an estimate, not
+// the fixed Value footprint per datum plus string payloads. The session
+// probe cache uses it to budget retained answers; it is an estimate, not
 // an exact accounting.
 func (r *Relation) ApproxBytes() int64 {
 	var total int64

@@ -1,7 +1,7 @@
 // Package relalg implements the relational-algebra substrate of the COIN
 // prototype's multi-database access engine: typed values, tuples, schemas,
 // in-memory relations, an evaluator for sqlparse expressions over rows, and
-// the physical operators (selection, projection, nested-loop/hash/merge
+// the physical operators (selection, projection, nested-loop and hash
 // joins, union, distinct, sort, limit, grouping/aggregation) the local
 // execution engine composes.
 //
@@ -9,8 +9,8 @@
 // the Iterator contract in iterator.go) that the planner composes into
 // pipelines with early termination; Collect drains one into a
 // materialized *Relation. Only pipeline breakers — Sort, GroupBy, the
-// build side of a hash join, both sides of a merge join — buffer their
-// input, and those buffers can spill through the Stager hook.
+// build side of a hash join — buffer their input, and those buffers are
+// held in memory.
 package relalg
 
 import (

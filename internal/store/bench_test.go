@@ -66,23 +66,3 @@ func BenchmarkIndexLookup(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkTempStoreSpillRoundTrip(b *testing.B) {
-	ts, err := NewTempStore()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ts.Close()
-	ts.SpillThreshold = 100
-	rel := benchRelation(5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := ts.Put("k", rel); err != nil {
-			b.Fatal(err)
-		}
-		back, err := ts.Get("k")
-		if err != nil || back.Len() != rel.Len() {
-			b.Fatal("round trip failed")
-		}
-	}
-}

@@ -2,8 +2,9 @@
 // prototype's multi-database access engine: an in-memory relational
 // database with a catalog (the "dictionary" secondary storage of the
 // paper), per-table hash indexes and statistics for the planner's cost
-// model, CSV import/export, and a spillable temporary store for large
-// intermediate results (the second local secondary storage in Figure 1).
+// model, and CSV import/export. Figure 1's second local store, for large
+// temporary data, is not reproduced: the engine's pipeline breakers
+// buffer in memory.
 //
 // It also serves as the substitute for the paper's Oracle source: the
 // mediator only ever sees a wrapper exposing schema plus SQL execution, so

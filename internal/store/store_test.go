@@ -176,67 +176,6 @@ func TestLoadCSVTable(t *testing.T) {
 	}
 }
 
-func TestTempStoreMemoryPath(t *testing.T) {
-	ts, err := NewTempStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	rel, _ := ReadCSV("r1", strings.NewReader(r1CSV))
-	if err := ts.Put("k", rel); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ts.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relalg.SameTuples(rel, got) {
-		t.Error("memory round trip changed tuples")
-	}
-	if ts.Spills() != 0 {
-		t.Error("small relation spilled")
-	}
-	if _, err := ts.Get("missing"); err == nil {
-		t.Error("missing key succeeded")
-	}
-}
-
-func TestTempStoreSpill(t *testing.T) {
-	ts, err := NewTempStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	ts.SpillThreshold = 10
-	rel := relalg.NewRelation("big", relalg.NewSchema(relalg.Column{Name: "n", Type: relalg.KindNumber}))
-	for i := 0; i < 100; i++ {
-		rel.MustAdd(relalg.NumV(float64(i)))
-	}
-	if err := ts.Put("big", rel); err != nil {
-		t.Fatal(err)
-	}
-	if ts.Spills() != 1 {
-		t.Fatalf("spills = %d, want 1", ts.Spills())
-	}
-	got, err := ts.Get("big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relalg.SameTuples(rel, got) {
-		t.Error("spill round trip changed tuples")
-	}
-	// Overwriting with a small relation must clear the spilled entry.
-	small := relalg.NewRelation("big", rel.Schema)
-	small.MustAdd(relalg.NumV(1))
-	if err := ts.Put("big", small); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ts.Get("big")
-	if err != nil || got.Len() != 1 {
-		t.Errorf("after overwrite: %v, %v", got, err)
-	}
-}
-
 func TestParseHeaderDefaults(t *testing.T) {
 	s, err := ParseHeader([]string{"a", "b:num", "c:bool"})
 	if err != nil {
