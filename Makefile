@@ -22,7 +22,7 @@ LINT_ALLOW_BUDGET = 8
 # fails above it). The same kind of ratchet: set to the measured value
 # when code is deleted, never raised; ROADMAP item D heads for 8,500.
 LOC_PKGS   = internal/relalg internal/planner coin
-LOC_BUDGET = 8564
+LOC_BUDGET = 8554
 
 .PHONY: all build test test-bench test-race test-chaos test-invariants vet lint docs-check examples bench bench-smoke bench-base bench-compare golden golden-update fuzz clean
 

@@ -36,8 +36,58 @@ func TestE9MediatedJoinAllocBudget(t *testing.T) {
 	run() // warm caches outside the measured runs
 	allocs := testing.AllocsPerRun(5, run)
 	t.Logf("E9 mediated join (companies=1000): %.0f allocs/query", allocs)
-	const budget = 2700 // measured ~1330; ~2x headroom
+	const budget = 2660 // measured 1331; ~2x headroom
 	if allocs > budget {
 		t.Errorf("mediated E9 query allocates %.0f/query, budget %d", allocs, budget)
+	}
+}
+
+// TestScaleMediatedJoinByteBudget is the byte-volume gate of the same
+// query at the scale_stream workload's size (10,000 companies, exchange
+// joins at DefaultParallelism = 2): the three branches share one build of
+// r2, so r2 crosses the wrapper boundary once per query and the query's
+// allocated bytes stay near one copy of each relation — losing the share
+// (or re-inflating Value) roughly doubles them.
+func TestScaleMediatedJoinByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	med, err := core.New(fixture.Registry()).MediateSQL(fixture.PaperQ1, "c2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10000
+	cat, w := scaledCatalog(n, 42)
+	want := w.Expected.Len()
+	run := func() planner.ExecStats {
+		ex := planner.NewExecutor(cat)
+		ex.DefaultParallelism = 2
+		res, err := executeMediation(ex, med)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != want {
+			t.Fatalf("answers = %d, want %d", res.Len(), want)
+		}
+		return ex.Stats()
+	}
+	// r1 is split across the three branches and r2 is built once; r3 is
+	// four rows per access.
+	if st := run(); st.CacheHits != 2 || st.TuplesTransferred < 2*n || st.TuplesTransferred > 2*n+16 {
+		t.Errorf("stats = %+v, want 2 cache hits and r1 + r2 transferred once each (~%d tuples)", st, 2*n)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+	})
+	perQuery := res.AllocedBytesPerOp()
+	t.Logf("mediated Q1 (companies=%d, parallelism 2): %d B/query over %d queries", n, perQuery, res.N)
+	// Measured 7.5 MB (14.6 MB with three private builds and the 48-byte
+	// Value): 1.6x headroom, so that losing either still trips the gate.
+	const budget = 12 << 20
+	if perQuery > budget {
+		t.Errorf("mediated Q1 allocates %d B/query, budget %d", perQuery, budget)
 	}
 }

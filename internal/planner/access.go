@@ -42,6 +42,7 @@ package planner
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"time"
 
@@ -223,38 +224,44 @@ func (e *Executor) acquireSourceN(ctx context.Context, sess *Session, w wrapper.
 	}, nil
 }
 
-// DefaultProbeCacheBytes bounds the (approximate) bytes of probe answers
-// a session retains for reuse. Past the bound, answers are still
-// single-flighted while in flight but are not kept afterwards, so a
-// huge bind join cannot pin its whole fetched volume in memory for the
-// session's lifetime.
+// DefaultProbeCacheBytes bounds the (approximate) bytes of source answers
+// — bind-join probe relations and hash-join build tables — a session
+// retains for reuse. Past the bound, answers are still single-flighted
+// while in flight but are not kept afterwards, so a huge bind join or
+// build side cannot stay pinned for the session's lifetime.
 const DefaultProbeCacheBytes = 64 << 20
 
+// cached is what the session cache holds: a probe answer
+// (*relalg.Relation) or a hash-join build side (*relalg.BuildTable).
+type cached interface{ ApproxBytes() int64 }
+
 // probeCache is the session-scoped source-result cache with single-flight
-// deduplication. Entries key on source name + SourceQuery.Canonical().
+// deduplication. Probe answers key on "probe" + source name +
+// SourceQuery.Canonical(), build tables on "build" + what buildSharer
+// lists, so the two kinds can never meet under one key.
 type probeCache struct {
 	mu      sync.Mutex
 	entries map[string]*probeEntry
 	bytes   int64
 }
 
-// probeEntry is one cached (or in-flight) answer; done closes when rel
+// probeEntry is one cached (or in-flight) answer; done closes when val
 // and err are final.
 type probeEntry struct {
 	done chan struct{}
-	rel  *relalg.Relation
+	val  cached
 	err  error
 }
 
-// fetchSource answers one materialized source query through the
-// dispatcher, deduplicated within the session: a repeated identical
-// probe returns the cached relation (counted as a cache hit, not a
-// source query), and a concurrent identical probe waits for the first
-// one's answer instead of contacting the source again. Errors are not
-// cached — the waiting duplicates observe the error, later probes retry.
-func (e *Executor) fetchSource(ctx context.Context, sess *Session, w wrapper.Wrapper, q wrapper.SourceQuery) (*relalg.Relation, error) {
+// cachedFetch answers key from the session cache, running fetch at most
+// once per key at a time: a repeated identical request returns the cached
+// value (a cache hit — not a source query, and charged nothing by the
+// governors, since fetch never ran), and a concurrent identical request
+// waits for the first one's answer. Errors are not cached — the waiting
+// duplicates observe the error, later requests retry.
+func cachedFetch[T cached](ctx context.Context, e *Executor, sess *Session, key string, fetch func() (T, error)) (T, error) {
+	var zero T
 	cache := &sess.probe
-	key := w.Source() + "\x00" + q.Canonical()
 	cache.mu.Lock()
 	if cache.entries == nil {
 		cache.entries = map[string]*probeEntry{}
@@ -264,39 +271,70 @@ func (e *Executor) fetchSource(ctx context.Context, sess *Session, w wrapper.Wra
 		select {
 		case <-ent.done:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return zero, ctx.Err()
 		}
 		if ent.err != nil {
-			return nil, ent.err
+			return zero, ent.err
 		}
 		e.mu.Lock()
 		e.stats.CacheHits++
 		e.mu.Unlock()
-		return ent.rel, nil
+		return ent.val.(T), nil
 	}
 	ent := &probeEntry{done: make(chan struct{})}
 	cache.entries[key] = ent
 	cache.mu.Unlock()
-	ent.rel, ent.err = e.querySource(ctx, sess, w, q)
-	if ent.err != nil {
-		cache.mu.Lock()
-		delete(cache.entries, key)
-		cache.mu.Unlock()
-	} else {
-		// Retain the answer only within the session's cache byte budget;
-		// an over-budget answer still serves the waiters that joined this
-		// flight, it just is not kept for later probes.
-		size := ent.rel.ApproxBytes()
-		cache.mu.Lock()
-		if cache.bytes+size > DefaultProbeCacheBytes {
-			delete(cache.entries, key)
-		} else {
-			cache.bytes += size
-		}
-		cache.mu.Unlock()
+	val, err := fetch()
+	// An over-budget answer still serves the waiters that joined this
+	// flight; it just is not kept for later requests.
+	var size int64
+	if err == nil {
+		size = val.ApproxBytes()
 	}
+	ent.val, ent.err = val, err
+	cache.mu.Lock()
+	if err != nil || cache.bytes+size > DefaultProbeCacheBytes {
+		delete(cache.entries, key)
+	} else {
+		cache.bytes += size
+	}
+	cache.mu.Unlock()
 	close(ent.done)
-	return ent.rel, ent.err
+	return val, err
+}
+
+// fetchSource answers one materialized source query through the
+// dispatcher, deduplicated within the session (cachedFetch).
+func (e *Executor) fetchSource(ctx context.Context, sess *Session, w wrapper.Wrapper, q wrapper.SourceQuery) (*relalg.Relation, error) {
+	return cachedFetch(ctx, e, sess, "probe\x00"+w.Source()+"\x00"+q.Canonical(), func() (*relalg.Relation, error) {
+		return e.querySource(ctx, sess, w, q)
+	})
+}
+
+// buildSharer returns the relalg.BuildSharer of one non-bind join step:
+// its build table lives in the session cache under everything that
+// decides its content — source, relation and pushed filters, the binding
+// with the engine-local filters and predicates written against it, and
+// the key columns it is hashed on — so the branches of a mediated union
+// (and concurrent pipelines of the session) fetch, collect and hash the
+// relation once. The key is rendered when the join opens: an unopened
+// branch pays nothing.
+func (e *Executor) buildSharer(sess *Session, step *PlanStep) relalg.BuildSharer {
+	return func(ctx context.Context, build func() (*relalg.BuildTable, error)) (*relalg.BuildTable, error) {
+		var key strings.Builder
+		key.WriteString("build\x00" + step.Source + "\x00")
+		key.WriteString(wrapper.SourceQuery{Relation: step.Relation, Filters: step.Pushed}.Canonical())
+		key.WriteString("\x00")
+		key.WriteString(wrapper.SourceQuery{Relation: step.Binding, Filters: step.Local}.Canonical())
+		for _, p := range step.LocalPreds {
+			key.WriteString("\x00" + p.String())
+		}
+		key.WriteString("\x00on")
+		for _, k := range step.JoinKeys {
+			key.WriteString("\x00" + k.NewColumn)
+		}
+		return cachedFetch(ctx, e, sess, key.String(), build)
+	}
 }
 
 // querySource runs one materialized source query under admission and the

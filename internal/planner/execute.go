@@ -80,10 +80,11 @@ type ExecStats struct {
 	SourceQueries     int
 	TuplesTransferred int
 	BranchesRun       int
-	// CacheHits counts probes answered from the session result cache
-	// (including single-flight joins of an in-flight identical probe)
-	// without contacting the source; they are deliberately not part of
-	// SourceQueries, which stays a faithful communication count.
+	// CacheHits counts bind-join probes and hash-join build sides answered
+	// from the session cache (including single-flight joins of an
+	// in-flight identical one) without contacting the source; they are
+	// deliberately not part of SourceQueries, which stays a faithful
+	// communication count.
 	CacheHits int
 	// Retries counts source-operation retries actually performed (each
 	// one a fresh attempt after a backoff sleep); the first attempt of an

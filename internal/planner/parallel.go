@@ -12,7 +12,7 @@ package planner
 //
 // Three placements are annotated:
 //
-//   - step.Workers: a keyed join step becomes a hash-repartition exchange
+//   - step.Workers: a keyed join step becomes a join exchange
 //     (relalg.ParallelHashJoinIter) when its build side is estimated
 //     large enough to amortize the worker pipelines.
 //   - step.ScanParts: an independent scan step fans out into partitioned

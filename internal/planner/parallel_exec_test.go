@@ -360,11 +360,35 @@ func TestParallelScanMidStreamFaultRecovers(t *testing.T) {
 	}
 }
 
+// parJoinPrivate is parJoinQ with an always-true filter on each side that
+// differs per i: the same rows move, but no two pipelines have a build
+// side in common, so none is served from the session's build memo.
+func parJoinPrivate(i int) sqlparse.Statement {
+	return sqlparse.MustParse(fmt.Sprintf("%s AND big.v > %d AND dim.w > %d", parJoinQ, -1-i, -1-i))
+}
+
+// runConcurrently runs one statement per pipeline on ONE session, all at
+// once, and returns their answers and errors.
+func runConcurrently(ex *Executor, sess *Session, pipelines int, stmt func(i int) sqlparse.Statement) ([]*relalg.Relation, []error) {
+	var wg sync.WaitGroup
+	rels := make([]*relalg.Relation, pipelines)
+	errs := make([]error, pipelines)
+	for i := 0; i < pipelines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rels[i], errs[i] = ex.ExecuteSession(sess, stmt(i))
+		}(i)
+	}
+	wg.Wait()
+	return rels, errs
+}
+
 // TestSessionGovernorAtomicUnderParallel is the governor atomicity
 // stress: eight pipelines execute concurrently on ONE session — each a
-// parallel query with its own exchange workers — and the session's
-// transfer accounting must come out exact (under -race this also proves
-// the charge paths are data-race free).
+// parallel query with its own exchange workers and its own build side —
+// and the session's transfer accounting must come out exact (under -race
+// this also proves the charge paths are data-race free).
 func TestSessionGovernorAtomicUnderParallel(t *testing.T) {
 	cat, _, _ := buildParCatalog(t, parCatalogOpts{bigRows: 3000, dimRows: 800, seed: 6})
 	ex := NewExecutor(cat)
@@ -372,7 +396,7 @@ func TestSessionGovernorAtomicUnderParallel(t *testing.T) {
 
 	// Baseline: what one run charges.
 	base := ex.NewSession(context.Background(), Limits{})
-	if _, err := ex.ExecuteSession(base, sqlparse.MustParse(parJoinQ)); err != nil {
+	if _, err := ex.ExecuteSession(base, parJoinPrivate(0)); err != nil {
 		t.Fatal(err)
 	}
 	perRun := base.TuplesTransferred()
@@ -384,16 +408,7 @@ func TestSessionGovernorAtomicUnderParallel(t *testing.T) {
 	const pipelines = 8
 	sess := ex.NewSession(context.Background(), Limits{})
 	defer sess.Close()
-	var wg sync.WaitGroup
-	errs := make([]error, pipelines)
-	for i := 0; i < pipelines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = ex.ExecuteSession(sess, sqlparse.MustParse(parJoinQ))
-		}(i)
-	}
-	wg.Wait()
+	_, errs := runConcurrently(ex, sess, pipelines, parJoinPrivate)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("pipeline %d: %v", i, err)
@@ -403,22 +418,16 @@ func TestSessionGovernorAtomicUnderParallel(t *testing.T) {
 		t.Errorf("session charged %d tuples across %d concurrent pipelines, want exactly %d",
 			got, pipelines, want)
 	}
+	if hits := ex.Stats().CacheHits; hits != 0 {
+		t.Errorf("distinct build sides shared %d builds, want 0", hits)
+	}
 
 	// And the budget aborts, rather than overshooting silently, when the
 	// concurrent pipelines exceed it.
 	capped := ex.NewSession(context.Background(), Limits{MaxTuples: perRun * 2})
 	defer capped.Close()
-	var cwg sync.WaitGroup
-	cerrs := make([]error, pipelines)
-	for i := 0; i < pipelines; i++ {
-		cwg.Add(1)
-		go func(i int) {
-			defer cwg.Done()
-			_, cerrs[i] = ex.ExecuteSession(capped, sqlparse.MustParse(parJoinQ))
-		}(i)
-	}
-	cwg.Wait()
 	var exceeded bool
+	_, cerrs := runConcurrently(ex, capped, pipelines, parJoinPrivate)
 	for _, err := range cerrs {
 		if errors.Is(err, ErrTuplesExceeded) {
 			exceeded = true
@@ -426,6 +435,73 @@ func TestSessionGovernorAtomicUnderParallel(t *testing.T) {
 	}
 	if !exceeded {
 		t.Errorf("no pipeline reported ErrTuplesExceeded under an exceeded shared budget")
+	}
+}
+
+// TestSessionSharedBuildUnderParallel is the shared twin: eight
+// concurrent pipelines of one session with ONE build key single-flight
+// the build — its source is fetched exactly once, the seven others are
+// cache hits charged nothing — while every pipeline still streams its own
+// probe side and returns the full answer (run under -race: eight exchange
+// joins probe one frozen table at once).
+func TestSessionSharedBuildUnderParallel(t *testing.T) {
+	cat, bigCtr, dimCtr := buildParCatalog(t, parCatalogOpts{bigRows: 3000, dimRows: 800, seed: 6, nullKeys: true})
+	ex := NewExecutor(cat)
+	ex.DefaultParallelism = 4
+	shared := func(int) sqlparse.Statement { return sqlparse.MustParse(parJoinQ) }
+
+	// A private-build run first: the yardstick answer and charge. Its
+	// Close also hands the learned statistics over, so every plan below —
+	// sess flushes nothing until its own Close — is the same plan.
+	base := ex.NewSession(context.Background(), Limits{})
+	res, err := ex.ExecuteSession(base, shared(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.String()
+	base.Close()
+
+	const pipelines = 8
+	sess := ex.NewSession(context.Background(), Limits{})
+	defer sess.Close()
+	plan, err := ex.PlanCtx(bg, shared(0).(*sqlparse.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.ParallelizePlan(plan, sess)
+	probe, build := plan.Steps[0], plan.Steps[1]
+	rows := map[string]int{"big": 3000, "dim": 800}
+	ctrs := map[string]*wrappertest.Counter{"big": bigCtr, "dim": dimCtr}
+	fetches := func(step PlanStep) int { // source queries of one scan of the step
+		if step.ScanParts > 1 {
+			return step.ScanParts
+		}
+		return 1
+	}
+
+	bigCtr.Reset()
+	dimCtr.Reset()
+	ex.ResetStats()
+	got, errs := runConcurrently(ex, sess, pipelines, shared)
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("pipeline %d: %v", i, errs[i])
+		}
+		if got[i].String() != want {
+			t.Errorf("pipeline %d: answer over the shared table differs from a private build", i)
+		}
+	}
+	if hits := ex.Stats().CacheHits; hits != pipelines-1 {
+		t.Errorf("CacheHits = %d, want %d (one build, the rest served from it)", hits, pipelines-1)
+	}
+	if got, want := ctrs[build.Relation].Queries(), fetches(build); got != want {
+		t.Errorf("build side %s saw %d source queries, want %d: fetched exactly once", build.Relation, got, want)
+	}
+	if got, want := ctrs[probe.Relation].Queries(), pipelines*fetches(probe); got != want {
+		t.Errorf("probe side %s saw %d source queries, want %d: streamed by every pipeline", probe.Relation, got, want)
+	}
+	if got, want := sess.TuplesTransferred(), rows[build.Relation]+pipelines*rows[probe.Relation]; got != want {
+		t.Errorf("session charged %d tuples, want %d (cache hits are charged nothing)", got, want)
 	}
 }
 

@@ -53,7 +53,7 @@ type PlanStep struct {
 	// has run.
 	AfterPreds []sqlparse.Expr
 
-	// Workers is the hash-repartition exchange parallelism of this step's
+	// Workers is the join-exchange parallelism of this step's
 	// join: above 1, the probe stream is split across that many worker
 	// pipelines (relalg.ParallelHashJoinIter) and reassembled in exact
 	// serial order. 0 or 1 is the serial hash join. Annotated by the
@@ -88,7 +88,8 @@ type StepActuals struct {
 	Rows atomic.Int64
 	// Queries counts source queries issued for this step; probes answered
 	// by the session cache count too (they are still accesses the plan
-	// asked for).
+	// asked for). A hash-join build side served from the session's shared
+	// build table never opens its scan: the step shows 0 rows, 0 queries.
 	Queries atomic.Int64
 	// Out counts the tuples the step emitted downstream, after its joins
 	// and local predicates.

@@ -44,7 +44,7 @@ type Limits struct {
 	// governs).
 	RetryBudget int
 	// MaxParallelism caps the workers intra-query parallel operators may
-	// use in this session: the hash-repartition join exchange, the
+	// use in this session: the hash-join exchange, the
 	// partitioned sort and the partitioned scan fan-out. Zero defers to
 	// the executor's DefaultParallelism; 1 forces serial pipelines (plans
 	// and EXPLAIN output are byte-identical to the pre-exchange planner);
@@ -88,7 +88,8 @@ type Session struct {
 	warnMu   sync.Mutex
 	warnings []Warning
 
-	// probe is the session-scoped source-result cache (access.go).
+	// probe is the session-scoped cache of probe answers and hash-join
+	// build tables (access.go); Close drops it.
 	probe probeCache
 
 	// disp holds the session-level per-source admission pools backing
@@ -133,12 +134,16 @@ func (s *Session) Limits() Limits { return s.limits }
 func (s *Session) Cancel() { s.cancel() }
 
 // Close releases the session: it cancels the context (stopping any
-// in-flight pipeline), frees the deadline timer, and flushes the buffered
-// statistics observations into the executor's adaptive store — the
-// feedback loop's hand-off point. Idempotent.
+// in-flight pipeline), frees the deadline timer, drops the cached source
+// answers (a closed session a caller still holds pins no build table),
+// and flushes the buffered statistics observations into the executor's
+// adaptive store — the feedback loop's hand-off point. Idempotent.
 func (s *Session) Close() error {
 	s.flushObs()
 	s.cancel()
+	s.probe.mu.Lock()
+	s.probe.entries, s.probe.bytes = nil, 0
+	s.probe.mu.Unlock()
 	return nil
 }
 

@@ -666,7 +666,9 @@ func (e *Executor) sourceIter(sess *Session, step *PlanStep, act *StepActuals) (
 // every join algorithm applies it to the joined row before emitting, so
 // rejected rows never leave the join (and their arena slots are
 // reclaimed) instead of being materialized and filtered above.
-func (e *Executor) joinIter(pool *relalg.Interner, cur, next relalg.Iterator, keys []JoinKey, binding string, residual sqlparse.Expr, workers int, workerRows []atomic.Int64) (relalg.Iterator, error) {
+// share is the step's session-wide build memo (buildSharer), nil for a
+// bind join, whose fetched side depends on the feeding rows.
+func (e *Executor) joinIter(share relalg.BuildSharer, cur, next relalg.Iterator, keys []JoinKey, binding string, residual sqlparse.Expr, workers int, workerRows []atomic.Int64) (relalg.Iterator, error) {
 	if len(keys) > 0 && !e.ForceNestedLoop {
 		aKeys := make([]string, len(keys))
 		bKeys := make([]string, len(keys))
@@ -675,23 +677,23 @@ func (e *Executor) joinIter(pool *relalg.Interner, cur, next relalg.Iterator, ke
 			bKeys[i] = binding + "." + k.NewColumn
 		}
 		if workers > 1 {
-			// Hash-repartition exchange: build and probe split across
-			// worker pipelines, output re-serialized in exact probe order.
-			// The probe side is NOT marked transient — its batches cross
-			// the exchange asynchronously, so the consumer promise that
-			// makes arena recycling safe cannot be given here.
+			// Exchange join: the probe stream split across worker pipelines
+			// over the one build table, output re-serialized in exact probe
+			// order. The probe side is NOT marked transient — its batches
+			// cross the exchange asynchronously, so the consumer promise
+			// that makes arena recycling safe cannot be given here.
 			phj, err := relalg.NewParallelHashJoin(cur, next, aKeys, bKeys, residual, false /* build the fetched side */, nil, workers)
 			if err != nil {
 				return nil, err
 			}
-			phj.WorkerOut = workerRows
+			phj.Shared, phj.WorkerOut = share, workerRows
 			return phj, nil
 		}
 		hj, err := relalg.NewHashJoin(cur, next, aKeys, bKeys, residual, false /* build the fetched side */, nil)
 		if err != nil {
 			return nil, err
 		}
-		hj.Intern = pool
+		hj.Shared = share
 		// cur streams through the probe side: every probe row is either
 		// dropped or re-copied into the join's own output arena before
 		// the next batch is pulled, so cur's rows need not stay alive.
@@ -733,12 +735,6 @@ func (e *Executor) joinIter(pool *relalg.Interner, cur, next relalg.Iterator, ke
 // session's context; Collect it (or use RunSession) for a materialized
 // answer. The tree is single-use.
 func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator, error) {
-	// One interning pool per compiled pipeline: the tree is single-use and
-	// pulled by one goroutine, so every key-hashing operator in it (hash
-	// joins, DISTINCT) can share string handles without locking. Handles
-	// never cross the pool boundary — probe-cache entries carry full
-	// Value.Key forms.
-	pool := relalg.NewInterner()
 	var cur relalg.Iterator
 	for i := range plan.Steps {
 		step := &plan.Steps[i]
@@ -771,7 +767,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 			}
 			if cur == nil {
 				cur = next
-			} else if cur, err = e.joinIter(pool, cur, next, step.JoinKeys, step.Binding, after, step.Workers, workerRows); err != nil {
+			} else if cur, err = e.joinIter(e.buildSharer(sess, step), cur, next, step.JoinKeys, step.Binding, after, step.Workers, workerRows); err != nil {
 				return nil, err
 			} else {
 				afterConsumed = after != nil
@@ -804,7 +800,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 				if err != nil {
 					return nil, err
 				}
-				return e.joinIter(pool, relalg.NewScan(curRel), relalg.NewScan(fetched), step.JoinKeys, step.Binding, after, step.Workers, workerRows)
+				return e.joinIter(nil, relalg.NewScan(curRel), relalg.NewScan(fetched), step.JoinKeys, step.Binding, after, step.Workers, workerRows)
 			})
 			afterConsumed = after != nil
 		}
@@ -842,9 +838,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 		relalg.MarkTransient(cur)
 		out = relalg.NewProject(cur, items)
 		if plan.Distinct {
-			d := relalg.NewDistinct(out)
-			d.Intern = pool
-			out = d
+			out = relalg.NewDistinct(out)
 		}
 		if len(plan.OrderBy) > 0 {
 			srt := relalg.NewSort(out, keys, nil)

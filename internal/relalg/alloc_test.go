@@ -10,7 +10,23 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"unsafe"
 )
+
+// TestValueFootprint pins the Value diet (one word of number, two of
+// string header, one shared by kind and bool): every tuple arena, build
+// table and cached answer is sized in multiples of it, and the session
+// cache's byte budget (Relation.ApproxBytes) must follow it.
+func TestValueFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("Value is %d bytes, want 32", got)
+	}
+	rel := NewRelation("r", NewSchema(Column{"s", KindString}, Column{"n", KindNumber}))
+	rel.MustAdd(StrV("abcd"), NumV(1))
+	if got, want := rel.ApproxBytes(), int64(24+2*32+4); got != want {
+		t.Errorf("ApproxBytes = %d, want %d (row header + two values + string payload)", got, want)
+	}
+}
 
 // allocRelations builds two string-keyed relations: a holds n rows with
 // unique keys, b holds n rows over n/4 of those keys, so the join emits

@@ -2,8 +2,6 @@ package relalg
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -11,12 +9,11 @@ import (
 )
 
 // This file holds the intra-query parallelism ("exchange") operators:
-// a hash-repartition exchange embodied in ParallelHashJoinIter (build and
-// probe sides split across N worker pipelines on the join keys, over the
-// same hjTable the serial HashJoinIter builds), plus forChunks and the
-// rows-per-worker floor that SortIter.Par's chunk sort + order-preserving
-// merge — the many-worker case of the one sort kernel (sortTuples in
-// ops.go) — runs on.
+// ParallelHashJoinIter (the probe stream split across N worker pipelines
+// over the one BuildTable the serial HashJoinIter would build), plus
+// forChunks and the rows-per-worker floor that SortIter.Par's chunk sort +
+// order-preserving merge — the many-worker case of the one sort kernel
+// (sortTuples in ops.go) — runs on.
 //
 // Determinism rule: every parallel operator produces output identical in
 // content AND order to its serial counterpart, so plans never change
@@ -24,63 +21,19 @@ import (
 //
 //   - parallel hash join: probe batches are dispatched round-robin to
 //     workers and their outputs re-read in the same round-robin order,
-//     so rows flow in exact probe-stream order; same-key build rows all
-//     land in one partition, preserving build-insertion match order.
+//     so rows flow in exact probe-stream order; every worker probes the
+//     same table, so match order inside a bucket is build-insertion order.
 //   - parallel sort: contiguous chunks are sorted concurrently and
 //     merged under one comparator that is a strict total order (key
 //     columns by SortKey, then row index), so the merge is the serial
 //     sort by construction — for NaN keys too.
 //
-// Isolation rule: no Interner handle, KeyEncoder scratch buffer, or
-// transient batch crosses a worker boundary. Each partition builds with
-// a private pool; probers share that pool strictly read-only through
-// KeyEncoder.LookupKey; batches handed across channels are durable
-// copies (fresh builder arenas or copied row-header slices).
-
-// FNV-1a 64-bit parameters for the partition-routing hash.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// partitionHash hashes the values of t at cols for partition routing. The
-// hash is identical across interner pools: strings hash their raw bytes
-// (handles differ pool to pool) and NaN payloads are canonicalized exactly
-// as the key encoding does.
-func partitionHash(t Tuple, cols []int) uint64 {
-	h := fnvOffset64
-	for _, ci := range cols {
-		v := t[ci]
-		v.checkLive()
-		switch v.K {
-		case KindNumber:
-			bits := math.Float64bits(v.N)
-			if v.N != v.N {
-				bits = math.Float64bits(math.NaN())
-			}
-			h = (h ^ uint64(keyTagNum)) * fnvPrime64
-			for s := 56; s >= 0; s -= 8 {
-				h = (h ^ (bits >> uint(s) & 0xFF)) * fnvPrime64
-			}
-		case KindString:
-			h = (h ^ uint64(keyTagStr)) * fnvPrime64
-			for i := 0; i < len(v.S); i++ {
-				h = (h ^ uint64(v.S[i])) * fnvPrime64
-			}
-			// Terminator so adjacent key strings cannot alias each other.
-			h = (h ^ 0xFF) * fnvPrime64
-		case KindBool:
-			tag := uint64(keyTagFalse)
-			if v.B {
-				tag = keyTagTrue
-			}
-			h = (h ^ tag) * fnvPrime64
-		default:
-			h = (h ^ uint64(keyTagNull)) * fnvPrime64
-		}
-	}
-	return h
-}
+// Isolation rule: no KeyEncoder scratch buffer or transient batch crosses
+// a worker boundary. The build table and its pool are frozen before the
+// first worker starts; probers read them through private encoders
+// (KeyEncoder.LookupKey never grows a pool); batches handed across
+// channels are durable copies (fresh builder arenas or copied row-header
+// slices).
 
 // tupleHasNullKey reports whether any key column of t is NULL (SQL
 // equality: such rows can never join).
@@ -108,26 +61,19 @@ type phjChunk struct {
 // cannot buffer unbounded batches ahead of a slow consumer.
 const phjChanCap = 2
 
-// ParallelHashJoinIter is the hash-repartition exchange form of
-// HashJoinIter: the build side is drained once, routed by key hash into
-// Par partitions and hashed into Par tables concurrently (each with a
-// private interner pool); probe batches are then dispatched round-robin
-// to Par worker pipelines that probe the tables read-only and emit
-// concatenated rows. The consumer re-reads worker outputs in the same
-// round-robin order, so the output is identical in content and order to
-// the serial HashJoinIter — batch boundaries may differ, row order may
-// not.
+// ParallelHashJoinIter is the exchange form of HashJoinIter: the build
+// side becomes one BuildTable exactly as in the serial join (openBuild);
+// probe batches are then dispatched round-robin to Par worker pipelines
+// that probe the table read-only and emit concatenated rows. The consumer
+// re-reads worker outputs in the same round-robin order, so the output is
+// identical in content and order to the serial HashJoinIter — batch
+// boundaries may differ, row order may not.
 //
 // The probe child is driven only from the dispatch goroutine; Close
 // cancels the internal context, waits for every worker to exit, and only
 // then closes the child, so the single-use iterator contract holds.
 type ParallelHashJoinIter struct {
-	left, right Iterator
-	leftIdx     []int
-	rightIdx    []int
-	residual    sqlparse.Expr
-	buildLeft   bool
-	schema      Schema
+	hashJoin
 	// Par is the worker count; set before Open (values < 1 run one
 	// worker). The planner only builds this operator when Par > 1.
 	Par int
@@ -137,8 +83,6 @@ type ParallelHashJoinIter struct {
 	// the observer may read them while the exchange runs.
 	WorkerOut []atomic.Int64
 
-	tables    []hjTable
-	probe     Iterator
 	cancel    context.CancelFunc
 	wg        sync.WaitGroup
 	outs      []chan phjChunk
@@ -172,72 +116,27 @@ func (d *phjDist) err() error {
 	return d.e
 }
 
-// NewParallelHashJoin prepares a partitioned-parallel hash join of left
+// NewParallelHashJoin prepares an exchange-parallel hash join of left
 // and right on pairwise equal key columns, mirroring NewHashJoin's
 // contract (buildLeft selects the materialized side; residual applies to
 // the concatenated row; output columns are always left ++ right).
 func NewParallelHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool, _ Stager, par int) (*ParallelHashJoinIter, error) {
-	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
-		return nil, fmt.Errorf("relalg: hash join requires matching non-empty key lists")
+	core, err := newHashJoin(left, right, leftKeys, rightKeys, residual, buildLeft)
+	if err != nil {
+		return nil, err
 	}
-	ls, rs := left.Schema(), right.Schema()
-	li := make([]int, len(leftKeys))
-	ri := make([]int, len(rightKeys))
-	for i := range leftKeys {
-		li[i] = ls.Index(leftKeys[i])
-		ri[i] = rs.Index(rightKeys[i])
-		if li[i] < 0 || ri[i] < 0 {
-			return nil, fmt.Errorf("relalg: hash join key %s/%s not found", leftKeys[i], rightKeys[i])
-		}
-	}
-	if par < 1 {
-		par = 1
-	}
-	return &ParallelHashJoinIter{
-		left: left, right: right,
-		leftIdx: li, rightIdx: ri,
-		residual: residual, buildLeft: buildLeft,
-		schema: ls.Concat(rs), Par: par,
-	}, nil
+	return &ParallelHashJoinIter{hashJoin: core, Par: par}, nil
 }
 
-// Schema implements Iterator.
-func (j *ParallelHashJoinIter) Schema() Schema { return j.schema }
-
-// Open implements Iterator: it drains the build side, partitions it into
-// Par hash tables built concurrently, opens the probe child and starts
-// the dispatch and worker goroutines.
+// Open implements Iterator: it obtains the build side's hash table, opens
+// the probe child and starts the dispatch and worker goroutines.
 func (j *ParallelHashJoinIter) Open(ctx context.Context) error {
-	build, buildIdx := j.right, j.rightIdx
-	if j.buildLeft {
-		build, buildIdx = j.left, j.leftIdx
-	}
-	rel, err := Collect(ctx, build, "")
-	if err != nil {
+	if err := j.openBuild(ctx); err != nil {
 		return err
 	}
 	par := j.Par
 	if par < 1 {
 		par = 1
-	}
-	// Route build rows by key hash; same-key rows land in one partition
-	// in build order, so match order inside a bucket is preserved.
-	parts := make([][]Tuple, par)
-	for _, t := range rel.Tuples {
-		p := int(partitionHash(t, buildIdx) % uint64(par))
-		parts[p] = append(parts[p], t)
-	}
-	// One table per partition, each built by exactly one worker over a
-	// private pool and probed read-only afterwards.
-	j.tables = make([]hjTable, par)
-	forChunks(par, par, func(p, _, _ int) {
-		j.tables[p] = buildHJTable(parts[p], buildIdx, NewKeyEncoder(nil))
-	})
-
-	j.probe = j.left
-	probeIdx := j.leftIdx
-	if j.buildLeft {
-		j.probe, probeIdx = j.right, j.rightIdx
 	}
 	if err := j.probe.Open(ctx); err != nil {
 		// A failed child Open cleans up after itself; never Close it.
@@ -255,7 +154,7 @@ func (j *ParallelHashJoinIter) Open(ctx context.Context) error {
 	j.dist = &phjDist{}
 	for p := 0; p < par; p++ {
 		j.wg.Add(1)
-		go j.worker(wctx, p, ins[p], j.outs[p], probeIdx)
+		go j.worker(wctx, p, ins[p], j.outs[p])
 	}
 	j.wg.Add(1)
 	go j.dispatch(wctx, ins)
@@ -298,19 +197,15 @@ func (j *ParallelHashJoinIter) dispatch(ctx context.Context, ins []chan []Tuple)
 	}
 }
 
-// worker probes the partition tables for each dispatched batch and emits
+// worker probes the build table for each dispatched batch and emits
 // the join output as chunks, ending each input batch with a last-marked
 // chunk so the consumer can re-serialize batches in dispatch order.
-func (j *ParallelHashJoinIter) worker(ctx context.Context, self int, in chan []Tuple, out chan phjChunk, probeIdx []int) {
+func (j *ParallelHashJoinIter) worker(ctx context.Context, self int, in chan []Tuple, out chan phjChunk) {
 	defer j.wg.Done()
 	defer close(out)
-	par := len(j.tables)
-	// Private encoders over the shared frozen pools: scratch buffers are
-	// per-worker, pools are probed read-only via LookupKey.
-	encs := make([]*KeyEncoder, par)
-	for p := range encs {
-		encs[p] = NewKeyEncoder(j.tables[p].in)
-	}
+	// A private encoder over the table's frozen pool: the scratch buffer
+	// is per-worker, the pool is probed read-only via LookupKey.
+	tbl, enc := j.tbl, NewKeyEncoder(j.tbl.in)
 	var resFn func(Tuple) (bool, error)
 	if j.residual != nil {
 		// Compiled predicates keep per-instance scratch state: one per
@@ -334,12 +229,7 @@ func (j *ParallelHashJoinIter) worker(ctx context.Context, self int, in chan []T
 		bb := NewBatchBuilder(len(j.schema.Columns))
 		failed := false
 		for _, t := range rows {
-			if tupleHasNullKey(t, probeIdx) {
-				continue
-			}
-			tp := int(partitionHash(t, probeIdx) % uint64(par))
-			tbl := &j.tables[tp]
-			bi, ok := tbl.lookup(t, probeIdx, encs[tp])
+			bi, ok := tbl.lookup(t, j.probeIdx, enc)
 			if !ok {
 				continue
 			}
@@ -445,7 +335,7 @@ func (j *ParallelHashJoinIter) Close() error {
 		j.cancel = nil
 	}
 	j.wg.Wait()
-	j.tables, j.outs, j.cur, j.dist = nil, nil, nil, nil
+	j.tbl, j.outs, j.cur, j.dist = nil, nil, nil, nil
 	j.exhausted = true
 	if j.probe == nil {
 		return nil

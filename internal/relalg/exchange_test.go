@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/sqlparse"
@@ -292,20 +293,61 @@ func TestParallelIterHooks(t *testing.T) {
 	requireSameRows(t, "SortIter.Par", want, drainOrdered(t, par, 32))
 }
 
-// TestPartitionHashPoolIndependence pins the routing rule that makes
-// cross-pool probing sound: the hash depends only on value content
-// (string bytes, canonical NaN), never on interner handles.
-func TestPartitionHashPoolIndependence(t *testing.T) {
-	a := Tuple{StrV("x"), NumV(math.NaN())}
-	b := Tuple{StrV("x"), NumV(math.Float64frombits(0x7FF8000000000001))} // NaN, odd payload
-	if partitionHash(a, []int{0, 1}) != partitionHash(b, []int{0, 1}) {
-		t.Fatal("NaN payloads must hash canonically")
+// TestParallelProbersShareOneTable pins the read-only contract a shared
+// build rests on: one frozen BuildTable probed at once by several serial
+// and exchange joins (each with private encoders over the table's pool)
+// gives every one of them the private-build answer. Meaningful under
+// -race; the multi-column key shape is the one that goes through the
+// pool.
+func TestParallelProbersShareOneTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	left := randomKeyedRel(rng, "l", 900, 25, false)
+	right := randomKeyedRel(rng, "r", 700, 25, true)
+	keys := []string{"sk", "nk"}
+	priv, err := NewHashJoin(NewScan(left), NewScan(right), keys, keys, nil, false, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if partitionHash(Tuple{StrV("ab"), StrV("c")}, []int{0, 1}) ==
-		partitionHash(Tuple{StrV("a"), StrV("bc")}, []int{0, 1}) {
-		t.Fatal("adjacent strings must not alias")
+	want := drainOrdered(t, priv, 64)
+	tbl := buildHJTable(right.Tuples, []int{0, 1})
+	if got, floor := tbl.ApproxBytes(), right.ApproxBytes(); got < floor/2 {
+		t.Errorf("table estimate %d B is under half its rows' %d B: overheads or rows are not counted", got, floor)
 	}
-	if partitionHash(Tuple{Null}, []int{0}) == partitionHash(Tuple{StrV("")}, []int{0}) {
-		t.Fatal("NULL and empty string must hash differently")
+	share := func(context.Context, func() (*BuildTable, error)) (*BuildTable, error) { return tbl, nil }
+
+	const probers = 6
+	got := make([][]Tuple, probers)
+	errs := make([]error, probers)
+	var wg sync.WaitGroup
+	for i := 0; i < probers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var it Iterator
+			if i%2 == 0 {
+				hj, err := NewHashJoin(NewScan(left), NewScan(right), keys, keys, nil, false, nil)
+				if errs[i] = err; err != nil {
+					return
+				}
+				hj.Shared, it = share, hj
+			} else {
+				pj, err := NewParallelHashJoin(NewScan(left), NewScan(right), keys, keys, nil, false, nil, 3)
+				if errs[i] = err; err != nil {
+					return
+				}
+				pj.Shared, it = share, pj
+			}
+			rel, err := Collect(context.Background(), it, "")
+			if errs[i] = err; err == nil {
+				got[i] = rel.Tuples
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("prober %d: %v", i, errs[i])
+		}
+		requireSameRows(t, fmt.Sprintf("prober %d", i), want, got[i])
 	}
 }

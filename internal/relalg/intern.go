@@ -8,12 +8,13 @@ import "math"
 // operator.
 //
 // Scope: handles are meaningful only relative to one pool and only for
-// that pool's lifetime. The planner creates one pool per compiled
-// pipeline (a single consumer goroutine pulls a pipeline, so the pool
-// needs no locking; exchange workers build private pools). Anything that crosses a pool boundary —
-// the session probe cache, replay-dedup keys, golden
-// baselines — keeps using the collision-proof Value.Key/Tuple.FullKey
-// encoding from PR 4. An interned handle must never be persisted.
+// that pool's lifetime. A pool has one writer and needs no locking: an
+// operator's own, or one the planner shares between the operators a
+// single goroutine pulls; a hash-join build table freezes its pool before
+// any prober reads it. Anything that crosses a pool boundary — the
+// session cache's keys, replay-dedup keys, golden baselines — keeps using
+// the collision-proof Value.Key/Tuple.FullKey encoding from PR 4. An
+// interned handle must never be persisted.
 type Interner struct {
 	ids map[string]uint32
 }
@@ -118,8 +119,7 @@ func (e *KeyEncoder) Key(t Tuple, cols []int) []byte {
 // it, so the encoding is reported impossible (ok=false) instead of
 // interning the string. Because it leaves the pool untouched, concurrent
 // probers may call it through private encoders sharing one frozen pool —
-// the read-only half of the hash-repartition exchange contract (see
-// exchange.go). The returned key aliases the encoder's scratch buffer,
+// the read-only contract shared build tables rest on (see BuildTable). The returned key aliases the encoder's scratch buffer,
 // same as Key.
 func (e *KeyEncoder) LookupKey(t Tuple, cols []int) ([]byte, bool) {
 	b := e.buf[:0]
@@ -159,10 +159,3 @@ func (e *KeyEncoder) ValueKey(v Value) []byte {
 	e.buf = b
 	return b
 }
-
-// Handle interns s in the encoder's pool and returns its handle.
-func (e *KeyEncoder) Handle(s string) uint32 { return e.in.Intern(s) }
-
-// LookupHandle returns s's handle without interning it (see
-// Interner.Lookup).
-func (e *KeyEncoder) LookupHandle(s string) (uint32, bool) { return e.in.Lookup(s) }

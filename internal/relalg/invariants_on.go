@@ -38,8 +38,8 @@ import (
 const InvariantsEnabled = true
 
 // poisonKind marks a Value slot whose transient batch has been recycled.
-// No valid Kind is negative, so the poison can never collide with data.
-const poisonKind Kind = -0x7015
+// No valid Kind comes near it, so the poison can never collide with data.
+const poisonKind Kind = 0xFF
 
 // poisonValues overwrites recycled transient-arena slots so any retained
 // alias fails loudly on first use.

@@ -74,6 +74,14 @@ func (r *raggedScan) Next(max int) (Batch, error) {
 	return r.ScanIter.Next(max)
 }
 
+// neverOpened fails the test's join if its build child is touched: a
+// join served a shared table must not open it.
+type neverOpened struct{ *ScanIter }
+
+func (n *neverOpened) Open(context.Context) error {
+	return fmt.Errorf("build child opened although the table was shared")
+}
+
 // oversizeScan violates the contract by returning more rows than max —
 // the adversarial child for LIMIT's defensive truncation.
 type oversizeScan struct {
@@ -179,6 +187,46 @@ func TestOperatorsRaggedBatchEquivalence(t *testing.T) {
 		}
 		if !SameTuples(hjo, whj) {
 			t.Fatalf("seed %d: hash join bags differ across build sides", seed)
+		}
+
+		// One shared table, NULL / NaN / duplicate keys: a serial and an
+		// exchange join handed the same BuildTable agree row for row with
+		// a private build, and the build side is drained exactly once.
+		kl := randomKeyedRel(rng, "l", 60+rng.Intn(60), 9, seed%2 == 0)
+		kr := randomKeyedRel(rng, "r", 40+rng.Intn(60), 9, seed%2 == 1)
+		for _, keys := range [][]string{{"sk"}, {"nk"}, {"sk", "nk"}} {
+			priv, err := NewHashJoin(NewScan(kl), NewScan(kr), keys, keys, nil, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := drainOrdered(t, priv, 16)
+			var tbl *BuildTable
+			builds := 0
+			share := func(_ context.Context, build func() (*BuildTable, error)) (*BuildTable, error) {
+				if tbl == nil {
+					builds++
+					var err error
+					if tbl, err = build(); err != nil {
+						return nil, err
+					}
+				}
+				return tbl, nil
+			}
+			shj, err := NewHashJoin(rag(kl), rag(kr), keys, keys, nil, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shj.Shared = share
+			requireSameRows(t, fmt.Sprintf("seed %d shared serial %v", seed, keys), want, drainOrdered(t, shj, 16))
+			phj, err := NewParallelHashJoin(rag(kl), &neverOpened{NewScan(kr)}, keys, keys, nil, false, nil, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			phj.Shared = share
+			requireSameRows(t, fmt.Sprintf("seed %d shared exchange %v", seed, keys), want, drainOrdered(t, phj, 16))
+			if builds != 1 {
+				t.Fatalf("seed %d %v: build side drained %d times, want 1", seed, keys, builds)
+			}
 		}
 
 		ua, err := NewUnionAll(NewScan(a), NewScan(b))

@@ -464,34 +464,42 @@ func (n *NestedLoopIter) Close() error { return n.outer.Close() }
 // hashed at Open (a pipeline breaker, buffered in memory), the probe
 // side streams. Output columns are always left.Schema ++ right.Schema
 // regardless of which side builds; output order follows the probe
-// stream, with matches in build-insertion order (see hjTable). Probing
+// stream, with matches in build-insertion order (see BuildTable). Probing
 // allocates nothing and build-side insertion allocates per distinct key,
 // not per row.
 type HashJoinIter struct {
-	left, right Iterator
-	leftIdx     []int // key positions in left schema
-	rightIdx    []int // key positions in right schema
-	residual    sqlparse.Expr
-	resFn       func(Tuple) (bool, error) // residual compiled against schema
-	buildLeft   bool
-	schema      Schema
-	// Intern optionally shares a pipeline-wide interner pool; set it
-	// before Open (nil: the operator builds a private pool).
-	Intern *Interner
+	hashJoin
+	resFn func(Tuple) (bool, error) // residual compiled against schema
 	// TransientOutput recycles the output arena between batches; set
 	// only via MarkTransient (see its contract).
 	TransientOutput bool
 
-	tbl   hjTable
-	enc   *KeyEncoder
-	probe Iterator
-	pb    Batch // current probe batch
-	pi    int   // next probe row within pb
-	cur   Tuple // current probe tuple
-	mb    int   // bucket index of cur's matches, -1 when none pending
-	mi    int   // next match within bucket mb (0 = first, n = rest[n-1])
-	bb    *BatchBuilder
-	pend  error
+	enc  *KeyEncoder
+	pb   Batch // current probe batch
+	pi   int   // next probe row within pb
+	cur  Tuple // current probe tuple
+	mb   int   // bucket index of cur's matches, -1 when none pending
+	mi   int   // next match within bucket mb (0 = first, n = rest[n-1])
+	bb   *BatchBuilder
+	pend error
+}
+
+// hashJoin is what the serial and the exchange hash join share: the two
+// inputs, the resolved key columns and the one road to the build table.
+type hashJoin struct {
+	left, right       Iterator
+	leftIdx, rightIdx []int // key positions in each side's schema
+	residual          sqlparse.Expr
+	buildLeft         bool
+	schema            Schema
+	// Shared optionally obtains the build table through the planner's
+	// per-session memo instead of building privately; set it before Open
+	// (nil: the operator drains and hashes its own build side).
+	Shared BuildSharer
+
+	tbl      *BuildTable
+	probe    Iterator // the streaming side and its key positions,
+	probeIdx []int    // set by openBuild
 }
 
 // hjBucket holds the build tuples sharing one key, in insertion order.
@@ -502,13 +510,15 @@ type hjBucket struct {
 	rest  []Tuple
 }
 
-// hjTable is the hash-join build table, shared by HashJoinIter (one
-// table) and ParallelHashJoinIter (one per partition). Single string keys
-// (the common case) map the raw string straight to a bucket index — the
-// table itself is the interner (bucket index = dense handle), so there is
-// no second hop through the pool and no pool growth per build row; other
-// key shapes use the pool-backed fixed-width encoding.
-type hjTable struct {
+// BuildTable is the hashed build side of a hash join, frozen once built
+// and opaque outside this package: HashJoinIter probes it from one
+// goroutine, ParallelHashJoinIter's workers from several, and — handed
+// out by a BuildSharer — any number of joins of one session at once.
+// Single string keys (the common case) map the raw string straight to a
+// bucket index — the table itself is the interner (bucket index = dense
+// handle); other key shapes use the fixed-width encoding over a pool
+// private to the table.
+type BuildTable struct {
 	in      *Interner      // the pool generic keys are encoded over
 	stable  map[string]int // single string key: raw string → bucket
 	table   map[string]int // every other key shape: encoded key → bucket
@@ -516,11 +526,17 @@ type hjTable struct {
 	buckets []hjBucket
 }
 
-// buildHJTable hashes rows on the key columns idx, encoding generic keys
-// through enc (whose pool grows). SQL equality: NULL keys never join, so
-// such rows are dropped.
-func buildHJTable(rows []Tuple, idx []int, enc *KeyEncoder) hjTable {
-	t := hjTable{in: enc.in, single: len(idx) == 1, buckets: make([]hjBucket, 0, len(rows))}
+// BuildSharer obtains a join's build table on the join's behalf, calling
+// build (drain the build child and hash it) only when no other join of
+// the session already has: the planner installs one per step. An error
+// from build must be returned, not remembered.
+type BuildSharer func(ctx context.Context, build func() (*BuildTable, error)) (*BuildTable, error)
+
+// buildHJTable hashes rows on the key columns idx. SQL equality: NULL
+// keys never join, so such rows are dropped.
+func buildHJTable(rows []Tuple, idx []int) *BuildTable {
+	enc := NewKeyEncoder(nil)
+	t := &BuildTable{in: enc.in, single: len(idx) == 1, buckets: make([]hjBucket, 0, len(rows))}
 	if t.single {
 		t.stable = make(map[string]int, len(rows))
 	} else {
@@ -566,7 +582,7 @@ func buildHJTable(rows []Tuple, idx []int, enc *KeyEncoder) hjTable {
 // traffic. enc must encode over t.in; LookupKey leaves that pool
 // untouched, so any number of probers with private encoders may share one
 // table concurrently.
-func (t *hjTable) lookup(tu Tuple, probeIdx []int, enc *KeyEncoder) (int, bool) {
+func (t *BuildTable) lookup(tu Tuple, probeIdx []int, enc *KeyEncoder) (int, bool) {
 	if t.single {
 		if v := tu[probeIdx[0]]; v.K == KindString {
 			bi, ok := t.stable[v.S]
@@ -584,13 +600,26 @@ func (t *hjTable) lookup(tu Tuple, probeIdx []int, enc *KeyEncoder) (int, bool) 
 	return bi, ok
 }
 
-// NewHashJoin prepares a hash join of left and right on pairwise equal
-// key columns (resolved in each side's schema). buildLeft selects which
-// side is materialized and hashed; the other side streams. A residual
-// predicate, if non-nil, applies to the concatenated row.
-func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool, _ Stager) (*HashJoinIter, error) {
+// ApproxBytes estimates what retaining the table pins: bucket array, map
+// entries, duplicate-key row headers and the rows' values and strings.
+func (t *BuildTable) ApproxBytes() int64 {
+	total := int64(cap(t.buckets))*bucketBytes +
+		int64(len(t.stable)+len(t.table)+t.in.Size())*mapEntryBytes
+	for i := range t.buckets {
+		b := &t.buckets[i]
+		total += b.first.approxBytes() + int64(cap(b.rest))*tupleBytes
+		for _, tu := range b.rest {
+			total += tu.approxBytes()
+		}
+	}
+	return total
+}
+
+// newHashJoin resolves pairwise equal join key columns in each side's
+// schema.
+func newHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool) (hashJoin, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
-		return nil, fmt.Errorf("relalg: hash join requires matching non-empty key lists")
+		return hashJoin{}, fmt.Errorf("relalg: hash join requires matching non-empty key lists")
 	}
 	ls, rs := left.Schema(), right.Schema()
 	li := make([]int, len(leftKeys))
@@ -599,38 +628,65 @@ func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sq
 		li[i] = ls.Index(leftKeys[i])
 		ri[i] = rs.Index(rightKeys[i])
 		if li[i] < 0 || ri[i] < 0 {
-			return nil, fmt.Errorf("relalg: hash join key %s/%s not found", leftKeys[i], rightKeys[i])
+			return hashJoin{}, fmt.Errorf("relalg: hash join key %s/%s not found", leftKeys[i], rightKeys[i])
 		}
 	}
-	return &HashJoinIter{
-		left: left, right: right,
-		leftIdx: li, rightIdx: ri,
-		residual: residual, buildLeft: buildLeft,
-		schema: ls.Concat(rs), mb: -1,
+	return hashJoin{
+		left: left, right: right, leftIdx: li, rightIdx: ri,
+		residual: residual, buildLeft: buildLeft, schema: ls.Concat(rs),
 	}, nil
 }
 
 // Schema implements Iterator.
-func (h *HashJoinIter) Schema() Schema { return h.schema }
+func (j *hashJoin) Schema() Schema { return j.schema }
 
-// Open implements Iterator: it drains the build side into the hash table.
-func (h *HashJoinIter) Open(ctx context.Context) error {
-	build, buildIdx := h.right, h.rightIdx
-	if h.buildLeft {
-		build, buildIdx = h.left, h.leftIdx
+// openBuild is the one road to a join's build table: the build side
+// drained and hashed on its key columns, privately or through Shared —
+// which may never open it. The probe side is named, not yet opened.
+func (j *hashJoin) openBuild(ctx context.Context) (err error) {
+	build, buildIdx, probe, probeIdx := j.right, j.rightIdx, j.left, j.leftIdx
+	if j.buildLeft {
+		build, buildIdx, probe, probeIdx = j.left, j.leftIdx, j.right, j.rightIdx
 	}
-	rel, err := Collect(ctx, build, "")
+	mk := func() (*BuildTable, error) {
+		rel, err := Collect(ctx, build, "")
+		if err != nil {
+			return nil, err
+		}
+		return buildHJTable(rel.Tuples, buildIdx), nil
+	}
+	var tbl *BuildTable
+	if j.Shared == nil {
+		tbl, err = mk()
+	} else {
+		tbl, err = j.Shared(ctx, mk)
+	}
+	if err == nil {
+		j.tbl, j.probe, j.probeIdx = tbl, probe, probeIdx
+	}
+	return err
+}
+
+// NewHashJoin prepares a hash join of left and right on pairwise equal
+// key columns (resolved in each side's schema). buildLeft selects which
+// side is materialized and hashed; the other side streams. A residual
+// predicate, if non-nil, applies to the concatenated row.
+func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool, _ Stager) (*HashJoinIter, error) {
+	core, err := newHashJoin(left, right, leftKeys, rightKeys, residual, buildLeft)
 	if err != nil {
+		return nil, err
+	}
+	return &HashJoinIter{hashJoin: core, mb: -1}, nil
+}
+
+// Open implements Iterator: it obtains the build side's hash table.
+func (h *HashJoinIter) Open(ctx context.Context) error {
+	if err := h.openBuild(ctx); err != nil {
 		return err
 	}
-	h.enc = NewKeyEncoder(h.Intern)
+	h.enc = NewKeyEncoder(h.tbl.in)
 	if h.residual != nil {
 		h.resFn = CompileBool(h.residual, h.schema)
-	}
-	h.tbl = buildHJTable(rel.Tuples, buildIdx, h.enc)
-	h.probe = h.left
-	if h.buildLeft {
-		h.probe = h.right
 	}
 	h.pb, h.pi, h.cur, h.mb, h.mi, h.pend = Batch{}, 0, nil, -1, 0, nil
 	h.bb = NewBatchBuilder(len(h.schema.Columns))
@@ -657,10 +713,6 @@ func (h *HashJoinIter) Next(max int) (Batch, error) {
 	if max <= 0 {
 		max = DefaultBatchSize
 	}
-	probeIdx := h.leftIdx
-	if h.buildLeft {
-		probeIdx = h.rightIdx
-	}
 	h.bb.Reset(max)
 	for h.bb.Len() < max {
 		if h.mb < 0 {
@@ -677,7 +729,7 @@ func (h *HashJoinIter) Next(max int) (Batch, error) {
 			}
 			t := h.pb.Rows[h.pi]
 			h.pi++
-			if idx, ok := h.tbl.lookup(t, probeIdx, h.enc); ok {
+			if idx, ok := h.tbl.lookup(t, h.probeIdx, h.enc); ok {
 				h.cur, h.mb, h.mi = t, idx, 0
 			}
 			continue
@@ -716,7 +768,7 @@ func (h *HashJoinIter) Next(max int) (Batch, error) {
 
 // Close implements Iterator.
 func (h *HashJoinIter) Close() error {
-	h.tbl, h.enc, h.mb = hjTable{}, nil, -1
+	h.tbl, h.enc, h.mb = nil, nil, -1
 	if h.probe == nil {
 		return nil
 	}

@@ -3,6 +3,7 @@ package relalg
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 )
 
 // Column describes one attribute of a relation. Names may be plain
@@ -152,23 +153,37 @@ func (r *Relation) MustAdd(vals ...Value) {
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return len(r.Tuples) }
 
-// valueOverheadBytes approximates the in-memory footprint of one Value
-// struct (kind + number + string header + bool, with padding).
-const valueOverheadBytes = 40
+// Footprints the retained-bytes estimates are built from, read off the
+// types so a layout change cannot leave the cache budget under-counting.
+const (
+	valueBytes  = int64(unsafe.Sizeof(Value{}))
+	tupleBytes  = int64(unsafe.Sizeof(Tuple{})) // one row header
+	bucketBytes = int64(unsafe.Sizeof(hjBucket{}))
+	// mapEntryBytes approximates one map[string]int entry: key header,
+	// value and control byte at the runtime's ~50% average slot occupancy.
+	mapEntryBytes = 2 * int64(unsafe.Sizeof("")+unsafe.Sizeof(int(0))+1)
+)
 
-// ApproxBytes estimates the resident size of the relation's tuple data:
-// the fixed Value footprint per datum plus string payloads. The session
-// probe cache uses it to budget retained answers; it is an estimate, not
-// an exact accounting.
-func (r *Relation) ApproxBytes() int64 {
-	var total int64
-	for _, t := range r.Tuples {
-		total += int64(len(t)) * valueOverheadBytes
-		for _, v := range t {
-			if v.K == KindString {
-				total += int64(len(v.S))
-			}
+// approxBytes estimates the resident size of the tuple's data: the fixed
+// Value footprint per datum plus string payloads. Its row header is the
+// holder's to count.
+func (t Tuple) approxBytes() int64 {
+	total := int64(len(t)) * valueBytes
+	for _, v := range t {
+		if v.K == KindString {
+			total += int64(len(v.S))
 		}
+	}
+	return total
+}
+
+// ApproxBytes estimates the resident size of the relation's rows (header
+// and data). The session cache uses it to budget retained answers; it is
+// an estimate, not an exact accounting.
+func (r *Relation) ApproxBytes() int64 {
+	total := int64(len(r.Tuples)) * tupleBytes
+	for _, t := range r.Tuples {
+		total += t.approxBytes()
 	}
 	return total
 }

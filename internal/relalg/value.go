@@ -20,7 +20,7 @@ import (
 )
 
 // Kind tags a Value.
-type Kind int
+type Kind uint8
 
 // Value kinds.
 const (
@@ -44,11 +44,12 @@ func (k Kind) String() string {
 	return "invalid"
 }
 
-// Value is one typed datum. The zero Value is NULL.
+// Value is one typed datum. The zero Value is NULL. Field order keeps the
+// struct at 32 bytes (the two one-byte fields share the last word).
 type Value struct {
-	K Kind
 	N float64
 	S string
+	K Kind
 	B bool
 }
 
