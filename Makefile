@@ -22,7 +22,7 @@ LINT_ALLOW_BUDGET = 8
 # fails above it). The same kind of ratchet: set to the measured value
 # when code is deleted, never raised; ROADMAP item D heads for 8,500.
 LOC_PKGS   = internal/relalg internal/planner coin
-LOC_BUDGET = 8554
+LOC_BUDGET = 8553
 
 .PHONY: all build test test-bench test-race test-chaos test-invariants vet lint docs-check examples bench bench-smoke bench-base bench-compare golden golden-update fuzz clean
 
@@ -71,10 +71,12 @@ golden-update:
 	$(GO) test ./internal/golden/ -run TestGoldenCorpus -update
 
 # Short fuzzing smoke over the two hand-written parsers (SQL and wrapping
-# specs); CI runs this with a small FUZZTIME, longer runs are manual.
+# specs) and the wire's row codec (held to encoding/json in both
+# directions); CI runs this with a small FUZZTIME, longer runs are manual.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME) ./internal/wrapper/
+	$(GO) test -run '^$$' -fuzz FuzzRowCodec -fuzztime $(FUZZTIME) ./internal/server/
 
 # Static-analysis gate: vet, the package-comment check, and the
 # engine-invariant analyzer suite (batchretain, ctxflow, sourcefunnel,

@@ -7,11 +7,16 @@
 package repro_test
 
 import (
+	"context"
+	"net/http/httptest"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fixture"
 	"repro/internal/planner"
+	"repro/internal/relalg"
+	"repro/internal/server"
 )
 
 func TestE9MediatedJoinAllocBudget(t *testing.T) {
@@ -89,5 +94,57 @@ func TestScaleMediatedJoinByteBudget(t *testing.T) {
 	const budget = 12 << 20
 	if perQuery > budget {
 		t.Errorf("mediated Q1 allocates %d B/query, budget %d", perQuery, budget)
+	}
+}
+
+// preparedAnswer is a server.Service that answers the naive query with one
+// relation built beforehand (and the schema handshake with nothing), so a
+// request through it costs what the wire costs and no engine work.
+type preparedAnswer struct {
+	server.Service
+	rel *relalg.Relation
+}
+
+func (p preparedAnswer) QueryNaiveCtx(context.Context, string, planner.Limits) (*relalg.Relation, error) {
+	return p.rel, nil
+}
+func (preparedAnswer) Contexts() []string  { return nil }
+func (preparedAnswer) Relations() []string { return nil }
+
+// TestWireRoundTripByteBudget is the byte-volume gate of the access layer
+// on scale_post_2c's answer: 10,000 (name, amount) rows through /api/query
+// and internal/client, over a loopback connection. The server encodes
+// rel.Tuples into one buffer sized after the first row and the client
+// builds each row with one ParseRow call; boxing the rows for
+// encoding/json on the server, or decoding them by reflection on the
+// client, each more than doubles the bytes.
+func TestWireRoundTripByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	const n = 10000
+	w := fixture.NewScaledWorkload(n, 42)
+	ts := httptest.NewServer(server.New(preparedAnswer{rel: w.R2}))
+	defer ts.Close()
+	conn, err := client.Open(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			got, err := conn.QueryNaiveCtx(context.Background(), "SELECT r2.cname, r2.expenses FROM r2", client.Options{})
+			if err != nil || len(got.Rows) != n {
+				b.Fatalf("round trip: %v, %d rows", err, len(got.Rows))
+			}
+		}
+	})
+	perQuery := res.AllocedBytesPerOp()
+	t.Logf("/api/query round trip (%d rows): %d B/query over %d queries", n, perQuery, res.N)
+	// Measured 0.97 MB (4.2 MB at the commit before the row codec): 1.5x
+	// headroom.
+	const budget = 1500 << 10
+	if perQuery > budget {
+		t.Errorf("round trip allocates %d B/query, budget %d", perQuery, budget)
 	}
 }

@@ -8,12 +8,15 @@
 package client
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/planner"
@@ -199,7 +202,83 @@ func (c *Conn) postWith(ctx context.Context, hc *http.Client, path string, req s
 		}
 		return fmt.Errorf("client: %s failed: %s", path, resp.Status)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// The body is read whole into a recycled buffer (sized up front when
+	// the server declared a plausible length) and decoded from there; every
+	// decoded value is a copy, so the buffer can go back.
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(buf)
+	buf.Reset()
+	if n := resp.ContentLength; n > 0 && n < maxPresizeBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("client: %s: reading response: %w", path, err)
+	}
+	if q, ok := out.(*server.QueryResponse); ok {
+		return decodeQueryBody(buf.Bytes(), q)
+	}
+	return json.Unmarshal(buf.Bytes(), out)
+}
+
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPresizeBytes bounds what a declared Content-Length may reserve before
+// a byte of the body has arrived; longer bodies grow as they are read.
+const maxPresizeBytes = 16 << 20
+
+// decodeQueryBody decodes a /api/query body, overwriting it as it goes. A
+// body laid out as the server writes it — {"columns":…,"rows":[…] and
+// then the optional fields — has its rows read by server.ParseRow, one
+// call per row, and only the few bytes around them by encoding/json; the
+// 10,000-row answer is then scanned once, not three times, and never
+// walked by reflection. Any other layout (another field order, escaped
+// strings, a pretty-printing proxy) is decoded by encoding/json whole, as
+// every body used to be.
+func decodeQueryBody(body []byte, out *server.QueryResponse) error {
+	const head, rowsKey = `{"columns":`, `,"rows":`
+	// Unmarshal takes exactly one value: if it accepts what lies between
+	// the two keys, "rows" is the object's second key and not text nested
+	// deeper (an unescaped quote cannot occur inside a string).
+	if i := bytes.Index(body, []byte(rowsKey)); i >= len(head) && bytes.HasPrefix(body, []byte(head)) &&
+		json.Unmarshal(body[len(head):i], &out.Columns) == nil {
+		if rows, rest, ok := parseRows(body[i+len(rowsKey):]); ok {
+			// What follows the rows is `,"key":…}` or `}`: with the array's
+			// closing bracket turned into an opening brace (and the comma
+			// blanked) it is an object of its own.
+			tail := body[len(body)-len(rest)-1:]
+			tail[0] = '{'
+			if len(tail) > 1 && tail[1] == ',' {
+				tail[1] = ' '
+			}
+			out.Rows = rows
+			return json.Unmarshal(tail, out)
+		}
+	}
+	*out = server.QueryResponse{}
+	return json.Unmarshal(body, out)
+}
+
+// parseRows reads the array of rows at the front of b with server.ParseRow
+// and returns what follows its closing bracket.
+func parseRows(b []byte) (rows [][]interface{}, rest []byte, ok bool) {
+	if len(b) < 2 || b[0] != '[' {
+		return nil, nil, false
+	}
+	if b[1] == ']' {
+		return [][]interface{}{}, b[2:], true
+	}
+	// One slot per "],[" plus one: exact unless a string value contains
+	// that text, and then only generous.
+	rows = make([][]interface{}, 0, bytes.Count(b, []byte("],["))+1)
+	width := 0
+	for b[0] != ']' {
+		row, rest, ok := server.ParseRow(b[1:], width)
+		if !ok || len(rest) == 0 || rest[0] != ',' && rest[0] != ']' {
+			return nil, nil, false
+		}
+		rows, width, b = append(rows, row), len(row), rest
+	}
+	return rows, b[1:], true
 }
 
 // queryRequest assembles the wire request for sql under opts.
@@ -266,9 +345,13 @@ func (c *Conn) QueryStream(ctx context.Context, sql, context_ string, naive bool
 		}
 		return nil, fmt.Errorf("client: /api/query/stream failed: %s", resp.Status)
 	}
-	cur := &RowCursor{resp: resp, dec: json.NewDecoder(resp.Body)}
+	cur := &RowCursor{resp: resp, br: bufio.NewReaderSize(resp.Body, streamBufBytes)}
 	var header server.StreamRecord
-	if err := cur.dec.Decode(&header); err != nil || header.Type != "header" {
+	line, err := cur.readLine()
+	if err == nil {
+		err = json.Unmarshal(line, &header)
+	}
+	if err != nil || header.Type != "header" {
 		resp.Body.Close()
 		if err == nil {
 			err = fmt.Errorf("client: stream began with %q record, want header", header.Type)
@@ -286,7 +369,7 @@ func (c *Conn) QueryStream(ctx context.Context, sql, context_ string, naive bool
 // network result set.
 type RowCursor struct {
 	resp        *http.Response
-	dec         *json.Decoder
+	br          *bufio.Reader
 	columns     []server.ColumnInfo
 	mediatedSQL string
 	branches    int
@@ -314,8 +397,19 @@ func (c *RowCursor) Next() bool {
 	if c.done || c.closed {
 		return false
 	}
+	line, err := c.readLine()
+	if err == nil {
+		if row, ok := rowValues(line, len(c.columns)); ok {
+			c.cur = row
+			c.rows++
+			return true
+		}
+	}
 	var rec server.StreamRecord
-	if err := c.dec.Decode(&rec); err != nil {
+	if err == nil {
+		err = json.Unmarshal(line, &rec)
+	}
+	if err != nil {
 		c.err = fmt.Errorf("client: reading stream: %w", err)
 		c.end()
 		return false
@@ -339,6 +433,44 @@ func (c *RowCursor) Next() bool {
 		c.end()
 		return false
 	}
+}
+
+// streamBufBytes sizes the cursor's read buffer: a 1024-row batch of the
+// server's is about this much, so a bulk stream costs a read per batch.
+const streamBufBytes = 32 << 10
+
+// readLine returns the next NDJSON line of the stream, valid until the
+// next call. A stream that ends between lines is io.EOF; one cut inside a
+// line yields the fragment, which then fails to decode.
+func (c *RowCursor) readLine() ([]byte, error) {
+	line, err := c.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		// A record longer than the read buffer: assemble it.
+		line = append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull {
+			var more []byte
+			more, err = c.br.ReadSlice('\n')
+			line = append(line, more...)
+		}
+	}
+	if err == io.EOF && len(line) > 0 {
+		err = nil
+	}
+	return line, err
+}
+
+// rowRecordPrefix opens every row record the server writes.
+const rowRecordPrefix = `{"type":"row","values":`
+
+// rowValues decodes a row record in the plain shape server.AppendRow
+// writes; ok=false leaves the line — a header or trailer, a row with
+// escapes, another server's spacing — to encoding/json.
+func rowValues(line []byte, width int) (row []interface{}, ok bool) {
+	if !bytes.HasPrefix(line, []byte(rowRecordPrefix)) {
+		return nil, false
+	}
+	row, rest, ok := server.ParseRow(line[len(rowRecordPrefix):], width)
+	return row, ok && string(rest) == "}\n"
 }
 
 // end marks the cursor exhausted; the current row is cleared so Scan and

@@ -225,8 +225,11 @@ func (j *ParallelHashJoinIter) worker(ctx context.Context, self int, in chan []T
 	}
 	for rows := range in {
 		// A fresh builder per chunk: its arena is never Reset again, so
-		// the rows stay durable after crossing the channel.
-		bb := NewBatchBuilder(len(j.schema.Columns))
+		// the rows stay durable after crossing the channel. It starts at
+		// one output row per probe row — all a 1:1 join needs; further
+		// matches overflow onto the builder's usual ladder.
+		arity := len(j.schema.Columns)
+		bb := &BatchBuilder{arity: arity, arena: make([]Value, 0, len(rows)*arity), rows: make([]Tuple, 0, len(rows))}
 		failed := false
 		for _, t := range rows {
 			bi, ok := tbl.lookup(t, j.probeIdx, enc)

@@ -62,7 +62,10 @@ package relalg
 // that stops early (LIMIT) simply stops calling Next and calls Close;
 // operators must tolerate being closed before exhaustion.
 
-import "context"
+import (
+	"context"
+	"slices"
+)
 
 // Iterator is the pull-based batch stream every streaming operator
 // implements. See the package comment above for the full contract.
@@ -145,6 +148,9 @@ func Collect(ctx context.Context, it Iterator, name string) (*Relation, error) {
 		}
 		if b.Empty() {
 			break
+		}
+		if n := len(out.Tuples) + b.Len(); n > cap(out.Tuples) { // double: append's 1.25x steps re-copy a large result ~5 times
+			out.Tuples = slices.Grow(out.Tuples, max(n, 2*cap(out.Tuples))-len(out.Tuples))
 		}
 		//lint:allow batchretain Collect is the durable boundary: the root iterator owns no transient arena, so its rows are durable by contract
 		out.Tuples = append(out.Tuples, b.Rows...)

@@ -188,16 +188,6 @@ func (r *Relation) ApproxBytes() int64 {
 	return total
 }
 
-// Clone deep-copies the relation.
-func (r *Relation) Clone() *Relation {
-	out := &Relation{Name: r.Name, Schema: Schema{Columns: append([]Column(nil), r.Schema.Columns...)}}
-	out.Tuples = make([]Tuple, len(r.Tuples))
-	for i, t := range r.Tuples {
-		out.Tuples[i] = t.Clone()
-	}
-	return out
-}
-
 // Qualify returns a copy whose columns are qualified with binding.
 func (r *Relation) Qualify(binding string) *Relation {
 	return &Relation{Name: r.Name, Schema: r.Schema.Qualify(binding), Tuples: r.Tuples}

@@ -25,7 +25,10 @@ import (
 	"fmt"
 	"html/template"
 	"net/http"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -289,13 +292,94 @@ func (s *srv) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	resp := relationResponse(rel)
-	if med != nil {
-		resp.MediatedSQL = med.SQL()
-		resp.Branches = len(med.Branches)
+	// The whole body is encoded before the status line goes out, so an
+	// answer that cannot be encoded is still a classified error.
+	buf := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(buf)
+	body, err := appendQueryBody((*buf)[:0], rel, med, warns)
+	*buf = body
+	if err != nil {
+		writeErr(w, http.StatusUnprocessableEntity, err)
+		return
 	}
-	resp.Warnings = warns
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write is a receiver that left
+}
+
+// wireBufs recycles the encode buffers of the two result endpoints: a
+// handler takes one for the length of its request and hands it back, grown,
+// once its last Write has returned (Write does not retain its argument).
+// The pool drops them at the second GC after their last use.
+var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// unencodable names the row and column of a value AppendRow refused.
+func unencodable(err error, schema relalg.Schema, row int) error {
+	var nf *nonFiniteError
+	if errors.As(err, &nf) && nf.col < len(schema.Columns) {
+		return fmt.Errorf("server: row %d, column %q: %w", row, schema.Columns[nf.col].Name, err)
+	}
+	return fmt.Errorf("server: row %d: %w", row, err)
+}
+
+// appendQueryBody appends the /api/query response for rel — the bytes
+// json.Encoder wrote for QueryResponse, field for field, trailing newline
+// included — reading the rows straight from rel.Tuples.
+func appendQueryBody(dst []byte, rel *relalg.Relation, med *core.Mediation, warns []planner.Warning) ([]byte, error) {
+	dst = append(dst, `{"columns":`...)
+	dst = appendColumns(dst, rel.Schema)
+	dst = append(dst, `,"rows":[`...)
+	for i, t := range rel.Tuples {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		mark := len(dst)
+		var err error
+		if dst, err = AppendRow(dst, t); err != nil {
+			return dst, unencodable(err, rel.Schema, i+1)
+		}
+		if i == 0 {
+			dst = reserveRows(dst, len(dst)-mark+1, len(rel.Tuples)-1)
+		}
+	}
+	dst = append(dst, ']')
+	if med != nil {
+		if sql := med.SQL(); sql != "" {
+			dst = appendString(append(dst, `,"mediatedSQL":`...), sql)
+		}
+		if n := len(med.Branches); n > 0 {
+			dst = strconv.AppendInt(append(dst, `,"branches":`...), int64(n), 10)
+		}
+	}
+	if len(warns) > 0 {
+		w, err := json.Marshal(warns)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(append(dst, `,"warnings":`...), w...)
+	}
+	return append(dst, "}\n"...), nil
+}
+
+// appendColumns appends a schema as the JSON of []ColumnInfo (null when
+// there are no columns, as the nil slice encodes).
+func appendColumns(dst []byte, schema relalg.Schema) []byte {
+	if len(schema.Columns) == 0 {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, c := range schema.Columns {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"name":`...)
+		dst = appendString(dst, c.Name)
+		dst = append(dst, `,"type":`...)
+		dst = appendString(dst, c.Type.String())
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
 }
 
 // handleQueryStream is the streaming wire path: it opens a governed row
@@ -345,29 +429,34 @@ func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 
+	buf := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(buf)
 	rows := 0
 	for {
-		// One flush per batch: a gated or trickling source yields one-row
-		// batches (each row still reaches the receiver as it arrives),
-		// while a bulk source pays the flush once per 1024 rows.
+		// One write and one flush per batch: a gated or trickling source
+		// yields one-row batches (each row still reaches the receiver as it
+		// arrives), while a bulk source pays them once per 1024 rows.
 		batch, err := rs.NextBatch(relalg.DefaultBatchSize)
+		if err == nil && len(batch) == 0 {
+			break
+		}
+		if err == nil {
+			var n int
+			*buf, n, err = appendRowRecords((*buf)[:0], batch)
+			rows += n
+			if _, werr := w.Write(*buf); werr != nil {
+				return // receiver gone; rs.Close (deferred) cancels the session
+			}
+			if err != nil {
+				// The rows before the bad one went out; the trailer says why
+				// the stream stops here.
+				err = unencodable(err, rs.Schema(), rows+1)
+			}
+		}
 		if err != nil {
 			_ = enc.Encode(StreamRecord{Type: "error", Rows: rows, Error: err.Error(), Warnings: rs.Warnings()})
 			flush()
 			return
-		}
-		if len(batch) == 0 {
-			break
-		}
-		for _, t := range batch {
-			vals := make([]interface{}, len(t))
-			for i, v := range t {
-				vals[i] = valueJSON(v)
-			}
-			if err := enc.Encode(StreamRecord{Type: "row", Values: vals}); err != nil {
-				return // receiver gone; rs.Close (deferred) cancels the session
-			}
-			rows++
 		}
 		flush()
 	}
@@ -377,6 +466,39 @@ func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	flush()
 }
 
+// appendRowRecords appends one NDJSON "row" record per tuple — the line
+// json.Encoder wrote for StreamRecord{Type: "row", Values: …} — and stops at
+// the first tuple AppendRow refuses, returning the records complete so far
+// and their number.
+func appendRowRecords(dst []byte, batch []relalg.Tuple) ([]byte, int, error) {
+	for n, t := range batch {
+		mark := len(dst)
+		dst = append(dst, `{"type":"row"`...)
+		if len(t) > 0 { // Values is omitempty: a zero-column row goes out without it
+			var err error
+			if dst, err = AppendRow(append(dst, `,"values":`...), t); err != nil {
+				return dst[:mark], n, err
+			}
+		}
+		dst = append(dst, "}\n"...)
+		if n == 0 {
+			dst = reserveRows(dst, len(dst)-mark, len(batch)-1)
+		}
+	}
+	return dst, len(batch), nil
+}
+
+// reserveRows makes room in a cold buffer for the n rows still to come once
+// the first has been encoded in size bytes: append's own growth would
+// re-copy a 10,000-row answer five times over. Later rows are taken to be
+// an eighth longer than the first, and a first row is only a guess, so
+// what it may reserve is bounded; a warm buffer is left as it is.
+func reserveRows(dst []byte, size, n int) []byte {
+	return slices.Grow(dst, min(size*n+size*n/8, 1<<20))
+}
+
+// relationResponse boxes a relation for the QBE page's HTML template; the
+// JSON endpoints encode rel.Tuples directly (appendQueryBody).
 func relationResponse(rel *relalg.Relation) QueryResponse {
 	resp := QueryResponse{Rows: [][]interface{}{}}
 	for _, c := range rel.Schema.Columns {
