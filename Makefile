@@ -22,7 +22,13 @@ LINT_ALLOW_BUDGET = 8
 # fails above it). The same kind of ratchet: set to the measured value
 # when code is deleted, never raised; ROADMAP item D heads for 8,500.
 LOC_PKGS   = internal/relalg internal/planner coin
-LOC_BUDGET = 8553
+LOC_BUDGET = 8491
+
+# The same ratchet over the wrapper layer (non-test files, the
+# wrappertest/ doubles excluded): set to the measured value when code is
+# deleted, never raised.
+WRAPPER_LOC_PKGS   = internal/wrapper
+WRAPPER_LOC_BUDGET = 3869
 
 .PHONY: all build test test-bench test-race test-chaos test-invariants vet lint docs-check examples bench bench-smoke bench-base bench-compare golden golden-update fuzz clean
 
@@ -83,7 +89,8 @@ fuzz:
 # closebalance, errclass — see internal/analysis and cmd/coinlint).
 # Findings are suppressed only by a reasoned //lint:allow annotation, and
 # the annotations themselves are counted against LINT_ALLOW_BUDGET; the
-# engine packages' non-test line count is held under LOC_BUDGET.
+# engine packages' non-test line count is held under LOC_BUDGET and the
+# wrapper layer's under WRAPPER_LOC_BUDGET.
 lint:
 	$(GO) vet $(PKGS)
 	$(GO) run ./internal/tools/docscheck
@@ -94,6 +101,9 @@ lint:
 	@n=$$(find $(LOC_PKGS) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	echo "non-test lines in $(LOC_PKGS): $$n (budget $(LOC_BUDGET))"; \
 	test $$n -le $(LOC_BUDGET)
+	@n=$$(find $(WRAPPER_LOC_PKGS) -name '*.go' ! -name '*_test.go' ! -path '*/wrappertest/*' | xargs cat | wc -l); \
+	echo "non-test lines in $(WRAPPER_LOC_PKGS): $$n (budget $(WRAPPER_LOC_BUDGET))"; \
+	test $$n -le $(WRAPPER_LOC_BUDGET)
 
 # Runtime-assertion build: the relalg invariants layer (transient-arena
 # poisoning, iterator-lifecycle shims, interner handle validation) armed

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -93,16 +94,8 @@ func (c *Conn) Relations() []string {
 	for r := range c.schema.Relations {
 		out = append(out, r)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Columns returns a relation's columns as name/type pairs.

@@ -194,22 +194,9 @@ func (it *clauseIter) next() (int, Clause, bool) {
 	return 0, Clause{}, false
 }
 
-// AddProgram appends every clause of q to p.
-func (p *Program) AddProgram(q *Program) {
-	for _, k := range q.order {
-		p.Add(q.clauses[k]...)
-	}
-}
-
 // Clauses returns the clauses for the given predicate, in source order.
 func (p *Program) Clauses(name string, arity int) []Clause {
 	return p.clauses[predKey{name, arity}]
-}
-
-// Defined reports whether the program has at least one clause for the
-// predicate.
-func (p *Program) Defined(name string, arity int) bool {
-	return len(p.clauses[predKey{name, arity}]) > 0
 }
 
 // Len returns the total number of clauses.

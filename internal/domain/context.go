@@ -141,15 +141,6 @@ func (c *Context) Decl(semType, modifier string) (*ModifierDecl, bool) {
 	return d, ok
 }
 
-// Decls returns the declarations in insertion order.
-func (c *Context) Decls() []*ModifierDecl {
-	out := make([]*ModifierDecl, 0, len(c.order))
-	for _, k := range c.order {
-		out = append(out, c.decls[k])
-	}
-	return out
-}
-
 // negateOp maps a condition operator to its complement, used when
 // compiling the if-then-else chain of Cases into disjoint datalog rules.
 func negateOp(op string) (string, error) {

@@ -17,7 +17,6 @@ package domain
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/datalog"
 )
@@ -71,16 +70,6 @@ func (m *Model) MustAddType(t *SemType) {
 func (m *Model) Type(name string) (*SemType, bool) {
 	t, ok := m.types[name]
 	return t, ok
-}
-
-// TypeNames lists the defined types, sorted.
-func (m *Model) TypeNames() []string {
-	out := make([]string, 0, len(m.types))
-	for n := range m.types {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ModifiersOf returns the modifiers of a type including inherited ones

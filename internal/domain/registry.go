@@ -120,16 +120,6 @@ func (r *Registry) Schema(name string) (relalg.Schema, bool) {
 	return info.schema, true
 }
 
-// ElevationFor returns the elevation axioms of a relation (nil if
-// unelevated).
-func (r *Registry) ElevationFor(name string) *Elevation {
-	info, ok := r.relations[name]
-	if !ok {
-		return nil
-	}
-	return info.elevation
-}
-
 // RelationNames lists registered relations in registration order.
 func (r *Registry) RelationNames() []string {
 	return append([]string(nil), r.relOrder...)

@@ -93,16 +93,6 @@ func (c *Catalog) Relations() []string {
 	return out
 }
 
-// Sources lists the registered sources, sorted.
-func (c *Catalog) Sources() []string {
-	out := make([]string, 0, len(c.sources))
-	for s := range c.sources {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SourceOf names the source exporting a relation.
 func (c *Catalog) SourceOf(relation string) (string, bool) {
 	s, ok := c.relSource[relation]

@@ -216,21 +216,6 @@ func (lq *logicalQuery) feedFor(b *relBinding, rc string, placed uint64) string 
 	return ""
 }
 
-// feasible reports whether b can be placed given the placed set: every
-// required binding is covered by a pushed constant or fed by a join edge
-// to a placed binding.
-func (lq *logicalQuery) feasible(b *relBinding, placed uint64) bool {
-	for _, rc := range b.caps.RequiredBindings {
-		if b.reqCovered[rc] {
-			continue
-		}
-		if lq.feedFor(b, rc, placed) == "" {
-			return false
-		}
-	}
-	return true
-}
-
 func popcount(m uint64) int {
 	n := 0
 	for ; m != 0; m &= m - 1 {

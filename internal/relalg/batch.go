@@ -166,32 +166,3 @@ func MarkTransient(it Iterator) {
 		}
 	}
 }
-
-// Cursor adapts a batch Iterator back to tuple-at-a-time consumption for
-// callers that genuinely want single rows (client cursors, tests). It
-// serves the rows of each batch in order and pulls the next batch only
-// when the current one is drained — it never waits to "fill up", so
-// row-by-row streaming sources keep their latency profile.
-type Cursor struct {
-	it  Iterator
-	b   Batch
-	pos int
-}
-
-// NewCursor wraps it. The iterator must already be open; Close remains
-// the caller's job.
-func NewCursor(it Iterator) *Cursor { return &Cursor{it: checkedOpened(it)} }
-
-// Next returns the next tuple, or ok=false when the stream is done.
-func (c *Cursor) Next() (Tuple, bool, error) {
-	if c.pos >= len(c.b.Rows) {
-		b, err := c.it.Next(DefaultBatchSize)
-		if err != nil || b.Empty() {
-			return nil, false, err
-		}
-		c.b, c.pos = b, 0
-	}
-	t := c.b.Rows[c.pos]
-	c.pos++
-	return t, true, nil
-}

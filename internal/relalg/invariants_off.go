@@ -18,10 +18,6 @@ const InvariantsEnabled = false
 // batch sizing, exhaustion stability, row arity).
 func Checked(it Iterator) Iterator { return it }
 
-// checkedOpened is Checked for an iterator that is already open
-// (NewCursor's precondition).
-func checkedOpened(it Iterator) Iterator { return it }
-
 // poisonValues marks recycled transient-arena slots; no-op without the
 // tag.
 func poisonValues([]Value) {}

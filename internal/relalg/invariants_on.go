@@ -19,7 +19,7 @@ package relalg
 //     moment it touches a value (Equal, Compare, SortKey, key encoding)
 //     instead of silently computing with overwritten data.
 //   - Iterator lifecycle (closebalance's dynamic twin): Checked wraps
-//     pipeline roots (Collect, BuildStream, NewCursor) in a state machine
+//     pipeline roots (Collect, BuildStream) in a state machine
 //     asserting Open-before-Next, no use after Close, single Close,
 //     batches within the requested bound, rows matching the schema's
 //     arity, and exhaustion stability (no rows after the empty batch).
@@ -72,10 +72,6 @@ func checkHandle(in *Interner, h uint32) {
 // Checked wraps it in the contract-asserting shim. Installed at pipeline
 // roots, where the engine (not an operator) drives the lifecycle.
 func Checked(it Iterator) Iterator { return &checkedIter{it: it} }
-
-// checkedOpened is Checked for an iterator that is already open
-// (NewCursor documents that precondition).
-func checkedOpened(it Iterator) Iterator { return &checkedIter{it: it, opened: true} }
 
 // checkedIter asserts the Iterator contract of iterator.go around an
 // inner iterator.

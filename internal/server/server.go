@@ -153,6 +153,16 @@ type ColumnInfo struct {
 	Type string `json:"type"`
 }
 
+// columnInfos renders a schema as the wire's column list (nil for a
+// schema with no columns).
+func columnInfos(schema relalg.Schema) []ColumnInfo {
+	var cols []ColumnInfo
+	for _, c := range schema.Columns {
+		cols = append(cols, ColumnInfo{Name: c.Name, Type: c.Type.String()})
+	}
+	return cols
+}
+
 // QueryResponse is the body returned by /api/query.
 type QueryResponse struct {
 	Columns     []ColumnInfo    `json:"columns"`
@@ -416,10 +426,7 @@ func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	header := StreamRecord{Type: "header"}
-	for _, c := range rs.Schema().Columns {
-		header.Columns = append(header.Columns, ColumnInfo{Name: c.Name, Type: c.Type.String()})
-	}
+	header := StreamRecord{Type: "header", Columns: columnInfos(rs.Schema())}
 	if med := rs.Mediation(); med != nil {
 		header.MediatedSQL = med.SQL()
 		header.Branches = len(med.Branches)
@@ -497,35 +504,6 @@ func reserveRows(dst []byte, size, n int) []byte {
 	return slices.Grow(dst, min(size*n+size*n/8, 1<<20))
 }
 
-// relationResponse boxes a relation for the QBE page's HTML template; the
-// JSON endpoints encode rel.Tuples directly (appendQueryBody).
-func relationResponse(rel *relalg.Relation) QueryResponse {
-	resp := QueryResponse{Rows: [][]interface{}{}}
-	for _, c := range rel.Schema.Columns {
-		resp.Columns = append(resp.Columns, ColumnInfo{Name: c.Name, Type: c.Type.String()})
-	}
-	for _, t := range rel.Tuples {
-		row := make([]interface{}, len(t))
-		for i, v := range t {
-			row[i] = valueJSON(v)
-		}
-		resp.Rows = append(resp.Rows, row)
-	}
-	return resp
-}
-
-func valueJSON(v relalg.Value) interface{} {
-	switch v.K {
-	case relalg.KindNumber:
-		return v.N
-	case relalg.KindString:
-		return v.S
-	case relalg.KindBool:
-		return v.B
-	}
-	return nil
-}
-
 func (s *srv) handleMediate(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if !s.decode(w, r, &req) {
@@ -573,11 +551,7 @@ func (s *srv) handleSchema(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-		var cols []ColumnInfo
-		for _, c := range schema.Columns {
-			cols = append(cols, ColumnInfo{Name: c.Name, Type: c.Type.String()})
-		}
-		resp.Relations[rel] = cols
+		resp.Relations[rel] = columnInfos(schema)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -624,7 +598,7 @@ type qbePage struct {
 	MediatedSQL string
 	Derivation  string
 	Columns     []ColumnInfo
-	Rows        [][]interface{}
+	Rows        []relalg.Tuple // cells print through relalg.Value's String
 	Error       string
 }
 
@@ -635,11 +609,7 @@ func (s *srv) qbePage() qbePage {
 		if err != nil {
 			continue
 		}
-		var cols []ColumnInfo
-		for _, c := range schema.Columns {
-			cols = append(cols, ColumnInfo{Name: c.Name, Type: c.Type.String()})
-		}
-		page.Relations[rel] = cols
+		page.Relations[rel] = columnInfos(schema)
 	}
 	return page
 }
@@ -673,8 +643,7 @@ func (s *srv) handleQBERun(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		page.Error = err.Error()
 	} else {
-		resp := relationResponse(rel)
-		page.Columns, page.Rows = resp.Columns, resp.Rows
+		page.Columns, page.Rows = columnInfos(rel.Schema), rel.Tuples
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	_ = qbeTemplate.Execute(w, page)

@@ -139,6 +139,11 @@ func TestQBEPages(t *testing.T) {
 	if !strings.Contains(run, "NTT") || !strings.Contains(run, "Mediated query") {
 		t.Errorf("QBE run:\n%s", run)
 	}
+	// Cells print through relalg.Value's String: plain decimals, not the
+	// %v of a boxed float64 (9.6e+06).
+	if !strings.Contains(run, "<td>9600000</td>") {
+		t.Errorf("QBE run renders revenue other than as 9600000:\n%s", run)
+	}
 
 	naive := get("/qbe/run?naive=1&sql=SELECT+r2.cname+FROM+r2")
 	if !strings.Contains(naive, "IBM") {

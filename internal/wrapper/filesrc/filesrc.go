@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -205,23 +206,12 @@ func (s *Source) Query(ctx context.Context, q wrapper.SourceQuery) (*relalg.Rela
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	out := relalg.NewRelation(q.Relation, st.Schema())
-	for {
-		t, ok, err := st.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out.Tuples = append(out.Tuples, t)
-	}
+	return wrapper.Drain(q.Relation, st)
 }
 
 // QueryStream implements wrapper.Streamer: the file is opened at call
-// time and rows are parsed, filtered (shared Matcher) and projected as
-// the engine pulls, so an early exit stops the read mid-file.
+// time and rows are parsed as the engine pulls — the shared cursor
+// filters and projects them — so an early exit stops the read mid-file.
 func (s *Source) QueryStream(ctx context.Context, q wrapper.SourceQuery) (wrapper.TupleStream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -230,190 +220,59 @@ func (s *Source) QueryStream(ctx context.Context, q wrapper.SourceQuery) (wrappe
 	if err != nil {
 		return nil, err
 	}
-	match, err := wrapper.Matcher(rf.schema, q.Filters)
-	if err != nil {
-		return nil, err
-	}
 	raw, err := rf.open()
 	if err != nil {
 		return nil, err
 	}
-	var ranged fileStream = raw
+	lo, hi := 0, math.MaxInt
 	if q.Partitions > 1 {
 		// Serve one contiguous range of the file's base row order; the
 		// bounds come from the cardinality counted at New (the Source is
 		// immutable after New by contract). Filters apply inside the
 		// range, so the parts concatenate to the unpartitioned answer.
-		lo, hi := wrapper.PartitionRange(rf.rows, q.Partitions, q.Partition)
-		ranged = &rangeStream{raw: raw, lo: lo, hi: hi}
+		lo, hi = wrapper.PartitionRange(rf.rows, q.Partitions, q.Partition)
 	}
-	st := &filteredStream{ctx: ctx, raw: ranged, match: match, schema: rf.schema}
-	if len(q.Columns) > 0 {
-		idx := make([]int, len(q.Columns))
-		cols := make([]relalg.Column, len(q.Columns))
-		for i, c := range q.Columns {
-			ci := rf.schema.Index(c)
-			if ci < 0 {
-				raw.Close()
-				return nil, fmt.Errorf("filesrc: projection of unknown column %s", c)
-			}
-			idx[i] = ci
-			cols[i] = rf.schema.Columns[ci]
-		}
-		st.projIdx = idx
-		st.schema = relalg.Schema{Columns: cols}
-	}
-	return st, nil
+	return wrapper.NewCursor(ctx, &blockReader{raw: raw, lo: lo, hi: hi}, q.Filters, q.Columns)
 }
 
-// fileStream is the raw row stream of one file format.
+// fileStream is the raw row decoder of one file format.
 type fileStream interface {
 	Schema() relalg.Schema
 	Next() (relalg.Tuple, bool, error)
 	Close() error
 }
 
-// rangeStream restricts a raw file stream to base rows [lo, hi): rows
-// before lo are parsed and discarded (a flat file has no seek index),
-// and the stream ends at hi without reading the tail.
-type rangeStream struct {
+// blockReader is the file source's wrapper.RawReader: it fills blocks
+// from a per-row decoder, restricted to base rows [lo, hi) — rows before
+// lo are parsed and discarded (a flat file has no seek index), and the
+// read ends at hi without touching the tail.
+type blockReader struct {
 	raw fileStream
 	lo  int
 	hi  int
 	pos int
+	buf []relalg.Tuple
 }
 
-func (r *rangeStream) Schema() relalg.Schema { return r.raw.Schema() }
+func (b *blockReader) Schema() relalg.Schema { return b.raw.Schema() }
 
-func (r *rangeStream) Next() (relalg.Tuple, bool, error) {
-	for r.pos < r.lo {
-		_, ok, err := r.raw.Next()
+// NextBatch implements wrapper.RawReader; a decode error comes with the
+// rows read before it.
+func (b *blockReader) NextBatch(max int) ([]relalg.Tuple, error) {
+	b.buf = b.buf[:0]
+	for len(b.buf) < max && b.pos < b.hi {
+		t, ok, err := b.raw.Next()
 		if err != nil || !ok {
-			return nil, false, err
+			return b.buf, err
 		}
-		r.pos++
+		if b.pos++; b.pos > b.lo {
+			b.buf = append(b.buf, t)
+		}
 	}
-	if r.pos >= r.hi {
-		return nil, false, nil
-	}
-	t, ok, err := r.raw.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	r.pos++
-	return t, true, nil
+	return b.buf, nil
 }
 
-func (r *rangeStream) Close() error { return r.raw.Close() }
-
-// filteredStream applies the query's filters and projection over a raw
-// file stream, checking the context per row.
-type filteredStream struct {
-	ctx     context.Context
-	raw     fileStream
-	match   func(relalg.Tuple) (bool, error)
-	projIdx []int
-	schema  relalg.Schema
-
-	// Batch-mode state: reused row buffer / projection arena, and an
-	// error held back behind already-buffered rows.
-	out  []relalg.Tuple
-	bb   *relalg.BatchBuilder
-	pend error
-}
-
-func (f *filteredStream) Schema() relalg.Schema { return f.schema }
-
-func (f *filteredStream) Next() (relalg.Tuple, bool, error) {
-	for {
-		if err := f.ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		t, ok, err := f.raw.Next()
-		if err != nil || !ok {
-			return nil, ok, err
-		}
-		keep, err := f.match(t)
-		if err != nil {
-			return nil, false, err
-		}
-		if !keep {
-			continue
-		}
-		if f.projIdx == nil {
-			return t, true, nil
-		}
-		row := make(relalg.Tuple, len(f.projIdx))
-		for i, ci := range f.projIdx {
-			row[i] = t[ci]
-		}
-		return row, true, nil
-	}
-}
-
-// NextBatch implements wrapper.BatchStream: one context check and one
-// parse/filter/project sweep per block of rows. A parse error hit after
-// rows were buffered is held back until the following call, preserving
-// the per-tuple contract's rows-before-error delivery.
-func (f *filteredStream) NextBatch(max int) ([]relalg.Tuple, error) {
-	if err := f.pend; err != nil {
-		f.pend = nil
-		return nil, err
-	}
-	if err := f.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if max <= 0 {
-		max = relalg.DefaultBatchSize
-	}
-	if f.projIdx != nil && f.bb == nil {
-		f.bb = relalg.NewBatchBuilder(len(f.projIdx))
-	}
-	if f.projIdx == nil {
-		f.out = f.out[:0]
-	} else {
-		f.bb.Reset(max)
-	}
-	n := 0
-	for n < max {
-		t, ok, err := f.raw.Next()
-		if err != nil {
-			f.pend = err
-			break
-		}
-		if !ok {
-			break
-		}
-		keep, err := f.match(t)
-		if err != nil {
-			f.pend = err
-			break
-		}
-		if !keep {
-			continue
-		}
-		n++
-		if f.projIdx == nil {
-			f.out = append(f.out, t)
-			continue
-		}
-		row := f.bb.Row()
-		for i, ci := range f.projIdx {
-			row[i] = t[ci]
-		}
-	}
-	if n == 0 && f.pend != nil {
-		err := f.pend
-		f.pend = nil
-		return nil, err
-	}
-	if f.projIdx == nil {
-		return f.out, nil
-	}
-	return f.bb.Batch().Rows, nil
-}
-
-func (f *filteredStream) Close() error { return f.raw.Close() }
+func (b *blockReader) Close() error { return b.raw.Close() }
 
 // csvStream parses one CSV relation row by row.
 type csvStream struct {

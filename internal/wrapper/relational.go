@@ -211,29 +211,20 @@ func (r *Relational) checkRequire(q SourceQuery) error {
 	return err
 }
 
-// Query implements Wrapper.
+// Query implements Wrapper by draining QueryStream.
 func (r *Relational) Query(ctx context.Context, q SourceQuery) (*relalg.Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.checkRequire(q); err != nil {
-		return nil, err
-	}
-	rel, rest, err := r.scanFor(q)
+	st, err := r.QueryStream(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	rel, err = ApplyFilters(rel, rest)
-	if err != nil {
-		return nil, fmt.Errorf("wrapper: source %s: %w", r.Source(), err)
-	}
-	return ProjectColumns(rel, q.Columns)
+	return Drain(q.Relation, st)
 }
 
-// QueryStream implements Streamer: selection and projection are applied
-// per tuple as the engine pulls, so an engine-side early exit (LIMIT)
-// stops the transfer after O(limit) tuples instead of shipping the whole
-// answer.
+// QueryStream implements Streamer: the raw reader is a snapshot of the
+// candidate rows (scanFor), and the cursor applies the remaining filters
+// and the projection as the engine pulls, so an engine-side early exit
+// (LIMIT) stops the transfer after O(limit) tuples instead of shipping
+// the whole answer.
 func (r *Relational) QueryStream(ctx context.Context, q SourceQuery) (TupleStream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -245,114 +236,9 @@ func (r *Relational) QueryStream(ctx context.Context, q SourceQuery) (TupleStrea
 	if err != nil {
 		return nil, err
 	}
-	match, err := Matcher(rel.Schema, rest)
+	st, err := NewCursor(ctx, NewRelationStream(rel), rest, q.Columns)
 	if err != nil {
 		return nil, fmt.Errorf("wrapper: source %s: %w", r.Source(), err)
 	}
-	// Resolve the projection once.
-	projIdx := []int(nil)
-	schema := rel.Schema
-	if len(q.Columns) > 0 {
-		if projIdx, schema, err = resolveProjection(rel.Schema, q.Columns); err != nil {
-			return nil, err
-		}
-	}
-	return &relationalStream{ctx: ctx, rel: rel, match: match, projIdx: projIdx, schema: schema}, nil
+	return st, nil
 }
-
-// relationalStream streams a snapshot of a table, filtering and
-// projecting lazily; it stops with ctx.Err() once the query's context
-// dies, so an abandoned query transfers no further tuples.
-type relationalStream struct {
-	ctx     context.Context
-	rel     *relalg.Relation
-	match   func(relalg.Tuple) (bool, error)
-	projIdx []int
-	schema  relalg.Schema
-	pos     int
-	out     []relalg.Tuple       // reused row buffer for filtered batches
-	bb      *relalg.BatchBuilder // arena for projected batches
-}
-
-func (s *relationalStream) Schema() relalg.Schema { return s.schema }
-
-func (s *relationalStream) Next() (relalg.Tuple, bool, error) {
-	for s.pos < len(s.rel.Tuples) {
-		if err := s.ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		t := s.rel.Tuples[s.pos]
-		s.pos++
-		ok, err := s.match(t)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			continue
-		}
-		if s.projIdx == nil {
-			return t, true, nil
-		}
-		row := make(relalg.Tuple, len(s.projIdx))
-		for i, ci := range s.projIdx {
-			row[i] = t[ci]
-		}
-		return row, true, nil
-	}
-	return nil, false, nil
-}
-
-// NextBatch implements BatchStream: one context check and one
-// filter/projection sweep per block of rows, with projected rows built in
-// a per-batch value arena.
-func (s *relationalStream) NextBatch(max int) ([]relalg.Tuple, error) {
-	if s.pos >= len(s.rel.Tuples) {
-		return nil, nil
-	}
-	if err := s.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if max <= 0 {
-		max = relalg.DefaultBatchSize
-	}
-	if s.projIdx != nil && s.bb == nil {
-		s.bb = relalg.NewBatchBuilder(len(s.projIdx))
-	}
-	for s.pos < len(s.rel.Tuples) {
-		if s.projIdx == nil {
-			s.out = s.out[:0]
-		} else {
-			s.bb.Reset(max)
-		}
-		n := 0
-		for s.pos < len(s.rel.Tuples) && n < max {
-			t := s.rel.Tuples[s.pos]
-			s.pos++
-			ok, err := s.match(t)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			n++
-			if s.projIdx == nil {
-				s.out = append(s.out, t)
-				continue
-			}
-			row := s.bb.Row()
-			for i, ci := range s.projIdx {
-				row[i] = t[ci]
-			}
-		}
-		if n > 0 {
-			if s.projIdx == nil {
-				return s.out, nil
-			}
-			return s.bb.Batch().Rows, nil
-		}
-	}
-	return nil, nil
-}
-
-func (s *relationalStream) Close() error { return nil }

@@ -171,24 +171,13 @@ func (s *Source) Query(ctx context.Context, q wrapper.SourceQuery) (*relalg.Rela
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	rel := relalg.NewRelation(q.Relation, st.Schema())
-	for {
-		tup, ok, err := st.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return rel, nil
-		}
-		rel.Tuples = append(rel.Tuples, tup)
-	}
+	return wrapper.Drain(q.Relation, st)
 }
 
 // QueryStream implements wrapper.Streamer: pages are fetched lazily, one
-// GET per page, as the consumer pulls. Projection the service cannot do
-// is applied client-side so direct callers still get the columns they
-// asked for.
+// GET per page, as the consumer pulls. The filters travel to the service;
+// the projection it cannot do is left to the shared cursor, so direct
+// callers still get the columns they asked for.
 func (s *Source) QueryStream(ctx context.Context, q wrapper.SourceQuery) (wrapper.TupleStream, error) {
 	r, err := s.relation(q.Relation)
 	if err != nil {
@@ -205,29 +194,12 @@ func (s *Source) QueryStream(ctx context.Context, q wrapper.SourceQuery) (wrappe
 	if err != nil {
 		return nil, fmt.Errorf("restsrc: source %s: %w", s.name, err)
 	}
-	var project []int
-	outSchema := r.schema
-	if len(q.Columns) > 0 {
-		picked := make([]relalg.Column, 0, len(q.Columns))
-		for _, c := range q.Columns {
-			i := r.schema.Index(c)
-			if i < 0 {
-				return nil, fmt.Errorf("restsrc: relation %s has no column %s", q.Relation, c)
-			}
-			project = append(project, i)
-			picked = append(picked, r.schema.Columns[i])
-		}
-		outSchema = relalg.NewSchema(picked...)
+	pages := &pageStream{src: s, ctx: ctx, relation: q.Relation, filters: filters, schema: r.schema}
+	st, err := wrapper.NewCursor(ctx, pages, nil, q.Columns)
+	if err != nil {
+		return nil, fmt.Errorf("restsrc: source %s: %w", s.name, err)
 	}
-	return &pageStream{
-		src:      s,
-		ctx:      ctx,
-		relation: q.Relation,
-		filters:  filters,
-		schema:   r.schema,
-		out:      outSchema,
-		project:  project,
-	}, nil
+	return st, nil
 }
 
 // encodeFilters renders filters in the wire format.
@@ -291,67 +263,28 @@ func (s *Source) get(ctx context.Context, fullURL string) ([]byte, error) {
 	return body, nil
 }
 
-// pageStream pulls /query pages lazily as the consumer drains it.
+// pageStream is the source's wrapper.RawReader: it pulls /query pages
+// lazily as the consumer drains it.
 type pageStream struct {
 	src      *Source
 	ctx      context.Context
 	relation string
 	filters  string
 	schema   relalg.Schema
-	out      relalg.Schema
-	project  []int
 
-	page   int
-	buf    []relalg.Tuple
-	pos    int
-	done   bool
-	closed bool
-	bb     *relalg.BatchBuilder // arena for projected batches
+	page int
+	buf  []relalg.Tuple
+	pos  int
+	done bool
 }
 
-func (p *pageStream) Schema() relalg.Schema { return p.out }
+func (p *pageStream) Schema() relalg.Schema { return p.schema }
 
-func (p *pageStream) Next() (relalg.Tuple, bool, error) {
-	if p.closed {
-		return nil, false, fmt.Errorf("restsrc: stream closed")
-	}
-	if err := p.ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	for p.pos >= len(p.buf) {
-		if p.done {
-			return nil, false, nil
-		}
-		if err := p.fetchPage(); err != nil {
-			return nil, false, err
-		}
-	}
-	tup := p.buf[p.pos]
-	p.pos++
-	if p.project != nil {
-		narrow := make(relalg.Tuple, len(p.project))
-		for i, ci := range p.project {
-			narrow[i] = tup[ci]
-		}
-		tup = narrow
-	}
-	return tup, true, nil
-}
-
-// NextBatch implements wrapper.BatchStream: a batch is (at most) the
+// NextBatch implements wrapper.RawReader: a block is (at most) the
 // remainder of the already-fetched page — the stream never fetches the
-// next page just to fill a batch, so pagination round trips still track
+// next page just to fill a block, so pagination round trips still track
 // consumer demand.
 func (p *pageStream) NextBatch(max int) ([]relalg.Tuple, error) {
-	if p.closed {
-		return nil, fmt.Errorf("restsrc: stream closed")
-	}
-	if err := p.ctx.Err(); err != nil {
-		return nil, err
-	}
-	if max <= 0 {
-		max = relalg.DefaultBatchSize
-	}
 	for p.pos >= len(p.buf) {
 		if p.done {
 			return nil, nil
@@ -360,32 +293,14 @@ func (p *pageStream) NextBatch(max int) ([]relalg.Tuple, error) {
 			return nil, err
 		}
 	}
-	end := p.pos + max
-	if end > len(p.buf) {
-		end = len(p.buf)
-	}
-	rows := p.buf[p.pos:end]
-	p.pos = end
-	if p.project == nil {
-		return rows, nil
-	}
-	if p.bb == nil {
-		p.bb = relalg.NewBatchBuilder(len(p.project))
-	}
-	p.bb.Reset(len(rows))
-	for _, tup := range rows {
-		narrow := p.bb.Row()
-		for i, ci := range p.project {
-			narrow[i] = tup[ci]
-		}
-	}
-	return p.bb.Batch().Rows, nil
+	rows := p.buf[p.pos:min(p.pos+max, len(p.buf))]
+	p.pos += len(rows)
+	return rows, nil
 }
 
-func (p *pageStream) Close() error {
-	p.closed = true
-	return nil
-}
+// Close implements wrapper.RawReader. A page is one whole GET, so nothing
+// is held open between blocks; the cursor refuses reads after Close.
+func (p *pageStream) Close() error { return nil }
 
 // fetchPage pulls the next page into the buffer.
 func (p *pageStream) fetchPage() error {

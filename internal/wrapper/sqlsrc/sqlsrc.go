@@ -213,22 +213,13 @@ func (s *Source) Query(ctx context.Context, q wrapper.SourceQuery) (*relalg.Rela
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	rel := relalg.NewRelation(q.Relation, st.Schema())
-	for {
-		tup, ok, err := st.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return rel, nil
-		}
-		rel.Tuples = append(rel.Tuples, tup)
-	}
+	return wrapper.Drain(q.Relation, st)
 }
 
 // QueryStream implements wrapper.Streamer: compile the source query to
-// SQL, execute it on the server, and stream rows off the cursor.
+// SQL, execute it on the server, and stream rows off the database cursor.
+// Filters and projection are in the SQL text, so the shared cursor gets
+// none to apply.
 func (s *Source) QueryStream(ctx context.Context, q wrapper.SourceQuery) (wrapper.TupleStream, error) {
 	schema, err := s.Schema(q.Relation)
 	if err != nil {
@@ -251,7 +242,7 @@ func (s *Source) QueryStream(ctx context.Context, q wrapper.SourceQuery) (wrappe
 		// above, so a query error here is server weather, not a bad query.
 		return nil, wrapper.Transient(fmt.Errorf("sqlsrc: source %s: %w", s.name, err))
 	}
-	return &sqlStream{rows: rows, schema: outSchema}, nil
+	return wrapper.NewCursor(ctx, &sqlStream{rows: rows, schema: outSchema}, nil, nil)
 }
 
 // compileQuery renders a SourceQuery in the restricted dialect. Returned
@@ -356,59 +347,24 @@ func quoteIdent(name string) (string, error) {
 	return `"` + name + `"`, nil
 }
 
-// sqlStream adapts *sql.Rows to wrapper.TupleStream, coercing driver
-// values to the declared column kinds.
+// sqlStream is the source's wrapper.RawReader over *sql.Rows, coercing
+// driver values to the declared column kinds.
 type sqlStream struct {
 	rows   *sql.Rows
 	schema relalg.Schema
 
-	// Batch-mode state: reused scan destinations, per-batch arena, and an
-	// error held back behind already-buffered rows.
+	// Reused scan destinations and the per-batch arena tuples are built in.
 	bb   *relalg.BatchBuilder
 	raw  []any
 	ptrs []any
-	pend error
 }
 
 func (s *sqlStream) Schema() relalg.Schema { return s.schema }
 
-func (s *sqlStream) Next() (relalg.Tuple, bool, error) {
-	if !s.rows.Next() {
-		if err := s.rows.Err(); err != nil {
-			// A cursor dropped mid-stream is connection weather: transient.
-			return nil, false, wrapper.Transient(fmt.Errorf("sqlsrc: cursor: %w", err))
-		}
-		return nil, false, nil
-	}
-	raw := make([]any, len(s.schema.Columns))
-	ptrs := make([]any, len(raw))
-	for i := range raw {
-		ptrs[i] = &raw[i]
-	}
-	if err := s.rows.Scan(ptrs...); err != nil {
-		// A scan failure means the delivered shape does not match the
-		// declared schema; retrying re-fetches the same shape.
-		return nil, false, wrapper.Permanent(fmt.Errorf("sqlsrc: scan: %w", err))
-	}
-	tup := make(relalg.Tuple, len(raw))
-	for i, v := range raw {
-		tup[i] = fromDBValue(v, s.schema.Columns[i].Type)
-	}
-	return tup, true, nil
-}
-
-// NextBatch implements wrapper.BatchStream: one cursor sweep per block,
-// reusing the scan destinations across rows and building tuples in a
-// per-batch value arena. A cursor or scan error after rows were buffered
-// is held back until the following call, so no fetched row is lost.
+// NextBatch implements wrapper.RawReader: one sweep of the database
+// cursor per block, reusing the scan destinations across rows. A cursor
+// or scan error comes with the rows swept before it.
 func (s *sqlStream) NextBatch(max int) ([]relalg.Tuple, error) {
-	if err := s.pend; err != nil {
-		s.pend = nil
-		return nil, err
-	}
-	if max <= 0 {
-		max = relalg.DefaultBatchSize
-	}
 	arity := len(s.schema.Columns)
 	if s.bb == nil {
 		s.bb = relalg.NewBatchBuilder(arity)
@@ -419,15 +375,19 @@ func (s *sqlStream) NextBatch(max int) ([]relalg.Tuple, error) {
 		}
 	}
 	s.bb.Reset(max)
+	var err error
 	for s.bb.Len() < max {
 		if !s.rows.Next() {
-			if err := s.rows.Err(); err != nil {
-				s.pend = wrapper.Transient(fmt.Errorf("sqlsrc: cursor: %w", err))
+			if err = s.rows.Err(); err != nil {
+				// A cursor dropped mid-stream is connection weather: transient.
+				err = wrapper.Transient(fmt.Errorf("sqlsrc: cursor: %w", err))
 			}
 			break
 		}
-		if err := s.rows.Scan(s.ptrs...); err != nil {
-			s.pend = wrapper.Permanent(fmt.Errorf("sqlsrc: scan: %w", err))
+		if err = s.rows.Scan(s.ptrs...); err != nil {
+			// A scan failure means the delivered shape does not match the
+			// declared schema; retrying re-fetches the same shape.
+			err = wrapper.Permanent(fmt.Errorf("sqlsrc: scan: %w", err))
 			break
 		}
 		tup := s.bb.Row()
@@ -435,12 +395,7 @@ func (s *sqlStream) NextBatch(max int) ([]relalg.Tuple, error) {
 			tup[i] = fromDBValue(v, s.schema.Columns[i].Type)
 		}
 	}
-	if s.bb.Len() == 0 && s.pend != nil {
-		err := s.pend
-		s.pend = nil
-		return nil, err
-	}
-	return s.bb.Batch().Rows, nil
+	return s.bb.Batch().Rows, err
 }
 
 func (s *sqlStream) Close() error { return s.rows.Close() }

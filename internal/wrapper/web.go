@@ -3,6 +3,7 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/relalg"
@@ -60,16 +61,8 @@ func (w *Web) Relations() []string {
 	for r := range w.Specs {
 		out = append(out, r)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Schema implements Wrapper.

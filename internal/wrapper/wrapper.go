@@ -5,10 +5,22 @@
 // relational tables, for on-line databases and semi-structured Web sites
 // alike.
 //
-// Two implementations are provided: Relational (over internal/store
-// databases, standing in for the paper's Oracle source) and Web (executing
-// the declarative wrapping specifications of [Qu96]-style transition
-// networks plus regular expressions against internal/web sites).
+// Five backends speak the protocol. Web (here) executes the declarative
+// wrapping specifications of [Qu96]-style transition networks plus
+// regular expressions against internal/web sites and answers whole
+// relations. The other four stream, and share one engine-facing cursor
+// (stream.go): Relational (here, over internal/store databases, standing
+// in for the paper's Oracle source), filesrc (CSV/JSON files), sqlsrc
+// (database/sql) and restsrc (paginated JSON over HTTP). Each of them
+// supplies a RawReader — one method that reads blocks of rows from its
+// source: a snapshot slice, a file decode, a sql.Rows sweep, a page
+// fetch — and hands NewCursor the filters and columns it did not push
+// down. The cursor owns everything between that reader and the engine:
+// the context check per block, selection, projection, holding an error
+// back behind rows already read, the per-tuple view, and Drain, which is
+// every streaming backend's Query. A new backend therefore writes its
+// Capabilities (what it pushes down), its pushdown compilation, and one
+// RawReader; it writes no Next, no filter loop and no drain.
 package wrapper
 
 import (
@@ -38,26 +50,12 @@ type Filter struct {
 	Values []relalg.Value
 }
 
-// Match evaluates the filter against one column value. ApplyFilters, the
-// Matcher used by streaming fetches, and the Relational wrapper all route
-// through it so filter semantics cannot diverge.
-func (f Filter) Match(v relalg.Value) (bool, error) {
-	if f.Op == OpIn {
-		for _, c := range f.Values {
-			if v.Equal(c) {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	return evalFilter(v, f.Op, f.Value)
-}
-
 // Compile resolves the filter operator once, returning the per-value
-// predicate Match applies row by row (same semantics, including errors —
-// an unknown operator errors on first use, not at compile time). All-
-// string IN lists — the shape bind-join batching produces — probe a set
-// instead of scanning the value list per row.
+// predicate of the filter: the one implementation of filter semantics,
+// which Matcher (and through it ApplyFilters and every stream) applies
+// row by row. An unknown operator errors on first use, not at compile
+// time. All-string IN lists — the shape bind-join batching produces —
+// probe a set instead of scanning the value list per row.
 func (f Filter) Compile() func(relalg.Value) (bool, error) {
 	if f.Op == OpIn {
 		allStr := len(f.Values) > 0
@@ -305,37 +303,9 @@ func ApplyFilters(rel *relalg.Relation, filters []Filter) (*relalg.Relation, err
 	return out, nil
 }
 
-func evalFilter(v relalg.Value, op string, c relalg.Value) (bool, error) {
-	switch op {
-	case "=":
-		return v.Equal(c), nil
-	case "<>":
-		if v.IsNull() || c.IsNull() {
-			return false, nil
-		}
-		return !v.Equal(c), nil
-	case "<", "<=", ">", ">=":
-		cmp, ok := v.Compare(c)
-		if !ok {
-			return false, nil
-		}
-		switch op {
-		case "<":
-			return cmp < 0, nil
-		case "<=":
-			return cmp <= 0, nil
-		case ">":
-			return cmp > 0, nil
-		default:
-			return cmp >= 0, nil
-		}
-	}
-	return false, fmt.Errorf("wrapper: unknown filter operator %q", op)
-}
-
 // resolveProjection resolves column names against a schema once,
 // returning their positions and the projected schema. ProjectColumns and
-// the streaming fetch path share it.
+// the stream cursor share it.
 func resolveProjection(schema relalg.Schema, columns []string) ([]int, relalg.Schema, error) {
 	idx := make([]int, len(columns))
 	cols := make([]relalg.Column, len(columns))

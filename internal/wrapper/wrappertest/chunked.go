@@ -47,11 +47,12 @@ func (c *Chunked) QueryStream(ctx context.Context, q wrapper.SourceQuery) (wrapp
 	if size <= 0 {
 		size = 1
 	}
-	return &chunkStream{src: c, rel: rel, size: size}, nil
+	return wrapper.NewCursor(ctx, &chunkStream{src: c, rel: rel, size: size}, nil, nil)
 }
 
-// chunkStream hands out buffered rows and pulls the next chunk — possibly
-// the empty final one — whenever the buffer drains.
+// chunkStream is a wrapper.RawReader that hands out buffered rows and
+// pulls the next chunk — possibly the empty final one — whenever the
+// buffer drains.
 type chunkStream struct {
 	src  *Chunked
 	rel  *relalg.Relation
@@ -63,18 +64,6 @@ type chunkStream struct {
 }
 
 func (s *chunkStream) Schema() relalg.Schema { return s.rel.Schema }
-
-func (s *chunkStream) Next() (relalg.Tuple, bool, error) {
-	for s.pos >= len(s.buf) {
-		if s.done {
-			return nil, false, nil
-		}
-		s.fetchChunk()
-	}
-	t := s.buf[s.pos]
-	s.pos++
-	return t, true, nil
-}
 
 // fetchChunk simulates one paginated round trip. A fetch that finds no
 // rows left is still a fetch — that is the empty final chunk.
@@ -94,13 +83,10 @@ func (s *chunkStream) fetchChunk() {
 	s.next = end
 }
 
-// NextBatch implements wrapper.BatchStream: a batch is (at most) the
+// NextBatch implements wrapper.RawReader: a block is (at most) the
 // remainder of the current chunk — chunk boundaries survive as batch
 // boundaries, and the final empty fetch still happens before EOF.
 func (s *chunkStream) NextBatch(max int) ([]relalg.Tuple, error) {
-	if max <= 0 {
-		max = relalg.DefaultBatchSize
-	}
 	for s.pos >= len(s.buf) {
 		if s.done {
 			return nil, nil
