@@ -49,11 +49,13 @@ test-bench:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Race detector over the session/concurrency-sensitive packages (CI runs
-# this as its own job). The exchange-operator and parallel-pipeline tests
-# run twice so scheduling variation between runs gets a chance to surface
-# ordering races the first pass missed.
+# this as its own job), the mediator included: one core.Mediator, with its
+# program cache and shape memo, is shared by every request a server
+# answers. The exchange-operator and parallel-pipeline tests run twice so
+# scheduling variation between runs gets a chance to surface ordering
+# races the first pass missed.
 test-race:
-	$(GO) test -race ./internal/server/ ./internal/planner/ ./coin/ ./internal/relalg/ ./internal/wrapper/... ./internal/client/ ./internal/golden/
+	$(GO) test -race ./internal/server/ ./internal/planner/ ./coin/ ./internal/relalg/ ./internal/wrapper/... ./internal/client/ ./internal/golden/ ./internal/core/ ./internal/datalog/
 	$(GO) test -race -count=2 -run 'Parallel|Exchange' ./internal/relalg/ ./internal/planner/
 
 # Fault-injection (chaos) suite under the race detector, twice, so the
@@ -76,13 +78,17 @@ golden:
 golden-update:
 	$(GO) test ./internal/golden/ -run TestGoldenCorpus -update
 
-# Short fuzzing smoke over the two hand-written parsers (SQL and wrapping
-# specs) and the wire's row codec (held to encoding/json in both
-# directions); CI runs this with a small FUZZTIME, longer runs are manual.
+# Short fuzzing smoke over the three hand-written parsers (SQL, wrapping
+# specs, datalog programs), the wire's row codec (held to encoding/json
+# in both directions) and the mediator's shape road (held to the exact
+# road, literal by literal); CI runs this with a small FUZZTIME, longer
+# runs are manual.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME) ./internal/wrapper/
+	$(GO) test -run '^$$' -fuzz FuzzParseProgram -fuzztime $(FUZZTIME) ./internal/datalog/
 	$(GO) test -run '^$$' -fuzz FuzzRowCodec -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzMediateShape -fuzztime $(FUZZTIME) ./internal/core/
 
 # Static-analysis gate: vet, the package-comment check, and the
 # engine-invariant analyzer suite (batchretain, ctxflow, sourcefunnel,

@@ -17,6 +17,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/relalg"
 	"repro/internal/server"
+	"repro/internal/sqlparse"
 )
 
 func TestE9MediatedJoinAllocBudget(t *testing.T) {
@@ -44,6 +45,48 @@ func TestE9MediatedJoinAllocBudget(t *testing.T) {
 	const budget = 2660 // measured 1331; ~2x headroom
 	if allocs > budget {
 		t.Errorf("mediated E9 query allocates %.0f/query, budget %d", allocs, budget)
+	}
+}
+
+// TestMediateHitAllocBudget pins what a memoised shape is for: mediating
+// the paper's Q1 when its shape has been solved (a hit) allocates a
+// fraction of what solving it does (a miss), because the hit skips the
+// compile and the abductive solve and only instantiates and emits.
+func TestMediateHitAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	stmt, err := sqlparse.Parse(fixture.PaperQ1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.New(fixture.Registry())
+	mediate := func() {
+		med, err := m.Mediate(stmt, "c2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(med.Branches) != 3 {
+			t.Fatalf("branches = %d", len(med.Branches))
+		}
+	}
+	// A miss: the program is warm, the shape is not (AllocsPerRun calls
+	// the function once before it counts, so the reset goes first).
+	reset := func() {
+		m.Invalidate()
+		if err := m.Warm("c2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss := testing.AllocsPerRun(20, func() { reset(); mediate() }) - testing.AllocsPerRun(20, reset)
+	hit := testing.AllocsPerRun(100, mediate)
+	t.Logf("mediating PaperQ1: miss %.0f allocs, hit %.0f allocs (%.0f%%)", miss, hit, 100*hit/miss)
+	const budget = 197 // measured 179; +10%
+	if hit > budget {
+		t.Errorf("a hit allocates %.0f, budget %d", hit, budget)
+	}
+	if hit > 0.4*miss {
+		t.Errorf("a hit allocates %.0f, over 40%% of a miss's %.0f", hit, miss)
 	}
 }
 

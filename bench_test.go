@@ -49,14 +49,14 @@ func BenchmarkE1_PaperExample(b *testing.B) {
 	}
 }
 
-// BenchmarkE1b_MediationOnly isolates the abductive rewriting.
+// BenchmarkE1b_MediationOnly isolates the rewriting of one text, both
+// ways a request can meet it: shape=cold is the first sight of a query
+// shape on a warm program (compile + abductive solve + instantiate +
+// emit), shape=warm every later one (instantiate + emit on the memoised
+// derivation; see internal/core/shape.go).
 func BenchmarkE1b_MediationOnly(b *testing.B) {
 	sys := coin.Figure2System()
-	if err := sys.Mediator().Warm("c2"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	mediate := func(b *testing.B) {
 		med, err := sys.Mediate(coin.PaperQ1, "c2")
 		if err != nil {
 			b.Fatal(err)
@@ -65,6 +65,30 @@ func BenchmarkE1b_MediationOnly(b *testing.B) {
 			b.Fatalf("branches = %d", len(med.Branches))
 		}
 	}
+	warm := func(b *testing.B) {
+		if err := sys.Mediator().Warm("c2"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("shape=cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			sys.Mediator().Invalidate() // a fresh program: no shape solved yet
+			warm(b)
+			b.StartTimer()
+			mediate(b)
+		}
+	})
+	b.Run("shape=warm", func(b *testing.B) {
+		b.ReportAllocs()
+		warm(b)
+		mediate(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mediate(b)
+		}
+	})
 }
 
 // BenchmarkE1c_ExecutionOnly isolates plan+execute of the mediated union.

@@ -18,6 +18,11 @@ type queryCompile struct {
 	prog  *datalog.Program // registry program + query-local OR clauses
 	goals []datalog.Term
 
+	// abstract makes compileOperand count parameters (shape.go) into
+	// params; only the referee's oracle compiles without it.
+	abstract bool
+	params   int
+
 	bindings []bindingInfo
 	semAdded map[string]bool
 
@@ -48,12 +53,13 @@ type orderTerm struct {
 	name string // output column this key maps to ("" when not projected)
 }
 
-func (m *Mediator) compileQuery(sel *sqlparse.Select, receiver string, base *datalog.Program) (*queryCompile, error) {
+func (m *Mediator) compileQuery(sel *sqlparse.Select, receiver string, base *datalog.Program, abstract bool) (*queryCompile, error) {
 	qc := &queryCompile{
 		m:        m,
 		sel:      sel,
 		receiver: receiver,
 		prog:     base, // cloned lazily when OR clauses are needed
+		abstract: abstract,
 		semAdded: map[string]bool{},
 	}
 	if err := qc.compileFrom(); err != nil {
@@ -288,11 +294,11 @@ func (qc *queryCompile) compileBool(e sqlparse.Expr, negated bool) ([]datalog.Te
 			if err != nil {
 				return nil, err
 			}
-			l, err := qc.compileScalar(e.L)
+			l, err := qc.compileOperand(e.Op, e.L)
 			if err != nil {
 				return nil, err
 			}
-			r, err := qc.compileScalar(e.R)
+			r, err := qc.compileOperand(e.Op, e.R)
 			if err != nil {
 				return nil, err
 			}

@@ -27,10 +27,16 @@ import (
 
 // Mediator rewrites queries using the knowledge in a domain registry. It
 // caches one compiled program per receiver context (Warm pre-compiles)
-// and is safe for concurrent use, as the prototype's server answers many
-// receivers at once. Registry mutation (registering sources) must still
-// be serialized against queries by the caller; coin.System does that by
-// construction (sources are added during setup).
+// and, on each program, the derivations of the query shapes solved
+// against it (shape.go), and is safe for concurrent use, as the
+// prototype's server answers many receivers at once.
+//
+// The registry may change at run time (coin.System.Add* register sources
+// while serving), under this contract: a registry mutation must not
+// overlap a mediation, and is followed by Invalidate — the three coin
+// registration sites call it — which retires every program together with
+// its memoised shapes. A mediation in flight finishes on the program it
+// started with; what it memoises dies with that program.
 type Mediator struct {
 	Registry *domain.Registry
 
@@ -42,17 +48,22 @@ type Mediator struct {
 	MaxDepth int
 	// KeepEntailed disables constraint simplification: entailed
 	// (ground-true) constraints survive into the mediated WHERE clauses.
-	// Ablation only — answers are unchanged, queries get noisier.
+	// Ablation only — answers are unchanged, queries get noisier. A
+	// comparison between parameters (shape.go) is entailed only once they
+	// are bound, so it survives too (`WHERE 1 < 2` keeps `1 < 2`), where a
+	// solver handed the literals would have decided it on sight.
 	KeepEntailed bool
 
 	mu    sync.Mutex
 	progs map[string]*compiled
 }
 
-// compiled pairs a receiver's program with its explanation metadata.
+// compiled pairs a receiver's program with its explanation metadata and
+// the shapes solved against it, by key (guarded by Mediator.mu).
 type compiled struct {
-	prog *datalog.Program
-	meta *domain.CompileMeta
+	prog   *datalog.Program
+	meta   *domain.CompileMeta
+	shapes map[string]*shape
 }
 
 // DefaultMaxBranches bounds mediated-query size when Mediator.MaxBranches
@@ -132,6 +143,27 @@ type Post struct {
 	Distinct bool
 }
 
+// clone deep-copies a Post (nil stays nil): the one a compiled query
+// holds is shared between requests, a Mediation's belongs to its consumer.
+func (p *Post) clone() *Post {
+	if p == nil {
+		return nil
+	}
+	c := &Post{Having: sqlparse.CloneExpr(p.Having), Limit: p.Limit, Distinct: p.Distinct}
+	for _, g := range p.GroupBy {
+		c.GroupBy = append(c.GroupBy, sqlparse.CloneExpr(g))
+	}
+	for _, it := range p.Items {
+		it.Expr = sqlparse.CloneExpr(it.Expr)
+		c.Items = append(c.Items, it)
+	}
+	for _, o := range p.OrderBy {
+		o.Expr = sqlparse.CloneExpr(o.Expr)
+		c.OrderBy = append(c.OrderBy, o)
+	}
+	return c
+}
+
 // SQL renders the mediated statement, including a post-processing comment
 // when present, in the paper's multi-line layout.
 func (m *Mediation) SQL() string {
@@ -168,13 +200,13 @@ func (m *Mediator) program(receiver string) (*compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &compiled{prog: prog, meta: meta}
+	c := &compiled{prog: prog, meta: meta, shapes: map[string]*shape{}}
 	m.progs[receiver] = c
 	return c, nil
 }
 
-// Invalidate drops cached programs; call after changing the registry
-// (e.g. registering a new source).
+// Invalidate drops cached programs and, with them, every memoised shape;
+// call after changing the registry (e.g. registering a new source).
 func (m *Mediator) Invalidate() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -205,62 +237,107 @@ func (m *Mediator) Mediate(stmt sqlparse.Statement, receiver string) (*Mediation
 		if err != nil {
 			return nil, err
 		}
-		if left.Post != nil || right.Post != nil {
-			return nil, fmt.Errorf("core: cannot mediate a UNION whose arms need post-processing")
-		}
-		branches := append(append([]*sqlparse.Select(nil), left.Branches...), right.Branches...)
-		stmts := make([]sqlparse.Statement, len(branches))
-		for i, b := range branches {
-			stmts[i] = b
-		}
-		return &Mediation{
-			Receiver:  receiver,
-			Original:  stmt,
-			Branches:  branches,
-			Mediated:  sqlparse.UnionAll(stmts),
-			UnionAll:  false,
-			Solutions: append(append([]datalog.Solution(nil), left.Solutions...), right.Solutions...),
-			meta:      left.meta,
-		}, nil
+		return unite(s, receiver, left, right)
 	}
 	return nil, fmt.Errorf("core: cannot mediate %T", stmt)
 }
 
+// unite combines the mediations of a UNION's two arms.
+func unite(stmt *sqlparse.Union, receiver string, left, right *Mediation) (*Mediation, error) {
+	if left.Post != nil || right.Post != nil {
+		return nil, fmt.Errorf("core: cannot mediate a UNION whose arms need post-processing")
+	}
+	branches := append(append([]*sqlparse.Select(nil), left.Branches...), right.Branches...)
+	stmts := make([]sqlparse.Statement, len(branches))
+	for i, b := range branches {
+		stmts[i] = b
+	}
+	return &Mediation{
+		Receiver:  receiver,
+		Original:  stmt,
+		Branches:  branches,
+		Mediated:  sqlparse.UnionAll(stmts),
+		UnionAll:  false,
+		Solutions: append(append([]datalog.Solution(nil), left.Solutions...), right.Solutions...),
+		meta:      left.meta,
+	}, nil
+}
+
+// mediateSelect is the one road of a SELECT: its shape's derivation
+// (solved on first sight, memoised on the compiled program after),
+// instantiated with this request's literals, emitted. MaxBranches bounds
+// the derivation, not the instantiated union: a literal that would have
+// pruned a query back under the cap does not rescue it.
 func (m *Mediator) mediateSelect(sel *sqlparse.Select, receiver string) (*Mediation, error) {
 	comp, err := m.program(receiver)
 	if err != nil {
 		return nil, err
 	}
-	qc, err := m.compileQuery(sel, receiver, comp.prog)
-	if err != nil {
-		return nil, err
-	}
-	maxBranches := m.MaxBranches
+	maxBranches, depth := m.MaxBranches, m.MaxDepth
 	if maxBranches == 0 {
 		maxBranches = DefaultMaxBranches
 	}
-	solver := &datalog.Solver{
-		Program:                 qc.prog,
+	if depth == 0 {
+		depth = datalog.DefaultMaxDepth
+	}
+	key, lits := shapeOf(sel)
+	m.mu.Lock()
+	sh := comp.shapes[key]
+	m.mu.Unlock()
+	// A derivation that fits a depth bound fits every larger one; under a
+	// smaller one it is solved again.
+	if sh == nil || sh.depth > depth {
+		qc, err := m.compileQuery(sel, receiver, comp.prog, true)
+		if err != nil {
+			return nil, err
+		}
+		if qc.params != len(lits) {
+			return nil, fmt.Errorf("core: internal: compiled %d parameters for %d literals", qc.params, len(lits))
+		}
+		// Entailed constraints are kept here whatever the request says:
+		// instantiate drops them again unless it asked for them.
+		sols, err := m.solver(qc.prog, maxBranches+1, true).Solve(qc.goals...)
+		if err != nil {
+			return nil, fmt.Errorf("core: abductive procedure failed: %w", err)
+		}
+		// A shape keeps what emit reads: not the request's statement, not
+		// a program cloned for OR clauses.
+		qc.sel, qc.prog, qc.goals, qc.semAdded = nil, nil, nil, nil
+		sh = &shape{qc: qc, sols: sols, depth: depth}
+		if len(sols) <= maxBranches { // an enumeration cut short is not the shape's derivation
+			m.publish(comp, key, sh)
+		}
+	}
+	if len(sh.sols) > maxBranches {
+		return nil, fmt.Errorf("core: mediated query exceeds %d branches; raise Mediator.MaxBranches", maxBranches)
+	}
+	return sh.qc.assemble(sel, sh.instantiate(lits, m.KeepEntailed), comp.meta)
+}
+
+// solver configures the abductive procedure over a query's program.
+func (m *Mediator) solver(prog *datalog.Program, maxSolutions int, keepEntailed bool) *datalog.Solver {
+	return &datalog.Solver{
+		Program:                 prog,
 		Abducible:               m.Registry.IsAbducible,
 		CollectConstraints:      true,
 		MaxDepth:                m.MaxDepth,
-		MaxSolutions:            maxBranches + 1,
-		KeepEntailedConstraints: m.KeepEntailed,
+		MaxSolutions:            maxSolutions,
+		KeepEntailedConstraints: keepEntailed,
 		Denials:                 m.Registry.Denials(),
 		Trace:                   true,
 	}
-	sols, err := solver.Solve(qc.goals...)
-	if err != nil {
-		return nil, fmt.Errorf("core: abductive procedure failed: %w", err)
-	}
-	if len(sols) > maxBranches {
-		return nil, fmt.Errorf("core: mediated query exceeds %d branches; raise Mediator.MaxBranches", maxBranches)
-	}
+}
+
+// assemble emits one branch per solution and decides where ORDER BY,
+// LIMIT and DISTINCT run. qc may be shared between requests and is only
+// read; everything the Mediation can reach apart from the solutions'
+// Bindings, Abduced and Trace is built here.
+func (qc *queryCompile) assemble(sel *sqlparse.Select, sols []datalog.Solution, meta *domain.CompileMeta) (*Mediation, error) {
 	if len(sols) == 0 {
 		return nil, fmt.Errorf("core: query is unsatisfiable under the contexts involved (no consistent conflict resolution)")
 	}
 
-	med := &Mediation{Receiver: receiver, Original: sel, Solutions: sols, meta: comp.meta}
+	med := &Mediation{Receiver: qc.receiver, Original: sel, Solutions: sols, meta: meta}
 	for _, sol := range sols {
 		branch, err := qc.emit(sol)
 		if err != nil {
@@ -269,7 +346,7 @@ func (m *Mediator) mediateSelect(sel *sqlparse.Select, receiver string) (*Mediat
 		med.Branches = append(med.Branches, branch)
 	}
 
-	med.Post = qc.post
+	med.Post = qc.post.clone()
 	med.UnionAll = qc.aggregated
 	if !qc.aggregated {
 		if len(med.Branches) == 1 {
@@ -286,7 +363,7 @@ func (m *Mediator) mediateSelect(sel *sqlparse.Select, receiver string) (*Mediat
 			b.Distinct = sel.Distinct
 		} else if len(sel.OrderBy) > 0 || sel.Limit >= 0 {
 			// Ordering and truncation must run over the whole union.
-			ord, err := qc.postOrder()
+			ord, err := qc.postOrder(sel)
 			if err != nil {
 				return nil, err
 			}

@@ -31,11 +31,9 @@ func (qc *queryCompile) emit(sol datalog.Solution) (*sqlparse.Select, error) {
 		preds = append(preds, p)
 	}
 
-	s := bindingSubst(sol)
 	var items []sqlparse.SelectItem
 	for _, it := range qc.outItems {
-		term := datalog.SimplifyExpr(s.Resolve(it.term), s)
-		e, err := em.renderTerm(term)
+		e, err := em.renderTerm(answer(it.term, sol.Bindings))
 		if err != nil {
 			return nil, fmt.Errorf("core: rendering output column %s: %w", it.name, err)
 		}
@@ -64,11 +62,9 @@ func (qc *queryCompile) emitOrder(sol datalog.Solution) ([]sqlparse.OrderItem, e
 	if err := em.placeAtoms(sol.Abduced); err != nil {
 		return nil, err
 	}
-	s := bindingSubst(sol)
 	var out []sqlparse.OrderItem
 	for _, o := range qc.orderTerms {
-		term := datalog.SimplifyExpr(s.Resolve(o.term), s)
-		e, err := em.renderTerm(term)
+		e, err := em.renderTerm(answer(o.term, sol.Bindings))
 		if err != nil {
 			return nil, fmt.Errorf("core: rendering ORDER BY key: %w", err)
 		}
@@ -79,30 +75,36 @@ func (qc *queryCompile) emitOrder(sol datalog.Solution) ([]sqlparse.OrderItem, e
 
 // postOrder maps the compiled ORDER BY keys onto output column names for a
 // multi-branch mediation.
-func (qc *queryCompile) postOrder() ([]sqlparse.OrderItem, error) {
+func (qc *queryCompile) postOrder(sel *sqlparse.Select) ([]sqlparse.OrderItem, error) {
 	var out []sqlparse.OrderItem
 	for i, o := range qc.orderTerms {
 		if o.name == "" {
 			return nil, fmt.Errorf("core: ORDER BY key %d (%s) must be a projected column when the mediated query has several branches",
-				i+1, qc.sel.OrderBy[i].Expr)
+				i+1, sel.OrderBy[i].Expr)
 		}
 		out = append(out, sqlparse.OrderItem{Expr: &sqlparse.ColRef{Column: o.name}, Desc: o.desc})
 	}
 	return out, nil
 }
 
-// bindingSubst rebuilds a substitution from a solution's bindings,
-// dropping identities (an unbound query variable maps to itself, which
-// would make Resolve loop).
-func bindingSubst(sol datalog.Solution) *datalog.Subst {
-	s := datalog.NewSubst()
-	for k, v := range sol.Bindings {
-		if vv, ok := v.(datalog.Variable); ok && vv.Name == k {
-			continue
+// answer is the value a solution's bindings give a compiled term. They
+// hold every query variable's value fully resolved and folded, so a
+// variable is one lookup; only an expression over several is rebuilt and
+// folded again.
+func answer(t datalog.Term, bindings map[string]datalog.Term) datalog.Term {
+	switch t := t.(type) {
+	case datalog.Variable:
+		if v, ok := bindings[t.Name]; ok {
+			return v
 		}
-		s.Bind(datalog.NewVar(k), v)
+	case datalog.Compound:
+		args := make([]datalog.Term, len(t.Args))
+		for i, a := range t.Args {
+			args[i] = answer(a, bindings)
+		}
+		return datalog.SimplifyExpr(datalog.Compound{Functor: t.Functor, Args: args}, nil)
 	}
-	return s
+	return t
 }
 
 type emitter struct {

@@ -265,6 +265,13 @@ func (c *ConstraintSet) Normalize(s *Subst, keepEntailed bool) (residual []Compo
 	return out, true
 }
 
+// NormalizeConstraints is Normalize over a residue that left its store:
+// the mediator re-checks a solution's constraints with it after putting
+// values the solver never saw into them. cs is not modified.
+func NormalizeConstraints(cs []Compound, keepEntailed bool) ([]Compound, bool) {
+	return (&ConstraintSet{cs: cs}).Normalize(nil, keepEntailed)
+}
+
 // String renders the store for diagnostics.
 func (c *ConstraintSet) String() string {
 	parts := make([]string, len(c.cs))
