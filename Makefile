@@ -22,7 +22,7 @@ LINT_ALLOW_BUDGET = 8
 # fails above it). The same kind of ratchet: set to the measured value
 # when code is deleted, never raised; ROADMAP item D heads for 8,500.
 LOC_PKGS   = internal/relalg internal/planner coin
-LOC_BUDGET = 8491
+LOC_BUDGET = 8486
 
 # The same ratchet over the wrapper layer (non-test files, the
 # wrappertest/ doubles excluded): set to the measured value when code is
@@ -53,10 +53,13 @@ test-bench:
 # program cache and shape memo, is shared by every request a server
 # answers. The exchange-operator and parallel-pipeline tests run twice so
 # scheduling variation between runs gets a chance to surface ordering
-# races the first pass missed.
+# races the first pass missed. The mediated union's overlap tests and the
+# schedule-perturbation referee run ten times under the invariants build:
+# a union that opens its branches early must still emit them in order.
 test-race:
 	$(GO) test -race ./internal/server/ ./internal/planner/ ./coin/ ./internal/relalg/ ./internal/wrapper/... ./internal/client/ ./internal/golden/ ./internal/core/ ./internal/datalog/
 	$(GO) test -race -count=2 -run 'Parallel|Exchange' ./internal/relalg/ ./internal/planner/
+	$(GO) test -race -tags invariants -count=10 -run 'Mediation|Overlap' ./internal/planner/ ./internal/golden/
 
 # Fault-injection (chaos) suite under the race detector, twice, so the
 # deterministic fault scripts are also exercised against scheduling

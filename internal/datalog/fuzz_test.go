@@ -17,6 +17,7 @@ func FuzzParseProgram(f *testing.F) {
 		"a.",             // regression: zero-arity clause must reprint as bare atom
 		"'0'. ",          // regression: quoted atoms that lex as numbers must stay quoted
 		"\"\x15\" * ''.", // regression: raw control bytes in strings round-trip
+		"(0=0)=''.",      // regression: a comparison left of a comparison keeps its parentheses
 	}
 	for _, s := range seeds {
 		f.Add(s)

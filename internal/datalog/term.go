@@ -119,7 +119,11 @@ func (c Compound) String() string { return c.render(-1) }
 // tighter than the enclosing context.
 func (c Compound) render(outer int) string {
 	if info, ok := infixOps[c.Functor]; ok && len(c.Args) == 2 {
-		l := renderOperand(c.Args[0], info.level-1) // left-assoc: same level OK on the left
+		lo := info.level - 1 // arithmetic is left-assoc: same level OK on the left
+		if info.level == 0 {
+			lo = 0 // comparisons are non-associative: parenthesize either side
+		}
+		l := renderOperand(c.Args[0], lo)
 		r := renderOperand(c.Args[1], info.level)
 		s := l + " " + info.op + " " + r
 		if info.level <= outer {

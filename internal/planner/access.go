@@ -12,21 +12,28 @@ package planner
 // (single-flight) instead of re-issued — repeated identical probes
 // across mediation branches hit the network exactly once.
 //
-// Slot discipline: a streaming scan holds its slot from Open until the
-// stream is exhausted, fails, or is closed; a materialized fetch holds
-// it for the duration of the source query; a partitioned scan fan-out
-// holds ScanParts slots at once, reserved all-or-nothing up front
-// (acquireSourceN) before any part stream opens. The deadlock argument,
-// re-proven for the fan-out era:
+// Slot discipline: a streaming scan holds its slot from its first Next
+// until the stream is exhausted, fails, or is closed; a materialized fetch
+// holds it for the duration of the source query; a partitioned scan
+// fan-out holds ScanParts slots at once, reserved all-or-nothing on its
+// first Next before any part stream opens. The deadlock argument:
 //
-//   - Per pipeline, at most one SCAN STEP is active at a time (every
-//     breaker collects one side to completion — closing it and freeing
-//     its slots — before opening the other), so a pipeline waiting for
-//     admission holds no slots from other steps. A fan-out's K held
-//     slots all belong to the one active step, and all K part streams
-//     are drained concurrently by that step's reassembly workers, so a
-//     held slot always belongs to a stream whose progress depends only
-//     on the pipeline's own consumer — never on another admission wait.
+//   - Open runs only a pipeline's breakers. Nothing opened holds a slot,
+//     or a goroutine waiting on its consumer, until its first Next: scan
+//     leaves admit and the exchange join starts its workers there. Every
+//     breaker drains one side to memory, closing it and freeing its slots
+//     before it pulls the other, so a pipeline waiting for admission holds
+//     no slots from other steps, and an Open always finishes on its own
+//     progress. That is why a mediated union may open all its branches at
+//     once (MediationStream does over slow sources, and never under a
+//     LIMIT, whose early exit wants them lazy): a branch waiting on
+//     another's shared build holds no slot, and the one branch being
+//     pulled holds slots only for streams the union's consumer drains
+//     without waiting on any other branch.
+//   - A fan-out's K held slots all belong to one pulled step, whose K part
+//     streams its reassembly workers drain concurrently, so a held slot
+//     always belongs to a stream whose progress depends only on the
+//     pipeline's own consumer — never on another admission wait.
 //   - Multi-slot reservations are serialized per dispatcher by a fan-out
 //     mutex, so two fan-outs can never interleave partial acquisitions
 //     of one pool and deadlock each other holding half a pool each; a
@@ -93,17 +100,18 @@ func (d *dispatcher) acquire(ctx context.Context) error {
 	}
 }
 
-// acquireN reserves n slots all-or-nothing under the fan-out mutex: on
-// ctx death mid-reservation every slot already taken is returned. n must
-// not exceed the pool (capacity); callers clamp.
+// acquireN reserves n slots all-or-nothing: on ctx death mid-reservation
+// every slot already taken is returned. A multi-slot reservation runs
+// under the fan-out mutex; a single slot bypasses it — it holds-and-waits
+// on nothing. n must not exceed the pool (capacity); callers clamp.
 func (d *dispatcher) acquireN(ctx context.Context, n int) error {
-	d.fanMu.Lock()
-	defer d.fanMu.Unlock()
+	if n > 1 {
+		d.fanMu.Lock()
+		defer d.fanMu.Unlock()
+	}
 	for i := 0; i < n; i++ {
 		if err := d.acquire(ctx); err != nil {
-			for ; i > 0; i-- {
-				d.release()
-			}
+			d.releaseN(i)
 			return err
 		}
 	}
@@ -121,6 +129,13 @@ func (d *dispatcher) release() {
 	case <-d.slots:
 	default:
 		panic("planner: dispatcher release without acquire")
+	}
+}
+
+// releaseN frees n acquired slots.
+func (d *dispatcher) releaseN(n int) {
+	for ; n > 0; n-- {
+		d.release()
 	}
 }
 
@@ -153,54 +168,24 @@ func (e *Executor) dispatcherFor(w wrapper.Wrapper) *dispatcher {
 	return e.disp.get(w.Source(), w.Cost().MaxConcurrent)
 }
 
-// acquireSource reserves one in-flight-query slot against w — first in
-// the session's per-source allowance (when limited), then in the
-// source's own dispatcher; the consistent ordering rules out deadlock
-// between the two levels. It returns the release callback, which must be
-// called exactly once.
-func (e *Executor) acquireSource(ctx context.Context, sess *Session, w wrapper.Wrapper) (func(), error) {
+// acquireSource reserves n in-flight-query slots against w as one
+// all-or-nothing unit: one for a scan stream or a materialized fetch,
+// ScanParts for a partitioned scan fan-out, which holds them all until its
+// last part stream is torn down. Slots are taken first in the session's
+// per-source allowance (when limited), then in the source's own
+// dispatcher; the consistent ordering rules out deadlock between the two
+// levels (see the slot-discipline comment at the top of this file). n is
+// clamped to the smaller pool; the actual reservation size is returned
+// with a release callback that frees all of it and must be called
+// exactly once.
+func (e *Executor) acquireSource(ctx context.Context, sess *Session, w wrapper.Wrapper, n int) (got int, release func(), err error) {
 	sd := sess.dispatcherFor(w.Source())
+	d := e.dispatcherFor(w)
+	n = min(n, d.capacity())
 	if sd != nil {
-		if err := sd.acquire(ctx); err != nil {
-			return nil, err
-		}
+		n = min(n, sd.capacity())
 	}
-	d := e.dispatcherFor(w)
-	if err := d.acquire(ctx); err != nil {
-		if sd != nil {
-			sd.release()
-		}
-		return nil, err
-	}
-	return func() {
-		d.release()
-		if sd != nil {
-			sd.release()
-		}
-	}, nil
-}
-
-// acquireSourceN reserves n in-flight-query slots against w as one
-// all-or-nothing unit — the admission form of a partitioned scan
-// fan-out, which holds all n slots until its last part stream is torn
-// down. Levels are taken in the same session-then-source order as
-// acquireSource; each level's reservation runs under that dispatcher's
-// fan-out mutex (see the slot-discipline comment at the top of this
-// file for the deadlock argument). n is clamped to the smaller pool; the
-// actual reservation size is returned with a release callback that frees
-// all of it, exactly once.
-func (e *Executor) acquireSourceN(ctx context.Context, sess *Session, w wrapper.Wrapper, n int) (got int, release func(), err error) {
-	sd := sess.dispatcherFor(w.Source())
-	d := e.dispatcherFor(w)
-	if n > d.capacity() {
-		n = d.capacity()
-	}
-	if sd != nil && n > sd.capacity() {
-		n = sd.capacity()
-	}
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
 	if sd != nil {
 		if err := sd.acquireN(ctx, n); err != nil {
 			return 0, nil, err
@@ -208,18 +193,14 @@ func (e *Executor) acquireSourceN(ctx context.Context, sess *Session, w wrapper.
 	}
 	if err := d.acquireN(ctx, n); err != nil {
 		if sd != nil {
-			for i := 0; i < n; i++ {
-				sd.release()
-			}
+			sd.releaseN(n)
 		}
 		return 0, nil, err
 	}
 	return n, func() {
-		for i := 0; i < n; i++ {
-			d.release()
-			if sd != nil {
-				sd.release()
-			}
+		d.releaseN(n)
+		if sd != nil {
+			sd.releaseN(n)
 		}
 	}, nil
 }
@@ -257,29 +238,31 @@ type probeEntry struct {
 // once per key at a time: a repeated identical request returns the cached
 // value (a cache hit — not a source query, and charged nothing by the
 // governors, since fetch never ran), and a concurrent identical request
-// waits for the first one's answer. Errors are not cached — the waiting
-// duplicates observe the error, later requests retry.
+// waits for the first one's answer. Errors are not cached, and a failed
+// flight is no answer for its waiters either: each retries as a later
+// request would, so one mediation branch's fault (or its fetch group's
+// cancellation) never fells another branch that happened to wait on it.
 func cachedFetch[T cached](ctx context.Context, e *Executor, sess *Session, key string, fetch func() (T, error)) (T, error) {
 	var zero T
 	cache := &sess.probe
 	cache.mu.Lock()
-	if cache.entries == nil {
-		cache.entries = map[string]*probeEntry{}
-	}
-	if ent, ok := cache.entries[key]; ok {
+	for ent, ok := cache.entries[key]; ok; ent, ok = cache.entries[key] {
 		cache.mu.Unlock()
 		select {
 		case <-ent.done:
 		case <-ctx.Done():
 			return zero, ctx.Err()
 		}
-		if ent.err != nil {
-			return zero, ent.err
+		if ent.err == nil {
+			e.mu.Lock()
+			e.stats.CacheHits++
+			e.mu.Unlock()
+			return ent.val.(T), nil
 		}
-		e.mu.Lock()
-		e.stats.CacheHits++
-		e.mu.Unlock()
-		return ent.val.(T), nil
+		cache.mu.Lock()
+	}
+	if cache.entries == nil {
+		cache.entries = map[string]*probeEntry{}
 	}
 	ent := &probeEntry{done: make(chan struct{})}
 	cache.entries[key] = ent
@@ -347,7 +330,7 @@ func (e *Executor) buildSharer(sess *Session, step *PlanStep) relalg.BuildSharer
 func (e *Executor) querySource(ctx context.Context, sess *Session, w wrapper.Wrapper, q wrapper.SourceQuery) (*relalg.Relation, error) {
 	var rel *relalg.Relation
 	err := e.withRetry(ctx, sess, w, func() error {
-		release, err := e.acquireSource(ctx, sess, w)
+		_, release, err := e.acquireSource(ctx, sess, w, 1)
 		if err != nil {
 			return err
 		}
@@ -396,9 +379,7 @@ func (e *Executor) fetchAll(ctx context.Context, sess *Session, w wrapper.Wrappe
 	if workers <= 0 {
 		workers = DefaultMaxConcurrentPerSource
 	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
+	workers = min(workers, len(queries))
 	results := make([]*relalg.Relation, len(queries))
 	errs := make([]error, len(queries))
 	next := make(chan int)

@@ -94,10 +94,7 @@ func (cm *costModel) accessRows(b *relBinding, pushed []wrapper.Filter, bindCols
 	for range bindCols {
 		rows *= selEq
 	}
-	if rows < 1 {
-		rows = 1
-	}
-	return rows
+	return max(rows, 1)
 }
 
 // distinctOf returns the distinct count of a binding's column via the

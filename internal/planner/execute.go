@@ -130,7 +130,7 @@ func (e *Executor) countQuery(tuples int) {
 // ExecuteSession plans and runs a statement under sess. UNION combines
 // with set semantics unless the Union node says ALL.
 func (e *Executor) ExecuteSession(sess *Session, stmt sqlparse.Statement) (*relalg.Relation, error) {
-	it, err := e.statementStream(sess, stmt)
+	it, err := e.StatementStream(sess, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -296,10 +296,7 @@ func (e *Executor) fetchBindBatched(ctx context.Context, sess *Session, w wrappe
 	var queries []wrapper.SourceQuery
 	var groups [][]relalg.Value
 	for start := 0; start < len(combos); start += batch {
-		end := start + batch
-		if end > len(combos) {
-			end = len(combos)
-		}
+		end := min(start+batch, len(combos))
 		vals := make([]relalg.Value, 0, end-start)
 		for _, c := range combos[start:end] {
 			vals = append(vals, c[0])

@@ -158,9 +158,7 @@ func (pb *planBuilder) candidate(b *relBinding, placed uint64, curRows float64) 
 			}
 			outRows *= pb.cm.joinSelectivity(fb, fcol, b, k.NewColumn)
 		}
-		if outRows < 1 {
-			outRows = 1
-		}
+		outRows = max(outRows, 1)
 	}
 
 	stepBatch := 0

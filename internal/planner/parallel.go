@@ -112,18 +112,13 @@ func (e *Executor) scanFanOut(sess *Session, step *PlanStep, par int) int {
 	if err != nil {
 		return 0
 	}
-	parts := par
-	if caps.Partitions < parts {
-		parts = caps.Partitions
-	}
+	parts := min(par, caps.Partitions)
 	// Clamp to the admission pools the reservation must fit inside: the
 	// source's own dispatcher and the session's per-source allowance.
-	if c := w.Cost().MaxConcurrent; c <= 0 {
-		if parts > DefaultMaxConcurrentPerSource {
-			parts = DefaultMaxConcurrentPerSource
-		}
-	} else if parts > c {
-		parts = c
+	if c := w.Cost().MaxConcurrent; c > 0 {
+		parts = min(parts, c)
+	} else {
+		parts = min(parts, DefaultMaxConcurrentPerSource)
 	}
 	if sess.limits.MaxConcurrentPerSource > 0 && parts > sess.limits.MaxConcurrentPerSource {
 		parts = sess.limits.MaxConcurrentPerSource

@@ -74,23 +74,17 @@ func (p RetryPolicy) backoff(retry int, hint time.Duration) time.Duration {
 	if base <= 0 {
 		base = DefaultBaseBackoff
 	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = DefaultMaxBackoff
+	ceiling := p.MaxBackoff
+	if ceiling <= 0 {
+		ceiling = DefaultMaxBackoff
 	}
 	d := base
-	for i := 1; i < retry && d < max; i++ {
+	for i := 1; i < retry && d < ceiling; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
+	d = min(d, ceiling)
 	// Full jitter over the upper half: [d/2, d].
-	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-	if hint > d {
-		d = hint
-	}
-	return d
+	return max(d/2+time.Duration(rand.Int63n(int64(d/2)+1)), hint)
 }
 
 // SourceError attributes an execution-time failure to the source it came

@@ -21,16 +21,19 @@ import (
 
 // shareFixture is a Figure-2-shaped federation: r1(cname, revenue,
 // currency) on src1 and r2(cname, alias, expenses) on src2 — r2b on src3
-// holds the same rows — each behind a Flaky and a Counter.
+// holds the same rows — each behind a Flaky and a Counter, all three
+// logging onto one Timeline.
 type shareFixture struct {
 	cat     *Catalog
 	flaky   map[string]*wrappertest.Flaky
 	counter map[string]*wrappertest.Counter
+	tl      *wrappertest.Timeline
 }
 
 func newShareFixture(t *testing.T) *shareFixture {
 	t.Helper()
-	f := &shareFixture{cat: NewCatalog(), flaky: map[string]*wrappertest.Flaky{}, counter: map[string]*wrappertest.Counter{}}
+	f := &shareFixture{cat: NewCatalog(), flaky: map[string]*wrappertest.Flaky{}, counter: map[string]*wrappertest.Counter{},
+		tl: &wrappertest.Timeline{}}
 	currencies := []string{"JPY", "USD", "EUR"}
 	db1 := store.NewDB("src1")
 	r1 := db1.MustCreateTable("r1", relalg.NewSchema(
@@ -54,7 +57,7 @@ func newShareFixture(t *testing.T) *shareFixture {
 	}
 	for _, db := range []*store.DB{db1, db2, db3} {
 		fl := wrappertest.NewFlaky(wrapper.NewRelational(db))
-		ctr := wrappertest.NewCounter(fl)
+		ctr := wrappertest.NewCounter(f.tl.Wrap(fl))
 		f.cat.MustAddSource(ctr)
 		f.flaky[db.Name], f.counter[db.Name] = fl, ctr
 	}

@@ -3,10 +3,13 @@ package planner
 // This file compiles BranchPlans into pull-based iterator trees (the
 // Volcano model of internal/relalg). Building a stream is free of side
 // effects: no source is contacted and no tuple moves until the consumer
-// Opens the tree and pulls. That is what makes early exit work — a LIMIT
-// stops pulling as soon as it is satisfied, so upstream scans stop
-// transferring tuples from their sources, and lazily-unioned mediation
-// branches that are never reached never run at all.
+// Opens the tree and pulls, and no scan leaf contacts its source before it
+// is pulled. That is what makes early exit work — a LIMIT stops pulling as
+// soon as it is satisfied, so upstream scans stop transferring tuples from
+// their sources, and mediation branches under it that are never reached
+// never run at all. A mediated union emits its branches in order; it opens
+// them early, all at its own Open, over slow sources unless a LIMIT sits
+// above it (MediationStream).
 //
 // Every tree is compiled under a *Session: the session's
 // context is passed down at Open and bounds the whole run — leaves check
@@ -36,24 +39,51 @@ import (
 	"repro/internal/wrapper"
 )
 
+// scanLeaf is what the two scan leaves share: the source and relation
+// being read, the planner's transfer estimate, and the lazy start the
+// slot discipline of access.go requires. Open only records the context;
+// admission and the remote stream open happen on the first Next, so an
+// opened but unpulled leaf holds no dispatcher slot and has sent nothing
+// to its source — what lets a mediated union open its branches early.
+type scanLeaf struct {
+	e       *Executor
+	sess    *Session
+	w       wrapper.Wrapper
+	schema  relalg.Schema
+	act     *StepActuals // non-nil under EXPLAIN ANALYZE
+	est     int          // planner's transfer estimate (presize hint)
+	ctx     context.Context
+	started bool
+}
+
+func (l *scanLeaf) Schema() relalg.Schema { return l.schema }
+
+// RowCountHint implements relalg.RowCountHint with the plan step's
+// transfer estimate, so drains that materialize the scan (hash-join
+// build sides) presize instead of regrowing. After the adaptive
+// statistics warm up, the estimate is the learned exact cardinality.
+func (l *scanLeaf) RowCountHint() int { return l.est }
+
+func (l *scanLeaf) Open(ctx context.Context) error { l.ctx = ctx; return nil }
+
 // sourceScanIter is the leaf of every pipeline: a wrapper fetch, pulled
 // tuple by tuple through the wrapper's chunked-fetch protocol
-// (wrapper.QueryStream). It counts one source query at Open and the
-// tuples actually pulled — accumulated locally and flushed to ExecStats
-// under one lock at Close, so concurrent scans do not contend on the
-// executor mutex per tuple. It retains the Open context and
-// charges the session's transfer governor, so cancellation and the
-// max-tuples limit both take effect mid-chunk.
+// (wrapper.QueryStream). It counts one source query when its stream opens
+// and the tuples actually pulled — accumulated locally and flushed to
+// ExecStats under one lock at Close, so concurrent scans do not contend on
+// the executor mutex per tuple. It retains the Open context and charges
+// the session's transfer governor, so cancellation and the max-tuples
+// limit both take effect mid-chunk.
 //
-// The scan is admitted through the source access layer: Open acquires a
-// per-source dispatcher slot (blocking while the source is saturated)
-// and the slot is held until the stream is exhausted, fails, or the scan
-// closes — a streaming fetch is in flight against the source for exactly
-// that window.
+// The scan is admitted through the source access layer on its first Next:
+// it acquires a per-source dispatcher slot (blocking while the source is
+// saturated) and holds it until the stream is exhausted, fails, or the
+// scan closes — a streaming fetch is in flight against the source for
+// exactly that window.
 //
 // Faults are handled through the retry machinery (retry.go). A failed
-// Open retries whole (acquire + stream open per attempt, no slot held
-// through a backoff). A stream that dies AFTER delivering tuples is
+// stream open retries whole (acquire + stream open per attempt, no slot
+// held through a backoff). A stream that dies AFTER delivering tuples is
 // harder: those tuples are already downstream and cannot be recalled, so
 // a replacement stream may only be used when its replay of them can be
 // deduplicated away. The scan tracks the multiset of delivered tuples
@@ -68,14 +98,8 @@ import (
 // count as pulled and are charged to the transfer governor — they did
 // cross the wire again.
 type sourceScanIter struct {
-	e       *Executor
-	sess    *Session
-	w       wrapper.Wrapper
+	scanLeaf
 	q       wrapper.SourceQuery
-	schema  relalg.Schema
-	act     *StepActuals // non-nil under EXPLAIN ANALYZE
-	est     int          // planner's transfer estimate (presize hint)
-	ctx     context.Context
 	stream  wrapper.TupleStream
 	batch   wrapper.BatchStream // non-nil when the stream block-fetches
 	release func()
@@ -105,28 +129,20 @@ type sourceScanIter struct {
 // recoverable (the scan cannot prove a replacement stream clean).
 const maxReplayTracked = 4096
 
-func (s *sourceScanIter) Schema() relalg.Schema { return s.schema }
-
-// RowCountHint implements relalg.RowCountHint with the plan step's
-// transfer estimate, so drains that materialize this scan (hash-join
-// build sides) presize instead of regrowing. After the adaptive
-// statistics warm up, the estimate is the learned exact cardinality.
-func (s *sourceScanIter) RowCountHint() int { return s.est }
-
-// openStream acquires admission and opens the source stream, under the
-// retry/breaker machinery; shared by Open and mid-stream recovery.
-func (s *sourceScanIter) openStream(ctx context.Context) error {
-	return s.e.withRetry(ctx, s.sess, s.w, func() error {
+// openStream acquires admission and opens the source stream under the
+// retry/breaker machinery, counting the source query once it is open;
+// shared by the first Next and mid-stream recovery.
+func (s *sourceScanIter) openStream() error {
+	err := s.e.withRetry(s.ctx, s.sess, s.w, func() error {
 		var release func()
 		if !s.reserved {
 			var err error
-			release, err = s.e.acquireSource(ctx, s.sess, s.w)
-			if err != nil {
+			if _, release, err = s.e.acquireSource(s.ctx, s.sess, s.w, 1); err != nil {
 				return err
 			}
 		}
 		start := time.Now()
-		stream, err := wrapper.QueryStream(ctx, s.w, s.q)
+		stream, err := wrapper.QueryStream(s.ctx, s.w, s.q)
 		if err != nil {
 			if release != nil {
 				release()
@@ -142,22 +158,9 @@ func (s *sourceScanIter) openStream(ctx context.Context) error {
 		s.release = release
 		return nil
 	})
-}
-
-func (s *sourceScanIter) Open(ctx context.Context) error {
-	s.ctx = ctx
-	if err := s.openStream(ctx); err != nil {
+	if err != nil {
 		return err
 	}
-	s.pulled = 0
-	s.exhausted = false
-	s.pend = nil
-	s.emitted = nil
-	s.skip = nil
-	s.delivered = 0
-	s.trackOK = s.e.Retry.enabled()
-	s.recovered = false
-	s.recoveries = 0
 	s.e.mu.Lock()
 	s.e.stats.SourceQueries++
 	s.e.mu.Unlock()
@@ -210,6 +213,12 @@ func (s *sourceScanIter) fetchRows(req int) ([]relalg.Tuple, error) {
 }
 
 func (s *sourceScanIter) Next(max int) (relalg.Batch, error) {
+	if !s.started {
+		s.started, s.trackOK = true, s.e.Retry.enabled()
+		if err := s.openStream(); err != nil {
+			return relalg.Batch{}, err
+		}
+	}
 	if err := s.pend; err != nil {
 		s.pend = nil
 		s.freeSlot()
@@ -366,16 +375,10 @@ func (s *sourceScanIter) recover(orig error) error {
 	e.mu.Lock()
 	e.stats.Retries++
 	e.mu.Unlock()
-	if err := s.openStream(s.ctx); err != nil {
+	if err := s.openStream(); err != nil {
 		return err
 	}
 	s.recovered = true
-	e.mu.Lock()
-	e.stats.SourceQueries++
-	e.mu.Unlock()
-	if s.act != nil {
-		s.act.Queries.Add(1)
-	}
 	if s.delivered > 0 {
 		s.skip = make(map[string]int, len(s.emitted))
 		for _, t := range s.emitted {
@@ -430,25 +433,20 @@ const scanChanCap = 2
 // order, so the output is identical, tuple for tuple and in order, to
 // the serial scan.
 //
-// Admission: Open reserves all slots up front through acquireSourceN and
-// holds them until Close — the part scans run in reserved mode and never
-// touch the dispatcher themselves (mid-stream recovery re-opens a part
-// query on its already-held slot). See access.go for why the up-front
-// reservation cannot deadlock.
+// Admission: the first Next reserves all slots up front through
+// acquireSource and holds them until Close — the part scans run in
+// reserved mode and never touch the dispatcher themselves (mid-stream
+// recovery re-opens a part query on its already-held slot). See access.go
+// for why the up-front reservation cannot deadlock.
 //
 // Error parity: part k's fault surfaces only after parts 0..k-1 and k's
 // own prefix are fully delivered — exactly the position the serial scan
 // would surface it, since serial output is the in-order concatenation of
 // the parts.
 type parallelScanIter struct {
-	e      *Executor
-	sess   *Session
-	w      wrapper.Wrapper
-	base   wrapper.SourceQuery
-	schema relalg.Schema
-	act    *StepActuals
-	est    int
-	parts  int
+	scanLeaf
+	base  wrapper.SourceQuery
+	parts int
 
 	// workerRows, when non-nil, receives per-part scanned-row counts
 	// (EXPLAIN ANALYZE's per-worker rows). BuildStream installs it only
@@ -467,40 +465,32 @@ type parallelScanIter struct {
 	done    bool
 }
 
-func (s *parallelScanIter) Schema() relalg.Schema { return s.schema }
-
-// RowCountHint mirrors sourceScanIter's presize hint.
-func (s *parallelScanIter) RowCountHint() int { return s.est }
-
-func (s *parallelScanIter) Open(ctx context.Context) error {
-	got, release, err := s.e.acquireSourceN(ctx, s.sess, s.w, s.parts)
+// start reserves the fan-out's slots and launches one goroutine per part.
+func (s *parallelScanIter) start() error {
+	got, release, err := s.e.acquireSource(s.ctx, s.sess, s.w, s.parts)
 	if err != nil {
 		return err
 	}
 	s.release = release
-	s.parts = got
-	wctx, cancel := context.WithCancel(ctx)
+	wctx, cancel := context.WithCancel(s.ctx)
 	s.cancel = cancel
 	s.subs = make([]*sourceScanIter, got)
 	s.outs = make([]chan scanChunk, got)
-	estPart := s.est/got + 1
 	for p := 0; p < got; p++ {
 		q := s.base
 		if got > 1 {
 			q.Partitions, q.Partition = got, p
 		}
-		s.subs[p] = &sourceScanIter{
-			e: s.e, sess: s.sess, w: s.w, q: q,
-			schema: s.schema, act: s.act, est: estPart,
-			reserved: true,
-		}
+		// Each part is opened by construction: the goroutine below is its
+		// only caller, and its first Next opens the part stream.
+		leaf := scanLeaf{e: s.e, sess: s.sess, w: s.w, schema: s.schema, act: s.act, est: s.est/got + 1, ctx: wctx}
+		s.subs[p] = &sourceScanIter{scanLeaf: leaf, q: q, reserved: true}
 		s.outs[p] = make(chan scanChunk, scanChanCap)
 	}
 	for p := 0; p < got; p++ {
 		s.wg.Add(1)
 		go s.runPart(wctx, p)
 	}
-	s.part, s.cur, s.pos, s.done = 0, nil, 0, false
 	return nil
 }
 
@@ -521,10 +511,6 @@ func (s *parallelScanIter) runPart(ctx context.Context, p int) {
 		}
 	}
 	sub := s.subs[p]
-	if err := sub.Open(ctx); err != nil {
-		send(scanChunk{err: err})
-		return
-	}
 	workers := s.workerRows
 	for {
 		b, err := sub.Next(relalg.DefaultBatchSize)
@@ -546,15 +532,19 @@ func (s *parallelScanIter) runPart(ctx context.Context, p int) {
 }
 
 func (s *parallelScanIter) Next(max int) (relalg.Batch, error) {
+	if !s.started {
+		s.started = true
+		if err := s.start(); err != nil {
+			s.done = true
+			return relalg.Batch{}, err
+		}
+	}
 	if max <= 0 {
 		max = relalg.DefaultBatchSize
 	}
 	for {
 		if s.pos < len(s.cur) {
-			n := len(s.cur) - s.pos
-			if n > max {
-				n = max
-			}
+			n := min(len(s.cur)-s.pos, max)
 			rows := s.cur[s.pos : s.pos+n]
 			s.pos += n
 			return relalg.Batch{Rows: rows}, nil
@@ -617,22 +607,16 @@ func (e *Executor) sourceIter(sess *Session, step *PlanStep, act *StepActuals) (
 		return nil, err
 	}
 	q := wrapper.SourceQuery{Relation: step.Relation, Filters: step.Pushed}
+	leafOf := scanLeaf{e: e, sess: sess, w: w, schema: schema, act: act, est: int(step.EstRows)}
 	var leaf relalg.Iterator
 	if step.ScanParts > 1 {
-		ps := &parallelScanIter{
-			e: e, sess: sess, w: w, base: q,
-			schema: schema, act: act, est: int(step.EstRows),
-			parts: step.ScanParts,
-		}
+		ps := &parallelScanIter{scanLeaf: leafOf, base: q, parts: step.ScanParts}
 		if act != nil && step.Workers <= 1 {
 			ps.workerRows = act.WorkerRows
 		}
 		leaf = ps
 	} else {
-		leaf = &sourceScanIter{
-			e: e, sess: sess, w: w, q: q,
-			schema: schema, act: act, est: int(step.EstRows),
-		}
+		leaf = &sourceScanIter{scanLeaf: leafOf, q: q}
 	}
 	qualified := schema.Qualify(step.Binding)
 	var it relalg.Iterator = relalg.NewRename(leaf, qualified)
@@ -895,24 +879,19 @@ func (e *Executor) selectStream(sess *Session, sel *sqlparse.Select) (relalg.Ite
 
 // StatementStream compiles a statement (SELECT or UNION tree) into an
 // iterator tree under sess; nothing runs until the tree is opened with
-// the session's context. Service layers use it to stream un-mediated
-// (naive) answers incrementally.
+// the session's context. UNION combines with set semantics unless marked
+// ALL. Service layers use it to stream un-mediated (naive) answers
+// incrementally.
 func (e *Executor) StatementStream(sess *Session, stmt sqlparse.Statement) (relalg.Iterator, error) {
-	return e.statementStream(sess, stmt)
-}
-
-// statementStream compiles a statement (SELECT or UNION tree) into an
-// iterator tree; UNION combines with set semantics unless marked ALL.
-func (e *Executor) statementStream(sess *Session, stmt sqlparse.Statement) (relalg.Iterator, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.Select:
 		return e.selectStream(sess, s)
 	case *sqlparse.Union:
-		l, err := e.statementStream(sess, s.Left)
+		l, err := e.StatementStream(sess, s.Left)
 		if err != nil {
 			return nil, err
 		}
-		r, err := e.statementStream(sess, s.Right)
+		r, err := e.StatementStream(sess, s.Right)
 		if err != nil {
 			return nil, err
 		}
@@ -986,9 +965,12 @@ func (e *Executor) aggregateStream(sess *Session, sel *sqlparse.Select) (relalg.
 // MediationStream compiles a mediated query into one iterator tree
 // governed by sess: every branch pipeline feeding a streaming union (with
 // the mediation's union semantics), then the post-union step when present.
-// Building runs no source query; branches open lazily, in order, as the
-// union reaches them — a satisfied LIMIT above the union means later
-// branches never open and never contact their sources.
+// Building runs no source query. Rows leave in branch order. When the
+// branches wait on slow sources (waitsOnSources) every branch opens early,
+// at the union's Open, so their breakers wait on those sources together —
+// unless the mediation's Post carries a LIMIT, whose early exit wants them
+// lazy. Otherwise a branch opens when the union reaches it, and a
+// satisfied LIMIT means later branches never contact their sources.
 //
 // Under Limits.PartialResults, a branch felled by a source fault (a
 // Degradable error, after retries and the breaker) is silenced in-stream
@@ -1019,6 +1001,7 @@ func (e *Executor) MediationStream(sess *Session, med *core.Mediation) (relalg.I
 		if err != nil {
 			return nil, err
 		}
+		u.Ahead = (med.Post == nil || med.Post.Limit < 0) && e.waitsOnSources(med)
 		united = u
 		if !med.UnionAll {
 			united = relalg.NewDistinct(united)
@@ -1030,12 +1013,39 @@ func (e *Executor) MediationStream(sess *Session, med *core.Mediation) (relalg.I
 	return e.postStream(sess, med.Post, united)
 }
 
+// aheadLatency is the learned mean query latency from which a source is
+// slow enough for a mediated union to open its branches ahead. Below it
+// the goroutine handoffs cost more than the overlap saves: opening every
+// union ahead cost the paper-size workload 15% p50, and a 10,000-row
+// stream 4–11% time to first row, on 2 vCPUs.
+const aheadLatency = time.Millisecond
+
+// waitsOnSources reports whether a relation med reads is served by a
+// source whose learned mean query latency reaches aheadLatency.
+func (e *Executor) waitsOnSources(med *core.Mediation) bool {
+	if e.AdaptiveStats == nil {
+		return false
+	}
+	for _, b := range med.Branches {
+		for _, t := range b.From {
+			src, _ := e.Catalog.SourceOf(t.Table)
+			if lat, ok := e.AdaptiveStats.SourceLatency(src); ok && lat >= aheadLatency {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // degradedIter silences a mediation branch under partial-results mode: a
 // Degradable failure at Open or mid-stream warns the session, counts the
 // branch as failed, and presents as an empty (or prematurely ended)
 // stream instead of an error; everything else passes through. Tuples the
 // branch delivered before dying stay in the answer — they are correct
 // rows, and the warning tells the receiver the branch is incomplete.
+//
+// A degradable Open failure is held until the first Next, so a branch the
+// union opened early warns when the union reaches it, in branch order.
 type degradedIter struct {
 	inner  relalg.Iterator
 	e      *Executor
@@ -1043,24 +1053,26 @@ type degradedIter struct {
 	branch int
 	opened bool
 	done   bool
+	held   error // a degradable Open failure, reported at the first Next
 }
 
 func (d *degradedIter) Schema() relalg.Schema { return d.inner.Schema() }
 
 func (d *degradedIter) Open(ctx context.Context) error {
 	err := d.inner.Open(ctx)
-	if err == nil {
-		d.opened = true
-		return nil
-	}
-	if Degradable(err) {
-		d.degrade(err)
+	d.opened = err == nil
+	if err != nil && Degradable(err) {
+		d.held = err
 		return nil
 	}
 	return err
 }
 
 func (d *degradedIter) Next(max int) (relalg.Batch, error) {
+	if d.held != nil {
+		d.degrade(d.held)
+		d.held = nil
+	}
 	if d.done {
 		return relalg.Batch{}, nil
 	}

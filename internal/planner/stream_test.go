@@ -114,8 +114,9 @@ func TestMediationBranchesLazilySkipped(t *testing.T) {
 	}
 }
 
-// TestBuildStreamHasNoSideEffects: compiling a plan contacts no source;
-// only opening the tree does.
+// TestBuildStreamHasNoSideEffects: compiling a plan contacts no source,
+// and neither does opening it — a pipeline without breakers sends its
+// scan only on the first pull.
 func TestBuildStreamHasNoSideEffects(t *testing.T) {
 	ex := NewExecutor(bigCatalog(100))
 	plan, err := ex.PlanCtx(bg, sqlparse.MustParse("SELECT nums.n FROM nums").(*sqlparse.Select))
@@ -134,8 +135,14 @@ func TestBuildStreamHasNoSideEffects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer it.Close()
-	if st := ex.Stats(); st.SourceQueries != 1 || st.BranchesRun != 1 {
-		t.Errorf("stats after open = %+v", st)
+	if st := ex.Stats(); st.SourceQueries != 0 || st.BranchesRun != 1 {
+		t.Errorf("stats after open = %+v, want 0 source queries / 1 branch run", st)
+	}
+	if _, err := it.Next(1); err != nil {
+		t.Fatal(err)
+	}
+	if st := ex.Stats(); st.SourceQueries != 1 {
+		t.Errorf("stats after the first pull = %+v, want 1 source query", st)
 	}
 }
 

@@ -96,12 +96,7 @@ func (bb *BatchBuilder) Row() Tuple {
 			// short streams never reach this size.
 			limit = full
 		}
-		if n > limit {
-			n = limit
-		}
-		if n < bb.arity {
-			n = bb.arity
-		}
+		n = max(min(n, limit), bb.arity)
 		bb.arena = make([]Value, 0, n)
 	}
 	start := len(bb.arena)

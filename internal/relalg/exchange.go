@@ -83,6 +83,7 @@ type ParallelHashJoinIter struct {
 	// the observer may read them while the exchange runs.
 	WorkerOut []atomic.Int64
 
+	ctx       context.Context // set by Open, cleared when the exchange starts
 	cancel    context.CancelFunc
 	wg        sync.WaitGroup
 	outs      []chan phjChunk
@@ -128,23 +129,29 @@ func NewParallelHashJoin(left, right Iterator, leftKeys, rightKeys []string, res
 	return &ParallelHashJoinIter{hashJoin: core, Par: par}, nil
 }
 
-// Open implements Iterator: it obtains the build side's hash table, opens
-// the probe child and starts the dispatch and worker goroutines.
+// Open implements Iterator: it obtains the build side's hash table and
+// opens the probe child. The dispatch and worker goroutines start on the
+// first Next, so an opened but unpulled join has no goroutine waiting on
+// its consumer and no probe leaf holding an admission slot.
 func (j *ParallelHashJoinIter) Open(ctx context.Context) error {
 	if err := j.openBuild(ctx); err != nil {
 		return err
-	}
-	par := j.Par
-	if par < 1 {
-		par = 1
 	}
 	if err := j.probe.Open(ctx); err != nil {
 		// A failed child Open cleans up after itself; never Close it.
 		j.probe = nil
 		return err
 	}
-	wctx, cancel := context.WithCancel(ctx)
-	j.cancel = cancel
+	j.ctx = ctx
+	j.nextBatch, j.exhausted, j.cur, j.pos = 0, false, nil, 0
+	return nil
+}
+
+// start launches the exchange: Par workers and the dispatch goroutine.
+func (j *ParallelHashJoinIter) start() {
+	par := max(j.Par, 1)
+	wctx, cancel := context.WithCancel(j.ctx)
+	j.ctx, j.cancel = nil, cancel
 	ins := make([]chan []Tuple, par)
 	j.outs = make([]chan phjChunk, par)
 	for p := range ins {
@@ -158,12 +165,10 @@ func (j *ParallelHashJoinIter) Open(ctx context.Context) error {
 	}
 	j.wg.Add(1)
 	go j.dispatch(wctx, ins)
-	j.nextBatch, j.exhausted, j.cur, j.pos = 0, false, nil, 0
-	return nil
 }
 
 // dispatch pulls probe batches and hands batch k to worker k%Par. It is
-// the only goroutine touching the probe child between Open and Close.
+// the only goroutine touching the probe child between start and Close.
 func (j *ParallelHashJoinIter) dispatch(ctx context.Context, ins []chan []Tuple) {
 	defer j.wg.Done()
 	// Closing the inboxes is the workers' end-of-stream signal, on both
@@ -296,12 +301,12 @@ func (j *ParallelHashJoinIter) Next(max int) (Batch, error) {
 	if max <= 0 {
 		max = DefaultBatchSize
 	}
+	if j.ctx != nil {
+		j.start()
+	}
 	for {
 		if j.pos < len(j.cur) {
-			n := len(j.cur) - j.pos
-			if n > max {
-				n = max
-			}
+			n := min(len(j.cur)-j.pos, max)
 			rows := j.cur[j.pos : j.pos+n]
 			j.pos += n
 			return Batch{Rows: rows}, nil
@@ -338,7 +343,7 @@ func (j *ParallelHashJoinIter) Close() error {
 		j.cancel = nil
 	}
 	j.wg.Wait()
-	j.tbl, j.outs, j.cur, j.dist = nil, nil, nil, nil
+	j.tbl, j.outs, j.cur, j.dist, j.ctx = nil, nil, nil, nil, nil
 	j.exhausted = true
 	if j.probe == nil {
 		return nil
@@ -357,13 +362,7 @@ const minRowsPerWorker = 16384
 // exchangeWorkers clamps a requested worker count so every worker gets
 // at least minRowsPerWorker of the n rows; 1 means run serially.
 func exchangeWorkers(n, par int) int {
-	if most := n / minRowsPerWorker; par > most {
-		par = most
-	}
-	if par < 1 {
-		par = 1
-	}
-	return par
+	return max(min(par, n/minRowsPerWorker), 1)
 }
 
 // forChunks runs fn over par contiguous chunks [n*p/par, n*(p+1)/par) of

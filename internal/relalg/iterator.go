@@ -112,14 +112,7 @@ func presizeHint(it Iterator) int {
 	if !ok {
 		return 0
 	}
-	n := h.RowCountHint()
-	if n < 0 {
-		return 0
-	}
-	if n > maxHintRows {
-		n = maxHintRows
-	}
-	return n
+	return max(0, min(h.RowCountHint(), maxHintRows))
 }
 
 // Collect drains it into a materialized relation named name. It runs the
@@ -195,10 +188,7 @@ func (s *ScanIter) Next(max int) (Batch, error) {
 	if max <= 0 {
 		max = DefaultBatchSize
 	}
-	end := s.pos + max
-	if end > len(s.rel.Tuples) {
-		end = len(s.rel.Tuples)
-	}
+	end := min(s.pos+max, len(s.rel.Tuples))
 	b := Batch{Rows: s.rel.Tuples[s.pos:end]}
 	s.pos = end
 	return b, nil

@@ -1,6 +1,7 @@
 package relalg
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -270,21 +271,29 @@ func (d *DistinctIter) Next(max int) (Batch, error) {
 // Close implements Iterator.
 func (d *DistinctIter) Close() error { d.seen, d.enc = nil, nil; return d.child.Close() }
 
-// UnionAllIter concatenates its children's streams in order, opening each
-// child only when the previous one is exhausted (so with an upstream
-// early exit, later children may never run at all). A child the union has
-// advanced past is closed eagerly, before the next child opens: the union
-// will never pull from it again, and holding it open would pin its
-// resources — including any source-access admission slot its scan leaf
-// still owns when an early exit (a per-arm LIMIT) stopped the arm before
-// stream exhaustion, which could starve the next arm's admission against
-// the same source. For set-semantics UNION, wrap it in NewDistinct.
+// UnionAllIter concatenates its children's streams, strictly in order. A
+// child the union has advanced past is closed before the next is pulled,
+// so it pins no resources (a per-arm LIMIT may have stopped its scan leaf
+// short of exhaustion, still holding an admission slot). For
+// set-semantics UNION, wrap it in NewDistinct.
+//
+// By default each child opens when the previous one is exhausted, so with
+// an upstream early exit later children never run at all. With Ahead set,
+// Open opens every child at once, children[1:] each on a goroutine, so
+// all their pipeline breakers wait on their sources together; rows still
+// leave in child order, and a child's failed Open surfaces only when the
+// union reaches it. Ahead forfeits the early exit, and it is safe only
+// over children whose opened-but-unpulled state holds no admission slot
+// and no goroutine waiting on its consumer.
 type UnionAllIter struct {
 	children []Iterator
-	ctx      context.Context
-	cur      int
-	opened   int // children[0:opened] have been opened
-	closed   int // children[0:closed] have been eagerly closed
+	// Ahead opens children[1:] concurrently at Open; set it before Open.
+	Ahead  bool
+	ctx    context.Context
+	cancel context.CancelFunc
+	cur    int          // the child being pulled
+	live   bool         // children[cur] is open
+	ahead  []chan error // ahead[i]: children[i]'s early Open result, nil once awaited
 }
 
 // NewUnionAll concatenates children; schemas must have equal arity
@@ -308,50 +317,80 @@ func (u *UnionAllIter) Schema() Schema { return u.children[0].Schema() }
 
 // Open implements Iterator.
 func (u *UnionAllIter) Open(ctx context.Context) error {
-	u.ctx = ctx
-	u.cur, u.opened, u.closed = 0, 0, 0
-	if err := u.children[0].Open(ctx); err != nil {
+	u.ctx, u.cur = ctx, 0
+	if u.Ahead && len(u.children) > 1 {
+		actx, cancel := context.WithCancel(ctx)
+		u.ctx, u.cancel = actx, cancel
+		u.ahead = make([]chan error, len(u.children))
+		for i := 1; i < len(u.children); i++ {
+			u.ahead[i] = make(chan error, 1)
+			go u.openAhead(actx, i, u.ahead[i])
+		}
+	}
+	if err := u.children[0].Open(u.ctx); err != nil {
+		u.Close()
 		return err
 	}
-	u.opened = 1
+	u.live = true
 	return nil
+}
+
+// openAhead opens children[i] on its own goroutine, reporting on done.
+func (u *UnionAllIter) openAhead(ctx context.Context, i int, done chan<- error) {
+	done <- u.children[i].Open(ctx)
+}
+
+// open opens children[i], or awaits the Open started ahead for it.
+func (u *UnionAllIter) open(i int) error {
+	if u.ahead == nil {
+		return u.children[i].Open(u.ctx)
+	}
+	err := <-u.ahead[i]
+	u.ahead[i] = nil
+	return err
 }
 
 // Next implements Iterator.
 func (u *UnionAllIter) Next(max int) (Batch, error) {
-	for u.cur < len(u.children) {
+	for u.live {
 		b, err := u.children[u.cur].Next(max)
-		if err != nil {
-			return Batch{}, err
+		if err != nil || !b.Empty() {
+			return b, err
 		}
-		if !b.Empty() {
-			return b, nil
-		}
-		// Done with this child: release it before the next one opens.
-		u.closed = u.cur + 1
+		// Done with this child: release it before the next one is pulled.
+		u.live = false
 		if err := u.children[u.cur].Close(); err != nil {
 			return Batch{}, err
 		}
-		u.cur++
-		if u.cur < len(u.children) {
-			if err := u.children[u.cur].Open(u.ctx); err != nil {
-				return Batch{}, err
-			}
-			u.opened = u.cur + 1
+		if u.cur+1 == len(u.children) {
+			break
 		}
+		u.cur++
+		if err := u.open(u.cur); err != nil {
+			return Batch{}, err
+		}
+		u.live = true
 	}
 	return Batch{}, nil
 }
 
-// Close implements Iterator.
+// Close implements Iterator: it cancels the Opens still running ahead,
+// waits for them, and closes every child that is open.
 func (u *UnionAllIter) Close() error {
+	if u.cancel != nil {
+		u.cancel()
+	}
 	var first error
-	for i := u.closed; i < u.opened; i++ {
-		if err := u.children[i].Close(); err != nil && first == nil {
-			first = err
+	if u.live {
+		u.live = false
+		first = u.children[u.cur].Close()
+	}
+	for i, ch := range u.ahead {
+		if ch != nil && <-ch == nil {
+			first = cmp.Or(first, u.children[i].Close())
 		}
 	}
-	u.closed = u.opened
+	u.ahead = nil
 	return first
 }
 

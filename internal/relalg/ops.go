@@ -129,9 +129,7 @@ func (s *sortKeys) compare(a, b sortEnt) int {
 func sortTuples(tuples []Tuple, fns []CompiledExpr, desc []bool, par int) ([]Tuple, error) {
 	n, k := len(tuples), len(fns)
 	s := &sortKeys{k: k, desc: desc, vals: make([]Value, n*k), typed: make([]Kind, k)}
-	if par > n {
-		par = n
-	}
+	par = min(par, n)
 	if par < 1 || k == 0 {
 		par = 1
 	}

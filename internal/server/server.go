@@ -53,7 +53,8 @@ type RowStream interface {
 	// stream accumulated so far (nil otherwise); final once NextBatch
 	// returned no rows.
 	Warnings() []planner.Warning
-	// Close releases the stream and its query session.
+	// Close releases the stream and its query session, publishing the
+	// session's statistics; idempotent.
 	Close() error
 }
 
@@ -436,6 +437,17 @@ func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 
+	// The warnings ride the trailer: branches can degrade mid-stream, so
+	// only after the last row is the set final. The stream is closed before
+	// the trailer goes out: closing publishes the session's statistics, and
+	// a receiver that has read the trailer may at once send a request whose
+	// plan must already see them.
+	trailer := func(rec StreamRecord) {
+		rec.Warnings = rs.Warnings()
+		rs.Close()
+		_ = enc.Encode(rec)
+		flush()
+	}
 	buf := wireBufs.Get().(*[]byte)
 	defer wireBufs.Put(buf)
 	rows := 0
@@ -461,16 +473,12 @@ func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if err != nil {
-			_ = enc.Encode(StreamRecord{Type: "error", Rows: rows, Error: err.Error(), Warnings: rs.Warnings()})
-			flush()
+			trailer(StreamRecord{Type: "error", Rows: rows, Error: err.Error()})
 			return
 		}
 		flush()
 	}
-	// The warnings ride the trailer: branches can degrade mid-stream, so
-	// only after the last row is the set final.
-	_ = enc.Encode(StreamRecord{Type: "stats", Rows: rows, Warnings: rs.Warnings()})
-	flush()
+	trailer(StreamRecord{Type: "stats", Rows: rows})
 }
 
 // appendRowRecords appends one NDJSON "row" record per tuple — the line

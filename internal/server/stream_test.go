@@ -10,16 +10,20 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/coin"
 	"repro/internal/client"
+	"repro/internal/planner"
 	"repro/internal/relalg"
+	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/wrapper"
 	"repro/internal/wrapper/wrappertest"
@@ -119,9 +123,64 @@ func TestStreamDeliversRowsWithoutFullMaterialization(t *testing.T) {
 	if rows != 3 {
 		t.Fatalf("streamed %d rows, want 3", rows)
 	}
-	waitForStats(t, sys, func(st coin.ExecStats) bool {
-		return st.TuplesTransferred == 3 && st.SourceQueries == 1
-	})
+	// The stream is closed before its trailer goes out, so its counts are
+	// in by the time the cursor reports the end.
+	if st := sys.Executor().Stats(); st.TuplesTransferred != 3 || st.SourceQueries != 1 {
+		t.Errorf("stats after the trailer = %+v, want 3 tuples from 1 source query", st)
+	}
+}
+
+// closeTracked is a fixedStream whose Close takes a while to publish.
+type closeTracked struct {
+	*fixedStream
+	closed atomic.Bool
+}
+
+func (s *closeTracked) Close() error {
+	time.Sleep(20 * time.Millisecond)
+	s.closed.Store(true)
+	return nil
+}
+
+type closeTrackedService struct {
+	fixedService
+	stream *closeTracked
+}
+
+func (f closeTrackedService) QueryStream(ctx context.Context, sql, receiver string, naive bool, lim planner.Limits) (server.RowStream, error) {
+	rs, _ := f.fixedService.QueryStream(ctx, sql, receiver, naive, lim)
+	f.stream.fixedStream = rs.(*fixedStream)
+	return f.stream, nil
+}
+
+// TestStreamClosedBeforeTrailer: a streamed response is complete only
+// once its row stream is closed — closing publishes the session's
+// statistics — so a receiver that has read the stats or error trailer
+// sends its next request to a server that already knows them.
+func TestStreamClosedBeforeTrailer(t *testing.T) {
+	rel := awkwardRelation()
+	for _, name := range []string{"stats", "error"} {
+		if name == "error" {
+			rel.Tuples[4] = relalg.Tuple{relalg.StrV("x"), relalg.NumV(math.NaN()), relalg.BoolV(true)}
+		}
+		svc := closeTrackedService{fixedService: fixedService{rel: rel}, stream: &closeTracked{}}
+		ts := httptest.NewServer(server.New(svc))
+		conn, err := client.Open(ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := conn.QueryStream(context.Background(), "SELECT 1", "", true, client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cur.Next() {
+		}
+		if !svc.stream.closed.Load() {
+			t.Errorf("%s trailer read before the stream was closed", name)
+		}
+		cur.Close()
+		ts.Close()
+	}
 }
 
 // TestStreamClientDisconnectCancelsQuery: a receiver that abandons the
@@ -244,9 +303,9 @@ func TestBadGovernorValuesRejected(t *testing.T) {
 	}
 }
 
-// waitForStats polls the executor stats until ok or a deadline; the
-// server flushes per-stream transfer counts when the handler's deferred
-// Close runs, which can lag the client's last read slightly.
+// waitForStats polls the executor stats until ok or a deadline: a stream
+// the receiver abandoned is closed when the server notices, which can lag
+// the client's Close.
 func waitForStats(t *testing.T, sys *coin.System, ok func(coin.ExecStats) bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
