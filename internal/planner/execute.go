@@ -193,7 +193,7 @@ func (e *Executor) fetchBindStep(ctx context.Context, sess *Session, step *PlanS
 		}
 		hasNull := false
 		for _, fi := range feedIdx {
-			if t[fi].IsNull() {
+			if v := t[fi]; v.IsNull() || v.N != v.N {
 				hasNull = true
 				break
 			}

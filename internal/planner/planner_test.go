@@ -350,3 +350,27 @@ func TestExecStatsCount(t *testing.T) {
 		t.Error("ResetStats failed")
 	}
 }
+
+// TestGroupByKeyOfSecondRelation: a grouped join keys and aggregates on
+// the columns the query names, even when both relations have a column of
+// that name (b.k here, not a.k).
+func TestGroupByKeyOfSecondRelation(t *testing.T) {
+	db := store.NewDB("src")
+	num := func(n string) relalg.Column { return relalg.Column{Name: n, Type: relalg.KindNumber} }
+	a := db.MustCreateTable("a", relalg.NewSchema(num("j"), num("k")))
+	b := db.MustCreateTable("b", relalg.NewSchema(num("j"), num("k")))
+	for i := 0; i < 4; i++ {
+		a.MustInsert(relalg.NumV(float64(i)), relalg.NumV(float64(i)))
+		b.MustInsert(relalg.NumV(float64(i)), relalg.NumV(7))
+	}
+	cat := NewCatalog()
+	cat.MustAddSource(wrapper.NewRelational(db))
+	res, err := execute(bg, NewExecutor(cat), sqlparse.MustParse(
+		"SELECT b.k, COUNT(*), SUM(b.k) FROM a, b WHERE a.j = b.j GROUP BY b.k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.String(); res.Len() != 1 || res.Tuples[0][0].N != 7 || res.Tuples[0][1].N != 4 || res.Tuples[0][2].N != 28 {
+		t.Errorf("GROUP BY b.k =\n%s\nwant one group k=7, count 4, sum 28", got)
+	}
+}

@@ -911,10 +911,23 @@ func (e *Executor) StatementStream(sess *Session, stmt sqlparse.Statement) (rela
 // GroupBy breaker, then order/distinct/limit apply.
 func (e *Executor) aggregateStream(sess *Session, sel *sqlparse.Select) (relalg.Iterator, error) {
 	spj := *sel
-	spj.Items = []sqlparse.SelectItem{{Star: true}}
+	spj.Items = nil
 	spj.GroupBy, spj.Having, spj.OrderBy = nil, nil, nil
 	spj.Limit = -1
 	spj.Distinct = false
+	// Every column keeps its qualified name through the projection, so a
+	// key or aggregate over b.k cannot resolve to a.k when both relations
+	// have a column k.
+	for _, tr := range sel.From {
+		schema, err := e.Catalog.Schema(tr.Table)
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range schema.Columns {
+			q := tr.Binding() + "." + c.Name
+			spj.Items = append(spj.Items, sqlparse.SelectItem{Expr: colRefFromQualified(q), Alias: q})
+		}
+	}
 	plan, err := e.PlanCtx(sess.Context(), &spj)
 	if err != nil {
 		return nil, err
@@ -924,9 +937,8 @@ func (e *Executor) aggregateStream(sess *Session, sel *sqlparse.Select) (relalg.
 	if err != nil {
 		return nil, err
 	}
-	// Aggregate over the wide result. Column names were flattened to
-	// plain names by projection; regroup using the original expressions,
-	// which Schema.Index resolves by unique suffix.
+	// Aggregate over the wide result with the original expressions:
+	// qualified references resolve exactly, bare ones by unique suffix.
 	items := make([]relalg.AggItem, len(sel.Items))
 	for i, it := range sel.Items {
 		n := it.Alias

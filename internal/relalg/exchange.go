@@ -35,11 +35,11 @@ import (
 // channels are durable copies (fresh builder arenas or copied row-header
 // slices).
 
-// tupleHasNullKey reports whether any key column of t is NULL (SQL
-// equality: such rows can never join).
+// tupleHasNullKey reports whether any key column of t is NULL or NaN
+// (SQL equality: such rows can never join).
 func tupleHasNullKey(t Tuple, cols []int) bool {
 	for _, i := range cols {
-		if t[i].IsNull() {
+		if v := t[i]; v.IsNull() || v.N != v.N {
 			return true
 		}
 	}

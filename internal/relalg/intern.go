@@ -82,9 +82,12 @@ func (e *KeyEncoder) appendValue(dst []byte, v Value) []byte {
 	switch v.K {
 	case KindNumber:
 		bits := math.Float64bits(v.N)
-		if v.N != v.N {
+		switch {
+		case v.N != v.N:
 			// Canonicalize NaN payloads: SQL has one NaN.
 			bits = math.Float64bits(math.NaN())
+		case v.N == 0:
+			bits = 0 // −0 = 0
 		}
 		return append(dst, keyTagNum,
 			byte(bits>>56), byte(bits>>48), byte(bits>>40), byte(bits>>32),

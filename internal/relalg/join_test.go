@@ -51,10 +51,10 @@ func TestThreeJoinsAgreeProperty(t *testing.T) {
 	}
 }
 
-// NULL keys never join; NaN (either payload) joins NaN and nothing else —
-// the canonical-NaN keying DISTINCT, GROUP BY and Value.SortKey share —
-// on one key column and on two. Expected rows are (a.v, b.w) pairs in
-// probe order, matches in build-insertion order.
+// NULL and NaN (either payload) keys never join — joins follow
+// Value.Equal, as the nested loop does — on one key column and on two.
+// Expected rows are (a.v, b.w) pairs in probe order, matches in
+// build-insertion order.
 func TestHashJoinNaNAndNullKeys(t *testing.T) {
 	nan, nan2 := NumV(math.NaN()), NumV(math.Float64frombits(0xFFF8000000000ABC))
 	a := testRel("a", "a.k:num, a.j:num, a.v:num",
@@ -89,9 +89,9 @@ func TestHashJoinNaNAndNullKeys(t *testing.T) {
 		want   [][2]int
 	}{
 		{"one key", []string{"a.k"}, []string{"b.k"},
-			[][2]int{{1, 0}, {1, 3}, {2, 0}, {2, 3}, {3, 2}, {3, 5}, {4, 2}, {4, 5}, {5, 6}}},
+			[][2]int{{3, 2}, {3, 5}, {4, 2}, {4, 5}, {5, 6}}},
 		{"two keys", []string{"a.k", "a.j"}, []string{"b.k", "b.j"},
-			[][2]int{{1, 0}, {2, 3}, {4, 2}}},
+			[][2]int{{4, 2}}},
 	}
 	for _, j := range joins {
 		for _, c := range cases {
@@ -109,5 +109,57 @@ func TestHashJoinNaNAndNullKeys(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHashJoinSignedZeroKeys: −0 = 0 under Value.Equal, so a key of 0
+// joins a key of −0 whichever side builds, serial or exchange, exactly as
+// the nested loop joins them.
+func TestHashJoinSignedZeroKeys(t *testing.T) {
+	negZero := NumV(math.Copysign(0, -1))
+	a := testRel("a", "a.k:num, a.v:num", []Value{NumV(0), NumV(1)}, []Value{negZero, NumV(2)})
+	b := testRel("b", "b.k:num, b.w:num", []Value{negZero, NumV(3)})
+	pred := sqlparse.Bin("=", sqlparse.Col("a", "k"), sqlparse.Col("b", "k"))
+	nl, err := collect(NewNestedLoop(NewScan(a), b, pred), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nl.Len() != 2 {
+		t.Fatalf("nested loop joined %d rows, want 2", nl.Len())
+	}
+	for _, buildLeft := range []bool{false, true} {
+		hj, err := collect(NewHashJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, buildLeft, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		phj, err := collect(NewParallelHashJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, buildLeft, nil, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !SameTuples(nl, hj) || !SameTuples(nl, phj) {
+			t.Errorf("buildLeft=%v: hash join %v, exchange %v, nested loop %v", buildLeft, hj.Tuples, phj.Tuples, nl.Tuples)
+		}
+	}
+}
+
+// TestDistinctAndGroupBySignedZero: DISTINCT and GROUP BY treat −0 and 0
+// as one value (IS NOT DISTINCT FROM), keeping the first occurrence.
+func TestDistinctAndGroupBySignedZero(t *testing.T) {
+	negZero := NumV(math.Copysign(0, -1))
+	rel := testRel("r", "r.k:num", []Value{negZero}, []Value{NumV(0)}, []Value{negZero})
+	d, err := collect(NewDistinct(NewScan(rel)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != 1 || !math.Signbit(d.Tuples[0][0].N) {
+		t.Errorf("DISTINCT {-0, 0, -0} = %v, want the one first row -0", d.Tuples)
+	}
+	items := []AggItem{{Name: "k", Expr: sqlparse.Col("r", "k")}, {Name: "n", Expr: &sqlparse.FuncCall{Name: "COUNT", Star: true}}}
+	g, err := collect(NewGroupBy(NewScan(rel), []sqlparse.Expr{sqlparse.Col("r", "k")}, items, nil, nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Len() != 1 || g.Tuples[0][1].N != 3 {
+		t.Errorf("GROUP BY over {-0, 0, -0} = %v, want one group of 3", g.Tuples)
 	}
 }

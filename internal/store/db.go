@@ -45,9 +45,9 @@ func (t *Table) Insert(row relalg.Tuple) error {
 	id := len(t.tuples)
 	t.tuples = append(t.tuples, row.Clone())
 	for col, idx := range t.indexes {
-		ci := t.Schema.Index(col)
-		key := row[ci].Key()
-		idx[key] = append(idx[key], id)
+		if key, ok := IndexKey(row[t.Schema.Index(col)]); ok {
+			idx[key] = append(idx[key], id)
+		}
 	}
 	return nil
 }
@@ -76,8 +76,9 @@ func (t *Table) CreateIndex(column string) error {
 	defer t.mu.Unlock()
 	idx := map[string][]int{}
 	for id, row := range t.tuples {
-		key := row[ci].Key()
-		idx[key] = append(idx[key], id)
+		if key, ok := IndexKey(row[ci]); ok {
+			idx[key] = append(idx[key], id)
+		}
 	}
 	t.indexes[column] = idx
 	return nil
@@ -104,8 +105,21 @@ func (t *Table) Scan() *relalg.Relation {
 	return out
 }
 
-// Lookup returns the rows whose indexed column equals v; it falls back to
-// a scan when the column is not indexed.
+// IndexKey is the key an index files v under. It follows SQL equality
+// (Value.Equal), so an index lookup answers what a scan would: NULL and
+// NaN equal nothing and have no key, and −0 files with 0.
+func IndexKey(v relalg.Value) (string, bool) {
+	if v.IsNull() || v.N != v.N {
+		return "", false
+	}
+	if v.K == relalg.KindNumber && v.N == 0 {
+		v.N = 0
+	}
+	return v.Key(), true
+}
+
+// Lookup returns the rows whose column equals v (SQL equality, see
+// IndexKey) through the column's index, or by a scan when it has none.
 func (t *Table) Lookup(column string, v relalg.Value) (*relalg.Relation, error) {
 	ci := t.Schema.Index(column)
 	if ci < 0 {
@@ -115,7 +129,8 @@ func (t *Table) Lookup(column string, v relalg.Value) (*relalg.Relation, error) 
 	defer t.mu.RUnlock()
 	out := relalg.NewRelation(t.Name, t.Schema)
 	if idx, ok := t.indexes[column]; ok {
-		for _, id := range idx[v.Key()] {
+		key, _ := IndexKey(v)
+		for _, id := range idx[key] {
 			out.Tuples = append(out.Tuples, t.tuples[id])
 		}
 		return out, nil

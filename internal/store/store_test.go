@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -185,6 +186,39 @@ func TestParseHeaderDefaults(t *testing.T) {
 	for i, k := range want {
 		if s.Columns[i].Type != k {
 			t.Errorf("col %d type = %v, want %v", i, s.Columns[i].Type, k)
+		}
+	}
+}
+
+// TestIndexLookupMatchesScan: a column's index answers what a scan of it
+// answers under SQL equality — NULL and NaN match nothing, and 0 and −0
+// match each other — so adding an index never changes a pushed "=".
+func TestIndexLookupMatchesScan(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []relalg.Value{relalg.Null, relalg.NumV(math.NaN()), relalg.NumV(0), relalg.NumV(negZero), relalg.NumV(1)}
+	mk := func(indexed bool) *Table {
+		tab := NewTable("t", relalg.NewSchema(relalg.Column{Name: "k", Type: relalg.KindNumber}))
+		if indexed {
+			if err := tab.CreateIndex("k"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, v := range vals {
+			tab.MustInsert(v)
+		}
+		return tab
+	}
+	scan, indexed := mk(false), mk(true)
+	want := map[int]int{0: 0, 1: 0, 2: 2, 3: 2, 4: 1}
+	for i, v := range vals {
+		for _, tab := range []*Table{scan, indexed} {
+			got, err := tab.Lookup("k", v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != want[i] {
+				t.Errorf("Lookup(%v) indexed=%v: %d rows, want %d", v, tab.HasIndex("k"), got.Len(), want[i])
+			}
 		}
 	}
 }

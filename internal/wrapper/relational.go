@@ -169,10 +169,11 @@ func (r *Relational) scanFor(q SourceQuery) (*relalg.Relation, []Filter, error) 
 			rel = relalg.NewRelation(q.Relation, t.Schema)
 			seen := map[string]bool{}
 			for _, v := range f.Values {
-				if seen[v.Key()] {
+				key, ok := store.IndexKey(v)
+				if !ok || seen[key] {
 					continue
 				}
-				seen[v.Key()] = true
+				seen[key] = true
 				part, err := t.Lookup(f.Column, v)
 				if err != nil {
 					return nil, nil, err
