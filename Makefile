@@ -56,10 +56,13 @@ test-bench:
 # races the first pass missed. The mediated union's overlap tests and the
 # schedule-perturbation referee run ten times under the invariants build:
 # a union that opens its branches early must still emit them in order.
+# The reference evaluator's seeded sweep (internal/refeval) runs twice
+# under the same build.
 test-race:
 	$(GO) test -race ./internal/server/ ./internal/planner/ ./coin/ ./internal/relalg/ ./internal/wrapper/... ./internal/client/ ./internal/golden/ ./internal/core/ ./internal/datalog/
 	$(GO) test -race -count=2 -run 'Parallel|Exchange' ./internal/relalg/ ./internal/planner/
 	$(GO) test -race -tags invariants -count=10 -run 'Mediation|Overlap' ./internal/planner/ ./internal/golden/
+	$(GO) test -race -tags invariants -short -count=2 ./internal/refeval/
 
 # Fault-injection (chaos) suite under the race detector, twice, so the
 # deterministic fault scripts are also exercised against scheduling
@@ -83,15 +86,17 @@ golden-update:
 
 # Short fuzzing smoke over the three hand-written parsers (SQL, wrapping
 # specs, datalog programs), the wire's row codec (held to encoding/json
-# in both directions) and the mediator's shape road (held to the exact
-# road, literal by literal); CI runs this with a small FUZZTIME, longer
-# runs are manual.
+# in both directions), the mediator's shape road (held to the exact
+# road, literal by literal) and the engine (held to the naive reference
+# evaluator under every knob, with the race detector and the invariants
+# build); CI runs this with a small FUZZTIME, longer runs are manual.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME) ./internal/wrapper/
 	$(GO) test -run '^$$' -fuzz FuzzParseProgram -fuzztime $(FUZZTIME) ./internal/datalog/
 	$(GO) test -run '^$$' -fuzz FuzzRowCodec -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzMediateShape -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -race -tags invariants -run '^$$' -fuzz FuzzReferee -fuzztime $(FUZZTIME) ./internal/refeval/
 
 # Static-analysis gate: vet, the package-comment check, and the
 # engine-invariant analyzer suite (batchretain, ctxflow, sourcefunnel,
