@@ -154,9 +154,9 @@ func (e *Executor) RunSession(sess *Session, plan *BranchPlan) (*relalg.Relation
 // fetchBindStep retrieves one relation through its bind joins and
 // applies the engine-local filters the source could not. The distinct
 // combinations of feeding values are collected from the materialized
-// intermediate result (combinations containing NULL are skipped outright:
-// a `col = NULL` probe can never join under SQL semantics, and a Web form
-// would match the rendered "NULL" literally); against an InList-capable
+// intermediate result (combinations containing NULL or NaN are skipped
+// outright: a `col = NULL` probe can never join under SQL semantics, and
+// a Web form would match the rendered "NULL" literally); against an InList-capable
 // source they are batched into ⌈N/BatchSize⌉ IN-list queries, otherwise
 // each becomes one equality probe. All resulting queries flow through the
 // source access layer — concurrent up to the per-source dispatcher
@@ -181,31 +181,16 @@ func (e *Executor) fetchBindStep(ctx context.Context, sess *Session, step *PlanS
 		return nil, err
 	}
 
-	// Distinct non-NULL feeder combinations, in first-appearance order.
-	// The interned encoder keeps dedup allocation-free per tuple: only a
-	// new distinct combination copies its key into the map.
-	enc := relalg.NewKeyEncoder(nil)
-	seen := map[string]bool{}
+	// Distinct joinable feeder combinations, in first-appearance order.
+	var keys relalg.JoinKeys
 	var combos []relalg.Tuple
 	for _, t := range cur.Tuples {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		hasNull := false
-		for _, fi := range feedIdx {
-			if v := t[fi]; v.IsNull() || v.N != v.N {
-				hasNull = true
-				break
-			}
-		}
-		if hasNull {
+		if _, added := keys.Add(t, feedIdx); !added {
 			continue
 		}
-		key := enc.Key(t, feedIdx)
-		if seen[string(key)] {
-			continue
-		}
-		seen[string(key)] = true
 		vals := make(relalg.Tuple, len(feedIdx))
 		for i, fi := range feedIdx {
 			vals[i] = t[fi]
@@ -315,36 +300,27 @@ func (e *Executor) fetchBindBatched(ctx context.Context, sess *Session, w wrappe
 		return nil, err
 	}
 	out := make([]*relalg.Relation, 0, len(combos))
-	enc := relalg.NewKeyEncoder(nil)
-	idx := map[string]int{}
-	var buckets [][]relalg.Tuple
+	cols, probe := []int{colIdx}, []int{0}
 	for qi, part := range parts {
 		vals := groups[qi]
 		if len(vals) == 1 {
 			out = append(out, part)
 			continue
 		}
-		// Regroup through an interned index: the per-row map probe reuses
-		// the encoder's scratch key, so only distinct feeder values (the
-		// map inserts) allocate.
-		clear(idx)
-		buckets = buckets[:0]
-		for _, t := range part.Tuples {
-			k := enc.ValueKey(t[colIdx])
-			bi, ok := idx[string(k)]
-			if !ok {
-				bi = len(buckets)
-				idx[string(k)] = bi
-				buckets = append(buckets, nil)
-			}
-			buckets[bi] = append(buckets[bi], t)
-		}
+		// The values are distinct and joinable, so they number 0..n-1 in
+		// list order; each answer row then files under its value's id.
+		var keys relalg.JoinKeys
 		for _, v := range vals {
-			var rows []relalg.Tuple
-			if bi, ok := idx[string(enc.ValueKey(v))]; ok {
-				rows = buckets[bi]
+			keys.Add(relalg.Tuple{v}, probe)
+		}
+		rows := make([][]relalg.Tuple, len(vals))
+		for _, t := range part.Tuples {
+			if id, _ := keys.Add(t, cols); id >= 0 && id < len(vals) {
+				rows[id] = append(rows[id], t)
 			}
-			out = append(out, &relalg.Relation{Name: part.Name, Schema: part.Schema, Tuples: rows})
+		}
+		for _, r := range rows {
+			out = append(out, &relalg.Relation{Name: part.Name, Schema: part.Schema, Tuples: r})
 		}
 	}
 	return out, nil

@@ -951,12 +951,7 @@ func (e *Executor) aggregateStream(sess *Session, sel *sqlparse.Select) (relalg.
 		}
 		items[i] = relalg.AggItem{Name: n, Expr: it.Expr}
 	}
-	// GroupBy and a trailing DISTINCT share one interning pool: both hash
-	// the same value domain, and the tree has a single consumer.
-	pool := relalg.NewInterner()
-	gb := relalg.NewGroupBy(wide, sel.GroupBy, items, sel.Having, nil)
-	gb.Intern = pool
-	var out relalg.Iterator = gb
+	var out relalg.Iterator = relalg.NewGroupBy(wide, sel.GroupBy, items, sel.Having, nil)
 	if len(sel.OrderBy) > 0 {
 		keys := make([]relalg.OrderKey, len(sel.OrderBy))
 		for i, o := range sel.OrderBy {
@@ -967,9 +962,7 @@ func (e *Executor) aggregateStream(sess *Session, sel *sqlparse.Select) (relalg.
 		out = srt
 	}
 	if sel.Distinct {
-		d := relalg.NewDistinct(out)
-		d.Intern = pool
-		out = d
+		out = relalg.NewDistinct(out)
 	}
 	return relalg.NewLimit(out, sel.Limit), nil
 }
@@ -1117,7 +1110,6 @@ func (d *degradedIter) Close() error {
 
 // postStream applies a mediation's post-union step to the union stream.
 func (e *Executor) postStream(sess *Session, post *core.Post, in relalg.Iterator) (relalg.Iterator, error) {
-	pool := relalg.NewInterner()
 	out := in
 	if len(post.GroupBy) > 0 || anyAggItems(post.Items) {
 		items := make([]relalg.AggItem, len(post.Items))
@@ -1127,9 +1119,7 @@ func (e *Executor) postStream(sess *Session, post *core.Post, in relalg.Iterator
 				items[i].Name = "col" + strconv.Itoa(i+1)
 			}
 		}
-		gb := relalg.NewGroupBy(out, post.GroupBy, items, post.Having, nil)
-		gb.Intern = pool
-		out = gb
+		out = relalg.NewGroupBy(out, post.GroupBy, items, post.Having, nil)
 	} else if len(post.Items) > 0 {
 		items := make([]relalg.ProjectItem, len(post.Items))
 		for i, it := range post.Items {
@@ -1145,9 +1135,7 @@ func (e *Executor) postStream(sess *Session, post *core.Post, in relalg.Iterator
 		out = relalg.NewProject(out, items)
 	}
 	if post.Distinct {
-		d := relalg.NewDistinct(out)
-		d.Intern = pool
-		out = d
+		out = relalg.NewDistinct(out)
 	}
 	if len(post.OrderBy) > 0 {
 		keys := make([]relalg.OrderKey, len(post.OrderBy))

@@ -2,6 +2,7 @@ package relalg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sqlparse"
 )
@@ -13,23 +14,19 @@ type AggItem struct {
 	Expr sqlparse.Expr // may contain FuncCall nodes
 }
 
-// groupByInterned is the grouping core: it groups r by the key
-// expressions and computes the items per group. With no keys, the whole
-// relation is one group (global aggregation); an empty input then yields
-// one row of aggregate identity values (COUNT=0, SUM/AVG/MIN/MAX=NULL),
-// matching SQL. Group keys are hashed as interned fixed-width encodings
-// (KeyEncoder over the given pool, or a private one when in is nil);
-// group output order is first appearance. Handles stay inside this call —
-// the returned relation carries plain Values only.
-func groupByInterned(r *Relation, keys []sqlparse.Expr, items []AggItem, having sqlparse.Expr, in *Interner) (*Relation, error) {
-	type group struct {
-		tuples []Tuple
-	}
-	enc := NewKeyEncoder(in)
-	index := map[string]int{}
-	var order []*group
-	kv := make([]Value, len(keys))
-	for _, t := range r.Tuples {
+// groupBy is the grouping core: it groups r by the key expressions and
+// computes the items per group. With no keys, the whole relation is one
+// group (global aggregation); an empty input then yields one row of
+// aggregate identity values (COUNT=0, SUM/AVG/MIN/MAX=NULL), matching SQL.
+// Group keys compare as IS NOT DISTINCT FROM (NULL, NaN and ±0 each form
+// one group) in a keyTable, whose ids give the output order: first
+// appearance.
+func groupBy(r *Relation, keys []sqlparse.Expr, items []AggItem, having sqlparse.Expr) (*Relation, error) {
+	var index keyTable
+	var buf []byte
+	gid := make([]int32, len(r.Tuples))
+	kv := make(Tuple, len(keys))
+	for ri, t := range r.Tuples {
 		for i, k := range keys {
 			v, err := Eval(k, r.Schema, t)
 			if err != nil {
@@ -37,17 +34,28 @@ func groupByInterned(r *Relation, keys []sqlparse.Expr, items []AggItem, having 
 			}
 			kv[i] = v
 		}
-		hk := enc.FullKey(kv)
-		idx, ok := index[string(hk)]
-		if !ok {
-			idx = len(order)
-			index[string(hk)] = idx
-			order = append(order, &group{})
-		}
-		order[idx].tuples = append(order[idx].tuples, t)
+		buf = appendRowKey(buf[:0], kv)
+		gid[ri], _ = index.insert(buf)
 	}
-	if len(keys) == 0 && len(order) == 0 {
-		order = append(order, &group{})
+	checkTable(&index)
+	groups := len(index.locs)
+	if len(keys) == 0 && groups == 0 {
+		groups = 1
+	}
+	// Lay the groups out back to back in one slice, rows within a group
+	// in input order: start[g] is where group g begins.
+	start := make([]int, groups+1)
+	for _, g := range gid {
+		start[g+1]++
+	}
+	for g := range groups {
+		start[g+1] += start[g]
+	}
+	members := make([]Tuple, len(r.Tuples))
+	fill := slices.Clone(start[:groups])
+	for ri, g := range gid {
+		members[fill[g]] = r.Tuples[ri]
+		fill[g]++
 	}
 
 	cols := make([]Column, len(items))
@@ -55,10 +63,11 @@ func groupByInterned(r *Relation, keys []sqlparse.Expr, items []AggItem, having 
 		cols[i] = Column{Name: it.Name, Type: aggType(it.Expr, r.Schema)}
 	}
 	out := NewRelation(r.Name, Schema{Columns: cols})
-	for _, g := range order {
+	for g := range groups {
+		group := members[start[g]:start[g+1]]
 		row := make(Tuple, len(items))
 		for i, it := range items {
-			v, err := evalAgg(it.Expr, r.Schema, g.tuples)
+			v, err := evalAgg(it.Expr, r.Schema, group)
 			if err != nil {
 				return nil, err
 			}
@@ -66,7 +75,7 @@ func groupByInterned(r *Relation, keys []sqlparse.Expr, items []AggItem, having 
 		}
 		if having != nil {
 			// HAVING evaluates aggregate expressions over the same group.
-			hv, err := evalAgg(having, r.Schema, g.tuples)
+			hv, err := evalAgg(having, r.Schema, group)
 			if err != nil {
 				return nil, err
 			}

@@ -9,6 +9,7 @@ package relalg
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -41,16 +42,15 @@ func allocRelations(n int) (*Relation, *Relation) {
 	return a, b
 }
 
-// joinDistinct drains HashJoin(a ⋈ b on the string key) → DISTINCT with
-// a shared interner pool, the exact pipeline shape the interning work
-// targets, and returns the output row count.
-func joinDistinct(ra, rb *Relation, pool *Interner) (int, error) {
+// joinDistinct drains HashJoin(a ⋈ b on the string key) → DISTINCT, the
+// pipeline shape the key table serves twice, and returns the output row
+// count.
+func joinDistinct(ra, rb *Relation) (int, error) {
 	hj, err := NewHashJoin(NewScan(ra), NewScan(rb), []string{"a.k"}, []string{"b.k"}, nil, true, nil)
 	if err != nil {
 		return 0, err
 	}
 	d := NewDistinct(hj)
-	d.Intern = pool
 	if err := d.Open(context.Background()); err != nil {
 		return 0, err
 	}
@@ -68,38 +68,57 @@ func joinDistinct(ra, rb *Relation, pool *Interner) (int, error) {
 	}
 }
 
-// TestHashJoinDistinctAllocBudget pins the per-query allocation budget of
-// the hash-join + DISTINCT microbench. Before batching and interning the
-// same pipeline cost one tuple allocation per row plus one key encoding
-// per probe plus per-row map traffic — five-plus allocations per output
-// row. What remains is the one inherent allocation per DISTINCT-surviving
-// row (its dedup key must outlive the batch as a map key); the budget
-// asserts nothing beyond that creeps back in.
+// TestHashJoinDistinctAllocBudget pins the allocation shape of the
+// hash-join + DISTINCT microbench: a fixed handful of tables, arena
+// chunks and output batches per query, not one allocation per row. Before
+// the key table each DISTINCT-surviving row cost one (its key string
+// outlived the batch as a map key), about 2,100 at 2,048 rows; now the
+// count grows only with the doubling steps and the output batches.
 func TestHashJoinDistinctAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	const rows = 2048
-	ra, rb := allocRelations(rows)
-	want, err := joinDistinct(ra, rb, NewInterner())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want != rows {
-		t.Fatalf("join emitted %d rows, want %d", want, rows)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		got, err := joinDistinct(ra, rb, NewInterner())
-		if err != nil {
-			t.Fatal(err)
+	for _, rows := range []int{2048, 16384} {
+		ra, rb := allocRelations(rows)
+		var got int
+		allocs := testing.AllocsPerRun(5, func() {
+			var err error
+			if got, err = joinDistinct(ra, rb); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != rows {
+			t.Fatalf("join emitted %d rows, want %d", got, rows)
 		}
-		if got != want {
-			t.Fatalf("rows = %d, want %d", got, want)
+		t.Logf("hash-join+DISTINCT over %d rows: %.0f allocs/query", rows, allocs)
+		const budget = 160 // measured 98 at 2,048 rows, 126 at 16,384
+		if allocs > budget {
+			t.Errorf("hash-join+DISTINCT over %d rows allocates %.0f/query, budget %d", rows, allocs, budget)
 		}
-	})
-	t.Logf("hash-join+DISTINCT over %d rows: %.0f allocs/query", rows, allocs)
-	const budget = 4300 // measured ~2145 (≈1/row); ~2x headroom
-	if allocs > budget {
-		t.Errorf("hash-join+DISTINCT allocates %.0f/query, budget %d", allocs, budget)
+	}
+}
+
+// TestBuildTableApproxBytes pins BuildTable.ApproxBytes to what building
+// the table allocates: everything beyond the rows (which the build side's
+// drain allocated) is the table's own, counted from its capacities. The
+// slack is 10% plus what the estimate leaves out on purpose: the table's
+// header and the build's key scratch buffer.
+func TestBuildTableApproxBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	for _, rows := range []int{10, 1000, 20000} {
+		rel, _ := allocRelations(rows)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tbl := buildHJTable(rel.Tuples, []int{0, 1})
+		runtime.ReadMemStats(&after)
+		alloc := int64(after.TotalAlloc - before.TotalAlloc)
+		own := tbl.ApproxBytes() - rel.ApproxBytes()
+		t.Logf("%d rows: ApproxBytes %d (table's own %d), build allocated %d", rows, tbl.ApproxBytes(), own, alloc)
+		if slack := alloc/10 + 256; own < alloc-slack || own > alloc+slack {
+			t.Errorf("%d rows: the table's own ApproxBytes is %d, building it allocated %d", rows, own, alloc)
+		}
 	}
 }

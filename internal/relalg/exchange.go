@@ -22,29 +22,17 @@ import (
 //   - parallel hash join: probe batches are dispatched round-robin to
 //     workers and their outputs re-read in the same round-robin order,
 //     so rows flow in exact probe-stream order; every worker probes the
-//     same table, so match order inside a bucket is build-insertion order.
+//     same table, so matches of one key come in build-insertion order.
 //   - parallel sort: contiguous chunks are sorted concurrently and
 //     merged under one comparator that is a strict total order (key
 //     columns by SortKey, then row index), so the merge is the serial
 //     sort by construction — for NaN keys too.
 //
-// Isolation rule: no KeyEncoder scratch buffer or transient batch crosses
-// a worker boundary. The build table and its pool are frozen before the
-// first worker starts; probers read them through private encoders
-// (KeyEncoder.LookupKey never grows a pool); batches handed across
-// channels are durable copies (fresh builder arenas or copied row-header
-// slices).
-
-// tupleHasNullKey reports whether any key column of t is NULL or NaN
-// (SQL equality: such rows can never join).
-func tupleHasNullKey(t Tuple, cols []int) bool {
-	for _, i := range cols {
-		if v := t[i]; v.IsNull() || v.N != v.N {
-			return true
-		}
-	}
-	return false
-}
+// Isolation rule: no key scratch buffer or transient batch crosses a
+// worker boundary. The build table is frozen before the first worker
+// starts; probers read it with private key buffers (a keyTable's find
+// never writes); batches handed across channels are durable copies
+// (fresh builder arenas or copied row-header slices).
 
 // phjChunk is one unit of worker→consumer flow: a durable row slice, a
 // marker for the final chunk of one input probe batch, and an optional
@@ -208,9 +196,9 @@ func (j *ParallelHashJoinIter) dispatch(ctx context.Context, ins []chan []Tuple)
 func (j *ParallelHashJoinIter) worker(ctx context.Context, self int, in chan []Tuple, out chan phjChunk) {
 	defer j.wg.Done()
 	defer close(out)
-	// A private encoder over the table's frozen pool: the scratch buffer
-	// is per-worker, the pool is probed read-only via LookupKey.
-	tbl, enc := j.tbl, NewKeyEncoder(j.tbl.in)
+	// A private key buffer: the frozen table is probed read-only.
+	tbl := j.tbl
+	var buf []byte
 	var resFn func(Tuple) (bool, error)
 	if j.residual != nil {
 		// Compiled predicates keep per-instance scratch state: one per
@@ -237,16 +225,8 @@ func (j *ParallelHashJoinIter) worker(ctx context.Context, self int, in chan []T
 		bb := &BatchBuilder{arity: arity, arena: make([]Value, 0, len(rows)*arity), rows: make([]Tuple, 0, len(rows))}
 		failed := false
 		for _, t := range rows {
-			bi, ok := tbl.lookup(t, j.probeIdx, enc)
-			if !ok {
-				continue
-			}
-			bkt := &tbl.buckets[bi]
-			for mi := 0; mi <= len(bkt.rest); mi++ {
-				bt := bkt.first
-				if mi > 0 {
-					bt = bkt.rest[mi-1]
-				}
+			for mr := tbl.lookup(t, j.probeIdx, &buf); mr >= 0; mr = tbl.next[mr] {
+				bt := tbl.rows[mr]
 				l, r := t, bt
 				if j.buildLeft {
 					l, r = bt, t

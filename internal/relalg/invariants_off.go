@@ -5,7 +5,7 @@ package relalg
 // This file is the zero-cost half of the runtime-assertion layer. The
 // assertions themselves live in invariants_on.go behind `-tags
 // invariants`: a CI job runs the suite with the tag (plus -race) so the
-// batch-ownership, iterator-lifecycle and interner-scope contracts are
+// batch-ownership, iterator-lifecycle and key-table contracts are
 // exercised at runtime, while production builds pay nothing — every hook
 // below compiles to an inlined no-op.
 
@@ -26,6 +26,5 @@ func poisonValues([]Value) {}
 // no-op without the tag.
 func (Value) checkLive() {}
 
-// checkHandle asserts an interner handle belongs to the pool; no-op
-// without the tag.
-func checkHandle(*Interner, uint32) {}
+// checkTable asserts a key table's consistency; no-op without the tag.
+func checkTable(*keyTable) {}

@@ -23,14 +23,17 @@ package relalg
 //     asserting Open-before-Next, no use after Close, single Close,
 //     batches within the requested bound, rows matching the schema's
 //     arity, and exhaustion stability (no rows after the empty batch).
-//   - Interner scope: handles are dense 1..Size per pool; a handle
-//     outside that range reached the pool from somewhere else (a
-//     persisted or cross-pool handle — forbidden by intern.go's scope
-//     rule).
+//   - Key-table consistency (keytable.go): after every hash-join build
+//     and when DISTINCT closes or GROUP BY has grouped, the table's ids
+//     are dense and in insertion order (their keys lie in the arena in id
+//     order), every slot names a distinct id, and every id is found along
+//     its own hash's probe sequence — so no lookup can miss a key the
+//     table holds.
 
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 )
 
 // InvariantsEnabled reports whether the runtime-assertion layer is
@@ -59,13 +62,32 @@ func (v Value) checkLive() {
 	}
 }
 
-// checkHandle panics when h cannot have come from in: pools hand out
-// dense handles 1..Size, so anything outside that range crossed a pool
-// boundary (or was persisted), which intern.go forbids.
-func checkHandle(in *Interner, h uint32) {
-	if h == 0 || h > uint32(len(in.ids)) {
-		panic(fmt.Sprintf("relalg: interner handle %d outside pool of %d entries — "+
-			"handles are scoped to one pool and must never be persisted", h, len(in.ids)))
+// checkTable panics when t is inconsistent (see the file comment). As
+// many slots are in use as there are ids and each id is found from its
+// own key, so the slots name every id exactly once.
+func checkTable(t *keyTable) {
+	fail := func(format string, args ...any) {
+		panic(fmt.Sprintf("relalg: key table: "+format, args...))
+	}
+	used := 0
+	for _, s := range t.slots {
+		used += int(min(s, 1))
+	}
+	if used != len(t.locs) {
+		fail("%d slots in use for %d ids", used, len(t.locs))
+	}
+	for id := 1; id < len(t.locs); id++ {
+		if p, l := t.locs[id-1], t.locs[id]; l.chunk < p.chunk || (l.chunk == p.chunk && l.off < p.off+p.n) {
+			fail("id %d lies in the arena before id %d", id, id-1)
+		}
+	}
+	for id := range int32(len(t.locs)) {
+		if maphash.Bytes(keySeed, t.key(id)) != t.hashes[id] {
+			fail("id %d's cached hash is stale", id)
+		}
+		if got := t.find(t.key(id)); got != id {
+			fail("id %d is not on its probe sequence (found %d)", id, got)
+		}
 	}
 }
 

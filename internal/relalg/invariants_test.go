@@ -209,13 +209,28 @@ func TestCheckedBatchAssertions(t *testing.T) {
 	mustPanic(t, "row arity", func() { ragged.Next(4) })
 }
 
-func TestInternerHandleValidation(t *testing.T) {
-	in := NewInterner()
-	h := in.Intern("alpha")
-	checkHandle(in, h) // in-pool: must not panic
-
-	mustPanic(t, "outside pool", func() { checkHandle(in, h+1) })
-	mustPanic(t, "outside pool", func() { checkHandle(in, 0) })
+func TestKeyTableCheck(t *testing.T) {
+	fill := func() *keyTable {
+		var kt keyTable
+		for i := range 20 {
+			kt.insert(appendKey(nil, NumV(float64(i))))
+		}
+		checkTable(&kt) // consistent: must not panic
+		return &kt
+	}
+	kt := fill()
+	kt.hashes[3] ^= 1
+	mustPanic(t, "stale", func() { checkTable(kt) })
+	kt = fill()
+	for i, s := range kt.slots {
+		if s == 5 {
+			kt.slots[i] = 0
+		}
+	}
+	mustPanic(t, "slots in use", func() { checkTable(kt) })
+	kt = fill()
+	kt.locs[2], kt.locs[3] = kt.locs[3], kt.locs[2]
+	mustPanic(t, "before id", func() { checkTable(kt) })
 }
 
 func TestInvariantsEnabledReportsTag(t *testing.T) {

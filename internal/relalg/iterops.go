@@ -208,18 +208,15 @@ func (l *LimitIter) Close() error {
 }
 
 // DistinctIter streams the child tuples, dropping duplicates of tuples
-// already emitted (first occurrence wins). It holds the set of seen keys,
-// not the tuples, so it streams without being a full pipeline breaker.
-// Keys are interned fixed-width encodings (see KeyEncoder): probing the
-// seen-set allocates nothing; only genuinely new rows insert a key.
+// already emitted (first occurrence wins; NULL, NaN and ±0 compare as IS
+// NOT DISTINCT FROM). It holds the keys of the rows it has seen, not the
+// rows, so it streams without being a full pipeline breaker; probing the
+// key table allocates nothing, only a new row's key grows its arena.
 type DistinctIter struct {
 	child Iterator
-	// Intern optionally shares a pipeline-wide interner pool; set it
-	// before Open (nil: the operator builds a private pool).
-	Intern *Interner
-	seen   map[string]struct{}
-	enc    *KeyEncoder
-	out    []Tuple
+	seen  *keyTable
+	buf   []byte
+	out   []Tuple
 }
 
 // NewDistinct deduplicates child.
@@ -230,9 +227,12 @@ func (d *DistinctIter) Schema() Schema { return d.child.Schema() }
 
 // Open implements Iterator.
 func (d *DistinctIter) Open(ctx context.Context) error {
-	d.seen = make(map[string]struct{})
-	d.enc = NewKeyEncoder(d.Intern)
-	return d.child.Open(ctx)
+	if err := d.child.Open(ctx); err != nil {
+		return err
+	}
+	d.seen = &keyTable{}
+	d.seen.reserve(presizeHint(d.child))
+	return nil
 }
 
 // Next implements Iterator.
@@ -245,15 +245,14 @@ func (d *DistinctIter) Next(max int) (Batch, error) {
 		keep := d.out[:0]
 		dropped := false
 		for i, t := range b.Rows {
-			k := d.enc.FullKey(t)
-			if _, dup := d.seen[string(k)]; dup {
+			d.buf = appendRowKey(d.buf[:0], t)
+			if _, added := d.seen.insert(d.buf); !added {
 				if !dropped {
 					dropped = true
 					keep = append(keep, b.Rows[:i]...)
 				}
 				continue
 			}
-			d.seen[string(k)] = struct{}{}
 			if dropped {
 				keep = append(keep, t)
 			}
@@ -269,7 +268,13 @@ func (d *DistinctIter) Next(max int) (Batch, error) {
 }
 
 // Close implements Iterator.
-func (d *DistinctIter) Close() error { d.seen, d.enc = nil, nil; return d.child.Close() }
+func (d *DistinctIter) Close() error {
+	if d.seen != nil {
+		checkTable(d.seen)
+		d.seen = nil
+	}
+	return d.child.Close()
+}
 
 // UnionAllIter concatenates its children's streams, strictly in order. A
 // child the union has advanced past is closed before the next is pulled,
@@ -504,8 +509,7 @@ func (n *NestedLoopIter) Close() error { return n.outer.Close() }
 // side streams. Output columns are always left.Schema ++ right.Schema
 // regardless of which side builds; output order follows the probe
 // stream, with matches in build-insertion order (see BuildTable). Probing
-// allocates nothing and build-side insertion allocates per distinct key,
-// not per row.
+// allocates nothing, and building allocates per table, not per row.
 type HashJoinIter struct {
 	hashJoin
 	resFn func(Tuple) (bool, error) // residual compiled against schema
@@ -513,12 +517,11 @@ type HashJoinIter struct {
 	// only via MarkTransient (see its contract).
 	TransientOutput bool
 
-	enc  *KeyEncoder
-	pb   Batch // current probe batch
-	pi   int   // next probe row within pb
-	cur  Tuple // current probe tuple
-	mb   int   // bucket index of cur's matches, -1 when none pending
-	mi   int   // next match within bucket mb (0 = first, n = rest[n-1])
+	buf  []byte // probe key scratch
+	pb   Batch  // current probe batch
+	pi   int    // next probe row within pb
+	cur  Tuple  // current probe tuple
+	mr   int32  // build row of cur's next match, -1 when none pending
 	bb   *BatchBuilder
 	pend error
 }
@@ -541,28 +544,17 @@ type hashJoin struct {
 	probeIdx []int    // set by openBuild
 }
 
-// hjBucket holds the build tuples sharing one key, in insertion order.
-// The first tuple is inline so unique keys (the common case) cost no
-// per-key slice allocation; only duplicates spill into rest.
-type hjBucket struct {
-	first Tuple
-	rest  []Tuple
-}
-
 // BuildTable is the hashed build side of a hash join, frozen once built
 // and opaque outside this package: HashJoinIter probes it from one
 // goroutine, ParallelHashJoinIter's workers from several, and — handed
-// out by a BuildSharer — any number of joins of one session at once.
-// Single string keys (the common case) map the raw string straight to a
-// bucket index — the table itself is the interner (bucket index = dense
-// handle); other key shapes use the fixed-width encoding over a pool
-// private to the table.
+// out by a BuildSharer — any number of joins of one session at once. It
+// keeps the drained build rows and numbers their join keys in a keyTable;
+// the rows of one key form a chain in build order.
 type BuildTable struct {
-	in      *Interner      // the pool generic keys are encoded over
-	stable  map[string]int // single string key: raw string → bucket
-	table   map[string]int // every other key shape: encoded key → bucket
-	single  bool           // exactly one key column
-	buckets []hjBucket
+	keys keyTable
+	rows []Tuple // the build side, in input order
+	head []int32 // head[id]: the first row with key id
+	next []int32 // next[r]: the next row with row r's key, -1 at the end
 }
 
 // BuildSharer obtains a join's build table on the join's behalf, calling
@@ -571,85 +563,55 @@ type BuildTable struct {
 // from build must be returned, not remembered.
 type BuildSharer func(ctx context.Context, build func() (*BuildTable, error)) (*BuildTable, error)
 
-// buildHJTable hashes rows on the key columns idx. SQL equality: NULL
-// keys never join, so such rows are dropped.
+// buildHJTable hashes rows on the key columns idx. Joins follow
+// Value.Equal: rows with a NULL or NaN key never join, so they are left
+// out of every chain.
 func buildHJTable(rows []Tuple, idx []int) *BuildTable {
-	enc := NewKeyEncoder(nil)
-	t := &BuildTable{in: enc.in, single: len(idx) == 1, buckets: make([]hjBucket, 0, len(rows))}
-	if t.single {
-		t.stable = make(map[string]int, len(rows))
-	} else {
-		t.table = make(map[string]int, len(rows))
-	}
-	for _, tu := range rows {
-		if tupleHasNullKey(tu, idx) {
+	t := &BuildTable{rows: rows, head: make([]int32, 0, len(rows)), next: make([]int32, len(rows))}
+	t.keys.reserve(len(rows))
+	var buf []byte
+	// Back to front, so that pushing each row onto its chain's head
+	// leaves every chain in build order.
+	for r := len(rows) - 1; r >= 0; r-- {
+		key, ok := appendJoinKey(buf[:0], rows[r], idx)
+		buf = key
+		if !ok {
 			continue
 		}
-		var bi int
-		var ok bool
-		if t.single && tu[idx[0]].K == KindString {
-			s := tu[idx[0]].S
-			if bi, ok = t.stable[s]; !ok {
-				bi = len(t.buckets)
-				t.buckets = append(t.buckets, hjBucket{})
-				t.stable[s] = bi
-			}
+		id, added := t.keys.insert(key)
+		if added {
+			t.head = append(t.head, int32(r))
+			t.next[r] = -1
 		} else {
-			if t.table == nil {
-				// Single-key build with a non-string value: fall back to
-				// the generic encoded table for this row.
-				t.table = make(map[string]int)
-			}
-			k := enc.Key(tu, idx)
-			if bi, ok = t.table[string(k)]; !ok {
-				bi = len(t.buckets)
-				t.buckets = append(t.buckets, hjBucket{})
-				t.table[string(k)] = bi
-			}
-		}
-		if b := &t.buckets[bi]; b.first == nil {
-			b.first = tu
-		} else {
-			b.rest = append(b.rest, tu)
+			t.next[r], t.head[id] = t.head[id], int32(r)
 		}
 	}
+	checkTable(&t.keys)
 	return t
 }
 
-// lookup finds the bucket for a probe tuple's key, if any. Single string
-// keys probe the raw-string table directly — no encoding, no pool
-// traffic. enc must encode over t.in; LookupKey leaves that pool
-// untouched, so any number of probers with private encoders may share one
-// table concurrently.
-func (t *BuildTable) lookup(tu Tuple, probeIdx []int, enc *KeyEncoder) (int, bool) {
-	if t.single {
-		if v := tu[probeIdx[0]]; v.K == KindString {
-			bi, ok := t.stable[v.S]
-			return bi, ok
-		}
-	}
-	if t.table == nil {
-		return 0, false
-	}
-	k, ok := enc.LookupKey(tu, probeIdx)
+// lookup returns the first build row matching a probe tuple's key, or -1.
+// buf is the caller's key scratch: lookup writes nothing else, so any
+// number of probers may share one table.
+func (t *BuildTable) lookup(tu Tuple, probeIdx []int, buf *[]byte) int32 {
+	key, ok := appendJoinKey((*buf)[:0], tu, probeIdx)
+	*buf = key
 	if !ok {
-		return 0, false
+		return -1
 	}
-	bi, ok := t.table[string(k)]
-	return bi, ok
+	if id := t.keys.find(key); id >= 0 {
+		return t.head[id]
+	}
+	return -1
 }
 
-// ApproxBytes estimates what retaining the table pins: bucket array, map
-// entries, duplicate-key row headers and the rows' values and strings.
+// ApproxBytes is what retaining the table pins, read off its own
+// capacities: the key table, the chains, the row headers and the rows'
+// values and strings.
 func (t *BuildTable) ApproxBytes() int64 {
-	total := int64(cap(t.buckets))*bucketBytes +
-		int64(len(t.stable)+len(t.table)+t.in.Size())*mapEntryBytes
-	for i := range t.buckets {
-		b := &t.buckets[i]
-		total += b.first.approxBytes() + int64(cap(b.rest))*tupleBytes
-		for _, tu := range b.rest {
-			total += tu.approxBytes()
-		}
+	total := t.keys.approxBytes() + int64(cap(t.head)+cap(t.next))*4 + int64(cap(t.rows))*tupleBytes
+	for _, tu := range t.rows {
+		total += tu.approxBytes()
 	}
 	return total
 }
@@ -715,7 +677,7 @@ func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sq
 	if err != nil {
 		return nil, err
 	}
-	return &HashJoinIter{hashJoin: core, mb: -1}, nil
+	return &HashJoinIter{hashJoin: core, mr: -1}, nil
 }
 
 // Open implements Iterator: it obtains the build side's hash table.
@@ -723,11 +685,10 @@ func (h *HashJoinIter) Open(ctx context.Context) error {
 	if err := h.openBuild(ctx); err != nil {
 		return err
 	}
-	h.enc = NewKeyEncoder(h.tbl.in)
 	if h.residual != nil {
 		h.resFn = CompileBool(h.residual, h.schema)
 	}
-	h.pb, h.pi, h.cur, h.mb, h.mi, h.pend = Batch{}, 0, nil, -1, 0, nil
+	h.pb, h.pi, h.cur, h.mr, h.pend = Batch{}, 0, nil, -1, nil
 	h.bb = NewBatchBuilder(len(h.schema.Columns))
 	h.bb.Transient = h.TransientOutput
 	return h.probe.Open(ctx)
@@ -754,7 +715,7 @@ func (h *HashJoinIter) Next(max int) (Batch, error) {
 	}
 	h.bb.Reset(max)
 	for h.bb.Len() < max {
-		if h.mb < 0 {
+		if h.mr < 0 {
 			if h.pi >= len(h.pb.Rows) {
 				b, err := h.probe.Next(max)
 				if err != nil {
@@ -768,22 +729,11 @@ func (h *HashJoinIter) Next(max int) (Batch, error) {
 			}
 			t := h.pb.Rows[h.pi]
 			h.pi++
-			if idx, ok := h.tbl.lookup(t, h.probeIdx, h.enc); ok {
-				h.cur, h.mb, h.mi = t, idx, 0
-			}
+			h.cur, h.mr = t, h.tbl.lookup(t, h.probeIdx, &h.buf)
 			continue
 		}
-		bkt := &h.tbl.buckets[h.mb]
-		var bt Tuple
-		if h.mi == 0 {
-			bt = bkt.first
-		} else {
-			bt = bkt.rest[h.mi-1]
-		}
-		h.mi++
-		if h.mi > len(bkt.rest) {
-			h.mb = -1
-		}
+		bt := h.tbl.rows[h.mr]
+		h.mr = h.tbl.next[h.mr]
 		// Assemble in left ++ right order: bt came from the build side,
 		// h.cur from the probe side.
 		l, r := h.cur, bt
@@ -807,7 +757,7 @@ func (h *HashJoinIter) Next(max int) (Batch, error) {
 
 // Close implements Iterator.
 func (h *HashJoinIter) Close() error {
-	h.tbl, h.enc, h.mb = nil, nil, -1
+	h.tbl, h.mr = nil, -1
 	if h.probe == nil {
 		return nil
 	}
@@ -825,8 +775,23 @@ type SortIter struct {
 	// order-preserving merge (see sortTuples); output is identical to
 	// the serial stable sort. Set before Open.
 	Par int
-	out *ScanIter
+	drained
 }
+
+// drained is what a pipeline breaker serves once Open has drained its
+// child and computed the result: a scan over that result.
+type drained struct{ out *ScanIter }
+
+// Next implements Iterator.
+func (d *drained) Next(max int) (Batch, error) {
+	if d.out == nil {
+		return Batch{}, nil
+	}
+	return d.out.Next(max)
+}
+
+// Close implements Iterator.
+func (d *drained) Close() error { d.out = nil; return nil }
 
 // NewSort sorts child by keys (stable).
 func NewSort(child Iterator, keys []OrderKey, _ Stager) *SortIter {
@@ -850,17 +815,6 @@ func (s *SortIter) Open(ctx context.Context) error {
 	return s.out.Open(ctx)
 }
 
-// Next implements Iterator.
-func (s *SortIter) Next(max int) (Batch, error) {
-	if s.out == nil {
-		return Batch{}, nil
-	}
-	return s.out.Next(max)
-}
-
-// Close implements Iterator.
-func (s *SortIter) Close() error { s.out = nil; return nil }
-
 // GroupByIter is the aggregation pipeline breaker: Open drains the
 // child into memory and runs the materialized grouping core.
 type GroupByIter struct {
@@ -869,10 +823,7 @@ type GroupByIter struct {
 	items  []AggItem
 	having sqlparse.Expr
 	schema Schema
-	// Intern optionally shares a pipeline-wide interner pool with the
-	// grouping core; set it before Open.
-	Intern *Interner
-	out    *ScanIter
+	drained
 }
 
 // NewGroupBy groups child by keys and computes items per group (see
@@ -897,21 +848,10 @@ func (g *GroupByIter) Open(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	grouped, err := groupByInterned(rel, g.keys, g.items, g.having, g.Intern)
+	grouped, err := groupBy(rel, g.keys, g.items, g.having)
 	if err != nil {
 		return err
 	}
 	g.out = NewScan(grouped)
 	return g.out.Open(ctx)
 }
-
-// Next implements Iterator.
-func (g *GroupByIter) Next(max int) (Batch, error) {
-	if g.out == nil {
-		return Batch{}, nil
-	}
-	return g.out.Next(max)
-}
-
-// Close implements Iterator.
-func (g *GroupByIter) Close() error { g.out = nil; return nil }

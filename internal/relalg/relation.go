@@ -94,23 +94,14 @@ func (s Schema) Equal(o Schema) bool {
 // Tuple is one row; len(Tuple) == len(Schema.Columns).
 type Tuple []Value
 
-// Key builds a hash key over the given column positions.
-func (t Tuple) Key(cols []int) string {
+// FullKey builds a hash key over the whole tuple.
+func (t Tuple) FullKey() string {
 	var b strings.Builder
-	for _, i := range cols {
-		b.WriteString(t[i].Key())
+	for _, v := range t {
+		b.WriteString(v.Key())
 		b.WriteByte('\x1f')
 	}
 	return b.String()
-}
-
-// FullKey builds a hash key over the whole tuple.
-func (t Tuple) FullKey() string {
-	cols := make([]int, len(t))
-	for i := range cols {
-		cols[i] = i
-	}
-	return t.Key(cols)
 }
 
 // Clone copies the tuple.
@@ -158,10 +149,7 @@ func (r *Relation) Len() int { return len(r.Tuples) }
 const (
 	valueBytes  = int64(unsafe.Sizeof(Value{}))
 	tupleBytes  = int64(unsafe.Sizeof(Tuple{})) // one row header
-	bucketBytes = int64(unsafe.Sizeof(hjBucket{}))
-	// mapEntryBytes approximates one map[string]int entry: key header,
-	// value and control byte at the runtime's ~50% average slot occupancy.
-	mapEntryBytes = 2 * int64(unsafe.Sizeof("")+unsafe.Sizeof(int(0))+1)
+	keyLocBytes = int64(unsafe.Sizeof(keyLoc{}))
 )
 
 // approxBytes estimates the resident size of the tuple's data: the fixed

@@ -157,32 +157,28 @@ func (r *Relational) scanFor(q SourceQuery) (*relalg.Relation, []Filter, error) 
 		if !t.HasIndex(f.Column) {
 			continue
 		}
+		vals := f.Values
 		if f.Op == "=" {
-			rel, err = t.Lookup(f.Column, f.Value)
+			vals = []relalg.Value{f.Value}
+		} else if f.Op != OpIn {
+			continue
+		}
+		rel = relalg.NewRelation(q.Relation, t.Schema)
+		seen := map[string]bool{}
+		for _, v := range vals {
+			key, ok := store.IndexKey(v)
+			if !ok || seen[key] {
+				continue
+			}
+			seen[key] = true
+			part, err := t.Lookup(f.Column, v)
 			if err != nil {
 				return nil, nil, err
 			}
-			used = i
-			break
+			rel.Tuples = append(rel.Tuples, part.Tuples...)
 		}
-		if f.Op == OpIn {
-			rel = relalg.NewRelation(q.Relation, t.Schema)
-			seen := map[string]bool{}
-			for _, v := range f.Values {
-				key, ok := store.IndexKey(v)
-				if !ok || seen[key] {
-					continue
-				}
-				seen[key] = true
-				part, err := t.Lookup(f.Column, v)
-				if err != nil {
-					return nil, nil, err
-				}
-				rel.Tuples = append(rel.Tuples, part.Tuples...)
-			}
-			used = i
-			break
-		}
+		used = i
+		break
 	}
 	if rel == nil {
 		rel = t.Scan()
