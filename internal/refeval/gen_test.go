@@ -53,7 +53,7 @@ var (
 
 // genNum draws a number from 0..span-1, NULL, ±0 and (when nan) NaN.
 func genNum(rng *rand.Rand, span int, nan bool) relalg.Value {
-	switch rng.Intn(12) {
+	switch rng.Intn(10) {
 	case 0:
 		return relalg.Null
 	case 1:
