@@ -38,7 +38,7 @@ func groupBy(r *Relation, keys []sqlparse.Expr, items []AggItem, having sqlparse
 		gid[ri], _ = index.insert(buf)
 	}
 	checkTable(&index)
-	groups := len(index.locs)
+	groups := len(index.ents)
 	if len(keys) == 0 && groups == 0 {
 		groups = 1
 	}

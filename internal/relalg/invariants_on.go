@@ -33,7 +33,6 @@ package relalg
 import (
 	"context"
 	"fmt"
-	"hash/maphash"
 )
 
 // InvariantsEnabled reports whether the runtime-assertion layer is
@@ -73,16 +72,16 @@ func checkTable(t *keyTable) {
 	for _, s := range t.slots {
 		used += int(min(s, 1))
 	}
-	if used != len(t.locs) {
-		fail("%d slots in use for %d ids", used, len(t.locs))
+	if used != len(t.ents) {
+		fail("%d slots in use for %d ids", used, len(t.ents))
 	}
-	for id := 1; id < len(t.locs); id++ {
-		if p, l := t.locs[id-1], t.locs[id]; l.chunk < p.chunk || (l.chunk == p.chunk && l.off < p.off+p.n) {
+	for id := 1; id < len(t.ents); id++ {
+		if p, l := t.ents[id-1], t.ents[id]; l.chunk < p.chunk || (l.chunk == p.chunk && l.off < p.off+p.n) {
 			fail("id %d lies in the arena before id %d", id, id-1)
 		}
 	}
-	for id := range int32(len(t.locs)) {
-		if maphash.Bytes(keySeed, t.key(id)) != t.hashes[id] {
+	for id := range int32(len(t.ents)) {
+		if hashKey(t.key(id)) != t.ents[id].hash {
 			fail("id %d's cached hash is stale", id)
 		}
 		if got := t.find(t.key(id)); got != id {

@@ -6,7 +6,7 @@ package relalg
 // under `go test -tags invariants` — the dedicated CI job — and verify
 // that each armed contract actually fires: a broken batch consumer trips
 // the transient-arena poison, a broken producer or driver trips the
-// Checked lifecycle shim, and an out-of-pool interner handle is rejected.
+// Checked lifecycle shim, and an inconsistent key table is rejected.
 
 import (
 	"context"
@@ -219,7 +219,7 @@ func TestKeyTableCheck(t *testing.T) {
 		return &kt
 	}
 	kt := fill()
-	kt.hashes[3] ^= 1
+	kt.ents[3].hash ^= 1
 	mustPanic(t, "stale", func() { checkTable(kt) })
 	kt = fill()
 	for i, s := range kt.slots {
@@ -229,7 +229,7 @@ func TestKeyTableCheck(t *testing.T) {
 	}
 	mustPanic(t, "slots in use", func() { checkTable(kt) })
 	kt = fill()
-	kt.locs[2], kt.locs[3] = kt.locs[3], kt.locs[2]
+	kt.ents[2], kt.ents[3] = kt.ents[3], kt.ents[2]
 	mustPanic(t, "before id", func() { checkTable(kt) })
 }
 

@@ -142,9 +142,9 @@ func TestHashJoinSignedZeroKeys(t *testing.T) {
 	}
 }
 
-// TestDistinctAndGroupBySignedZero: DISTINCT and GROUP BY treat −0 and 0
-// as one value (IS NOT DISTINCT FROM), keeping the first occurrence.
-func TestDistinctAndGroupBySignedZero(t *testing.T) {
+// TestDistinctSignedZero: DISTINCT treats −0 and 0 as one value (IS NOT
+// DISTINCT FROM) and keeps the first occurrence.
+func TestDistinctSignedZero(t *testing.T) {
 	negZero := NumV(math.Copysign(0, -1))
 	rel := testRel("r", "r.k:num", []Value{negZero}, []Value{NumV(0)}, []Value{negZero})
 	d, err := collect(NewDistinct(NewScan(rel)), nil)
@@ -154,6 +154,12 @@ func TestDistinctAndGroupBySignedZero(t *testing.T) {
 	if d.Len() != 1 || !math.Signbit(d.Tuples[0][0].N) {
 		t.Errorf("DISTINCT {-0, 0, -0} = %v, want the one first row -0", d.Tuples)
 	}
+}
+
+// TestGroupBySignedZero: GROUP BY puts −0 and 0 in one group.
+func TestGroupBySignedZero(t *testing.T) {
+	negZero := NumV(math.Copysign(0, -1))
+	rel := testRel("r", "r.k:num", []Value{negZero}, []Value{NumV(0)}, []Value{negZero})
 	items := []AggItem{{Name: "k", Expr: sqlparse.Col("r", "k")}, {Name: "n", Expr: &sqlparse.FuncCall{Name: "COUNT", Star: true}}}
 	g, err := collect(NewGroupBy(NewScan(rel), []sqlparse.Expr{sqlparse.Col("r", "k")}, items, nil, nil), nil)
 	if err != nil {

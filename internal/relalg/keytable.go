@@ -22,7 +22,9 @@ import (
 //     the same order whatever the hash seed.
 //   - slots hold id+1 (0 is empty) and are probed triangularly from the
 //     key's hash; at 3/4 load they double and are refilled from the
-//     per-id hash cache, without reading a key.
+//     per-id hash cache, without reading a key. An id's cached hash and
+//     its key's place in the arena share one 16-byte entry, so a probe
+//     that hits touches one entry and the key.
 //   - The arena is a list of chunks, the first small and each next one
 //     twice its predecessor. A chunk never moves, so growth copies no key;
 //     the per-id arrays double.
@@ -30,13 +32,13 @@ import (
 //     may probe the table at once, each with its own key buffer.
 type keyTable struct {
 	slots  []uint32
-	hashes []uint64 // hashes[id]
-	locs   []keyLoc // locs[id]: where id's key lives in the arena
+	ents   []keyEnt
 	chunks [][]byte
 }
 
-// keyLoc places one key in the arena.
-type keyLoc struct{ chunk, off, n uint32 }
+// keyEnt is one id's entry: its key's hash (32 bits index up to 2^32
+// slots) and the key's place in the arena.
+type keyEnt struct{ hash, chunk, off, n uint32 }
 
 // keySeed seeds every table's hash. Nothing observable depends on it:
 // ids, and with them every output order, follow insertion.
@@ -109,8 +111,8 @@ func appendJoinKey(dst []byte, t Tuple, cols []int) (key []byte, ok bool) {
 
 // key returns id's key bytes.
 func (t *keyTable) key(id int32) []byte {
-	l := t.locs[id]
-	return t.chunks[l.chunk][l.off : l.off+l.n]
+	e := &t.ents[id]
+	return t.chunks[e.chunk][e.off : e.off+e.n]
 }
 
 // reserve presizes the table for n keys.
@@ -118,8 +120,7 @@ func (t *keyTable) reserve(n int) {
 	if n <= 0 {
 		return
 	}
-	t.hashes = slices.Grow(t.hashes, n-len(t.hashes))
-	t.locs = slices.Grow(t.locs, n-len(t.locs))
+	t.ents = slices.Grow(t.ents, n-len(t.ents))
 	s := 8
 	for 3*s < 4*n { // at most 3/4 load
 		s <<= 1
@@ -131,14 +132,14 @@ func (t *keyTable) reserve(n int) {
 
 // probe walks key's probe sequence: it returns the key's id when present,
 // else -1 and the empty slot where it would go.
-func (t *keyTable) probe(key []byte, h uint64) (id int32, slot uint64) {
-	mask := uint64(len(t.slots) - 1)
-	for i, step := h&mask, uint64(1); ; i, step = (i+step)&mask, step+1 {
+func (t *keyTable) probe(key []byte, h uint32) (id int32, slot uint32) {
+	mask := uint32(len(t.slots) - 1)
+	for i, step := h&mask, uint32(1); ; i, step = (i+step)&mask, step+1 {
 		s := t.slots[i]
 		if s == 0 {
 			return -1, i
 		}
-		if id := int32(s - 1); t.hashes[id] == h && bytes.Equal(t.key(id), key) {
+		if id := int32(s - 1); t.ents[id].hash == h && bytes.Equal(t.key(id), key) {
 			return id, i
 		}
 	}
@@ -149,26 +150,28 @@ func (t *keyTable) find(key []byte) int32 {
 	if len(t.slots) == 0 {
 		return -1
 	}
-	id, _ := t.probe(key, maphash.Bytes(keySeed, key))
+	id, _ := t.probe(key, hashKey(key))
 	return id
 }
 
 // insert returns key's id, numbering it next when it is new.
 func (t *keyTable) insert(key []byte) (id int32, added bool) {
-	if 4*(len(t.locs)+1) > 3*len(t.slots) {
+	if 4*(len(t.ents)+1) > 3*len(t.slots) {
 		t.rehash(max(8, 2*len(t.slots)))
 	}
-	h := maphash.Bytes(keySeed, key)
+	h := hashKey(key)
 	id, slot := t.probe(key, h)
 	if id >= 0 {
 		return id, false
 	}
-	id = int32(len(t.locs))
+	id = int32(len(t.ents))
 	t.slots[slot] = uint32(id) + 1
-	t.hashes = grow(t.hashes, h)
-	t.locs = grow(t.locs, t.store(key))
+	t.ents = grow(t.ents, t.store(key, h))
 	return id, true
 }
+
+// hashKey is a key's slot hash.
+func hashKey(key []byte) uint32 { return uint32(maphash.Bytes(keySeed, key)) }
 
 // grow appends v, doubling the capacity when it runs out (append's
 // growth slows to 1.25x for large slices, re-copying them more often).
@@ -179,8 +182,8 @@ func grow[T any](s []T, v T) []T {
 	return append(s, v)
 }
 
-// store copies key into the arena.
-func (t *keyTable) store(key []byte) keyLoc {
+// store copies key, whose hash is h, into the arena.
+func (t *keyTable) store(key []byte, h uint32) keyEnt {
 	n := len(t.chunks)
 	if n == 0 || cap(t.chunks[n-1])-len(t.chunks[n-1]) < len(key) {
 		size := firstKeyChunk
@@ -191,17 +194,17 @@ func (t *keyTable) store(key []byte) keyLoc {
 		n++
 	}
 	c := &t.chunks[n-1]
-	loc := keyLoc{chunk: uint32(n - 1), off: uint32(len(*c)), n: uint32(len(key))}
+	e := keyEnt{hash: h, chunk: uint32(n - 1), off: uint32(len(*c)), n: uint32(len(key))}
 	*c = append(*c, key...)
-	return loc
+	return e
 }
 
 // rehash re-slots every id into n slots (a power of two).
 func (t *keyTable) rehash(n int) {
 	t.slots = make([]uint32, n)
-	mask := uint64(n - 1)
-	for id, h := range t.hashes {
-		i, step := h&mask, uint64(1)
+	mask := uint32(n - 1)
+	for id, e := range t.ents {
+		i, step := e.hash&mask, uint32(1)
 		for t.slots[i] != 0 {
 			i, step = (i+step)&mask, step+1
 		}
@@ -211,7 +214,7 @@ func (t *keyTable) rehash(n int) {
 
 // approxBytes is what the table holds, read off its own capacities.
 func (t *keyTable) approxBytes() int64 {
-	total := int64(cap(t.slots))*4 + int64(cap(t.hashes))*8 + int64(cap(t.locs))*keyLocBytes +
+	total := int64(cap(t.slots))*4 + int64(cap(t.ents))*keyEntBytes +
 		int64(cap(t.chunks))*tupleBytes // a chunk's header is a slice header, as a row's is
 	for _, c := range t.chunks {
 		total += int64(cap(c))

@@ -149,7 +149,7 @@ func (r *Relation) Len() int { return len(r.Tuples) }
 const (
 	valueBytes  = int64(unsafe.Sizeof(Value{}))
 	tupleBytes  = int64(unsafe.Sizeof(Tuple{})) // one row header
-	keyLocBytes = int64(unsafe.Sizeof(keyLoc{}))
+	keyEntBytes = int64(unsafe.Sizeof(keyEnt{}))
 )
 
 // approxBytes estimates the resident size of the tuple's data: the fixed
