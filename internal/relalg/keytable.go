@@ -166,21 +166,15 @@ func (t *keyTable) insert(key []byte) (id int32, added bool) {
 	}
 	id = int32(len(t.ents))
 	t.slots[slot] = uint32(id) + 1
-	t.ents = grow(t.ents, t.store(key, h))
+	if len(t.ents) == cap(t.ents) { // double: append's growth slows to 1.25x for large slices
+		t.ents = slices.Grow(t.ents, max(cap(t.ents), 8))
+	}
+	t.ents = append(t.ents, t.store(key, h))
 	return id, true
 }
 
 // hashKey is a key's slot hash.
 func hashKey(key []byte) uint32 { return uint32(maphash.Bytes(keySeed, key)) }
-
-// grow appends v, doubling the capacity when it runs out (append's
-// growth slows to 1.25x for large slices, re-copying them more often).
-func grow[T any](s []T, v T) []T {
-	if len(s) == cap(s) {
-		s = slices.Grow(s, max(cap(s), 8))
-	}
-	return append(s, v)
-}
 
 // store copies key, whose hash is h, into the arena.
 func (t *keyTable) store(key []byte, h uint32) keyEnt {
