@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/coin"
 	"repro/internal/planner"
 	"repro/internal/relalg"
 	"repro/internal/sqlparse"
@@ -49,11 +50,13 @@ var configs = func() []knobs {
 }()
 
 // world is one generated federation: the engine's catalogs (one per
-// chunk width) and the evaluator's unrestricted view of the same data.
+// chunk width), the installation the wire leg serves over HTTP
+// (wire_test.go) and the evaluator's unrestricted view of the same data.
 type world struct {
 	ref  map[string]wrapper.Wrapper
 	cats map[int]*planner.Catalog
 	exs  map[knobs]*planner.Executor
+	sys  *coin.System
 	open atomic.Int64 // engine source streams not yet closed
 }
 
@@ -61,20 +64,25 @@ func newWorld(rng *rand.Rand) *world {
 	engine, ref := sources(rng)
 	w := &world{ref: ref, cats: map[int]*planner.Catalog{}, exs: map[knobs]*planner.Executor{}}
 	for _, k := range configs {
-		if w.cats[k.chunk] != nil {
-			continue
+		if w.cats[k.chunk] == nil {
+			w.cats[k.chunk] = planner.NewCatalog()
+			w.addSources(w.cats[k.chunk], engine, k.chunk)
 		}
-		cat := planner.NewCatalog()
-		for _, src := range engine {
-			chunk := k.chunk
-			if src.Source() == bigSource {
-				chunk = max(chunk, 1024) // one fetch per row of big costs more than it finds
-			}
-			cat.MustAddSource(&balanced{Wrapper: wrappertest.NewChunked(src, chunk), open: &w.open})
-		}
-		w.cats[k.chunk] = cat
 	}
+	w.sys = w.wireSystem(engine)
 	return w
+}
+
+// addSources registers the engine's wrappers in cat, fetching chunk rows
+// at a time and counted by w.open.
+func (w *world) addSources(cat *planner.Catalog, engine []wrapper.Wrapper, chunk int) {
+	for _, src := range engine {
+		n := chunk
+		if src.Source() == bigSource {
+			n = max(n, 1024) // one fetch per row of big costs more than it finds
+		}
+		cat.MustAddSource(&balanced{Wrapper: wrappertest.NewChunked(src, n), open: &w.open})
+	}
 }
 
 func (w *world) source(rel string) (wrapper.Wrapper, error) {
@@ -180,8 +188,9 @@ func ordered(stmt sqlparse.Statement) bool {
 
 // checkSeed generates a world and n queries from seed and holds the
 // engine to the evaluator under every config, and every config of one
-// batching setting to the others row for row. After each query no
-// source stream may stay open and no goroutine may outlive it.
+// batching setting to the others row for row, then runs the wire leg.
+// After each query no source stream may stay open and no goroutine may
+// outlive it.
 func checkSeed(t *testing.T, seed int64, n int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -222,6 +231,7 @@ func checkSeed(t *testing.T, seed int64, n int) {
 				t.Fatalf("seed %d %+v: %d source streams left open\n%s", seed, k, open, stmt)
 			}
 		}
+		w.checkWire(t, seed, stmt, want)
 		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("seed %d: %d goroutines outlive the query (%d before)\n%s", seed, runtime.NumGoroutine(), goroutines, stmt)
