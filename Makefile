@@ -16,19 +16,24 @@ FUZZTIME  ?= 10s
 # Budget of live //lint:allow annotations outside testdata/ and bench/
 # (make lint fails above it). A ratchet: lower it when an excuse goes
 # away, never raise it to make room for a new one.
-LINT_ALLOW_BUDGET = 8
+LINT_ALLOW_BUDGET = 5
 
 # Budget of non-test Go lines in the engine packages LOC_PKGS (make lint
 # fails above it). The same kind of ratchet: set to the measured value
 # when code is deleted, never raised; ROADMAP item D heads for 8,500.
 LOC_PKGS   = internal/relalg internal/planner coin
-LOC_BUDGET = 8476
+LOC_BUDGET = 8424
 
 # The same ratchet over the wrapper layer (non-test files, the
 # wrappertest/ doubles excluded): set to the measured value when code is
 # deleted, never raised.
 WRAPPER_LOC_PKGS   = internal/wrapper
 WRAPPER_LOC_BUDGET = 3866
+
+# The same ratchet over the receiver-facing surface above coin: the HTTP
+# server, the wire format, the Go client and the query command.
+SURFACE_LOC_PKGS   = internal/server internal/wire internal/client cmd/coinquery
+SURFACE_LOC_BUDGET = 1752
 
 .PHONY: all build test test-bench test-race test-chaos test-invariants vet lint docs-check examples bench bench-smoke bench-base bench-compare golden golden-update fuzz clean
 
@@ -56,10 +61,11 @@ test-bench:
 # races the first pass missed. The mediated union's overlap tests and the
 # schedule-perturbation referee run ten times under the invariants build:
 # a union that opens its branches early must still emit them in order.
-# The reference evaluator's seeded sweep (internal/refeval) runs twice
-# under the same build.
+# The reference evaluator's seeded sweep (internal/refeval), its wire leg
+# through the HTTP server and client included, runs twice under the same
+# build.
 test-race:
-	$(GO) test -race ./internal/server/ ./internal/planner/ ./coin/ ./internal/relalg/ ./internal/wrapper/... ./internal/client/ ./internal/golden/ ./internal/core/ ./internal/datalog/
+	$(GO) test -race ./internal/server/ ./internal/wire/ ./internal/planner/ ./coin/ ./internal/relalg/ ./internal/wrapper/... ./internal/client/ ./internal/golden/ ./internal/core/ ./internal/datalog/
 	$(GO) test -race -count=2 -run 'Parallel|Exchange' ./internal/relalg/ ./internal/planner/
 	$(GO) test -race -tags invariants -count=10 -run 'Mediation|Overlap' ./internal/planner/ ./internal/golden/
 	$(GO) test -race -tags invariants -short -count=2 ./internal/refeval/
@@ -94,7 +100,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sqlparse/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME) ./internal/wrapper/
 	$(GO) test -run '^$$' -fuzz FuzzParseProgram -fuzztime $(FUZZTIME) ./internal/datalog/
-	$(GO) test -run '^$$' -fuzz FuzzRowCodec -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzRowCodec -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzMediateShape -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -race -tags invariants -run '^$$' -fuzz FuzzReferee -fuzztime $(FUZZTIME) ./internal/refeval/
 
@@ -103,8 +109,9 @@ fuzz:
 # closebalance, errclass — see internal/analysis and cmd/coinlint).
 # Findings are suppressed only by a reasoned //lint:allow annotation, and
 # the annotations themselves are counted against LINT_ALLOW_BUDGET; the
-# engine packages' non-test line count is held under LOC_BUDGET and the
-# wrapper layer's under WRAPPER_LOC_BUDGET.
+# engine packages' non-test line count is held under LOC_BUDGET, the
+# wrapper layer's under WRAPPER_LOC_BUDGET and the receiver surface's under
+# SURFACE_LOC_BUDGET.
 lint:
 	$(GO) vet $(PKGS)
 	$(GO) run ./internal/tools/docscheck
@@ -118,6 +125,9 @@ lint:
 	@n=$$(find $(WRAPPER_LOC_PKGS) -name '*.go' ! -name '*_test.go' ! -path '*/wrappertest/*' | xargs cat | wc -l); \
 	echo "non-test lines in $(WRAPPER_LOC_PKGS): $$n (budget $(WRAPPER_LOC_BUDGET))"; \
 	test $$n -le $(WRAPPER_LOC_BUDGET)
+	@n=$$(find $(SURFACE_LOC_PKGS) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	echo "non-test lines in $(SURFACE_LOC_PKGS): $$n (budget $(SURFACE_LOC_BUDGET))"; \
+	test $$n -le $(SURFACE_LOC_BUDGET)
 
 # Runtime-assertion build: the relalg invariants layer (transient-arena
 # poisoning, iterator-lifecycle shims, key-table consistency) armed

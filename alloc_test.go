@@ -141,16 +141,18 @@ func TestScaleMediatedJoinByteBudget(t *testing.T) {
 	}
 }
 
-// preparedAnswer is a server.Service that answers the naive query with one
-// relation built beforehand (and the schema handshake with nothing), so a
-// request through it costs what the wire costs and no engine work.
+// preparedAnswer is a server.Service that answers every query with one
+// relation built beforehand, under no mediation (and the schema handshake
+// with nothing), so a request through it costs what the wire costs and no
+// engine work.
 type preparedAnswer struct {
 	server.Service
 	rel *relalg.Relation
 }
 
-func (p preparedAnswer) QueryNaiveCtx(context.Context, string, planner.Limits) (*relalg.Relation, error) {
-	return p.rel, nil
+func (preparedAnswer) Mediate(string, string) (*core.Mediation, error) { return nil, nil }
+func (p preparedAnswer) ExecuteWarnCtx(context.Context, *core.Mediation, planner.Limits) (*relalg.Relation, []planner.Warning, error) {
+	return p.rel, nil, nil
 }
 func (preparedAnswer) Contexts() []string  { return nil }
 func (preparedAnswer) Relations() []string { return nil }
@@ -177,7 +179,7 @@ func TestWireRoundTripByteBudget(t *testing.T) {
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			got, err := conn.QueryNaiveCtx(context.Background(), "SELECT r2.cname, r2.expenses FROM r2", client.Options{})
+			got, err := conn.QueryCtx(context.Background(), "SELECT r2.cname, r2.expenses FROM r2", "c2", client.Options{})
 			if err != nil || len(got.Rows) != n {
 				b.Fatalf("round trip: %v, %d rows", err, len(got.Rows))
 			}

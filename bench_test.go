@@ -100,7 +100,7 @@ func BenchmarkE1c_ExecutionOnly(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Execute(med); err != nil {
+		if _, _, err := sys.ExecuteWarnCtx(context.Background(), med, coin.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -121,7 +121,7 @@ func BenchmarkFaultFreeOverhead(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Execute(med); err != nil {
+		if _, _, err := sys.ExecuteWarnCtx(context.Background(), med, coin.QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

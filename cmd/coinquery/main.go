@@ -28,26 +28,20 @@ import (
 	"runtime"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/coin"
 	"repro/internal/client"
 	"repro/internal/planner"
 )
 
-// queryConfig carries the per-query knobs from flags to run.
+// queryConfig carries what to do with the query from flags to run; its
+// governor limits travel beside it as one planner.Limits.
 type queryConfig struct {
 	naive        bool
 	showMediated bool
 	explain      bool
 	analyze      bool
-	timeout      time.Duration
-	maxRows      int
-	maxPerSource int
 	stream       bool
-	partial      bool
-	retryBudget  int
-	parallelism  int
 }
 
 func main() {
@@ -71,16 +65,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: coinquery [-server URL] [-context NAME] [-naive] [-timeout D] [-max-rows N] [-stream] 'SQL'")
 		os.Exit(2)
 	}
-	cfg := queryConfig{
-		naive: *naive, showMediated: *showMediated, explain: *explain, analyze: *analyze,
-		timeout: *timeout, maxRows: *maxRows, maxPerSource: *maxPerSource, stream: *stream,
-		partial: *partial, retryBudget: *retryBudget, parallelism: *parallelism,
-	}
+	cfg := queryConfig{naive: *naive, showMediated: *showMediated, explain: *explain, analyze: *analyze, stream: *stream}
+	lim := planner.Limits{Timeout: *timeout, MaxRows: *maxRows, MaxConcurrentPerSource: *maxPerSource,
+		RetryBudget: *retryBudget, PartialResults: *partial, MaxParallelism: *parallelism}
 	// Interrupting the command cancels the query in flight: locally the
 	// session stops its source fetches, remotely the abandoned request
 	// makes the server cancel its session.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	err := run(ctx, *serverURL, *contextName, sql, cfg)
+	err := run(ctx, *serverURL, *contextName, sql, cfg, lim)
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coinquery:", err)
@@ -88,27 +80,20 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, serverURL, receiverCtx, sql string, cfg queryConfig) error {
+func run(ctx context.Context, serverURL, receiverCtx, sql string, cfg queryConfig, lim planner.Limits) error {
 	if serverURL != "" {
-		return runRemote(ctx, serverURL, receiverCtx, sql, cfg)
+		return runRemote(ctx, serverURL, receiverCtx, sql, cfg, lim)
 	}
-	return runLocal(ctx, receiverCtx, sql, cfg)
+	return runLocal(ctx, receiverCtx, sql, cfg, lim)
 }
 
-func runRemote(ctx context.Context, serverURL, receiverCtx, sql string, cfg queryConfig) error {
+func runRemote(ctx context.Context, serverURL, receiverCtx, sql string, cfg queryConfig, lim planner.Limits) error {
 	conn, err := client.Open(serverURL)
 	if err != nil {
 		return err
 	}
-	opts := client.Options{Timeout: cfg.timeout, MaxRows: cfg.maxRows, MaxConcurrentPerSource: cfg.maxPerSource,
-		RetryBudget: cfg.retryBudget, Partial: cfg.partial, Parallelism: cfg.parallelism}
 	if cfg.explain || cfg.analyze {
-		var plan string
-		if cfg.analyze {
-			plan, err = conn.ExplainAnalyze(ctx, sql, receiverCtx, opts)
-		} else {
-			plan, err = conn.Explain(ctx, sql, receiverCtx)
-		}
+		plan, err := conn.Plan(ctx, sql, receiverCtx, cfg.analyze, lim)
 		if err != nil {
 			return err
 		}
@@ -116,7 +101,7 @@ func runRemote(ctx context.Context, serverURL, receiverCtx, sql string, cfg quer
 		return nil
 	}
 	if cfg.stream {
-		cur, err := conn.QueryStream(ctx, sql, receiverCtx, cfg.naive, opts)
+		cur, err := conn.QueryStream(ctx, sql, receiverCtx, cfg.naive, lim)
 		if err != nil {
 			return err
 		}
@@ -140,14 +125,14 @@ func runRemote(ctx context.Context, serverURL, receiverCtx, sql string, cfg quer
 		return cur.Err()
 	}
 	if cfg.naive {
-		res, err := conn.QueryNaiveCtx(ctx, sql, opts)
+		res, err := conn.QueryNaiveCtx(ctx, sql, lim)
 		if err != nil {
 			return err
 		}
 		fmt.Print(res.String())
 		return nil
 	}
-	res, err := conn.QueryCtx(ctx, sql, receiverCtx, opts)
+	res, err := conn.QueryCtx(ctx, sql, receiverCtx, lim)
 	if err != nil {
 		return err
 	}
@@ -171,90 +156,63 @@ func printWarnings(warns []planner.Warning) {
 	}
 }
 
-func runLocal(ctx context.Context, receiverCtx, sql string, cfg queryConfig) error {
+func runLocal(ctx context.Context, receiverCtx, sql string, cfg queryConfig, lim planner.Limits) error {
 	sys := coin.Figure2System()
-	// Resolve the local default here (0 → GOMAXPROCS) and install it as the
-	// executor default too, so plain EXPLAIN — which plans under a
-	// zero-limits session — renders the same placements a run would use.
-	par := cfg.parallelism
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
+	if lim.MaxParallelism == 0 {
+		lim.MaxParallelism = runtime.GOMAXPROCS(0) // the local default
 	}
-	sys.Executor().DefaultParallelism = par
-	opts := coin.QueryOptions{Timeout: cfg.timeout, MaxRows: cfg.maxRows, MaxConcurrentPerSource: cfg.maxPerSource,
-		RetryBudget: cfg.retryBudget, PartialResults: cfg.partial, MaxParallelism: par}
 	if cfg.explain || cfg.analyze {
-		var (
-			plan string
-			err  error
-		)
-		if cfg.analyze {
-			plan, err = sys.ExplainAnalyzeCtx(ctx, sql, receiverCtx, opts)
-		} else {
-			plan, err = sys.ExplainCtx(ctx, sql, receiverCtx)
-		}
+		plan, err := sys.Plan(ctx, sql, receiverCtx, cfg.analyze, lim)
 		if err != nil {
 			return err
 		}
 		fmt.Print(plan)
 		return nil
 	}
-	if cfg.stream {
-		var (
-			rs  *coin.RowStream
-			err error
-		)
-		if cfg.naive {
-			rs, err = sys.QueryNaiveStreamCtx(ctx, sql, opts)
-		} else {
-			rs, err = sys.QueryStreamCtx(ctx, sql, receiverCtx, opts)
-		}
+	if !cfg.stream && !cfg.naive {
+		med, err := sys.Mediate(sql, receiverCtx)
 		if err != nil {
 			return err
 		}
-		defer rs.Close()
-		if cfg.showMediated && rs.Mediation() != nil {
-			fmt.Printf("-- mediated into %d branch(es):\n%s\n\n",
-				len(rs.Mediation().Branches), rs.Mediation().SQL())
+		if cfg.showMediated {
+			fmt.Printf("-- mediated into %d branch(es):\n%s\n\n", len(med.Branches), med.SQL())
 		}
-		fmt.Println(strings.Join(rs.Schema().Names(), "\t"))
-		for {
-			t, ok, err := rs.Next()
-			if err != nil {
-				printWarnings(rs.Warnings())
-				return err
-			}
-			if !ok {
-				printWarnings(rs.Warnings())
-				return nil
-			}
-			cells := make([]string, len(t))
-			for i, v := range t {
-				cells[i] = v.String()
-			}
-			fmt.Println(strings.Join(cells, "\t"))
+		rows, warns, err := sys.ExecuteWarnCtx(ctx, med, lim)
+		if err != nil {
+			return err
 		}
+		fmt.Print(rows.String())
+		printWarnings(warns)
+		return nil
 	}
-	if cfg.naive {
-		rows, err := sys.QueryNaiveCtx(ctx, sql, opts)
+	rs, err := sys.Run(ctx, sql, receiverCtx, cfg.naive, lim)
+	if err != nil {
+		return err
+	}
+	defer rs.Close()
+	if !cfg.stream {
+		rows, err := rs.Collect()
 		if err != nil {
 			return err
 		}
 		fmt.Print(rows.String())
 		return nil
 	}
-	med, err := sys.Mediate(sql, receiverCtx)
-	if err != nil {
-		return err
+	if cfg.showMediated && rs.Mediation() != nil {
+		fmt.Printf("-- mediated into %d branch(es):\n%s\n\n",
+			len(rs.Mediation().Branches), rs.Mediation().SQL())
 	}
-	if cfg.showMediated {
-		fmt.Printf("-- mediated into %d branch(es):\n%s\n\n", len(med.Branches), med.SQL())
+	fmt.Println(strings.Join(rs.Schema().Names(), "\t"))
+	for {
+		t, ok, err := rs.Next()
+		if err != nil || !ok {
+			printWarnings(rs.Warnings())
+			return err
+		}
+		cells := make([]string, len(t))
+		for i, v := range t {
+			cells[i] = v.String()
+		}
+		fmt.Println(strings.Join(cells, "\t"))
 	}
-	rows, warns, err := sys.ExecuteWarnCtx(ctx, med, opts)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rows.String())
-	printWarnings(warns)
-	return nil
 }

@@ -66,9 +66,13 @@ func TestHeterogeneousBackendRegistration(t *testing.T) {
 		}
 	}
 
-	res, err := sys.QueryNaive(
-		"SELECT sectors.cname, accounts.expenses, quotes.price FROM sectors, accounts, quotes " +
-			"WHERE accounts.cname = sectors.cname AND quotes.cname = sectors.cname")
+	rs, err := sys.Run(context.Background(),
+		"SELECT sectors.cname, accounts.expenses, quotes.price FROM sectors, accounts, quotes "+
+			"WHERE accounts.cname = sectors.cname AND quotes.cname = sectors.cname", "", true, QueryOptions{})
+	if err != nil {
+		t.Fatalf("federated join across file/SQL/REST backends: %v", err)
+	}
+	res, err := rs.Collect()
 	if err != nil {
 		t.Fatalf("federated join across file/SQL/REST backends: %v", err)
 	}

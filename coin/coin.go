@@ -2,9 +2,12 @@
 // reproduction: one System value wires together the domain registry
 // (semantic types, contexts, elevation axioms, conversion functions), the
 // wrapped sources, the context mediator and the multi-database execution
-// engine, and exposes query services equivalent to the prototype's —
-// mediate-only, mediate-and-execute, naive execution for comparison, and
-// an HTTP handler speaking the prototype's tunneled access protocol.
+// engine, and exposes query services equivalent to the prototype's, one
+// door per kind of result: Mediate (mediate only), Run (rows of a query,
+// mediated and executed, or naive execution for comparison, under a
+// context and per-query limits), Plan (the EXPLAIN or EXPLAIN ANALYZE
+// text), and an HTTP handler speaking the prototype's tunneled access
+// protocol.
 //
 // Quick start (the paper's Section 3 example ships pre-wired):
 //
@@ -185,55 +188,53 @@ func (s *System) Mediate(sql, receiver string) (*Mediation, error) {
 	return s.mediator.MediateSQL(sql, receiver)
 }
 
-// Query mediates and executes, returning the answer in the receiver's
-// context: QueryCtx under a background context and zero limits.
+// Query mediates and executes sql under a background context and zero
+// limits, returning the answer in the receiver's context.
 func (s *System) Query(sql, receiver string) (*Relation, error) {
-	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use QueryCtx
-	return s.QueryCtx(context.Background(), sql, receiver, QueryOptions{})
+	med, err := s.Mediate(sql, receiver)
+	if err != nil {
+		return nil, err
+	}
+	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use Run
+	rel, _, err := s.ExecuteWarnCtx(context.Background(), med, QueryOptions{})
+	return rel, err
 }
 
-// QueryNaive executes SQL without mediation — the paper's "incorrect
-// answer" baseline: QueryNaiveCtx under a background context and zero
-// limits.
-func (s *System) QueryNaive(sql string) (*Relation, error) {
-	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use QueryNaiveCtx
-	return s.QueryNaiveCtx(context.Background(), sql, QueryOptions{})
-}
-
-// Explain mediates the query and renders the multi-database engine's
-// execution plan for every branch: ExplainCtx under a background context.
+// Explain is Plan's EXPLAIN under a background context and zero limits.
 func (s *System) Explain(sql, receiver string) (string, error) {
-	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use ExplainCtx
-	return s.ExplainCtx(context.Background(), sql, receiver)
+	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use Plan
+	return s.Plan(context.Background(), sql, receiver, false, QueryOptions{})
 }
 
-// ExplainCtx mediates the query and renders the multi-database engine's
-// execution plan for every branch: access order, pushed vs local filters,
-// bind joins feeding Web-source required bindings, join keys, and cost
-// estimates. Nothing executes, but planning may probe live sources for
-// statistics; those probes run under ctx and stop when it is cancelled.
-func (s *System) ExplainCtx(ctx context.Context, sql, receiver string) (string, error) {
-	// A zero-limits session resolves the executor's default parallelism,
-	// so EXPLAIN shows the exchange/fan-out placements a run would use.
-	return s.explain(ctx, sql, receiver, QueryOptions{}, "planning",
-		func(sess *planner.Session, br *sqlparse.Select) (*planner.BranchPlan, error) {
-			plan, err := s.executor.PlanCtx(sess.Context(), br)
-			if err != nil {
-				return nil, err
-			}
-			s.executor.ParallelizePlan(plan, sess)
-			return plan, nil
-		})
-}
-
-// explain is the body EXPLAIN and EXPLAIN ANALYZE share: mediate, open one
-// session under ctx and opts, render every branch's plan as produce
-// returns it, then the post-union line.
-func (s *System) explain(ctx context.Context, sql, receiver string, opts QueryOptions, verb string,
-	produce func(*planner.Session, *sqlparse.Select) (*planner.BranchPlan, error)) (string, error) {
+// Plan mediates the query and renders the multi-database engine's
+// execution plan for every branch under ctx and opts: access order, pushed
+// vs local filters, bind joins feeding Web-source required bindings, join
+// keys, cost estimates, and the exchange and fan-out placements opts'
+// parallelism gives. Plain EXPLAIN executes nothing, but planning may probe
+// live sources for statistics under ctx.
+//
+// With analyze set it is EXPLAIN ANALYZE: every branch actually executes in
+// a session governed by opts, with measurement wired through the pipeline,
+// and each plan is rendered with estimated-vs-actual rows, source queries
+// and cost per step (the est_rows / act_rows columns). The run feeds the
+// adaptive statistics like any execution, so an EXPLAIN ANALYZE followed
+// by EXPLAIN shows the optimizer learning. Under opts.PartialResults a
+// branch felled by a source fault is reported as dropped and the others
+// are still rendered.
+func (s *System) Plan(ctx context.Context, sql, receiver string, analyze bool, opts QueryOptions) (string, error) {
 	med, err := s.Mediate(sql, receiver)
 	if err != nil {
 		return "", err
+	}
+	verb, produce := "planning", func(sess *planner.Session, br *sqlparse.Select) (*planner.BranchPlan, error) {
+		plan, err := s.executor.PlanCtx(sess.Context(), br)
+		if err == nil {
+			s.executor.ParallelizePlan(plan, sess)
+		}
+		return plan, err
+	}
+	if analyze {
+		verb, produce = "analyzing", s.executor.AnalyzeSelect
 	}
 	sess := s.executor.NewSession(ctx, opts)
 	defer sess.Close()
@@ -244,7 +245,7 @@ func (s *System) explain(ctx context.Context, sql, receiver string, opts QueryOp
 		if err != nil {
 			if opts.PartialResults && planner.Degradable(err) {
 				// Mirror execution's degradation: the branch is reported as
-				// dropped, the remaining branches still get analyzed.
+				// dropped, the remaining branches still get rendered.
 				fmt.Fprintf(&b, "branch %d: %s\n  FAILED: %v (branch dropped; partial results)\n",
 					i+1, br.String(), err)
 				continue
@@ -257,32 +258,6 @@ func (s *System) explain(ctx context.Context, sql, receiver string, opts QueryOp
 		b.WriteString("post: aggregation/ordering over the union\n")
 	}
 	return b.String(), nil
-}
-
-// ExplainAnalyze mediates the query, then actually executes every branch
-// with measurement wired through the pipeline, rendering each plan with
-// estimated-vs-actual rows, source queries and cost per step (the
-// est_rows / act_rows columns). The run feeds the adaptive statistics
-// like any execution, so an EXPLAIN ANALYZE followed by EXPLAIN shows
-// the optimizer learning. ExplainAnalyzeCtx under a background context
-// and zero limits.
-func (s *System) ExplainAnalyze(sql, receiver string) (string, error) {
-	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use ExplainAnalyzeCtx
-	return s.ExplainAnalyzeCtx(context.Background(), sql, receiver, QueryOptions{})
-}
-
-// ExplainAnalyzeCtx is ExplainAnalyze under a context and per-query
-// limits: the analyzed execution runs inside a governed session, so it
-// can be cancelled or bounded like any query.
-func (s *System) ExplainAnalyzeCtx(ctx context.Context, sql, receiver string, opts QueryOptions) (string, error) {
-	return s.explain(ctx, sql, receiver, opts, "analyzing", s.executor.AnalyzeSelect)
-}
-
-// Execute runs an already-mediated query: ExecuteCtx under a background
-// context and zero limits.
-func (s *System) Execute(med *Mediation) (*Relation, error) {
-	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use ExecuteCtx
-	return s.ExecuteCtx(context.Background(), med, QueryOptions{})
 }
 
 // Executor exposes the engine (for stats and ablation toggles).
@@ -309,21 +284,13 @@ func (s *System) Schema(relation string) (Schema, error) {
 // receivers stop consuming the sources.
 func (s *System) Handler() http.Handler { return server.New(serverView{s}) }
 
-// serverView adapts System to server.Service: the server selects naive
-// vs mediated streaming through one method returning its RowStream
-// interface; everything else System implements directly.
+// serverView adapts System to server.Service: Run's *RowStream returned
+// as the server's RowStream interface; everything else System implements
+// directly.
 type serverView struct{ *System }
 
 func (v serverView) QueryStream(ctx context.Context, sql, receiver string, naive bool, opts QueryOptions) (server.RowStream, error) {
-	var (
-		rs  *RowStream
-		err error
-	)
-	if naive {
-		rs, err = v.QueryNaiveStreamCtx(ctx, sql, opts)
-	} else {
-		rs, err = v.QueryStreamCtx(ctx, sql, receiver, opts)
-	}
+	rs, err := v.Run(ctx, sql, receiver, naive, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package coin_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestFigure2SystemQuery(t *testing.T) {
 	if rows.Len() != 1 || rows.Tuples[0][0].S != "NTT" || rows.Tuples[0][1].N != 9600000 {
 		t.Errorf("answer = %s", rows)
 	}
-	naive, err := sys.QueryNaive(coin.PaperQ1)
+	naive, err := collect(context.Background(), sys, coin.PaperQ1, "", true, coin.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestFigure2SystemMediate(t *testing.T) {
 	if !strings.Contains(med.SQL(), "UNION") {
 		t.Errorf("mediated SQL:\n%s", med.SQL())
 	}
-	res, err := sys.Execute(med)
+	res, _, err := sys.ExecuteWarnCtx(context.Background(), med, coin.QueryOptions{})
 	if err != nil || res.Len() != 1 {
 		t.Errorf("execute mediation: %v %v", res, err)
 	}
@@ -187,7 +188,7 @@ func TestBuiltinSpecs(t *testing.T) {
 // optimizer (a following EXPLAIN prices from measured cardinalities).
 func TestExplainAnalyze(t *testing.T) {
 	sys := coin.Figure2System()
-	out, err := sys.ExplainAnalyze(coin.PaperQ1, "c2")
+	out, err := sys.Plan(context.Background(), coin.PaperQ1, "c2", true, coin.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestExplainAnalyze(t *testing.T) {
 	if rows.Len() != 1 || rows.Tuples[0][0].S != "NTT" {
 		t.Errorf("post-analyze answer = %s", rows)
 	}
-	if _, err := sys.ExplainAnalyze("SELECT nope FROM nosuch", "c2"); err == nil {
+	if _, err := sys.Plan(context.Background(), "SELECT nope FROM nosuch", "c2", true, coin.QueryOptions{}); err == nil {
 		t.Error("bad query analyzed successfully")
 	}
 }

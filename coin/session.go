@@ -1,11 +1,12 @@
 package coin
 
-// Context-aware query services. Every query runs inside a planner.Session
-// — a context (cancellation + deadline) plus resource governors — so a
-// receiver that disconnects, times out or exceeds its budgets stops
-// consuming the sources promptly. The context-free methods of coin.go
-// (Query, QueryNaive, Execute, Explain, ExplainAnalyze) are one-liners
-// over these with a background context and zero limits.
+// The query doors that return rows: Run, which streams them, and
+// ExecuteWarnCtx, which collects a mediated answer. Every query runs inside
+// a planner.Session — a context (cancellation + deadline) plus resource
+// governors — so a receiver that disconnects, times out or exceeds its
+// budgets stops consuming the sources promptly. Plan (coin.go) runs under
+// the same sessions; Query and Explain there are one-liners with a
+// background context and zero limits.
 
 import (
 	"context"
@@ -28,26 +29,7 @@ type QueryOptions = planner.Limits
 // Tuple is one result row.
 type Tuple = relalg.Tuple
 
-// QueryCtx mediates and executes under ctx and opts, returning the answer
-// in the receiver's context. Canceling ctx (or exceeding opts.Timeout)
-// aborts the query mid-stream, source fetches included.
-func (s *System) QueryCtx(ctx context.Context, sql, receiver string, opts QueryOptions) (*Relation, error) {
-	med, err := s.Mediate(sql, receiver)
-	if err != nil {
-		return nil, err
-	}
-	return s.ExecuteCtx(ctx, med, opts)
-}
-
-// ExecuteCtx runs an already-mediated query under ctx and opts. Warnings
-// a partial-results run accumulates are dropped here; use ExecuteWarnCtx
-// when the receiver needs them.
-func (s *System) ExecuteCtx(ctx context.Context, med *Mediation, opts QueryOptions) (*Relation, error) {
-	rel, _, err := s.ExecuteWarnCtx(ctx, med, opts)
-	return rel, err
-}
-
-// start begins a query run, the one road every query service below takes:
+// start begins a query run, the one road every query door takes:
 // a fresh session under ctx and opts, and the iterator tree that build
 // compiles under it, capped by the MaxRows governor as a final LIMIT (the
 // answer is truncated, not failed). A failed build closes the session;
@@ -65,28 +47,14 @@ func (s *System) start(ctx context.Context, opts QueryOptions, build func(*plann
 	return sess, it, nil
 }
 
-// mediated and naive are the two things start can compile: a mediated
-// query's union of branches, or an un-mediated statement.
-func (s *System) mediated(med *Mediation) func(*planner.Session) (relalg.Iterator, error) {
-	return func(sess *planner.Session) (relalg.Iterator, error) { return s.executor.MediationStream(sess, med) }
-}
-
-func (s *System) naive(sql string) func(*planner.Session) (relalg.Iterator, error) {
-	return func(sess *planner.Session) (relalg.Iterator, error) {
-		stmt, err := sqlparse.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		return s.executor.StatementStream(sess, stmt)
-	}
-}
-
 // ExecuteWarnCtx runs an already-mediated query under ctx and opts,
 // additionally returning the degraded-branch warnings of a
 // partial-results run (nil when the answer is complete — in particular,
 // always nil unless opts.PartialResults is set).
 func (s *System) ExecuteWarnCtx(ctx context.Context, med *Mediation, opts QueryOptions) (*Relation, []Warning, error) {
-	sess, it, err := s.start(ctx, opts, s.mediated(med))
+	sess, it, err := s.start(ctx, opts, func(sess *planner.Session) (relalg.Iterator, error) {
+		return s.executor.MediationStream(sess, med)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -96,17 +64,6 @@ func (s *System) ExecuteWarnCtx(ctx context.Context, med *Mediation, opts QueryO
 		return nil, nil, err
 	}
 	return rel, sess.Warnings(), nil
-}
-
-// QueryNaiveCtx executes SQL without mediation under ctx and opts — the
-// paper's "incorrect answer" baseline, now governable.
-func (s *System) QueryNaiveCtx(ctx context.Context, sql string, opts QueryOptions) (*Relation, error) {
-	sess, it, err := s.start(ctx, opts, s.naive(sql))
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-	return relalg.Collect(sess.Context(), it, "")
 }
 
 // RowStream is an open, incrementally-consumable query answer: the
@@ -125,26 +82,31 @@ type RowStream struct {
 	pos    int
 }
 
-// QueryStreamCtx mediates sql and opens a governed row stream over the
-// executing union of branches. Rows are produced as the iterator tree
-// yields them; an upstream LIMIT (or opts.MaxRows) stops source transfer
-// early, and canceling ctx aborts the stream mid-flight.
-func (s *System) QueryStreamCtx(ctx context.Context, sql, receiver string, opts QueryOptions) (*RowStream, error) {
-	med, err := s.Mediate(sql, receiver)
-	if err != nil {
-		return nil, err
+// Run opens a governed row stream over sql: the executing union of the
+// branches sql mediates into in the receiver's context, or with naive set
+// the statement as written (the paper's "incorrect answer" baseline; the
+// receiver is then ignored). Rows are produced as the iterator tree yields
+// them; an upstream LIMIT (or opts.MaxRows) stops source transfer early,
+// and canceling ctx (or exceeding opts.Timeout) aborts the stream
+// mid-flight, source fetches included.
+func (s *System) Run(ctx context.Context, sql, receiver string, naive bool, opts QueryOptions) (*RowStream, error) {
+	var med *Mediation
+	if !naive {
+		var err error
+		if med, err = s.Mediate(sql, receiver); err != nil {
+			return nil, err
+		}
 	}
-	return s.openRowStream(ctx, opts, s.mediated(med), med)
-}
-
-// QueryNaiveStreamCtx opens a governed row stream over an un-mediated
-// statement.
-func (s *System) QueryNaiveStreamCtx(ctx context.Context, sql string, opts QueryOptions) (*RowStream, error) {
-	return s.openRowStream(ctx, opts, s.naive(sql), nil)
-}
-
-func (s *System) openRowStream(ctx context.Context, opts QueryOptions, build func(*planner.Session) (relalg.Iterator, error), med *Mediation) (*RowStream, error) {
-	sess, it, err := s.start(ctx, opts, build)
+	sess, it, err := s.start(ctx, opts, func(sess *planner.Session) (relalg.Iterator, error) {
+		if med != nil {
+			return s.executor.MediationStream(sess, med)
+		}
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			return nil, err
+		}
+		return s.executor.StatementStream(sess, stmt)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -205,6 +167,25 @@ func (r *RowStream) NextBatch(max int) ([]Tuple, error) {
 		return nil, err
 	}
 	return b.Rows, nil
+}
+
+// Collect drains what is left of the stream into a Relation and closes
+// the stream.
+func (r *RowStream) Collect() (*Relation, error) {
+	rel := relalg.NewRelation("", r.schema)
+	for {
+		rows, err := r.NextBatch(relalg.DefaultBatchSize)
+		if err != nil || len(rows) == 0 {
+			if cerr := r.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return nil, err
+			}
+			return rel, nil
+		}
+		rel.Tuples = append(rel.Tuples, rows...)
+	}
 }
 
 // Warnings returns the degraded-branch warnings accumulated so far on a

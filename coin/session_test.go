@@ -36,18 +36,27 @@ func bigNaiveSystem(t *testing.T, n int) *coin.System {
 	return sys
 }
 
+// collect runs sql through Run and collects the answer.
+func collect(ctx context.Context, sys *coin.System, sql, receiver string, naive bool, opts coin.QueryOptions) (*coin.Relation, error) {
+	rs, err := sys.Run(ctx, sql, receiver, naive, opts)
+	if err != nil {
+		return nil, err
+	}
+	return rs.Collect()
+}
+
 func TestQueryCtxCanceled(t *testing.T) {
 	sys := coin.Figure2System()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sys.QueryCtx(ctx, coin.PaperQ1, "c2", coin.QueryOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := collect(ctx, sys, coin.PaperQ1, "c2", false, coin.QueryOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestQueryCtxDeadlineExceeded(t *testing.T) {
 	sys := coin.Figure2System()
-	_, err := sys.QueryCtx(context.Background(), coin.PaperQ1, "c2",
+	_, err := collect(context.Background(), sys, coin.PaperQ1, "c2", false,
 		coin.QueryOptions{Timeout: time.Nanosecond})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -63,7 +72,7 @@ func TestMaxRowsTruncatesMediatedQuery(t *testing.T) {
 	if full.Len() < 2 {
 		t.Fatalf("fixture r2 has %d rows; need >= 2", full.Len())
 	}
-	capped, err := sys.QueryCtx(context.Background(), "SELECT r2.cname FROM r2", "c2",
+	capped, err := collect(context.Background(), sys, "SELECT r2.cname FROM r2", "c2", false,
 		coin.QueryOptions{MaxRows: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +84,7 @@ func TestMaxRowsTruncatesMediatedQuery(t *testing.T) {
 
 func TestMaxTuplesGovernorAtCoinLayer(t *testing.T) {
 	sys := bigNaiveSystem(t, 1000)
-	_, err := sys.QueryNaiveCtx(context.Background(), "SELECT nums.n FROM nums",
+	_, err := collect(context.Background(), sys, "SELECT nums.n FROM nums", "", true,
 		coin.QueryOptions{MaxTuples: 100})
 	if err == nil {
 		t.Fatal("query over the tuple budget succeeded")
@@ -87,8 +96,8 @@ func TestMaxTuplesGovernorAtCoinLayer(t *testing.T) {
 // materializing the rest — the source transfers exactly LIMIT tuples.
 func TestRowStreamLimitStopsTransfer(t *testing.T) {
 	sys := bigNaiveSystem(t, 50000)
-	rs, err := sys.QueryNaiveStreamCtx(context.Background(),
-		"SELECT nums.n FROM nums LIMIT 5", coin.QueryOptions{})
+	rs, err := sys.Run(context.Background(),
+		"SELECT nums.n FROM nums LIMIT 5", "", true, coin.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +127,7 @@ func TestRowStreamLimitStopsTransfer(t *testing.T) {
 
 func TestRowStreamMediated(t *testing.T) {
 	sys := coin.Figure2System()
-	rs, err := sys.QueryStreamCtx(context.Background(), coin.PaperQ1, "c2", coin.QueryOptions{})
+	rs, err := sys.Run(context.Background(), coin.PaperQ1, "c2", false, coin.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +172,8 @@ func TestRowStreamCloseCancelsSession(t *testing.T) {
 	gw := wrappertest.NewGate(wrapper.NewRelational(db))
 	sys.Catalog.MustAddSource(gw)
 
-	rs, err := sys.QueryNaiveStreamCtx(context.Background(),
-		"SELECT nums.n FROM nums", coin.QueryOptions{})
+	rs, err := sys.Run(context.Background(),
+		"SELECT nums.n FROM nums", "", true, coin.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +211,7 @@ func TestRowStreamCloseCancelsSession(t *testing.T) {
 // layer).
 func TestMaxConcurrentPerSourceAtCoinLayer(t *testing.T) {
 	sys := coin.Figure2System()
-	rows, err := sys.QueryCtx(context.Background(), coin.PaperQ1, "c2",
+	rows, err := collect(context.Background(), sys, coin.PaperQ1, "c2", false,
 		coin.QueryOptions{MaxConcurrentPerSource: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +235,7 @@ func (downFetcher) Get(ctx context.Context, url string) (string, error) {
 func TestPartialResultsQuery(t *testing.T) {
 	sys := coin.Figure2SystemWith(downFetcher{})
 
-	if _, err := sys.QueryCtx(context.Background(), coin.PaperQ1, "c2",
+	if _, err := collect(context.Background(), sys, coin.PaperQ1, "c2", false,
 		coin.QueryOptions{}); err == nil || !strings.Contains(err.Error(), "currencyweb") {
 		t.Fatalf("fail-fast err = %v, want failure naming currencyweb", err)
 	}
@@ -259,7 +268,7 @@ func TestPartialResultsQuery(t *testing.T) {
 // warnings once the stream is drained.
 func TestPartialResultsRowStream(t *testing.T) {
 	sys := coin.Figure2SystemWith(downFetcher{})
-	rs, err := sys.QueryStreamCtx(context.Background(), coin.PaperQ1, "c2",
+	rs, err := sys.Run(context.Background(), coin.PaperQ1, "c2", false,
 		coin.QueryOptions{PartialResults: true})
 	if err != nil {
 		t.Fatal(err)
@@ -289,11 +298,11 @@ func TestPartialResultsRowStream(t *testing.T) {
 // branches instead of failing.
 func TestPartialResultsExplainAnalyze(t *testing.T) {
 	sys := coin.Figure2SystemWith(downFetcher{})
-	if _, err := sys.ExplainAnalyzeCtx(context.Background(), coin.PaperQ1, "c2",
+	if _, err := sys.Plan(context.Background(), coin.PaperQ1, "c2", true,
 		coin.QueryOptions{}); err == nil {
 		t.Fatal("fail-fast EXPLAIN ANALYZE succeeded against a dead source")
 	}
-	out, err := sys.ExplainAnalyzeCtx(context.Background(), coin.PaperQ1, "c2",
+	out, err := sys.Plan(context.Background(), coin.PaperQ1, "c2", true,
 		coin.QueryOptions{PartialResults: true})
 	if err != nil {
 		t.Fatal(err)

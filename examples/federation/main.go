@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -71,7 +72,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("-- mediated (%d branch(es)):\n%s\n\n", len(med.Branches), med.SQL())
-	rows, err := sys.Execute(med)
+	rows, _, err := sys.ExecuteWarnCtx(context.Background(), med, coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -106,14 +107,18 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("-- mediated (%d branch(es)); conversion: x1000, JPY->USD rate from the Web\n", len(med.Branches))
-	rows, err := sys.Execute(med)
+	rows, _, err := sys.ExecuteWarnCtx(context.Background(), med, coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(rows.String())
 
 	fmt.Println("\n== The same numbers naively (contexts ignored) would be wildly wrong:")
-	naive, err := sys.QueryNaive("SELECT j.cname, j.revenue - j.expenses AS profit FROM jp_fin j")
+	rs, err := sys.Run(context.Background(), "SELECT j.cname, j.revenue - j.expenses AS profit FROM jp_fin j", "", true, coin.QueryOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	naive, err := rs.Collect()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,11 @@ func main() {
 	fmt.Println(coin.PaperQ1)
 	fmt.Println()
 
-	naive, err := sys.QueryNaive(coin.PaperQ1)
+	rs, err := sys.Run(context.Background(), coin.PaperQ1, "", true, coin.QueryOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	naive, err := rs.Collect()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +41,7 @@ func main() {
 	fmt.Printf("== Context mediation detected the conflicts and rewrote Q1 into %d sub-queries:\n\n%s;\n\n", len(med.Branches), med.SQL())
 	fmt.Printf("== Why (from the abductive derivation):\n%s\n", med.ExplainText())
 
-	rows, err := sys.Execute(med)
+	rows, _, err := sys.ExecuteWarnCtx(context.Background(), med, coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -82,7 +83,11 @@ func main() {
 	must(sys.AddRelationalSource(pf, nil))
 
 	fmt.Println("== Quotes as the sites report them (mixed currencies):")
-	naive, err := sys.QueryNaive("SELECT quotes.ticker, quotes.exchange, quotes.price FROM quotes")
+	rs, err := sys.Run(context.Background(), "SELECT quotes.ticker, quotes.exchange, quotes.price FROM quotes", "", true, coin.QueryOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	naive, err := rs.Collect()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +99,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("-- %d branch(es): USD passthrough + per-currency conversion via the rate site\n", len(med.Branches))
-	rows, err := sys.Execute(med)
+	rows, _, err := sys.ExecuteWarnCtx(context.Background(), med, coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

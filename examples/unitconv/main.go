@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -72,7 +73,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("-- mediated (the imperial arm gained \"* 25.4\"):\n%s\n\n", med.SQL())
-	rows, err := sys.Execute(med)
+	rows, _, err := sys.ExecuteWarnCtx(context.Background(), med, coin.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

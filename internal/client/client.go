@@ -1,10 +1,11 @@
 // Package client is the receiver-side API of the prototype — the
 // counterpart of its ODBC driver. It speaks the HTTP-tunneled protocol of
-// internal/server: connect (schema handshake), schema inspection, query
-// in a named receiver context (buffered or streamed row by row over the
-// NDJSON wire path), and mediate-only. Queries take a context and
-// per-query limits, so a receiver can cancel or bound in-flight work. Any
-// application with socket access can use it; cmd/coinquery is one.
+// internal/server, whose records it shares through internal/wire: connect
+// (schema handshake), schema inspection, query in a named receiver context
+// (buffered or streamed row by row over the NDJSON wire path), plan, and
+// mediate-only. Queries take a context and per-query limits, so a receiver
+// can cancel or bound in-flight work. Any application with socket access
+// can use it; cmd/coinquery is one.
 package client
 
 import (
@@ -21,25 +22,15 @@ import (
 	"time"
 
 	"repro/internal/planner"
-	"repro/internal/server"
+	"repro/internal/wire"
 )
 
-// Options bound one query: a server-side session timeout, a cap on
-// result rows (the server truncates, not fails), a cap on the session's
-// concurrent fetches per source (the server's dispatcher defaults apply
-// when zero), a session-wide retry budget, the Partial degradation
-// switch (the server drops failed mediation branches with warnings
-// instead of failing the query), and a Parallelism cap on the server's
-// intra-query parallel operators (1 forces serial pipelines; zero defers
-// to the server's default). The zero value is ungoverned and fail-fast.
-type Options struct {
-	Timeout                time.Duration
-	MaxRows                int
-	MaxConcurrentPerSource int
-	RetryBudget            int
-	Partial                bool
-	Parallelism            int
-}
+// Options bound one query: the governor limits of the server-side session,
+// carried in the request's fields (see wire.NewQueryRequest). A zero
+// MaxParallelism defers to the server's default parallelism. MaxTuples has
+// no field on the wire, so a query with a nonzero one is refused before it
+// is sent. The zero value is ungoverned and fail-fast.
+type Options = planner.Limits
 
 // Conn is an open connection to a mediation server.
 type Conn struct {
@@ -51,7 +42,7 @@ type Conn struct {
 	// transport still bounds the connect/header phase, so a half-dead
 	// server cannot hang a stream before it starts.
 	streamClient *http.Client
-	schema       server.SchemaResponse
+	schema       wire.SchemaResponse
 }
 
 // Open connects to a server and performs the schema handshake.
@@ -99,19 +90,19 @@ func (c *Conn) Relations() []string {
 }
 
 // Columns returns a relation's columns as name/type pairs.
-func (c *Conn) Columns(relation string) ([]server.ColumnInfo, bool) {
+func (c *Conn) Columns(relation string) ([]wire.ColumnInfo, bool) {
 	cols, ok := c.schema.Relations[relation]
 	return cols, ok
 }
 
 // Result is a query answer.
 type Result struct {
-	Columns     []server.ColumnInfo
+	Columns     []wire.ColumnInfo
 	Rows        [][]interface{}
 	MediatedSQL string
 	Branches    int
 	// Warnings lists mediation branches the server dropped under
-	// Options.Partial; empty when the answer is complete.
+	// Options.PartialResults; empty when the answer is complete.
 	Warnings []planner.Warning
 }
 
@@ -164,7 +155,7 @@ const governedTimeoutGrace = 10 * time.Second
 // client's fixed 30s whole-response timeout would otherwise cut off
 // legitimately long governed queries). Without one, the default client's
 // 30s cap applies as before.
-func (c *Conn) postQuery(ctx context.Context, path string, req server.QueryRequest, opts Options, out interface{}) error {
+func (c *Conn) postQuery(ctx context.Context, path string, req wire.QueryRequest, opts Options, out interface{}) error {
 	if opts.Timeout > 0 {
 		dctx, cancel := context.WithTimeout(ctx, opts.Timeout+governedTimeoutGrace)
 		defer cancel()
@@ -173,28 +164,12 @@ func (c *Conn) postQuery(ctx context.Context, path string, req server.QueryReque
 	return c.postWith(ctx, c.client, path, req, out)
 }
 
-func (c *Conn) postWith(ctx context.Context, hc *http.Client, path string, req server.QueryRequest, out interface{}) error {
-	body, err := json.Marshal(req)
+func (c *Conn) postWith(ctx context.Context, hc *http.Client, path string, req wire.QueryRequest, out interface{}) error {
+	resp, err := c.send(ctx, hc, path, req)
 	if err != nil {
 		return err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(hreq)
-	if err != nil {
-		return fmt.Errorf("client: %s: %w", path, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e server.ErrorResponse
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("client: %s", e.Error)
-		}
-		return fmt.Errorf("client: %s failed: %s", path, resp.Status)
-	}
 	// The body is read whole into a recycled buffer (sized up front when
 	// the server declared a plausible length) and decoded from there; every
 	// decoded value is a copy, so the buffer can go back.
@@ -207,10 +182,37 @@ func (c *Conn) postWith(ctx context.Context, hc *http.Client, path string, req s
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return fmt.Errorf("client: %s: reading response: %w", path, err)
 	}
-	if q, ok := out.(*server.QueryResponse); ok {
+	if q, ok := out.(*wire.QueryResponse); ok {
 		return decodeQueryBody(buf.Bytes(), q)
 	}
 	return json.Unmarshal(buf.Bytes(), out)
+}
+
+// send posts req to path and returns the response if it is a 200; any
+// other status is returned as the server's error, the body closed.
+func (c *Conn) send(ctx context.Context, hc *http.Client, path string, req wire.QueryRequest) (*http.Response, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := hc.Do(hreq)
+	if err != nil {
+		return nil, fmt.Errorf("client: %s: %w", path, err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	var e wire.ErrorResponse
+	if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+		return nil, fmt.Errorf("client: %s", e.Error)
+	}
+	return nil, fmt.Errorf("client: %s failed: %s", path, resp.Status)
 }
 
 var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -221,13 +223,13 @@ const maxPresizeBytes = 16 << 20
 
 // decodeQueryBody decodes a /api/query body, overwriting it as it goes. A
 // body laid out as the server writes it — {"columns":…,"rows":[…] and
-// then the optional fields — has its rows read by server.ParseRow, one
+// then the optional fields — has its rows read by wire.ParseRow, one
 // call per row, and only the few bytes around them by encoding/json; the
 // 10,000-row answer is then scanned once, not three times, and never
 // walked by reflection. Any other layout (another field order, escaped
 // strings, a pretty-printing proxy) is decoded by encoding/json whole, as
 // every body used to be.
-func decodeQueryBody(body []byte, out *server.QueryResponse) error {
+func decodeQueryBody(body []byte, out *wire.QueryResponse) error {
 	const head, rowsKey = `{"columns":`, `,"rows":`
 	// Unmarshal takes exactly one value: if it accepts what lies between
 	// the two keys, "rows" is the object's second key and not text nested
@@ -247,11 +249,11 @@ func decodeQueryBody(body []byte, out *server.QueryResponse) error {
 			return json.Unmarshal(tail, out)
 		}
 	}
-	*out = server.QueryResponse{}
+	*out = wire.QueryResponse{}
 	return json.Unmarshal(body, out)
 }
 
-// parseRows reads the array of rows at the front of b with server.ParseRow
+// parseRows reads the array of rows at the front of b with wire.ParseRow
 // and returns what follows its closing bracket.
 func parseRows(b []byte) (rows [][]interface{}, rest []byte, ok bool) {
 	if len(b) < 2 || b[0] != '[' {
@@ -265,7 +267,7 @@ func parseRows(b []byte) (rows [][]interface{}, rest []byte, ok bool) {
 	rows = make([][]interface{}, 0, bytes.Count(b, []byte("],["))+1)
 	width := 0
 	for b[0] != ']' {
-		row, rest, ok := server.ParseRow(b[1:], width)
+		row, rest, ok := wire.ParseRow(b[1:], width)
 		if !ok || len(rest) == 0 || rest[0] != ',' && rest[0] != ']' {
 			return nil, nil, false
 		}
@@ -274,41 +276,29 @@ func parseRows(b []byte) (rows [][]interface{}, rest []byte, ok bool) {
 	return rows, b[1:], true
 }
 
-// queryRequest assembles the wire request for sql under opts.
-func queryRequest(sql, context string, naive bool, opts Options) server.QueryRequest {
-	req := server.QueryRequest{
-		SQL: sql, Context: context, Naive: naive,
-		MaxRows:                opts.MaxRows,
-		MaxConcurrentPerSource: opts.MaxConcurrentPerSource,
-		RetryBudget:            opts.RetryBudget,
-		Partial:                opts.Partial,
-		Parallelism:            opts.Parallelism,
-	}
-	if opts.Timeout > 0 {
-		req.Timeout = opts.Timeout.String()
-	}
-	return req
-}
-
 // QueryCtx mediates and executes SQL under ctx and opts: canceling ctx
 // abandons the request (the server then cancels the query's session), and
 // opts carry the server-side timeout and row cap.
 func (c *Conn) QueryCtx(ctx context.Context, sql, context_ string, opts Options) (*Result, error) {
-	var resp server.QueryResponse
-	if err := c.postQuery(ctx, "/api/query", queryRequest(sql, context_, false, opts), opts, &resp); err != nil {
-		return nil, err
-	}
-	return &Result{Columns: resp.Columns, Rows: resp.Rows, MediatedSQL: resp.MediatedSQL,
-		Branches: resp.Branches, Warnings: resp.Warnings}, nil
+	return c.query(ctx, sql, context_, false, opts)
 }
 
 // QueryNaiveCtx executes SQL without mediation under ctx and opts.
 func (c *Conn) QueryNaiveCtx(ctx context.Context, sql string, opts Options) (*Result, error) {
-	var resp server.QueryResponse
-	if err := c.postQuery(ctx, "/api/query", queryRequest(sql, "", true, opts), opts, &resp); err != nil {
+	return c.query(ctx, sql, "", true, opts)
+}
+
+func (c *Conn) query(ctx context.Context, sql, context_ string, naive bool, opts Options) (*Result, error) {
+	req, err := wire.NewQueryRequest(sql, context_, naive, opts)
+	if err != nil {
 		return nil, err
 	}
-	return &Result{Columns: resp.Columns, Rows: resp.Rows}, nil
+	var resp wire.QueryResponse
+	if err := c.postQuery(ctx, "/api/query", req, opts, &resp); err != nil {
+		return nil, err
+	}
+	return &Result{Columns: resp.Columns, Rows: resp.Rows, MediatedSQL: resp.MediatedSQL,
+		Branches: resp.Branches, Warnings: resp.Warnings}, nil
 }
 
 // QueryStream mediates and executes SQL over the NDJSON wire path,
@@ -317,29 +307,16 @@ func (c *Conn) QueryNaiveCtx(ctx context.Context, sql string, opts Options) (*Re
 // cursor; canceling ctx aborts the stream (and with it the server-side
 // query session). Set naive to skip mediation.
 func (c *Conn) QueryStream(ctx context.Context, sql, context_ string, naive bool, opts Options) (*RowCursor, error) {
-	body, err := json.Marshal(queryRequest(sql, context_, naive, opts))
+	req, err := wire.NewQueryRequest(sql, context_, naive, opts)
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/api/query/stream", bytes.NewReader(body))
+	resp, err := c.send(ctx, c.streamClient, "/api/query/stream", req)
 	if err != nil {
 		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.streamClient.Do(hreq)
-	if err != nil {
-		return nil, fmt.Errorf("client: /api/query/stream: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		var e server.ErrorResponse
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return nil, fmt.Errorf("client: %s", e.Error)
-		}
-		return nil, fmt.Errorf("client: /api/query/stream failed: %s", resp.Status)
 	}
 	cur := &RowCursor{resp: resp, br: bufio.NewReaderSize(resp.Body, streamBufBytes)}
-	var header server.StreamRecord
+	var header wire.StreamRecord
 	line, err := cur.readLine()
 	if err == nil {
 		err = json.Unmarshal(line, &header)
@@ -363,7 +340,7 @@ func (c *Conn) QueryStream(ctx context.Context, sql, context_ string, naive bool
 type RowCursor struct {
 	resp        *http.Response
 	br          *bufio.Reader
-	columns     []server.ColumnInfo
+	columns     []wire.ColumnInfo
 	mediatedSQL string
 	branches    int
 
@@ -376,7 +353,7 @@ type RowCursor struct {
 }
 
 // Columns describes the result columns (from the stream header).
-func (c *RowCursor) Columns() []server.ColumnInfo { return c.columns }
+func (c *RowCursor) Columns() []wire.ColumnInfo { return c.columns }
 
 // MediatedSQL returns the mediated form of the query ("" for naive).
 func (c *RowCursor) MediatedSQL() string { return c.mediatedSQL }
@@ -398,7 +375,7 @@ func (c *RowCursor) Next() bool {
 			return true
 		}
 	}
-	var rec server.StreamRecord
+	var rec wire.StreamRecord
 	if err == nil {
 		err = json.Unmarshal(line, &rec)
 	}
@@ -455,14 +432,14 @@ func (c *RowCursor) readLine() ([]byte, error) {
 // rowRecordPrefix opens every row record the server writes.
 const rowRecordPrefix = `{"type":"row","values":`
 
-// rowValues decodes a row record in the plain shape server.AppendRow
+// rowValues decodes a row record in the plain shape wire.AppendRow
 // writes; ok=false leaves the line — a header or trailer, a row with
 // escapes, another server's spacing — to encoding/json.
 func rowValues(line []byte, width int) (row []interface{}, ok bool) {
 	if !bytes.HasPrefix(line, []byte(rowRecordPrefix)) {
 		return nil, false
 	}
-	row, rest, ok := server.ParseRow(line[len(rowRecordPrefix):], width)
+	row, rest, ok := wire.ParseRow(line[len(rowRecordPrefix):], width)
 	return row, ok && string(rest) == "}\n"
 }
 
@@ -511,32 +488,25 @@ func (c *RowCursor) Close() error {
 // Mediate returns the mediated SQL without executing it; canceling ctx
 // abandons the request.
 func (c *Conn) Mediate(ctx context.Context, sql, context_ string) (string, int, error) {
-	var resp server.MediateResponse
-	if err := c.postWith(ctx, c.client, "/api/mediate", server.QueryRequest{SQL: sql, Context: context_}, &resp); err != nil {
+	var resp wire.MediateResponse
+	if err := c.postWith(ctx, c.client, "/api/mediate", wire.QueryRequest{SQL: sql, Context: context_}, &resp); err != nil {
 		return "", 0, err
 	}
 	return resp.MediatedSQL, resp.Branches, nil
 }
 
-// Explain returns the server's execution plan for the mediated query;
-// canceling ctx abandons the request (the server then stops planning,
-// statistics probes included).
-func (c *Conn) Explain(ctx context.Context, sql, context_ string) (string, error) {
-	var resp server.ExplainResponse
-	if err := c.postWith(ctx, c.client, "/api/explain", server.QueryRequest{SQL: sql, Context: context_}, &resp); err != nil {
+// Plan returns the server's execution plan for the mediated query under
+// opts, or with analyze set asks the server to execute it with measurement
+// attached and returns the plans annotated with actual rows, source
+// queries and cost per step. Canceling ctx abandons the request (the
+// server then stops planning, statistics probes included).
+func (c *Conn) Plan(ctx context.Context, sql, context_ string, analyze bool, opts Options) (string, error) {
+	req, err := wire.NewQueryRequest(sql, context_, false, opts)
+	if err != nil {
 		return "", err
 	}
-	return resp.Plan, nil
-}
-
-// ExplainAnalyze asks the server to execute the mediated query with
-// measurement attached and returns the plans annotated with actual rows,
-// source queries and cost per step. opts govern the analyzed execution's
-// session like a normal query's.
-func (c *Conn) ExplainAnalyze(ctx context.Context, sql, context_ string, opts Options) (string, error) {
-	req := queryRequest(sql, context_, false, opts)
-	req.Analyze = true
-	var resp server.ExplainResponse
+	req.Analyze = analyze
+	var resp wire.ExplainResponse
 	if err := c.postQuery(ctx, "/api/explain", req, opts, &resp); err != nil {
 		return "", err
 	}

@@ -9,7 +9,7 @@ import (
 
 	"repro/coin"
 	"repro/internal/client"
-	"repro/internal/server"
+	"repro/internal/wire"
 	"repro/internal/wrapper"
 
 	"net/http/httptest"
@@ -81,7 +81,7 @@ func TestCursorScanErrors(t *testing.T) {
 
 func TestExplainOverHTTP(t *testing.T) {
 	conn := testConn(t)
-	plan, err := conn.Explain(context.Background(), coin.PaperQ1, "c2")
+	plan, err := conn.Plan(context.Background(), coin.PaperQ1, "c2", false, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +90,14 @@ func TestExplainOverHTTP(t *testing.T) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
 		}
 	}
-	if _, err := conn.Explain(context.Background(), "SELECT nope FROM nosuch", "c2"); err == nil {
+	if _, err := conn.Plan(context.Background(), "SELECT nope FROM nosuch", "c2", false, client.Options{}); err == nil {
 		t.Error("bad explain succeeded")
 	}
-	// Mediate and Explain ride the caller's context like the query calls.
+	// Mediate and Plan ride the caller's context like the query calls.
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := conn.Explain(dead, coin.PaperQ1, "c2"); !errors.Is(err, context.Canceled) {
-		t.Errorf("Explain under a cancelled context: err = %v, want context.Canceled", err)
+	if _, err := conn.Plan(dead, coin.PaperQ1, "c2", false, client.Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Plan under a cancelled context: err = %v, want context.Canceled", err)
 	}
 	if _, _, err := conn.Mediate(dead, coin.PaperQ1, "c2"); !errors.Is(err, context.Canceled) {
 		t.Errorf("Mediate under a cancelled context: err = %v, want context.Canceled", err)
@@ -106,7 +106,7 @@ func TestExplainOverHTTP(t *testing.T) {
 
 func TestResultString(t *testing.T) {
 	res := &client.Result{
-		Columns: []server.ColumnInfo{{Name: "cname"}, {Name: "revenue"}},
+		Columns: []wire.ColumnInfo{{Name: "cname"}, {Name: "revenue"}},
 		Rows:    [][]interface{}{{"NTT", 9600000.0}},
 	}
 	s := res.String()
@@ -119,7 +119,7 @@ func TestResultString(t *testing.T) {
 // server-side and returns plans with measured columns.
 func TestExplainAnalyzeOverHTTP(t *testing.T) {
 	conn := testConn(t)
-	plan, err := conn.ExplainAnalyze(context.Background(), coin.PaperQ1, "c2", client.Options{Timeout: 30 * time.Second})
+	plan, err := conn.Plan(context.Background(), coin.PaperQ1, "c2", true, client.Options{Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,14 @@ func TestExplainAnalyzeOverHTTP(t *testing.T) {
 			t.Errorf("analyzed plan missing %q:\n%s", want, plan)
 		}
 	}
-	if _, err := conn.ExplainAnalyze(context.Background(), "SELECT nope FROM nosuch", "c2", client.Options{}); err == nil {
+	if _, err := conn.Plan(context.Background(), "SELECT nope FROM nosuch", "c2", true, client.Options{}); err == nil {
 		t.Error("bad analyze succeeded")
+	}
+	// The wire has no field for MaxTuples: a query carrying one is refused
+	// before it is sent, not run without it.
+	if _, err := conn.Plan(context.Background(), coin.PaperQ1, "c2", true, client.Options{MaxTuples: 10}); err == nil ||
+		!strings.Contains(err.Error(), "MaxTuples") {
+		t.Errorf("Plan with MaxTuples: err = %v, want a refusal naming MaxTuples", err)
 	}
 }
 
@@ -152,7 +158,7 @@ func brokenConn(t *testing.T) *client.Conn {
 	return conn
 }
 
-// TestPartialOptionSurfacesWarnings: Options.Partial degrades a query
+// TestPartialOptionSurfacesWarnings: Options.PartialResults degrades a query
 // whose currency source is dead, and the client surfaces the dropped
 // branches on Result.Warnings.
 func TestPartialOptionSurfacesWarnings(t *testing.T) {
@@ -164,7 +170,7 @@ func TestPartialOptionSurfacesWarnings(t *testing.T) {
 	}
 
 	res, err := conn.QueryCtx(context.Background(), coin.PaperQ1, "c2",
-		client.Options{Partial: true})
+		client.Options{PartialResults: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +189,7 @@ func TestPartialOptionSurfacesWarnings(t *testing.T) {
 func TestPartialCursorWarnings(t *testing.T) {
 	conn := brokenConn(t)
 	cur, err := conn.QueryStream(context.Background(), coin.PaperQ1, "c2", false,
-		client.Options{Partial: true})
+		client.Options{PartialResults: true})
 	if err != nil {
 		t.Fatal(err)
 	}

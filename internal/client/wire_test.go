@@ -1,6 +1,6 @@
 package client_test
 
-// The client reads rows with server.ParseRow where a record has the plain
+// The client reads rows with wire.ParseRow where a record has the plain
 // shape the server writes and with encoding/json everywhere else. These
 // tests serve canned bodies — the server's own layout and layouts it never
 // writes — and hold the client to what encoding/json decodes from them.
@@ -17,7 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // cannedConn connects to a server that answers both result endpoints with
@@ -61,7 +61,7 @@ func TestQueryBodyDecodesAsEncodingJSON(t *testing.T) {
 	bodies["pretty-printed"] = pretty.String()
 	for name, body := range bodies {
 		t.Run(name, func(t *testing.T) {
-			var want server.QueryResponse
+			var want wire.QueryResponse
 			if err := json.Unmarshal([]byte(body), &want); err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func TestStreamRecordsDecodeAsEncodingJSON(t *testing.T) {
 		`{"type":"row"}`,
 		`{"type":"stats","rows":7,"warnings":[{"branch":2,"source":"currencyweb","error":"down"}]}`,
 	}
-	cur, err := cannedConn(t, strings.Join(lines, "\n")+"\n").QueryStream(context.Background(), "SELECT 1", "c2", false, client.Options{Partial: true})
+	cur, err := cannedConn(t, strings.Join(lines, "\n")+"\n").QueryStream(context.Background(), "SELECT 1", "c2", false, client.Options{PartialResults: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestStreamRecordsDecodeAsEncodingJSON(t *testing.T) {
 	}
 	var rows [][]interface{}
 	for _, line := range lines[1:8] {
-		var rec server.StreamRecord
+		var rec wire.StreamRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatal(err)
 		}

@@ -199,8 +199,8 @@ func runEngine(ctx context.Context, q Query, opts RunOptions) (*Result, error) {
 	return res, nil
 }
 
-// runMediate runs the paper's Figure 2 system: plans from System.Explain,
-// rows from the mediated execution. mediate-partial takes the currency
+// runMediate runs the paper's Figure 2 system: plans from System.Plan
+// under zero limits, rows from the mediated execution. mediate-partial takes the currency
 // site down and pins the degraded answer plus its warnings.
 func runMediate(ctx context.Context, q Query) (*Result, error) {
 	partial := q.Mode == "mediate-partial"
@@ -209,7 +209,7 @@ func runMediate(ctx context.Context, q Query) (*Result, error) {
 		sys = coin.Figure2SystemWith(downFetcher{})
 	}
 	sys.Executor().DefaultParallelism = q.Parallelism
-	plan, err := sys.ExplainCtx(ctx, q.SQL, q.Receiver)
+	plan, err := sys.Plan(ctx, q.SQL, q.Receiver, false, coin.QueryOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: explain: %w", q.Name, err)
 	}

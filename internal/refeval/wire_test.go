@@ -74,7 +74,7 @@ func (w *world) checkWire(t *testing.T, seed int64, stmt sqlparse.Statement, wan
 			t.Helper()
 			t.Fatalf("seed %d parallelism %d %s: "+format+"\n%s", append(append([]any{seed, par, endpoint}, args...), sql)...)
 		}
-		opts := client.Options{Parallelism: par}
+		opts := client.Options{MaxParallelism: par}
 		res, err := conn.QueryNaiveCtx(ctx, sql, opts)
 		switch {
 		case bad >= 0 && (err == nil || !strings.Contains(err.Error(), unencodable)):

@@ -1,12 +1,15 @@
 package server
 
-import "repro/internal/relalg"
+import (
+	"repro/internal/relalg"
+	"repro/internal/wire"
+)
 
 // RelationResponse is the boxing path both result endpoints encoded from
 // until the row codec: the reference implementation the external tests
 // hold the wire bytes to. It ships in no binary.
-func RelationResponse(rel *relalg.Relation) QueryResponse {
-	resp := QueryResponse{Columns: columnInfos(rel.Schema), Rows: [][]interface{}{}}
+func RelationResponse(rel *relalg.Relation) wire.QueryResponse {
+	resp := wire.QueryResponse{Columns: columnInfos(rel.Schema), Rows: [][]interface{}{}}
 	for _, t := range rel.Tuples {
 		row := make([]interface{}, len(t))
 		for i, v := range t {

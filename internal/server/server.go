@@ -12,10 +12,12 @@
 //	POST /api/query/stream  same body -> NDJSON: header record, one record
 //	                        per row as produced, trailing stats/error record
 //	POST /api/mediate       {"sql", "context"} -> mediated SQL text
+//	POST /api/explain       same body as /api/query, "analyze"? -> plan text
 //	GET  /api/schema        -> relations, their schemas and sources, contexts
 //	GET  /qbe               -> the HTML QBE form (submits to /qbe/run)
 //
-// internal/client is the Go counterpart of the prototype's ODBC driver.
+// The records are internal/wire's; internal/client is the Go counterpart of
+// the prototype's ODBC driver.
 package server
 
 import (
@@ -29,11 +31,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/planner"
 	"repro/internal/relalg"
+	"repro/internal/wire"
 )
 
 // RowStream is an open, incrementally-consumable query answer; the
@@ -61,152 +63,29 @@ type RowStream interface {
 // Service is what the server needs from the mediator installation;
 // repro/coin.System (through its Handler adapter) implements it. Every
 // query method takes the request context and per-query limits, so the
-// server can tie query lifetimes to receiver connections.
+// server can tie query lifetimes to receiver connections. Naive answers,
+// buffered or streamed, come from QueryStream; mediated buffered answers
+// from Mediate and ExecuteWarnCtx.
 type Service interface {
 	Mediate(sql, receiver string) (*core.Mediation, error)
 	ExecuteWarnCtx(ctx context.Context, med *core.Mediation, opts planner.Limits) (*relalg.Relation, []planner.Warning, error)
-	QueryNaiveCtx(ctx context.Context, sql string, opts planner.Limits) (*relalg.Relation, error)
 	QueryStream(ctx context.Context, sql, receiver string, naive bool, opts planner.Limits) (RowStream, error)
-	ExplainCtx(ctx context.Context, sql, receiver string) (string, error)
-	ExplainAnalyzeCtx(ctx context.Context, sql, receiver string, opts planner.Limits) (string, error)
+	// Plan renders the EXPLAIN text of sql, or with analyze set the
+	// EXPLAIN ANALYZE text of an executed run, under opts.
+	Plan(ctx context.Context, sql, receiver string, analyze bool, opts planner.Limits) (string, error)
 	Contexts() []string
 	Relations() []string
 	Schema(relation string) (relalg.Schema, error)
 }
 
-// ExplainResponse is the body returned by /api/explain.
-type ExplainResponse struct {
-	Plan string `json:"plan"`
-}
-
-// QueryRequest is the body of /api/query, /api/query/stream and
-// /api/mediate.
-type QueryRequest struct {
-	SQL     string `json:"sql"`
-	Context string `json:"context"`
-	// Naive skips mediation (the paper's baseline behavior).
-	Naive bool `json:"naive,omitempty"`
-	// Timeout bounds the query session's wall clock, as a Go duration
-	// string ("500ms", "2s"). Empty: no server-side deadline beyond the
-	// connection's lifetime.
-	Timeout string `json:"timeout,omitempty"`
-	// MaxRows caps the rows delivered; the answer is truncated, not
-	// failed. Zero: unlimited.
-	MaxRows int `json:"max_rows,omitempty"`
-	// MaxConcurrentPerSource caps the query session's in-flight fetches
-	// against any single source, below the server's own per-source
-	// dispatcher pools. Zero: the dispatcher defaults alone apply.
-	MaxConcurrentPerSource int `json:"max_concurrent_per_source,omitempty"`
-	// Analyze turns /api/explain into EXPLAIN ANALYZE: the branches are
-	// actually executed (inside a session bound to the request, honoring
-	// the governor fields above) and the rendered plans carry measured
-	// rows, queries and cost next to the estimates.
-	Analyze bool `json:"analyze,omitempty"`
-	// Partial degrades instead of failing when a mediation branch is
-	// felled by a source fault: the answer comes from the surviving
-	// branches and the response carries a warning per dropped branch.
-	// Default is fail-fast.
-	Partial bool `json:"partial,omitempty"`
-	// RetryBudget caps the retries the query session may spend across all
-	// source operations. Zero: the server's per-operation retry policy
-	// alone applies.
-	RetryBudget int `json:"retry_budget,omitempty"`
-	// Parallelism caps the workers intra-query parallel operators may use
-	// for this query (exchange joins, partitioned sorts and group-bys,
-	// scan fan-outs). 1 forces serial pipelines; zero defers to the
-	// server's default parallelism.
-	Parallelism int `json:"parallelism,omitempty"`
-}
-
-// limits converts the request's governor fields to planner.Limits.
-func (r *QueryRequest) limits() (planner.Limits, error) {
-	var lim planner.Limits
-	if r.Timeout != "" {
-		d, err := time.ParseDuration(r.Timeout)
-		if err != nil || d < 0 {
-			return lim, fmt.Errorf("server: bad timeout %q (want a Go duration like \"2s\")", r.Timeout)
-		}
-		lim.Timeout = d
-	}
-	if r.MaxRows < 0 {
-		return lim, fmt.Errorf("server: bad max_rows %d", r.MaxRows)
-	}
-	lim.MaxRows = r.MaxRows
-	if r.MaxConcurrentPerSource < 0 {
-		return lim, fmt.Errorf("server: bad max_concurrent_per_source %d", r.MaxConcurrentPerSource)
-	}
-	lim.MaxConcurrentPerSource = r.MaxConcurrentPerSource
-	if r.RetryBudget < 0 {
-		return lim, fmt.Errorf("server: bad retry_budget %d", r.RetryBudget)
-	}
-	lim.RetryBudget = r.RetryBudget
-	if r.Parallelism < 0 {
-		return lim, fmt.Errorf("server: bad parallelism %d", r.Parallelism)
-	}
-	lim.MaxParallelism = r.Parallelism
-	lim.PartialResults = r.Partial
-	return lim, nil
-}
-
-// ColumnInfo describes one result column.
-type ColumnInfo struct {
-	Name string `json:"name"`
-	Type string `json:"type"`
-}
-
 // columnInfos renders a schema as the wire's column list (nil for a
 // schema with no columns).
-func columnInfos(schema relalg.Schema) []ColumnInfo {
-	var cols []ColumnInfo
+func columnInfos(schema relalg.Schema) []wire.ColumnInfo {
+	var cols []wire.ColumnInfo
 	for _, c := range schema.Columns {
-		cols = append(cols, ColumnInfo{Name: c.Name, Type: c.Type.String()})
+		cols = append(cols, wire.ColumnInfo{Name: c.Name, Type: c.Type.String()})
 	}
 	return cols
-}
-
-// QueryResponse is the body returned by /api/query.
-type QueryResponse struct {
-	Columns     []ColumnInfo    `json:"columns"`
-	Rows        [][]interface{} `json:"rows"`
-	MediatedSQL string          `json:"mediatedSQL,omitempty"`
-	Branches    int             `json:"branches,omitempty"`
-	// Warnings lists mediation branches dropped by a partial-results run;
-	// absent when the answer is complete.
-	Warnings []planner.Warning `json:"warnings,omitempty"`
-}
-
-// StreamRecord is one NDJSON line of /api/query/stream. Type is "header"
-// (first line: columns plus mediation metadata), "row" (one result row in
-// Values), "stats" (trailing success record) or "error" (trailing failure
-// record; the stream ends there).
-type StreamRecord struct {
-	Type        string        `json:"type"`
-	Columns     []ColumnInfo  `json:"columns,omitempty"`
-	MediatedSQL string        `json:"mediatedSQL,omitempty"`
-	Branches    int           `json:"branches,omitempty"`
-	Values      []interface{} `json:"values,omitempty"`
-	Rows        int           `json:"rows,omitempty"`
-	Error       string        `json:"error,omitempty"`
-	// Warnings rides the trailing stats (or error) record of a
-	// partial-results stream: one entry per mediation branch dropped.
-	Warnings []planner.Warning `json:"warnings,omitempty"`
-}
-
-// MediateResponse is the body returned by /api/mediate.
-type MediateResponse struct {
-	MediatedSQL string `json:"mediatedSQL"`
-	Branches    int    `json:"branches"`
-}
-
-// SchemaResponse is the body returned by /api/schema.
-type SchemaResponse struct {
-	Relations map[string][]ColumnInfo `json:"relations"`
-	Contexts  []string                `json:"contexts"`
-}
-
-// ErrorResponse carries failures as JSON.
-type ErrorResponse struct {
-	Error string `json:"error"`
 }
 
 // New builds the HTTP handler.
@@ -245,14 +124,14 @@ func statusFor(err error) int {
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+	writeJSON(w, status, wire.ErrorResponse{Error: err.Error()})
 }
 
 // maxRequestBytes bounds a request body: the decoder never buffers more
 // of a hostile (or mistaken) receiver's JSON than this.
 const maxRequestBytes = 1 << 20
 
-func (s *srv) decode(w http.ResponseWriter, r *http.Request, req *QueryRequest) bool {
+func (s *srv) decode(w http.ResponseWriter, r *http.Request, req *wire.QueryRequest) bool {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("server: POST required"))
 		return false
@@ -274,31 +153,16 @@ func (s *srv) decode(w http.ResponseWriter, r *http.Request, req *QueryRequest) 
 }
 
 func (s *srv) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
+	var req wire.QueryRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	opts, err := req.limits()
+	opts, err := req.Limits()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx := r.Context()
-	var (
-		rel   *relalg.Relation
-		med   *core.Mediation
-		warns []planner.Warning
-	)
-	if req.Naive {
-		rel, err = s.svc.QueryNaiveCtx(ctx, req.SQL, opts)
-	} else {
-		// Mediate once and execute the result, rather than QueryCtx
-		// (which would re-run the abductive rewriting for the same SQL).
-		med, err = s.svc.Mediate(req.SQL, req.Context)
-		if err == nil {
-			rel, warns, err = s.svc.ExecuteWarnCtx(ctx, med, opts)
-		}
-	}
+	rel, med, warns, err := s.answer(r.Context(), &req, opts)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
@@ -319,6 +183,34 @@ func (s *srv) handleQuery(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body) // a failed write is a receiver that left
 }
 
+// answer computes a buffered answer. A naive one is the naive stream
+// drained; a mediated one is mediated once and executed, rather than
+// streamed, so the answer is collected presized from the plan's row
+// estimate.
+func (s *srv) answer(ctx context.Context, req *wire.QueryRequest, opts planner.Limits) (*relalg.Relation, *core.Mediation, []planner.Warning, error) {
+	if req.Naive {
+		rs, err := s.svc.QueryStream(ctx, req.SQL, req.Context, true, opts)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		defer rs.Close()
+		rel := &relalg.Relation{Schema: rs.Schema()}
+		for {
+			batch, err := rs.NextBatch(relalg.DefaultBatchSize)
+			if err != nil || len(batch) == 0 {
+				return rel, nil, nil, err
+			}
+			rel.Tuples = append(rel.Tuples, batch...)
+		}
+	}
+	med, err := s.svc.Mediate(req.SQL, req.Context)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	rel, warns, err := s.svc.ExecuteWarnCtx(ctx, med, opts)
+	return rel, med, warns, err
+}
+
 // wireBufs recycles the encode buffers of the two result endpoints: a
 // handler takes one for the length of its request and hands it back, grown,
 // once its last Write has returned (Write does not retain its argument).
@@ -327,16 +219,16 @@ var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // unencodable names the row and column of a value AppendRow refused.
 func unencodable(err error, schema relalg.Schema, row int) error {
-	var nf *nonFiniteError
-	if errors.As(err, &nf) && nf.col < len(schema.Columns) {
-		return fmt.Errorf("server: row %d, column %q: %w", row, schema.Columns[nf.col].Name, err)
+	var nf *wire.NonFiniteError
+	if errors.As(err, &nf) && nf.Col < len(schema.Columns) {
+		return fmt.Errorf("server: row %d, column %q: %w", row, schema.Columns[nf.Col].Name, err)
 	}
 	return fmt.Errorf("server: row %d: %w", row, err)
 }
 
 // appendQueryBody appends the /api/query response for rel — the bytes
-// json.Encoder wrote for QueryResponse, field for field, trailing newline
-// included — reading the rows straight from rel.Tuples.
+// json.Encoder wrote for wire.QueryResponse, field for field, trailing
+// newline included — reading the rows straight from rel.Tuples.
 func appendQueryBody(dst []byte, rel *relalg.Relation, med *core.Mediation, warns []planner.Warning) ([]byte, error) {
 	dst = append(dst, `{"columns":`...)
 	dst = appendColumns(dst, rel.Schema)
@@ -347,7 +239,7 @@ func appendQueryBody(dst []byte, rel *relalg.Relation, med *core.Mediation, warn
 		}
 		mark := len(dst)
 		var err error
-		if dst, err = AppendRow(dst, t); err != nil {
+		if dst, err = wire.AppendRow(dst, t); err != nil {
 			return dst, unencodable(err, rel.Schema, i+1)
 		}
 		if i == 0 {
@@ -357,7 +249,7 @@ func appendQueryBody(dst []byte, rel *relalg.Relation, med *core.Mediation, warn
 	dst = append(dst, ']')
 	if med != nil {
 		if sql := med.SQL(); sql != "" {
-			dst = appendString(append(dst, `,"mediatedSQL":`...), sql)
+			dst = wire.AppendString(append(dst, `,"mediatedSQL":`...), sql)
 		}
 		if n := len(med.Branches); n > 0 {
 			dst = strconv.AppendInt(append(dst, `,"branches":`...), int64(n), 10)
@@ -373,7 +265,7 @@ func appendQueryBody(dst []byte, rel *relalg.Relation, med *core.Mediation, warn
 	return append(dst, "}\n"...), nil
 }
 
-// appendColumns appends a schema as the JSON of []ColumnInfo (null when
+// appendColumns appends a schema as the JSON of []wire.ColumnInfo (null when
 // there are no columns, as the nil slice encodes).
 func appendColumns(dst []byte, schema relalg.Schema) []byte {
 	if len(schema.Columns) == 0 {
@@ -385,9 +277,9 @@ func appendColumns(dst []byte, schema relalg.Schema) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"name":`...)
-		dst = appendString(dst, c.Name)
+		dst = wire.AppendString(dst, c.Name)
 		dst = append(dst, `,"type":`...)
-		dst = appendString(dst, c.Type.String())
+		dst = wire.AppendString(dst, c.Type.String())
 		dst = append(dst, '}')
 	}
 	return append(dst, ']')
@@ -400,11 +292,11 @@ func appendColumns(dst []byte, schema relalg.Schema) []byte {
 // stats or error record. A receiver that disconnects cancels r.Context(),
 // which aborts the query's source fetches mid-stream.
 func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
+	var req wire.QueryRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	opts, err := req.limits()
+	opts, err := req.Limits()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -427,7 +319,7 @@ func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	header := StreamRecord{Type: "header", Columns: columnInfos(rs.Schema())}
+	header := wire.StreamRecord{Type: "header", Columns: columnInfos(rs.Schema())}
 	if med := rs.Mediation(); med != nil {
 		header.MediatedSQL = med.SQL()
 		header.Branches = len(med.Branches)
@@ -442,7 +334,7 @@ func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	// the trailer goes out: closing publishes the session's statistics, and
 	// a receiver that has read the trailer may at once send a request whose
 	// plan must already see them.
-	trailer := func(rec StreamRecord) {
+	trailer := func(rec wire.StreamRecord) {
 		rec.Warnings = rs.Warnings()
 		rs.Close()
 		_ = enc.Encode(rec)
@@ -473,25 +365,25 @@ func (s *srv) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if err != nil {
-			trailer(StreamRecord{Type: "error", Rows: rows, Error: err.Error()})
+			trailer(wire.StreamRecord{Type: "error", Rows: rows, Error: err.Error()})
 			return
 		}
 		flush()
 	}
-	trailer(StreamRecord{Type: "stats", Rows: rows})
+	trailer(wire.StreamRecord{Type: "stats", Rows: rows})
 }
 
 // appendRowRecords appends one NDJSON "row" record per tuple — the line
-// json.Encoder wrote for StreamRecord{Type: "row", Values: …} — and stops at
-// the first tuple AppendRow refuses, returning the records complete so far
-// and their number.
+// json.Encoder wrote for wire.StreamRecord{Type: "row", Values: …} — and
+// stops at the first tuple AppendRow refuses, returning the records
+// complete so far and their number.
 func appendRowRecords(dst []byte, batch []relalg.Tuple) ([]byte, int, error) {
 	for n, t := range batch {
 		mark := len(dst)
 		dst = append(dst, `{"type":"row"`...)
 		if len(t) > 0 { // Values is omitempty: a zero-column row goes out without it
 			var err error
-			if dst, err = AppendRow(append(dst, `,"values":`...), t); err != nil {
+			if dst, err = wire.AppendRow(append(dst, `,"values":`...), t); err != nil {
 				return dst[:mark], n, err
 			}
 		}
@@ -513,7 +405,7 @@ func reserveRows(dst []byte, size, n int) []byte {
 }
 
 func (s *srv) handleMediate(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
+	var req wire.QueryRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -522,37 +414,29 @@ func (s *srv) handleMediate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, MediateResponse{MediatedSQL: med.SQL(), Branches: len(med.Branches)})
+	writeJSON(w, http.StatusOK, wire.MediateResponse{MediatedSQL: med.SQL(), Branches: len(med.Branches)})
 }
 
 func (s *srv) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
+	var req wire.QueryRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	var (
-		plan string
-		err  error
-	)
-	if req.Analyze {
-		var opts planner.Limits
-		if opts, err = req.limits(); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		plan, err = s.svc.ExplainAnalyzeCtx(r.Context(), req.SQL, req.Context, opts)
-	} else {
-		plan, err = s.svc.ExplainCtx(r.Context(), req.SQL, req.Context)
+	opts, err := req.Limits()
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
+	plan, err := s.svc.Plan(r.Context(), req.SQL, req.Context, req.Analyze, opts)
 	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ExplainResponse{Plan: plan})
+	writeJSON(w, http.StatusOK, wire.ExplainResponse{Plan: plan})
 }
 
 func (s *srv) handleSchema(w http.ResponseWriter, r *http.Request) {
-	resp := SchemaResponse{Relations: map[string][]ColumnInfo{}, Contexts: s.svc.Contexts()}
+	resp := wire.SchemaResponse{Relations: map[string][]wire.ColumnInfo{}, Contexts: s.svc.Contexts()}
 	for _, rel := range s.svc.Relations() {
 		schema, err := s.svc.Schema(rel)
 		if err != nil {
@@ -600,18 +484,18 @@ var qbeTemplate = template.Must(template.New("qbe").Parse(`<!DOCTYPE html>
 
 type qbePage struct {
 	Contexts    []string
-	Relations   map[string][]ColumnInfo
+	Relations   map[string][]wire.ColumnInfo
 	SQL         string
 	Naive       bool
 	MediatedSQL string
 	Derivation  string
-	Columns     []ColumnInfo
+	Columns     []wire.ColumnInfo
 	Rows        []relalg.Tuple // cells print through relalg.Value's String
 	Error       string
 }
 
 func (s *srv) qbePage() qbePage {
-	page := qbePage{Contexts: s.svc.Contexts(), Relations: map[string][]ColumnInfo{}}
+	page := qbePage{Contexts: s.svc.Contexts(), Relations: map[string][]wire.ColumnInfo{}}
 	for _, rel := range s.svc.Relations() {
 		schema, err := s.svc.Schema(rel)
 		if err != nil {
@@ -633,20 +517,11 @@ func (s *srv) handleQBERun(w http.ResponseWriter, r *http.Request) {
 	page := s.qbePage()
 	page.SQL = r.URL.Query().Get("sql")
 	page.Naive = r.URL.Query().Get("naive") == "1"
-	ctx := r.URL.Query().Get("context")
-
-	var rel *relalg.Relation
-	var err error
-	if page.Naive {
-		rel, err = s.svc.QueryNaiveCtx(r.Context(), page.SQL, planner.Limits{})
-	} else {
-		var med *core.Mediation
-		med, err = s.svc.Mediate(page.SQL, ctx)
-		if err == nil {
-			page.MediatedSQL = med.SQL()
-			page.Derivation = med.ExplainText()
-			rel, _, err = s.svc.ExecuteWarnCtx(r.Context(), med, planner.Limits{})
-		}
+	req := wire.QueryRequest{SQL: page.SQL, Context: r.URL.Query().Get("context"), Naive: page.Naive}
+	rel, med, _, err := s.answer(r.Context(), &req, planner.Limits{})
+	if med != nil {
+		page.MediatedSQL = med.SQL()
+		page.Derivation = med.ExplainText()
 	}
 	if err != nil {
 		page.Error = err.Error()

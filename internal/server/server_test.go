@@ -227,6 +227,45 @@ func TestExplainAnalyzeOverWire(t *testing.T) {
 	}
 }
 
+// TestExplainHonorsRequestLimits: plain /api/explain plans under the
+// request's governor fields, as EXPLAIN ANALYZE and the query itself do,
+// so the plan it shows is the plan a run with those limits uses; a
+// malformed field is refused on both verbs.
+func TestExplainHonorsRequestLimits(t *testing.T) {
+	sys := coin.Figure2System()
+	db := store.NewDB("numsrc")
+	tab := db.MustCreateTable("nums", relalg.NewSchema(relalg.Column{Name: "n", Type: relalg.KindNumber}))
+	for i := 0; i < 50000; i++ {
+		tab.MustInsert(relalg.NumV(float64(i)))
+	}
+	if err := sys.AddRelationalSource(db, nil); err != nil {
+		t.Fatal(err)
+	}
+	sys.Executor().DefaultParallelism = 4
+	h := sys.Handler()
+	explain := func(fields string) (int, string) {
+		body := `{"sql": "SELECT nums.n FROM nums WHERE nums.n > 5", "context": "c2"` + fields + `}`
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/explain", strings.NewReader(body)))
+		var er struct {
+			Plan string `json:"plan"`
+		}
+		_ = json.Unmarshal(rec.Body.Bytes(), &er)
+		return rec.Code, er.Plan
+	}
+	for _, verb := range []string{"", `, "analyze": true`} {
+		if code, plan := explain(verb); code != http.StatusOK || !strings.Contains(plan, "part[4]") {
+			t.Errorf("%q: status %d, plan without the default 4-way scan:\n%s", verb, code, plan)
+		}
+		if code, plan := explain(verb + `, "parallelism": 1`); code != http.StatusOK || strings.Contains(plan, "part[") {
+			t.Errorf("%q with parallelism 1: status %d, plan still partitioned:\n%s", verb, code, plan)
+		}
+		if code, _ := explain(verb + `, "timeout": "soon"`); code != http.StatusBadRequest {
+			t.Errorf("%q with a malformed timeout: status %d, want 400", verb, code)
+		}
+	}
+}
+
 // slowStats is a source whose statistics probes hang until their context
 // dies, as a slow DBMS's COUNT(DISTINCT) would; seen receives what each
 // probe's context said when it let go (nil: the probe gave up waiting).
@@ -285,12 +324,12 @@ func TestExplainCancelledWithRequest(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = conn.Explain(ctx, "SELECT a.n FROM nums a, nums b WHERE a.n = b.n", "c2")
+	_, err = conn.Plan(ctx, "SELECT a.n FROM nums a, nums b WHERE a.n = b.n", "c2", false, client.Options{})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Explain under a cancelled context: err = %v, want context.Canceled", err)
+		t.Fatalf("Plan under a cancelled context: err = %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
-		t.Errorf("cancelled Explain returned after %v", d)
+		t.Errorf("cancelled Plan returned after %v", d)
 	}
 	select {
 	case perr := <-src.seen:

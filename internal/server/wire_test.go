@@ -25,6 +25,7 @@ import (
 	"repro/internal/relalg"
 	"repro/internal/server"
 	"repro/internal/sqlparse"
+	"repro/internal/wire"
 )
 
 // fixedService answers every query with one prepared relation, so a test
@@ -39,9 +40,6 @@ func (f fixedService) Mediate(string, string) (*core.Mediation, error) { return 
 func (f fixedService) ExecuteWarnCtx(context.Context, *core.Mediation, planner.Limits) (*relalg.Relation, []planner.Warning, error) {
 	return f.rel, f.warns, nil
 }
-func (f fixedService) QueryNaiveCtx(context.Context, string, planner.Limits) (*relalg.Relation, error) {
-	return f.rel, nil
-}
 func (f fixedService) QueryStream(_ context.Context, _, _ string, naive bool, _ planner.Limits) (server.RowStream, error) {
 	s := &fixedStream{fixedService: f, rest: f.rel.Tuples}
 	if naive {
@@ -49,8 +47,7 @@ func (f fixedService) QueryStream(_ context.Context, _, _ string, naive bool, _ 
 	}
 	return s, nil
 }
-func (fixedService) ExplainCtx(context.Context, string, string) (string, error) { return "", nil }
-func (fixedService) ExplainAnalyzeCtx(context.Context, string, string, planner.Limits) (string, error) {
+func (fixedService) Plan(context.Context, string, string, bool, planner.Limits) (string, error) {
 	return "", nil
 }
 func (fixedService) Contexts() []string                   { return nil }
@@ -98,15 +95,15 @@ func oracleStream(t *testing.T, f fixedService, naive bool) string {
 	resp := server.RelationResponse(f.rel)
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	header := server.StreamRecord{Type: "header", Columns: resp.Columns}
+	header := wire.StreamRecord{Type: "header", Columns: resp.Columns}
 	if !naive && f.med != nil {
 		header.MediatedSQL, header.Branches = f.med.SQL(), len(f.med.Branches)
 	}
-	recs := []server.StreamRecord{header}
+	recs := []wire.StreamRecord{header}
 	for _, row := range resp.Rows {
-		recs = append(recs, server.StreamRecord{Type: "row", Values: row})
+		recs = append(recs, wire.StreamRecord{Type: "row", Values: row})
 	}
-	recs = append(recs, server.StreamRecord{Type: "stats", Rows: len(resp.Rows), Warnings: f.warns})
+	recs = append(recs, wire.StreamRecord{Type: "stats", Rows: len(resp.Rows), Warnings: f.warns})
 	for _, rec := range recs {
 		if err := enc.Encode(rec); err != nil {
 			t.Fatal(err)
@@ -117,7 +114,7 @@ func oracleStream(t *testing.T, f fixedService, naive bool) string {
 
 func post(t *testing.T, h http.Handler, path string, naive bool) (int, http.Header, string) {
 	t.Helper()
-	body, _ := json.Marshal(server.QueryRequest{SQL: "SELECT 1", Context: "c2", Naive: naive})
+	body, _ := json.Marshal(wire.QueryRequest{SQL: "SELECT 1", Context: "c2", Naive: naive})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 	return rec.Code, rec.Header(), rec.Body.String()
@@ -260,7 +257,7 @@ func TestNonFiniteAnswerIsAClassifiedError(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var e server.ErrorResponse
+	var e wire.ErrorResponse
 	if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(body, &e) != nil || !strings.Contains(e.Error, "+Inf") {
 		t.Errorf("/api/query: status %d body %q, want 422 naming +Inf", resp.StatusCode, body)
 	}

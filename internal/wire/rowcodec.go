@@ -1,4 +1,4 @@
-package server
+package wire
 
 // The wire's row codec: result rows go from relalg.Tuple to JSON bytes and
 // back without encoding/json's reflection walk or an intermediate boxed
@@ -18,15 +18,15 @@ import (
 	"repro/internal/relalg"
 )
 
-// nonFiniteError is AppendRow's failure: JSON has no spelling for NaN or
+// NonFiniteError is AppendRow's failure: JSON has no spelling for NaN or
 // ±Inf (encoding/json fails on them too), so the row cannot go on the wire.
-type nonFiniteError struct {
-	col int // index of the offending value in the tuple
-	val float64
+type NonFiniteError struct {
+	Col int // index of the offending value in the tuple
+	Val float64
 }
 
-func (e *nonFiniteError) Error() string {
-	return strconv.FormatFloat(e.val, 'g', -1, 64) + " has no JSON encoding"
+func (e *NonFiniteError) Error() string {
+	return strconv.FormatFloat(e.Val, 'g', -1, 64) + " has no JSON encoding"
 }
 
 // AppendRow appends t to dst as the JSON array encoding/json writes for
@@ -43,11 +43,11 @@ func AppendRow(dst []byte, t relalg.Tuple) ([]byte, error) {
 		switch v.K {
 		case relalg.KindNumber:
 			if math.IsInf(v.N, 0) || math.IsNaN(v.N) {
-				return dst[:mark], &nonFiniteError{col: i, val: v.N}
+				return dst[:mark], &NonFiniteError{Col: i, Val: v.N}
 			}
 			dst = appendNumber(dst, v.N)
 		case relalg.KindString:
-			dst = appendString(dst, v.S)
+			dst = AppendString(dst, v.S)
 		case relalg.KindBool:
 			dst = strconv.AppendBool(dst, v.B)
 		default:
@@ -89,9 +89,9 @@ var jsonPlain = func() (t [utf8.RuneSelf]bool) {
 	return t
 }()
 
-// appendString appends s as a JSON string literal with encoding/json's
+// AppendString appends s as a JSON string literal with encoding/json's
 // escapes.
-func appendString(dst []byte, s string) []byte {
+func AppendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {

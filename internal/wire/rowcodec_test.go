@@ -1,8 +1,8 @@
-package server
+package wire
 
 // The row codec is held to encoding/json, not to itself: every check below
 // compares AppendRow with json.Marshal of the boxed row (the old wire path:
-// valueJSON + reflection) and ParseRow with json.Unmarshal of the same
+// boxing + reflection) and ParseRow with json.Unmarshal of the same
 // bytes.
 
 import (
@@ -33,10 +33,19 @@ var edgeStrings = []string{
 	"\xff", "a\xc0b", "\xe2\x80", "\xed\xa0\x80", "😀", "],[", `","`, "}\n",
 }
 
+// boxRow is the row as the wire wrote it before the codec: each value
+// boxed for encoding/json.
 func boxRow(t relalg.Tuple) []interface{} {
 	row := make([]interface{}, len(t))
 	for i, v := range t {
-		row[i] = valueJSON(v)
+		switch v.K {
+		case relalg.KindNumber:
+			row[i] = v.N
+		case relalg.KindString:
+			row[i] = v.S
+		case relalg.KindBool:
+			row[i] = v.B
+		}
 	}
 	return row
 }
