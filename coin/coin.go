@@ -195,7 +195,7 @@ func (s *System) Query(sql, receiver string) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	//lint:allow ctxflow facade one-liner: a public entry point is where a root context is minted; governed callers use Run
+	//lint:allow ctxflow context-free facade: a public entry point is where a root context is minted; governed callers use Run
 	rel, _, err := s.ExecuteWarnCtx(context.Background(), med, QueryOptions{})
 	return rel, err
 }

@@ -131,12 +131,6 @@ func TestExplainAnalyzeOverHTTP(t *testing.T) {
 	if _, err := conn.Plan(context.Background(), "SELECT nope FROM nosuch", "c2", true, client.Options{}); err == nil {
 		t.Error("bad analyze succeeded")
 	}
-	// The wire has no field for MaxTuples: a query carrying one is refused
-	// before it is sent, not run without it.
-	if _, err := conn.Plan(context.Background(), coin.PaperQ1, "c2", true, client.Options{MaxTuples: 10}); err == nil ||
-		!strings.Contains(err.Error(), "MaxTuples") {
-		t.Errorf("Plan with MaxTuples: err = %v, want a refusal naming MaxTuples", err)
-	}
 }
 
 // downFetcher fails every currency-page fetch with a transient fault.

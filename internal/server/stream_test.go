@@ -291,6 +291,8 @@ func TestBadGovernorValuesRejected(t *testing.T) {
 	for _, body := range []string{
 		`{"sql": "SELECT r2.cname FROM r2", "context": "c2", "timeout": "soon"}`,
 		`{"sql": "SELECT r2.cname FROM r2", "context": "c2", "max_rows": -1}`,
+		`{"sql": "SELECT r2.cname FROM r2", "context": "c2", "retry_budget": -1}`,
+		`{"sql": "SELECT r2.cname FROM r2", "context": "c2", "parallelism": -1}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/query", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {

@@ -82,8 +82,8 @@ func NewQueryRequest(sql, context string, naive bool, lim planner.Limits) (Query
 	return req, nil
 }
 
-// Limits reads the request's governor fields back, refusing malformed
-// ones.
+// Limits converts the request's governor fields to planner.Limits,
+// refusing malformed ones.
 func (r *QueryRequest) Limits() (planner.Limits, error) {
 	var lim planner.Limits
 	if r.Timeout != "" {
@@ -93,21 +93,22 @@ func (r *QueryRequest) Limits() (planner.Limits, error) {
 		}
 		lim.Timeout = d
 	}
-	for _, f := range []struct {
-		name string
-		v    int
-		dst  *int
-	}{
-		{"max_rows", r.MaxRows, &lim.MaxRows},
-		{"max_concurrent_per_source", r.MaxConcurrentPerSource, &lim.MaxConcurrentPerSource},
-		{"retry_budget", r.RetryBudget, &lim.RetryBudget},
-		{"parallelism", r.Parallelism, &lim.MaxParallelism},
-	} {
-		if f.v < 0 {
-			return lim, fmt.Errorf("server: bad %s %d", f.name, f.v)
-		}
-		*f.dst = f.v
+	if r.MaxRows < 0 {
+		return lim, fmt.Errorf("server: bad max_rows %d", r.MaxRows)
 	}
+	lim.MaxRows = r.MaxRows
+	if r.MaxConcurrentPerSource < 0 {
+		return lim, fmt.Errorf("server: bad max_concurrent_per_source %d", r.MaxConcurrentPerSource)
+	}
+	lim.MaxConcurrentPerSource = r.MaxConcurrentPerSource
+	if r.RetryBudget < 0 {
+		return lim, fmt.Errorf("server: bad retry_budget %d", r.RetryBudget)
+	}
+	lim.RetryBudget = r.RetryBudget
+	if r.Parallelism < 0 {
+		return lim, fmt.Errorf("server: bad parallelism %d", r.Parallelism)
+	}
+	lim.MaxParallelism = r.Parallelism
 	lim.PartialResults = r.Partial
 	return lim, nil
 }

@@ -45,19 +45,3 @@ func TestLimitsRoundTrip(t *testing.T) {
 		t.Errorf("MaxTuples: err = %v, want a refusal naming the field", err)
 	}
 }
-
-// TestLimitsRefuseMalformedFields: a negative count or an unparsable
-// timeout is an error naming the field, not a silently dropped limit.
-func TestLimitsRefuseMalformedFields(t *testing.T) {
-	for field, req := range map[string]QueryRequest{
-		"timeout":                   {Timeout: "soon"},
-		"max_rows":                  {MaxRows: -1},
-		"max_concurrent_per_source": {MaxConcurrentPerSource: -1},
-		"retry_budget":              {RetryBudget: -1},
-		"parallelism":               {Parallelism: -1},
-	} {
-		if _, err := req.Limits(); err == nil || !strings.Contains(err.Error(), field) {
-			t.Errorf("%s: err = %v, want it named", field, err)
-		}
-	}
-}
