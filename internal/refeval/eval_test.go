@@ -13,7 +13,10 @@
 // Equality follows the engine's stated modes: "=" and join predicates
 // follow SQL (NULL and NaN equal nothing, −0 = 0), while DISTINCT, GROUP
 // BY and UNION treat two values as the same when they are NOT DISTINCT
-// (NULL = NULL, NaN = NaN, −0 = 0).
+// (NULL = NULL, NaN = NaN, −0 = 0). Order follows one rule: "<", "<=",
+// ">" and ">=" are false when either side is NULL or NaN, and MIN, MAX
+// and ORDER BY use one total order with NULL first and NaN above every
+// number (PostgreSQL's order).
 package refeval
 
 import (
@@ -181,8 +184,9 @@ func evalSelect(ctx context.Context, src sourceFor, sel *sqlparse.Select) (answe
 }
 
 // aggregate groups rows by the GROUP BY expressions (first appearance,
-// NOT DISTINCT equality) and evaluates the select list per group. With
-// no GROUP BY the whole input is one group, even when it is empty.
+// NOT DISTINCT equality), keeps the groups HAVING holds for and evaluates
+// the select list per group. With no GROUP BY the whole input is one
+// group, even when it is empty.
 func aggregate(sel *sqlparse.Select, cols []string, rows []relalg.Tuple, out *answer) error {
 	keys := make([]expr, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
@@ -216,6 +220,15 @@ func aggregate(sel *sqlparse.Select, cols []string, rows []relalg.Tuple, out *an
 		}
 	}
 	for _, g := range groups {
+		if sel.Having != nil {
+			h, err := evalAgg(sel.Having, cols, g.rows)
+			if err != nil {
+				return err
+			}
+			if h.K != relalg.KindBool || !h.B {
+				continue
+			}
+		}
 		o := make(relalg.Tuple, len(sel.Items))
 		for i, it := range sel.Items {
 			v, err := evalAgg(it.Expr, cols, g.rows)
@@ -229,17 +242,47 @@ func aggregate(sel *sqlparse.Select, cols []string, rows []relalg.Tuple, out *an
 	return nil
 }
 
-// evalAgg evaluates a select item over one group: an aggregate over all
-// its rows, anything else on its first row.
+// evalAgg evaluates an expression over one group. An aggregate call
+// reads every row of the group; operators combine what their operands
+// give; any other expression is a function of the group key and is read
+// off the group's first row (off a row of NULLs when the group is empty,
+// so a constant stays a constant).
 func evalAgg(e sqlparse.Expr, cols []string, rows []relalg.Tuple) (relalg.Value, error) {
-	fc, ok := e.(*sqlparse.FuncCall)
-	if !ok {
-		fn, err := compile(e, cols)
-		if err != nil || len(rows) == 0 {
+	switch e := e.(type) {
+	case *sqlparse.FuncCall:
+		return aggregateCall(e, cols, rows)
+	case *sqlparse.BinaryExpr:
+		l, err := evalAgg(e.L, cols, rows)
+		if err != nil {
 			return relalg.Null, err
 		}
-		return fn(rows[0]), nil
+		r, err := evalAgg(e.R, cols, rows)
+		if err != nil {
+			return relalg.Null, err
+		}
+		return binary(e.Op, l, r), nil
+	case *sqlparse.UnaryExpr:
+		x, err := evalAgg(e.X, cols, rows)
+		if err != nil {
+			return relalg.Null, err
+		}
+		return unary(e.Op, x), nil
 	}
+	fn, err := compile(e, cols)
+	if err != nil {
+		return relalg.Null, err
+	}
+	if len(rows) == 0 {
+		return fn(make(relalg.Tuple, len(cols))), nil
+	}
+	return fn(rows[0]), nil
+}
+
+// aggregateCall is SQL's aggregate over the non-NULL values of its
+// argument: COUNT counts them (COUNT(*) counts rows), SUM adds them, AVG
+// is SUM over COUNT, MIN and MAX pick the least and greatest in ORDER
+// BY's order; each but COUNT is NULL when there are none.
+func aggregateCall(fc *sqlparse.FuncCall, cols []string, rows []relalg.Tuple) (relalg.Value, error) {
 	if fc.Star {
 		return relalg.NumV(float64(len(rows))), nil
 	}
@@ -253,19 +296,26 @@ func evalAgg(e sqlparse.Expr, cols []string, rows []relalg.Tuple) (relalg.Value,
 			vals = append(vals, v)
 		}
 	}
-	switch fc.Name {
-	case "COUNT":
+	if fc.Name == "COUNT" {
 		return relalg.NumV(float64(len(vals))), nil
-	case "SUM", "MIN", "MAX":
-		if len(vals) == 0 {
-			return relalg.Null, nil
+	}
+	if len(vals) == 0 {
+		return relalg.Null, nil
+	}
+	switch fc.Name {
+	case "SUM", "AVG":
+		sum := 0.0
+		for _, v := range vals {
+			sum += v.N
 		}
+		if fc.Name == "AVG" {
+			sum /= float64(len(vals))
+		}
+		return relalg.NumV(sum), nil
+	case "MIN", "MAX":
 		best := vals[0]
 		for _, v := range vals[1:] {
-			switch c, _ := compare(v, best); {
-			case fc.Name == "SUM":
-				best = relalg.NumV(best.N + v.N)
-			case fc.Name == "MIN" && c < 0, fc.Name == "MAX" && c > 0:
+			if c := order(v, best); fc.Name == "MIN" && c < 0 || fc.Name == "MAX" && c > 0 {
 				best = v
 			}
 		}
@@ -274,13 +324,18 @@ func evalAgg(e sqlparse.Expr, cols []string, rows []relalg.Tuple) (relalg.Value,
 	return relalg.Null, fmt.Errorf("refeval: aggregate %s", fc.Name)
 }
 
+// hasAggregate reports whether sel aggregates: an aggregate call anywhere
+// in its select list, or a HAVING.
 func hasAggregate(sel *sqlparse.Select) bool {
+	found := sel.Having != nil
 	for _, it := range sel.Items {
-		if _, ok := it.Expr.(*sqlparse.FuncCall); ok {
-			return true
-		}
+		sqlparse.WalkExprs(it.Expr, func(x sqlparse.Expr) bool {
+			_, call := x.(*sqlparse.FuncCall)
+			found = found || call
+			return !found
+		})
 	}
-	return false
+	return found
 }
 
 // dedup keeps the first of every run of NOT DISTINCT rows.
@@ -335,6 +390,9 @@ func compile(e sqlparse.Expr, cols []string) (expr, error) {
 	case *sqlparse.IsNull:
 		x, err := compile(e.X, cols)
 		return func(r relalg.Tuple) relalg.Value { return relalg.BoolV((x(r).K == relalg.KindNull) != e.Not) }, err
+	case *sqlparse.UnaryExpr:
+		x, err := compile(e.X, cols)
+		return func(r relalg.Tuple) relalg.Value { return unary(e.Op, x(r)) }, err
 	case *sqlparse.BinaryExpr:
 		l, err := compile(e.L, cols)
 		if err != nil {
@@ -421,8 +479,17 @@ func sameRow(a, b relalg.Tuple) bool {
 	return true
 }
 
-// compare orders two non-NULL values of one kind; a NaN compares equal
-// to every number, as in the engine's comparison operators.
+// unary applies a unary operator: minus negates a number and keeps NULL.
+func unary(op string, v relalg.Value) relalg.Value {
+	if op == "-" && v.K == relalg.KindNumber {
+		return relalg.NumV(-v.N)
+	}
+	return relalg.Null
+}
+
+// compare orders two values for "<", "<=", ">" and ">=": ok is false,
+// and the comparison therefore false, when either side is NULL or NaN or
+// the kinds differ.
 func compare(a, b relalg.Value) (int, bool) {
 	if a.K != b.K || a.K == relalg.KindNull {
 		return 0, false
@@ -430,6 +497,8 @@ func compare(a, b relalg.Value) (int, bool) {
 	switch a.K {
 	case relalg.KindNumber:
 		switch {
+		case math.IsNaN(a.N) || math.IsNaN(b.N):
+			return 0, false
 		case a.N < b.N:
 			return -1, true
 		case a.N > b.N:

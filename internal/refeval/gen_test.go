@@ -22,8 +22,6 @@ import (
 )
 
 // column is one generated column: its kind and whether it may hold NaN.
-// Columns without NaN may feed MIN and MAX, whose answer over NaN depends
-// on input order.
 type column struct {
 	name string
 	kind relalg.Kind
@@ -177,7 +175,9 @@ func (g *qgen) from() ([]string, []sqlparse.Expr) {
 	case n == 30:
 		return []string{"big"}, nil
 	}
-	return []string{"a", "big"}, []sqlparse.Expr{sqlparse.Bin("=", col("a", "k"), col("big", "k"))}
+	// a is cut to one string value first, so the nested loops over big
+	// (the evaluator's, and the engine's under ForceNestedLoop) stay short.
+	return []string{"a", "big"}, []sqlparse.Expr{sqlparse.Bin("=", col("a", "k"), col("big", "k")), sqlparse.Bin("=", col("a", "s"), sqlparse.Str("p"))}
 }
 
 // columns lists the FROM list's columns as (relation, column) pairs.
@@ -203,13 +203,23 @@ func kindOf(rel, name string) column {
 // filters draws extra WHERE conjuncts: a column against a literal
 // (pushed to the source, through b's index when it is b.k = …), two
 // columns of one relation (an engine-local filter), or columns of two
-// relations (a residual).
+// relations (a residual). Half the time the column is one that may hold
+// NaN.
 func (g *qgen) filters(from []string) []sqlparse.Expr {
 	var out []sqlparse.Expr
 	cols := columns(from)
+	var nan [][2]string
+	for _, c := range cols {
+		if kindOf(c[0], c[1]).nan {
+			nan = append(nan, c)
+		}
+	}
 	ops := []string{"=", "=", "<>", "<", "<=", ">", ">="}
 	for n := g.pick(3); n > 0; n-- {
 		c := cols[g.pick(len(cols))]
+		if len(nan) > 0 && g.pick(2) == 0 {
+			c = nan[g.pick(len(nan))]
+		}
 		kc := kindOf(c[0], c[1])
 		op := ops[g.pick(len(ops))]
 		switch g.pick(4) {
@@ -255,37 +265,88 @@ func (g *qgen) items(from []string) []sqlparse.SelectItem {
 	return out
 }
 
-// aggItems draws group keys and aggregates: COUNT(*), COUNT, SUM over any
-// number column, MIN/MAX over strings and NaN-free numbers.
-func (g *qgen) aggItems(from []string, grouped bool) ([]sqlparse.SelectItem, []sqlparse.Expr) {
+// aggItems draws group keys, the select list and a HAVING. A key is a
+// column or, now and then, an expression over one (k + 1, −k), and each
+// key is also an item. Aggregates are COUNT(*) and COUNT over any column,
+// SUM and AVG over numbers and MIN and MAX over any column, NaN-bearing
+// ones included; a numeric aggregate sometimes sits under arithmetic or
+// a unary minus. HAVING, drawn for three grouped queries in four (the
+// dialect takes it only after GROUP BY), compares an aggregate or a key
+// with a literal, sometimes two such terms ANDed.
+func (g *qgen) aggItems(from []string, grouped bool) ([]sqlparse.SelectItem, []sqlparse.Expr, sqlparse.Expr) {
 	cols := columns(from)
 	var items []sqlparse.SelectItem
 	var keys []sqlparse.Expr
+	var keyKinds []relalg.Kind
 	alias := func() string { return fmt.Sprintf("c%d", len(items)+1) }
 	if grouped {
 		for n := 1 + g.pick(2); n > 0; n-- {
 			c := cols[g.pick(len(cols))]
-			keys = append(keys, col(c[0], c[1]))
-			items = append(items, sqlparse.SelectItem{Expr: col(c[0], c[1]), Alias: alias()})
+			kc := kindOf(c[0], c[1])
+			var k sqlparse.Expr = col(c[0], c[1])
+			if kc.kind == relalg.KindNumber {
+				switch g.pick(4) {
+				case 0:
+					k = sqlparse.Bin("+", k, sqlparse.Num(1))
+				case 1:
+					k = &sqlparse.UnaryExpr{Op: "-", X: k}
+				}
+			}
+			keys = append(keys, k)
+			keyKinds = append(keyKinds, kc.kind)
+			items = append(items, sqlparse.SelectItem{Expr: k, Alias: alias()})
 		}
 	}
 	for n := 1 + g.pick(3); n > 0; n-- {
-		c := cols[g.pick(len(cols))]
-		kc := kindOf(c[0], c[1])
-		var fc *sqlparse.FuncCall
-		switch {
-		case g.pick(4) == 0:
-			fc = &sqlparse.FuncCall{Name: "COUNT", Star: true}
-		case kc.kind == relalg.KindNumber && g.pick(2) == 0:
-			fc = &sqlparse.FuncCall{Name: "SUM", Args: []sqlparse.Expr{col(c[0], c[1])}}
-		case !kc.nan:
-			fc = &sqlparse.FuncCall{Name: []string{"MIN", "MAX"}[g.pick(2)], Args: []sqlparse.Expr{col(c[0], c[1])}}
-		default:
-			fc = &sqlparse.FuncCall{Name: "COUNT", Args: []sqlparse.Expr{col(c[0], c[1])}}
-		}
-		items = append(items, sqlparse.SelectItem{Expr: fc, Alias: alias()})
+		e, _ := g.aggregate(cols)
+		items = append(items, sqlparse.SelectItem{Expr: e, Alias: alias()})
 	}
-	return items, keys
+	var having sqlparse.Expr
+	for n := []int{0, 1, 1, 2}[g.pick(4)]; grouped && n > 0; n-- {
+		e, kind := g.aggregate(cols)
+		if len(keys) > 0 && g.pick(4) == 0 {
+			i := g.pick(len(keys))
+			e, kind = keys[i], keyKinds[i]
+		}
+		ops := []string{"<>", "<", "<=", ">", ">="} // "=" against a literal rarely holds
+		var lit sqlparse.Expr = sqlparse.Num(float64(g.pick(4)))
+		if kind == relalg.KindString {
+			lit = sqlparse.Str(string(rune('p' + g.pick(4))))
+		}
+		having = sqlparse.AndAll([]sqlparse.Expr{having, sqlparse.Bin(ops[g.pick(len(ops))], e, lit)})
+	}
+	return items, keys, having
+}
+
+// aggregate draws one aggregate term over cols and reports its kind.
+func (g *qgen) aggregate(cols [][2]string) (sqlparse.Expr, relalg.Kind) {
+	c := cols[g.pick(len(cols))]
+	kind := kindOf(c[0], c[1]).kind
+	call := func(name string) *sqlparse.FuncCall {
+		return &sqlparse.FuncCall{Name: name, Args: []sqlparse.Expr{col(c[0], c[1])}}
+	}
+	var e sqlparse.Expr
+	switch n := g.pick(8); {
+	case n == 0:
+		e, kind = &sqlparse.FuncCall{Name: "COUNT", Star: true}, relalg.KindNumber
+	case n == 1:
+		e, kind = call("COUNT"), relalg.KindNumber
+	case n < 5 && kind == relalg.KindNumber:
+		e = call([]string{"SUM", "AVG"}[g.pick(2)])
+	default:
+		e = call([]string{"MIN", "MAX"}[g.pick(2)])
+	}
+	if kind == relalg.KindNumber {
+		switch g.pick(6) {
+		case 0:
+			e = sqlparse.Bin("+", e, sqlparse.Num(1))
+		case 1:
+			e = &sqlparse.UnaryExpr{Op: "-", X: e}
+		case 2:
+			e = sqlparse.Bin("*", e, sqlparse.Num(2))
+		}
+	}
+	return e, kind
 }
 
 // orderAll orders by every select item (by alias), so the order — and a
@@ -319,14 +380,14 @@ func (g *qgen) query() sqlparse.Statement {
 	}
 	sel.Where = where()
 	switch kind := g.pick(10); {
-	case kind < 4:
+	case kind < 3:
 		sel.Items = g.items(from)
 		sel.Distinct = g.pick(3) == 0 && from[len(from)-1] != "big"
 		if g.pick(2) == 0 {
 			g.orderAll(sel)
 		}
-	case kind < 7:
-		sel.Items, sel.GroupBy = g.aggItems(from, kind < 6)
+	case kind < 8:
+		sel.Items, sel.GroupBy, sel.Having = g.aggItems(from, kind < 6)
 		if g.pick(2) == 0 {
 			g.orderAll(sel)
 		}

@@ -29,20 +29,30 @@ type knobs struct {
 	parallelism     int
 	forceNestedLoop bool
 	disableBatching bool
+	disablePushdown bool
 	chunk           int // rows per source fetch (wrappertest.Chunked)
 }
 
+// plan names the knobs that choose the plan: configs that share them run
+// the same plan and must agree row for row, order included.
+type plan struct{ disableBatching, disablePushdown bool }
+
 // configs crosses parallelism, the join algorithm and batching, cycling
 // the source chunk width through 1, 7 and 1024 so every width meets both
-// join algorithms. All four configs of one batching setting run the same
-// plan, so they must agree row for row, order included.
+// join algorithms. Pushdown is off in half of them: with it off, every
+// filter a source could apply runs in the engine instead, so the
+// wrappers' σ is held to relalg's. Which half is chosen so that each plan
+// (batching × pushdown) still pairs a serial run with a parallel one and
+// a hash join with a nested loop, and every pairing of join algorithm and
+// parallelism meets both pushdown settings.
 var configs = func() []knobs {
 	var out []knobs
 	widths := []int{1, 7, 1024}
 	for _, batchOff := range []bool{false, true} {
 		for _, nl := range []bool{false, true} {
 			for _, par := range []int{1, 4} {
-				out = append(out, knobs{par, nl, batchOff, widths[len(out)%len(widths)]})
+				pushOff := nl != (par == 4) != batchOff
+				out = append(out, knobs{par, nl, batchOff, pushOff, widths[len(out)%len(widths)]})
 			}
 		}
 	}
@@ -97,7 +107,7 @@ func (w *world) run(k knobs, stmt sqlparse.Statement) (*relalg.Relation, error) 
 	ex := w.exs[k]
 	if ex == nil {
 		ex = planner.NewExecutor(w.cats[k.chunk])
-		ex.ForceNestedLoop, ex.DisableBatching = k.forceNestedLoop, k.disableBatching
+		ex.ForceNestedLoop, ex.DisableBatching, ex.DisablePushdown = k.forceNestedLoop, k.disableBatching, k.disablePushdown
 		// Learned statistics would let one run's plan differ from the
 		// next; every config must run the plan its batching setting gives.
 		ex.AdaptiveStats = nil
@@ -188,7 +198,7 @@ func ordered(stmt sqlparse.Statement) bool {
 
 // checkSeed generates a world and n queries from seed and holds the
 // engine to the evaluator under every config, and every config of one
-// batching setting to the others row for row, then runs the wire leg.
+// plan to the others row for row, then runs the wire leg.
 // After each query no source stream may stay open and no goroutine may
 // outlive it.
 func checkSeed(t *testing.T, seed int64, n int) {
@@ -207,7 +217,7 @@ func checkSeed(t *testing.T, seed int64, n int) {
 		if !ordered(stmt) {
 			sort.Strings(wantRows)
 		}
-		same := map[bool][]string{}
+		same := map[plan][]string{}
 		for _, k := range configs {
 			got, err := w.run(k, stmt)
 			if err != nil {
@@ -220,12 +230,12 @@ func checkSeed(t *testing.T, seed int64, n int) {
 			if d := diff(wantRows, gotRows); d != "" {
 				t.Fatalf("seed %d %+v: engine and evaluator disagree\n%s\n%s", seed, k, stmt, d)
 			}
-			ex := render(got.Tuples, exact)
-			if prev, ok := same[k.disableBatching]; !ok {
-				same[k.disableBatching] = ex
+			ex, p := render(got.Tuples, exact), plan{k.disableBatching, k.disablePushdown}
+			if prev, ok := same[p]; !ok {
+				same[p] = ex
 			} else if d := diff(prev, ex); d != "" {
-				t.Fatalf("seed %d %+v: answer differs, order or bits, from the first config with batching off=%v\n%s\n%s",
-					seed, k, k.disableBatching, stmt, d)
+				t.Fatalf("seed %d %+v: answer differs, order or bits, from the first config with %+v\n%s\n%s",
+					seed, k, p, stmt, d)
 			}
 			if open := w.open.Load(); open != 0 {
 				t.Fatalf("seed %d %+v: %d source streams left open\n%s", seed, k, open, stmt)
