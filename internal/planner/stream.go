@@ -842,7 +842,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 }
 
 // orderKeysResolve reports whether every column reference in the ORDER BY
-// keys resolves in the projected schema (mirroring Eval's two-step
+// keys resolves in the projected schema (mirroring Compile's two-step
 // lookup), deciding whether to sort after or before projection.
 func orderKeysResolve(order []sqlparse.OrderItem, schema relalg.Schema) bool {
 	for _, o := range order {

@@ -14,72 +14,233 @@ type AggItem struct {
 	Expr sqlparse.Expr // may contain FuncCall nodes
 }
 
-// groupBy is the grouping core: it groups r by the key expressions and
-// computes the items per group. With no keys, the whole relation is one
-// group (global aggregation); an empty input then yields one row of
-// aggregate identity values (COUNT=0, SUM/AVG/MIN/MAX=NULL), matching SQL.
-// Group keys compare as IS NOT DISTINCT FROM (NULL, NaN and ±0 each form
-// one group) in a keyTable, whose ids give the output order: first
-// appearance.
-func groupBy(r *Relation, keys []sqlparse.Expr, items []AggItem, having sqlparse.Expr) (*Relation, error) {
+// grouping is a GROUP BY compiled against its input schema, once per
+// operator. Keys compile with Compile. Every aggregate call in the items
+// and HAVING is a slot: each group keeps one accumulator per slot, fed
+// row by row in input order, and its first row, which the non-aggregate
+// parts of the items read. Operators over aggregates combine the slots'
+// results with the value-level rules Compile also uses.
+type grouping struct {
+	keys   []CompiledExpr
+	slots  []aggSlot
+	items  []aggExpr
+	having aggExpr // nil when absent
+}
+
+// aggExpr is an item or HAVING evaluated over one group: its first row
+// (nil for the empty global group) and its accumulators.
+type aggExpr func(first Tuple, accs []acc) (Value, error)
+
+// aggSlot is one aggregate call.
+type aggSlot struct {
+	name string       // COUNT, SUM, AVG, MIN or MAX
+	arg  CompiledExpr // nil for COUNT(*) and malformed calls
+	err  error        // a malformed or unknown call's result
+}
+
+// groupState is one group's first row, which the non-aggregate parts of
+// the items read, and its accumulators, one per slot.
+type groupState struct {
+	first Tuple
+	accs  []acc
+}
+
+// acc is one group's running state for one slot: the rows (COUNT(*)) or
+// non-NULL values seen, their sum, and the least or greatest of them.
+type acc struct {
+	n    int
+	sum  float64
+	best Value
+}
+
+// compileGrouping compiles keys, items and having against schema. Nothing
+// here fails: a bad column or a malformed call fails on the row or group
+// that reaches it, so an empty input still yields the global row.
+func compileGrouping(schema Schema, keys []sqlparse.Expr, items []AggItem, having sqlparse.Expr) *grouping {
+	g := &grouping{keys: make([]CompiledExpr, len(keys)), items: make([]aggExpr, len(items))}
+	for i, k := range keys {
+		g.keys[i] = Compile(k, schema)
+	}
+	for i, it := range items {
+		g.items[i] = g.compile(it.Expr, schema)
+	}
+	if having != nil {
+		g.having = g.compile(having, schema)
+	}
+	return g
+}
+
+// compile compiles e over a group. An operator with an aggregate beneath
+// it applies its value-level rule to what its operands give; a call
+// becomes a slot; anything else is a function of the group key, compiled
+// with Compile and read off the group's first row. In the empty global
+// group such an expression is NULL when it names a column, and evaluated
+// as it stands when it does not (so COUNT(*) + 1 over no rows is 1).
+func (g *grouping) compile(e sqlparse.Expr, schema Schema) aggExpr {
+	switch x := e.(type) {
+	case *sqlparse.FuncCall:
+		i := len(g.slots)
+		g.slots = append(g.slots, newSlot(x, schema))
+		s := g.slots[i]
+		return func(_ Tuple, accs []acc) (Value, error) { return s.result(&accs[i]) }
+	case *sqlparse.BinaryExpr:
+		if IsAggregate(x) {
+			f := binaryOp(x.Op)
+			l, r := g.compile(x.L, schema), g.compile(x.R, schema)
+			return func(first Tuple, accs []acc) (Value, error) {
+				lv, err := l(first, accs)
+				if err != nil {
+					return Null, err
+				}
+				rv, err := r(first, accs)
+				if err != nil {
+					return Null, err
+				}
+				return f(lv, rv)
+			}
+		}
+	case *sqlparse.UnaryExpr:
+		if IsAggregate(x) {
+			f, arg := unaryOp(x.Op), g.compile(x.X, schema)
+			return func(first Tuple, accs []acc) (Value, error) {
+				v, err := arg(first, accs)
+				if err != nil {
+					return Null, err
+				}
+				return f(v)
+			}
+		}
+	}
+	fn := Compile(e, schema)
+	rowFree := len(sqlparse.ColumnsOf(e)) == 0
+	return func(first Tuple, _ []acc) (Value, error) {
+		if first == nil && !rowFree {
+			return Null, nil
+		}
+		return fn(first)
+	}
+}
+
+func newSlot(fc *sqlparse.FuncCall, schema Schema) aggSlot {
+	switch {
+	case fc.Star && fc.Name != "COUNT":
+		return aggSlot{err: fmt.Errorf("relalg: %s(*) is not supported", fc.Name)}
+	case fc.Star:
+		return aggSlot{name: "COUNT"}
+	case len(fc.Args) != 1:
+		return aggSlot{err: fmt.Errorf("relalg: aggregate %s wants 1 argument, got %d", fc.Name, len(fc.Args))}
+	}
+	s := aggSlot{name: fc.Name, arg: Compile(fc.Args[0], schema)}
+	if !slices.Contains([]string{"COUNT", "SUM", "AVG", "MIN", "MAX"}, fc.Name) {
+		// The argument is still evaluated, so its errors come first.
+		s.err = fmt.Errorf("relalg: unknown aggregate %s", fc.Name)
+	}
+	return s
+}
+
+// feed adds row t to one accumulator. MIN and MAX order by SortKey, so
+// NaN is above every number; values of two kinds are an error.
+func (s *aggSlot) feed(a *acc, t Tuple) error {
+	if s.arg == nil {
+		a.n++
+		return nil
+	}
+	v, err := s.arg(t)
+	if err != nil || v.IsNull() {
+		return err
+	}
+	switch s.name {
+	case "SUM", "AVG":
+		if v.K != KindNumber {
+			return fmt.Errorf("relalg: %s over non-numeric value", s.name)
+		}
+		a.sum += v.N
+	case "MIN", "MAX":
+		if a.n > 0 {
+			if v.K != a.best.K {
+				return fmt.Errorf("relalg: %s over incomparable values", s.name)
+			}
+			if c := v.SortKey(a.best); s.name == "MIN" && c >= 0 || s.name == "MAX" && c <= 0 {
+				break
+			}
+		}
+		a.best = v
+	}
+	a.n++
+	return nil
+}
+
+// result is the slot's value for a group fed into a: a count, or NULL
+// when no value was seen.
+func (s *aggSlot) result(a *acc) (Value, error) {
+	switch {
+	case s.err != nil:
+		return Null, s.err
+	case s.name == "COUNT":
+		return NumV(float64(a.n)), nil
+	case a.n == 0:
+		return Null, nil
+	case s.name == "AVG":
+		return NumV(a.sum / float64(a.n)), nil
+	case s.name == "SUM":
+		return NumV(a.sum), nil
+	}
+	return a.best, nil
+}
+
+// run groups r and computes the items per group. With no keys, the whole
+// relation is one group (global aggregation); an empty input then yields
+// one row of aggregate identity values (COUNT=0, SUM/AVG/MIN/MAX=NULL),
+// matching SQL. Group keys compare as IS NOT DISTINCT FROM (NULL, NaN and
+// ±0 each form one group) in a keyTable, whose ids give the output order:
+// first appearance.
+func (g *grouping) run(r *Relation, schema Schema) (*Relation, error) {
 	var index keyTable
 	var buf []byte
-	gid := make([]int32, len(r.Tuples))
-	kv := make(Tuple, len(keys))
-	for ri, t := range r.Tuples {
-		for i, k := range keys {
-			v, err := Eval(k, r.Schema, t)
+	var groups []*groupState
+	kv := make(Tuple, len(g.keys))
+	for _, t := range r.Tuples {
+		for i, k := range g.keys {
+			v, err := k(t)
 			if err != nil {
 				return nil, err
 			}
 			kv[i] = v
 		}
 		buf = appendRowKey(buf[:0], kv)
-		gid[ri], _ = index.insert(buf)
+		id, added := index.insert(buf)
+		if added {
+			groups = append(groups, &groupState{first: t, accs: make([]acc, len(g.slots))})
+		}
+		accs := groups[id].accs
+		for i := range g.slots {
+			if err := g.slots[i].feed(&accs[i], t); err != nil {
+				return nil, err
+			}
+		}
 	}
 	checkTable(&index)
-	groups := len(index.ents)
-	if len(keys) == 0 && groups == 0 {
-		groups = 1
+	if len(g.keys) == 0 && len(groups) == 0 {
+		groups = append(groups, &groupState{accs: make([]acc, len(g.slots))})
 	}
-	// Lay the groups out back to back in one slice, rows within a group
-	// in input order: start[g] is where group g begins.
-	start := make([]int, groups+1)
-	for _, g := range gid {
-		start[g+1]++
-	}
-	for g := range groups {
-		start[g+1] += start[g]
-	}
-	members := make([]Tuple, len(r.Tuples))
-	fill := slices.Clone(start[:groups])
-	for ri, g := range gid {
-		members[fill[g]] = r.Tuples[ri]
-		fill[g]++
-	}
-
-	cols := make([]Column, len(items))
-	for i, it := range items {
-		cols[i] = Column{Name: it.Name, Type: aggType(it.Expr, r.Schema)}
-	}
-	out := NewRelation(r.Name, Schema{Columns: cols})
-	for g := range groups {
-		group := members[start[g]:start[g+1]]
-		row := make(Tuple, len(items))
-		for i, it := range items {
-			v, err := evalAgg(it.Expr, r.Schema, group)
+	out := NewRelation(r.Name, schema)
+	w := len(g.items)
+	slab := make([]Value, len(groups)*w)
+	for gi, group := range groups {
+		row := slab[gi*w : (gi+1)*w : (gi+1)*w]
+		for i, item := range g.items {
+			v, err := item(group.first, group.accs)
 			if err != nil {
 				return nil, err
 			}
 			row[i] = v
 		}
-		if having != nil {
-			// HAVING evaluates aggregate expressions over the same group.
-			hv, err := evalAgg(having, r.Schema, group)
+		if g.having != nil {
+			hv, err := g.having(group.first, group.accs)
 			if err != nil {
 				return nil, err
 			}
-			if hv.K != KindBool || !hv.B {
+			if !truth(hv) {
 				continue
 			}
 		}
@@ -88,131 +249,22 @@ func groupBy(r *Relation, keys []sqlparse.Expr, items []AggItem, having sqlparse
 	return out, nil
 }
 
+// aggType is an item's result kind: MIN and MAX keep their argument's,
+// and every other aggregate is a number (as InferType says).
 func aggType(e sqlparse.Expr, schema Schema) Kind {
-	if fc, ok := e.(*sqlparse.FuncCall); ok {
-		switch fc.Name {
-		case "MIN", "MAX":
-			if len(fc.Args) == 1 {
-				return InferType(fc.Args[0], schema)
-			}
-		}
-		return KindNumber
+	if fc, ok := e.(*sqlparse.FuncCall); ok && (fc.Name == "MIN" || fc.Name == "MAX") && len(fc.Args) == 1 {
+		return InferType(fc.Args[0], schema)
 	}
 	return InferType(e, schema)
-}
-
-// evalAgg evaluates an expression that may contain aggregate calls over a
-// group of tuples. Non-aggregate subexpressions are evaluated on the first
-// tuple of the group (they must be functionally dependent on the group
-// key; the planner validates that before execution).
-func evalAgg(e sqlparse.Expr, schema Schema, group []Tuple) (Value, error) {
-	switch e := e.(type) {
-	case *sqlparse.FuncCall:
-		return applyAggregate(e, schema, group)
-	case *sqlparse.BinaryExpr:
-		l, err := evalAgg(e.L, schema, group)
-		if err != nil {
-			return Null, err
-		}
-		r, err := evalAgg(e.R, schema, group)
-		if err != nil {
-			return Null, err
-		}
-		return evalBinary(&sqlparse.BinaryExpr{Op: e.Op, L: lit(l), R: lit(r)}, Schema{}, nil)
-	case *sqlparse.UnaryExpr:
-		x, err := evalAgg(e.X, schema, group)
-		if err != nil {
-			return Null, err
-		}
-		return Eval(&sqlparse.UnaryExpr{Op: e.Op, X: lit(x)}, Schema{}, nil)
-	default:
-		if len(group) == 0 {
-			return Null, nil
-		}
-		return Eval(e, schema, group[0])
-	}
-}
-
-// lit wraps a computed Value back into a literal expression for reuse of
-// the scalar evaluator.
-func lit(v Value) sqlparse.Expr {
-	switch v.K {
-	case KindNumber:
-		return sqlparse.NumberLit(v.N)
-	case KindString:
-		return sqlparse.StringLit(v.S)
-	case KindBool:
-		return sqlparse.BoolLit(v.B)
-	}
-	return sqlparse.NullLit{}
 }
 
 // IsAggregate reports whether e contains an aggregate function call.
 func IsAggregate(e sqlparse.Expr) bool {
 	found := false
 	sqlparse.WalkExprs(e, func(x sqlparse.Expr) bool {
-		if _, ok := x.(*sqlparse.FuncCall); ok {
-			found = true
-			return false
-		}
-		return true
+		_, call := x.(*sqlparse.FuncCall)
+		found = found || call
+		return !found
 	})
 	return found
-}
-
-func applyAggregate(fc *sqlparse.FuncCall, schema Schema, group []Tuple) (Value, error) {
-	if fc.Star {
-		if fc.Name != "COUNT" {
-			return Null, fmt.Errorf("relalg: %s(*) is not supported", fc.Name)
-		}
-		return NumV(float64(len(group))), nil
-	}
-	if len(fc.Args) != 1 {
-		return Null, fmt.Errorf("relalg: aggregate %s wants 1 argument, got %d", fc.Name, len(fc.Args))
-	}
-	var vals []Value
-	for _, t := range group {
-		v, err := Eval(fc.Args[0], schema, t)
-		if err != nil {
-			return Null, err
-		}
-		if !v.IsNull() {
-			vals = append(vals, v)
-		}
-	}
-	switch fc.Name {
-	case "COUNT":
-		return NumV(float64(len(vals))), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return Null, nil
-		}
-		sum := 0.0
-		for _, v := range vals {
-			if v.K != KindNumber {
-				return Null, fmt.Errorf("relalg: %s over non-numeric value", fc.Name)
-			}
-			sum += v.N
-		}
-		if fc.Name == "AVG" {
-			return NumV(sum / float64(len(vals))), nil
-		}
-		return NumV(sum), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return Null, nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, ok := v.Compare(best)
-			if !ok {
-				return Null, fmt.Errorf("relalg: %s over incomparable values", fc.Name)
-			}
-			if (fc.Name == "MIN" && c < 0) || (fc.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	return Null, fmt.Errorf("relalg: unknown aggregate %s", fc.Name)
 }

@@ -9,11 +9,108 @@ import (
 // CompiledExpr is an expression specialized against one schema. Compile
 // resolves every column reference to its position once, so per-row
 // evaluation does no name lookups, no qualified-name string building and
-// no tree dispatch beyond a closure call per node. Semantics — including
-// which inputs produce errors, and that errors surface per row rather
-// than at compile time — match Eval exactly; batch operators compile
-// their predicates at Open and run the closure per row.
+// no tree dispatch beyond a closure call per node. Errors (an unknown
+// column, a division by zero, an operator applied to the wrong kind)
+// surface on the row that reaches them, never at compile time; batch
+// operators compile their predicates at Open and run the closure per row.
 type CompiledExpr func(Tuple) (Value, error)
+
+// Comparison returns the rule of a comparison operator, one of = <> <
+// <= > >=, or nil for any other operator. It is the one statement of the
+// rule; compiled expressions, GROUP BY's items and HAVING, and every
+// wrapper's selection apply it:
+//   - "=" is Value.Equal: NULL and NaN equal nothing, and −0 = 0;
+//   - "<>" is false when either side is NULL;
+//   - the range operators are false when Compare finds the values
+//     incomparable: a NULL or a NaN on either side, or two kinds.
+func Comparison(op string) func(l, r Value) bool {
+	switch op {
+	case "=":
+		return Value.Equal
+	case "<>":
+		return func(l, r Value) bool { return !l.IsNull() && !r.IsNull() && !l.Equal(r) }
+	case "<":
+		return func(l, r Value) bool { c, ok := l.Compare(r); return ok && c < 0 }
+	case "<=":
+		return func(l, r Value) bool { c, ok := l.Compare(r); return ok && c <= 0 }
+	case ">":
+		return func(l, r Value) bool { c, ok := l.Compare(r); return ok && c > 0 }
+	case ">=":
+		return func(l, r Value) bool { c, ok := l.Compare(r); return ok && c >= 0 }
+	}
+	return nil
+}
+
+// binaryOp returns the value-level rule of a binary operator (an unknown
+// one fails on every pair): the comparisons, arithmetic (NULL on either
+// side gives NULL; a non-number or a division by zero is an error) and
+// AND/OR, which count NULL and non-bool operands as false. AND and OR
+// here see both operands; Compile short-circuits them instead.
+func binaryOp(op string) func(l, r Value) (Value, error) {
+	if cmp := Comparison(op); cmp != nil {
+		return func(l, r Value) (Value, error) { return BoolV(cmp(l, r)), nil }
+	}
+	switch op {
+	case "AND":
+		return func(l, r Value) (Value, error) { return BoolV(truth(l) && truth(r)), nil }
+	case "OR":
+		return func(l, r Value) (Value, error) { return BoolV(truth(l) || truth(r)), nil }
+	case "+", "-", "*", "/":
+		return func(l, r Value) (Value, error) {
+			if l.IsNull() || r.IsNull() {
+				return Null, nil
+			}
+			if l.K != KindNumber || r.K != KindNumber {
+				return Null, fmt.Errorf("relalg: arithmetic %q on %v and %v", op, l.K, r.K)
+			}
+			switch op {
+			case "+":
+				return NumV(l.N + r.N), nil
+			case "-":
+				return NumV(l.N - r.N), nil
+			case "*":
+				return NumV(l.N * r.N), nil
+			}
+			if r.N == 0 {
+				return Null, fmt.Errorf("relalg: division by zero")
+			}
+			return NumV(l.N / r.N), nil
+		}
+	}
+	return func(Value, Value) (Value, error) { return Null, fmt.Errorf("relalg: unknown binary op %q", op) }
+}
+
+// unaryOp returns the value-level rule of NOT or unary minus (an unknown
+// operator fails on every value). Both keep NULL; either applied to the
+// wrong kind is an error.
+func unaryOp(op string) func(Value) (Value, error) {
+	switch op {
+	case "NOT":
+		return func(v Value) (Value, error) {
+			if v.K != KindBool {
+				if v.IsNull() {
+					return Null, nil
+				}
+				return Null, fmt.Errorf("relalg: NOT applied to %v", v.K)
+			}
+			return BoolV(!v.B), nil
+		}
+	case "-":
+		return func(v Value) (Value, error) {
+			if v.IsNull() {
+				return Null, nil
+			}
+			if v.K != KindNumber {
+				return Null, fmt.Errorf("relalg: unary minus applied to %v", v.K)
+			}
+			return NumV(-v.N), nil
+		}
+	}
+	return func(Value) (Value, error) { return Null, fmt.Errorf("relalg: unknown unary op %q", op) }
+}
+
+// truth is a predicate's two-valued reading: NULL and non-bool are false.
+func truth(v Value) bool { return v.K == KindBool && v.B }
 
 // Compile specializes e against schema.
 func Compile(e sqlparse.Expr, schema Schema) CompiledExpr {
@@ -24,8 +121,7 @@ func Compile(e sqlparse.Expr, schema Schema) CompiledExpr {
 			idx = schema.Index(e.Column)
 		}
 		if idx < 0 {
-			err := fmt.Errorf("relalg: unknown column %s (schema %v)", e, schema.Names())
-			return func(Tuple) (Value, error) { return Null, err }
+			return failed(fmt.Errorf("relalg: unknown column %s (schema %v)", e, schema.Names()))
 		}
 		return func(t Tuple) (Value, error) { return t[idx], nil }
 	case sqlparse.NumberLit:
@@ -50,46 +146,25 @@ func Compile(e sqlparse.Expr, schema Schema) CompiledExpr {
 			return BoolV(v.IsNull() != not), nil
 		}
 	case *sqlparse.UnaryExpr:
+		f := unaryOp(e.Op)
 		x := Compile(e.X, schema)
-		switch e.Op {
-		case "NOT":
-			return func(t Tuple) (Value, error) {
-				v, err := x(t)
-				if err != nil {
-					return Null, err
-				}
-				if v.K != KindBool {
-					if v.IsNull() {
-						return Null, nil
-					}
-					return Null, fmt.Errorf("relalg: NOT applied to %v", v.K)
-				}
-				return BoolV(!v.B), nil
+		return func(t Tuple) (Value, error) {
+			v, err := x(t)
+			if err != nil {
+				return Null, err
 			}
-		case "-":
-			return func(t Tuple) (Value, error) {
-				v, err := x(t)
-				if err != nil {
-					return Null, err
-				}
-				if v.IsNull() {
-					return Null, nil
-				}
-				if v.K != KindNumber {
-					return Null, fmt.Errorf("relalg: unary minus applied to %v", v.K)
-				}
-				return NumV(-v.N), nil
-			}
+			return f(v)
 		}
-		err := fmt.Errorf("relalg: unknown unary op %q", e.Op)
-		return func(Tuple) (Value, error) { return Null, err }
 	case *sqlparse.BinaryExpr:
 		return compileBinary(e, schema)
 	case *sqlparse.FuncCall:
-		err := fmt.Errorf("relalg: aggregate %s outside GROUP BY context", e.Name)
-		return func(Tuple) (Value, error) { return Null, err }
+		return failed(fmt.Errorf("relalg: aggregate %s outside GROUP BY context", e.Name))
 	}
-	err := fmt.Errorf("relalg: cannot evaluate %T", e)
+	return failed(fmt.Errorf("relalg: cannot evaluate %T", e))
+}
+
+// failed is an expression that fails on every row it reaches.
+func failed(err error) CompiledExpr {
 	return func(Tuple) (Value, error) { return Null, err }
 }
 
@@ -97,129 +172,55 @@ func compileBinary(e *sqlparse.BinaryExpr, schema Schema) CompiledExpr {
 	l := Compile(e.L, schema)
 	r := Compile(e.R, schema)
 	switch e.Op {
-	case "AND":
+	case "AND", "OR":
+		// Short circuit: the right side runs only when the left does not
+		// decide.
+		decides := e.Op == "OR"
 		return func(t Tuple) (Value, error) {
 			lv, err := l(t)
 			if err != nil {
 				return Null, err
 			}
-			if !(lv.K == KindBool && lv.B) {
-				// Short circuit.
-				return BoolV(false), nil
+			if truth(lv) == decides {
+				return BoolV(decides), nil
 			}
 			rv, err := r(t)
 			if err != nil {
 				return Null, err
 			}
-			return BoolV(rv.K == KindBool && rv.B), nil
-		}
-	case "OR":
-		return func(t Tuple) (Value, error) {
-			lv, err := l(t)
-			if err != nil {
-				return Null, err
-			}
-			if lv.K == KindBool && lv.B {
-				// Short circuit.
-				return BoolV(true), nil
-			}
-			rv, err := r(t)
-			if err != nil {
-				return Null, err
-			}
-			return BoolV(rv.K == KindBool && rv.B), nil
-		}
-	case "+", "-", "*", "/":
-		op := e.Op
-		return func(t Tuple) (Value, error) {
-			lv, err := l(t)
-			if err != nil {
-				return Null, err
-			}
-			rv, err := r(t)
-			if err != nil {
-				return Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null, nil
-			}
-			if lv.K != KindNumber || rv.K != KindNumber {
-				return Null, fmt.Errorf("relalg: arithmetic %q on %v and %v", op, lv.K, rv.K)
-			}
-			switch op {
-			case "+":
-				return NumV(lv.N + rv.N), nil
-			case "-":
-				return NumV(lv.N - rv.N), nil
-			case "*":
-				return NumV(lv.N * rv.N), nil
-			default:
-				if rv.N == 0 {
-					return Null, fmt.Errorf("relalg: division by zero")
-				}
-				return NumV(lv.N / rv.N), nil
-			}
-		}
-	case "=":
-		return func(t Tuple) (Value, error) {
-			lv, err := l(t)
-			if err != nil {
-				return Null, err
-			}
-			rv, err := r(t)
-			if err != nil {
-				return Null, err
-			}
-			return BoolV(lv.Equal(rv)), nil
-		}
-	case "<>":
-		return func(t Tuple) (Value, error) {
-			lv, err := l(t)
-			if err != nil {
-				return Null, err
-			}
-			rv, err := r(t)
-			if err != nil {
-				return Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return BoolV(false), nil
-			}
-			return BoolV(!lv.Equal(rv)), nil
-		}
-	case "<", ">", "<=", ">=":
-		op := e.Op
-		return func(t Tuple) (Value, error) {
-			lv, err := l(t)
-			if err != nil {
-				return Null, err
-			}
-			rv, err := r(t)
-			if err != nil {
-				return Null, err
-			}
-			c, ok := lv.Compare(rv)
-			if !ok {
-				return BoolV(false), nil
-			}
-			switch op {
-			case "<":
-				return BoolV(c < 0), nil
-			case ">":
-				return BoolV(c > 0), nil
-			case "<=":
-				return BoolV(c <= 0), nil
-			default:
-				return BoolV(c >= 0), nil
-			}
+			return BoolV(truth(rv)), nil
 		}
 	}
-	err := fmt.Errorf("relalg: unknown binary op %q", e.Op)
-	return func(Tuple) (Value, error) { return Null, err }
+	if cmp := Comparison(e.Op); cmp != nil {
+		// The one filter shape most rows meet: call the rule directly.
+		return func(t Tuple) (Value, error) {
+			lv, err := l(t)
+			if err != nil {
+				return Null, err
+			}
+			rv, err := r(t)
+			if err != nil {
+				return Null, err
+			}
+			return BoolV(cmp(lv, rv)), nil
+		}
+	}
+	f := binaryOp(e.Op)
+	return func(t Tuple) (Value, error) {
+		lv, err := l(t)
+		if err != nil {
+			return Null, err
+		}
+		rv, err := r(t)
+		if err != nil {
+			return Null, err
+		}
+		return f(lv, rv)
+	}
 }
 
 // CompileBool specializes a predicate: NULL and non-bool results count as
-// false, as in EvalBool.
+// false.
 func CompileBool(e sqlparse.Expr, schema Schema) func(Tuple) (bool, error) {
 	fn := Compile(e, schema)
 	return func(t Tuple) (bool, error) {
@@ -227,6 +228,45 @@ func CompileBool(e sqlparse.Expr, schema Schema) func(Tuple) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		return v.K == KindBool && v.B, nil
+		return truth(v), nil
 	}
+}
+
+// InferType predicts the result kind of an expression over a schema; used
+// to type computed projection columns.
+func InferType(e sqlparse.Expr, schema Schema) Kind {
+	switch e := e.(type) {
+	case *sqlparse.ColRef:
+		idx := schema.Index(e.String())
+		if idx < 0 {
+			idx = schema.Index(e.Column)
+		}
+		if idx >= 0 {
+			return schema.Columns[idx].Type
+		}
+		return KindNull
+	case sqlparse.NumberLit:
+		return KindNumber
+	case sqlparse.StringLit:
+		return KindString
+	case sqlparse.BoolLit:
+		return KindBool
+	case *sqlparse.UnaryExpr:
+		if e.Op == "-" {
+			return KindNumber
+		}
+		return KindBool
+	case *sqlparse.IsNull:
+		return KindBool
+	case *sqlparse.BinaryExpr:
+		switch e.Op {
+		case "+", "-", "*", "/":
+			return KindNumber
+		default:
+			return KindBool
+		}
+	case *sqlparse.FuncCall:
+		return KindNumber
+	}
+	return KindNull
 }

@@ -24,7 +24,8 @@ func NewFilterFunc(child Iterator, pred func(Tuple) (bool, error)) *FilterIter {
 }
 
 // NewFilter filters child by a sqlparse expression evaluated against the
-// child schema (SQL three-valued logic collapsed to two as in EvalBool).
+// child schema (SQL three-valued logic collapsed to two as in
+// CompileBool).
 // A nil expression passes everything.
 func NewFilter(child Iterator, pred sqlparse.Expr) *FilterIter {
 	if pred == nil {
@@ -816,26 +817,24 @@ func (s *SortIter) Open(ctx context.Context) error {
 }
 
 // GroupByIter is the aggregation pipeline breaker: Open drains the
-// child into memory and runs the materialized grouping core.
+// child into memory and runs the grouping compiled at construction.
 type GroupByIter struct {
 	child  Iterator
-	keys   []sqlparse.Expr
-	items  []AggItem
-	having sqlparse.Expr
+	group  *grouping
 	schema Schema
 	drained
 }
 
 // NewGroupBy groups child by keys and computes items per group (see
-// GroupBy for the exact SQL semantics, including the empty-input global
-// aggregate row).
+// grouping.run for the exact SQL semantics, including the empty-input
+// global aggregate row).
 func NewGroupBy(child Iterator, keys []sqlparse.Expr, items []AggItem, having sqlparse.Expr, _ Stager) *GroupByIter {
 	in := child.Schema()
 	cols := make([]Column, len(items))
 	for i, it := range items {
 		cols[i] = Column{Name: it.Name, Type: aggType(it.Expr, in)}
 	}
-	return &GroupByIter{child: child, keys: keys, items: items, having: having,
+	return &GroupByIter{child: child, group: compileGrouping(in, keys, items, having),
 		schema: Schema{Columns: cols}}
 }
 
@@ -848,7 +847,7 @@ func (g *GroupByIter) Open(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	grouped, err := groupBy(rel, g.keys, g.items, g.having)
+	grouped, err := g.group.run(rel, g.schema)
 	if err != nil {
 		return err
 	}

@@ -415,7 +415,7 @@ func TestGlobalAggregateOnEmpty(t *testing.T) {
 func TestEvalNullSemantics(t *testing.T) {
 	r := testRel("t", "t.a:num, t.b:num", []Value{Null, NumV(1)})
 	for _, src := range []string{"t.a = t.b", "t.a <> t.b", "t.a < t.b", "t.a = t.a"} {
-		ok, err := EvalBool(expr(t, src), r.Schema, r.Tuples[0])
+		ok, err := CompileBool(expr(t, src), r.Schema)(r.Tuples[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,11 +423,11 @@ func TestEvalNullSemantics(t *testing.T) {
 			t.Errorf("%s with NULL should be false", src)
 		}
 	}
-	ok, err := EvalBool(expr(t, "t.a IS NULL"), r.Schema, r.Tuples[0])
+	ok, err := CompileBool(expr(t, "t.a IS NULL"), r.Schema)(r.Tuples[0])
 	if err != nil || !ok {
 		t.Errorf("IS NULL failed: %v %v", ok, err)
 	}
-	v, err := Eval(expr(t, "t.a + t.b"), r.Schema, r.Tuples[0])
+	v, err := Compile(expr(t, "t.a + t.b"), r.Schema)(r.Tuples[0])
 	if err != nil || !v.IsNull() {
 		t.Errorf("NULL arithmetic = %v, %v; want NULL", v, err)
 	}
@@ -435,10 +435,10 @@ func TestEvalNullSemantics(t *testing.T) {
 
 func TestEvalErrors(t *testing.T) {
 	r := testRel("t", "t.a:num", []Value{NumV(1)})
-	if _, err := Eval(expr(t, "t.zzz = 1"), r.Schema, r.Tuples[0]); err == nil {
+	if _, err := Compile(expr(t, "t.zzz = 1"), r.Schema)(r.Tuples[0]); err == nil {
 		t.Error("unknown column accepted")
 	}
-	if _, err := Eval(expr(t, "t.a / 0 > 1"), r.Schema, r.Tuples[0]); err == nil {
+	if _, err := Compile(expr(t, "t.a / 0 > 1"), r.Schema)(r.Tuples[0]); err == nil {
 		t.Error("division by zero accepted")
 	}
 }

@@ -12,19 +12,23 @@ import (
 )
 
 // refSortRelation is the sort core this package shipped before the
-// permutation kernel — per-row Eval into a decorated slice, then
-// sort.SliceStable under SortKey — kept as the trivially-correct oracle
-// sortTuples is compared against.
+// permutation kernel — each key evaluated per row into a decorated slice,
+// then sort.SliceStable under SortKey — kept as the trivially-correct
+// oracle sortTuples is compared against.
 func refSortRelation(r *Relation, keys []OrderKey) (*Relation, error) {
 	type decorated struct {
 		t    Tuple
 		keys []Value
 	}
+	fns := make([]CompiledExpr, len(keys))
+	for ki, k := range keys {
+		fns[ki] = Compile(k.Expr, r.Schema)
+	}
 	rows := make([]decorated, len(r.Tuples))
 	for i, t := range r.Tuples {
 		d := decorated{t: t, keys: make([]Value, len(keys))}
-		for ki, k := range keys {
-			v, err := Eval(k.Expr, r.Schema, t)
+		for ki, fn := range fns {
+			v, err := fn(t)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 // Package relalg implements the relational-algebra substrate of the COIN
 // prototype's multi-database access engine: typed values, tuples, schemas,
-// in-memory relations, an evaluator for sqlparse expressions over rows, and
+// in-memory relations, a compiler of sqlparse expressions into per-row
+// closures (with the one comparison rule every selection applies), and
 // the physical operators (selection, projection, nested-loop and hash
 // joins, union, distinct, sort, limit, grouping/aggregation) the local
 // execution engine composes.
@@ -104,8 +105,8 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
-// Compare orders two values; ok is false when they are incomparable (type
-// mismatch or NULL involved).
+// Compare orders two values for the range operators; ok is false when
+// they are incomparable: a NULL or a NaN involved, or a kind mismatch.
 func (v Value) Compare(o Value) (cmp int, ok bool) {
 	v.checkLive()
 	o.checkLive()
@@ -122,8 +123,10 @@ func (v Value) Compare(o Value) (cmp int, ok bool) {
 			return -1, true
 		case v.N > o.N:
 			return 1, true
+		case v.N == o.N:
+			return 0, true
 		}
-		return 0, true
+		return 0, false // a NaN on either side
 	case KindString:
 		return strings.Compare(v.S, o.S), true
 	case KindBool:
@@ -139,11 +142,11 @@ func (v Value) Compare(o Value) (cmp int, ok bool) {
 	return 0, false
 }
 
-// SortKey gives a total order across kinds, used by ORDER BY and merge
-// join: NULL first, then numbers, strings, booleans; within numbers NaN
+// SortKey gives a total order across kinds, used by ORDER BY, MIN and
+// MAX: NULL first, then numbers, strings, booleans; within numbers NaN
 // sorts after every other number and equals only NaN — the canonical-NaN
-// rule hash join, DISTINCT and GROUP BY key by. (Compare keeps SQL
-// comparison semantics, where NaN is neither less nor greater.)
+// rule DISTINCT and GROUP BY key by (PostgreSQL's order). Compare keeps
+// the range operators' rule, under which NaN is incomparable.
 func (v Value) SortKey(o Value) int {
 	v.checkLive()
 	o.checkLive()

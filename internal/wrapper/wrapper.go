@@ -51,11 +51,13 @@ type Filter struct {
 }
 
 // Compile resolves the filter operator once, returning the per-value
-// predicate of the filter: the one implementation of filter semantics,
-// which Matcher (and through it ApplyFilters and every stream) applies
-// row by row. An unknown operator errors on first use, not at compile
-// time. All-string IN lists — the shape bind-join batching produces —
-// probe a set instead of scanning the value list per row.
+// predicate of the filter, which Matcher (and through it ApplyFilters and
+// every stream) applies row by row. A comparison follows
+// relalg.Comparison, the rule the engine's own selections apply, so a
+// filter means the same pushed down or run locally. An unknown operator
+// errors on first use, not at compile time. All-string IN lists — the
+// shape bind-join batching produces — probe a set instead of scanning the
+// value list per row.
 func (f Filter) Compile() func(relalg.Value) (bool, error) {
 	if f.Op == OpIn {
 		allStr := len(f.Values) > 0
@@ -88,37 +90,9 @@ func (f Filter) Compile() func(relalg.Value) (bool, error) {
 			return false, nil
 		}
 	}
-	c := f.Value
-	switch f.Op {
-	case "=":
-		return func(v relalg.Value) (bool, error) { return v.Equal(c), nil }
-	case "<>":
-		return func(v relalg.Value) (bool, error) {
-			if v.IsNull() || c.IsNull() {
-				return false, nil
-			}
-			return !v.Equal(c), nil
-		}
-	case "<":
-		return func(v relalg.Value) (bool, error) {
-			cmp, ok := v.Compare(c)
-			return ok && cmp < 0, nil
-		}
-	case "<=":
-		return func(v relalg.Value) (bool, error) {
-			cmp, ok := v.Compare(c)
-			return ok && cmp <= 0, nil
-		}
-	case ">":
-		return func(v relalg.Value) (bool, error) {
-			cmp, ok := v.Compare(c)
-			return ok && cmp > 0, nil
-		}
-	case ">=":
-		return func(v relalg.Value) (bool, error) {
-			cmp, ok := v.Compare(c)
-			return ok && cmp >= 0, nil
-		}
+	if cmp := relalg.Comparison(f.Op); cmp != nil {
+		c := f.Value
+		return func(v relalg.Value) (bool, error) { return cmp(v, c), nil }
 	}
 	err := fmt.Errorf("wrapper: unknown filter operator %q", f.Op)
 	return func(relalg.Value) (bool, error) { return false, err }
