@@ -22,13 +22,13 @@ LINT_ALLOW_BUDGET = 5
 # fails above it). The same kind of ratchet: set to the measured value
 # when code is deleted, never raised; ROADMAP item D heads for 8,500.
 LOC_PKGS   = internal/relalg internal/planner coin
-LOC_BUDGET = 8424
+LOC_BUDGET = 8324
 
 # The same ratchet over the wrapper layer (non-test files, the
 # wrappertest/ doubles excluded): set to the measured value when code is
 # deleted, never raised.
 WRAPPER_LOC_PKGS   = internal/wrapper
-WRAPPER_LOC_BUDGET = 3866
+WRAPPER_LOC_BUDGET = 3840
 
 # The same ratchet over the receiver-facing surface above coin: the HTTP
 # server, the wire format, the Go client and the query command.
