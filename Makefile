@@ -22,7 +22,7 @@ LINT_ALLOW_BUDGET = 5
 # fails above it). The same kind of ratchet: set to the measured value
 # when code is deleted, never raised; ROADMAP item D heads for 8,500.
 LOC_PKGS   = internal/relalg internal/planner coin
-LOC_BUDGET = 8324
+LOC_BUDGET = 8289
 
 # The same ratchet over the wrapper layer (non-test files, the
 # wrappertest/ doubles excluded): set to the measured value when code is

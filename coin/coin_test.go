@@ -2,6 +2,8 @@ package coin_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -207,5 +209,42 @@ func TestExplainAnalyze(t *testing.T) {
 	}
 	if _, err := sys.Plan(context.Background(), "SELECT nope FROM nosuch", "c2", true, coin.QueryOptions{}); err == nil {
 		t.Error("bad query analyzed successfully")
+	}
+}
+
+// TestNegatedRangeOverNaNAndNull pins where the two roads part on a
+// negated range comparison. The mediator pushes NOT down to the opposite
+// operator, so NOT (x < 5) is mediated as x >= 5, which is false on NULL
+// and on NaN and drops both rows. The naive road runs NOT over the
+// two-valued comparison, whose false turns true, and keeps them. Both
+// roads agree on every other row.
+func TestNegatedRangeOverNaNAndNull(t *testing.T) {
+	sys := coin.New(coin.NewModel())
+	if err := sys.AddContext(coin.NewContext("rc")); err != nil {
+		t.Fatal(err)
+	}
+	db := coin.NewDB("nansrc")
+	tab := db.MustCreateTable("r", coin.NewSchema(coin.Column{Name: "x", Type: coin.KindNumber}))
+	for _, v := range []coin.Value{coin.NumV(1), coin.NumV(7), coin.NumV(math.NaN()), {} /* NULL */} {
+		tab.MustInsert(v)
+	}
+	if err := sys.AddRelationalSource(db, nil); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT r.x FROM r WHERE NOT (r.x < 5)"
+	for _, tc := range []struct {
+		naive bool
+		want  string
+	}{
+		{naive: true, want: "[[7] [NaN] [NULL]]"},
+		{naive: false, want: "[[7]]"},
+	} {
+		rel, err := collect(context.Background(), sys, sql, "rc", tc.naive, coin.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(rel.Tuples); got != tc.want {
+			t.Errorf("naive=%v: %s = %s, want %s", tc.naive, sql, got, tc.want)
+		}
 	}
 }

@@ -175,9 +175,15 @@ func (g *qgen) from() ([]string, []sqlparse.Expr) {
 	case n == 30:
 		return []string{"big"}, nil
 	}
-	// a is cut to one string value first, so the nested loops over big
-	// (the evaluator's, and the engine's under ForceNestedLoop) stay short.
-	return []string{"a", "big"}, []sqlparse.Expr{sqlparse.Bin("=", col("a", "k"), col("big", "k")), sqlparse.Bin("=", col("a", "s"), sqlparse.Str("p"))}
+	// Half the time a is cut to one string value first, so the nested
+	// loops over big (the evaluator's, and the engine's under
+	// ForceNestedLoop) stay short; the other half keeps a's NULL and other
+	// strings in the join.
+	joins := []sqlparse.Expr{sqlparse.Bin("=", col("a", "k"), col("big", "k"))}
+	if g.pick(2) == 0 {
+		joins = append(joins, sqlparse.Bin("=", col("a", "s"), sqlparse.Str("p")))
+	}
+	return []string{"a", "big"}, joins
 }
 
 // columns lists the FROM list's columns as (relation, column) pairs.
@@ -380,13 +386,13 @@ func (g *qgen) query() sqlparse.Statement {
 	}
 	sel.Where = where()
 	switch kind := g.pick(10); {
-	case kind < 3:
+	case kind < 4:
 		sel.Items = g.items(from)
 		sel.Distinct = g.pick(3) == 0 && from[len(from)-1] != "big"
 		if g.pick(2) == 0 {
 			g.orderAll(sel)
 		}
-	case kind < 8:
+	case kind < 7:
 		sel.Items, sel.GroupBy, sel.Having = g.aggItems(from, kind < 6)
 		if g.pick(2) == 0 {
 			g.orderAll(sel)

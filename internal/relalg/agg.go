@@ -27,9 +27,8 @@ type grouping struct {
 	having aggExpr // nil when absent
 }
 
-// aggExpr is an item or HAVING evaluated over one group: its first row
-// (nil for the empty global group) and its accumulators.
-type aggExpr func(first Tuple, accs []acc) (Value, error)
+// aggExpr is an item or HAVING evaluated over one group.
+type aggExpr func(*groupState) (Value, error)
 
 // aggSlot is one aggregate call.
 type aggSlot struct {
@@ -39,7 +38,8 @@ type aggSlot struct {
 }
 
 // groupState is one group's first row, which the non-aggregate parts of
-// the items read, and its accumulators, one per slot.
+// the items read (nil for the empty global group), and its accumulators,
+// one per slot.
 type groupState struct {
 	first Tuple
 	accs  []acc
@@ -82,42 +82,23 @@ func (g *grouping) compile(e sqlparse.Expr, schema Schema) aggExpr {
 		i := len(g.slots)
 		g.slots = append(g.slots, newSlot(x, schema))
 		s := g.slots[i]
-		return func(_ Tuple, accs []acc) (Value, error) { return s.result(&accs[i]) }
+		return func(gs *groupState) (Value, error) { return s.result(&gs.accs[i]) }
 	case *sqlparse.BinaryExpr:
 		if IsAggregate(x) {
-			f := binaryOp(x.Op)
-			l, r := g.compile(x.L, schema), g.compile(x.R, schema)
-			return func(first Tuple, accs []acc) (Value, error) {
-				lv, err := l(first, accs)
-				if err != nil {
-					return Null, err
-				}
-				rv, err := r(first, accs)
-				if err != nil {
-					return Null, err
-				}
-				return f(lv, rv)
-			}
+			return binaryExpr(x.Op, g.compile(x.L, schema), g.compile(x.R, schema))
 		}
 	case *sqlparse.UnaryExpr:
 		if IsAggregate(x) {
-			f, arg := unaryOp(x.Op), g.compile(x.X, schema)
-			return func(first Tuple, accs []acc) (Value, error) {
-				v, err := arg(first, accs)
-				if err != nil {
-					return Null, err
-				}
-				return f(v)
-			}
+			return unaryExpr(x.Op, g.compile(x.X, schema))
 		}
 	}
 	fn := Compile(e, schema)
 	rowFree := len(sqlparse.ColumnsOf(e)) == 0
-	return func(first Tuple, _ []acc) (Value, error) {
-		if first == nil && !rowFree {
+	return func(gs *groupState) (Value, error) {
+		if gs.first == nil && !rowFree {
 			return Null, nil
 		}
-		return fn(first)
+		return fn(gs.first)
 	}
 }
 
@@ -229,14 +210,14 @@ func (g *grouping) run(r *Relation, schema Schema) (*Relation, error) {
 	for gi, group := range groups {
 		row := slab[gi*w : (gi+1)*w : (gi+1)*w]
 		for i, item := range g.items {
-			v, err := item(group.first, group.accs)
+			v, err := item(group)
 			if err != nil {
 				return nil, err
 			}
 			row[i] = v
 		}
 		if g.having != nil {
-			hv, err := g.having(group.first, group.accs)
+			hv, err := g.having(group)
 			if err != nil {
 				return nil, err
 			}

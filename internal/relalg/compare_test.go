@@ -3,6 +3,7 @@ package relalg
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sqlparse"
@@ -131,6 +132,43 @@ func TestGroupByAggregateExpressions(t *testing.T) {
 	} {
 		if _, err := collect(NewGroupBy(NewScan(r), keys, []AggItem{{Name: "e", Expr: it}}, nil, nil), nil); err == nil {
 			t.Errorf("%s succeeded, want an error", it)
+		}
+	}
+}
+
+// TestGroupByErrorOrder pins which error GROUP BY reports when several
+// are due: keys and aggregate arguments are evaluated row by row together,
+// so the first error met in row order wins. AND and OR over aggregates
+// short-circuit as they do over a row, so a right side the left decides
+// is never evaluated.
+func TestGroupByErrorOrder(t *testing.T) {
+	keys := []sqlparse.Expr{sqlparse.Bin("/", sqlparse.Num(1), sqlparse.Col("s", "k"))}
+	sum := &sqlparse.FuncCall{Name: "SUM", Args: []sqlparse.Expr{sqlparse.Col("s", "v")}}
+	items := []AggItem{{Name: "sum", Expr: sum}}
+	badSum := []Value{NumV(1), StrV("x")} // SUM over a string
+	badKey := []Value{NumV(0), NumV(2)}   // 1 / 0
+	for _, tc := range []struct {
+		rows [][]Value
+		want string
+	}{
+		{[][]Value{badSum, badKey}, "non-numeric"},
+		{[][]Value{badKey, badSum}, "division by zero"},
+	} {
+		r := testRel("s", "s.k:num, s.v", tc.rows...)
+		_, err := collect(NewGroupBy(NewScan(r), keys, items, nil, nil), nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("rows %v: err = %v, want one naming %q", tc.rows, err, tc.want)
+		}
+	}
+
+	r := testRel("s", "s.k:num, s.v", []Value{NumV(1), NumV(2)})
+	countStar := &sqlparse.FuncCall{Name: "COUNT", Star: true}
+	for _, having := range []sqlparse.Expr{
+		sqlparse.Bin("AND", sqlparse.Bin(">", countStar, sqlparse.Num(5)), sqlparse.Bin(">", sqlparse.Bin("/", sum, sqlparse.Num(0)), sqlparse.Num(1))),
+		sqlparse.Bin("OR", sqlparse.Bin("<", countStar, sqlparse.Num(5)), sqlparse.Bin(">", sqlparse.Bin("/", sum, sqlparse.Num(0)), sqlparse.Num(1))),
+	} {
+		if _, err := collect(NewGroupBy(NewScan(r), keys, items, having, nil), nil); err != nil {
+			t.Errorf("HAVING %s: %v, want the right side skipped", having, err)
 		}
 	}
 }

@@ -41,20 +41,14 @@ func Comparison(op string) func(l, r Value) bool {
 	return nil
 }
 
-// binaryOp returns the value-level rule of a binary operator (an unknown
-// one fails on every pair): the comparisons, arithmetic (NULL on either
-// side gives NULL; a non-number or a division by zero is an error) and
-// AND/OR, which count NULL and non-bool operands as false. AND and OR
-// here see both operands; Compile short-circuits them instead.
+// binaryOp returns the value-level rule of a comparison or arithmetic
+// operator (any other fails on every pair): NULL on either side of
+// arithmetic gives NULL; a non-number or a division by zero is an error.
 func binaryOp(op string) func(l, r Value) (Value, error) {
 	if cmp := Comparison(op); cmp != nil {
 		return func(l, r Value) (Value, error) { return BoolV(cmp(l, r)), nil }
 	}
 	switch op {
-	case "AND":
-		return func(l, r Value) (Value, error) { return BoolV(truth(l) && truth(r)), nil }
-	case "OR":
-		return func(l, r Value) (Value, error) { return BoolV(truth(l) || truth(r)), nil }
 	case "+", "-", "*", "/":
 		return func(l, r Value) (Value, error) {
 			if l.IsNull() || r.IsNull() {
@@ -112,6 +106,55 @@ func unaryOp(op string) func(Value) (Value, error) {
 // truth is a predicate's two-valued reading: NULL and non-bool are false.
 func truth(v Value) bool { return v.K == KindBool && v.B }
 
+// binaryExpr applies op to two operands evaluated over the same input: a row
+// for Compile, a group for GROUP BY's items and HAVING. AND and OR read
+// their operands by truth and short-circuit: the right side runs only when
+// the left does not decide. Every other operator evaluates both sides and
+// applies binaryOp's rule.
+func binaryExpr[T any](op string, l, r func(T) (Value, error)) func(T) (Value, error) {
+	if op == "AND" || op == "OR" {
+		decides := op == "OR"
+		return func(in T) (Value, error) {
+			lv, err := l(in)
+			if err != nil {
+				return Null, err
+			}
+			if truth(lv) == decides {
+				return BoolV(decides), nil
+			}
+			rv, err := r(in)
+			if err != nil {
+				return Null, err
+			}
+			return BoolV(truth(rv)), nil
+		}
+	}
+	f := binaryOp(op)
+	return func(in T) (Value, error) {
+		lv, err := l(in)
+		if err != nil {
+			return Null, err
+		}
+		rv, err := r(in)
+		if err != nil {
+			return Null, err
+		}
+		return f(lv, rv)
+	}
+}
+
+// unaryExpr applies NOT or unary minus to an operand, as binaryExpr does.
+func unaryExpr[T any](op string, x func(T) (Value, error)) func(T) (Value, error) {
+	f := unaryOp(op)
+	return func(in T) (Value, error) {
+		v, err := x(in)
+		if err != nil {
+			return Null, err
+		}
+		return f(v)
+	}
+}
+
 // Compile specializes e against schema.
 func Compile(e sqlparse.Expr, schema Schema) CompiledExpr {
 	switch e := e.(type) {
@@ -146,17 +189,9 @@ func Compile(e sqlparse.Expr, schema Schema) CompiledExpr {
 			return BoolV(v.IsNull() != not), nil
 		}
 	case *sqlparse.UnaryExpr:
-		f := unaryOp(e.Op)
-		x := Compile(e.X, schema)
-		return func(t Tuple) (Value, error) {
-			v, err := x(t)
-			if err != nil {
-				return Null, err
-			}
-			return f(v)
-		}
+		return unaryExpr(e.Op, Compile(e.X, schema))
 	case *sqlparse.BinaryExpr:
-		return compileBinary(e, schema)
+		return binaryExpr(e.Op, Compile(e.L, schema), Compile(e.R, schema))
 	case *sqlparse.FuncCall:
 		return failed(fmt.Errorf("relalg: aggregate %s outside GROUP BY context", e.Name))
 	}
@@ -166,57 +201,6 @@ func Compile(e sqlparse.Expr, schema Schema) CompiledExpr {
 // failed is an expression that fails on every row it reaches.
 func failed(err error) CompiledExpr {
 	return func(Tuple) (Value, error) { return Null, err }
-}
-
-func compileBinary(e *sqlparse.BinaryExpr, schema Schema) CompiledExpr {
-	l := Compile(e.L, schema)
-	r := Compile(e.R, schema)
-	switch e.Op {
-	case "AND", "OR":
-		// Short circuit: the right side runs only when the left does not
-		// decide.
-		decides := e.Op == "OR"
-		return func(t Tuple) (Value, error) {
-			lv, err := l(t)
-			if err != nil {
-				return Null, err
-			}
-			if truth(lv) == decides {
-				return BoolV(decides), nil
-			}
-			rv, err := r(t)
-			if err != nil {
-				return Null, err
-			}
-			return BoolV(truth(rv)), nil
-		}
-	}
-	if cmp := Comparison(e.Op); cmp != nil {
-		// The one filter shape most rows meet: call the rule directly.
-		return func(t Tuple) (Value, error) {
-			lv, err := l(t)
-			if err != nil {
-				return Null, err
-			}
-			rv, err := r(t)
-			if err != nil {
-				return Null, err
-			}
-			return BoolV(cmp(lv, rv)), nil
-		}
-	}
-	f := binaryOp(e.Op)
-	return func(t Tuple) (Value, error) {
-		lv, err := l(t)
-		if err != nil {
-			return Null, err
-		}
-		rv, err := r(t)
-		if err != nil {
-			return Null, err
-		}
-		return f(lv, rv)
-	}
 }
 
 // CompileBool specializes a predicate: NULL and non-bool results count as
