@@ -24,6 +24,7 @@ func FuzzParse(f *testing.F) {
 		"((((",
 		"SELECT 'unterminated",
 		"SELECT \xe6()FROM A", // regression: stray multibyte byte must not lex as identifier
+		"SELECT- -A(0)FROM A", // regression: a minus over a minus must not print as a comment
 	}
 	for _, s := range seeds {
 		f.Add(s)

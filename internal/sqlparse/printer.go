@@ -139,7 +139,13 @@ func renderExpr(e Expr, outer int) string {
 			}
 			return s
 		}
-		return "-" + renderExpr(e.X, 5)
+		// A space keeps a minus over a minus from printing as "--",
+		// which would open a comment.
+		x := renderExpr(e.X, 5)
+		if strings.HasPrefix(x, "-") {
+			return "- " + x
+		}
+		return "-" + x
 	default:
 		return e.String()
 	}
