@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -200,43 +199,6 @@ func BenchmarkE5_MediationVsConflicts(b *testing.B) {
 					b.Fatalf("branches = %d", len(res.Branches))
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkE5b_SimplificationAblation compares the size of the mediated
-// query (total WHERE predicates) with constraint simplification on and
-// off. Simplification is what keeps the paper's USD branch free of the
-// entailed `currency <> 'JPY'`.
-func BenchmarkE5b_SimplificationAblation(b *testing.B) {
-	predCount := func(med *core.Mediation) int {
-		n := 0
-		for _, br := range med.Branches {
-			n += strings.Count(br.String(), " AND ") + 1
-		}
-		return n
-	}
-	for _, keep := range []bool{false, true} {
-		name := "simplify=on"
-		if keep {
-			name = "simplify=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			med := core.New(fixture.Registry())
-			med.KeepEntailed = keep
-			if err := med.Warm("c2"); err != nil {
-				b.Fatal(err)
-			}
-			var preds int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, err := med.MediateSQL(fixture.PaperQ1, "c2")
-				if err != nil {
-					b.Fatal(err)
-				}
-				preds = predCount(m)
-			}
-			b.ReportMetric(float64(preds), "where-preds")
 		})
 	}
 }

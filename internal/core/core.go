@@ -46,13 +46,6 @@ type Mediator struct {
 	MaxBranches int
 	// MaxDepth bounds resolution depth; zero means the solver default.
 	MaxDepth int
-	// KeepEntailed disables constraint simplification: entailed
-	// (ground-true) constraints survive into the mediated WHERE clauses.
-	// Ablation only — answers are unchanged, queries get noisier. A
-	// comparison between parameters (shape.go) is entailed only once they
-	// are bound, so it survives too (`WHERE 1 < 2` keeps `1 < 2`), where a
-	// solver handed the literals would have decided it on sight.
-	KeepEntailed bool
 
 	mu    sync.Mutex
 	progs map[string]*compiled
@@ -294,9 +287,7 @@ func (m *Mediator) mediateSelect(sel *sqlparse.Select, receiver string) (*Mediat
 		if qc.params != len(lits) {
 			return nil, fmt.Errorf("core: internal: compiled %d parameters for %d literals", qc.params, len(lits))
 		}
-		// Entailed constraints are kept here whatever the request says:
-		// instantiate drops them again unless it asked for them.
-		sols, err := m.solver(qc.prog, maxBranches+1, true).Solve(qc.goals...)
+		sols, err := m.solver(qc.prog, maxBranches+1).Solve(qc.goals...)
 		if err != nil {
 			return nil, fmt.Errorf("core: abductive procedure failed: %w", err)
 		}
@@ -311,20 +302,18 @@ func (m *Mediator) mediateSelect(sel *sqlparse.Select, receiver string) (*Mediat
 	if len(sh.sols) > maxBranches {
 		return nil, fmt.Errorf("core: mediated query exceeds %d branches; raise Mediator.MaxBranches", maxBranches)
 	}
-	return sh.qc.assemble(sel, sh.instantiate(lits, m.KeepEntailed), comp.meta)
+	return sh.qc.assemble(sel, sh.instantiate(lits), comp.meta)
 }
 
 // solver configures the abductive procedure over a query's program.
-func (m *Mediator) solver(prog *datalog.Program, maxSolutions int, keepEntailed bool) *datalog.Solver {
+func (m *Mediator) solver(prog *datalog.Program, maxSolutions int) *datalog.Solver {
 	return &datalog.Solver{
-		Program:                 prog,
-		Abducible:               m.Registry.IsAbducible,
-		CollectConstraints:      true,
-		MaxDepth:                m.MaxDepth,
-		MaxSolutions:            maxSolutions,
-		KeepEntailedConstraints: keepEntailed,
-		Denials:                 m.Registry.Denials(),
-		Trace:                   true,
+		Program:            prog,
+		Abducible:          m.Registry.IsAbducible,
+		CollectConstraints: true,
+		MaxDepth:           m.MaxDepth,
+		MaxSolutions:       maxSolutions,
+		Denials:            m.Registry.Denials(),
 	}
 }
 

@@ -197,32 +197,6 @@ func TestQueryOverAncillaryDirect(t *testing.T) {
 	}
 }
 
-// TestKeepEntailedAblation: with simplification off, the USD branch keeps
-// its entailed disequality.
-func TestKeepEntailedAblation(t *testing.T) {
-	m := New(fixture.Registry())
-	m.KeepEntailed = true
-	med, err := m.MediateSQL(fixture.PaperQ1, "c2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundNoisy := false
-	for _, b := range med.Branches {
-		s := b.String()
-		if strings.Contains(s, "= 'USD'") && !strings.Contains(s, "r3") &&
-			strings.Contains(s, "'USD' <> 'JPY'") {
-			foundNoisy = true
-		}
-	}
-	if !foundNoisy {
-		t.Errorf("ablation did not retain entailed constraint:\n%s", med.SQL())
-	}
-	// Answers are unaffected: branch count identical.
-	if len(med.Branches) != 3 {
-		t.Errorf("branches = %d", len(med.Branches))
-	}
-}
-
 // TestBranchesAreMutuallyExclusive: for every pair of branches of the
 // paper's mediated query, their WHERE clauses cannot hold of the same
 // tuple (checked symbolically over the currency column: the case-defining

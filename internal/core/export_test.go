@@ -7,8 +7,8 @@ import (
 )
 
 // MediateExact is the referee's oracle: the road before shapes. Every
-// literal is compiled in place, the solver is handed them and runs under
-// the request's own KeepEntailed, and nothing is memoised or instantiated.
+// literal is compiled in place, the solver is handed them, and nothing is
+// memoised or instantiated.
 // It shares with Mediate only what the shape road left as it was: the
 // solver's configuration, emit/assemble and the UNION combination.
 func (m *Mediator) MediateExact(stmt sqlparse.Statement, receiver string) (*Mediation, error) {
@@ -26,7 +26,7 @@ func (m *Mediator) MediateExact(stmt sqlparse.Statement, receiver string) (*Medi
 		if maxBranches == 0 {
 			maxBranches = DefaultMaxBranches
 		}
-		sols, err := m.solver(qc.prog, maxBranches+1, m.KeepEntailed).Solve(qc.goals...)
+		sols, err := m.solver(qc.prog, maxBranches+1).Solve(qc.goals...)
 		if err != nil {
 			return nil, fmt.Errorf("core: abductive procedure failed: %w", err)
 		}

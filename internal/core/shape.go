@@ -83,10 +83,10 @@ func (qc *queryCompile) compileOperand(op string, e sqlparse.Expr) (datalog.Term
 
 // instantiate puts one request's literals in place of the parameters and
 // every solution's residue back through Normalize: a branch now
-// inconsistent is dropped, constraints now entailed (unless keepEntailed)
-// or duplicated are dropped, the rest re-sorted. Bindings, Abduced and
-// Trace are shared with the shape; the constraints are the caller's.
-func (sh *shape) instantiate(lits []float64, keepEntailed bool) []datalog.Solution {
+// inconsistent is dropped, constraints now entailed or duplicated are
+// dropped, the rest re-sorted. Bindings, Abduced and Trace are shared with
+// the shape; the constraints are the caller's.
+func (sh *shape) instantiate(lits []float64) []datalog.Solution {
 	out := make([]datalog.Solution, 0, len(sh.sols))
 	for _, sol := range sh.sols {
 		cs := append([]datalog.Compound(nil), sol.Constraints...)
@@ -99,7 +99,7 @@ func (sh *shape) instantiate(lits []float64, keepEntailed bool) []datalog.Soluti
 				}
 			}
 		}
-		cs, ok := datalog.NormalizeConstraints(cs, keepEntailed)
+		cs, ok := datalog.NormalizeConstraints(cs)
 		if !ok {
 			continue
 		}

@@ -197,11 +197,8 @@ func constraintTexts(sol datalog.Solution) []string {
 }
 
 // diffMediation reports how got departs from the oracle's want ("" when
-// it does not). Under KeepEntailed the shape road may keep comparisons
-// between literals the oracle's solver decided on sight, so there the
-// branches must match in everything but WHERE and each solution's
-// constraints must include the oracle's.
-func diffMediation(got, want *Mediation, gotErr, wantErr error, keepEntailed bool) string {
+// it does not).
+func diffMediation(got, want *Mediation, gotErr, wantErr error) string {
 	if gotErr != nil || wantErr != nil {
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			return fmt.Sprintf("error %v, oracle %v", gotErr, wantErr)
@@ -220,25 +217,6 @@ func diffMediation(got, want *Mediation, gotErr, wantErr error, keepEntailed boo
 	}
 	if got.Post != nil && got.Post == want.Post {
 		return "Post is shared with the oracle"
-	}
-	if keepEntailed {
-		for i := range want.Branches {
-			g, w := *got.Branches[i], *want.Branches[i]
-			g.Where, w.Where = nil, nil
-			if g.String() != w.String() {
-				return fmt.Sprintf("branch %d is %s, oracle %s", i, g.String(), w.String())
-			}
-			have := map[string]bool{}
-			for _, c := range constraintTexts(got.Solutions[i]) {
-				have[c] = true
-			}
-			for _, c := range constraintTexts(want.Solutions[i]) {
-				if !have[c] {
-					return fmt.Sprintf("solution %d lost constraint %s; has %v", i, c, constraintTexts(got.Solutions[i]))
-				}
-			}
-		}
-		return ""
 	}
 	if got.SQL() != want.SQL() {
 		return fmt.Sprintf("SQL:\n%s\noracle:\n%s", got.SQL(), want.SQL())
@@ -269,7 +247,7 @@ func newReferee() *referee {
 
 // check mediates one text every way the road can (a miss, the hit after
 // it, a hit on the long-lived mediator) and holds each to the oracle.
-func (r *referee) check(t *testing.T, c shapeCase, sql string, keepEntailed bool) {
+func (r *referee) check(t *testing.T, c shapeCase, sql string) {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -283,7 +261,6 @@ func (r *referee) check(t *testing.T, c shapeCase, sql string, keepEntailed bool
 	}
 	shared, oracle := r.shared[c.reg], r.oracles[c.reg]
 	fresh := New(shapeRegistries[c.reg]())
-	shared.KeepEntailed, oracle.KeepEntailed, fresh.KeepEntailed = keepEntailed, keepEntailed, keepEntailed
 
 	want, wantErr := oracle.MediateExact(stmt, c.receiver)
 	for _, run := range []struct {
@@ -291,21 +268,19 @@ func (r *referee) check(t *testing.T, c shapeCase, sql string, keepEntailed bool
 		m    *Mediator
 	}{{"miss", fresh}, {"hit", fresh}, {"shared", shared}} {
 		got, gotErr := run.m.Mediate(stmt, c.receiver)
-		if d := diffMediation(got, want, gotErr, wantErr, keepEntailed); d != "" {
-			t.Errorf("%s [%s, receiver %s, keepEntailed %v, %s]: %s", sql, c.reg, c.receiver, keepEntailed, run.name, d)
+		if d := diffMediation(got, want, gotErr, wantErr); d != "" {
+			t.Errorf("%s [%s, receiver %s, %s]: %s", sql, c.reg, c.receiver, run.name, d)
 		}
 	}
 }
 
 func TestShapeRoadMatchesExactRoad(t *testing.T) {
 	r := newReferee()
-	for _, keepEntailed := range []bool{false, true} {
-		for _, c := range shapeCases {
-			for _, v := range shapeVectors {
-				r.check(t, c, c.fill(v), keepEntailed)
-				if !strings.Contains(c.sql, "$") {
-					break // no slots: one text
-				}
+	for _, c := range shapeCases {
+		for _, v := range shapeVectors {
+			r.check(t, c, c.fill(v))
+			if !strings.Contains(c.sql, "$") {
+				break // no slots: one text
 			}
 		}
 	}
@@ -370,7 +345,7 @@ func FuzzMediateShape(f *testing.F) {
 		if _, err := sqlparse.Parse(sql); err != nil {
 			t.Skip(err)
 		}
-		r.check(t, tc, sql, i/len(shapeCases)%2 == 1)
+		r.check(t, tc, sql)
 	})
 }
 
@@ -384,8 +359,8 @@ func mustMediate(t *testing.T, m *Mediator, sql, receiver string) *Mediation {
 	return med
 }
 
-// TestShapeMemoReadsLimitsPerRequest: MaxBranches, MaxDepth and
-// KeepEntailed are the request's, not the cached shape's.
+// TestShapeMemoReadsLimitsPerRequest: MaxBranches and MaxDepth are the
+// request's, not the cached shape's.
 func TestShapeMemoReadsLimitsPerRequest(t *testing.T) {
 	const sql = "SELECT r1.cname FROM r1 WHERE r1.revenue > 5 AND 1 < 2"
 	m := paperMediator()
@@ -404,17 +379,8 @@ func TestShapeMemoReadsLimitsPerRequest(t *testing.T) {
 		t.Errorf("MaxDepth lowered after the shape was cached: err = %v", err)
 	}
 	m.MaxDepth = 0
-	plain := mustMediate(t, m, sql, "c2").SQL()
-	if strings.Contains(plain, "1 < 2") {
+	if plain := mustMediate(t, m, sql, "c2").SQL(); strings.Contains(plain, "1 < 2") {
 		t.Errorf("entailed comparison survived:\n%s", plain)
-	}
-	m.KeepEntailed = true
-	if kept := mustMediate(t, m, sql, "c2").SQL(); !strings.Contains(kept, "1 < 2") {
-		t.Errorf("KeepEntailed set after the shape was cached, comparison dropped:\n%s", kept)
-	}
-	m.KeepEntailed = false
-	if again := mustMediate(t, m, sql, "c2").SQL(); again != plain {
-		t.Errorf("KeepEntailed cleared, SQL differs:\n%s\nwas:\n%s", again, plain)
 	}
 	if n := m.ShapeCount("c2"); n != 1 {
 		t.Errorf("one text, %d shapes", n)

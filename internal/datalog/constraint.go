@@ -1,7 +1,6 @@
 package datalog
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -57,13 +56,6 @@ type ConstraintSet struct {
 
 // NewConstraintSet returns an empty set.
 func NewConstraintSet() *ConstraintSet { return &ConstraintSet{} }
-
-// Clone returns an independent copy. The solver itself backtracks with
-// Mark/Undo; Clone remains for callers that need a snapshot outliving the
-// search.
-func (c *ConstraintSet) Clone() *ConstraintSet {
-	return &ConstraintSet{cs: append([]Compound(nil), c.cs...)}
-}
 
 // Mark returns a checkpoint of the current store height for Undo.
 func (c *ConstraintSet) Mark() int { return len(c.cs) }
@@ -230,29 +222,22 @@ func contradictsStore(nc Compound, store []Compound) bool {
 // residual constraints in deterministic order, or ok=false if the set is
 // inconsistent. The solver calls it whenever a solution is emitted, so a
 // branch whose constraints became ground-false after later bindings is
-// pruned even though Add accepted it earlier.
-//
-// keepEntailed retains ground-true (entailed) constraints in the residue
-// instead of dropping them; the mediator's simplification ablation uses it
-// to measure how much constraint simplification shrinks mediated queries.
-func (c *ConstraintSet) Normalize(s *Subst, keepEntailed bool) (residual []Compound, ok bool) {
+// pruned even though Add accepted it earlier. Entailed (ground-true)
+// constraints are dropped: simplification keeps the paper's USD branch
+// free of `currency <> 'JPY'`.
+func (c *ConstraintSet) Normalize(s *Subst) (residual []Compound, ok bool) {
 	if len(c.cs) == 0 {
 		return nil, true
 	}
 	fresh := NewConstraintSet()
-	var kept []Compound
 	for _, con := range c.cs {
 		a := SimplifyExpr(con.Args[0], s)
 		b := SimplifyExpr(con.Args[1], s)
-		if keepEntailed && decideGround(con.Functor, a, b) == decTrue {
-			kept = append(kept, Comp(con.Functor, a, b))
-			continue
-		}
 		if !fresh.Add(con.Functor, a, b, s) {
 			return nil, false
 		}
 	}
-	out := append(append([]Compound(nil), fresh.cs...), kept...)
+	out := fresh.cs
 	if len(out) < 2 {
 		return out, true
 	}
@@ -268,8 +253,8 @@ func (c *ConstraintSet) Normalize(s *Subst, keepEntailed bool) (residual []Compo
 // NormalizeConstraints is Normalize over a residue that left its store:
 // the mediator re-checks a solution's constraints with it after putting
 // values the solver never saw into them. cs is not modified.
-func NormalizeConstraints(cs []Compound, keepEntailed bool) ([]Compound, bool) {
-	return (&ConstraintSet{cs: cs}).Normalize(nil, keepEntailed)
+func NormalizeConstraints(cs []Compound) ([]Compound, bool) {
+	return (&ConstraintSet{cs: cs}).Normalize(nil)
 }
 
 // String renders the store for diagnostics.
@@ -279,18 +264,4 @@ func (c *ConstraintSet) String() string {
 		parts[i] = con.String()
 	}
 	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// FormatConstraint renders a constraint atom with an infix operator, e.g.
-// "X <> 'JPY'". The SQL emitter uses its own renderer; this one is for
-// logs and tests.
-func FormatConstraint(c Compound) string {
-	op := map[string]string{
-		PredEq: "=", PredNeq: "<>", PredLt: "<",
-		PredLe: "<=", PredGt: ">", PredGe: ">=",
-	}[c.Functor]
-	if op == "" || len(c.Args) != 2 {
-		return c.String()
-	}
-	return fmt.Sprintf("%s %s %s", c.Args[0], op, c.Args[1])
 }

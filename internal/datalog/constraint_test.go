@@ -138,7 +138,7 @@ func TestNormalizeDropsEntailedAndDetectsFalse(t *testing.T) {
 	// Later binding makes the neq ground-true and the lt ground-decidable.
 	s.Bind(x, Number(5))
 	// Number vs Atom: neq(5, JPY) — ground, unequal, true → dropped.
-	res, ok := cs.Normalize(s, false)
+	res, ok := cs.Normalize(s)
 	if !ok {
 		t.Fatal("consistent store reported inconsistent")
 	}
@@ -148,7 +148,7 @@ func TestNormalizeDropsEntailedAndDetectsFalse(t *testing.T) {
 
 	s2 := NewSubst()
 	s2.Bind(x, Number(50))
-	if _, ok := cs.Normalize(s2, false); ok {
+	if _, ok := cs.Normalize(s2); ok {
 		t.Error("store with ground-false lt reported consistent")
 	}
 }
@@ -166,7 +166,7 @@ func TestNormalizeDeterministicOrder(t *testing.T) {
 		for _, i := range order {
 			adds[i]()
 		}
-		res, _ := cs.Normalize(s, false)
+		res, _ := cs.Normalize(s)
 		return res
 	}
 	a := build([]int{0, 1, 2})
@@ -182,13 +182,6 @@ func termStrings(cs []Compound) []string {
 		out[i] = c.String()
 	}
 	return out
-}
-
-func TestFormatConstraint(t *testing.T) {
-	c := Comp(PredNeq, NewVar("Cur"), Atom("JPY"))
-	if got := FormatConstraint(c); got != "Cur <> 'JPY'" {
-		t.Errorf("FormatConstraint = %q", got)
-	}
 }
 
 // Property: Normalize preserves satisfiability for stores over a single
@@ -245,7 +238,7 @@ func TestNormalizeSatisfiabilityProperty(t *testing.T) {
 			_ = sat
 			return true
 		}
-		_, normOK := cs.Normalize(s, false)
+		_, normOK := cs.Normalize(s)
 		// Soundness direction: if the store is satisfiable by brute force,
 		// normalization must not report inconsistency.
 		if sat && !normOK {

@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// This file implements a small Prolog-ish concrete syntax for clauses, used
-// by tests, by the web-wrapper spec compiler, and for authoring conversion
-// rules:
+// This file implements a small Prolog-ish concrete syntax for clauses.
+// ParseGoals reads the bodies of integrity constraints (denials); the
+// tests write their programs and goals in it:
 //
 //	sf(Cur, 1000) :- Cur = 'JPY'.
 //	sf(Cur, 1)    :- Cur \= 'JPY'.
@@ -242,23 +242,6 @@ func ParseProgram(src string) (*Program, error) {
 		prog.Add(c)
 	}
 	return prog, nil
-}
-
-// ParseClause parses a single clause (terminated by '.').
-func ParseClause(src string) (Clause, error) {
-	toks, err := lexProlog(src)
-	if err != nil {
-		return Clause{}, err
-	}
-	p := &parser{toks: toks}
-	c, err := p.clause()
-	if err != nil {
-		return Clause{}, err
-	}
-	if !p.atEOF() {
-		return Clause{}, p.errf("trailing input after clause")
-	}
-	return c, nil
 }
 
 // ParseTerm parses a single term (no trailing '.').

@@ -1,12 +1,25 @@
 package datalog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
+// parseClause parses a one-clause program and returns its clause.
+func parseClause(src string) (Clause, error) {
+	prog, err := ParseProgram(src)
+	if err != nil {
+		return Clause{}, err
+	}
+	if len(prog.order) != 1 || len(prog.clauses[prog.order[0]]) != 1 {
+		return Clause{}, fmt.Errorf("%q is not one clause", src)
+	}
+	return prog.clauses[prog.order[0]][0], nil
+}
+
 func TestParseFact(t *testing.T) {
-	c, err := ParseClause("parent(tom, bob).")
+	c, err := parseClause("parent(tom, bob).")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +29,7 @@ func TestParseFact(t *testing.T) {
 }
 
 func TestParseRuleWithOperators(t *testing.T) {
-	c, err := ParseClause(`cvt(V, F1, F2, V2) :- F1 \= F2, V2 is V * F1 / F2.`)
+	c, err := parseClause(`cvt(V, F1, F2, V2) :- F1 \= F2, V2 is V * F1 / F2.`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +114,8 @@ func TestParseCommentsAndWhitespace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.Len() != 2 {
-		t.Errorf("clause count = %d, want 2", prog.Len())
+	if n := len(prog.Clauses("parent", 2)); n != 2 {
+		t.Errorf("clause count = %d, want 2", n)
 	}
 }
 
@@ -130,11 +143,11 @@ func TestParseRoundTrip(t *testing.T) {
 		"taxed(I, T) :- price(I, P), T is mul(P, 1.08).",
 	}
 	for _, src := range srcs {
-		c1, err := ParseClause(src)
+		c1, err := parseClause(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		c2, err := ParseClause(c1.String())
+		c2, err := parseClause(c1.String())
 		if err != nil {
 			t.Fatalf("re-parse %q: %v", c1.String(), err)
 		}

@@ -3,7 +3,6 @@ package datalog
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Solution is one successful derivation of a query.
@@ -19,9 +18,8 @@ type Solution struct {
 	// normalized and deterministically ordered. For the mediator these
 	// become WHERE predicates.
 	Constraints []Compound
-	// Trace lists the clause applications of the derivation in order,
-	// when Solver.Trace is set. The mediator turns it into human-readable
-	// branch explanations.
+	// Trace lists the clause applications of the derivation in order.
+	// The mediator turns it into human-readable branch explanations.
 	Trace []TraceStep
 }
 
@@ -39,8 +37,8 @@ func (t TraceStep) Key() string { return fmt.Sprintf("%s/%d", t.Pred, t.Arity) }
 // Solver runs SLD resolution with optional abduction over a Program.
 //
 // A Solver is single-use-at-a-time: Solve mutates internal scratch state
-// (variable counter, trace stack, goal-slice pool), so concurrent Solve
-// calls on one Solver are not safe. Create one Solver per goroutine.
+// (variable counter, trace stack), so concurrent Solve calls on one Solver
+// are not safe. Create one Solver per goroutine.
 type Solver struct {
 	// Program is the clause store consulted for resolution.
 	Program *Program
@@ -61,10 +59,6 @@ type Solver struct {
 	// MaxSolutions stops the search after this many solutions. Zero means
 	// unlimited.
 	MaxSolutions int
-	// KeepEntailedConstraints retains ground-true constraints in each
-	// solution's residue instead of simplifying them away (ablation; see
-	// ConstraintSet.Normalize).
-	KeepEntailedConstraints bool
 	// Denials are integrity constraints in the abductive-logic-programming
 	// sense: clause bodies that must NOT be provable from the program plus
 	// the abduced atoms. A candidate solution is discarded when a denial
@@ -73,8 +67,6 @@ type Solver struct {
 	// (residue left) do not prune — a sound approximation. Heads are
 	// ignored by convention (write them as ic :- body).
 	Denials []Clause
-	// Trace records clause applications into each Solution.
-	Trace bool
 
 	varCounter int
 
@@ -83,12 +75,6 @@ type Solver struct {
 	// backtrack; emit copies it into the Solution. This replaces the
 	// per-step append-copy of the old trace threading.
 	traceBuf []TraceStep
-	// goalPool recycles goal-stack slices between clause trials. The
-	// search is depth-first, so a body slice is dead the moment the
-	// recursive call over it returns and can back the next trial.
-	goalPool [][]Term
-	// ren is the reusable clause renamer; see renamer.reset.
-	ren renamer
 }
 
 // DefaultMaxDepth is the resolution depth bound used when Solver.MaxDepth
@@ -124,7 +110,7 @@ func (sv *Solver) Solve(goals ...Term) ([]Solution, error) {
 	}
 	var sols []Solution
 	emit := func(s *Subst, store *ConstraintSet, abduced []Compound) error {
-		residual, ok := store.Normalize(s, sv.KeepEntailedConstraints)
+		residual, ok := store.Normalize(s)
 		if !ok {
 			return nil // inconsistent branch: not a solution
 		}
@@ -153,9 +139,7 @@ func (sv *Solver) Solve(goals ...Term) ([]Solution, error) {
 			}
 		}
 		sol.Constraints = residual
-		if sv.Trace {
-			sol.Trace = append([]TraceStep(nil), sv.traceBuf...)
-		}
+		sol.Trace = append([]TraceStep(nil), sv.traceBuf...)
 		if len(sv.Denials) > 0 {
 			violated, err := sv.violatesDenial(sol)
 			if err != nil {
@@ -217,10 +201,10 @@ func (sv *Solver) violatesDenial(sol Solution) (bool, error) {
 		ext.Add(Clause{Head: skolemize(a).(Compound)})
 	}
 	for _, denial := range sv.Denials {
-		sv.ren.reset(&sv.varCounter)
+		ren := renamer{counter: &sv.varCounter}
 		goals := make([]Term, len(denial.Body))
 		for i, g := range denial.Body {
-			goals[i] = sv.ren.rename(g)
+			goals[i] = ren.rename(g)
 		}
 		sub := &Solver{
 			Program:            ext,
@@ -239,26 +223,6 @@ func (sv *Solver) violatesDenial(sol Solution) (bool, error) {
 		}
 	}
 	return false, nil
-}
-
-// getGoals pops a recycled goal slice (or allocates one) with zero length
-// and at least the given capacity.
-func (sv *Solver) getGoals(capHint int) []Term {
-	if n := len(sv.goalPool); n > 0 {
-		b := sv.goalPool[n-1]
-		sv.goalPool = sv.goalPool[:n-1]
-		return b[:0]
-	}
-	return make([]Term, 0, capHint)
-}
-
-// putGoals returns a goal slice to the pool once the recursion over it has
-// fully unwound.
-func (sv *Solver) putGoals(b []Term) {
-	if sv.goalPool == nil {
-		sv.goalPool = make([][]Term, 0, 16)
-	}
-	sv.goalPool = append(sv.goalPool, b)
 }
 
 // solve is the recursive SLD step. It explores clause alternatives in
@@ -295,39 +259,28 @@ func (sv *Solver) solve(goals []Term, s *Subst, store *ConstraintSet, abduced []
 	}
 
 	arity := len(args)
-	var firstArg Term
-	if arity > 0 {
-		firstArg = s.Walk(args[0])
-	}
 	var goalTerm Term // the goal re-boxed as a Compound, built on first trial
-	it := sv.Program.clausesFor(name, arity, firstArg)
-	for {
-		ci, cl, ok := it.next()
-		if !ok {
-			break
-		}
+	for ci, cl := range sv.Program.Clauses(name, arity) {
 		if goalTerm == nil {
 			goalTerm = Compound{Functor: name, Args: args} // box once, not per trial
 		}
 		mark, cmark := s.Mark(), store.Mark()
-		sv.ren.reset(&sv.varCounter)
-		head := sv.ren.rename(cl.Head)
+		ren := renamer{counter: &sv.varCounter}
+		head := ren.rename(cl.Head)
 		if !Unify(goalTerm, head, s) {
 			continue // Unify rolled its bindings back
 		}
-		body := sv.getGoals(len(cl.Body) + len(rest))
-		for _, b := range cl.Body {
-			body = append(body, sv.ren.rename(b))
+		body := rest // a fact adds no goals; solve never writes a goal slice
+		if len(cl.Body) > 0 {
+			body = make([]Term, 0, len(cl.Body)+len(rest))
+			for _, b := range cl.Body {
+				body = append(body, ren.rename(b))
+			}
+			body = append(body, rest...)
 		}
-		body = append(body, rest...)
-		if sv.Trace {
-			sv.traceBuf = append(sv.traceBuf, TraceStep{Pred: name, Arity: arity, Clause: ci})
-		}
+		sv.traceBuf = append(sv.traceBuf, TraceStep{Pred: name, Arity: arity, Clause: ci})
 		err := sv.solve(body, s, store, abduced, depth-1, emit)
-		if sv.Trace {
-			sv.traceBuf = sv.traceBuf[:len(sv.traceBuf)-1]
-		}
-		sv.putGoals(body)
+		sv.traceBuf = sv.traceBuf[:len(sv.traceBuf)-1]
 		s.Undo(mark)
 		store.Undo(cmark)
 		if err != nil {
@@ -449,28 +402,4 @@ func (sv *Solver) compare(pred string, a, b Term, rest []Term, s *Subst, store *
 	err := sv.solve(rest, s, store, abduced, depth-1, emit)
 	store.Undo(cmark)
 	return err
-}
-
-// SolveAll is a convenience for ground fact querying: it returns, for each
-// solution, the resolved instantiation of the pattern term.
-func (sv *Solver) SolveAll(pattern Compound) ([]Compound, error) {
-	sols, err := sv.Solve(pattern)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Compound, 0, len(sols))
-	for _, sol := range sols {
-		inst := instantiate(pattern, sol.Bindings)
-		out = append(out, inst)
-	}
-	sort.Slice(out, func(i, j int) bool { return Compare(out[i], out[j]) < 0 })
-	return out, nil
-}
-
-func instantiate(t Compound, bindings map[string]Term) Compound {
-	s := NewSubst()
-	for k, v := range bindings {
-		s.Bind(Variable{Name: k}, v)
-	}
-	return s.Resolve(t).(Compound)
 }

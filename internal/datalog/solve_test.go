@@ -246,17 +246,6 @@ func TestConstraintEntailmentDrop(t *testing.T) {
 	}
 }
 
-func TestSolveAllSorted(t *testing.T) {
-	sv := solver(t, `n(3). n(1). n(2).`)
-	got, err := sv.SolveAll(Comp("n", NewVar("X")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || !Equal(got[0].Args[0], Number(1)) || !Equal(got[2].Args[0], Number(3)) {
-		t.Errorf("SolveAll = %v, want sorted n(1),n(2),n(3)", got)
-	}
-}
-
 func TestSolveConjunction(t *testing.T) {
 	sv := solver(t, `
 		a(1). a(2).

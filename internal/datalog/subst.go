@@ -63,21 +63,6 @@ func (s *Subst) Undo(mark int) {
 	s.trail = s.trail[:mark]
 }
 
-// Clone returns an independent copy of the live bindings. The trail is not
-// copied: a clone is a fresh store whose Mark starts at zero. Snapshot
-// semantics for sub-derivations are cheaper via Mark/Undo; Clone remains
-// for callers that need a store outliving the solver's backtracking.
-func (s *Subst) Clone() *Subst {
-	c := &Subst{}
-	if len(s.m) > 0 {
-		c.m = make(map[string]Term, len(s.m)+4)
-		for k, v := range s.m {
-			c.m[k] = v
-		}
-	}
-	return c
-}
-
 // Walk dereferences t one level at a time until it is not a bound variable.
 // Compound arguments are not resolved; use Resolve for a deep rewrite.
 // A nil *Subst is a valid empty substitution for read-only use.
@@ -204,14 +189,4 @@ func occurs(v Variable, t Term, s *Subst) bool {
 		}
 	}
 	return false
-}
-
-// Unifiable reports whether a and b unify, without disturbing s. It trial-
-// unifies against s itself and rolls back to a checkpoint, so no clone is
-// made.
-func Unifiable(a, b Term, s *Subst) bool {
-	mark := s.Mark()
-	ok := Unify(a, b, s)
-	s.Undo(mark)
-	return ok
 }

@@ -104,26 +104,3 @@ func TestUnifySelfProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCloneIndependence(t *testing.T) {
-	s := NewSubst()
-	s.Bind(NewVar("X"), Atom("a"))
-	c := s.Clone()
-	c.Bind(NewVar("Y"), Atom("b"))
-	if _, ok := s.Lookup("Y"); ok {
-		t.Error("Clone is not independent: binding leaked to original")
-	}
-	if got := c.Resolve(NewVar("X")); !Equal(got, Atom("a")) {
-		t.Error("Clone lost existing binding")
-	}
-}
-
-func TestUnifiableDoesNotMutate(t *testing.T) {
-	s := NewSubst()
-	if !Unifiable(NewVar("X"), Atom("a"), s) {
-		t.Fatal("expected unifiable")
-	}
-	if s.Len() != 0 {
-		t.Error("Unifiable mutated the substitution")
-	}
-}

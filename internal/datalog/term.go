@@ -13,7 +13,6 @@
 package datalog
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -210,20 +209,6 @@ func varNames(t Term, dst []string) []string {
 	return dst
 }
 
-// VarSet returns the distinct variable names occurring in t, sorted.
-func VarSet(t Term) []string {
-	seen := map[string]bool{}
-	for _, v := range Vars(t, nil) {
-		seen[v.Name] = true
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // canonKey appends an injective byte encoding of t to dst and returns the
 // extended slice: two terms produce the same key iff Equal holds (modulo
 // -0 == +0, which Equal and Unify also conflate). Unlike String(), it
@@ -356,52 +341,15 @@ func termRank(t Term) int {
 	return 5
 }
 
-// gNames caches machine-generated variable names: clause renaming sits on
-// the solver's innermost loop, and building "_G<n>" there costs one string
-// allocation per fresh variable. The table is filled at init and read-only
-// afterwards, so concurrent solvers may share it.
-var gNames = func() (a [1024]string) {
-	for i := range a {
-		a[i] = "_G" + strconv.Itoa(i)
-	}
-	return
-}()
-
-func gName(n int) string {
-	if n >= 0 && n < len(gNames) {
-		return gNames[n]
-	}
-	return "_G" + strconv.Itoa(n)
-}
-
 // renamer rewrites variable names to fresh ones, consistently within one
 // clause instance. Clauses have a handful of variables, so the mapping is
-// two parallel slices scanned linearly — no map allocation per clause
-// trial. vals stores the fresh variables pre-boxed as Terms, so repeated
-// occurrences of one variable cost no interface allocation. The solver
-// owns one renamer and resets it per trial (renaming of a clause always
-// completes before the recursive descent, so reuse across stack frames is
-// safe); reset keeps the slices' backing arrays.
+// two parallel slices scanned linearly. vals stores the fresh variables
+// pre-boxed as Terms, so repeated occurrences of one variable cost no
+// interface allocation.
 type renamer struct {
 	counter *int
 	keys    []string
 	vals    []Term // always Variable, boxed once
-}
-
-func newRenamer(counter *int) *renamer {
-	return &renamer{counter: counter}
-}
-
-// reset re-arms the renamer for a fresh clause instance, reusing its
-// backing storage.
-func (r *renamer) reset(counter *int) {
-	r.counter = counter
-	if r.keys == nil {
-		r.keys = make([]string, 0, 8)
-		r.vals = make([]Term, 0, 8)
-	}
-	r.keys = r.keys[:0]
-	r.vals = r.vals[:0]
 }
 
 func (r *renamer) rename(t Term) Term {
@@ -413,7 +361,7 @@ func (r *renamer) rename(t Term) Term {
 			}
 		}
 		*r.counter++
-		v := Term(Variable{Name: gName(*r.counter)})
+		v := Term(Variable{Name: "_G" + strconv.Itoa(*r.counter)})
 		r.keys = append(r.keys, t.Name)
 		r.vals = append(r.vals, v)
 		return v

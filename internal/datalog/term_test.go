@@ -41,15 +41,6 @@ func TestIsGround(t *testing.T) {
 	}
 }
 
-func TestVarSet(t *testing.T) {
-	term := Comp("f", NewVar("B"), Comp("g", NewVar("A"), NewVar("B")))
-	got := VarSet(term)
-	want := []string{"A", "B"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("VarSet = %v, want %v", got, want)
-	}
-}
-
 func TestEqualAndCompare(t *testing.T) {
 	a := Comp("f", Atom("x"), Number(1))
 	b := Comp("f", Atom("x"), Number(1))
@@ -123,7 +114,7 @@ func TestCompareIsTotalOrderProperty(t *testing.T) {
 
 func TestRenamerConsistency(t *testing.T) {
 	counter := 0
-	r := newRenamer(&counter)
+	r := renamer{counter: &counter}
 	in := Comp("f", NewVar("X"), Comp("g", NewVar("X"), NewVar("Y")))
 	out := r.rename(in).(Compound)
 	x1 := out.Args[0].(Variable)

@@ -113,9 +113,10 @@ func mustSolve(t *testing.T, sv *Solver, goals ...Term) []Solution {
 	return sols
 }
 
-// TestFirstArgIndexPreservesOrder checks that indexed lookup enumerates
-// exactly the clauses a full scan would try (constant bucket merged with
-// the variable fallback bucket), in source order.
+// TestFirstArgIndexPreservesOrder checks that a goal with a constant
+// first argument meets exactly the clauses that unify with it, in source
+// order (the solver once bucketed clauses by first argument; these tests
+// pin what that index had to preserve).
 func TestFirstArgIndexPreservesOrder(t *testing.T) {
 	prog := NewProgram()
 	prog.Add(
@@ -137,15 +138,15 @@ func TestFirstArgIndexPreservesOrder(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("solutions = %v, want %v (source order must survive indexing)", got, want)
+			t.Fatalf("solutions = %v, want %v (source order)", got, want)
 		}
 	}
 
-	// A variable goal argument must scan all clauses.
+	// A variable goal argument matches every clause.
 	if n := len(mustSolve(t, sv, Comp("p", NewVar("X"), NewVar("V")))); n != 5 {
 		t.Errorf("open query found %d solutions, want 5", n)
 	}
-	// A Str goal hits the Str bucket plus the fallback.
+	// A Str goal matches the Str clause and the variable one.
 	if n := len(mustSolve(t, sv, Comp("p", Str("a"), NewVar("V")))); n != 2 {
 		t.Errorf("Str query found %d solutions, want 2", n)
 	}
@@ -153,7 +154,7 @@ func TestFirstArgIndexPreservesOrder(t *testing.T) {
 
 // TestSharedProgramConcurrentSolvers locks in that solving is read-only
 // on the Program: the server hands one cached Program to a solver per
-// request, so clausesFor must never write (run with -race).
+// request, so solving must never write to it (run with -race).
 func TestSharedProgramConcurrentSolvers(t *testing.T) {
 	prog := NewProgram()
 	for i := 0; i < 50; i++ {
@@ -191,7 +192,7 @@ func TestFirstArgIndexInvalidatedByAdd(t *testing.T) {
 	}
 	prog.Add(Fact("p", Atom("a"), Number(9)))
 	if n := len(mustSolve(t, sv, Comp("p", Atom("a"), NewVar("V")))); n != 2 {
-		t.Errorf("post-Add solutions = %d, want 2 (index not invalidated)", n)
+		t.Errorf("post-Add solutions = %d, want 2 (a clause added after a solve is not seen)", n)
 	}
 }
 
@@ -206,7 +207,7 @@ func TestFirstArgIndexNumberBuckets(t *testing.T) {
 	if n := len(mustSolve(t, sv, Comp("n", Number(2), NewVar("V")))); n != 1 {
 		t.Errorf("Number(2) query: %d solutions, want 1", n)
 	}
-	// -0 and +0 unify (float equality), so they must share a bucket.
+	// -0 and +0 unify (float equality).
 	if n := len(mustSolve(t, sv, Comp("n", Number(0), NewVar("V")))); n != 1 {
 		t.Errorf("Number(0) query against -0 fact: %d solutions, want 1", n)
 	}
@@ -265,9 +266,10 @@ func TestNotSubSolverAvoidsVariableCapture(t *testing.T) {
 // coincide (Number(-1) vs neg(1)).
 func TestAbducedDedupDistinguishesRenderAliases(t *testing.T) {
 	prog := NewProgram()
-	prog.Add(Rule(Comp("q"),
+	prog.Add(Clause{Head: Comp("q"), Body: []Term{
 		Comp("p", Number(-1)),
-		Comp("p", Comp(FuncNeg, Number(1)))))
+		Comp("p", Comp(FuncNeg, Number(1))),
+	}})
 	sv := &Solver{
 		Program:            prog,
 		CollectConstraints: true,
@@ -323,7 +325,8 @@ func TestCaseSplitAllocBudget(t *testing.T) {
 	}
 	run() // warm parse caches etc. outside the measurement
 	allocs := testing.AllocsPerRun(100, run)
-	// Measured ~80 objects/op with the trail-based solver; the clone-based
+	// Measured 94 objects/op with the trail-based solver (74 while it
+	// still reused one renamer and cached the _G names); the clone-based
 	// solver needed several hundred. The budget leaves headroom for noise
 	// while still catching any reintroduced per-step copying.
 	const budget = 160
