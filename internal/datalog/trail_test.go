@@ -115,8 +115,7 @@ func mustSolve(t *testing.T, sv *Solver, goals ...Term) []Solution {
 
 // TestFirstArgIndexPreservesOrder checks that a goal with a constant
 // first argument meets exactly the clauses that unify with it, in source
-// order (the solver once bucketed clauses by first argument; these tests
-// pin what that index had to preserve).
+// order.
 func TestFirstArgIndexPreservesOrder(t *testing.T) {
 	prog := NewProgram()
 	prog.Add(
@@ -325,8 +324,7 @@ func TestCaseSplitAllocBudget(t *testing.T) {
 	}
 	run() // warm parse caches etc. outside the measurement
 	allocs := testing.AllocsPerRun(100, run)
-	// Measured 94 objects/op with the trail-based solver (74 while it
-	// still reused one renamer and cached the _G names); the clone-based
+	// Measured 94 objects/op with the trail-based solver; the clone-based
 	// solver needed several hundred. The budget leaves headroom for noise
 	// while still catching any reintroduced per-step copying.
 	const budget = 160
