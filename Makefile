@@ -24,11 +24,12 @@ LINT_ALLOW_BUDGET = 5
 LOC_PKGS   = internal/relalg internal/planner coin
 LOC_BUDGET = 8289
 
-# The same ratchet over the wrapper layer (non-test files, the
+# The same ratchet over the source side: the wrapper layer and the store
+# its relational, REST and SQL fixtures serve (non-test files, the
 # wrappertest/ doubles excluded): set to the measured value when code is
 # deleted, never raised.
-WRAPPER_LOC_PKGS   = internal/wrapper
-WRAPPER_LOC_BUDGET = 3840
+WRAPPER_LOC_PKGS   = internal/wrapper internal/store
+WRAPPER_LOC_BUDGET = 4038
 
 # The same ratchet over the receiver-facing surface above coin: the HTTP
 # server, the wire format, the Go client and the query command.
@@ -115,8 +116,9 @@ fuzz:
 # Findings are suppressed only by a reasoned //lint:allow annotation, and
 # the annotations themselves are counted against LINT_ALLOW_BUDGET; the
 # engine packages' non-test line count is held under LOC_BUDGET, the
-# wrapper layer's under WRAPPER_LOC_BUDGET, the receiver surface's under
-# SURFACE_LOC_BUDGET and the mediator's under MEDIATOR_LOC_BUDGET.
+# wrapper layer's and the store's under WRAPPER_LOC_BUDGET, the receiver
+# surface's under SURFACE_LOC_BUDGET and the mediator's under
+# MEDIATOR_LOC_BUDGET.
 lint:
 	$(GO) vet $(PKGS)
 	$(GO) run ./internal/tools/docscheck

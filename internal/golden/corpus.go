@@ -26,6 +26,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/relalg"
 	"repro/internal/sqlparse"
+	"repro/internal/store"
 )
 
 // Query is one corpus entry.
@@ -235,11 +236,7 @@ func runMediate(ctx context.Context, q Query) (*Result, error) {
 
 // fillRows renders the relation into the Result's header and row lines.
 func (r *Result) fillRows(rel *relalg.Relation) {
-	cols := make([]string, len(rel.Schema.Columns))
-	for i, c := range rel.Schema.Columns {
-		cols[i] = c.Name + ":" + kindTag(c.Type)
-	}
-	r.Header = strings.Join(cols, " | ")
+	r.Header = strings.Join(store.FormatHeader(rel.Schema), " | ")
 	for _, tup := range rel.Tuples {
 		vals := make([]string, len(tup))
 		for i, v := range tup {
@@ -266,19 +263,5 @@ func renderValue(v relalg.Value) string {
 		return "FALSE"
 	default:
 		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
-	}
-}
-
-// kindTag renders a column kind with the same tags source schemas use.
-func kindTag(k relalg.Kind) string {
-	switch k {
-	case relalg.KindNumber:
-		return "num"
-	case relalg.KindBool:
-		return "bool"
-	case relalg.KindNull:
-		return "null"
-	default:
-		return "str"
 	}
 }

@@ -9,8 +9,9 @@ import (
 	"repro/internal/relalg"
 )
 
-// CSV import/export. The header row declares columns as "name:type" where
-// type is one of str, num, bool (defaulting to str), e.g.:
+// The typed CSV header and CSV export. The header row declares columns as
+// "name:type" where type is one of str, num, bool (defaulting to str),
+// e.g.:
 //
 //	cname:str,revenue:num,currency:str
 //	IBM,100000000,USD
@@ -42,60 +43,30 @@ func ParseHeader(header []string) (relalg.Schema, error) {
 	return schema, nil
 }
 
-// ReadCSV loads a relation from CSV with a typed header.
-func ReadCSV(name string, r io.Reader) (*relalg.Relation, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("store: reading CSV header: %w", err)
-	}
-	schema, err := ParseHeader(header)
-	if err != nil {
-		return nil, err
-	}
-	rel := relalg.NewRelation(name, schema)
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return rel, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("store: reading CSV line %d: %w", line, err)
-		}
-		if len(rec) != len(schema.Columns) {
-			return nil, fmt.Errorf("store: CSV line %d has %d fields, want %d", line, len(rec), len(schema.Columns))
-		}
-		row := make(relalg.Tuple, len(rec))
-		for i, cell := range rec {
-			v, err := relalg.ParseValue(cell, schema.Columns[i].Type)
-			if err != nil {
-				return nil, fmt.Errorf("store: CSV line %d column %s: %w", line, schema.Columns[i].Name, err)
-			}
-			row[i] = v
-		}
-		if err := rel.Add(row); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// WriteCSV writes a relation as CSV with a typed header; ReadCSV can load
-// it back losslessly (modulo float formatting).
-func WriteCSV(rel *relalg.Relation, w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, len(rel.Schema.Columns))
-	for i, c := range rel.Schema.Columns {
-		suffix := "str"
+// FormatHeader renders schema as the typed header ParseHeader reads. A
+// KindNull column, which no source declares, renders as "null".
+func FormatHeader(schema relalg.Schema) []string {
+	header := make([]string, len(schema.Columns))
+	for i, c := range schema.Columns {
+		tag := "str"
 		switch c.Type {
 		case relalg.KindNumber:
-			suffix = "num"
+			tag = "num"
 		case relalg.KindBool:
-			suffix = "bool"
+			tag = "bool"
+		case relalg.KindNull:
+			tag = "null"
 		}
-		header[i] = c.Name + ":" + suffix
+		header[i] = c.Name + ":" + tag
 	}
-	if err := cw.Write(header); err != nil {
+	return header
+}
+
+// WriteCSV writes a relation as CSV with a typed header and an empty
+// field for NULL: the format filesrc serves back.
+func WriteCSV(rel *relalg.Relation, w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(FormatHeader(rel.Schema)); err != nil {
 		return err
 	}
 	for _, t := range rel.Tuples {
@@ -113,22 +84,4 @@ func WriteCSV(rel *relalg.Relation, w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// LoadCSVTable creates a table in db from CSV content.
-func LoadCSVTable(db *DB, name string, r io.Reader) (*Table, error) {
-	rel, err := ReadCSV(name, r)
-	if err != nil {
-		return nil, err
-	}
-	t, err := db.CreateTable(name, rel.Schema)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rel.Tuples {
-		if err := t.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
 }

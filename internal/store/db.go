@@ -2,9 +2,9 @@
 // prototype's multi-database access engine: an in-memory relational
 // database with a catalog (the "dictionary" secondary storage of the
 // paper), per-table hash indexes and statistics for the planner's cost
-// model, and CSV import/export. Figure 1's second local store, for large
-// temporary data, is not reproduced: the engine's pipeline breakers
-// buffer in memory.
+// model, and the typed CSV header and CSV export (filesrc reads the
+// files back). Figure 1's second local store, for large temporary data,
+// is not reproduced: the engine's pipeline breakers buffer in memory.
 //
 // It also serves as the substitute for the paper's Oracle source: the
 // mediator only ever sees a wrapper exposing schema plus SQL execution, so
@@ -206,7 +206,7 @@ func (db *DB) Table(name string) (*Table, error) {
 	defer db.mu.RUnlock()
 	t, ok := db.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("store: no table %s in %s (have %v)", name, db.Name, db.TableNamesLocked())
+		return nil, fmt.Errorf("store: no table %s in %s (have %v)", name, db.Name, db.tableNamesLocked())
 	}
 	return t, nil
 }
@@ -215,27 +215,16 @@ func (db *DB) Table(name string) (*Table, error) {
 func (db *DB) TableNames() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.TableNamesLocked()
+	return db.tableNamesLocked()
 }
 
-// TableNamesLocked lists table names; caller must hold at least a read
-// lock (exposed for the error path above).
-func (db *DB) TableNamesLocked() []string {
+// tableNamesLocked lists table names; caller must hold at least a read
+// lock.
+func (db *DB) tableNamesLocked() []string {
 	out := make([]string, 0, len(db.tables))
 	for n := range db.tables {
 		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// DropTable removes a table.
-func (db *DB) DropTable(name string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[name]; !ok {
-		return fmt.Errorf("store: no table %s in %s", name, db.Name)
-	}
-	delete(db.tables, name)
-	return nil
 }

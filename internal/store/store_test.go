@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -94,87 +93,6 @@ func TestDBCatalog(t *testing.T) {
 	if got := db.TableNames(); len(got) != 1 || got[0] != "r1" {
 		t.Errorf("names = %v", got)
 	}
-	if err := db.DropTable("r1"); err != nil {
-		t.Error(err)
-	}
-	if err := db.DropTable("r1"); err == nil {
-		t.Error("double drop succeeded")
-	}
-}
-
-const r1CSV = `cname:str,revenue:num,currency:str
-IBM,100000000,USD
-NTT,1000000,JPY
-`
-
-func TestCSVRoundTrip(t *testing.T) {
-	rel, err := ReadCSV("r1", strings.NewReader(r1CSV))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != 2 {
-		t.Fatalf("rows = %d", rel.Len())
-	}
-	if rel.Schema.Columns[1].Type != relalg.KindNumber {
-		t.Error("typed header lost")
-	}
-	if rel.Tuples[1][1].N != 1e6 {
-		t.Errorf("NTT revenue = %v", rel.Tuples[1][1])
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(rel, &buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV("r1", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relalg.SameTuples(rel, back) {
-		t.Errorf("round trip changed tuples:\n%s\nvs\n%s", rel, back)
-	}
-}
-
-func TestCSVNullHandling(t *testing.T) {
-	rel, err := ReadCSV("t", strings.NewReader("a:str,b:num\nx,\n,2\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rel.Tuples[0][1].IsNull() || !rel.Tuples[1][0].IsNull() {
-		t.Errorf("NULL import broken: %s", rel)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(rel, &buf); err != nil {
-		t.Fatal(err)
-	}
-	back, _ := ReadCSV("t", &buf)
-	if !back.Tuples[0][1].IsNull() {
-		t.Error("NULL export broken")
-	}
-}
-
-func TestCSVErrors(t *testing.T) {
-	cases := []string{
-		"a:wat\n1\n",       // unknown type
-		"a:num\nxyz\n",     // bad number
-		"a:num,b:num\n1\n", // wrong arity
-		":num\n1\n",        // empty name
-	}
-	for _, src := range cases {
-		if _, err := ReadCSV("t", strings.NewReader(src)); err == nil {
-			t.Errorf("ReadCSV(%q) succeeded, want error", src)
-		}
-	}
-}
-
-func TestLoadCSVTable(t *testing.T) {
-	db := NewDB("src1")
-	tab, err := LoadCSVTable(db, "r1", strings.NewReader(r1CSV))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Len() != 2 {
-		t.Errorf("rows = %d", tab.Len())
-	}
 }
 
 func TestParseHeaderDefaults(t *testing.T) {
@@ -187,6 +105,11 @@ func TestParseHeaderDefaults(t *testing.T) {
 		if s.Columns[i].Type != k {
 			t.Errorf("col %d type = %v, want %v", i, s.Columns[i].Type, k)
 		}
+	}
+	// FormatHeader writes the canonical tags back; NULL has no source tag.
+	got := FormatHeader(relalg.NewSchema(append(s.Columns, relalg.Column{Name: "d", Type: relalg.KindNull})...))
+	if strings.Join(got, ",") != "a:str,b:num,c:bool,d:null" {
+		t.Errorf("FormatHeader = %v", got)
 	}
 }
 

@@ -9,11 +9,16 @@
 //
 // Formats:
 //
-//   - name.csv — a typed header row "col:type,..." (store.ParseHeader
-//     types: str, num, bool) followed by data rows.
+//   - name.csv — a typed header row "col:type,..." followed by data
+//     rows, an empty field being NULL: what store.WriteCSV writes.
 //   - name.json — one object {"columns": ["col:type", ...],
-//     "rows": [[v, ...], ...]}; rows are decoded incrementally, so a
-//     large file is never held in memory at once.
+//     "rows": [[v, ...], ...]}; a cell is read by wrapper.FromScalar (so
+//     a number may also be spelled as a string, "NaN" and "±Inf"
+//     included), and rows are decoded incrementally, so a large file is
+//     never held in memory at once.
+//
+// Both formats declare columns with the tags store.ParseHeader reads and
+// store.FormatHeader writes: str, num, bool (str when omitted).
 package filesrc
 
 import (
@@ -26,7 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/relalg"
@@ -313,7 +317,7 @@ func (c *csvStream) Next() (relalg.Tuple, bool, error) {
 	}
 	t := make(relalg.Tuple, len(rec))
 	for i, field := range rec {
-		v, err := parseField(field, c.schema.Columns[i].Type)
+		v, err := relalg.ParseValue(field, c.schema.Columns[i].Type)
 		if err != nil {
 			return nil, false, fmt.Errorf("filesrc: %s line %d column %s: %w", c.path, c.line, c.schema.Columns[i].Name, err)
 		}
@@ -323,32 +327,6 @@ func (c *csvStream) Next() (relalg.Tuple, bool, error) {
 }
 
 func (c *csvStream) Close() error { return c.f.Close() }
-
-// parseField converts one CSV field to its declared kind; an empty field
-// is NULL.
-func parseField(field string, kind relalg.Kind) (relalg.Value, error) {
-	if field == "" {
-		return relalg.Null, nil
-	}
-	switch kind {
-	case relalg.KindNumber:
-		n, err := strconv.ParseFloat(field, 64)
-		if err != nil {
-			return relalg.Null, fmt.Errorf("bad number %q", field)
-		}
-		return relalg.NumV(n), nil
-	case relalg.KindBool:
-		switch strings.ToLower(field) {
-		case "true", "t", "1":
-			return relalg.BoolV(true), nil
-		case "false", "f", "0":
-			return relalg.BoolV(false), nil
-		}
-		return relalg.Null, fmt.Errorf("bad bool %q", field)
-	default:
-		return relalg.StrV(field), nil
-	}
-}
 
 // jsonStream decodes a {"columns": [...], "rows": [[...], ...]} document
 // incrementally: the columns header eagerly, then one row per Next
@@ -439,40 +417,13 @@ func (j *jsonStream) Next() (relalg.Tuple, bool, error) {
 	}
 	t := make(relalg.Tuple, len(raw))
 	for i, v := range raw {
-		val, err := jsonValue(v, j.schema.Columns[i].Type)
+		val, err := wrapper.FromScalar(v, j.schema.Columns[i].Type)
 		if err != nil {
 			return nil, false, fmt.Errorf("filesrc: %s row %d column %s: %w", j.path, j.row, j.schema.Columns[i].Name, err)
 		}
 		t[i] = val
 	}
 	return t, true, nil
-}
-
-// jsonValue converts one decoded JSON scalar to its declared kind.
-func jsonValue(v any, kind relalg.Kind) (relalg.Value, error) {
-	if v == nil {
-		return relalg.Null, nil
-	}
-	switch kind {
-	case relalg.KindNumber:
-		n, ok := v.(float64)
-		if !ok {
-			return relalg.Null, fmt.Errorf("bad number %v", v)
-		}
-		return relalg.NumV(n), nil
-	case relalg.KindBool:
-		b, ok := v.(bool)
-		if !ok {
-			return relalg.Null, fmt.Errorf("bad bool %v", v)
-		}
-		return relalg.BoolV(b), nil
-	default:
-		s, ok := v.(string)
-		if !ok {
-			return relalg.Null, fmt.Errorf("bad string %v", v)
-		}
-		return relalg.StrV(s), nil
-	}
 }
 
 func (j *jsonStream) Close() error { return j.f.Close() }

@@ -1,10 +1,14 @@
 package filesrc
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/relalg"
+	"repro/internal/store"
 	"repro/internal/wrapper"
 )
 
@@ -151,5 +155,69 @@ func TestUnknownRelationAndColumnErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("filter on unknown column should fail")
+	}
+}
+
+// TestServesWriteCSVOutput: what store.WriteCSV writes — cmd/coinwrap's
+// output format, NULLs as empty fields — filesrc serves back tuple for
+// tuple under the same schema.
+func TestServesWriteCSVOutput(t *testing.T) {
+	rel := relalg.NewRelation("r1", relalg.NewSchema(
+		relalg.Column{Name: "cname", Type: relalg.KindString},
+		relalg.Column{Name: "revenue", Type: relalg.KindNumber},
+		relalg.Column{Name: "listed", Type: relalg.KindBool},
+	))
+	rel.MustAdd(relalg.StrV("IBM"), relalg.NumV(1e8), relalg.BoolV(true))
+	rel.MustAdd(relalg.StrV("NTT"), relalg.NumV(0.0096), relalg.BoolV(false))
+	rel.MustAdd(relalg.StrV("x"), relalg.Null, relalg.Null)
+	rel.MustAdd(relalg.Null, relalg.NumV(-2), relalg.BoolV(true))
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	if err := store.WriteCSV(rel, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "r1.csv"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New("out", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := s.Query(context.Background(), wrapper.SourceQuery{Relation: "r1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.Schema.Equal(rel.Schema) {
+		t.Fatalf("schema = %v, want %v", back.Schema.Columns, rel.Schema.Columns)
+	}
+	if len(back.Tuples) != len(rel.Tuples) {
+		t.Fatalf("%d tuples, want %d", len(back.Tuples), len(rel.Tuples))
+	}
+	for i, want := range rel.Tuples {
+		for j := range want {
+			if got := back.Tuples[i][j]; got.Key() != want[j].Key() {
+				t.Fatalf("tuple %d column %d = %v, want %v", i, j, got, want[j])
+			}
+		}
+	}
+}
+
+// TestCSVErrors: a header or a row filesrc cannot read fails New, which
+// reads every file once.
+func TestCSVErrors(t *testing.T) {
+	cases := map[string]string{
+		"unknown type": "a:wat\n1\n",
+		"bad number":   "a:num\nxyz\n",
+		"wrong arity":  "a:num,b:num\n1\n",
+		"empty name":   ":num\n1\n",
+	}
+	for name, src := range cases {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "t.csv"), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New("bad", dir); err == nil {
+			t.Errorf("%s: New over %q succeeded, want error", name, src)
+		}
 	}
 }

@@ -40,47 +40,58 @@ func NewHTTPFetcher(baseURL string) *HTTPFetcher {
 // time, and a crawl fetches many pages).
 var defaultHTTPClient = &http.Client{Timeout: DefaultHTTPTimeout}
 
-// Get implements Fetcher: the request carries ctx, so canceling the
-// query aborts the page fetch at the socket. Failures are classified for
-// the engine's retry machinery: transport errors and 5xx/408 responses
-// as transient, 429 as rate-limited (honoring Retry-After), other
-// non-200 statuses as permanent.
+// Get implements Fetcher through GetBody: the request carries ctx, so
+// canceling the query aborts the page fetch at the socket.
 func (h *HTTPFetcher) Get(ctx context.Context, url string) (string, error) {
 	client := h.Client
 	if client == nil {
 		client = defaultHTTPClient
 	}
-	full := url
 	if strings.HasPrefix(url, "/") {
-		full = h.BaseURL + url
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, full, nil)
-	if err != nil {
-		return "", fmt.Errorf("wrapper: GET %s: %w", full, err)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			// The query died, the source did not: no fault class.
-			return "", fmt.Errorf("wrapper: GET %s: %w", full, err)
-		}
-		return "", Transient(fmt.Errorf("wrapper: GET %s: %w", full, err))
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		cause := fmt.Errorf("wrapper: GET %s: %s", full, resp.Status)
-		return "", ClassifyHTTPStatus(resp.StatusCode, resp.Header.Get("Retry-After"), cause)
+		url = h.BaseURL + url
 	}
 	limit := h.MaxBodyBytes
 	if limit == 0 {
 		limit = DefaultMaxBodyBytes
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	body, err := GetBody(ctx, client, url, limit)
+	return string(body), err
+}
+
+// GetBody performs one GET and returns at most limit bytes of its 200
+// body. Failures are classified for the engine's retry machinery:
+// transport and body-read errors as transient (unless the query's own
+// context died — then the source did not fail, and no class is
+// attached), non-200 statuses through ClassifyHTTPStatus (5xx/408
+// transient, 429 rate-limited honoring Retry-After, other permanent),
+// their message carrying the first 200 bytes of the body.
+func GetBody(ctx context.Context, client *http.Client, url string, limit int64) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, fmt.Errorf("wrapper: GET %s: %w", url, err)
+	}
+	resp, err := client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			return "", fmt.Errorf("wrapper: reading %s: %w", full, err)
+			return nil, fmt.Errorf("wrapper: GET %s: %w", url, err)
 		}
-		return "", Transient(fmt.Errorf("wrapper: reading %s: %w", full, err))
+		return nil, Transient(fmt.Errorf("wrapper: GET %s: %w", url, err))
 	}
-	return string(body), nil
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	if resp.StatusCode != http.StatusOK {
+		msg := strings.TrimSpace(string(body))
+		if len(msg) > 200 {
+			msg = msg[:200]
+		}
+		cause := fmt.Errorf("wrapper: GET %s: %s: %s", url, resp.Status, msg)
+		return nil, ClassifyHTTPStatus(resp.StatusCode, resp.Header.Get("Retry-After"), cause)
+	}
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("wrapper: reading %s: %w", url, err)
+		}
+		return nil, Transient(fmt.Errorf("wrapper: reading %s: %w", url, err))
+	}
+	return body, nil
 }

@@ -39,7 +39,9 @@ func TestHTTPFetcherErrors(t *testing.T) {
 	defer ts.Close()
 
 	f := NewHTTPFetcher(ts.URL)
-	if _, err := f.Get(context.Background(), "/nope"); err == nil || !strings.Contains(err.Error(), "404") {
+	// The message carries the status and the start of the error body.
+	if _, err := f.Get(context.Background(), "/nope"); err == nil ||
+		!strings.Contains(err.Error(), "404") || !strings.Contains(err.Error(), "page not found") {
 		t.Errorf("404 err = %v", err)
 	}
 	dead := NewHTTPFetcher("http://127.0.0.1:1")

@@ -13,7 +13,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -73,7 +72,7 @@ func DialContext(ctx context.Context, name, baseURL string, client *http.Client)
 		CostParams: DefaultCost,
 		rels:       map[string]remoteRelation{},
 	}
-	body, err := s.get(ctx, s.base+"/schema")
+	body, err := wrapper.GetBody(ctx, s.client, s.base+"/schema", wrapper.DefaultMaxBodyBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -215,10 +214,10 @@ func encodeFilters(filters []wrapper.Filter) (string, error) {
 				return "", fmt.Errorf("empty IN list on %s", f.Column)
 			}
 			for _, v := range f.Values {
-				wf.Vals = append(wf.Vals, valueToJSON(v))
+				wf.Vals = append(wf.Vals, wireScalar(v))
 			}
 		} else {
-			wf.Val = valueToJSON(f.Value)
+			wf.Val = wireScalar(f.Value)
 		}
 		wire = append(wire, wf)
 	}
@@ -227,40 +226,6 @@ func encodeFilters(filters []wrapper.Filter) (string, error) {
 		return "", err
 	}
 	return string(b), nil
-}
-
-// get performs one GET, classifying failures exactly as the prototype's
-// HTTP fetcher does: transport errors are transient (unless the query's
-// own context died), non-2xx statuses go through ClassifyHTTPStatus.
-func (s *Source) get(ctx context.Context, fullURL string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fullURL, nil)
-	if err != nil {
-		return nil, fmt.Errorf("restsrc: GET %s: %w", fullURL, err)
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("restsrc: GET %s: %w", fullURL, err)
-		}
-		return nil, wrapper.Transient(fmt.Errorf("restsrc: GET %s: %w", fullURL, err))
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, wrapper.DefaultMaxBodyBytes))
-	if resp.StatusCode != http.StatusOK {
-		msg := strings.TrimSpace(string(body))
-		if len(msg) > 200 {
-			msg = msg[:200]
-		}
-		cause := fmt.Errorf("restsrc: GET %s: %s: %s", fullURL, resp.Status, msg)
-		return nil, wrapper.ClassifyHTTPStatus(resp.StatusCode, resp.Header.Get("Retry-After"), cause)
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("restsrc: reading %s: %w", fullURL, err)
-		}
-		return nil, wrapper.Transient(fmt.Errorf("restsrc: reading %s: %w", fullURL, err))
-	}
-	return body, nil
 }
 
 // pageStream is the source's wrapper.RawReader: it pulls /query pages
@@ -310,7 +275,7 @@ func (p *pageStream) fetchPage() error {
 	if p.filters != "" {
 		vals.Set("filters", p.filters)
 	}
-	body, err := p.src.get(p.ctx, p.src.base+"/query?"+vals.Encode())
+	body, err := wrapper.GetBody(p.ctx, p.src.client, p.src.base+"/query?"+vals.Encode(), wrapper.DefaultMaxBodyBytes)
 	if err != nil {
 		return err
 	}
@@ -327,7 +292,10 @@ func (p *pageStream) fetchPage() error {
 		}
 		tup := make(relalg.Tuple, len(row))
 		for i, v := range row {
-			tup[i] = coerceJSON(v, p.schema.Columns[i].Type)
+			col := p.schema.Columns[i]
+			if tup[i], err = wrapper.FromScalar(v, col.Type); err != nil {
+				return wrapper.Permanent(fmt.Errorf("restsrc: source %s: page %d column %s: %w", p.src.name, p.page, col.Name, err))
+			}
 		}
 		p.buf = append(p.buf, tup)
 	}
@@ -337,29 +305,4 @@ func (p *pageStream) fetchPage() error {
 		p.done = true
 	}
 	return nil
-}
-
-// coerceJSON converts a decoded JSON scalar to a value of the declared
-// column kind.
-func coerceJSON(v any, want relalg.Kind) relalg.Value {
-	switch v := v.(type) {
-	case nil:
-		return relalg.Null
-	case float64:
-		if want == relalg.KindBool {
-			return relalg.BoolV(v != 0)
-		}
-		return relalg.NumV(v)
-	case bool:
-		return relalg.BoolV(v)
-	case string:
-		if want == relalg.KindNumber {
-			if n, err := strconv.ParseFloat(v, 64); err == nil {
-				return relalg.NumV(n)
-			}
-		}
-		return relalg.StrV(v)
-	default:
-		return relalg.StrV(fmt.Sprint(v))
-	}
 }

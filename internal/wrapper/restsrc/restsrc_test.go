@@ -3,7 +3,11 @@ package restsrc
 import (
 	"context"
 	"errors"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,5 +222,65 @@ func TestEngineRetriesAgainstRealHTTP(t *testing.T) {
 	}
 	if got := srv.Hits() - before; got < 3 {
 		t.Fatalf("server saw %d attempts, want the two faults plus success", got)
+	}
+}
+
+// TestNonFiniteNumbersOverTheWire: NaN and ±Inf, which JSON numbers
+// cannot carry, travel as their strconv strings both ways — in the rows
+// the server pages out and in a filter value the client pushes.
+func TestNonFiniteNumbersOverTheWire(t *testing.T) {
+	db := store.NewDB("oddsdb")
+	tab := db.MustCreateTable("odds", relalg.NewSchema(strCol("sym"), numCol("qty")))
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 2}
+	for i, v := range vals {
+		tab.MustInsert(relalg.StrV(string(rune('a'+i))), relalg.NumV(v))
+	}
+	hs := httptest.NewServer(NewServer(db))
+	t.Cleanup(hs.Close)
+	src, err := DialContext(context.Background(), "odds", hs.URL, hs.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel, err := src.Query(context.Background(), wrapper.SourceQuery{Relation: "odds"}); err != nil {
+		t.Errorf("scan: %v", err)
+	} else if !relalg.SameTuples(rel, tab.Scan()) {
+		t.Errorf("rows = %v, want %v", rel.Tuples, tab.Scan().Tuples)
+	}
+	// NaN and +Inf fail "< +Inf"; -Inf and 2 pass.
+	rel, err := src.Query(context.Background(), wrapper.SourceQuery{
+		Relation: "odds",
+		Filters:  []wrapper.Filter{{Column: "qty", Op: "<", Value: relalg.NumV(math.Inf(1))}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Tuples) != 2 || rel.Tuples[0][0].S != "c" || rel.Tuples[1][0].S != "d" {
+		t.Fatalf("qty < +Inf = %v, want rows c and d", rel.Tuples)
+	}
+}
+
+// TestMistypedCellIsPermanent: a cell the service sends in another kind
+// than its schema declares fails the query with a permanent fault naming
+// the source and the column, instead of slipping through mistyped.
+func TestMistypedCellIsPermanent(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/schema" {
+			io.WriteString(w, `{"relations": {"stock": {"columns": ["sym:str", "qty:num"], "rows": 2}}}`)
+			return
+		}
+		io.WriteString(w, `{"rows": [["A", 1], ["B", "oops"]]}`)
+	}))
+	t.Cleanup(hs.Close)
+	src, err := DialContext(context.Background(), "shop", hs.URL, hs.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := src.Query(context.Background(), wrapper.SourceQuery{Relation: "stock"})
+	if err == nil {
+		t.Fatalf("mistyped cell accepted: %v", rel.Tuples)
+	}
+	if !errors.Is(err, wrapper.ErrPermanent) || wrapper.Retryable(err) ||
+		!strings.Contains(err.Error(), "shop") || !strings.Contains(err.Error(), "qty") {
+		t.Fatalf("error = %v, want a permanent fault naming source shop and column qty", err)
 	}
 }

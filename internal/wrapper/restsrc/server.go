@@ -15,6 +15,9 @@ package restsrc
 //	GET /query?rel=R&page=K&filters=<JSON array>
 //	  -> {"rows": [[...], ...], "next": K+1}       ("next" absent on last page)
 //
+// A NaN or an infinity, which JSON numbers cannot carry, is spelled as
+// its strconv string ("NaN", "+Inf", "-Inf") in rows and filter values.
+//
 // Filters arrive as [{"col": "c", "op": "=", "val": v}] with "vals" for
 // IN lists; the server evaluates them with the same shared Matcher every
 // in-process wrapper uses, and enforces required bindings with a 400 —
@@ -23,6 +26,7 @@ package restsrc
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -122,13 +126,9 @@ func (s *Server) serveSchema(w http.ResponseWriter) {
 		if err != nil {
 			continue
 		}
-		cols := make([]string, len(t.Schema.Columns))
-		for i, c := range t.Schema.Columns {
-			cols[i] = c.Name + ":" + kindTag(c.Type)
-		}
 		st := t.Stats()
 		doc.Relations[name] = relationDoc{
-			Columns:  cols,
+			Columns:  store.FormatHeader(t.Schema),
 			Rows:     st.Rows,
 			Require:  s.Require[name],
 			Distinct: st.Distinct,
@@ -166,7 +166,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	filters, err := decodeFilters(r.URL.Query().Get("filters"))
+	filters, err := decodeFilters(r.URL.Query().Get("filters"), t.Schema)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -208,7 +208,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	for _, tup := range kept[start:end] {
 		row := make([]any, len(tup))
 		for i, v := range tup {
-			row[i] = valueToJSON(v)
+			row[i] = wireScalar(v)
 		}
 		doc.Rows = append(doc.Rows, row)
 	}
@@ -227,8 +227,9 @@ func writeJSON(w http.ResponseWriter, doc any) {
 	}
 }
 
-// decodeFilters parses the wire filter array into wrapper.Filters.
-func decodeFilters(raw string) ([]wrapper.Filter, error) {
+// decodeFilters parses the wire filter array into wrapper.Filters, each
+// value read for its column (wrapper.FilterScalar).
+func decodeFilters(raw string, schema relalg.Schema) ([]wrapper.Filter, error) {
 	if raw == "" {
 		return nil, nil
 	}
@@ -238,57 +239,26 @@ func decodeFilters(raw string) ([]wrapper.Filter, error) {
 	}
 	out := make([]wrapper.Filter, 0, len(wire))
 	for _, f := range wire {
-		wf := wrapper.Filter{Column: f.Col, Op: f.Op}
-		if f.Op == wrapper.OpIn {
-			for _, v := range f.Vals {
-				wf.Values = append(wf.Values, jsonToValue(v))
-			}
-		} else {
-			wf.Value = jsonToValue(f.Val)
+		ci := schema.Index(f.Col)
+		if ci < 0 {
+			return nil, fmt.Errorf("restsrc: no column %s", f.Col)
+		}
+		kind := schema.Columns[ci].Type
+		wf := wrapper.Filter{Column: f.Col, Op: f.Op, Value: wrapper.FilterScalar(f.Val, kind)}
+		for _, x := range f.Vals {
+			wf.Values = append(wf.Values, wrapper.FilterScalar(x, kind))
 		}
 		out = append(out, wf)
 	}
 	return out, nil
 }
 
-// jsonToValue converts a decoded JSON scalar to a relalg.Value.
-func jsonToValue(v any) relalg.Value {
-	switch v := v.(type) {
-	case nil:
-		return relalg.Null
-	case float64:
-		return relalg.NumV(v)
-	case bool:
-		return relalg.BoolV(v)
-	case string:
-		return relalg.StrV(v)
-	default:
-		return relalg.StrV(fmt.Sprint(v))
+// wireScalar is v's JSON form: wrapper.Scalar, except that a NaN or an
+// infinity, which JSON has no number for, travels as its strconv string
+// ("NaN", "+Inf", "-Inf"), which wrapper.FromScalar reads back.
+func wireScalar(v relalg.Value) any {
+	if v.K == relalg.KindNumber && (math.IsNaN(v.N) || math.IsInf(v.N, 0)) {
+		return strconv.FormatFloat(v.N, 'g', -1, 64)
 	}
-}
-
-// valueToJSON converts a relalg.Value to its JSON wire form.
-func valueToJSON(v relalg.Value) any {
-	switch v.K {
-	case relalg.KindNull:
-		return nil
-	case relalg.KindNumber:
-		return v.N
-	case relalg.KindBool:
-		return v.B
-	default:
-		return v.S
-	}
-}
-
-// kindTag renders a column kind as the schema-doc type tag.
-func kindTag(k relalg.Kind) string {
-	switch k {
-	case relalg.KindNumber:
-		return "num"
-	case relalg.KindBool:
-		return "bool"
-	default:
-		return "str"
-	}
+	return wrapper.Scalar(v)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/relalg"
+	"repro/internal/store"
 )
 
 // This file implements the declarative Web-wrapping specification language
@@ -40,8 +41,10 @@ import (
 //	rows "RE" as COL, COL, ...       one output tuple per body match
 //	emit                             one output tuple from accumulated cols
 //
-// Attribute values accumulated by match/matchurl flow into pages reached
-// by follow, so detail pages inherit context from their parents.
+// Column types are the CSV header's (store.ParseHeader): str, num, bool
+// and their synonyms, str when omitted. Attribute values accumulated by
+// match/matchurl flow into pages reached by follow, so detail pages
+// inherit context from their parents.
 
 // Spec is a compiled wrapping specification.
 type Spec struct {
@@ -264,32 +267,8 @@ func parseRelationDecl(s string) (string, relalg.Schema, error) {
 	}
 	inner := strings.TrimSpace(s)
 	inner = inner[open+1 : len(inner)-1]
-	var schema relalg.Schema
-	for _, part := range strings.Split(inner, ",") {
-		col := strings.TrimSpace(part)
-		kind := relalg.KindString
-		if i := strings.Index(col, ":"); i >= 0 {
-			switch strings.TrimSpace(col[i+1:]) {
-			case "num", "number":
-				kind = relalg.KindNumber
-			case "str", "string":
-				kind = relalg.KindString
-			case "bool":
-				kind = relalg.KindBool
-			default:
-				return "", relalg.Schema{}, fmt.Errorf("unknown column type in %q", col)
-			}
-			col = strings.TrimSpace(col[:i])
-		}
-		if col == "" {
-			return "", relalg.Schema{}, fmt.Errorf("empty column name")
-		}
-		schema.Columns = append(schema.Columns, relalg.Column{Name: col, Type: kind})
-	}
-	if len(schema.Columns) == 0 {
-		return "", relalg.Schema{}, fmt.Errorf("relation needs at least one column")
-	}
-	return name, schema, nil
+	schema, err := store.ParseHeader(strings.Split(inner, ","))
+	return name, schema, err
 }
 
 // parseQuoted reads a leading double-quoted string with backslash escapes.

@@ -141,16 +141,7 @@ func (r *memRows) Next(dest []driver.Value) error {
 	t := r.rel.Tuples[r.pos]
 	r.pos++
 	for i, v := range t {
-		switch v.K {
-		case relalg.KindNull:
-			dest[i] = nil
-		case relalg.KindNumber:
-			dest[i] = v.N
-		case relalg.KindBool:
-			dest[i] = v.B
-		default:
-			dest[i] = v.S
-		}
+		dest[i] = wrapper.Scalar(v)
 	}
 	return nil
 }
@@ -184,15 +175,19 @@ func (q *memQuery) run(db *store.DB, args []driver.Value) (*relalg.Relation, err
 	filters := make([]wrapper.Filter, 0, len(q.filters))
 	next := 0
 	for _, f := range q.filters {
+		ci := t.Schema.Index(f.column)
+		if ci < 0 {
+			return nil, fmt.Errorf("sqlsrc: %s has no column %s", q.relation, f.column)
+		}
 		wf := wrapper.Filter{Column: f.column, Op: f.op}
-		if f.op == wrapper.OpIn {
-			for i := 0; i < f.args; i++ {
-				wf.Values = append(wf.Values, driverValue(args[next]))
-				next++
-			}
-		} else {
-			wf.Value = driverValue(args[next])
+		for range f.args {
+			v := wrapper.FilterScalar(args[next], t.Schema.Columns[ci].Type)
 			next++
+			if f.op == wrapper.OpIn {
+				wf.Values = append(wf.Values, v)
+			} else {
+				wf.Value = v
+			}
 		}
 		filters = append(filters, wf)
 	}
@@ -220,26 +215,6 @@ func (q *memQuery) run(db *store.DB, args []driver.Value) (*relalg.Relation, err
 		return out, nil
 	}
 	return wrapper.ProjectColumns(rel, q.columns)
-}
-
-// driverValue converts a bound driver.Value to a relalg.Value.
-func driverValue(v driver.Value) relalg.Value {
-	switch v := v.(type) {
-	case nil:
-		return relalg.Null
-	case int64:
-		return relalg.NumV(float64(v))
-	case float64:
-		return relalg.NumV(v)
-	case bool:
-		return relalg.BoolV(v)
-	case []byte:
-		return relalg.StrV(string(v))
-	case string:
-		return relalg.StrV(v)
-	default:
-		return relalg.StrV(fmt.Sprint(v))
-	}
 }
 
 // parseMemSQL parses the restricted dialect the wrapper emits. Grammar:

@@ -242,7 +242,7 @@ func (s *Source) QueryStream(ctx context.Context, q wrapper.SourceQuery) (wrappe
 		// above, so a query error here is server weather, not a bad query.
 		return nil, wrapper.Transient(fmt.Errorf("sqlsrc: source %s: %w", s.name, err))
 	}
-	return wrapper.NewCursor(ctx, &sqlStream{rows: rows, schema: outSchema}, nil, nil)
+	return wrapper.NewCursor(ctx, &sqlStream{src: s.name, rows: rows, schema: outSchema}, nil, nil)
 }
 
 // compileQuery renders a SourceQuery in the restricted dialect. Returned
@@ -306,7 +306,7 @@ func compileQuery(schema relalg.Schema, q wrapper.SourceQuery) (string, []any, r
 					b.WriteString(", ")
 				}
 				b.WriteString("?")
-				args = append(args, sqlArg(v))
+				args = append(args, wrapper.Scalar(v))
 			}
 			b.WriteString(")")
 			continue
@@ -319,23 +319,9 @@ func compileQuery(schema relalg.Schema, q wrapper.SourceQuery) (string, []any, r
 		b.WriteString(" ")
 		b.WriteString(f.Op)
 		b.WriteString(" ?")
-		args = append(args, sqlArg(f.Value))
+		args = append(args, wrapper.Scalar(f.Value))
 	}
 	return b.String(), args, outSchema, nil
-}
-
-// sqlArg converts a relalg.Value to a driver-bindable argument.
-func sqlArg(v relalg.Value) any {
-	switch v.K {
-	case relalg.KindNumber:
-		return v.N
-	case relalg.KindBool:
-		return v.B
-	case relalg.KindNull:
-		return nil
-	default:
-		return v.S
-	}
 }
 
 // quoteIdent double-quotes an identifier, rejecting names that would
@@ -347,9 +333,10 @@ func quoteIdent(name string) (string, error) {
 	return `"` + name + `"`, nil
 }
 
-// sqlStream is the source's wrapper.RawReader over *sql.Rows, coercing
-// driver values to the declared column kinds.
+// sqlStream is the source's wrapper.RawReader over *sql.Rows, reading
+// driver values as the declared column kinds (wrapper.FromScalar).
 type sqlStream struct {
+	src    string
 	rows   *sql.Rows
 	schema relalg.Schema
 
@@ -376,6 +363,7 @@ func (s *sqlStream) NextBatch(max int) ([]relalg.Tuple, error) {
 	}
 	s.bb.Reset(max)
 	var err error
+sweep:
 	for s.bb.Len() < max {
 		if !s.rows.Next() {
 			if err = s.rows.Err(); err != nil {
@@ -392,35 +380,17 @@ func (s *sqlStream) NextBatch(max int) ([]relalg.Tuple, error) {
 		}
 		tup := s.bb.Row()
 		for i, v := range s.raw {
-			tup[i] = fromDBValue(v, s.schema.Columns[i].Type)
+			col := s.schema.Columns[i]
+			if tup[i], err = wrapper.FromScalar(v, col.Type); err != nil {
+				// A cell of another kind than declared: a re-fetch
+				// delivers it again.
+				s.bb.DropLast()
+				err = wrapper.Permanent(fmt.Errorf("sqlsrc: source %s column %s: %w", s.src, col.Name, err))
+				break sweep
+			}
 		}
 	}
 	return s.bb.Batch().Rows, err
 }
 
 func (s *sqlStream) Close() error { return s.rows.Close() }
-
-// fromDBValue coerces one scanned database value to a relalg.Value of the
-// declared kind, tolerating the representations real drivers use (int64
-// for numbers, []byte for text, 0/1 for booleans).
-func fromDBValue(v any, want relalg.Kind) relalg.Value {
-	switch v := v.(type) {
-	case nil:
-		return relalg.Null
-	case int64:
-		if want == relalg.KindBool {
-			return relalg.BoolV(v != 0)
-		}
-		return relalg.NumV(float64(v))
-	case float64:
-		return relalg.NumV(v)
-	case bool:
-		return relalg.BoolV(v)
-	case []byte:
-		return relalg.StrV(string(v))
-	case string:
-		return relalg.StrV(v)
-	default:
-		return relalg.StrV(fmt.Sprint(v))
-	}
-}

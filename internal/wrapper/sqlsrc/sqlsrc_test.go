@@ -2,6 +2,7 @@ package sqlsrc
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -278,5 +279,35 @@ func TestMemDriverRejectsUnsupportedSQL(t *testing.T) {
 	drv.Reset()
 	if got := drv.Statements(); len(got) != 0 {
 		t.Fatalf("Reset left statements: %v", got)
+	}
+}
+
+// TestMistypedCellIsPermanent: a stored value of another kind than the
+// relation's declared schema fails the scan with a permanent fault naming
+// the source and the column, after the rows before it.
+func TestMistypedCellIsPermanent(t *testing.T) {
+	db := store.NewDB("shopdb")
+	stock := db.MustCreateTable("stock", relalg.NewSchema(strCol("sym"), strCol("qty")))
+	stock.MustInsert(relalg.StrV("A"), relalg.StrV("1"))
+	stock.MustInsert(relalg.StrV("B"), relalg.StrV("oops"))
+	sqldb, _ := OpenMem(db)
+	t.Cleanup(func() { sqldb.Close() })
+	src := New("shop", sqldb).AddRelation("stock", relalg.NewSchema(strCol("sym"), numCol("qty")))
+
+	st, err := src.QueryStream(context.Background(), wrapper.SourceQuery{Relation: "stock"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if tup, ok, err := st.Next(); !ok || err != nil || !tup[1].Equal(relalg.NumV(1)) {
+		t.Fatalf("first row = %v, %v, %v; want qty 1 read as a number", tup, ok, err)
+	}
+	_, _, err = st.Next()
+	if err == nil {
+		t.Fatal("mistyped cell accepted")
+	}
+	if !errors.Is(err, wrapper.ErrPermanent) || wrapper.Retryable(err) ||
+		!strings.Contains(err.Error(), "shop") || !strings.Contains(err.Error(), "qty") {
+		t.Fatalf("error = %v, want a permanent fault naming source shop and column qty", err)
 	}
 }

@@ -108,6 +108,17 @@ func TestSpecParseAndValidate(t *testing.T) {
 	if spec.Start != "index" || spec.StartURL != "/rates" {
 		t.Errorf("start = %s %s", spec.StartURL, spec.Start)
 	}
+	// Column tags are the CSV header's, synonyms included.
+	spec, err = ParseSpec("relation r(n:int, x:float, f:bool, s)\nstart \"/x\" -> a\nstate a\n  emit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []relalg.Kind{relalg.KindNumber, relalg.KindNumber, relalg.KindBool, relalg.KindString}
+	for i, k := range want {
+		if got := spec.Schema.Columns[i].Type; got != k {
+			t.Errorf("column %s type = %v, want %v", spec.Schema.Columns[i].Name, got, k)
+		}
+	}
 }
 
 func TestSpecParseErrors(t *testing.T) {
@@ -121,6 +132,7 @@ func TestSpecParseErrors(t *testing.T) {
 		"follow undefined": "relation r(a)\nstart \"/x\" -> a\nstate a\n  follow \"(x)\" -> nowhere",
 		"param not col":    "relation r(a)\nparam q\nstart \"/x\" -> a\nstate a\n  emit",
 		"rule outside":     "relation r(a)\nmatch \"(x)\" as a",
+		"unknown type":     "relation r(a:int, b:wat)\nstart \"/x\" -> a\nstate a\n  emit",
 	}
 	for name, src := range bad {
 		if _, err := ParseSpec(src); err == nil {

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -40,15 +41,23 @@ var confSchema = relalg.NewSchema(
 	relalg.Column{Name: "ok", Type: relalg.KindBool},
 )
 
-// confData is the base relation: qty rises with the row number (one
-// NULL), cur cycles through three currencies.
+// confData is the base relation: qty rises with the row number, except
+// for the values every comparison must agree on — one NULL and the
+// non-finite numbers (row 0 -Inf, row 1 +Inf, row 4 NaN) — and cur cycles
+// through three currencies.
 func confData() []relalg.Tuple {
 	curs := []string{"USD", "JPY", "DEM"}
+	odd := map[int]relalg.Value{
+		0: relalg.NumV(math.Inf(-1)),
+		1: relalg.NumV(math.Inf(1)),
+		4: relalg.NumV(math.NaN()),
+		7: relalg.Null,
+	}
 	rows := make([]relalg.Tuple, confRows)
 	for i := range rows {
-		qty := relalg.NumV(float64(10 * i))
-		if i == 7 {
-			qty = relalg.Null
+		qty, ok := odd[i]
+		if !ok {
+			qty = relalg.NumV(float64(10 * i))
 		}
 		rows[i] = relalg.Tuple{relalg.StrV(fmt.Sprintf("S%02d", i)), qty, relalg.StrV(curs[i%3]), relalg.BoolV(i%2 == 0)}
 	}
@@ -73,7 +82,8 @@ func confWant(rows []relalg.Tuple) []relalg.Tuple {
 		if cur := r[2].S; cur != "USD" && cur != "JPY" {
 			continue
 		}
-		if r[1].IsNull() || r[1].N < 30 {
+		// NULL and NaN fail ">=", +Inf passes and -Inf fails.
+		if r[1].IsNull() || math.IsNaN(r[1].N) || r[1].N < 30 {
 			continue
 		}
 		out = append(out, relalg.Tuple{r[1], r[0]})
@@ -91,7 +101,8 @@ func confDB(rows []relalg.Tuple) *store.DB {
 }
 
 // writeFile stores rows as stock.csv or stock.json in dir; corrupt >= 0
-// spoils that row's qty so decoding fails exactly there.
+// spoils that row's qty so decoding fails exactly there. JSON has no
+// number for NaN or ±Inf, so the JSON file spells those as strings.
 func writeFile(t *testing.T, dir string, rows []relalg.Tuple, asJSON bool, corrupt int) {
 	t.Helper()
 	header := []string{"sym:str", "qty:num", "cur:str", "ok:bool"}
@@ -104,8 +115,11 @@ func writeFile(t *testing.T, dir string, rows []relalg.Tuple, asJSON bool, corru
 		}{Columns: header}
 		for i, r := range rows {
 			row := []any{r[0].S, nil, r[2].S, r[3].B}
-			if !r[1].IsNull() {
-				row[1] = r[1].N
+			if q := r[1].N; !r[1].IsNull() {
+				row[1] = q
+				if math.IsNaN(q) || math.IsInf(q, 0) {
+					row[1] = r[1].String()
+				}
 			}
 			if i == corrupt {
 				row[1] = "oops"
@@ -387,6 +401,41 @@ func TestConformanceForms(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameTuples(t, b.name+" base relation after the drains", rel.Tuples, confData())
+	}
+}
+
+// TestConformanceCrossKindFilters: a pushed value of another kind than
+// its column compares as the engine compares it — never equal, never
+// ordered, always "<>" — on every backend, whatever kind the backend's
+// wire or driver reads the value back as.
+func TestConformanceCrossKindFilters(t *testing.T) {
+	cases := []struct {
+		f    wrapper.Filter
+		want func(relalg.Tuple) bool
+	}{
+		{wrapper.Filter{Column: "sym", Op: "=", Value: relalg.NumV(5)}, func(relalg.Tuple) bool { return false }},
+		{wrapper.Filter{Column: "qty", Op: "<", Value: relalg.StrV("x")}, func(relalg.Tuple) bool { return false }},
+		{wrapper.Filter{Column: "ok", Op: "=", Value: relalg.StrV("x")}, func(relalg.Tuple) bool { return false }},
+		{wrapper.Filter{Column: "qty", Op: "<>", Value: relalg.BoolV(true)}, func(r relalg.Tuple) bool { return !r[1].IsNull() }},
+		{wrapper.Filter{Column: "cur", Op: wrapper.OpIn, Values: []relalg.Value{relalg.NumV(1), relalg.StrV("DEM")}},
+			func(r relalg.Tuple) bool { return r[2].S == "DEM" }},
+	}
+	for _, b := range backends(t) {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%s/%s%s%v%v", b.name, c.f.Column, c.f.Op, c.f.Value, c.f.Values), func(t *testing.T) {
+				rel, err := b.w.Query(context.Background(), wrapper.SourceQuery{Relation: confRelation, Filters: []wrapper.Filter{c.f}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []relalg.Tuple
+				for _, r := range confData() {
+					if c.want(r) {
+						want = append(want, r)
+					}
+				}
+				sameTuples(t, "answer", rel.Tuples, want)
+			})
+		}
 	}
 }
 
