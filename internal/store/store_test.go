@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/csv"
 	"math"
 	"strings"
 	"testing"
@@ -110,6 +112,74 @@ func TestParseHeaderDefaults(t *testing.T) {
 	got := FormatHeader(relalg.NewSchema(append(s.Columns, relalg.Column{Name: "d", Type: relalg.KindNull})...))
 	if strings.Join(got, ",") != "a:str,b:num,c:bool,d:null" {
 		t.Errorf("FormatHeader = %v", got)
+	}
+}
+
+// readBack reads WriteCSV's output the way a CSV source does: the typed
+// header through ParseHeader, each field through relalg.ParseValue.
+func readBack(t *testing.T, name string, buf *bytes.Buffer) *relalg.Relation {
+	t.Helper()
+	recs, err := csv.NewReader(buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := ParseHeader(recs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := relalg.NewRelation(name, schema)
+	for _, rec := range recs[1:] {
+		tup := make([]relalg.Value, len(rec))
+		for i, field := range rec {
+			if tup[i], err = relalg.ParseValue(field, schema.Columns[i].Type); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rel.MustAdd(tup...)
+	}
+	return rel
+}
+
+func TestCSVRoundTrip(t *testing.T) {
+	rel := relalg.NewRelation("r1", companySchema())
+	rel.MustAdd(relalg.StrV("IBM"), relalg.NumV(1e8), relalg.StrV("USD"))
+	rel.MustAdd(relalg.StrV("NTT"), relalg.NumV(1e6), relalg.StrV("JPY"))
+	var buf bytes.Buffer
+	if err := WriteCSV(rel, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if line, _, _ := strings.Cut(buf.String(), "\n"); line != "cname:str,revenue:num,currency:str" {
+		t.Errorf("header = %q", line)
+	}
+	back := readBack(t, "r1", &buf)
+	if !back.Schema.Equal(rel.Schema) {
+		t.Error("typed header lost")
+	}
+	if back.Len() != 2 || back.Tuples[1][1].N != 1e6 {
+		t.Fatalf("read back:\n%s", back)
+	}
+	if !relalg.SameTuples(rel, back) {
+		t.Errorf("round trip changed tuples:\n%s\nvs\n%s", rel, back)
+	}
+}
+
+func TestCSVNullHandling(t *testing.T) {
+	rel := relalg.NewRelation("t", relalg.NewSchema(
+		relalg.Column{Name: "a", Type: relalg.KindString},
+		relalg.Column{Name: "b", Type: relalg.KindNumber},
+	))
+	rel.MustAdd(relalg.StrV("x"), relalg.Null)
+	rel.MustAdd(relalg.Null, relalg.NumV(2))
+	var buf bytes.Buffer
+	if err := WriteCSV(rel, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != "a:str,b:num\nx,\n,2\n" {
+		t.Errorf("NULL export = %q, want empty fields", buf.String())
+	}
+	back := readBack(t, "t", &buf)
+	if !back.Tuples[0][1].IsNull() || !back.Tuples[1][0].IsNull() {
+		t.Errorf("NULL round trip broken: %s", back)
 	}
 }
 
