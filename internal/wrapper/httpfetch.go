@@ -78,15 +78,12 @@ func GetBody(ctx context.Context, client *http.Client, url string, limit int64) 
 		return nil, Transient(fmt.Errorf("wrapper: GET %s: %w", url, err))
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	if resp.StatusCode != http.StatusOK {
-		msg := strings.TrimSpace(string(body))
-		if len(msg) > 200 {
-			msg = msg[:200]
-		}
-		cause := fmt.Errorf("wrapper: GET %s: %s: %s", url, resp.Status, msg)
+		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 200)) // not the whole page
+		cause := fmt.Errorf("wrapper: GET %s: %s: %s", url, resp.Status, strings.TrimSpace(string(snippet)))
 		return nil, ClassifyHTTPStatus(resp.StatusCode, resp.Header.Get("Retry-After"), cause)
 	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("wrapper: reading %s: %w", url, err)

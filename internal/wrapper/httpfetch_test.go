@@ -142,3 +142,31 @@ func TestHTTPFetcherBodyLimit(t *testing.T) {
 		t.Errorf("body length = %d, want truncation at 10", len(body))
 	}
 }
+
+// TestHTTPFetcherErrorPageSnippet: a non-200 is classified once a short
+// snippet of its body is in, not after the whole error page arrives.
+func TestHTTPFetcherErrorPageSnippet(t *testing.T) {
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write([]byte("overloaded " + strings.Repeat("x", 1000)))
+		w.(http.Flusher).Flush()
+		<-release // the rest of the page never comes
+	}))
+	defer ts.Close()
+	defer close(release)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewHTTPFetcher(ts.URL).Get(context.Background(), "/rates")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrTransient) || !strings.Contains(err.Error(), "overloaded xxx") {
+			t.Errorf("503 = %v, want a transient fault carrying the snippet", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("fetch waited for the whole error page")
+	}
+}

@@ -208,16 +208,16 @@ func encodeFilters(filters []wrapper.Filter) (string, error) {
 	}
 	wire := make([]wireFilter, 0, len(filters))
 	for _, f := range filters {
-		wf := wireFilter{Col: f.Column, Op: f.Op}
+		vals := []relalg.Value{f.Value}
 		if f.Op == wrapper.OpIn {
 			if len(f.Values) == 0 {
 				return "", fmt.Errorf("empty IN list on %s", f.Column)
 			}
-			for _, v := range f.Values {
-				wf.Vals = append(wf.Vals, wireScalar(v))
-			}
-		} else {
-			wf.Val = wireScalar(f.Value)
+			vals = f.Values
+		}
+		wf := wireFilter{Col: f.Column, Op: f.Op}
+		for _, v := range vals {
+			wf.Vals = append(wf.Vals, wireValue{K: v.K, V: wireScalar(v)})
 		}
 		wire = append(wire, wf)
 	}

@@ -18,10 +18,12 @@ package restsrc
 // A NaN or an infinity, which JSON numbers cannot carry, is spelled as
 // its strconv string ("NaN", "+Inf", "-Inf") in rows and filter values.
 //
-// Filters arrive as [{"col": "c", "op": "=", "val": v}] with "vals" for
-// IN lists; the server evaluates them with the same shared Matcher every
-// in-process wrapper uses, and enforces required bindings with a 400 —
-// a permanent fault class — when a query arrives unbound.
+// Filters arrive as [{"col": "c", "op": "=", "vals": [{"k": K, "v": v}]}]
+// (one value, or the IN list), each tagged with its relalg.Kind so a text
+// "30" stays a text against a number column, as in the engine. The server
+// evaluates them with the same shared Matcher every in-process wrapper
+// uses, and enforces required bindings with a 400 — a permanent fault
+// class — when a query arrives unbound.
 
 import (
 	"encoding/json"
@@ -101,10 +103,15 @@ type queryDoc struct {
 
 // wireFilter is one filter term on the wire.
 type wireFilter struct {
-	Col  string `json:"col"`
-	Op   string `json:"op"`
-	Val  any    `json:"val,omitempty"`
-	Vals []any  `json:"vals,omitempty"`
+	Col  string      `json:"col"`
+	Op   string      `json:"op"`
+	Vals []wireValue `json:"vals"`
+}
+
+// wireValue is a filter value on the wire: its kind and its wireScalar.
+type wireValue struct {
+	K relalg.Kind `json:"k"`
+	V any         `json:"v"`
 }
 
 // ServeHTTP implements http.Handler.
@@ -166,7 +173,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	filters, err := decodeFilters(r.URL.Query().Get("filters"), t.Schema)
+	filters, err := decodeFilters(r.URL.Query().Get("filters"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -227,9 +234,8 @@ func writeJSON(w http.ResponseWriter, doc any) {
 	}
 }
 
-// decodeFilters parses the wire filter array into wrapper.Filters, each
-// value read for its column (wrapper.FilterScalar).
-func decodeFilters(raw string, schema relalg.Schema) ([]wrapper.Filter, error) {
+// decodeFilters parses the wire filter array into wrapper.Filters.
+func decodeFilters(raw string) ([]wrapper.Filter, error) {
 	if raw == "" {
 		return nil, nil
 	}
@@ -239,14 +245,17 @@ func decodeFilters(raw string, schema relalg.Schema) ([]wrapper.Filter, error) {
 	}
 	out := make([]wrapper.Filter, 0, len(wire))
 	for _, f := range wire {
-		ci := schema.Index(f.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("restsrc: no column %s", f.Col)
-		}
-		kind := schema.Columns[ci].Type
-		wf := wrapper.Filter{Column: f.Col, Op: f.Op, Value: wrapper.FilterScalar(f.Val, kind)}
+		wf := wrapper.Filter{Column: f.Col, Op: f.Op}
 		for _, x := range f.Vals {
-			wf.Values = append(wf.Values, wrapper.FilterScalar(x, kind))
+			v, err := wrapper.FromScalar(x.V, x.K)
+			if err != nil {
+				return nil, fmt.Errorf("restsrc: bad filter on %s: %w", f.Col, err)
+			}
+			if f.Op == wrapper.OpIn {
+				wf.Values = append(wf.Values, v)
+			} else {
+				wf.Value = v
+			}
 		}
 		out = append(out, wf)
 	}

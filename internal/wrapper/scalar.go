@@ -67,16 +67,16 @@ func FromScalar(x any, kind relalg.Kind) (relalg.Value, error) {
 	return relalg.Null, fmt.Errorf("%#v is no %v", x, kind)
 }
 
-// FilterScalar reads a pushed filter value x for a column of the given
-// kind: as that kind when x reads as one (so a NaN or an infinity spelled
-// as a string meets a number column as a number), else as the kind x
-// came as. A comparison across kinds then matches no row, as it does in
-// the engine, instead of failing the query.
-func FilterScalar(x any, column relalg.Kind) relalg.Value {
-	for _, k := range []relalg.Kind{column, relalg.KindString, relalg.KindNumber, relalg.KindBool} {
-		if v, err := FromScalar(x, k); err == nil {
-			return v
-		}
+// ScalarValue reads x as the kind its Go type names, the inverse of
+// Scalar for a value that comes with no declared column (a bound driver
+// argument): a text that spells a number stays a text, so it matches a
+// number column as it does in the engine — never.
+func ScalarValue(x any) (relalg.Value, error) {
+	switch x.(type) {
+	case float64, int64:
+		return FromScalar(x, relalg.KindNumber)
+	case bool:
+		return FromScalar(x, relalg.KindBool)
 	}
-	return relalg.Null
+	return FromScalar(x, relalg.KindString)
 }

@@ -58,23 +58,27 @@ func TestScalarCodec(t *testing.T) {
 	}
 }
 
-// TestFilterScalar: a filter value reads as its column's kind when it can
-// and as its own kind otherwise, so a cross-kind comparison stays one.
-func TestFilterScalar(t *testing.T) {
+// TestScalarValue: a value with no declared column reads as the kind of
+// its Go type, so a text that spells a number stays a text.
+func TestScalarValue(t *testing.T) {
 	cases := []struct {
-		x      any
-		column relalg.Kind
-		want   relalg.Value
+		x    any
+		want relalg.Value
 	}{
-		{"+Inf", relalg.KindNumber, relalg.NumV(math.Inf(1))},
-		{"x", relalg.KindNumber, relalg.StrV("x")},
-		{float64(5), relalg.KindString, relalg.NumV(5)},
-		{true, relalg.KindNumber, relalg.BoolV(true)},
-		{nil, relalg.KindBool, relalg.Null},
+		{nil, relalg.Null},
+		{float64(5), relalg.NumV(5)},
+		{int64(5), relalg.NumV(5)},
+		{math.Inf(1), relalg.NumV(math.Inf(1))},
+		{"30", relalg.StrV("30")},
+		{[]byte("NaN"), relalg.StrV("NaN")},
+		{true, relalg.BoolV(true)},
 	}
 	for _, c := range cases {
-		if got := FilterScalar(c.x, c.column); got.Key() != c.want.Key() {
-			t.Errorf("FilterScalar(%#v, %v) = %v, want %v", c.x, c.column, got, c.want)
+		if got, err := ScalarValue(c.x); err != nil || got.Key() != c.want.Key() {
+			t.Errorf("ScalarValue(%#v) = %v, %v; want %v", c.x, got, err, c.want)
 		}
+	}
+	if got, err := ScalarValue(struct{}{}); err == nil {
+		t.Errorf("ScalarValue(struct{}{}) = %v, want an error", got)
 	}
 }

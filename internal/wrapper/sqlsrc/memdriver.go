@@ -175,13 +175,12 @@ func (q *memQuery) run(db *store.DB, args []driver.Value) (*relalg.Relation, err
 	filters := make([]wrapper.Filter, 0, len(q.filters))
 	next := 0
 	for _, f := range q.filters {
-		ci := t.Schema.Index(f.column)
-		if ci < 0 {
-			return nil, fmt.Errorf("sqlsrc: %s has no column %s", q.relation, f.column)
-		}
 		wf := wrapper.Filter{Column: f.column, Op: f.op}
 		for range f.args {
-			v := wrapper.FilterScalar(args[next], t.Schema.Columns[ci].Type)
+			v, err := wrapper.ScalarValue(args[next])
+			if err != nil {
+				return nil, fmt.Errorf("sqlsrc: argument %d: %w", next+1, err)
+			}
 			next++
 			if f.op == wrapper.OpIn {
 				wf.Values = append(wf.Values, v)

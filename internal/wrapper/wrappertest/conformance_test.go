@@ -419,6 +419,14 @@ func TestConformanceCrossKindFilters(t *testing.T) {
 		{wrapper.Filter{Column: "qty", Op: "<>", Value: relalg.BoolV(true)}, func(r relalg.Tuple) bool { return !r[1].IsNull() }},
 		{wrapper.Filter{Column: "cur", Op: wrapper.OpIn, Values: []relalg.Value{relalg.NumV(1), relalg.StrV("DEM")}},
 			func(r relalg.Tuple) bool { return r[2].S == "DEM" }},
+		// Texts and numbers that a backend could read as the column's
+		// kind: qty 30 and the flags exist, yet none of them match.
+		{wrapper.Filter{Column: "qty", Op: "=", Value: relalg.StrV("30")}, func(relalg.Tuple) bool { return false }},
+		{wrapper.Filter{Column: "qty", Op: "<>", Value: relalg.StrV("30")}, func(r relalg.Tuple) bool { return !r[1].IsNull() }},
+		{wrapper.Filter{Column: "qty", Op: "<", Value: relalg.StrV("+Inf")}, func(relalg.Tuple) bool { return false }},
+		{wrapper.Filter{Column: "ok", Op: "=", Value: relalg.NumV(1)}, func(relalg.Tuple) bool { return false }},
+		{wrapper.Filter{Column: "qty", Op: wrapper.OpIn, Values: []relalg.Value{relalg.StrV("30"), relalg.NumV(50)}},
+			func(r relalg.Tuple) bool { return r[1].K == relalg.KindNumber && r[1].N == 50 }},
 	}
 	for _, b := range backends(t) {
 		for _, c := range cases {
