@@ -16,7 +16,7 @@ FUZZTIME  ?= 10s
 # Budget of live //lint:allow annotations outside testdata/ and bench/
 # (make lint fails above it). A ratchet: lower it when an excuse goes
 # away, never raise it to make room for a new one.
-LINT_ALLOW_BUDGET = 5
+LINT_ALLOW_BUDGET = 4
 
 # Budget of non-test Go lines in the engine packages LOC_PKGS (make lint
 # fails above it). The same kind of ratchet: set to the measured value
@@ -142,9 +142,10 @@ lint:
 # Runtime-assertion build: the relalg invariants layer (transient-arena
 # poisoning, iterator-lifecycle shims, key-table consistency) armed
 # via the build tag, under the race detector (see
-# internal/relalg/invariants_on.go).
+# internal/relalg/invariants_on.go). The reference evaluator's sweep runs
+# its GROUP BY, ORDER BY, DISTINCT and UNION cases over poisoned arenas.
 test-invariants:
-	$(GO) test -tags invariants -race ./internal/relalg/ ./internal/planner/ ./coin/ ./internal/golden/
+	$(GO) test -tags invariants -race ./internal/relalg/ ./internal/planner/ ./coin/ ./internal/golden/ ./internal/refeval/
 
 # Documentation gate: vet plus a package-comment check over every package
 # (see internal/tools/docscheck). Kept as an alias; `make lint` is the CI

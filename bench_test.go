@@ -576,7 +576,7 @@ func BenchmarkJoinOrderAdaptive(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			ex.ResetStats()
+			before := ex.Stats()
 			var rows int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -591,8 +591,8 @@ func BenchmarkJoinOrderAdaptive(b *testing.B) {
 				b.Fatalf("rows = %d, want %d", rows, 5*perK)
 			}
 			st := ex.Stats()
-			b.ReportMetric(float64(st.TuplesTransferred)/float64(b.N), "tuples-moved")
-			b.ReportMetric(float64(st.SourceQueries)/float64(b.N), "source-queries")
+			b.ReportMetric(float64(st.TuplesTransferred-before.TuplesTransferred)/float64(b.N), "tuples-moved")
+			b.ReportMetric(float64(st.SourceQueries-before.SourceQueries)/float64(b.N), "source-queries")
 		})
 	}
 }

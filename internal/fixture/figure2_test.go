@@ -1,6 +1,7 @@
 package fixture
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/relalg"
@@ -83,7 +84,8 @@ func TestScaledWorkloadOracleConsistency(t *testing.T) {
 	}
 	// Determinism: same seed, same workload.
 	w2 := NewScaledWorkload(200, 7)
-	if !relalg.SameTuples(w.R1, w2.R1) || !relalg.SameTuples(w.Expected, w2.Expected) {
+	sameRow := func(a, b relalg.Tuple) bool { return a.FullKey() == b.FullKey() }
+	if !slices.EqualFunc(w.R1.Tuples, w2.R1.Tuples, sameRow) || !slices.EqualFunc(w.Expected.Tuples, w2.Expected.Tuples, sameRow) {
 		t.Error("workload generation is not deterministic")
 	}
 }

@@ -125,7 +125,11 @@ func runPerturbed(t *testing.T, c perturbCase, seed int64, par int) (*relalg.Rel
 	ex.DefaultParallelism = par
 	sess := ex.NewSession(context.Background(), planner.Limits{MaxParallelism: par, PartialResults: c.partial})
 	defer sess.Close()
-	rel, err := ex.ExecuteMediationSession(sess, med)
+	it, err := ex.MediationStream(sess, med)
+	if err != nil {
+		t.Fatalf("%s at parallelism %d: %v", c.name, par, err)
+	}
+	rel, err := relalg.Collect(sess.Context(), it, "")
 	if err != nil {
 		t.Fatalf("%s at parallelism %d: %v", c.name, par, err)
 	}

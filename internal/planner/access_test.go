@@ -389,7 +389,7 @@ func TestUnionArmsShareAdmissionSlot(t *testing.T) {
 	defer sess.Close()
 	done := make(chan error, 1)
 	go func() {
-		res, err := ex.ExecuteMediationSession(sess, med)
+		res, err := executeMediationSession(ex, sess, med)
 		if err == nil && res.Len() != 3 {
 			err = fmt.Errorf("rows = %d, want 3", res.Len())
 		}

@@ -104,7 +104,7 @@ func runPartial(t *testing.T, ex *Executor, med *core.Mediation) (*relalg.Relati
 	t.Helper()
 	sess := ex.NewSession(context.Background(), Limits{PartialResults: true})
 	defer sess.Close()
-	rel, err := ex.ExecuteMediationSession(sess, med)
+	rel, err := executeMediationSession(ex, sess, med)
 	return rel, sess.Warnings(), err
 }
 
@@ -149,7 +149,7 @@ func TestChaosPartialVsFailFast(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partial: %v", err)
 	}
-	if !relalg.SameTuples(got, wantPartial) {
+	if !sameTuples(got, wantPartial) {
 		t.Errorf("partial answer:\n%s\nwant:\n%s", got, wantPartial)
 	}
 	if len(warns) != 1 || warns[0].Branch != 2 || warns[0].Source != "srcB" {
@@ -704,7 +704,7 @@ func TestPartialPaperQ1CurrencySourceDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !relalg.SameTuples(got, want) {
+	if !sameTuples(got, want) {
 		t.Errorf("partial answer:\n%s\nwant:\n%s", got, want)
 	}
 	if len(warns) != len(med.Branches)-len(healthy) {

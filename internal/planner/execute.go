@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/relalg"
 	"repro/internal/sqlparse"
 	"repro/internal/wrapper"
@@ -113,13 +112,6 @@ func (e *Executor) Stats() ExecStats {
 	return e.stats
 }
 
-// ResetStats zeroes the execution counters.
-func (e *Executor) ResetStats() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stats = ExecStats{}
-}
-
 func (e *Executor) countQuery(tuples int) {
 	e.mu.Lock()
 	e.stats.SourceQueries++
@@ -135,20 +127,6 @@ func (e *Executor) ExecuteSession(sess *Session, stmt sqlparse.Statement) (*rela
 		return nil, err
 	}
 	return relalg.Collect(sess.Context(), it, "")
-}
-
-// RunSession executes a prepared plan under sess by compiling it to an
-// iterator tree and draining it.
-func (e *Executor) RunSession(sess *Session, plan *BranchPlan) (*relalg.Relation, error) {
-	it, err := e.BuildStream(sess, plan)
-	if err != nil {
-		return nil, err
-	}
-	name := ""
-	if len(plan.Steps) == 1 {
-		name = plan.Steps[0].Relation
-	}
-	return relalg.Collect(sess.Context(), it, name)
 }
 
 // fetchBindStep retrieves one relation through its bind joins and
@@ -405,18 +383,6 @@ func hasAggregates(sel *sqlparse.Select) bool {
 		return true
 	}
 	return false
-}
-
-// ExecuteMediationSession runs a mediated query under sess: every branch,
-// combined with the mediation's union semantics, then the post-union step
-// when present. It drains MediationStream, which states the composition
-// and the partial-results contract.
-func (e *Executor) ExecuteMediationSession(sess *Session, med *core.Mediation) (*relalg.Relation, error) {
-	it, err := e.MediationStream(sess, med)
-	if err != nil {
-		return nil, err
-	}
-	return relalg.Collect(sess.Context(), it, "")
 }
 
 func anyAggItems(items []sqlparse.SelectItem) bool {

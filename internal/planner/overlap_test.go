@@ -168,7 +168,7 @@ func TestOverlapRowsLeaveInBranchOrder(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		for _, m := range []*core.Mediation{med, lazyRoad(med)} {
 			ex := slowExecutor(newShareFixture(t).cat)
-			res, err := ex.ExecuteMediationSession(ex.NewSession(bg, Limits{MaxParallelism: par}), m)
+			res, err := executeMediationSession(ex, ex.NewSession(bg, Limits{MaxParallelism: par}), m)
 			if err != nil {
 				t.Fatal(err)
 			}

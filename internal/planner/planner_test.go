@@ -201,7 +201,7 @@ func TestJoinAlgorithmsSameResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !relalg.SameTuples(a, b) {
+	if !sameTuples(a, b) {
 		t.Errorf("join algorithms disagree:\n%s\nvs\n%s", a, b)
 	}
 }
@@ -344,10 +344,6 @@ func TestExecStatsCount(t *testing.T) {
 	st := ex.Stats()
 	if st.SourceQueries != 1 || st.TuplesTransferred != 2 || st.BranchesRun != 1 {
 		t.Errorf("stats = %+v", st)
-	}
-	ex.ResetStats()
-	if ex.Stats().SourceQueries != 0 {
-		t.Error("ResetStats failed")
 	}
 }
 

@@ -115,7 +115,7 @@ func TestMediationBranchesShareOneBuild(t *testing.T) {
 			shareBranch(t, "JPY", ""), shareBranch(t, "USD", ""), shareBranch(t, "EUR", "")}}
 		ex := NewExecutor(f.cat)
 		sess := ex.NewSession(bg, Limits{MaxParallelism: par})
-		res, err := ex.ExecuteMediationSession(sess, med)
+		res, err := executeMediationSession(ex, sess, med)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestOverBudgetBuildIsNotKept(t *testing.T) {
 	ex := NewExecutor(f.cat)
 	sess := zeroSession(t, ex)
 	sess.probe.bytes = DefaultProbeCacheBytes // the budget is already spent
-	res, err := ex.ExecuteMediationSession(sess, med)
+	res, err := executeMediationSession(ex, sess, med)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,11 @@ package planner
 // mid-stream, not just between operators.
 //
 // Only the pipeline breakers materialize, and they buffer in memory
-// (relalg.Collect; there is no disk spill): Sort and GroupBy buffers, the
-// build side of a hash join, the inner side of a nested-loop join, and
-// the feeding side of a bind join (its distinct binding values must all
-// be known before the dependent source can be queried).
+// (relalg.Collect; there is no disk spill): Sort buffers, the build side
+// of a hash join, the inner side of a nested-loop join, and the feeding
+// side of a bind join (its distinct binding values must all be known
+// before the dependent source can be queried). GroupBy streams its input
+// and keeps one first row and the accumulators per group.
 
 import (
 	"context"
@@ -716,8 +717,8 @@ func (e *Executor) joinIter(share relalg.BuildSharer, cur, next relalg.Iterator,
 
 // BuildStream compiles a prepared plan into an iterator tree governed by
 // sess. Nothing runs until the tree is Opened — open it with the
-// session's context; Collect it (or use RunSession) for a materialized
-// answer. The tree is single-use.
+// session's context; Collect it for a materialized answer. The tree is
+// single-use.
 func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator, error) {
 	var cur relalg.Iterator
 	for i := range plan.Steps {
@@ -1132,7 +1133,9 @@ func (e *Executor) postStream(sess *Session, post *core.Post, in relalg.Iterator
 				}
 			}
 		}
-		out = relalg.NewProject(out, items)
+		if !identity(items, out.Schema()) {
+			out = relalg.NewProject(out, items)
+		}
 	}
 	if post.Distinct {
 		out = relalg.NewDistinct(out)
@@ -1147,4 +1150,16 @@ func (e *Executor) postStream(sess *Session, post *core.Post, in relalg.Iterator
 		out = srt
 	}
 	return relalg.NewLimit(out, post.Limit), nil
+}
+
+// identity reports whether items project in unchanged: one bare
+// reference per column, in order, under the column's own name — what
+// core emits as the select list of a multi-branch ORDER BY or LIMIT.
+func identity(items []relalg.ProjectItem, in relalg.Schema) bool {
+	same := len(items) == len(in.Columns)
+	for i := 0; same && i < len(items); i++ {
+		c, ref := items[i].Expr.(*sqlparse.ColRef)
+		same = ref && c.Table == "" && items[i].Name == in.Columns[i].Name && in.Index(c.Column) == i
+	}
+	return same
 }

@@ -203,3 +203,43 @@ func TestMediationPlanningErrorFailsBuild(t *testing.T) {
 		t.Errorf("failed build ran %d source queries", st.SourceQueries)
 	}
 }
+
+// TestIdentityPostItems: the select list core gives a multi-branch ORDER
+// BY (one bare reference per union column, in order) is recognised as the
+// identity, so postStream adds no projection; anything that renames,
+// reorders, drops or computes a column is not.
+func TestIdentityPostItems(t *testing.T) {
+	med, err := core.New(fixture.Registry()).MediateSQL(
+		"SELECT r1.cname, r1.revenue FROM r1 WHERE r1.revenue > 5 ORDER BY r1.revenue DESC", "c2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, _ := paperCatalog()
+	ex := NewExecutor(cat)
+	branch, err := ex.selectStream(zeroSession(t, ex), med.Branches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := branch.Schema()
+	var items []relalg.ProjectItem
+	for _, it := range med.Post.Items {
+		items = append(items, relalg.ProjectItem{Name: it.Expr.(*sqlparse.ColRef).Column, Expr: it.Expr})
+	}
+	if len(med.Branches) < 2 || !identity(items, in) {
+		t.Fatalf("core's post items %v over %v (%d branches) are not the identity", items, in.Names(), len(med.Branches))
+	}
+	ref := func(name, col string) relalg.ProjectItem {
+		return relalg.ProjectItem{Name: name, Expr: sqlparse.Col("", col)}
+	}
+	for _, c := range [][]relalg.ProjectItem{
+		{ref("revenue", "revenue"), ref("cname", "cname")},
+		{ref("cname", "cname")},
+		{ref("cname", "cname"), ref("total", "revenue")},
+		{ref("cname", "cname"), {Name: "revenue", Expr: sqlparse.Col("r1", "revenue")}},
+		{ref("cname", "cname"), {Name: "revenue", Expr: sqlparse.Num(1)}},
+	} {
+		if identity(c, in) {
+			t.Errorf("%v over %v taken for the identity", c, in.Names())
+		}
+	}
+}

@@ -14,17 +14,26 @@ type AggItem struct {
 	Expr sqlparse.Expr // may contain FuncCall nodes
 }
 
-// grouping is a GROUP BY compiled against its input schema, once per
-// operator. Keys compile with Compile. Every aggregate call in the items
-// and HAVING is a slot: each group keeps one accumulator per slot, fed
-// row by row in input order, and its first row, which the non-aggregate
-// parts of the items read. Operators over aggregates combine the slots'
-// results with the value-level rules Compile also uses.
+// grouping is a GROUP BY compiled against its input schema, and its run:
+// one per operator, which is single-use. Keys compile with Compile. Every
+// aggregate call in the items and HAVING is a slot: each group keeps one
+// accumulator per slot, fed row by row in input order, and its first
+// row, which the non-aggregate parts of the items read. Operators over
+// aggregates combine the slots' results with the value-level rules
+// Compile also uses. The groups are numbered in first-appearance order,
+// the output order, by a keyTable: keys compare as IS NOT DISTINCT FROM
+// (NULL, NaN and ±0 each form one group).
 type grouping struct {
 	keys   []CompiledExpr
 	slots  []aggSlot
 	items  []aggExpr
 	having aggExpr // nil when absent
+
+	index  keyTable
+	groups []*groupState
+	firsts *BatchBuilder // the arena holding each group's first row
+	kv     Tuple
+	buf    []byte
 }
 
 // aggExpr is an item or HAVING evaluated over one group.
@@ -57,7 +66,8 @@ type acc struct {
 // here fails: a bad column or a malformed call fails on the row or group
 // that reaches it, so an empty input still yields the global row.
 func compileGrouping(schema Schema, keys []sqlparse.Expr, items []AggItem, having sqlparse.Expr) *grouping {
-	g := &grouping{keys: make([]CompiledExpr, len(keys)), items: make([]aggExpr, len(items))}
+	g := &grouping{keys: make([]CompiledExpr, len(keys)), items: make([]aggExpr, len(items)),
+		firsts: NewBatchBuilder(len(schema.Columns)), kv: make(Tuple, len(keys))}
 	for i, k := range keys {
 		g.keys[i] = Compile(k, schema)
 	}
@@ -169,45 +179,48 @@ func (s *aggSlot) result(a *acc) (Value, error) {
 	return a.best, nil
 }
 
-// run groups r and computes the items per group. With no keys, the whole
-// relation is one group (global aggregation); an empty input then yields
-// one row of aggregate identity values (COUNT=0, SUM/AVG/MIN/MAX=NULL),
-// matching SQL. Group keys compare as IS NOT DISTINCT FROM (NULL, NaN and
-// ±0 each form one group) in a keyTable, whose ids give the output order:
-// first appearance.
-func (g *grouping) run(r *Relation, schema Schema) (*Relation, error) {
-	var index keyTable
-	var buf []byte
-	var groups []*groupState
-	kv := make(Tuple, len(g.keys))
-	for _, t := range r.Tuples {
+// add feeds one batch to the groups. A new group's first row is copied
+// into the grouping's own arena; nothing else of the batch is kept.
+func (g *grouping) add(b Batch) error {
+	g.firsts.Reset(0)
+	for _, row := range b.Rows {
 		for i, k := range g.keys {
-			v, err := k(t)
+			v, err := k(row)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			kv[i] = v
+			g.kv[i] = v
 		}
-		buf = appendRowKey(buf[:0], kv)
-		id, added := index.insert(buf)
+		g.buf = appendRowKey(g.buf[:0], g.kv)
+		id, added := g.index.insert(g.buf)
 		if added {
-			groups = append(groups, &groupState{first: t, accs: make([]acc, len(g.slots))})
+			first := g.firsts.Row()
+			copy(first, row)
+			g.groups = append(g.groups, &groupState{first: first, accs: make([]acc, len(g.slots))})
 		}
-		accs := groups[id].accs
+		accs := g.groups[id].accs
 		for i := range g.slots {
-			if err := g.slots[i].feed(&accs[i], t); err != nil {
-				return nil, err
+			if err := g.slots[i].feed(&accs[i], row); err != nil {
+				return err
 			}
 		}
 	}
-	checkTable(&index)
-	if len(g.keys) == 0 && len(groups) == 0 {
-		groups = append(groups, &groupState{accs: make([]acc, len(g.slots))})
+	return nil
+}
+
+// result computes the items per group, keeping the groups HAVING passes.
+// With no keys the whole input is one group (global aggregation); an
+// empty input then yields one row of aggregate identity values (COUNT=0,
+// SUM/AVG/MIN/MAX=NULL), matching SQL.
+func (g *grouping) result(schema Schema) (*Relation, error) {
+	checkTable(&g.index)
+	if len(g.keys) == 0 && len(g.groups) == 0 {
+		g.groups = append(g.groups, &groupState{accs: make([]acc, len(g.slots))})
 	}
-	out := NewRelation(r.Name, schema)
+	out := NewRelation("", schema)
 	w := len(g.items)
-	slab := make([]Value, len(groups)*w)
-	for gi, group := range groups {
+	slab := make([]Value, len(g.groups)*w)
+	for gi, group := range g.groups {
 		row := slab[gi*w : (gi+1)*w : (gi+1)*w]
 		for i, item := range g.items {
 			v, err := item(group)

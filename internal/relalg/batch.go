@@ -130,32 +130,35 @@ func (bb *BatchBuilder) Batch() Batch { return Batch{Rows: bb.rows} }
 // operators may recycle their output arenas between batches instead of
 // keeping every row alive. It is a planner-side promise: calling it on an
 // iterator whose rows ARE retained (a Collect, a breaker's build side)
-// corrupts results. Pass-through wrappers (counters, filters) forward the
-// mark to the operator that actually builds rows — their own output IS
-// the child's; iterators that don't build rows ignore it. Must be called
-// before Open.
+// corrupts results. Wrappers whose output IS their child's rows (the
+// forwarders: counters, filters, limits, DISTINCT) pass the mark to the
+// operator that actually builds rows, a union to each of its inputs and a
+// DeferredIter to the child it builds at Open; iterators that build no
+// rows ignore it, and an exchange join drops it: its batches cross
+// channels from its workers, so no consumer promise makes recycling safe.
+// Must be called before Open.
 func MarkTransient(it Iterator) {
 	for {
 		switch x := it.(type) {
-		case *CountedIter:
-			it = x.child
-		case *FilterIter:
-			it = x.child
+		case *ProjectIter:
+			x.bb.Transient = true
+			return
 		case *HashJoinIter:
-			x.TransientOutput = true
+			x.bb.Transient = true
 			return
 		case *NestedLoopIter:
-			x.TransientOutput = true
+			x.bb.Transient = true
 			return
-		case *ParallelHashJoinIter:
-			// Deliberately unmarked: its batches are produced
-			// asynchronously by worker pipelines and handed across
-			// channels, so no consumer promise can make arena recycling
-			// safe. The mark is dropped.
+		case *UnionAllIter:
+			for _, c := range x.children {
+				MarkTransient(c)
+			}
 			return
 		case *DeferredIter:
 			x.transient = true
 			return
+		case forwarder:
+			it, _ = x.forward()
 		default:
 			return
 		}

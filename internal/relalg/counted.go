@@ -38,10 +38,4 @@ func (c *CountedIter) Next(max int) (Batch, error) {
 // Close implements Iterator.
 func (c *CountedIter) Close() error { return c.child.Close() }
 
-// RowCountHint forwards the child's hint (counting preserves rows).
-func (c *CountedIter) RowCountHint() int {
-	if h, ok := c.child.(RowCountHint); ok {
-		return h.RowCountHint()
-	}
-	return 0
-}
+func (c *CountedIter) forward() (Iterator, int) { return c.child, -1 }

@@ -106,6 +106,8 @@ type checkedIter struct {
 
 func (c *checkedIter) Schema() Schema { return c.it.Schema() }
 
+func (c *checkedIter) forward() (Iterator, int) { return c.it, -1 }
+
 func (c *checkedIter) Open(ctx context.Context) error {
 	if c.opened {
 		panic("relalg: iterator contract: Open called twice")

@@ -185,7 +185,7 @@ func TestOperatorsRaggedBatchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !SameTuples(hjo, whj) {
+		if !sameTuples(hjo, whj) {
 			t.Fatalf("seed %d: hash join bags differ across build sides", seed)
 		}
 
@@ -465,6 +465,38 @@ func TestCollectPropagatesCancellation(t *testing.T) {
 	cancel()
 	if _, err := Collect(ctx, src, ""); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Collect on canceled ctx: err=%v", err)
+	}
+}
+
+// TestCollectPresizesAfterOpen: Collect reads its input's row-count hint
+// once the input is open, so a DeferredIter (whose child exists only
+// then), a SortIter (whose count is known only then) and the wrappers
+// over them presize the buffer exactly instead of climbing the doubling
+// ladder to 16,384.
+func TestCollectPresizesAfterOpen(t *testing.T) {
+	rel := randomRelation("r", 10000, rand.New(rand.NewSource(7)))
+	deferred := func() Iterator {
+		return NewDeferred(rel.Schema, func(context.Context) (Iterator, error) { return NewScan(rel), nil })
+	}
+	sorted := func() Iterator { return NewSort(NewScan(rel), []OrderKey{{Expr: mustExpr("v")}}, nil) }
+	for _, c := range []struct {
+		name string
+		it   Iterator
+		want int
+	}{
+		{"deferred scan", deferred(), 10000},
+		{"sort", sorted(), 10000},
+		{"counted checked sort", NewCounted(Checked(NewOnOpen(sorted(), nil)), new(atomic.Int64)), 10000},
+		{"limit over sort", NewLimit(sorted(), 2500), 2500},
+		{"limit over deferred scan", NewLimit(deferred(), -1), 10000},
+	} {
+		out, err := Collect(context.Background(), c.it, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != c.want || cap(out.Tuples) != c.want {
+			t.Errorf("%s: len %d cap %d, want both %d", c.name, out.Len(), cap(out.Tuples), c.want)
+		}
 	}
 }
 

@@ -22,9 +22,10 @@ package relalg
 //     the context (or exceeding its deadline) makes Next return ctx.Err()
 //     promptly even mid-stream (cancellation is observed per batch, not
 //     per tuple). Opening is where pipeline breakers (Sort, GroupBy, the
-//     build side of HashJoin) consume their children and buffer them in
-//     memory; a non-breaker operator opens its children and does no
-//     tuple work.
+//     build side of HashJoin) consume their children — Sort and the
+//     build side buffer them in memory, GroupBy keeps one first row per
+//     group; a non-breaker operator opens its children and does no tuple
+//     work.
 //  3. Next(max) returns a batch of 1..max(*) tuples while tuples remain,
 //     then an empty batch once exhausted — an empty batch with a nil
 //     error always and only means exhaustion, and an error always comes
@@ -91,14 +92,24 @@ type Stager interface {
 	Stage(rel *Relation) (*Relation, error)
 }
 
-// RowCountHint is optionally implemented by iterators that can estimate
-// how many rows they will yield. Full drains (Collect, breakers) use it
+// RowCountHint is optionally implemented by iterators that know how many
+// rows they will yield: exactly ScanIter, and SortIter and GroupByIter
+// once Open has drained their input; the planner's scan leaves by their
+// transfer estimate. Full drains (Collect, DISTINCT's key table) use it
 // only to presize their buffers, so a wrong hint costs memory or a
-// regrow, never correctness. It is queried after Open; row-preserving
-// wrappers forward their child's hint, row-reducing ones (filters,
-// limits) must not.
+// regrow, never correctness. It is queried after Open, through the
+// forwarders above the reporter.
 type RowCountHint interface {
 	RowCountHint() int
+}
+
+// forwarder is implemented by the wrappers whose output rows are rows of
+// one child, handed on uncopied: MarkTransient passes its mark through
+// them, and presizeHint their child's hint, capped at most unless that is
+// negative (LIMIT n caps it at n; a filter or DISTINCT, which may drop
+// any row, at 0). A DeferredIter's child is nil before Open.
+type forwarder interface {
+	forward() (child Iterator, most int)
 }
 
 // maxHintRows caps how far a hint may presize a drain buffer: a wildly
@@ -108,47 +119,70 @@ const maxHintRows = 1 << 20
 
 // presizeHint returns the presize capacity for draining it, or 0.
 func presizeHint(it Iterator) int {
-	h, ok := it.(RowCountHint)
-	if !ok {
-		return 0
+	limit := maxHintRows
+	for {
+		if h, ok := it.(RowCountHint); ok {
+			return max(0, min(h.RowCountHint(), limit))
+		}
+		f, ok := it.(forwarder)
+		if !ok {
+			return 0
+		}
+		var most int
+		if it, most = f.forward(); most >= 0 {
+			limit = min(limit, most)
+		}
 	}
-	return max(0, min(h.RowCountHint(), maxHintRows))
+}
+
+// consume runs it through its full Open/Next/Close cycle under the
+// contract checks of Checked, handing each batch to each, which must
+// copy whatever it keeps of a row unless it is durable by contract. The
+// loop checks ctx per batch, so a canceled context stops a breaker's
+// buffering (and any other full drain) mid-way.
+func consume(ctx context.Context, it Iterator, each func(Batch) error) error {
+	it = Checked(it)
+	if err := it.Open(ctx); err != nil {
+		return err
+	}
+	for {
+		b, err := Batch{}, ctx.Err()
+		if err == nil {
+			b, err = it.Next(DefaultBatchSize)
+		}
+		if err == nil && b.Empty() {
+			return it.Close()
+		}
+		if err == nil {
+			err = each(b)
+		}
+		if err != nil {
+			it.Close()
+			return err
+		}
+	}
 }
 
 // Collect drains it into a materialized relation named name. It runs the
 // full Open/Next/Close cycle and is the bridge from the streaming world
-// back to *Relation. The drain loop checks ctx per batch, so a canceled
-// context stops a breaker's buffering (and any other full drain) mid-way.
+// back to *Relation. The buffer is presized from the iterator's hint,
+// read at the first batch: a DeferredIter knows its child's only once
+// open, and a SortIter its count.
 func Collect(ctx context.Context, it Iterator, name string) (*Relation, error) {
-	hint := presizeHint(it)
-	it = Checked(it)
-	if err := it.Open(ctx); err != nil {
-		return nil, err
-	}
 	out := NewRelation(name, it.Schema())
-	if hint > 0 {
-		out.Tuples = make([]Tuple, 0, hint)
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			it.Close()
-			return nil, err
-		}
-		b, err := it.Next(DefaultBatchSize)
-		if err != nil {
-			it.Close()
-			return nil, err
-		}
-		if b.Empty() {
-			break
+	err := consume(ctx, it, func(b Batch) error {
+		if out.Tuples == nil {
+			out.Tuples = make([]Tuple, 0, max(presizeHint(it), b.Len()))
 		}
 		if n := len(out.Tuples) + b.Len(); n > cap(out.Tuples) { // double: append's 1.25x steps re-copy a large result ~5 times
 			out.Tuples = slices.Grow(out.Tuples, max(n, 2*cap(out.Tuples))-len(out.Tuples))
 		}
-		//lint:allow batchretain Collect is the durable boundary: the root iterator owns no transient arena, so its rows are durable by contract
+		// The durable boundary: the root iterator owns no transient arena,
+		// so its rows are durable by contract.
 		out.Tuples = append(out.Tuples, b.Rows...)
-	}
-	if err := it.Close(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -255,14 +289,7 @@ func (d *DeferredIter) Close() error {
 	return err
 }
 
-// RowCountHint forwards the built child's hint (only meaningful after
-// Open, which is when drains query it).
-func (d *DeferredIter) RowCountHint() int {
-	if h, ok := d.child.(RowCountHint); ok {
-		return h.RowCountHint()
-	}
-	return 0
-}
+func (d *DeferredIter) forward() (Iterator, int) { return d.child, -1 }
 
 // RenameIter presents its child under a different schema (same arity and
 // tuple contents; only column names change). The planner uses it to
@@ -289,13 +316,7 @@ func (r *RenameIter) Next(max int) (Batch, error) { return r.child.Next(max) }
 // Close implements Iterator.
 func (r *RenameIter) Close() error { return r.child.Close() }
 
-// RowCountHint forwards the child's hint (renaming preserves rows).
-func (r *RenameIter) RowCountHint() int {
-	if h, ok := r.child.(RowCountHint); ok {
-		return h.RowCountHint()
-	}
-	return 0
-}
+func (r *RenameIter) forward() (Iterator, int) { return r.child, -1 }
 
 // OnOpenIter invokes a callback the first time Open is called; the
 // planner uses it to count how many branch pipelines actually start
@@ -327,3 +348,5 @@ func (o *OnOpenIter) Next(max int) (Batch, error) { return o.child.Next(max) }
 
 // Close implements Iterator.
 func (o *OnOpenIter) Close() error { return o.child.Close() }
+
+func (o *OnOpenIter) forward() (Iterator, int) { return o.child, -1 }

@@ -76,6 +76,8 @@ func (f *FilterIter) Next(max int) (Batch, error) {
 // Close implements Iterator.
 func (f *FilterIter) Close() error { return f.child.Close() }
 
+func (f *FilterIter) forward() (Iterator, int) { return f.child, 0 }
+
 // ProjectIter computes one output column per item for every child tuple,
 // assembling each output batch in a value arena (one allocation per
 // batch, not one tuple allocation per row).
@@ -102,7 +104,8 @@ func ProjectionSchema(items []ProjectItem, in Schema) Schema {
 // the child schema.
 func NewProject(child Iterator, items []ProjectItem) *ProjectIter {
 	in := child.Schema()
-	return &ProjectIter{child: child, items: items, in: in, schema: ProjectionSchema(items, in)}
+	return &ProjectIter{child: child, items: items, in: in, schema: ProjectionSchema(items, in),
+		bb: NewBatchBuilder(len(items))}
 }
 
 // Schema implements Iterator.
@@ -110,7 +113,6 @@ func (p *ProjectIter) Schema() Schema { return p.schema }
 
 // Open implements Iterator.
 func (p *ProjectIter) Open(ctx context.Context) error {
-	p.bb = NewBatchBuilder(len(p.items))
 	p.fns = make([]CompiledExpr, len(p.items))
 	for i, it := range p.items {
 		p.fns[i] = Compile(it.Expr, p.in)
@@ -208,6 +210,8 @@ func (l *LimitIter) Close() error {
 	return l.child.Close()
 }
 
+func (l *LimitIter) forward() (Iterator, int) { return l.child, l.n }
+
 // DistinctIter streams the child tuples, dropping duplicates of tuples
 // already emitted (first occurrence wins; NULL, NaN and ±0 compare as IS
 // NOT DISTINCT FROM). It holds the keys of the rows it has seen, not the
@@ -276,6 +280,8 @@ func (d *DistinctIter) Close() error {
 	}
 	return d.child.Close()
 }
+
+func (d *DistinctIter) forward() (Iterator, int) { return d.child, 0 }
 
 // UnionAllIter concatenates its children's streams, strictly in order. A
 // child the union has advanced past is closed before the next is pulled,
@@ -412,9 +418,6 @@ type NestedLoopIter struct {
 	pred   sqlparse.Expr
 	schema Schema
 	predFn func(Tuple) (bool, error) // pred compiled against schema
-	// TransientOutput recycles the output arena between batches; set
-	// only via MarkTransient (see its contract).
-	TransientOutput bool
 
 	ob   Batch // current outer batch
 	oi   int   // next outer row within ob
@@ -426,12 +429,9 @@ type NestedLoopIter struct {
 
 // NewNestedLoop joins outer against inner on pred.
 func NewNestedLoop(outer Iterator, inner *Relation, pred sqlparse.Expr) *NestedLoopIter {
-	return &NestedLoopIter{
-		outer:  outer,
-		inner:  inner,
-		pred:   pred,
-		schema: outer.Schema().Concat(inner.Schema),
-	}
+	schema := outer.Schema().Concat(inner.Schema)
+	return &NestedLoopIter{outer: outer, inner: inner, pred: pred, schema: schema,
+		bb: NewBatchBuilder(len(schema.Columns))}
 }
 
 // Schema implements Iterator.
@@ -440,8 +440,6 @@ func (n *NestedLoopIter) Schema() Schema { return n.schema }
 // Open implements Iterator.
 func (n *NestedLoopIter) Open(ctx context.Context) error {
 	n.ob, n.oi, n.cur, n.pos, n.pend = Batch{}, 0, nil, 0, nil
-	n.bb = NewBatchBuilder(len(n.schema.Columns))
-	n.bb.Transient = n.TransientOutput
 	if n.pred != nil {
 		n.predFn = CompileBool(n.pred, n.schema)
 	}
@@ -514,9 +512,6 @@ func (n *NestedLoopIter) Close() error { return n.outer.Close() }
 type HashJoinIter struct {
 	hashJoin
 	resFn func(Tuple) (bool, error) // residual compiled against schema
-	// TransientOutput recycles the output arena between batches; set
-	// only via MarkTransient (see its contract).
-	TransientOutput bool
 
 	buf  []byte // probe key scratch
 	pb   Batch  // current probe batch
@@ -678,7 +673,7 @@ func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sq
 	if err != nil {
 		return nil, err
 	}
-	return &HashJoinIter{hashJoin: core, mr: -1}, nil
+	return &HashJoinIter{hashJoin: core, mr: -1, bb: NewBatchBuilder(len(core.schema.Columns))}, nil
 }
 
 // Open implements Iterator: it obtains the build side's hash table.
@@ -690,8 +685,6 @@ func (h *HashJoinIter) Open(ctx context.Context) error {
 		h.resFn = CompileBool(h.residual, h.schema)
 	}
 	h.pb, h.pi, h.cur, h.mr, h.pend = Batch{}, 0, nil, -1, nil
-	h.bb = NewBatchBuilder(len(h.schema.Columns))
-	h.bb.Transient = h.TransientOutput
 	return h.probe.Open(ctx)
 }
 
@@ -794,6 +787,14 @@ func (d *drained) Next(max int) (Batch, error) {
 // Close implements Iterator.
 func (d *drained) Close() error { d.out = nil; return nil }
 
+// RowCountHint implements RowCountHint: after Open the count is exact.
+func (d *drained) RowCountHint() int {
+	if d.out == nil {
+		return 0
+	}
+	return d.out.RowCountHint()
+}
+
 // NewSort sorts child by keys (stable).
 func NewSort(child Iterator, keys []OrderKey, _ Stager) *SortIter {
 	return &SortIter{child: child, keys: keys}
@@ -816,8 +817,9 @@ func (s *SortIter) Open(ctx context.Context) error {
 	return s.out.Open(ctx)
 }
 
-// GroupByIter is the aggregation pipeline breaker: Open drains the
-// child into memory and runs the grouping compiled at construction.
+// GroupByIter is the aggregation pipeline breaker: Open streams the
+// child through the grouping compiled at construction, which keeps one
+// first row and the accumulators per group, not its input.
 type GroupByIter struct {
 	child  Iterator
 	group  *grouping
@@ -826,14 +828,16 @@ type GroupByIter struct {
 }
 
 // NewGroupBy groups child by keys and computes items per group (see
-// grouping.run for the exact SQL semantics, including the empty-input
-// global aggregate row).
+// grouping.result for the exact SQL semantics, including the empty-input
+// global aggregate row). The grouping copies what it keeps of a row, so
+// child is marked transient.
 func NewGroupBy(child Iterator, keys []sqlparse.Expr, items []AggItem, having sqlparse.Expr, _ Stager) *GroupByIter {
 	in := child.Schema()
 	cols := make([]Column, len(items))
 	for i, it := range items {
 		cols[i] = Column{Name: it.Name, Type: aggType(it.Expr, in)}
 	}
+	MarkTransient(child)
 	return &GroupByIter{child: child, group: compileGrouping(in, keys, items, having),
 		schema: Schema{Columns: cols}}
 }
@@ -843,11 +847,10 @@ func (g *GroupByIter) Schema() Schema { return g.schema }
 
 // Open implements Iterator.
 func (g *GroupByIter) Open(ctx context.Context) error {
-	rel, err := Collect(ctx, g.child, "")
-	if err != nil {
+	if err := consume(ctx, g.child, g.group.add); err != nil {
 		return err
 	}
-	grouped, err := g.group.run(rel, g.schema)
+	grouped, err := g.group.result(g.schema)
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,7 @@ func TestThreeJoinsAgreeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return SameTuples(nl, hj) && SameTuples(nl, phj)
+		return sameTuples(nl, hj) && sameTuples(nl, phj)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -136,7 +136,7 @@ func TestHashJoinSignedZeroKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !SameTuples(nl, hj) || !SameTuples(nl, phj) {
+		if !sameTuples(nl, hj) || !sameTuples(nl, phj) {
 			t.Errorf("buildLeft=%v: hash join %v, exchange %v, nested loop %v", buildLeft, hj.Tuples, phj.Tuples, nl.Tuples)
 		}
 	}

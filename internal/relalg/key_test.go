@@ -38,7 +38,7 @@ func TestDistinctSurvivesSeparatorInjection(t *testing.T) {
 	if out.Len() != 2 {
 		t.Fatalf("DISTINCT merged colliding rows: got %d tuples, want 2\n%s", out.Len(), out)
 	}
-	if SameTuples(rel, out) != true {
+	if sameTuples(rel, out) != true {
 		t.Errorf("DISTINCT changed the tuple bag:\n%s\nvs\n%s", rel, out)
 	}
 }

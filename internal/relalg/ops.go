@@ -7,10 +7,10 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// Sort and GroupBy are inherently pipeline breakers, so their
-// materialized cores live here (and in agg.go) and SortIter/GroupByIter
-// wrap them; every other operator exists only as a streaming iterator
-// (iterops.go) — drain one with Collect for a materialized answer.
+// Sort and GroupBy are inherently pipeline breakers, so their cores live
+// here (and in agg.go) and SortIter/GroupByIter wrap them; every other
+// operator exists only as a streaming iterator (iterops.go) — drain one
+// with Collect for a materialized answer.
 
 // ProjectItem names one output column computed by an expression.
 type ProjectItem struct {

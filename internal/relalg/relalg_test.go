@@ -2,7 +2,9 @@ package relalg
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -45,6 +47,22 @@ func drain(t testing.TB, it Iterator) *Relation {
 		t.Fatal(err)
 	}
 	return rel
+}
+
+// sameTuples reports bag equality of two relations' tuples, ignoring
+// order.
+func sameTuples(a, b *Relation) bool {
+	return slices.Equal(tupleBag(a), tupleBag(b))
+}
+
+// tupleBag is r's tuples' full keys, sorted.
+func tupleBag(r *Relation) []string {
+	keys := make([]string, len(r.Tuples))
+	for i, t := range r.Tuples {
+		keys[i] = t.FullKey()
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // union drains a ∪ b: UNION ALL when all is set, set UNION otherwise.
@@ -179,7 +197,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !SameTuples(nl, hj) {
+	if !sameTuples(nl, hj) {
 		t.Errorf("hash join != nested loop:\n%s\nvs\n%s", nl, hj)
 	}
 }
@@ -205,7 +223,7 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return SameTuples(nl, hj)
+		return sameTuples(nl, hj)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -234,7 +252,7 @@ func TestSelectionCascadeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return SameTuples(both, second)
+		return sameTuples(both, second)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -271,7 +289,7 @@ func TestJoinCommutativityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return SameTuples(pa, pb)
+		return sameTuples(pa, pb)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -377,6 +395,37 @@ func TestGroupByAggregates(t *testing.T) {
 	x := out.Tuples[0]
 	if x[0].S != "x" || x[1].N != 2 || x[2].N != 4 || x[3].N != 2 || x[4].N != 3 {
 		t.Errorf("group x = %v", x)
+	}
+}
+
+// TestGroupByCopiesFirstRows: GROUP BY marks its input transient, so the
+// projection below it recycles its arena between batches; every group's
+// first row, which a non-aggregate item reads, must be the grouping's own
+// copy. 3,000 rows in 1,500 groups span three batches, so groups first
+// seen in the first batch outlive its arena.
+func TestGroupByCopiesFirstRows(t *testing.T) {
+	r := testRel("s", "s.grp, s.v:num")
+	const groups = 1500
+	for i := range 2 * groups {
+		r.MustAdd(StrV(fmt.Sprintf("g%04d", i%groups)), NumV(float64(i)))
+	}
+	proj := NewProject(NewScan(r), []ProjectItem{
+		{Name: "grp", Expr: sqlparse.Col("s", "grp")},
+		{Name: "v", Expr: sqlparse.Col("s", "v")},
+	})
+	items := []AggItem{
+		{Name: "grp", Expr: sqlparse.Col("", "grp")},
+		{Name: "first", Expr: sqlparse.Col("", "v")},
+		{Name: "total", Expr: &sqlparse.FuncCall{Name: "SUM", Args: []sqlparse.Expr{sqlparse.Col("", "v")}}},
+	}
+	out := drain(t, NewGroupBy(proj, []sqlparse.Expr{sqlparse.Col("", "grp")}, items, nil, nil))
+	if out.Len() != groups {
+		t.Fatalf("groups = %d, want %d", out.Len(), groups)
+	}
+	for i, row := range out.Tuples {
+		if want := fmt.Sprintf("g%04d", i); row[0].S != want || row[1].N != float64(i) || row[2].N != float64(2*i+groups) {
+			t.Fatalf("group %d = %v, want [%s %d %d]", i, row, want, i, 2*i+groups)
+		}
 	}
 }
 

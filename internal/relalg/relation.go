@@ -219,22 +219,3 @@ func (r *Relation) String() string {
 	}
 	return b.String()
 }
-
-// SameTuples reports set equality of the two relations' tuple bags
-// (duplicates counted), ignoring order. Schemas must have equal arity.
-func SameTuples(a, b *Relation) bool {
-	if len(a.Tuples) != len(b.Tuples) {
-		return false
-	}
-	counts := map[string]int{}
-	for _, t := range a.Tuples {
-		counts[t.FullKey()]++
-	}
-	for _, t := range b.Tuples {
-		counts[t.FullKey()]--
-		if counts[t.FullKey()] < 0 {
-			return false
-		}
-	}
-	return true
-}

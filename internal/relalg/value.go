@@ -9,9 +9,9 @@
 // Every operator is a streaming, pull-based Iterator (Volcano model; see
 // the Iterator contract in iterator.go) that the planner composes into
 // pipelines with early termination; Collect drains one into a
-// materialized *Relation. Only pipeline breakers — Sort, GroupBy, the
-// build side of a hash join — buffer their input, and those buffers are
-// held in memory.
+// materialized *Relation. Only pipeline breakers — Sort, the build side
+// of a hash join — buffer their input, and those buffers are held in
+// memory; GroupBy keeps one first row and the accumulators per group.
 package relalg
 
 import (

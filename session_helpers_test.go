@@ -22,5 +22,9 @@ func execute(ex *planner.Executor, stmt sqlparse.Statement) (*relalg.Relation, e
 func executeMediation(ex *planner.Executor, med *core.Mediation) (*relalg.Relation, error) {
 	sess := ex.NewSession(context.Background(), planner.Limits{})
 	defer sess.Close()
-	return ex.ExecuteMediationSession(sess, med)
+	it, err := ex.MediationStream(sess, med)
+	if err != nil {
+		return nil, err
+	}
+	return relalg.Collect(sess.Context(), it, "")
 }
