@@ -22,7 +22,7 @@ LINT_ALLOW_BUDGET = 4
 # fails above it). The same kind of ratchet: set to the measured value
 # when code is deleted, never raised; ROADMAP item D heads for 8,500.
 LOC_PKGS   = internal/relalg internal/planner coin
-LOC_BUDGET = 8289
+LOC_BUDGET = 7917
 
 # The same ratchet over the source side: the wrapper layer and the store
 # its relational, REST and SQL fixtures serve (non-test files, the
@@ -62,7 +62,7 @@ test-bench:
 # Race detector over the session/concurrency-sensitive packages (CI runs
 # this as its own job), the mediator included: one core.Mediator, with its
 # program cache and shape memo, is shared by every request a server
-# answers. The exchange-operator and parallel-pipeline tests run twice so
+# answers. The parallel-pipeline and partitioned-sort tests run twice so
 # scheduling variation between runs gets a chance to surface ordering
 # races the first pass missed. The mediated union's overlap tests and the
 # schedule-perturbation referee run ten times under the invariants build:

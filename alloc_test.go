@@ -8,7 +8,9 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/client"
@@ -18,6 +20,8 @@ import (
 	"repro/internal/relalg"
 	"repro/internal/server"
 	"repro/internal/sqlparse"
+	"repro/internal/store"
+	"repro/internal/wrapper"
 )
 
 func TestE9MediatedJoinAllocBudget(t *testing.T) {
@@ -91,8 +95,8 @@ func TestMediateHitAllocBudget(t *testing.T) {
 }
 
 // TestScaleMediatedJoinByteBudget is the byte-volume gate of the same
-// query at the scale_stream workload's size (10,000 companies, exchange
-// joins at DefaultParallelism = 2): the three branches share one build of
+// query at the scale_stream workload's size (10,000 companies,
+// DefaultParallelism = 2): the three branches share one build of
 // r2, so r2 crosses the wrapper boundary once per query and the query's
 // allocated bytes stay near one copy of each relation — losing the share
 // (or re-inflating Value) roughly doubles them.
@@ -192,5 +196,85 @@ func TestWireRoundTripByteBudget(t *testing.T) {
 	const budget = 1500 << 10
 	if perQuery > budget {
 		t.Errorf("round trip allocates %d B/query, budget %d", perQuery, budget)
+	}
+}
+
+// unpartitioned is a relational source that advertises no partitions, so
+// the parallelize pass cannot fan its scans out.
+type unpartitioned struct{ *wrapper.Relational }
+
+func (u unpartitioned) Capabilities(rel string) (wrapper.Capabilities, error) {
+	caps, err := u.Relational.Capabilities(rel)
+	caps.Partitions = 0
+	return caps, err
+}
+
+// TestParallelJoinAllocatesAsSerial: keyed joins over sources that
+// advertise no partitions have nothing to run in parallel, so at
+// MaxParallelism 4 they must allocate what they allocate serially: serial
+// hash joins whose output arenas are recycled between batches — the
+// first join's by the second, which it feeds as the probe side, and the
+// second's by the projection. 20,000 probe rows (big, first in FROM)
+// against 1,000 unique keys in dim and in tag, one match each.
+func TestParallelJoinAllocatesAsSerial(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	const bigRows, keys = 20000, 1000
+	db := store.NewDB("src")
+	table := func(name, col string) *store.Table {
+		return db.MustCreateTable(name, relalg.NewSchema(
+			relalg.Column{Name: "k", Type: relalg.KindString},
+			relalg.Column{Name: col, Type: relalg.KindNumber}))
+	}
+	big, dim, tag := table("big", "v"), table("dim", "w"), table("tag", "t")
+	for i := 0; i < bigRows; i++ {
+		big.MustInsert(relalg.StrV(fmt.Sprintf("k%03d", i*7%keys)), relalg.NumV(float64(i)))
+	}
+	for i := 0; i < keys; i++ {
+		dim.MustInsert(relalg.StrV(fmt.Sprintf("k%03d", i)), relalg.NumV(float64(i)))
+		tag.MustInsert(relalg.StrV(fmt.Sprintf("k%03d", i)), relalg.NumV(float64(-i)))
+	}
+	cat := planner.NewCatalog()
+	cat.MustAddSource(unpartitioned{wrapper.NewRelational(db)})
+	ex := planner.NewExecutor(cat)
+	ex.AdaptiveStats = nil // every run plans from the same estimates
+	stmt := sqlparse.MustParse("SELECT big.k, big.v, dim.w, tag.t FROM big, dim, tag WHERE big.k = dim.k AND big.k = tag.k")
+
+	sess := ex.NewSession(context.Background(), planner.Limits{MaxParallelism: 4})
+	defer sess.Close()
+	plan, err := ex.PlanCtx(sess.Context(), stmt.(*sqlparse.Select))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.ParallelizePlan(plan, sess)
+	if text := plan.Explain(); plan.Steps[0].Relation != "big" || strings.Contains(text, "part[") {
+		t.Fatalf("want big probing the other two, no scan fan-out:\n%s", text)
+	}
+	bytesAt := func(par int) int64 {
+		run := func() {
+			sess := ex.NewSession(context.Background(), planner.Limits{MaxParallelism: par})
+			defer sess.Close()
+			res, err := ex.ExecuteSession(sess, stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Len() != bigRows {
+				t.Fatalf("parallelism %d: %d rows, want %d", par, res.Len(), bigRows)
+			}
+		}
+		run()
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		}).AllocedBytesPerOp()
+	}
+	serial, parallel := bytesAt(1), bytesAt(4)
+	ratio := float64(parallel) / float64(serial)
+	t.Logf("keyed joins: %d B serial, %d B at parallelism 4 (ratio %.3f)", serial, parallel, ratio)
+	if ratio > 1.10 {
+		t.Errorf("at parallelism 4 the joins allocate %d B, %.2fx their serial %d B; want within 10%%", parallel, ratio, serial)
 	}
 }

@@ -282,8 +282,8 @@ func BenchmarkE9_MediatedExecutionScale(b *testing.B) {
 // BenchmarkParallelJoinScaling measures intra-query parallel speedup on
 // an E9-style local-heavy mediated join: the scaled Figure 2 workload,
 // large enough that local hash-join/sort work dominates the source
-// round-trips, executed with MaxParallelism = GOMAXPROCS so the
-// exchange join, scan fan-out and partitioned cores all engage. Drive
+// round-trips, executed with MaxParallelism = GOMAXPROCS so the scan
+// fan-out and the partitioned sort engage (joins run serially). Drive
 // it with -cpu 1,2,4,8 (the Makefile bench gate does) to read the
 // scaling curve; the -cpu 1 lane runs byte-identical serial plans, so
 // it doubles as the no-regression guard for the serial path.

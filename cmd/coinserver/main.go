@@ -38,8 +38,8 @@ func main() {
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second,
 		"how long a graceful shutdown waits for in-flight queries before force-cancelling them")
 	parallelism := flag.Int("parallelism", runtime.GOMAXPROCS(0),
-		"default worker bound for intra-query parallel operators (exchange joins, "+
-			"partitioned sorts and scans); 1 forces serial pipelines; per-query "+
+		"default worker bound for intra-query parallel operators (partitioned "+
+			"sorts and scans); 1 forces serial pipelines; per-query "+
 			"\"parallelism\" requests override it")
 	flag.Parse()
 

@@ -209,7 +209,7 @@ func (s *System) Explain(sql, receiver string) (string, error) {
 // Plan mediates the query and renders the multi-database engine's
 // execution plan for every branch under ctx and opts: access order, pushed
 // vs local filters, bind joins feeding Web-source required bindings, join
-// keys, cost estimates, and the exchange and fan-out placements opts'
+// keys, cost estimates, and the fan-out and merge placements opts'
 // parallelism gives. Plain EXPLAIN executes nothing, but planning may probe
 // live sources for statistics under ctx.
 //

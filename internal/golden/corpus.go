@@ -167,7 +167,7 @@ func runEngine(ctx context.Context, q Query, opts RunOptions) (*Result, error) {
 		opts.Mutate(fx)
 	}
 	// The parallelism directive runs the entry under that many workers and
-	// baselines the annotated plan (exchange/part/merge placements); 0
+	// baselines the annotated plan (part/merge placements); 0
 	// leaves the executor serial, pinning byte-identical pre-exchange
 	// plans for the historical corpus.
 	fx.Ex.DefaultParallelism = q.Parallelism

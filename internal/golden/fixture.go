@@ -70,8 +70,8 @@ func NewFixture(ctx context.Context) (*Fixture, error) {
 		companies.MustInsert(relalg.StrV(r.c), relalg.StrV(r.co), relalg.NumV(r.f))
 	}
 	// trades: the corpus's bulk relation — large enough that the
-	// parallelize pass fans its scan out and runs joins over it under the
-	// exchange (the parallelism-directive entries, 29+). Deterministic
+	// parallelize pass fans its scan out and the joins over it probe with
+	// partitioned input (the parallelism-directive entries, 29+). Deterministic
 	// LCG-shuffled rows keyed by cname, so partitioned runs face unsorted,
 	// repeating keys.
 	tradeNames := []string{"IBM", "NTT", "SONY", "DT", "BT", "ACME"}

@@ -1,5 +1,5 @@
--- parallel hash join: the bulk trades scan fans out into partitioned
--- range streams and probes companies under the repartition exchange
+-- hash join under parallelism 4: the join has no parallel form, so the
+-- plan is the serial one and trades is built, companies probes it
 -- parallelism: 4
 SELECT companies.cname, companies.country, trades.amount
 FROM companies, trades

@@ -20,7 +20,7 @@ package planner
 //
 //   - Open runs only a pipeline's breakers. Nothing opened holds a slot,
 //     or a goroutine waiting on its consumer, until its first Next: scan
-//     leaves admit and the exchange join starts its workers there. Every
+//     leaves admit and a fan-out starts its part goroutines there. Every
 //     breaker drains one side to memory, closing it and freeing its slots
 //     before it pulls the other, so a pipeline waiting for admission holds
 //     no slots from other steps, and an Open always finishes on its own

@@ -29,7 +29,7 @@ type Executor struct {
 	// against IN-capable sources — the batching ablation.
 	DisableBatching bool
 	// DefaultParallelism bounds the workers of intra-query parallel
-	// operators (exchange joins, partitioned sorts, scan fan-outs) for
+	// operators (partitioned sorts, scan fan-outs) for
 	// sessions that do not set Limits.MaxParallelism. Zero or one keeps
 	// every pipeline serial — the library default, so embedding code sees
 	// the historical plans; the binaries (coinserver, coinquery) default it

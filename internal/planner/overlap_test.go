@@ -8,7 +8,7 @@ package planner
 // surfaces only when the union reaches it, and cancelling or closing
 // early leaves no slot held and no goroutine behind. They rest on the
 // slot discipline of access.go: an opened but unpulled scan leaf or
-// exchange join holds no slot and runs no goroutine. A LIMIT in Post keeps
+// fan-out holds no slot and runs no goroutine. A LIMIT in Post keeps
 // the branches lazy. Event order is read off the share fixture's
 // wrappertest.Timeline.
 
@@ -161,7 +161,7 @@ func TestOverlapLaterBranchContactsBeforeBranchOneDrains(t *testing.T) {
 
 // TestOverlapRowsLeaveInBranchOrder: the overlapped answer equals, row for
 // row and in order, the lazy road's and three private runs concatenated —
-// serially and under the exchange join.
+// serially and under parallelism 4.
 func TestOverlapRowsLeaveInBranchOrder(t *testing.T) {
 	med := overlapMediation(t)
 	want := privateBuilds(t, med, nil)
@@ -348,18 +348,17 @@ func TestOverlapLimitKeepsLaterBranchesLazy(t *testing.T) {
 
 // TestOverlapOpenedLeafHoldsNoSlot: an opened but unpulled scan leaf —
 // serial or fanned out — holds no dispatcher slot and has contacted no
-// source, and an opened exchange join runs no goroutine (its build, big,
+// source, and an opened join leaves no goroutine behind (its build, big,
 // drained at Open and freed its slots; its probe leaf, dim, waits); the
-// first pull admits the scan (one slot, or all of the fan-out's) and
-// starts the exchange.
+// first pull admits the scan (one slot, or all of the fan-out's).
 func TestOverlapOpenedLeafHoldsNoSlot(t *testing.T) {
 	cat, bigCtr, dimCtr := buildParCatalog(t, parCatalogOpts{bigRows: 4000, dimRows: 900, seed: 3})
 	for _, c := range []struct {
-		sql      string
-		par      int
-		leaf     *wrappertest.Counter // the pulled scan's source
-		slots    int                  // held after the first pull
-		exchange bool
+		sql   string
+		par   int
+		leaf  *wrappertest.Counter // the pulled scan's source
+		slots int                  // held after the first pull
+		join  bool
 	}{
 		{"SELECT big.k, big.v FROM big", 1, bigCtr, 1, false},
 		{"SELECT big.k, big.v FROM big", 4, bigCtr, 4, false},
@@ -385,10 +384,9 @@ func TestOverlapOpenedLeafHoldsNoSlot(t *testing.T) {
 		if n, q := heldSlots(ex), c.leaf.Queries(); n != 0 || q != 0 {
 			t.Errorf("%s at parallelism %d: opened, unpulled: %d slots held, %d queries to the scan's source; want 0, 0", c.sql, c.par, n, q)
 		}
-		if c.exchange {
-			// The build's part scans may still be exiting; a started
-			// exchange's workers would wait on their consumer for good.
-			eventually(t, "no exchange goroutine behind an unpulled join", func() bool { return runtime.NumGoroutine() <= base })
+		if c.join {
+			// The build's part scans may still be exiting.
+			eventually(t, "no goroutine behind an unpulled join", func() bool { return runtime.NumGoroutine() <= base })
 		}
 		if _, err := it.Next(1); err != nil {
 			t.Fatal(err)

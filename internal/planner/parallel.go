@@ -1,20 +1,18 @@
 package planner
 
 // The parallelize pass: a post-optimization annotation step that decides
-// where a plan may use the intra-query exchange operators of
-// internal/relalg. It runs AFTER the join-order enumerators and never
-// reorders, re-prices against a different order, or changes what a step
-// fetches — parallelism is an execution property layered onto the chosen
-// order, so the parallelism knob can move without the answer (or the
-// access order) moving with it. With an effective parallelism of 1 the
-// pass returns without touching the plan at all, which keeps serial plans
-// byte-identical to the pre-exchange planner (golden baselines included).
+// where a plan may run parts of itself concurrently. It runs AFTER the
+// join-order enumerators and never reorders, re-prices against a
+// different order, or changes what a step fetches — parallelism is an
+// execution property layered onto the chosen order, so the parallelism
+// knob can move without the answer (or the access order) moving with it.
+// With an effective parallelism of 1 the pass returns without touching
+// the plan at all, which keeps serial plans byte-identical to the
+// pre-exchange planner (golden baselines included).
 //
-// Three placements are annotated:
+// Two placements are annotated; every keyed join runs as the serial
+// relalg.HashJoinIter whatever the knob says:
 //
-//   - step.Workers: a keyed join step becomes a join exchange
-//     (relalg.ParallelHashJoinIter) when its build side is estimated
-//     large enough to amortize the worker pipelines.
 //   - step.ScanParts: an independent scan step fans out into partitioned
 //     range streams when the source advertises Capabilities.Partitions
 //     and the cost model says the transfer term dominates the extra
@@ -34,9 +32,8 @@ package planner
 // is what keeps the up-front K-slot reservation deadlock-free.
 
 // Profitability floors of the parallelize pass. Fanning a scan out costs
-// K-1 extra source queries and a reservation of K admission slots;
-// repartitioning a join costs worker pipelines and channel hops. Both
-// only pay off when enough rows flow.
+// K-1 extra source queries and a reservation of K admission slots, which
+// only pays off when enough rows flow.
 const (
 	// parallelScanMinRows is the minimum estimated transfer of a scan
 	// step before a partitioned fan-out is considered.
@@ -44,9 +41,6 @@ const (
 	// parallelScanGain requires the scan's transfer cost to exceed the
 	// fan-out's added per-query cost by this factor before fanning out.
 	parallelScanGain = 2.0
-	// parallelJoinMinBuildRows is the minimum estimated build-side
-	// cardinality before a join step runs under the exchange.
-	parallelJoinMinBuildRows = 512
 )
 
 // parallelism resolves the effective worker bound for a run: the
@@ -69,8 +63,7 @@ func (e *Executor) ParallelizePlan(plan *BranchPlan, sess *Session) {
 	par := e.parallelism(sess)
 	plan.Parallelism = 0
 	for i := range plan.Steps {
-		step := &plan.Steps[i]
-		step.Workers, step.ScanParts = 0, 0
+		plan.Steps[i].ScanParts = 0
 	}
 	if par <= 1 {
 		return
@@ -78,14 +71,6 @@ func (e *Executor) ParallelizePlan(plan *BranchPlan, sess *Session) {
 	plan.Parallelism = par
 	for i := range plan.Steps {
 		step := &plan.Steps[i]
-		// Join exchange: only keyed joins of a later step (the first step
-		// has nothing to probe), only when the serial planner would pick a
-		// hash join, and only when the fetched build side is big enough to
-		// amortize the worker pipelines.
-		if i > 0 && len(step.JoinKeys) > 0 && !e.ForceNestedLoop &&
-			step.EstRows >= parallelJoinMinBuildRows {
-			step.Workers = par
-		}
 		// Scan fan-out: independent scans only — a bind join's probes are
 		// already parallelized by fetchAll, and partitioning is a property
 		// of whole-relation range scans.

@@ -26,7 +26,7 @@ import (
 )
 
 // parJoinQ joins a large partitionable fact table against a smaller
-// build side on k — the shape the exchange join and scan fan-out target.
+// build side on k — the shape the scan fan-out targets.
 const parJoinQ = "SELECT big.k, big.v, dim.w FROM dim, big WHERE big.k = dim.k"
 
 // parCatalogOpts shapes the synthetic two-source workload.
@@ -78,9 +78,9 @@ func buildParCatalog(t *testing.T, o parCatalogOpts) (*Catalog, *wrappertest.Cou
 }
 
 // TestParallelizePassAnnotations: with parallelism available, the pass
-// fans the large independent scan out and puts the keyed join under the
-// exchange; the serial cost estimates stay untouched and the pass is
-// idempotent.
+// fans the large independent scan out and leaves the keyed join serial
+// (no join has a parallel form); the serial cost estimates stay untouched
+// and the pass is idempotent.
 func TestParallelizePassAnnotations(t *testing.T) {
 	cat, _, _ := buildParCatalog(t, parCatalogOpts{bigRows: 4000, dimRows: 900, seed: 1})
 	ex := NewExecutor(cat)
@@ -95,7 +95,7 @@ func TestParallelizePassAnnotations(t *testing.T) {
 	if plan.Parallelism != 4 {
 		t.Errorf("plan.Parallelism = %d, want 4", plan.Parallelism)
 	}
-	var fanned, exchanged bool
+	var fanned bool
 	for _, step := range plan.Steps {
 		if step.Relation == "big" && step.ScanParts > 1 {
 			fanned = true
@@ -104,23 +104,20 @@ func TestParallelizePassAnnotations(t *testing.T) {
 				t.Errorf("ScanParts = %d exceeds the default pool %d", step.ScanParts, DefaultMaxConcurrentPerSource)
 			}
 		}
-		if len(step.JoinKeys) > 0 && step.Workers > 1 {
-			exchanged = true
-		}
 	}
 	if !fanned {
 		t.Errorf("no scan fan-out annotated:\n%s", plan.Explain())
-	}
-	if !exchanged {
-		t.Errorf("no exchange join annotated:\n%s", plan.Explain())
 	}
 	first := plan.Explain()
 	ex.ParallelizePlan(plan, sess) // idempotent: same annotations, same estimates
 	if second := plan.Explain(); second != first {
 		t.Errorf("parallelize pass not idempotent:\n%s\nvs\n%s", first, second)
 	}
-	if !strings.Contains(first, "exchange[") || !strings.Contains(first, "part[") {
-		t.Errorf("EXPLAIN misses exchange/part annotations:\n%s", first)
+	if !strings.Contains(first, "part[") {
+		t.Errorf("EXPLAIN misses the part annotation:\n%s", first)
+	}
+	if strings.Contains(first, "exchange[") {
+		t.Errorf("EXPLAIN annotates a join exchange:\n%s", first)
 	}
 	// Re-annotating at parallelism 1 restores the serial rendering exactly.
 	ex.DefaultParallelism = 1
@@ -386,7 +383,7 @@ func runConcurrently(ex *Executor, sess *Session, pipelines int, stmt func(i int
 
 // TestSessionGovernorAtomicUnderParallel is the governor atomicity
 // stress: eight pipelines execute concurrently on ONE session — each a
-// parallel query with its own exchange workers and its own build side —
+// parallel query with its own scan fan-out and its own build side —
 // and the session's transfer accounting must come out exact (under -race
 // this also proves the charge paths are data-race free).
 func TestSessionGovernorAtomicUnderParallel(t *testing.T) {
@@ -442,8 +439,8 @@ func TestSessionGovernorAtomicUnderParallel(t *testing.T) {
 // concurrent pipelines of one session with ONE build key single-flight
 // the build — its source is fetched exactly once, the seven others are
 // cache hits charged nothing — while every pipeline still streams its own
-// probe side and returns the full answer (run under -race: eight exchange
-// joins probe one frozen table at once).
+// probe side and returns the full answer (run under -race: eight serial
+// hash joins, one per pipeline, probe one frozen table at once).
 func TestSessionSharedBuildUnderParallel(t *testing.T) {
 	cat, bigCtr, dimCtr := buildParCatalog(t, parCatalogOpts{bigRows: 3000, dimRows: 800, seed: 6, nullKeys: true})
 	ex := NewExecutor(cat)

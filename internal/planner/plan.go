@@ -53,17 +53,11 @@ type PlanStep struct {
 	// has run.
 	AfterPreds []sqlparse.Expr
 
-	// Workers is the join-exchange parallelism of this step's
-	// join: above 1, the probe stream is split across that many worker
-	// pipelines (relalg.ParallelHashJoinIter) and reassembled in exact
-	// serial order. 0 or 1 is the serial hash join. Annotated by the
-	// parallelize pass (parallel.go), never by the enumerators.
-	Workers int
 	// ScanParts is the partitioned fan-out of this step's source scan:
 	// above 1, that many disjoint range streams are fetched concurrently
 	// (the source must advertise Capabilities.Partitions) and reassembled
 	// in part order, which equals the serial scan. Annotated by the
-	// parallelize pass.
+	// parallelize pass (parallel.go), never by the enumerators.
 	ScanParts int
 
 	// EstRows is the estimated tuples this step transfers from its source
@@ -94,11 +88,10 @@ type StepActuals struct {
 	// Out counts the tuples the step emitted downstream, after its joins
 	// and local predicates.
 	Out atomic.Int64
-	// WorkerRows, when the step ran under a parallel exchange, counts the
-	// tuples each worker produced (join output rows for an exchange join,
-	// scanned rows for a partitioned scan). Installed by BuildStream
-	// before execution — one slot per worker — and rendered as per-worker
-	// rows by Explain; nil for serial steps.
+	// WorkerRows, when the step's scan ran as a partitioned fan-out,
+	// counts the rows each part scanned. Installed by BuildStream before
+	// execution — one slot per part — and rendered as per-worker rows by
+	// Explain; nil for serial scans.
 	WorkerRows []atomic.Int64
 }
 
@@ -200,9 +193,6 @@ func (p *BranchPlan) Explain() string {
 		}
 		if s.ScanParts > 1 {
 			fmt.Fprintf(&b, " part[%d]", s.ScanParts)
-		}
-		if s.Workers > 1 {
-			fmt.Fprintf(&b, " exchange[%d]", s.Workers)
 		}
 		fmt.Fprintf(&b, " est_rows=%.0f est_queries=%.0f est_cost=%.0f", s.EstRows, s.EstQueries, s.EstCost)
 		act := p.stepActuals(i)

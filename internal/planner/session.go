@@ -44,8 +44,8 @@ type Limits struct {
 	// governs).
 	RetryBudget int
 	// MaxParallelism caps the workers intra-query parallel operators may
-	// use in this session: the hash-join exchange, the
-	// partitioned sort and the partitioned scan fan-out. Zero defers to
+	// use in this session: the partitioned sort and the partitioned scan
+	// fan-out (every keyed join runs serially). Zero defers to
 	// the executor's DefaultParallelism; 1 forces serial pipelines (plans
 	// and EXPLAIN output are byte-identical to the pre-exchange planner);
 	// values above 1 allow that many workers.
@@ -69,8 +69,9 @@ var ErrTuplesExceeded = fmt.Errorf("planner: session exceeded max tuples transfe
 // runs. Create one per query with Executor.NewSession and Close it when
 // the answer has been consumed; Close cancels the context, which stops any
 // still-running pipeline and releases the deadline timer. The governor
-// fields are safe for concurrent use: scan fan-out and exchange workers
-// of one query charge the same session from several goroutines.
+// fields are safe for concurrent use: the parts of a scan fan-out and the
+// concurrently opened branches of one query charge the same session from
+// several goroutines.
 type Session struct {
 	ctx    context.Context
 	cancel context.CancelFunc

@@ -106,8 +106,8 @@ func requireSameAnswer(t *testing.T, label string, got *relalg.Relation, want st
 // TestMediationBranchesShareOneBuild is the tentpole's acceptance test: a
 // 3-branch mediation over the same r2 fetches it once — the two later
 // branches are cache hits, charged nothing — and the answer is byte-equal,
-// rows and order, to three private builds; serially and under the
-// exchange join.
+// rows and order, to three private builds; serially and under
+// parallelism 4.
 func TestMediationBranchesShareOneBuild(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		f := newShareFixture(t)

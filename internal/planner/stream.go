@@ -450,9 +450,7 @@ type parallelScanIter struct {
 	parts int
 
 	// workerRows, when non-nil, receives per-part scanned-row counts
-	// (EXPLAIN ANALYZE's per-worker rows). BuildStream installs it only
-	// when the step's WorkerRows slice belongs to the scan (a step with a
-	// join exchange gives the slice to the join's workers instead).
+	// (EXPLAIN ANALYZE's per-worker rows): the step's WorkerRows.
 	workerRows []atomic.Int64
 
 	release func()
@@ -612,7 +610,7 @@ func (e *Executor) sourceIter(sess *Session, step *PlanStep, act *StepActuals) (
 	var leaf relalg.Iterator
 	if step.ScanParts > 1 {
 		ps := &parallelScanIter{scanLeaf: leafOf, base: q, parts: step.ScanParts}
-		if act != nil && step.Workers <= 1 {
+		if act != nil {
 			ps.workerRows = act.WorkerRows
 		}
 		leaf = ps
@@ -653,26 +651,13 @@ func (e *Executor) sourceIter(sess *Session, step *PlanStep, act *StepActuals) (
 // reclaimed) instead of being materialized and filtered above.
 // share is the step's session-wide build memo (buildSharer), nil for a
 // bind join, whose fetched side depends on the feeding rows.
-func (e *Executor) joinIter(share relalg.BuildSharer, cur, next relalg.Iterator, keys []JoinKey, binding string, residual sqlparse.Expr, workers int, workerRows []atomic.Int64) (relalg.Iterator, error) {
+func (e *Executor) joinIter(share relalg.BuildSharer, cur, next relalg.Iterator, keys []JoinKey, binding string, residual sqlparse.Expr) (relalg.Iterator, error) {
 	if len(keys) > 0 && !e.ForceNestedLoop {
 		aKeys := make([]string, len(keys))
 		bKeys := make([]string, len(keys))
 		for i, k := range keys {
 			aKeys[i] = k.CurQualified
 			bKeys[i] = binding + "." + k.NewColumn
-		}
-		if workers > 1 {
-			// Exchange join: the probe stream split across worker pipelines
-			// over the one build table, output re-serialized in exact probe
-			// order. The probe side is NOT marked transient — its batches
-			// cross the exchange asynchronously, so the consumer promise
-			// that makes arena recycling safe cannot be given here.
-			phj, err := relalg.NewParallelHashJoin(cur, next, aKeys, bKeys, residual, false /* build the fetched side */, nil, workers)
-			if err != nil {
-				return nil, err
-			}
-			phj.Shared, phj.WorkerOut = share, workerRows
-			return phj, nil
 		}
 		hj, err := relalg.NewHashJoin(cur, next, aKeys, bKeys, residual, false /* build the fetched side */, nil)
 		if err != nil {
@@ -724,20 +709,9 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 	for i := range plan.Steps {
 		step := &plan.Steps[i]
 		act := plan.stepActuals(i)
-		if act != nil && act.WorkerRows == nil {
-			// Per-worker actual rows for EXPLAIN ANALYZE: the exchange
-			// join's workers when the step has one, else the scan fan-out
-			// parts.
-			switch {
-			case step.Workers > 1:
-				act.WorkerRows = make([]atomic.Int64, step.Workers)
-			case step.ScanParts > 1:
-				act.WorkerRows = make([]atomic.Int64, step.ScanParts)
-			}
-		}
-		var workerRows []atomic.Int64
-		if act != nil && step.Workers > 1 {
-			workerRows = act.WorkerRows
+		if act != nil && act.WorkerRows == nil && step.ScanParts > 1 {
+			// Per-part actual rows of a scan fan-out for EXPLAIN ANALYZE.
+			act.WorkerRows = make([]atomic.Int64, step.ScanParts)
 		}
 		var after sqlparse.Expr
 		if len(step.AfterPreds) > 0 {
@@ -752,7 +726,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 			}
 			if cur == nil {
 				cur = next
-			} else if cur, err = e.joinIter(e.buildSharer(sess, step), cur, next, step.JoinKeys, step.Binding, after, step.Workers, workerRows); err != nil {
+			} else if cur, err = e.joinIter(e.buildSharer(sess, step), cur, next, step.JoinKeys, step.Binding, after); err != nil {
 				return nil, err
 			} else {
 				afterConsumed = after != nil
@@ -785,7 +759,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 				if err != nil {
 					return nil, err
 				}
-				return e.joinIter(nil, relalg.NewScan(curRel), relalg.NewScan(fetched), step.JoinKeys, step.Binding, after, step.Workers, workerRows)
+				return e.joinIter(nil, relalg.NewScan(curRel), relalg.NewScan(fetched), step.JoinKeys, step.Binding, after)
 			})
 			afterConsumed = after != nil
 		}

@@ -5,8 +5,9 @@ package refeval
 // payloads, −0 next to 0, duplicate keys, the empty string and long
 // strings. Source c requires a binding on c.s (every query over it is a
 // bind join, batched three values per IN list unless batching is off),
-// b.k carries an index, and big is larger than two exchange workers'
-// floor, so partitioned scans, exchange joins and the parallel sort run.
+// b.k carries an index, and big is larger than two sort workers' floor,
+// so partitioned scans, the parallel sort and joins that stream big's
+// batches through recycled arenas run.
 
 import (
 	"fmt"
@@ -36,7 +37,7 @@ var relations = map[string][]column{
 	"big": {{"k", relalg.KindNumber, true}, {"v", relalg.KindNumber, false}},
 }
 
-// bigRows puts big above two exchange workers' worth of rows (2 × 16,384);
+// bigRows puts big above two sort workers' worth of rows (2 × 16,384);
 // bigSource serves it.
 const (
 	bigRows   = 33000

@@ -196,58 +196,63 @@ func ordered(stmt sqlparse.Statement) bool {
 	return ok && len(sel.OrderBy) > 0
 }
 
-// checkSeed generates a world and n queries from seed and holds the
-// engine to the evaluator under every config, and every config of one
-// plan to the others row for row, then runs the wire leg.
-// After each query no source stream may stay open and no goroutine may
-// outlive it.
+// checkSeed generates a world and n queries from seed and checks each.
 func checkSeed(t *testing.T, seed int64, n int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	w := newWorld(rng)
 	g := &qgen{rng: rng}
 	for qi := 0; qi < n; qi++ {
-		stmt := g.query()
-		goroutines := runtime.NumGoroutine()
-		want, err := evaluate(context.Background(), w.source, stmt)
+		w.check(t, seed, g.query())
+	}
+}
+
+// check holds the engine to the evaluator on stmt under every config, and
+// every config of one plan to the others row for row, then runs the wire
+// leg. After the query no source stream may stay open and no goroutine
+// may outlive it. It returns the evaluator's answer.
+func (w *world) check(t *testing.T, seed int64, stmt sqlparse.Statement) answer {
+	t.Helper()
+	goroutines := runtime.NumGoroutine()
+	want, err := evaluate(context.Background(), w.source, stmt)
+	if err != nil {
+		t.Fatalf("seed %d: evaluator: %v\n%s", seed, err, stmt)
+	}
+	wantRows := render(want.rows, canon)
+	if !ordered(stmt) {
+		sort.Strings(wantRows)
+	}
+	same := map[plan][]string{}
+	for _, k := range configs {
+		got, err := w.run(k, stmt)
 		if err != nil {
-			t.Fatalf("seed %d: evaluator: %v\n%s", seed, err, stmt)
+			t.Fatalf("seed %d %+v: engine: %v\n%s", seed, k, err, stmt)
 		}
-		wantRows := render(want.rows, canon)
+		gotRows := render(got.Tuples, canon)
 		if !ordered(stmt) {
-			sort.Strings(wantRows)
+			sort.Strings(gotRows)
 		}
-		same := map[plan][]string{}
-		for _, k := range configs {
-			got, err := w.run(k, stmt)
-			if err != nil {
-				t.Fatalf("seed %d %+v: engine: %v\n%s", seed, k, err, stmt)
-			}
-			gotRows := render(got.Tuples, canon)
-			if !ordered(stmt) {
-				sort.Strings(gotRows)
-			}
-			if d := diff(wantRows, gotRows); d != "" {
-				t.Fatalf("seed %d %+v: engine and evaluator disagree\n%s\n%s", seed, k, stmt, d)
-			}
-			ex, p := render(got.Tuples, exact), plan{k.disableBatching, k.disablePushdown}
-			if prev, ok := same[p]; !ok {
-				same[p] = ex
-			} else if d := diff(prev, ex); d != "" {
-				t.Fatalf("seed %d %+v: answer differs, order or bits, from the first config with %+v\n%s\n%s",
-					seed, k, p, stmt, d)
-			}
-			if open := w.open.Load(); open != 0 {
-				t.Fatalf("seed %d %+v: %d source streams left open\n%s", seed, k, open, stmt)
-			}
+		if d := diff(wantRows, gotRows); d != "" {
+			t.Fatalf("seed %d %+v: engine and evaluator disagree\n%s\n%s", seed, k, stmt, d)
 		}
-		w.checkWire(t, seed, stmt, want)
-		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("seed %d: %d goroutines outlive the query (%d before)\n%s", seed, runtime.NumGoroutine(), goroutines, stmt)
-			}
+		ex, p := render(got.Tuples, exact), plan{k.disableBatching, k.disablePushdown}
+		if prev, ok := same[p]; !ok {
+			same[p] = ex
+		} else if d := diff(prev, ex); d != "" {
+			t.Fatalf("seed %d %+v: answer differs, order or bits, from the first config with %+v\n%s\n%s",
+				seed, k, p, stmt, d)
+		}
+		if open := w.open.Load(); open != 0 {
+			t.Fatalf("seed %d %+v: %d source streams left open\n%s", seed, k, open, stmt)
 		}
 	}
+	w.checkWire(t, seed, stmt, want)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("seed %d: %d goroutines outlive the query (%d before)\n%s", seed, runtime.NumGoroutine(), goroutines, stmt)
+		}
+	}
+	return want
 }
 
 // diff describes the first difference between two renderings.
@@ -275,6 +280,34 @@ func TestReferee(t *testing.T) {
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		checkSeed(t, seed, 3)
+	}
+}
+
+// fixedCases stream big, many batches of it, through operators whose
+// arenas are recycled between batches, which the generated queries rarely
+// do (a, b and c fit one batch): a projection of big under ORDER BY (the
+// sort must not let its input recycle); a ⋈ big with big first in FROM,
+// so that it is the probe side and the join's output spans many batches
+// into the projection; and that join as the transient probe side of a
+// second join, with b.
+var fixedCases = []string{
+	"SELECT big.v AS c1, big.k AS c2 FROM big ORDER BY c1, c2",
+	"SELECT big.v AS c1, a.s AS c2 FROM big, a WHERE big.k = a.k",
+	"SELECT big.v AS c1, a.s AS c2, b.y AS c3 FROM big, a, b WHERE big.k = a.k AND a.s = b.s",
+}
+
+// fixedSeed generates the world the fixed cases run in: its a joins big
+// on enough rows for the join's output to span several batches.
+const fixedSeed = 3
+
+// TestRefereeFixed runs the fixed cases through the referee, and checks
+// that each answer still spans several batches.
+func TestRefereeFixed(t *testing.T) {
+	w := newWorld(rand.New(rand.NewSource(fixedSeed)))
+	for _, q := range fixedCases {
+		if want := w.check(t, fixedSeed, sqlparse.MustParse(q)); len(want.rows) <= 2*relalg.DefaultBatchSize {
+			t.Errorf("%s: %d rows, want more than two batches", q, len(want.rows))
+		}
 	}
 }
 

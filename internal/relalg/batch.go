@@ -134,9 +134,7 @@ func (bb *BatchBuilder) Batch() Batch { return Batch{Rows: bb.rows} }
 // forwarders: counters, filters, limits, DISTINCT) pass the mark to the
 // operator that actually builds rows, a union to each of its inputs and a
 // DeferredIter to the child it builds at Open; iterators that build no
-// rows ignore it, and an exchange join drops it: its batches cross
-// channels from its workers, so no consumer promise makes recycling safe.
-// Must be called before Open.
+// rows ignore it. Must be called before Open.
 func MarkTransient(it Iterator) {
 	for {
 		switch x := it.(type) {

@@ -189,9 +189,10 @@ func TestOperatorsRaggedBatchEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: hash join bags differ across build sides", seed)
 		}
 
-		// One shared table, NULL / NaN / duplicate keys: a serial and an
-		// exchange join handed the same BuildTable agree row for row with
-		// a private build, and the build side is drained exactly once.
+		// One shared table, NULL / NaN / duplicate keys: two joins handed
+		// the same BuildTable agree row for row with a private build, and
+		// the build side is drained exactly once — the second join never
+		// opens its own.
 		kl := randomKeyedRel(rng, "l", 60+rng.Intn(60), 9, seed%2 == 0)
 		kr := randomKeyedRel(rng, "r", 40+rng.Intn(60), 9, seed%2 == 1)
 		for _, keys := range [][]string{{"sk"}, {"nk"}, {"sk", "nk"}} {
@@ -218,12 +219,12 @@ func TestOperatorsRaggedBatchEquivalence(t *testing.T) {
 			}
 			shj.Shared = share
 			requireSameRows(t, fmt.Sprintf("seed %d shared serial %v", seed, keys), want, drainOrdered(t, shj, 16))
-			phj, err := NewParallelHashJoin(rag(kl), &neverOpened{NewScan(kr)}, keys, keys, nil, false, nil, 3)
+			second, err := NewHashJoin(rag(kl), &neverOpened{NewScan(kr)}, keys, keys, nil, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			phj.Shared = share
-			requireSameRows(t, fmt.Sprintf("seed %d shared exchange %v", seed, keys), want, drainOrdered(t, phj, 16))
+			second.Shared = share
+			requireSameRows(t, fmt.Sprintf("seed %d shared second prober %v", seed, keys), want, drainOrdered(t, second, 16))
 			if builds != 1 {
 				t.Fatalf("seed %d %v: build side drained %d times, want 1", seed, keys, builds)
 			}

@@ -85,9 +85,10 @@ type Iterator interface {
 }
 
 // Stager is the type of a retired, ignored parameter that NewHashJoin,
-// NewParallelHashJoin, NewSort and NewGroupBy keep only because bench/
-// passes a positional nil there. Nothing implements it and every caller
-// passes nil; it leaves with the next [benchmark] PR.
+// NewParallelHashJoin (the serial join under its former exchange name),
+// NewSort and NewGroupBy keep only because bench/ passes a positional nil
+// there. Nothing implements it and every caller passes nil; it leaves
+// with the next [benchmark] PR, as does NewParallelHashJoin.
 type Stager interface {
 	Stage(rel *Relation) (*Relation, error)
 }

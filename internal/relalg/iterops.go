@@ -510,21 +510,6 @@ func (n *NestedLoopIter) Close() error { return n.outer.Close() }
 // stream, with matches in build-insertion order (see BuildTable). Probing
 // allocates nothing, and building allocates per table, not per row.
 type HashJoinIter struct {
-	hashJoin
-	resFn func(Tuple) (bool, error) // residual compiled against schema
-
-	buf  []byte // probe key scratch
-	pb   Batch  // current probe batch
-	pi   int    // next probe row within pb
-	cur  Tuple  // current probe tuple
-	mr   int32  // build row of cur's next match, -1 when none pending
-	bb   *BatchBuilder
-	pend error
-}
-
-// hashJoin is what the serial and the exchange hash join share: the two
-// inputs, the resolved key columns and the one road to the build table.
-type hashJoin struct {
 	left, right       Iterator
 	leftIdx, rightIdx []int // key positions in each side's schema
 	residual          sqlparse.Expr
@@ -536,16 +521,25 @@ type hashJoin struct {
 	Shared BuildSharer
 
 	tbl      *BuildTable
-	probe    Iterator // the streaming side and its key positions,
-	probeIdx []int    // set by openBuild
+	probe    Iterator                  // the streaming side and its key positions,
+	probeIdx []int                     // set by openBuild
+	resFn    func(Tuple) (bool, error) // residual compiled against schema
+
+	buf  []byte // probe key scratch
+	pb   Batch  // current probe batch
+	pi   int    // next probe row within pb
+	cur  Tuple  // current probe tuple
+	mr   int32  // build row of cur's next match, -1 when none pending
+	bb   *BatchBuilder
+	pend error
 }
 
 // BuildTable is the hashed build side of a hash join, frozen once built
 // and opaque outside this package: HashJoinIter probes it from one
-// goroutine, ParallelHashJoinIter's workers from several, and — handed
-// out by a BuildSharer — any number of joins of one session at once. It
-// keeps the drained build rows and numbers their join keys in a keyTable;
-// the rows of one key form a chain in build order.
+// goroutine and — handed out by a BuildSharer — any number of joins of
+// one session at once. It keeps the drained build rows and numbers their
+// join keys in a keyTable; the rows of one key form a chain in build
+// order.
 type BuildTable struct {
 	keys keyTable
 	rows []Tuple // the build side, in input order
@@ -612,11 +606,13 @@ func (t *BuildTable) ApproxBytes() int64 {
 	return total
 }
 
-// newHashJoin resolves pairwise equal join key columns in each side's
-// schema.
-func newHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool) (hashJoin, error) {
+// NewHashJoin prepares a hash join of left and right on pairwise equal
+// key columns (resolved in each side's schema). buildLeft selects which
+// side is materialized and hashed; the other side streams. A residual
+// predicate, if non-nil, applies to the concatenated row.
+func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool, _ Stager) (*HashJoinIter, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
-		return hashJoin{}, fmt.Errorf("relalg: hash join requires matching non-empty key lists")
+		return nil, fmt.Errorf("relalg: hash join requires matching non-empty key lists")
 	}
 	ls, rs := left.Schema(), right.Schema()
 	li := make([]int, len(leftKeys))
@@ -625,25 +621,34 @@ func newHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sq
 		li[i] = ls.Index(leftKeys[i])
 		ri[i] = rs.Index(rightKeys[i])
 		if li[i] < 0 || ri[i] < 0 {
-			return hashJoin{}, fmt.Errorf("relalg: hash join key %s/%s not found", leftKeys[i], rightKeys[i])
+			return nil, fmt.Errorf("relalg: hash join key %s/%s not found", leftKeys[i], rightKeys[i])
 		}
 	}
-	return hashJoin{
+	schema := ls.Concat(rs)
+	return &HashJoinIter{
 		left: left, right: right, leftIdx: li, rightIdx: ri,
-		residual: residual, buildLeft: buildLeft, schema: ls.Concat(rs),
+		residual: residual, buildLeft: buildLeft, schema: schema,
+		mr: -1, bb: NewBatchBuilder(len(schema.Columns)),
 	}, nil
 }
 
+// NewParallelHashJoin is NewHashJoin under its former exchange name, kept
+// because bench/ still calls it: it returns the serial join and ignores
+// par (a keyed join has no parallel form any more).
+func NewParallelHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool, _ Stager, _ int) (*HashJoinIter, error) {
+	return NewHashJoin(left, right, leftKeys, rightKeys, residual, buildLeft, nil)
+}
+
 // Schema implements Iterator.
-func (j *hashJoin) Schema() Schema { return j.schema }
+func (h *HashJoinIter) Schema() Schema { return h.schema }
 
 // openBuild is the one road to a join's build table: the build side
 // drained and hashed on its key columns, privately or through Shared —
 // which may never open it. The probe side is named, not yet opened.
-func (j *hashJoin) openBuild(ctx context.Context) (err error) {
-	build, buildIdx, probe, probeIdx := j.right, j.rightIdx, j.left, j.leftIdx
-	if j.buildLeft {
-		build, buildIdx, probe, probeIdx = j.left, j.leftIdx, j.right, j.rightIdx
+func (h *HashJoinIter) openBuild(ctx context.Context) (err error) {
+	build, buildIdx, probe, probeIdx := h.right, h.rightIdx, h.left, h.leftIdx
+	if h.buildLeft {
+		build, buildIdx, probe, probeIdx = h.left, h.leftIdx, h.right, h.rightIdx
 	}
 	mk := func() (*BuildTable, error) {
 		rel, err := Collect(ctx, build, "")
@@ -653,27 +658,15 @@ func (j *hashJoin) openBuild(ctx context.Context) (err error) {
 		return buildHJTable(rel.Tuples, buildIdx), nil
 	}
 	var tbl *BuildTable
-	if j.Shared == nil {
+	if h.Shared == nil {
 		tbl, err = mk()
 	} else {
-		tbl, err = j.Shared(ctx, mk)
+		tbl, err = h.Shared(ctx, mk)
 	}
 	if err == nil {
-		j.tbl, j.probe, j.probeIdx = tbl, probe, probeIdx
+		h.tbl, h.probe, h.probeIdx = tbl, probe, probeIdx
 	}
 	return err
-}
-
-// NewHashJoin prepares a hash join of left and right on pairwise equal
-// key columns (resolved in each side's schema). buildLeft selects which
-// side is materialized and hashed; the other side streams. A residual
-// predicate, if non-nil, applies to the concatenated row.
-func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool, _ Stager) (*HashJoinIter, error) {
-	core, err := newHashJoin(left, right, leftKeys, rightKeys, residual, buildLeft)
-	if err != nil {
-		return nil, err
-	}
-	return &HashJoinIter{hashJoin: core, mr: -1, bb: NewBatchBuilder(len(core.schema.Columns))}, nil
 }
 
 // Open implements Iterator: it obtains the build side's hash table.
