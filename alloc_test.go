@@ -95,8 +95,8 @@ func TestMediateHitAllocBudget(t *testing.T) {
 }
 
 // TestScaleMediatedJoinByteBudget is the byte-volume gate of the same
-// query at the scale_stream workload's size (10,000 companies,
-// DefaultParallelism = 2): the three branches share one build of
+// query at the scale_stream workload's size (10,000 companies): the three
+// branches share one build of
 // r2, so r2 crosses the wrapper boundary once per query and the query's
 // allocated bytes stay near one copy of each relation — losing the share
 // (or re-inflating Value) roughly doubles them.
@@ -113,7 +113,6 @@ func TestScaleMediatedJoinByteBudget(t *testing.T) {
 	want := w.Expected.Len()
 	run := func() planner.ExecStats {
 		ex := planner.NewExecutor(cat)
-		ex.DefaultParallelism = 2
 		res, err := executeMediation(ex, med)
 		if err != nil {
 			t.Fatal(err)
@@ -135,11 +134,14 @@ func TestScaleMediatedJoinByteBudget(t *testing.T) {
 		}
 	})
 	perQuery := res.AllocedBytesPerOp()
-	t.Logf("mediated Q1 (companies=%d, parallelism 2): %d B/query over %d queries", n, perQuery, res.N)
-	// Measured 5.72 MB (7.5 MB with a Go map under every keyed operator,
-	// 14.6 MB with three private builds and the 48-byte Value): 1.6x
-	// headroom, so that losing any of them still trips the gate.
-	const budget = 9_150_000
+	t.Logf("mediated Q1 (companies=%d): %d B/query over %d queries", n, perQuery, res.N)
+	// Measured 3.71 MB with every scan on one source stream (4.22 MB with
+	// the two-way scan fan-out, 5.72 MB while the post-union road copied
+	// and joins ran on the exchange, 7.5 MB with a Go map under every
+	// keyed operator, 14.6 MB with three private builds and the 48-byte
+	// Value): 1.6x headroom, so that losing the share, the key table or
+	// the compact Value still trips the gate.
+	const budget = 5_930_000
 	if perQuery > budget {
 		t.Errorf("mediated Q1 allocates %d B/query, budget %d", perQuery, budget)
 	}
@@ -199,23 +201,13 @@ func TestWireRoundTripByteBudget(t *testing.T) {
 	}
 }
 
-// unpartitioned is a relational source that advertises no partitions, so
-// the parallelize pass cannot fan its scans out.
-type unpartitioned struct{ *wrapper.Relational }
-
-func (u unpartitioned) Capabilities(rel string) (wrapper.Capabilities, error) {
-	caps, err := u.Relational.Capabilities(rel)
-	caps.Partitions = 0
-	return caps, err
-}
-
-// TestParallelJoinAllocatesAsSerial: keyed joins over sources that
-// advertise no partitions have nothing to run in parallel, so at
-// MaxParallelism 4 they must allocate what they allocate serially: serial
-// hash joins whose output arenas are recycled between batches — the
-// first join's by the second, which it feeds as the probe side, and the
-// second's by the projection. 20,000 probe rows (big, first in FROM)
-// against 1,000 unique keys in dim and in tag, one match each.
+// TestParallelJoinAllocatesAsSerial: the benchmark host sets
+// DefaultParallelism to GOMAXPROCS, and keyed joins under it must
+// allocate what they allocate with the field unset — serial hash joins
+// whose output arenas are recycled between batches, the first join's by
+// the second, which it feeds as the probe side, and the second's by the
+// projection. 20,000 probe rows (big, first in FROM) against 1,000
+// unique keys in dim and in tag, one match each.
 func TestParallelJoinAllocatesAsSerial(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -236,12 +228,13 @@ func TestParallelJoinAllocatesAsSerial(t *testing.T) {
 		tag.MustInsert(relalg.StrV(fmt.Sprintf("k%03d", i)), relalg.NumV(float64(-i)))
 	}
 	cat := planner.NewCatalog()
-	cat.MustAddSource(unpartitioned{wrapper.NewRelational(db)})
+	cat.MustAddSource(wrapper.NewRelational(db))
 	ex := planner.NewExecutor(cat)
 	ex.AdaptiveStats = nil // every run plans from the same estimates
 	stmt := sqlparse.MustParse("SELECT big.k, big.v, dim.w, tag.t FROM big, dim, tag WHERE big.k = dim.k AND big.k = tag.k")
 
-	sess := ex.NewSession(context.Background(), planner.Limits{MaxParallelism: 4})
+	ex.DefaultParallelism = 4
+	sess := ex.NewSession(context.Background(), planner.Limits{})
 	defer sess.Close()
 	plan, err := ex.PlanCtx(sess.Context(), stmt.(*sqlparse.Select))
 	if err != nil {
@@ -252,8 +245,9 @@ func TestParallelJoinAllocatesAsSerial(t *testing.T) {
 		t.Fatalf("want big probing the other two, no scan fan-out:\n%s", text)
 	}
 	bytesAt := func(par int) int64 {
+		ex.DefaultParallelism = par
 		run := func() {
-			sess := ex.NewSession(context.Background(), planner.Limits{MaxParallelism: par})
+			sess := ex.NewSession(context.Background(), planner.Limits{})
 			defer sess.Close()
 			res, err := ex.ExecuteSession(sess, stmt)
 			if err != nil {
@@ -271,10 +265,10 @@ func TestParallelJoinAllocatesAsSerial(t *testing.T) {
 			}
 		}).AllocedBytesPerOp()
 	}
-	serial, parallel := bytesAt(1), bytesAt(4)
+	serial, parallel := bytesAt(0), bytesAt(4)
 	ratio := float64(parallel) / float64(serial)
-	t.Logf("keyed joins: %d B serial, %d B at parallelism 4 (ratio %.3f)", serial, parallel, ratio)
+	t.Logf("keyed joins: %d B unset, %d B at DefaultParallelism 4 (ratio %.3f)", serial, parallel, ratio)
 	if ratio > 1.10 {
-		t.Errorf("at parallelism 4 the joins allocate %d B, %.2fx their serial %d B; want within 10%%", parallel, ratio, serial)
+		t.Errorf("at DefaultParallelism 4 the joins allocate %d B, %.2fx their %d B unset; want within 10%%", parallel, ratio, serial)
 	}
 }

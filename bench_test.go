@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
-	"runtime"
 	"testing"
 	"time"
 
@@ -276,35 +275,6 @@ func BenchmarkE9_MediatedExecutionScale(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkParallelJoinScaling measures intra-query parallel speedup on
-// an E9-style local-heavy mediated join: the scaled Figure 2 workload,
-// large enough that local hash-join/sort work dominates the source
-// round-trips, executed with MaxParallelism = GOMAXPROCS so the scan
-// fan-out and the partitioned sort engage (joins run serially). Drive
-// it with -cpu 1,2,4,8 (the Makefile bench gate does) to read the
-// scaling curve; the -cpu 1 lane runs byte-identical serial plans, so
-// it doubles as the no-regression guard for the serial path.
-func BenchmarkParallelJoinScaling(b *testing.B) {
-	med, err := core.New(fixture.Registry()).MediateSQL(fixture.PaperQ1, "c2")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cat, w := scaledCatalog(10000, 42)
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex := planner.NewExecutor(cat)
-		ex.DefaultParallelism = runtime.GOMAXPROCS(0)
-		res, err := executeMediation(ex, med)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Len() != w.Expected.Len() {
-			b.Fatalf("answers = %d, want %d", res.Len(), w.Expected.Len())
-		}
 	}
 }
 

@@ -16,7 +16,6 @@
 //	coinquery -stream '...'          # NDJSON wire path: rows print as they arrive
 //	coinquery -partial '...'         # degrade on source faults: drop failed branches, warn on stderr
 //	coinquery -retry-budget 10 '...' # cap retries the session may spend across sources
-//	coinquery -parallelism 1 '...'   # force serial pipelines (N>1: that many workers)
 package main
 
 import (
@@ -25,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 
@@ -57,7 +55,6 @@ func main() {
 	stream := flag.Bool("stream", false, "stream rows as they are produced instead of buffering the answer")
 	partial := flag.Bool("partial", false, "return partial results when a source fails: drop the failed branches, print warnings to stderr")
 	retryBudget := flag.Int("retry-budget", 0, "cap on retries the query session may spend across all sources (0: per-operation policy only)")
-	parallelism := flag.Int("parallelism", 0, "worker bound for intra-query parallel operators; 1 forces serial pipelines (0: GOMAXPROCS locally, the server default remotely)")
 	flag.Parse()
 
 	sql := strings.TrimSpace(strings.Join(flag.Args(), " "))
@@ -67,7 +64,7 @@ func main() {
 	}
 	cfg := queryConfig{naive: *naive, showMediated: *showMediated, explain: *explain, analyze: *analyze, stream: *stream}
 	lim := planner.Limits{Timeout: *timeout, MaxRows: *maxRows, MaxConcurrentPerSource: *maxPerSource,
-		RetryBudget: *retryBudget, PartialResults: *partial, MaxParallelism: *parallelism}
+		RetryBudget: *retryBudget, PartialResults: *partial}
 	// Interrupting the command cancels the query in flight: locally the
 	// session stops its source fetches, remotely the abandoned request
 	// makes the server cancel its session.
@@ -158,9 +155,6 @@ func printWarnings(warns []planner.Warning) {
 
 func runLocal(ctx context.Context, receiverCtx, sql string, cfg queryConfig, lim planner.Limits) error {
 	sys := coin.Figure2System()
-	if lim.MaxParallelism == 0 {
-		lim.MaxParallelism = runtime.GOMAXPROCS(0) // the local default
-	}
 	if cfg.explain || cfg.analyze {
 		plan, err := sys.Plan(ctx, sql, receiverCtx, cfg.analyze, lim)
 		if err != nil {

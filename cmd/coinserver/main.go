@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	coinserver [-addr :8095] [-shutdown-timeout 10s] [-parallelism N]
+//	coinserver [-addr :8095] [-shutdown-timeout 10s]
 //
 // Then visit http://localhost:8095/qbe, or use cmd/coinquery.
 package main
@@ -25,7 +25,6 @@ import (
 	"log"
 	"net/http"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -37,14 +36,9 @@ func main() {
 	addr := flag.String("addr", ":8095", "listen address")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second,
 		"how long a graceful shutdown waits for in-flight queries before force-cancelling them")
-	parallelism := flag.Int("parallelism", runtime.GOMAXPROCS(0),
-		"default worker bound for intra-query parallel operators (partitioned "+
-			"sorts and scans); 1 forces serial pipelines; per-query "+
-			"\"parallelism\" requests override it")
 	flag.Parse()
 
 	sys := coin.Figure2System()
-	sys.Executor().DefaultParallelism = *parallelism
 	fmt.Printf("COIN mediator serving the Figure 2 demonstration system\n")
 	fmt.Printf("  relations: %v\n", sys.Relations())
 	fmt.Printf("  contexts:  %v\n", sys.Contexts())

@@ -209,9 +209,8 @@ func (s *System) Explain(sql, receiver string) (string, error) {
 // Plan mediates the query and renders the multi-database engine's
 // execution plan for every branch under ctx and opts: access order, pushed
 // vs local filters, bind joins feeding Web-source required bindings, join
-// keys, cost estimates, and the fan-out and merge placements opts'
-// parallelism gives. Plain EXPLAIN executes nothing, but planning may probe
-// live sources for statistics under ctx.
+// keys and cost estimates. Plain EXPLAIN executes nothing, but planning
+// may probe live sources for statistics under ctx.
 //
 // With analyze set it is EXPLAIN ANALYZE: every branch actually executes in
 // a session governed by opts, with measurement wired through the pipeline,
@@ -227,11 +226,7 @@ func (s *System) Plan(ctx context.Context, sql, receiver string, analyze bool, o
 		return "", err
 	}
 	verb, produce := "planning", func(sess *planner.Session, br *sqlparse.Select) (*planner.BranchPlan, error) {
-		plan, err := s.executor.PlanCtx(sess.Context(), br)
-		if err == nil {
-			s.executor.ParallelizePlan(plan, sess)
-		}
-		return plan, err
+		return s.executor.PlanCtx(sess.Context(), br)
 	}
 	if analyze {
 		verb, produce = "analyzing", s.executor.AnalyzeSelect

@@ -20,10 +20,9 @@ import (
 // result rows delivered (truncation), a cap on tuples transferred from
 // sources (exceeding it aborts the query), a cap on the session's
 // concurrent fetches per source (admission waits, it does not fail), a
-// session-wide retry budget, a cap on intra-query parallelism, and the
-// PartialResults degradation switch (failed mediation branches are
-// dropped with warnings instead of failing the query). The zero value is
-// ungoverned and fail-fast.
+// session-wide retry budget, and the PartialResults degradation switch
+// (failed mediation branches are dropped with warnings instead of failing
+// the query). The zero value is ungoverned and fail-fast.
 type QueryOptions = planner.Limits
 
 // Tuple is one result row.

@@ -26,10 +26,9 @@ import (
 )
 
 // Options bound one query: the governor limits of the server-side session,
-// carried in the request's fields (see wire.NewQueryRequest). A zero
-// MaxParallelism defers to the server's default parallelism. MaxTuples has
-// no field on the wire, so a query with a nonzero one is refused before it
-// is sent. The zero value is ungoverned and fail-fast.
+// carried in the request's fields (see wire.NewQueryRequest). MaxTuples
+// has no field on the wire, so a query with a nonzero one is refused
+// before it is sent. The zero value is ungoverned and fail-fast.
 type Options = planner.Limits
 
 // Conn is an open connection to a mediation server.

@@ -14,8 +14,8 @@ import (
 )
 
 // scaledSystem is the paper's federation over n generated companies, with
-// the rates as a relational table and exchange parallelism 2: the shape of
-// the benchmark's scale_stream workload, at a size a test can afford.
+// the rates as a relational table: the shape of the benchmark's
+// scale_stream workload, at a size a test can afford.
 func scaledSystem(t *testing.T, n int) *coin.System {
 	t.Helper()
 	w := fixture.NewScaledWorkload(n, 42)
@@ -48,7 +48,6 @@ func scaledSystem(t *testing.T, n int) *coin.System {
 	if err := sys.AddAncillary("rate", "r3"); err != nil {
 		t.Fatal(err)
 	}
-	sys.Executor().DefaultParallelism = 2
 	return sys
 }
 
@@ -56,8 +55,7 @@ func scaledSystem(t *testing.T, n int) *coin.System {
 // only once its session's statistics are in the executor's StatsStore, so
 // a receiver that sends its next request as soon as it has read the stats
 // trailer gets a plan made with them. Plans (and with them the number of
-// source queries: partitioned scans count one per part) depend on the
-// learned statistics, so a fixed request sequence replayed on fresh
+// source queries) depend on the learned statistics, so a fixed request sequence replayed on fresh
 // systems must always cost the same number of source queries.
 func TestStreamStatsPublishedBeforeTrailer(t *testing.T) {
 	const n, replays = 5000, 100

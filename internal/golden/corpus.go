@@ -6,7 +6,9 @@ package golden
 //	-- mode: engine | mediate | mediate-partial   (default engine)
 //	-- receiver: c2                               (mediate modes)
 //	-- ordered: true                              (force order-sensitive rows)
-//	-- parallelism: N                             (intra-query workers; default serial)
+//
+// A comment whose text before its first colon is one lowercase word is a
+// directive, and an unknown one is refused rather than ignored.
 //
 // engine entries run on a fresh heterogeneous Fixture; mediate entries
 // run the paper's Figure 2 system end to end (mediate-partial with its
@@ -35,11 +37,7 @@ type Query struct {
 	Mode     string // engine | mediate | mediate-partial
 	Receiver string
 	Ordered  bool
-	// Parallelism is the intra-query worker bound the entry runs (and
-	// plans) under; 0 keeps the historical serial pipelines, so the
-	// pre-exchange baselines stay byte-identical.
-	Parallelism int
-	SQL         string
+	SQL      string
 }
 
 // Result is one entry's observed behavior: everything the baseline pins.
@@ -89,11 +87,11 @@ func parseQueryFile(name, raw string) (Query, error) {
 		if strings.HasPrefix(trimmed, "--") {
 			body := strings.TrimSpace(strings.TrimPrefix(trimmed, "--"))
 			key, val, ok := strings.Cut(body, ":")
-			if !ok {
+			if !ok || !isDirectiveKey(key) {
 				continue // plain comment
 			}
 			val = strings.TrimSpace(val)
-			switch strings.TrimSpace(key) {
+			switch key {
 			case "mode":
 				switch val {
 				case "engine", "mediate", "mediate-partial":
@@ -109,12 +107,8 @@ func parseQueryFile(name, raw string) (Query, error) {
 					return Query{}, fmt.Errorf("bad ordered directive %q", val)
 				}
 				q.Ordered = b
-			case "parallelism":
-				n, err := strconv.Atoi(val)
-				if err != nil || n < 0 {
-					return Query{}, fmt.Errorf("bad parallelism directive %q", val)
-				}
-				q.Parallelism = n
+			default:
+				return Query{}, fmt.Errorf("unknown directive %q", key)
 			}
 			continue
 		}
@@ -130,6 +124,12 @@ func parseQueryFile(name, raw string) (Query, error) {
 		return Query{}, fmt.Errorf("mode %s needs a receiver directive", q.Mode)
 	}
 	return q, nil
+}
+
+// isDirectiveKey reports whether key is one lowercase word, which makes
+// its comment line a directive.
+func isDirectiveKey(key string) bool {
+	return key != "" && strings.Trim(key, "abcdefghijklmnopqrstuvwxyz") == ""
 }
 
 // RunOptions hook a corpus run for the harness's self-tests.
@@ -166,11 +166,6 @@ func runEngine(ctx context.Context, q Query, opts RunOptions) (*Result, error) {
 	if opts.Mutate != nil {
 		opts.Mutate(fx)
 	}
-	// The parallelism directive runs the entry under that many workers and
-	// baselines the annotated plan (part/merge placements); 0
-	// leaves the executor serial, pinning byte-identical pre-exchange
-	// plans for the historical corpus.
-	fx.Ex.DefaultParallelism = q.Parallelism
 	stmt, err := sqlparse.Parse(q.SQL)
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: parse: %w", q.Name, err)
@@ -184,7 +179,6 @@ func runEngine(ctx context.Context, q Query, opts RunOptions) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("golden: %s: planning branch %d: %w", q.Name, i+1, err)
 		}
-		fx.Ex.ParallelizePlan(p, sess)
 		if len(sels) > 1 {
 			fmt.Fprintf(&plan, "branch %d:\n", i+1)
 		}
@@ -209,7 +203,6 @@ func runMediate(ctx context.Context, q Query) (*Result, error) {
 	if partial {
 		sys = coin.Figure2SystemWith(downFetcher{})
 	}
-	sys.Executor().DefaultParallelism = q.Parallelism
 	plan, err := sys.Plan(ctx, q.SQL, q.Receiver, false, coin.QueryOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: explain: %w", q.Name, err)
@@ -219,7 +212,7 @@ func runMediate(ctx context.Context, q Query) (*Result, error) {
 		return nil, fmt.Errorf("golden: %s: mediate: %w", q.Name, err)
 	}
 	rel, warns, err := sys.ExecuteWarnCtx(ctx, med,
-		coin.QueryOptions{PartialResults: partial, MaxParallelism: q.Parallelism})
+		coin.QueryOptions{PartialResults: partial})
 	if err != nil {
 		return nil, fmt.Errorf("golden: %s: executing: %w", q.Name, err)
 	}

@@ -86,6 +86,14 @@ func TestRegenerationDeterministic(t *testing.T) {
 	}
 }
 
+// TestUnknownDirectiveRefused: a directive the corpus does not know fails
+// the load instead of being ignored.
+func TestUnknownDirectiveRefused(t *testing.T) {
+	if _, err := parseQueryFile("x", "-- parallelism: 4\nSELECT 1"); err == nil || !strings.Contains(err.Error(), `unknown directive "parallelism"`) {
+		t.Fatalf("err = %v, want an unknown-directive refusal", err)
+	}
+}
+
 // TestBaselineRoundTrip pins the file format: parse(render(x)) == x.
 func TestBaselineRoundTrip(t *testing.T) {
 	res := &Result{

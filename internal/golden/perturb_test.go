@@ -4,8 +4,7 @@ package golden
 // opens every branch at once and still emits in branch order, so its
 // answer must not depend on which source answers first. Every mediation
 // entry of the corpus and the benchmark's five query templates run with
-// each source query delayed by a seeded random 0–3 ms, at parallelism 1
-// and 4, and must give — row for row, in order — the answer of an
+// each source query delayed by a seeded random 0–3 ms, and must give — row for row, in order — the answer of an
 // unperturbed serial run; the corpus entries must also match their
 // recorded baselines, and the paper's Q1 over a generated federation the
 // workload's own Go-arithmetic answer.
@@ -107,11 +106,10 @@ func perturbedExecutor(sys *coin.System, seed int64) *planner.Executor {
 	return ex
 }
 
-// runPerturbed mediates c on a fresh system and runs it at parallelism
-// par — on the system's own executor for seed 0, else on a
-// perturbedExecutor — returning the rows in the order they left the union
+// runPerturbed mediates c on a fresh system and runs it — on the system's
+// own executor for seed 0, else on a perturbedExecutor — returning the rows in the order they left the union
 // and the warnings.
-func runPerturbed(t *testing.T, c perturbCase, seed int64, par int) (*relalg.Relation, []string) {
+func runPerturbed(t *testing.T, c perturbCase, seed int64) (*relalg.Relation, []string) {
 	t.Helper()
 	sys := c.system()
 	ex := sys.Executor()
@@ -122,16 +120,15 @@ func runPerturbed(t *testing.T, c perturbCase, seed int64, par int) (*relalg.Rel
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex.DefaultParallelism = par
-	sess := ex.NewSession(context.Background(), planner.Limits{MaxParallelism: par, PartialResults: c.partial})
+	sess := ex.NewSession(context.Background(), planner.Limits{PartialResults: c.partial})
 	defer sess.Close()
 	it, err := ex.MediationStream(sess, med)
 	if err != nil {
-		t.Fatalf("%s at parallelism %d: %v", c.name, par, err)
+		t.Fatalf("%s: %v", c.name, err)
 	}
 	rel, err := relalg.Collect(sess.Context(), it, "")
 	if err != nil {
-		t.Fatalf("%s at parallelism %d: %v", c.name, par, err)
+		t.Fatalf("%s: %v", c.name, err)
 	}
 	var warns []string
 	for _, w := range sess.Warnings() {
@@ -173,7 +170,7 @@ func TestMediationSchedulePerturbation(t *testing.T) {
 
 	// The workload's own answer to the paper's Q1 (T2 at K=0), by name.
 	q1 := fmt.Sprintf(benchTemplates[1], 0)
-	got, _ := runPerturbed(t, perturbCase{name: "scaled Q1", sql: q1, system: func() *coin.System { return scaledSystem(scaled) }}, 0, 1)
+	got, _ := runPerturbed(t, perturbCase{name: "scaled Q1", sql: q1, system: func() *coin.System { return scaledSystem(scaled) }}, 0)
 	byName := func(r *relalg.Relation) string {
 		res := &Result{}
 		res.fillRows(r)
@@ -184,7 +181,7 @@ func TestMediationSchedulePerturbation(t *testing.T) {
 	}
 
 	for _, c := range cases {
-		want, wantWarns := runPerturbed(t, c, 0, 1)
+		want, wantWarns := runPerturbed(t, c, 0)
 		wantRows := &Result{Ordered: true}
 		wantRows.fillRows(want)
 		if c.base != nil {
@@ -195,15 +192,13 @@ func TestMediationSchedulePerturbation(t *testing.T) {
 			}
 		}
 		for seed := int64(1); seed <= 3; seed++ {
-			for _, par := range []int{1, 4} {
-				rel, warns := runPerturbed(t, c, seed, par)
-				res := &Result{Ordered: true}
-				res.fillRows(rel)
-				diffs := compareLines("row", wantRows.Rows, res.Rows)
-				diffs = append(diffs, compareLines("warnings", wantWarns, warns)...)
-				for _, d := range diffs {
-					t.Errorf("%s, seed %d, parallelism %d: %s", c.name, seed, par, d)
-				}
+			rel, warns := runPerturbed(t, c, seed)
+			res := &Result{Ordered: true}
+			res.fillRows(rel)
+			diffs := compareLines("row", wantRows.Rows, res.Rows)
+			diffs = append(diffs, compareLines("warnings", wantWarns, warns)...)
+			for _, d := range diffs {
+				t.Errorf("%s, seed %d: %s", c.name, seed, d)
 			}
 		}
 	}

@@ -1,6 +1,4 @@
--- hash join under parallelism 4: the join has no parallel form, so the
--- plan is the serial one and trades is built, companies probes it
--- parallelism: 4
+-- hash join over the bulk relation: trades is built, companies probes it
 SELECT companies.cname, companies.country, trades.amount
 FROM companies, trades
 WHERE trades.cname = companies.cname AND trades.amount < 200

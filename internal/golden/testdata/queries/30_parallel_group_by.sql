@@ -1,4 +1,3 @@
--- partitioned GROUP BY over the fanned-out bulk scan
--- parallelism: 4
+-- GROUP BY streaming the bulk scan from one source cursor
 SELECT trades.cname, COUNT(*) AS n, SUM(trades.amount) AS total
 FROM trades GROUP BY trades.cname

@@ -1,9 +1,8 @@
--- mediation branches executing with parallel cores: each branch's sort
--- runs under the merge exchange (merge[2] in every ordered branch plan)
+-- an ordered mediation: the branches stream into the union and the
+-- post-union step sorts their rows
 -- mode: mediate
 -- receiver: c2
 -- ordered: true
--- parallelism: 2
 SELECT rl.cname, rl.revenue FROM r1 rl, r2
 WHERE rl.cname = r2.cname
 AND rl.revenue > r2.expenses

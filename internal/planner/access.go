@@ -12,17 +12,15 @@ package planner
 // (single-flight) instead of re-issued — repeated identical probes
 // across mediation branches hit the network exactly once.
 //
-// Slot discipline: a streaming scan holds its slot from its first Next
-// until the stream is exhausted, fails, or is closed; a materialized fetch
-// holds it for the duration of the source query; a partitioned scan
-// fan-out holds ScanParts slots at once, reserved all-or-nothing on its
-// first Next before any part stream opens. The deadlock argument:
+// Slot discipline: every fetch holds exactly one slot. A streaming scan
+// holds it from its first Next until the stream is exhausted, fails, or
+// is closed; a materialized fetch holds it for the duration of the source
+// query. The deadlock argument:
 //
-//   - Open runs only a pipeline's breakers. Nothing opened holds a slot,
-//     or a goroutine waiting on its consumer, until its first Next: scan
-//     leaves admit and a fan-out starts its part goroutines there. Every
-//     breaker drains one side to memory, closing it and freeing its slots
-//     before it pulls the other, so a pipeline waiting for admission holds
+//   - Open runs only a pipeline's breakers. Nothing opened holds a slot
+//     until its first Next: scan leaves admit there. Every breaker drains
+//     one side to memory, closing it and freeing its slot before it pulls
+//     the other, so a pipeline waiting for admission holds
 //     no slots from other steps, and an Open always finishes on its own
 //     progress. That is why a mediated union may open all its branches at
 //     once (MediationStream does over slow sources, and never under a
@@ -30,21 +28,9 @@ package planner
 //     another's shared build holds no slot, and the one branch being
 //     pulled holds slots only for streams the union's consumer drains
 //     without waiting on any other branch.
-//   - A fan-out's K held slots all belong to one pulled step, whose K part
-//     streams its reassembly workers drain concurrently, so a held slot
-//     always belongs to a stream whose progress depends only on the
-//     pipeline's own consumer — never on another admission wait.
-//   - Multi-slot reservations are serialized per dispatcher by a fan-out
-//     mutex, so two fan-outs can never interleave partial acquisitions
-//     of one pool and deadlock each other holding half a pool each; a
-//     reservation in progress waits only for single-slot holders, which
-//     release independently (their streams drain on their own).
-//   - Reservations never exceed a pool: the parallelize pass clamps
-//     ScanParts to the source's concurrency cap and the session's
-//     per-source allowance, so an up-front reservation always fits.
 //   - The session-level and source-level pools are always taken in that
-//     order (session first), for singles and reservations alike, so the
-//     two levels cannot deadlock against each other.
+//     order (session first), so the two levels cannot deadlock against
+//     each other.
 
 import (
 	"context"
@@ -68,12 +54,6 @@ const DefaultMaxConcurrentPerSource = 4
 // scope.
 type dispatcher struct {
 	slots chan struct{}
-
-	// fanMu serializes multi-slot reservations (acquireN): two fan-outs
-	// interleaving partial acquisitions of one pool could each hold half
-	// and wait forever for the other's half. Single-slot acquires bypass
-	// it — they hold-and-wait on nothing.
-	fanMu sync.Mutex
 
 	// circuit-breaker state (methods in breaker.go)
 	bmu        sync.Mutex
@@ -100,27 +80,6 @@ func (d *dispatcher) acquire(ctx context.Context) error {
 	}
 }
 
-// acquireN reserves n slots all-or-nothing: on ctx death mid-reservation
-// every slot already taken is returned. A multi-slot reservation runs
-// under the fan-out mutex; a single slot bypasses it — it holds-and-waits
-// on nothing. n must not exceed the pool (capacity); callers clamp.
-func (d *dispatcher) acquireN(ctx context.Context, n int) error {
-	if n > 1 {
-		d.fanMu.Lock()
-		defer d.fanMu.Unlock()
-	}
-	for i := 0; i < n; i++ {
-		if err := d.acquire(ctx); err != nil {
-			d.releaseN(i)
-			return err
-		}
-	}
-	return nil
-}
-
-// capacity reports the pool size.
-func (d *dispatcher) capacity() int { return cap(d.slots) }
-
 // release frees one acquired slot. Releasing more than was acquired is a
 // slot-accounting bug in the caller (a double release would silently
 // widen the pool), so it panics rather than corrupting admission.
@@ -129,13 +88,6 @@ func (d *dispatcher) release() {
 	case <-d.slots:
 	default:
 		panic("planner: dispatcher release without acquire")
-	}
-}
-
-// releaseN frees n acquired slots.
-func (d *dispatcher) releaseN(n int) {
-	for ; n > 0; n-- {
-		d.release()
 	}
 }
 
@@ -168,39 +120,29 @@ func (e *Executor) dispatcherFor(w wrapper.Wrapper) *dispatcher {
 	return e.disp.get(w.Source(), w.Cost().MaxConcurrent)
 }
 
-// acquireSource reserves n in-flight-query slots against w as one
-// all-or-nothing unit: one for a scan stream or a materialized fetch,
-// ScanParts for a partitioned scan fan-out, which holds them all until its
-// last part stream is torn down. Slots are taken first in the session's
-// per-source allowance (when limited), then in the source's own
+// acquireSource reserves one in-flight-query slot against w, first in the
+// session's per-source allowance (when limited), then in the source's own
 // dispatcher; the consistent ordering rules out deadlock between the two
-// levels (see the slot-discipline comment at the top of this file). n is
-// clamped to the smaller pool; the actual reservation size is returned
-// with a release callback that frees all of it and must be called
-// exactly once.
-func (e *Executor) acquireSource(ctx context.Context, sess *Session, w wrapper.Wrapper, n int) (got int, release func(), err error) {
+// levels (see the slot-discipline comment at the top of this file). The
+// release callback frees both and must be called exactly once.
+func (e *Executor) acquireSource(ctx context.Context, sess *Session, w wrapper.Wrapper) (release func(), err error) {
 	sd := sess.dispatcherFor(w.Source())
 	d := e.dispatcherFor(w)
-	n = min(n, d.capacity())
 	if sd != nil {
-		n = min(n, sd.capacity())
-	}
-	n = max(n, 1)
-	if sd != nil {
-		if err := sd.acquireN(ctx, n); err != nil {
-			return 0, nil, err
+		if err := sd.acquire(ctx); err != nil {
+			return nil, err
 		}
 	}
-	if err := d.acquireN(ctx, n); err != nil {
+	if err := d.acquire(ctx); err != nil {
 		if sd != nil {
-			sd.releaseN(n)
+			sd.release()
 		}
-		return 0, nil, err
+		return nil, err
 	}
-	return n, func() {
-		d.releaseN(n)
+	return func() {
+		d.release()
 		if sd != nil {
-			sd.releaseN(n)
+			sd.release()
 		}
 	}, nil
 }
@@ -330,7 +272,7 @@ func (e *Executor) buildSharer(sess *Session, step *PlanStep) relalg.BuildSharer
 func (e *Executor) querySource(ctx context.Context, sess *Session, w wrapper.Wrapper, q wrapper.SourceQuery) (*relalg.Relation, error) {
 	var rel *relalg.Relation
 	err := e.withRetry(ctx, sess, w, func() error {
-		_, release, err := e.acquireSource(ctx, sess, w, 1)
+		release, err := e.acquireSource(ctx, sess, w)
 		if err != nil {
 			return err
 		}

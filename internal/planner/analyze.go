@@ -33,7 +33,6 @@ func (e *Executor) AnalyzeSelect(sess *Session, sel *sqlparse.Select) (*BranchPl
 	if err != nil {
 		return nil, err
 	}
-	e.ParallelizePlan(plan, sess)
 	plan.EnableAnalyze()
 	it, err := e.BuildStream(sess, plan)
 	if err != nil {

@@ -28,12 +28,8 @@ type Executor struct {
 	// DisableBatching keeps bind joins on one query per feeder value even
 	// against IN-capable sources — the batching ablation.
 	DisableBatching bool
-	// DefaultParallelism bounds the workers of intra-query parallel
-	// operators (partitioned sorts, scan fan-outs) for
-	// sessions that do not set Limits.MaxParallelism. Zero or one keeps
-	// every pipeline serial — the library default, so embedding code sees
-	// the historical plans; the binaries (coinserver, coinquery) default it
-	// to GOMAXPROCS. See parallel.go.
+	// DefaultParallelism is a no-op kept for bench/ until a [benchmark]
+	// PR drops it: every pipeline runs serially whatever it says.
 	DefaultParallelism int
 	// DisableReorder keeps the legacy greedy access ordering instead of
 	// the dynamic-programming enumerator — the join-order ablation.
@@ -104,6 +100,10 @@ type ExecStats struct {
 func NewExecutor(cat *Catalog) *Executor {
 	return &Executor{Catalog: cat, AdaptiveStats: NewStatsStore()}
 }
+
+// ParallelizePlan is a no-op kept for bench/ until a [benchmark] PR
+// drops it: there is no intra-query parallelism left to annotate.
+func (e *Executor) ParallelizePlan(*BranchPlan, *Session) {}
 
 // Stats snapshots the execution counters.
 func (e *Executor) Stats() ExecStats {

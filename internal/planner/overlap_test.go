@@ -7,8 +7,8 @@ package planner
 // rows still leave in branch order, an early-opened branch's failure
 // surfaces only when the union reaches it, and cancelling or closing
 // early leaves no slot held and no goroutine behind. They rest on the
-// slot discipline of access.go: an opened but unpulled scan leaf or
-// fan-out holds no slot and runs no goroutine. A LIMIT in Post keeps
+// slot discipline of access.go: an opened but unpulled scan leaf holds
+// no slot and runs no goroutine. A LIMIT in Post keeps
 // the branches lazy. Event order is read off the share fixture's
 // wrappertest.Timeline.
 
@@ -160,20 +160,17 @@ func TestOverlapLaterBranchContactsBeforeBranchOneDrains(t *testing.T) {
 }
 
 // TestOverlapRowsLeaveInBranchOrder: the overlapped answer equals, row for
-// row and in order, the lazy road's and three private runs concatenated —
-// serially and under parallelism 4.
+// row and in order, the lazy road's and three private runs concatenated.
 func TestOverlapRowsLeaveInBranchOrder(t *testing.T) {
 	med := overlapMediation(t)
 	want := privateBuilds(t, med, nil)
-	for _, par := range []int{1, 4} {
-		for _, m := range []*core.Mediation{med, lazyRoad(med)} {
-			ex := slowExecutor(newShareFixture(t).cat)
-			res, err := executeMediationSession(ex, ex.NewSession(bg, Limits{MaxParallelism: par}), m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameAnswer(t, "overlapped union", res, want)
+	for _, m := range []*core.Mediation{med, lazyRoad(med)} {
+		ex := slowExecutor(newShareFixture(t).cat)
+		res, err := executeMediationSession(ex, ex.NewSession(bg, Limits{}), m)
+		if err != nil {
+			t.Fatal(err)
 		}
+		requireSameAnswer(t, "overlapped union", res, want)
 	}
 }
 
@@ -270,7 +267,6 @@ func TestOverlapCancelAndEarlyCloseReleaseEverything(t *testing.T) {
 			return 0
 		}
 		ex := slowExecutor(f.cat)
-		ex.DefaultParallelism = 4
 		ctx, cancel := context.WithCancel(bg)
 		sess := ex.NewSession(ctx, Limits{})
 		it, err := ex.MediationStream(sess, overlapMediation(t))
@@ -346,33 +342,28 @@ func TestOverlapLimitKeepsLaterBranchesLazy(t *testing.T) {
 	}
 }
 
-// TestOverlapOpenedLeafHoldsNoSlot: an opened but unpulled scan leaf —
-// serial or fanned out — holds no dispatcher slot and has contacted no
-// source, and an opened join leaves no goroutine behind (its build, big,
-// drained at Open and freed its slots; its probe leaf, dim, waits); the
-// first pull admits the scan (one slot, or all of the fan-out's).
+// TestOverlapOpenedLeafHoldsNoSlot: an opened but unpulled scan leaf
+// holds no dispatcher slot and has contacted no source, and an opened
+// join leaves no goroutine behind (its build, big, drained at Open and
+// freed its slot; its probe leaf, dim, waits); the first pull admits the
+// scan on one slot.
 func TestOverlapOpenedLeafHoldsNoSlot(t *testing.T) {
 	cat, bigCtr, dimCtr := buildParCatalog(t, parCatalogOpts{bigRows: 4000, dimRows: 900, seed: 3})
 	for _, c := range []struct {
-		sql   string
-		par   int
-		leaf  *wrappertest.Counter // the pulled scan's source
-		slots int                  // held after the first pull
-		join  bool
+		sql  string
+		leaf *wrappertest.Counter // the pulled scan's source
+		join bool
 	}{
-		{"SELECT big.k, big.v FROM big", 1, bigCtr, 1, false},
-		{"SELECT big.k, big.v FROM big", 4, bigCtr, 4, false},
-		{parJoinQ, 4, dimCtr, 1, true},
+		{"SELECT big.k, big.v FROM big", bigCtr, false},
+		{parJoinQ, dimCtr, true},
 	} {
 		c.leaf.Reset()
 		ex := NewExecutor(cat)
-		ex.DefaultParallelism = c.par
 		sess := zeroSession(t, ex)
 		plan, err := ex.PlanCtx(sess.Context(), sqlparse.MustParse(c.sql).(*sqlparse.Select))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex.ParallelizePlan(plan, sess)
 		it, err := ex.BuildStream(sess, plan)
 		if err != nil {
 			t.Fatal(err)
@@ -382,17 +373,16 @@ func TestOverlapOpenedLeafHoldsNoSlot(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n, q := heldSlots(ex), c.leaf.Queries(); n != 0 || q != 0 {
-			t.Errorf("%s at parallelism %d: opened, unpulled: %d slots held, %d queries to the scan's source; want 0, 0", c.sql, c.par, n, q)
+			t.Errorf("%s: opened, unpulled: %d slots held, %d queries to the scan's source; want 0, 0", c.sql, n, q)
 		}
 		if c.join {
-			// The build's part scans may still be exiting.
 			eventually(t, "no goroutine behind an unpulled join", func() bool { return runtime.NumGoroutine() <= base })
 		}
 		if _, err := it.Next(1); err != nil {
 			t.Fatal(err)
 		}
-		if n := heldSlots(ex); n != c.slots {
-			t.Errorf("%s at parallelism %d: %d slots held after the first pull, want %d", c.sql, c.par, n, c.slots)
+		if n := heldSlots(ex); n != 1 {
+			t.Errorf("%s: %d slots held after the first pull, want 1", c.sql, n)
 		}
 		if err := it.Close(); err != nil {
 			t.Fatal(err)

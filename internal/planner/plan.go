@@ -53,13 +53,6 @@ type PlanStep struct {
 	// has run.
 	AfterPreds []sqlparse.Expr
 
-	// ScanParts is the partitioned fan-out of this step's source scan:
-	// above 1, that many disjoint range streams are fetched concurrently
-	// (the source must advertise Capabilities.Partitions) and reassembled
-	// in part order, which equals the serial scan. Annotated by the
-	// parallelize pass (parallel.go), never by the enumerators.
-	ScanParts int
-
 	// EstRows is the estimated tuples this step transfers from its source
 	// (across all probes, for a bind join); EstQueries the estimated
 	// source queries; EstCost the step's communication cost in the
@@ -74,8 +67,8 @@ type PlanStep struct {
 
 // StepActuals are the measured counterparts of one step's estimates,
 // filled in while an analyzed plan executes. Counters are atomic: a
-// step's source fetches may run concurrently (batched probes, parallel
-// branches).
+// step's source fetches may run concurrently (batched probes, branches
+// opened ahead).
 type StepActuals struct {
 	// Rows counts tuples actually transferred from the source for this
 	// step (before engine-local filters).
@@ -88,11 +81,6 @@ type StepActuals struct {
 	// Out counts the tuples the step emitted downstream, after its joins
 	// and local predicates.
 	Out atomic.Int64
-	// WorkerRows, when the step's scan ran as a partitioned fan-out,
-	// counts the rows each part scanned. Installed by BuildStream before
-	// execution — one slot per part — and rendered as per-worker rows by
-	// Explain; nil for serial scans.
-	WorkerRows []atomic.Int64
 }
 
 // PlanActuals carries a plan's measured execution counts, one entry per
@@ -111,12 +99,6 @@ type BranchPlan struct {
 	Distinct bool
 	OrderBy  []sqlparse.OrderItem
 	Limit    int
-
-	// Parallelism is the worker bound the parallelize pass annotated the
-	// plan with (parallel.go); 0 or 1 means every operator runs serial
-	// and the plan — Explain output included — is byte-identical to the
-	// pre-exchange planner's.
-	Parallelism int
 
 	// Actuals, when non-nil (EnableAnalyze), makes the compiled pipeline
 	// count per-step actual rows and queries as it runs; Explain then
@@ -191,9 +173,6 @@ func (p *BranchPlan) Explain() string {
 			}
 			b.WriteString("]")
 		}
-		if s.ScanParts > 1 {
-			fmt.Fprintf(&b, " part[%d]", s.ScanParts)
-		}
 		fmt.Fprintf(&b, " est_rows=%.0f est_queries=%.0f est_cost=%.0f", s.EstRows, s.EstQueries, s.EstCost)
 		act := p.stepActuals(i)
 		if act != nil {
@@ -203,14 +182,6 @@ func (p *BranchPlan) Explain() string {
 				rows, queries, actCost, act.Out.Load())
 		}
 		b.WriteByte('\n')
-		if act != nil {
-			for w := range act.WorkerRows {
-				fmt.Fprintf(&b, "  worker %d: act_rows=%d\n", w, act.WorkerRows[w].Load())
-			}
-		}
-	}
-	if p.Parallelism > 1 && len(p.OrderBy) > 0 {
-		fmt.Fprintf(&b, "merge[%d]\n", p.Parallelism)
 	}
 	fmt.Fprintf(&b, "total est_cost=%.0f", p.EstCost)
 	if p.Actuals != nil {

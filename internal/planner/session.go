@@ -43,13 +43,6 @@ type Limits struct {
 	// RetryPolicy. Zero means unbudgeted (the per-operation policy alone
 	// governs).
 	RetryBudget int
-	// MaxParallelism caps the workers intra-query parallel operators may
-	// use in this session: the partitioned sort and the partitioned scan
-	// fan-out (every keyed join runs serially). Zero defers to
-	// the executor's DefaultParallelism; 1 forces serial pipelines (plans
-	// and EXPLAIN output are byte-identical to the pre-exchange planner);
-	// values above 1 allow that many workers.
-	MaxParallelism int
 	// PartialResults degrades instead of failing when a mediation branch
 	// is felled by a source fault (after retries and the breaker have had
 	// their say): the branch is dropped, the answer is computed from the
@@ -69,7 +62,7 @@ var ErrTuplesExceeded = fmt.Errorf("planner: session exceeded max tuples transfe
 // runs. Create one per query with Executor.NewSession and Close it when
 // the answer has been consumed; Close cancels the context, which stops any
 // still-running pipeline and releases the deadline timer. The governor
-// fields are safe for concurrent use: the parts of a scan fan-out and the
+// fields are safe for concurrent use: batched probe fetches and the
 // concurrently opened branches of one query charge the same session from
 // several goroutines.
 type Session struct {
@@ -78,7 +71,7 @@ type Session struct {
 	limits Limits
 
 	// tuples is atomic, not mutex-guarded: it is charged once per batch
-	// pulled from a source, by every scan partition of the query.
+	// pulled from a source, by every scan of the query.
 	tuples atomic.Int64
 
 	// retries counts retries consumed session-wide against

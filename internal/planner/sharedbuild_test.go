@@ -106,37 +106,34 @@ func requireSameAnswer(t *testing.T, label string, got *relalg.Relation, want st
 // TestMediationBranchesShareOneBuild is the tentpole's acceptance test: a
 // 3-branch mediation over the same r2 fetches it once — the two later
 // branches are cache hits, charged nothing — and the answer is byte-equal,
-// rows and order, to three private builds; serially and under
-// parallelism 4.
+// rows and order, to three private builds.
 func TestMediationBranchesShareOneBuild(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		f := newShareFixture(t)
-		med := &core.Mediation{UnionAll: true, Branches: []*sqlparse.Select{
-			shareBranch(t, "JPY", ""), shareBranch(t, "USD", ""), shareBranch(t, "EUR", "")}}
-		ex := NewExecutor(f.cat)
-		sess := ex.NewSession(bg, Limits{MaxParallelism: par})
-		res, err := executeMediationSession(ex, sess, med)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Len() == 0 {
-			t.Fatal("fixture yields an empty answer")
-		}
-		requireSameAnswer(t, fmt.Sprintf("par=%d", par), res, privateBuilds(t, med, nil))
-		if q1, q2 := f.counter["src1"].Queries(), f.counter["src2"].Queries(); q1 != 3 || q2 != 1 {
-			t.Errorf("par=%d: source queries r1/r2 = %d/%d, want 3/1 (r2 built once, r1 streamed per branch)", par, q1, q2)
-		}
-		st := ex.Stats()
-		if st.CacheHits != 2 || st.SourceQueries != 4 || st.BranchesRun != 3 {
-			t.Errorf("par=%d: stats = %+v, want 2 cache hits, 4 source queries, 3 branches run", par, st)
-		}
-		if got, want := sess.TuplesTransferred(), st.TuplesTransferred; got != want || got != 12+16 {
-			t.Errorf("par=%d: session charged %d tuples, executor counted %d, want 12 of r1 + 16 of r2 once", par, got, want)
-		}
-		sess.Close()
-		if sess.probe.entries != nil || sess.probe.bytes != 0 {
-			t.Errorf("par=%d: Close left the session cache populated", par)
-		}
+	f := newShareFixture(t)
+	med := &core.Mediation{UnionAll: true, Branches: []*sqlparse.Select{
+		shareBranch(t, "JPY", ""), shareBranch(t, "USD", ""), shareBranch(t, "EUR", "")}}
+	ex := NewExecutor(f.cat)
+	sess := ex.NewSession(bg, Limits{})
+	res, err := executeMediationSession(ex, sess, med)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() == 0 {
+		t.Fatal("fixture yields an empty answer")
+	}
+	requireSameAnswer(t, "shared build", res, privateBuilds(t, med, nil))
+	if q1, q2 := f.counter["src1"].Queries(), f.counter["src2"].Queries(); q1 != 3 || q2 != 1 {
+		t.Errorf("source queries r1/r2 = %d/%d, want 3/1 (r2 built once, r1 streamed per branch)", q1, q2)
+	}
+	st := ex.Stats()
+	if st.CacheHits != 2 || st.SourceQueries != 4 || st.BranchesRun != 3 {
+		t.Errorf("stats = %+v, want 2 cache hits, 4 source queries, 3 branches run", st)
+	}
+	if got, want := sess.TuplesTransferred(), st.TuplesTransferred; got != want || got != 12+16 {
+		t.Errorf("session charged %d tuples, executor counted %d, want 12 of r1 + 16 of r2 once", got, want)
+	}
+	sess.Close()
+	if sess.probe.entries != nil || sess.probe.bytes != 0 {
+		t.Errorf("Close left the session cache populated")
 	}
 }
 

@@ -30,8 +30,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -39,33 +37,6 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/wrapper"
 )
-
-// scanLeaf is what the two scan leaves share: the source and relation
-// being read, the planner's transfer estimate, and the lazy start the
-// slot discipline of access.go requires. Open only records the context;
-// admission and the remote stream open happen on the first Next, so an
-// opened but unpulled leaf holds no dispatcher slot and has sent nothing
-// to its source — what lets a mediated union open its branches early.
-type scanLeaf struct {
-	e       *Executor
-	sess    *Session
-	w       wrapper.Wrapper
-	schema  relalg.Schema
-	act     *StepActuals // non-nil under EXPLAIN ANALYZE
-	est     int          // planner's transfer estimate (presize hint)
-	ctx     context.Context
-	started bool
-}
-
-func (l *scanLeaf) Schema() relalg.Schema { return l.schema }
-
-// RowCountHint implements relalg.RowCountHint with the plan step's
-// transfer estimate, so drains that materialize the scan (hash-join
-// build sides) presize instead of regrowing. After the adaptive
-// statistics warm up, the estimate is the learned exact cardinality.
-func (l *scanLeaf) RowCountHint() int { return l.est }
-
-func (l *scanLeaf) Open(ctx context.Context) error { l.ctx = ctx; return nil }
 
 // sourceScanIter is the leaf of every pipeline: a wrapper fetch, pulled
 // tuple by tuple through the wrapper's chunked-fetch protocol
@@ -80,7 +51,9 @@ func (l *scanLeaf) Open(ctx context.Context) error { l.ctx = ctx; return nil }
 // it acquires a per-source dispatcher slot (blocking while the source is
 // saturated) and holds it until the stream is exhausted, fails, or the
 // scan closes — a streaming fetch is in flight against the source for
-// exactly that window.
+// exactly that window. Open only records the context, so an opened but
+// unpulled scan holds no slot and has sent nothing to its source — what
+// lets a mediated union open its branches early.
 //
 // Faults are handled through the retry machinery (retry.go). A failed
 // stream open retries whole (acquire + stream open per attempt, no slot
@@ -99,17 +72,18 @@ func (l *scanLeaf) Open(ctx context.Context) error { l.ctx = ctx; return nil }
 // count as pulled and are charged to the transfer governor — they did
 // cross the wire again.
 type sourceScanIter struct {
-	scanLeaf
-	q       wrapper.SourceQuery
-	stream  wrapper.TupleStream
-	batch   wrapper.BatchStream // non-nil when the stream block-fetches
-	release func()
-	// reserved marks a part scan running under a fan-out's up-front slot
-	// reservation (parallelScanIter): the scan never acquires or releases
-	// admission itself — the slot is held by the reservation for the
-	// fan-out's whole lifetime, and mid-stream recovery re-opens the part
-	// query on the same held slot.
-	reserved  bool
+	e         *Executor
+	sess      *Session
+	w         wrapper.Wrapper
+	schema    relalg.Schema
+	act       *StepActuals // non-nil under EXPLAIN ANALYZE
+	est       int          // planner's transfer estimate (presize hint)
+	ctx       context.Context
+	started   bool
+	q         wrapper.SourceQuery
+	stream    wrapper.TupleStream
+	batch     wrapper.BatchStream // non-nil when the stream block-fetches
+	release   func()
 	pulled    int
 	exhausted bool
 	one       [1]relalg.Tuple // degenerate batch for per-tuple streams
@@ -125,6 +99,16 @@ type sourceScanIter struct {
 	recoveries int            // consecutive recoveries without new progress
 }
 
+func (s *sourceScanIter) Schema() relalg.Schema { return s.schema }
+
+// RowCountHint implements relalg.RowCountHint with the plan step's
+// transfer estimate, so drains that materialize the scan (hash-join
+// build sides) presize instead of regrowing. After the adaptive
+// statistics warm up, the estimate is the learned exact cardinality.
+func (s *sourceScanIter) RowCountHint() int { return s.est }
+
+func (s *sourceScanIter) Open(ctx context.Context) error { s.ctx = ctx; return nil }
+
 // maxReplayTracked bounds the delivered-tuple multiset a scan keeps for
 // replay deduplication; past it, a mid-stream fault is no longer
 // recoverable (the scan cannot prove a replacement stream clean).
@@ -135,19 +119,14 @@ const maxReplayTracked = 4096
 // shared by the first Next and mid-stream recovery.
 func (s *sourceScanIter) openStream() error {
 	err := s.e.withRetry(s.ctx, s.sess, s.w, func() error {
-		var release func()
-		if !s.reserved {
-			var err error
-			if _, release, err = s.e.acquireSource(s.ctx, s.sess, s.w, 1); err != nil {
-				return err
-			}
+		release, err := s.e.acquireSource(s.ctx, s.sess, s.w)
+		if err != nil {
+			return err
 		}
 		start := time.Now()
 		stream, err := wrapper.QueryStream(s.ctx, s.w, s.q)
 		if err != nil {
-			if release != nil {
-				release()
-			}
+			release()
 			return err
 		}
 		s.sess.bufferObs(statObs{source: s.w.Source(), latency: time.Since(start)})
@@ -412,186 +391,6 @@ func (s *sourceScanIter) Close() error {
 	return err
 }
 
-// scanChunk is one unit of part-stream → consumer flow in a partitioned
-// scan fan-out: a durable copy of one batch's row headers, or a terminal
-// error (the part's rows before the fault were flushed in prior chunks).
-type scanChunk struct {
-	rows []relalg.Tuple
-	err  error
-}
-
-// scanChanCap bounds each part stream's output channel so fast parts
-// cannot buffer unboundedly ahead of the consumer (which drains parts in
-// order).
-const scanChanCap = 2
-
-// parallelScanIter fans one independent relation scan out across
-// ScanParts partitioned source streams (SourceQuery.Partitions — the
-// source promises disjoint contiguous ranges whose concatenation in part
-// order equals the unpartitioned scan). All part streams run
-// concurrently, each a full sourceScanIter with the retry/recovery and
-// governor machinery intact; the consumer reassembles strictly in part
-// order, so the output is identical, tuple for tuple and in order, to
-// the serial scan.
-//
-// Admission: the first Next reserves all slots up front through
-// acquireSource and holds them until Close — the part scans run in
-// reserved mode and never touch the dispatcher themselves (mid-stream
-// recovery re-opens a part query on its already-held slot). See access.go
-// for why the up-front reservation cannot deadlock.
-//
-// Error parity: part k's fault surfaces only after parts 0..k-1 and k's
-// own prefix are fully delivered — exactly the position the serial scan
-// would surface it, since serial output is the in-order concatenation of
-// the parts.
-type parallelScanIter struct {
-	scanLeaf
-	base  wrapper.SourceQuery
-	parts int
-
-	// workerRows, when non-nil, receives per-part scanned-row counts
-	// (EXPLAIN ANALYZE's per-worker rows): the step's WorkerRows.
-	workerRows []atomic.Int64
-
-	release func()
-	subs    []*sourceScanIter
-	outs    []chan scanChunk
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-	part    int
-	cur     []relalg.Tuple
-	pos     int
-	done    bool
-}
-
-// start reserves the fan-out's slots and launches one goroutine per part.
-func (s *parallelScanIter) start() error {
-	got, release, err := s.e.acquireSource(s.ctx, s.sess, s.w, s.parts)
-	if err != nil {
-		return err
-	}
-	s.release = release
-	wctx, cancel := context.WithCancel(s.ctx)
-	s.cancel = cancel
-	s.subs = make([]*sourceScanIter, got)
-	s.outs = make([]chan scanChunk, got)
-	for p := 0; p < got; p++ {
-		q := s.base
-		if got > 1 {
-			q.Partitions, q.Partition = got, p
-		}
-		// Each part is opened by construction: the goroutine below is its
-		// only caller, and its first Next opens the part stream.
-		leaf := scanLeaf{e: s.e, sess: s.sess, w: s.w, schema: s.schema, act: s.act, est: s.est/got + 1, ctx: wctx}
-		s.subs[p] = &sourceScanIter{scanLeaf: leaf, q: q, reserved: true}
-		s.outs[p] = make(chan scanChunk, scanChanCap)
-	}
-	for p := 0; p < got; p++ {
-		s.wg.Add(1)
-		go s.runPart(wctx, p)
-	}
-	return nil
-}
-
-// runPart drains one part stream into its channel: durable row-header
-// copies (the sub-scan may reuse its batch buffer; the tuples inside are
-// durable per the batch contract), then a terminal error chunk or a
-// channel close on clean exhaustion.
-func (s *parallelScanIter) runPart(ctx context.Context, p int) {
-	defer s.wg.Done()
-	out := s.outs[p]
-	defer close(out)
-	send := func(c scanChunk) bool {
-		select {
-		case out <- c:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	sub := s.subs[p]
-	workers := s.workerRows
-	for {
-		b, err := sub.Next(relalg.DefaultBatchSize)
-		if err != nil {
-			send(scanChunk{err: err})
-			return
-		}
-		if b.Empty() {
-			return
-		}
-		if p < len(workers) {
-			workers[p].Add(int64(b.Len()))
-		}
-		rows := append([]relalg.Tuple(nil), b.Rows...)
-		if !send(scanChunk{rows: rows}) {
-			return
-		}
-	}
-}
-
-func (s *parallelScanIter) Next(max int) (relalg.Batch, error) {
-	if !s.started {
-		s.started = true
-		if err := s.start(); err != nil {
-			s.done = true
-			return relalg.Batch{}, err
-		}
-	}
-	if max <= 0 {
-		max = relalg.DefaultBatchSize
-	}
-	for {
-		if s.pos < len(s.cur) {
-			n := min(len(s.cur)-s.pos, max)
-			rows := s.cur[s.pos : s.pos+n]
-			s.pos += n
-			return relalg.Batch{Rows: rows}, nil
-		}
-		if s.done {
-			return relalg.Batch{}, nil
-		}
-		c, ok := <-s.outs[s.part]
-		if !ok {
-			s.part++
-			if s.part >= len(s.outs) {
-				s.done = true
-				return relalg.Batch{}, nil
-			}
-			continue
-		}
-		if c.err != nil {
-			s.done = true
-			return relalg.Batch{}, c.err
-		}
-		s.cur, s.pos = c.rows, 0
-	}
-}
-
-func (s *parallelScanIter) Close() error {
-	if s.cancel != nil {
-		s.cancel()
-		s.cancel = nil
-	}
-	s.wg.Wait()
-	var err error
-	for _, sub := range s.subs {
-		if sub == nil {
-			continue
-		}
-		if cerr := sub.Close(); err == nil {
-			err = cerr
-		}
-	}
-	s.subs, s.outs, s.cur = nil, nil, nil
-	s.done = true
-	if s.release != nil {
-		s.release()
-		s.release = nil
-	}
-	return err
-}
-
 // sourceIter builds the scan pipeline for one independent (non-bind)
 // step: chunked fetch with pushed filters, columns qualified with the
 // step binding, then the engine-local filters the source could not
@@ -606,17 +405,7 @@ func (e *Executor) sourceIter(sess *Session, step *PlanStep, act *StepActuals) (
 		return nil, err
 	}
 	q := wrapper.SourceQuery{Relation: step.Relation, Filters: step.Pushed}
-	leafOf := scanLeaf{e: e, sess: sess, w: w, schema: schema, act: act, est: int(step.EstRows)}
-	var leaf relalg.Iterator
-	if step.ScanParts > 1 {
-		ps := &parallelScanIter{scanLeaf: leafOf, base: q, parts: step.ScanParts}
-		if act != nil {
-			ps.workerRows = act.WorkerRows
-		}
-		leaf = ps
-	} else {
-		leaf = &sourceScanIter{scanLeaf: leafOf, q: q}
-	}
+	leaf := &sourceScanIter{e: e, sess: sess, w: w, schema: schema, act: act, est: int(step.EstRows), q: q}
 	qualified := schema.Qualify(step.Binding)
 	var it relalg.Iterator = relalg.NewRename(leaf, qualified)
 	if len(step.Local) > 0 {
@@ -709,10 +498,6 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 	for i := range plan.Steps {
 		step := &plan.Steps[i]
 		act := plan.stepActuals(i)
-		if act != nil && act.WorkerRows == nil && step.ScanParts > 1 {
-			// Per-part actual rows of a scan fan-out for EXPLAIN ANALYZE.
-			act.WorkerRows = make([]atomic.Int64, step.ScanParts)
-		}
 		var after sqlparse.Expr
 		if len(step.AfterPreds) > 0 {
 			after = sqlparse.AndAll(step.AfterPreds)
@@ -787,9 +572,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 		// ORDER BY references source columns the projection drops: sort
 		// before projecting (as the materialized executor's fallback did —
 		// including its quirk of skipping DISTINCT on this path).
-		srt := relalg.NewSort(cur, keys, nil)
-		srt.Par = plan.Parallelism
-		out = relalg.NewProject(srt, items)
+		out = relalg.NewProject(relalg.NewSort(cur, keys, nil), items)
 	} else {
 		// The projection re-copies every surviving value per batch, so
 		// the operator feeding it may recycle its output batches. (The
@@ -800,9 +583,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 			out = relalg.NewDistinct(out)
 		}
 		if len(plan.OrderBy) > 0 {
-			srt := relalg.NewSort(out, keys, nil)
-			srt.Par = plan.Parallelism
-			out = srt
+			out = relalg.NewSort(out, keys, nil)
 		}
 	}
 	out = relalg.NewLimit(out, plan.Limit)
@@ -848,7 +629,6 @@ func (e *Executor) selectStream(sess *Session, sel *sqlparse.Select) (relalg.Ite
 	if err != nil {
 		return nil, err
 	}
-	e.ParallelizePlan(plan, sess)
 	return e.BuildStream(sess, plan)
 }
 
@@ -907,7 +687,6 @@ func (e *Executor) aggregateStream(sess *Session, sel *sqlparse.Select) (relalg.
 	if err != nil {
 		return nil, err
 	}
-	e.ParallelizePlan(plan, sess)
 	wide, err := e.BuildStream(sess, plan)
 	if err != nil {
 		return nil, err
@@ -932,9 +711,7 @@ func (e *Executor) aggregateStream(sess *Session, sel *sqlparse.Select) (relalg.
 		for i, o := range sel.OrderBy {
 			keys[i] = relalg.OrderKey{Expr: o.Expr, Desc: o.Desc}
 		}
-		srt := relalg.NewSort(out, keys, nil)
-		srt.Par = e.parallelism(sess)
-		out = srt
+		out = relalg.NewSort(out, keys, nil)
 	}
 	if sel.Distinct {
 		out = relalg.NewDistinct(out)
@@ -990,7 +767,7 @@ func (e *Executor) MediationStream(sess *Session, med *core.Mediation) (relalg.I
 	if med.Post == nil {
 		return united, nil
 	}
-	return e.postStream(sess, med.Post, united)
+	return postStream(med.Post, united)
 }
 
 // aheadLatency is the learned mean query latency from which a source is
@@ -1084,7 +861,7 @@ func (d *degradedIter) Close() error {
 }
 
 // postStream applies a mediation's post-union step to the union stream.
-func (e *Executor) postStream(sess *Session, post *core.Post, in relalg.Iterator) (relalg.Iterator, error) {
+func postStream(post *core.Post, in relalg.Iterator) (relalg.Iterator, error) {
 	out := in
 	if len(post.GroupBy) > 0 || anyAggItems(post.Items) {
 		items := make([]relalg.AggItem, len(post.Items))
@@ -1119,9 +896,7 @@ func (e *Executor) postStream(sess *Session, post *core.Post, in relalg.Iterator
 		for i, o := range post.OrderBy {
 			keys[i] = relalg.OrderKey{Expr: o.Expr, Desc: o.Desc}
 		}
-		srt := relalg.NewSort(out, keys, nil)
-		srt.Par = e.parallelism(sess)
-		out = srt
+		out = relalg.NewSort(out, keys, nil)
 	}
 	return relalg.NewLimit(out, post.Limit), nil
 }

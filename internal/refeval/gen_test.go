@@ -5,9 +5,8 @@ package refeval
 // payloads, −0 next to 0, duplicate keys, the empty string and long
 // strings. Source c requires a binding on c.s (every query over it is a
 // bind join, batched three values per IN list unless batching is off),
-// b.k carries an index, and big is larger than two sort workers' floor,
-// so partitioned scans, the parallel sort and joins that stream big's
-// batches through recycled arenas run.
+// b.k carries an index, and big spans many batches, so sorts over it and
+// joins that stream its batches through recycled arenas run.
 
 import (
 	"fmt"

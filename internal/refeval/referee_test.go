@@ -26,7 +26,6 @@ import (
 
 // knobs is one engine configuration a query runs under.
 type knobs struct {
-	parallelism     int
 	forceNestedLoop bool
 	disableBatching bool
 	disablePushdown bool
@@ -37,22 +36,18 @@ type knobs struct {
 // the same plan and must agree row for row, order included.
 type plan struct{ disableBatching, disablePushdown bool }
 
-// configs crosses parallelism, the join algorithm and batching, cycling
-// the source chunk width through 1, 7 and 1024 so every width meets both
-// join algorithms. Pushdown is off in half of them: with it off, every
-// filter a source could apply runs in the engine instead, so the
-// wrappers' σ is held to relalg's. Which half is chosen so that each plan
-// (batching × pushdown) still pairs a serial run with a parallel one and
-// a hash join with a nested loop, and every pairing of join algorithm and
-// parallelism meets both pushdown settings.
+// configs crosses the join algorithm, batching and pushdown, cycling the
+// source chunk width through 1, 7 and 1024 so every width meets both
+// join algorithms. With pushdown off, every filter a source could apply
+// runs in the engine instead, so the wrappers' σ is held to relalg's.
+// Each plan (batching × pushdown) pairs a hash join with a nested loop.
 var configs = func() []knobs {
 	var out []knobs
 	widths := []int{1, 7, 1024}
 	for _, batchOff := range []bool{false, true} {
 		for _, nl := range []bool{false, true} {
-			for _, par := range []int{1, 4} {
-				pushOff := nl != (par == 4) != batchOff
-				out = append(out, knobs{par, nl, batchOff, pushOff, widths[len(out)%len(widths)]})
+			for _, pushOff := range []bool{false, true} {
+				out = append(out, knobs{nl, batchOff, pushOff, widths[len(out)%len(widths)]})
 			}
 		}
 	}
@@ -113,7 +108,7 @@ func (w *world) run(k knobs, stmt sqlparse.Statement) (*relalg.Relation, error) 
 		ex.AdaptiveStats = nil
 		w.exs[k] = ex
 	}
-	sess := ex.NewSession(context.Background(), planner.Limits{MaxParallelism: k.parallelism})
+	sess := ex.NewSession(context.Background(), planner.Limits{})
 	defer sess.Close()
 	return ex.ExecuteSession(sess, stmt)
 }

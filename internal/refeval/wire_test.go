@@ -2,11 +2,11 @@ package refeval
 
 // The referee's wire leg: every generated query also runs naive through the
 // HTTP server and the Go client, on the buffered /api/query and on the
-// NDJSON /api/query/stream, at parallelism 1 and 4, and the rows that come
-// back are held to the evaluator's answer. An answer holding NaN or ±Inf
-// has no JSON encoding: the buffered endpoint must refuse it with the
-// classified error, and the stream must deliver the rows before the bad one
-// and then an error trailer.
+// NDJSON /api/query/stream, and the rows that come back are held to the
+// evaluator's answer. An answer holding NaN or ±Inf has no JSON encoding:
+// the buffered endpoint must refuse it with the classified error, and the
+// stream must deliver the rows before the bad one and then an error
+// trailer.
 
 import (
 	"context"
@@ -69,58 +69,55 @@ func (w *world) checkWire(t *testing.T, seed int64, stmt sqlparse.Statement, wan
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, par := range []int{1, 4} {
-		fail := func(endpoint, format string, args ...any) {
-			t.Helper()
-			t.Fatalf("seed %d parallelism %d %s: "+format+"\n%s", append(append([]any{seed, par, endpoint}, args...), sql)...)
+	fail := func(endpoint, format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed %d %s: "+format+"\n%s", append(append([]any{seed, endpoint}, args...), sql)...)
+	}
+	res, err := conn.QueryNaiveCtx(ctx, sql, client.Options{})
+	switch {
+	case bad >= 0 && (err == nil || !strings.Contains(err.Error(), unencodable)):
+		fail("/api/query", "a non-finite answer gave err=%v, want %q", err, unencodable)
+	case bad < 0 && err != nil:
+		fail("/api/query", "%v", err)
+	case bad < 0:
+		if d := diff(wantRows, wireRows(res.Rows, !ordered(stmt))); d != "" {
+			fail("/api/query", "wire and evaluator disagree\n%s", d)
 		}
-		opts := client.Options{MaxParallelism: par}
-		res, err := conn.QueryNaiveCtx(ctx, sql, opts)
-		switch {
-		case bad >= 0 && (err == nil || !strings.Contains(err.Error(), unencodable)):
-			fail("/api/query", "a non-finite answer gave err=%v, want %q", err, unencodable)
-		case bad < 0 && err != nil:
-			fail("/api/query", "%v", err)
-		case bad < 0:
-			if d := diff(wantRows, wireRows(res.Rows, !ordered(stmt))); d != "" {
-				fail("/api/query", "wire and evaluator disagree\n%s", d)
-			}
-		}
-		if open := w.open.Load(); open != 0 {
-			fail("/api/query", "%d source streams left open", open)
-		}
+	}
+	if open := w.open.Load(); open != 0 {
+		fail("/api/query", "%d source streams left open", open)
+	}
 
-		cur, err := conn.QueryStream(ctx, sql, "", true, opts)
-		if err != nil {
-			fail("/api/query/stream", "%v", err)
+	cur, err := conn.QueryStream(ctx, sql, "", true, client.Options{})
+	if err != nil {
+		fail("/api/query/stream", "%v", err)
+	}
+	var rows [][]interface{}
+	for cur.Next() {
+		rows = append(rows, cur.Row())
+	}
+	err = cur.Err()
+	cur.Close()
+	switch {
+	case bad >= 0 && (err == nil || !strings.Contains(err.Error(), unencodable)):
+		fail("/api/query/stream", "a non-finite answer ended with err=%v, want %q", err, unencodable)
+	case bad >= 0 && ordered(stmt):
+		if d := diff(render(want.rows[:bad], canon), wireRows(rows, false)); d != "" {
+			fail("/api/query/stream", "the rows before the non-finite one differ\n%s", d)
 		}
-		var rows [][]interface{}
-		for cur.Next() {
-			rows = append(rows, cur.Row())
+	case bad >= 0:
+		if len(rows) >= len(want.rows) || !subset(wireRows(rows, true), wantRows) {
+			fail("/api/query/stream", "%d rows before the error are not a strict part of the answer's %d", len(rows), len(want.rows))
 		}
-		err = cur.Err()
-		cur.Close()
-		switch {
-		case bad >= 0 && (err == nil || !strings.Contains(err.Error(), unencodable)):
-			fail("/api/query/stream", "a non-finite answer ended with err=%v, want %q", err, unencodable)
-		case bad >= 0 && ordered(stmt):
-			if d := diff(render(want.rows[:bad], canon), wireRows(rows, false)); d != "" {
-				fail("/api/query/stream", "the rows before the non-finite one differ\n%s", d)
-			}
-		case bad >= 0:
-			if len(rows) >= len(want.rows) || !subset(wireRows(rows, true), wantRows) {
-				fail("/api/query/stream", "%d rows before the error are not a strict part of the answer's %d", len(rows), len(want.rows))
-			}
-		case err != nil:
-			fail("/api/query/stream", "%v", err)
-		default:
-			if d := diff(wantRows, wireRows(rows, !ordered(stmt))); d != "" {
-				fail("/api/query/stream", "wire and evaluator disagree\n%s", d)
-			}
+	case err != nil:
+		fail("/api/query/stream", "%v", err)
+	default:
+		if d := diff(wantRows, wireRows(rows, !ordered(stmt))); d != "" {
+			fail("/api/query/stream", "wire and evaluator disagree\n%s", d)
 		}
-		if open := w.open.Load(); open != 0 {
-			fail("/api/query/stream", "%d source streams left open", open)
-		}
+	}
+	if open := w.open.Load(); open != 0 {
+		fail("/api/query/stream", "%d source streams left open", open)
 	}
 }
 

@@ -85,30 +85,23 @@ func sortBenchRel(n int) *Relation {
 }
 
 // BenchmarkSortOrderBy is the ORDER BY kernel alone: NewSort + Collect
-// over a materialized input, serial (par=0) and in exchange form (par=2),
-// on a single numeric DESC key (the typed comparator) and on a
+// over a materialized input, on a single numeric DESC key (the typed comparator) and on a
 // string+number key pair.
 func BenchmarkSortOrderBy(b *testing.B) {
 	revenue := []OrderKey{{Expr: sqlparse.Col("t", "revenue"), Desc: true}}
 	nameRevenue := []OrderKey{{Expr: sqlparse.Col("t", "name")}, {Expr: sqlparse.Col("t", "revenue"), Desc: true}}
-	run := func(b *testing.B, rel *Relation, keys []OrderKey, par int) {
+	run := func(b *testing.B, rel *Relation, keys []OrderKey) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := NewSort(NewScan(rel), keys, nil)
-			s.Par = par
-			if _, err := collect(s, nil); err != nil {
+			if _, err := collect(NewSort(NewScan(rel), keys, nil), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	for _, n := range []int{8, 1000, 10000, 100000} {
 		rel := sortBenchRel(n)
-		for _, par := range []int{0, 2} {
-			b.Run(fmt.Sprintf("rows=%d/par=%d", n, par), func(b *testing.B) { run(b, rel, revenue, par) })
-		}
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) { run(b, rel, revenue) })
 	}
 	rel := sortBenchRel(10000)
-	for _, par := range []int{0, 2} {
-		b.Run(fmt.Sprintf("keys=name,revenue/rows=10000/par=%d", par), func(b *testing.B) { run(b, rel, nameRevenue, par) })
-	}
+	b.Run("keys=name,revenue/rows=10000", func(b *testing.B) { run(b, rel, nameRevenue) })
 }

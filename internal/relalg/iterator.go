@@ -84,11 +84,10 @@ type Iterator interface {
 	Close() error
 }
 
-// Stager is the type of a retired, ignored parameter that NewHashJoin,
-// NewParallelHashJoin (the serial join under its former exchange name),
-// NewSort and NewGroupBy keep only because bench/ passes a positional nil
-// there. Nothing implements it and every caller passes nil; it leaves
-// with the next [benchmark] PR, as does NewParallelHashJoin.
+// Stager is a no-op parameter type kept for bench/ until a [benchmark] PR
+// drops it: NewHashJoin, NewParallelHashJoin, NewSort and NewGroupBy keep
+// it only because bench/ passes a positional nil there. Nothing
+// implements it and every caller passes nil.
 type Stager interface {
 	Stage(rel *Relation) (*Relation, error)
 }

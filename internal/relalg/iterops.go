@@ -632,9 +632,9 @@ func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sq
 	}, nil
 }
 
-// NewParallelHashJoin is NewHashJoin under its former exchange name, kept
-// because bench/ still calls it: it returns the serial join and ignores
-// par (a keyed join has no parallel form any more).
+// NewParallelHashJoin is a no-op alias of NewHashJoin kept for bench/
+// until a [benchmark] PR drops it: it returns the serial join and ignores
+// par.
 func NewParallelHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool, _ Stager, _ int) (*HashJoinIter, error) {
 	return NewHashJoin(left, right, leftKeys, rightKeys, residual, buildLeft, nil)
 }
@@ -757,11 +757,6 @@ func (h *HashJoinIter) Close() error {
 type SortIter struct {
 	child Iterator
 	keys  []OrderKey
-	// Par > 1 allows up to Par workers (fewer under the rows-per-worker
-	// floor, see exchangeWorkers) to chunk-sort concurrently before an
-	// order-preserving merge (see sortTuples); output is identical to
-	// the serial stable sort. Set before Open.
-	Par int
 	drained
 }
 
@@ -802,7 +797,7 @@ func (s *SortIter) Open(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	sorted, err := sortRelation(rel, s.keys, exchangeWorkers(len(rel.Tuples), s.Par))
+	sorted, err := sortRelation(rel, s.keys)
 	if err != nil {
 		return err
 	}

@@ -25,14 +25,14 @@ type OrderKey struct {
 }
 
 // sortRelation orders r's tuples by keys (stable): the materialized sort
-// core SortIter streams over, run by par workers (see sortTuples).
-func sortRelation(r *Relation, keys []OrderKey, par int) (*Relation, error) {
+// core SortIter streams over (see sortTuples).
+func sortRelation(r *Relation, keys []OrderKey) (*Relation, error) {
 	fns := make([]CompiledExpr, len(keys))
 	desc := make([]bool, len(keys))
 	for i, k := range keys {
 		fns[i], desc[i] = Compile(k.Expr, r.Schema), k.Desc
 	}
-	sorted, err := sortTuples(r.Tuples, fns, desc, par)
+	sorted, err := sortTuples(r.Tuples, fns, desc)
 	if err != nil {
 		return nil, err
 	}
@@ -54,11 +54,10 @@ type sortKeys struct {
 	from  int // first column compare reads from vals: 1 when sortEnt.lead carries column 0
 }
 
-// eval fills rows [lo, hi) of the matrix and counts, per column, the
-// values each typed comparator could handle. It stops at the first
-// failing row, so the error of the lowest chunk is the first in row order.
-func (s *sortKeys) eval(tuples []Tuple, fns []CompiledExpr, lo, hi int, nums, strs []int) error {
-	for i := lo; i < hi; i++ {
+// eval fills the matrix and counts, per column, the values each typed
+// comparator could handle. It stops at the first failing row.
+func (s *sortKeys) eval(tuples []Tuple, fns []CompiledExpr, nums, strs []int) error {
+	for i := range tuples {
 		row := s.vals[i*s.k : (i+1)*s.k]
 		for c, fn := range fns {
 			v, err := fn(tuples[i])
@@ -87,7 +86,7 @@ type sortEnt struct {
 
 // compare orders rows by the key columns, then by row index: a strict
 // total order (SortKey is total), so any comparison sort under it is the
-// stable sort, and a merge of sorted chunks is the sorted whole.
+// stable sort.
 func (s *sortKeys) compare(a, b sortEnt) int {
 	if a.lead != b.lead {
 		if a.lead < b.lead {
@@ -120,38 +119,21 @@ func (s *sortKeys) compare(a, b sortEnt) int {
 	return a.row - b.row
 }
 
-// sortTuples is the one sort kernel (ORDER BY in serial and exchange
-// form): it evaluates the key expressions once into a key matrix, sorts a row-index permutation with pdqsort under
-// sortKeys.compare, and gathers the tuples once at the end. With par > 1
-// (callers apply exchangeWorkers), par contiguous chunks are evaluated and
-// sorted concurrently and then k-way merged under the same comparator —
-// the serial result by construction.
-func sortTuples(tuples []Tuple, fns []CompiledExpr, desc []bool, par int) ([]Tuple, error) {
+// sortTuples is the one sort kernel: it evaluates the key expressions
+// once into a key matrix, sorts a row-index permutation with pdqsort
+// under sortKeys.compare, and gathers the tuples once at the end.
+func sortTuples(tuples []Tuple, fns []CompiledExpr, desc []bool) ([]Tuple, error) {
 	n, k := len(tuples), len(fns)
 	s := &sortKeys{k: k, desc: desc, vals: make([]Value, n*k), typed: make([]Kind, k)}
-	par = min(par, n)
-	if par < 1 || k == 0 {
-		par = 1
-	}
-	// Chunk p counts its typed values of column c at [p*k+c].
-	nums, strs := make([]int, par*k), make([]int, par*k)
-	errs := make([]error, par)
-	forChunks(n, par, func(p, lo, hi int) {
-		errs[p] = s.eval(tuples, fns, lo, hi, nums[p*k:(p+1)*k], strs[p*k:(p+1)*k])
-	})
-	if err := firstError(errs); err != nil {
+	nums, strs := make([]int, k), make([]int, k)
+	if err := s.eval(tuples, fns, nums, strs); err != nil {
 		return nil, err
 	}
 	for c := range s.typed {
-		numeric, text := 0, 0
-		for p := 0; p < par; p++ {
-			numeric += nums[p*k+c]
-			text += strs[p*k+c]
-		}
 		switch n {
-		case numeric:
+		case nums[c]:
 			s.typed[c] = KindNumber
-		case text:
+		case strs[c]:
 			s.typed[c] = KindString
 		}
 	}
@@ -159,34 +141,19 @@ func sortTuples(tuples []Tuple, fns []CompiledExpr, desc []bool, par int) ([]Tup
 	if k > 0 && s.typed[0] == KindNumber {
 		s.from = 1
 	}
-	forChunks(n, par, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			perm[i].row = i
-			if s.from == 1 {
-				perm[i].lead = s.vals[i*k].N
-				if desc[0] {
-					perm[i].lead = -perm[i].lead
-				}
+	for i := range perm {
+		perm[i].row = i
+		if s.from == 1 {
+			perm[i].lead = s.vals[i*k].N
+			if desc[0] {
+				perm[i].lead = -perm[i].lead
 			}
 		}
-		slices.SortFunc(perm[lo:hi], s.compare)
-	})
-	// Merge exchange (one chunk: a plain gather): pos[p] walks chunk p
-	// up to end[p]; the least head under compare is next.
-	out := make([]Tuple, 0, n)
-	pos, end := make([]int, par), make([]int, par)
-	for p := range pos {
-		pos[p], end[p] = n*p/par, n*(p+1)/par
 	}
-	for len(out) < n {
-		best := -1
-		for p := range pos {
-			if pos[p] < end[p] && (best < 0 || s.compare(perm[pos[p]], perm[pos[best]]) < 0) {
-				best = p
-			}
-		}
-		out = append(out, tuples[perm[pos[best]].row])
-		pos[best]++
+	slices.SortFunc(perm, s.compare)
+	out := make([]Tuple, n)
+	for i, e := range perm {
+		out[i] = tuples[e.row]
 	}
 	return out, nil
 }

@@ -11,7 +11,7 @@ import (
 
 // randomKeyedRel builds a relation with a string key, a numeric key and
 // a payload column: NULL keys, NaN keys, duplicates and (optionally) a
-// heavy skew toward one key — the adversarial shapes for partitioned
+// heavy skew toward one key — the adversarial shapes for keyed
 // operators.
 func randomKeyedRel(rng *rand.Rand, name string, n, keyCard int, skew bool) *Relation {
 	sch := Schema{Columns: []Column{
@@ -77,54 +77,6 @@ func requireSameRows(t *testing.T, label string, want, got []Tuple) {
 	}
 }
 
-// TestParallelSortMatchesSerial pins the merge exchange: chunk sort +
-// k-way merge reproduces the one-worker sort byte for byte, including tie
-// order, Desc keys, NULL and NaN keys. The cores are called with an exact
-// worker count (the rows-per-worker floor lives in SortIter.Open), and
-// every input is checked to hold NaN keys and at least par rows, so the
-// exchange form is what runs — there is no serial fallback for NaN.
-func TestParallelSortMatchesSerial(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		rel := randomKeyedRel(rng, "s", 100+rng.Intn(700), 9, seed%2 == 0)
-		nans := 0
-		for _, row := range rel.Tuples {
-			if row[1].N != row[1].N {
-				nans++
-			}
-		}
-		if nans == 0 {
-			t.Fatalf("seed=%d: input holds no NaN key", seed)
-		}
-		keys := []OrderKey{{Expr: mustExpr("nk")}, {Expr: mustExpr("sk"), Desc: seed%2 == 0}}
-		want, err := sortRelation(rel, keys, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{2, 5, 8} {
-			got, err := sortRelation(rel, keys, par)
-			if err != nil {
-				t.Fatalf("seed=%d par=%d: %v", seed, par, err)
-			}
-			requireSameRows(t, fmt.Sprintf("sort seed=%d par=%d", seed, par), want.Tuples, got.Tuples)
-		}
-	}
-}
-
-// TestParallelIterHooks runs the SortIter.Par path end to end through
-// the iterator contract, over an input large enough for the
-// rows-per-worker floor to let the exchange form run.
-func TestParallelIterHooks(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	rel := randomKeyedRel(rng, "s", 4*minRowsPerWorker+400, 6, false) // above the floor at Par = 4
-
-	ser := NewSort(NewScan(rel), []OrderKey{{Expr: mustExpr("sk")}}, nil)
-	want := drainOrdered(t, ser, 32)
-	par := NewSort(NewScan(rel), []OrderKey{{Expr: mustExpr("sk")}}, nil)
-	par.Par = 4
-	requireSameRows(t, "SortIter.Par", want, drainOrdered(t, par, 32))
-}
-
 // TestParallelProbersShareOneTable pins the read-only contract a shared
 // build rests on: one frozen BuildTable probed at once by several joins
 // on their own goroutines (each with private encoders over the table's
@@ -172,5 +124,33 @@ func TestParallelProbersShareOneTable(t *testing.T) {
 			t.Fatalf("prober %d: %v", i, errs[i])
 		}
 		requireSameRows(t, fmt.Sprintf("prober %d", i), want, got[i])
+	}
+}
+
+// TestParallelIterHooks: NewParallelHashJoin, which bench/ still calls
+// with a worker count, is the serial hash join — on either build side,
+// at any worker count, it streams NewHashJoin's rows in NewHashJoin's
+// order over NULL, NaN and skewed keys.
+func TestParallelIterHooks(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	left := randomKeyedRel(rng, "l", 1200, 30, true)
+	right := randomKeyedRel(rng, "r", 500, 30, false)
+	keys := []string{"sk", "nk"}
+	for _, buildLeft := range []bool{false, true} {
+		ser, err := NewHashJoin(NewScan(left), NewScan(right), keys, keys, nil, buildLeft, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := drainOrdered(t, ser, 64)
+		if len(want) == 0 {
+			t.Fatal("join fixture matches no rows")
+		}
+		for _, par := range []int{0, 1, 4, 8} {
+			hj, err := NewParallelHashJoin(NewScan(left), NewScan(right), keys, keys, nil, buildLeft, nil, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRows(t, fmt.Sprintf("buildLeft=%v par=%d", buildLeft, par), want, drainOrdered(t, hj, 64))
+		}
 	}
 }

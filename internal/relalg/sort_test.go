@@ -86,8 +86,8 @@ func sortOracleRel(rng *rand.Rand, n int) *Relation {
 }
 
 // TestSortKernelMatchesReference is the differential oracle: over random
-// relations, key lists and worker counts the kernel's output is, row for
-// row, the reference stable sort's.
+// relations and key lists the kernel's output is, row for row, the
+// reference stable sort's.
 func TestSortKernelMatchesReference(t *testing.T) {
 	exprs := []string{"s", "n", "m", "q", "f", "n + q", "-n", "n * 2 - q"}
 	for _, n := range []int{0, 1, 2, 7, 1000, 5000} {
@@ -105,23 +105,18 @@ func TestSortKernelMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, par := range []int{0, 2, 4, 8} {
-				got, err := sortRelation(rel, keys, par)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSameRows(t, fmt.Sprintf("n=%d seed=%d par=%d keys=[%s]", n, seed, par, strings.Join(label, ", ")),
-					want.Tuples, got.Tuples)
+			got, err := sortRelation(rel, keys)
+			if err != nil {
+				t.Fatal(err)
 			}
+			requireSameRows(t, fmt.Sprintf("n=%d seed=%d keys=[%s]", n, seed, strings.Join(label, ", ")),
+				want.Tuples, got.Tuples)
 		}
 	}
 }
 
 // TestSortNaNDocumentedOrder pins the order SortKey documents — NULL,
-// then numbers ascending, then NaN, ties in input order — on the serial
-// and the exchange form alike (there is no NaN fallback to the serial
-// core: the comparator is a total order, so chunk-sort + merge is the
-// serial sort).
+// then numbers ascending, then NaN, ties in input order.
 func TestSortNaNDocumentedOrder(t *testing.T) {
 	nums := []Value{NumV(math.NaN()), NumV(math.Float64frombits(0x7FF8000000000001)),
 		NumV(math.Inf(-1)), NumV(-1), NumV(0), NumV(2.5), NumV(math.Inf(1))}
@@ -148,23 +143,21 @@ func requireDocumentedNaNOrder(t *testing.T, rel *Relation) {
 		return math.Atan(v.N) // strictly increasing, finite for ±Inf
 	}
 	for _, desc := range []bool{false, true} {
-		for _, par := range []int{1, 2, 4, 8} {
-			got, err := sortRelation(rel, []OrderKey{{Expr: mustExpr("k"), Desc: desc}}, par)
-			if err != nil {
-				t.Fatal(err)
+		got, err := sortRelation(rel, []OrderKey{{Expr: mustExpr("k"), Desc: desc}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != rel.Len() {
+			t.Fatalf("desc=%v: %d rows, want %d", desc, got.Len(), rel.Len())
+		}
+		for i := 1; i < got.Len(); i++ {
+			a, b := got.Tuples[i-1], got.Tuples[i]
+			ra, rb := rank(a[0]), rank(b[0])
+			if desc {
+				ra, rb = -ra, -rb
 			}
-			if got.Len() != rel.Len() {
-				t.Fatalf("desc=%v par=%d: %d rows, want %d", desc, par, got.Len(), rel.Len())
-			}
-			for i := 1; i < got.Len(); i++ {
-				a, b := got.Tuples[i-1], got.Tuples[i]
-				ra, rb := rank(a[0]), rank(b[0])
-				if desc {
-					ra, rb = -ra, -rb
-				}
-				if ra > rb || (ra == rb && a[1].N > b[1].N) {
-					t.Fatalf("desc=%v par=%d: rows %d,%d out of documented order: %v then %v", desc, par, i-1, i, a, b)
-				}
+			if ra > rb || (ra == rb && a[1].N > b[1].N) {
+				t.Fatalf("desc=%v: rows %d,%d out of documented order: %v then %v", desc, i-1, i, a, b)
 			}
 		}
 	}
@@ -172,7 +165,7 @@ func requireDocumentedNaNOrder(t *testing.T, rel *Relation) {
 
 // TestSortKeyErrorIsFirstInRowOrder: a failing key expression surfaces
 // the error of the lowest failing row (and, within it, the first failing
-// key), whichever chunk a later failure lands in.
+// key).
 func TestSortKeyErrorIsFirstInRowOrder(t *testing.T) {
 	rel := NewRelation("t", NewSchema(Column{"a", KindNumber}, Column{"b", KindNumber}))
 	for i := 0; i < 800; i++ {
@@ -190,52 +183,8 @@ func TestSortKeyErrorIsFirstInRowOrder(t *testing.T) {
 	if want == nil || !strings.Contains(want.Error(), "bool") {
 		t.Fatalf("reference error = %v, want row 90's", want)
 	}
-	for _, par := range []int{1, 2, 4, 8} {
-		if _, err := sortRelation(rel, keys, par); err == nil || err.Error() != want.Error() {
-			t.Fatalf("par=%d: error = %v, want %v", par, err, want)
-		}
-	}
-}
-
-// TestExchangeWorkersFloor pins the rows-per-worker floor: below it the
-// materialized cores run serially whatever Par asks for.
-func TestExchangeWorkersFloor(t *testing.T) {
-	for _, c := range []struct{ n, par, want int }{
-		{0, 8, 1}, {8, 8, 1}, {8, 0, 1}, {2*minRowsPerWorker - 1, 8, 1},
-		{2 * minRowsPerWorker, 8, 2}, {2 * minRowsPerWorker, 1, 1},
-		{8 * minRowsPerWorker, 8, 8}, {100 * minRowsPerWorker, 3, 3},
-	} {
-		if got := exchangeWorkers(c.n, c.par); got != c.want {
-			t.Errorf("exchangeWorkers(%d, %d) = %d, want %d", c.n, c.par, got, c.want)
-		}
-	}
-}
-
-// TestTinyInputsSkipExchange: an 8-row ORDER BY at Par = 8 allocates
-// exactly what it does at Par = 0 — no goroutine closures,
-// WaitGroup, partitions or merge state — while above the floor the
-// exchange form shows up as extra allocations, so the comparison can
-// tell the two roads apart.
-func TestTinyInputsSkipExchange(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation inflates allocation counts")
-	}
-	keys := []OrderKey{{Expr: sqlparse.Col("t", "revenue"), Desc: true}}
-	sortAllocs := func(rel *Relation, par int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			s := NewSort(NewScan(rel), keys, nil)
-			s.Par = par
-			if _, err := collect(s, nil); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	tiny, big := sortBenchRel(8), sortBenchRel(2*minRowsPerWorker)
-	if serial, par := sortAllocs(tiny, 0), sortAllocs(tiny, 8); par != serial {
-		t.Errorf("8-row sort: %.0f allocs at Par=8, %.0f at Par=0 — exchange set-up on a tiny input", par, serial)
-	}
-	if serial, par := sortAllocs(big, 0), sortAllocs(big, 8); par <= serial {
-		t.Errorf("%d-row sort: %.0f allocs at Par=8, %.0f at Par=0 — the exchange form did not run above the floor", big.Len(), par, serial)
+	if _, err := sortRelation(rel, keys); err == nil || err.Error() != want.Error() {
+		t.Fatalf("error = %v, want %v", err, want)
 	}
 }
 

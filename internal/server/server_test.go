@@ -227,10 +227,9 @@ func TestExplainAnalyzeOverWire(t *testing.T) {
 	}
 }
 
-// TestExplainHonorsRequestLimits: plain /api/explain plans under the
-// request's governor fields, as EXPLAIN ANALYZE and the query itself do,
-// so the plan it shows is the plan a run with those limits uses; a
-// malformed field is refused on both verbs.
+// TestExplainHonorsRequestLimits: both /api/explain verbs run under the
+// request's governor fields, as the query itself does: EXPLAIN ANALYZE
+// stops at max_rows, and a malformed field is refused on both verbs.
 func TestExplainHonorsRequestLimits(t *testing.T) {
 	sys := coin.Figure2System()
 	db := store.NewDB("numsrc")
@@ -241,7 +240,6 @@ func TestExplainHonorsRequestLimits(t *testing.T) {
 	if err := sys.AddRelationalSource(db, nil); err != nil {
 		t.Fatal(err)
 	}
-	sys.Executor().DefaultParallelism = 4
 	h := sys.Handler()
 	explain := func(fields string) (int, string) {
 		body := `{"sql": "SELECT nums.n FROM nums WHERE nums.n > 5", "context": "c2"` + fields + `}`
@@ -254,15 +252,16 @@ func TestExplainHonorsRequestLimits(t *testing.T) {
 		return rec.Code, er.Plan
 	}
 	for _, verb := range []string{"", `, "analyze": true`} {
-		if code, plan := explain(verb); code != http.StatusOK || !strings.Contains(plan, "part[4]") {
-			t.Errorf("%q: status %d, plan without the default 4-way scan:\n%s", verb, code, plan)
-		}
-		if code, plan := explain(verb + `, "parallelism": 1`); code != http.StatusOK || strings.Contains(plan, "part[") {
-			t.Errorf("%q with parallelism 1: status %d, plan still partitioned:\n%s", verb, code, plan)
+		if code, plan := explain(verb); code != http.StatusOK || !strings.Contains(plan, "nums @ numsrc") {
+			t.Errorf("%q: status %d, plan without the nums scan:\n%s", verb, code, plan)
 		}
 		if code, _ := explain(verb + `, "timeout": "soon"`); code != http.StatusBadRequest {
 			t.Errorf("%q with a malformed timeout: status %d, want 400", verb, code)
 		}
+	}
+	// The analyzed run stops at max_rows, as the query itself would.
+	if code, plan := explain(`, "analyze": true, "max_rows": 1`); code != http.StatusOK || !strings.Contains(plan, "act_tuples=1 ") {
+		t.Errorf("analyze with max_rows 1: status %d, the run did not stop at one row:\n%s", code, plan)
 	}
 }
 

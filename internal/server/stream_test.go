@@ -292,7 +292,6 @@ func TestBadGovernorValuesRejected(t *testing.T) {
 		`{"sql": "SELECT r2.cname FROM r2", "context": "c2", "timeout": "soon"}`,
 		`{"sql": "SELECT r2.cname FROM r2", "context": "c2", "max_rows": -1}`,
 		`{"sql": "SELECT r2.cname FROM r2", "context": "c2", "retry_budget": -1}`,
-		`{"sql": "SELECT r2.cname FROM r2", "context": "c2", "parallelism": -1}`,
 	} {
 		resp, err := http.Post(ts.URL+"/api/query", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
@@ -302,6 +301,23 @@ func TestBadGovernorValuesRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %s: status = %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestRetiredParallelismFieldIgnored: the retired "parallelism" request
+// field is an unknown field now, which the server ignores, so a client
+// that still sends it keeps getting answers.
+func TestRetiredParallelismFieldIgnored(t *testing.T) {
+	ts := httptest.NewServer(coin.Figure2System().Handler())
+	defer ts.Close()
+	body := `{"sql": "SELECT r2.cname FROM r2", "context": "c2", "naive": true, "parallelism": 4}`
+	resp, err := http.Post(ts.URL+"/api/query", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("status = %d, want 200", resp.StatusCode)
 	}
 }
 

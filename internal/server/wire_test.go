@@ -150,7 +150,6 @@ func corpusAnswer(t *testing.T, q golden.Query) fixedService {
 			t.Fatal(err)
 		}
 		defer fx.Close()
-		fx.Ex.DefaultParallelism = q.Parallelism
 		stmt, err := sqlparse.Parse(q.SQL)
 		if err != nil {
 			t.Fatal(err)
@@ -168,12 +167,11 @@ func corpusAnswer(t *testing.T, q golden.Query) fixedService {
 	if partial {
 		sys = coin.Figure2SystemWith(downFetcher{})
 	}
-	sys.Executor().DefaultParallelism = q.Parallelism
 	med, err := sys.Mediate(q.SQL, q.Receiver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, warns, err := sys.ExecuteWarnCtx(ctx, med, coin.QueryOptions{PartialResults: partial, MaxParallelism: q.Parallelism})
+	rel, warns, err := sys.ExecuteWarnCtx(ctx, med, coin.QueryOptions{PartialResults: partial})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,11 +54,6 @@ type QueryRequest struct {
 	// source operations. Zero: the server's per-operation retry policy
 	// alone applies.
 	RetryBudget int `json:"retry_budget,omitempty"`
-	// Parallelism caps the workers intra-query parallel operators may use
-	// for this query (exchange joins, partitioned sorts and group-bys,
-	// scan fan-outs). 1 forces serial pipelines; zero defers to the
-	// server's default parallelism.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // NewQueryRequest carries sql, the receiver context and the governor
@@ -74,7 +69,6 @@ func NewQueryRequest(sql, context string, naive bool, lim planner.Limits) (Query
 		MaxConcurrentPerSource: lim.MaxConcurrentPerSource,
 		RetryBudget:            lim.RetryBudget,
 		Partial:                lim.PartialResults,
-		Parallelism:            lim.MaxParallelism,
 	}
 	if lim.Timeout > 0 {
 		req.Timeout = lim.Timeout.String()
@@ -105,10 +99,6 @@ func (r *QueryRequest) Limits() (planner.Limits, error) {
 		return lim, fmt.Errorf("server: bad retry_budget %d", r.RetryBudget)
 	}
 	lim.RetryBudget = r.RetryBudget
-	if r.Parallelism < 0 {
-		return lim, fmt.Errorf("server: bad parallelism %d", r.Parallelism)
-	}
-	lim.MaxParallelism = r.Parallelism
 	lim.PartialResults = r.Partial
 	return lim, nil
 }

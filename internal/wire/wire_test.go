@@ -15,7 +15,7 @@ import (
 // field, is refused by name.
 func TestLimitsRoundTrip(t *testing.T) {
 	lim := planner.Limits{Timeout: 1500 * time.Millisecond, MaxRows: 7, MaxConcurrentPerSource: 2,
-		RetryBudget: 3, MaxParallelism: 4, PartialResults: true}
+		RetryBudget: 3, PartialResults: true}
 	req, err := NewQueryRequest("SELECT 1", "c2", true, lim)
 	if err != nil {
 		t.Fatal(err)

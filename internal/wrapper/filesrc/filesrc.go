@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -169,21 +168,14 @@ func (s *Source) Schema(relation string) (relalg.Schema, error) {
 	return rf.schema, nil
 }
 
-// fileMaxPartitions is the partition fan-out a file source advertises.
-// Each partition re-opens and re-parses the file from the top (skipping
-// rows outside its range), so the win is parallel parse/filter/transfer,
-// and a modest cap keeps the redundant skip work bounded.
-const fileMaxPartitions = 8
-
 // Capabilities implements wrapper.Wrapper: the wrapper evaluates
-// selections and projections itself while streaming the file, and can
-// serve contiguous row ranges for a parallel scan fan-out; a flat file
-// answers no IN-list disjunctions natively and requires no bindings.
+// selections and projections itself while streaming the file; a flat
+// file answers no IN-list disjunctions natively and requires no bindings.
 func (s *Source) Capabilities(relation string) (wrapper.Capabilities, error) {
 	if _, err := s.relation(relation); err != nil {
 		return wrapper.Capabilities{}, err
 	}
-	return wrapper.Capabilities{Selection: true, Projection: true, Partitions: fileMaxPartitions}, nil
+	return wrapper.Capabilities{Selection: true, Projection: true}, nil
 }
 
 // EstimateRows implements wrapper.Wrapper from the cardinality counted at
@@ -228,15 +220,7 @@ func (s *Source) QueryStream(ctx context.Context, q wrapper.SourceQuery) (wrappe
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := 0, math.MaxInt
-	if q.Partitions > 1 {
-		// Serve one contiguous range of the file's base row order; the
-		// bounds come from the cardinality counted at New (the Source is
-		// immutable after New by contract). Filters apply inside the
-		// range, so the parts concatenate to the unpartitioned answer.
-		lo, hi = wrapper.PartitionRange(rf.rows, q.Partitions, q.Partition)
-	}
-	return wrapper.NewCursor(ctx, &blockReader{raw: raw, lo: lo, hi: hi}, q.Filters, q.Columns)
+	return wrapper.NewCursor(ctx, &blockReader{raw: raw}, q.Filters, q.Columns)
 }
 
 // fileStream is the raw row decoder of one file format.
@@ -247,14 +231,9 @@ type fileStream interface {
 }
 
 // blockReader is the file source's wrapper.RawReader: it fills blocks
-// from a per-row decoder, restricted to base rows [lo, hi) — rows before
-// lo are parsed and discarded (a flat file has no seek index), and the
-// read ends at hi without touching the tail.
+// from a per-row decoder.
 type blockReader struct {
 	raw fileStream
-	lo  int
-	hi  int
-	pos int
 	buf []relalg.Tuple
 }
 
@@ -264,14 +243,12 @@ func (b *blockReader) Schema() relalg.Schema { return b.raw.Schema() }
 // rows read before it.
 func (b *blockReader) NextBatch(max int) ([]relalg.Tuple, error) {
 	b.buf = b.buf[:0]
-	for len(b.buf) < max && b.pos < b.hi {
+	for len(b.buf) < max {
 		t, ok, err := b.raw.Next()
 		if err != nil || !ok {
 			return b.buf, err
 		}
-		if b.pos++; b.pos > b.lo {
-			b.buf = append(b.buf, t)
-		}
+		b.buf = append(b.buf, t)
 	}
 	return b.buf, nil
 }

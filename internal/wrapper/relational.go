@@ -56,14 +56,8 @@ func (r *Relational) Schema(relation string) (relalg.Schema, error) {
 	return t.Schema, nil
 }
 
-// relationalMaxPartitions is the partition fan-out a Relational source
-// advertises: the in-process store can slice a scan at any row, so the
-// cap only bounds how many concurrent range queries one scan may become.
-const relationalMaxPartitions = 64
-
 // Capabilities implements Wrapper: a relational source does everything,
-// including IN-list filters (batched bind-join probes) and
-// range-partitioned scans (parallel scan fan-out).
+// including IN-list filters (batched bind-join probes).
 func (r *Relational) Capabilities(relation string) (Capabilities, error) {
 	if _, err := r.DB.Table(relation); err != nil {
 		return Capabilities{}, err
@@ -74,7 +68,6 @@ func (r *Relational) Capabilities(relation string) (Capabilities, error) {
 		InList:           true,
 		BatchSize:        r.BatchSize,
 		RequiredBindings: append([]string(nil), r.Require[relation]...),
-		Partitions:       relationalMaxPartitions,
 	}, nil
 }
 
@@ -139,17 +132,6 @@ func (r *Relational) scanFor(q SourceQuery) (*relalg.Relation, []Filter, error) 
 	t, err := r.DB.Table(q.Relation)
 	if err != nil {
 		return nil, nil, err
-	}
-	if q.Partitions > 1 {
-		// A partitioned query answers one contiguous range of the base
-		// scan order, so the parts concatenate to exactly the
-		// unpartitioned scan. Index lookups reorder rows and are skipped:
-		// every filter is applied to the sliced range instead.
-		base := t.Scan()
-		lo, hi := PartitionRange(len(base.Tuples), q.Partitions, q.Partition)
-		part := relalg.NewRelation(q.Relation, base.Schema)
-		part.Tuples = base.Tuples[lo:hi]
-		return part, q.Filters, nil
 	}
 	var rel *relalg.Relation
 	used := -1

@@ -107,15 +107,6 @@ type SourceQuery struct {
 	// only honor equality filters on their required bindings and ignore
 	// the rest (the engine compensates locally).
 	Filters []Filter
-	// Partitions/Partition select one disjoint range of the relation for
-	// a parallel scan fan-out: Partitions > 1 asks for slice Partition
-	// (0-based) of that many contiguous ranges over the source's base
-	// scan order, so the concatenation of all parts in part order equals
-	// the unpartitioned scan. Zero Partitions (the default) is the whole
-	// relation. Only sources whose Capabilities advertise Partitions
-	// receive partitioned queries.
-	Partitions int
-	Partition  int
 }
 
 // Canonical renders the query as a deterministic string key: identical
@@ -128,12 +119,6 @@ func (q SourceQuery) Canonical() string {
 	var b strings.Builder
 	b.WriteString(q.Relation)
 	b.WriteByte('\x00')
-	if q.Partitions > 1 {
-		// Partitioned queries answer different slices, so each part keys
-		// separately; unpartitioned queries keep their historical keys.
-		fmt.Fprintf(&b, "part %d/%d", q.Partition, q.Partitions)
-		b.WriteByte('\x00')
-	}
 	for _, c := range q.Columns {
 		b.WriteString(c)
 		b.WriteByte('\x01')
@@ -188,12 +173,6 @@ type Capabilities struct {
 	// must feed them from constants or from an already-fetched relation
 	// (a dependent, "bind" join).
 	RequiredBindings []string
-	// Partitions is the maximum number of disjoint contiguous ranges the
-	// source can split one relation scan into (SourceQuery.Partitions).
-	// Zero or one means the source only answers whole-relation queries;
-	// the engine's parallel scan fan-out uses at most this many workers
-	// against the source.
-	Partitions int
 }
 
 // DefaultBatchSize is the IN-list batch width used when an InList-capable
@@ -312,18 +291,6 @@ func ProjectColumns(rel *relalg.Relation, columns []string) (*relalg.Relation, e
 		out.Tuples = append(out.Tuples, row)
 	}
 	return out, nil
-}
-
-// PartitionRange returns the half-open row range [lo, hi) that partition
-// part of parts covers over a scan of total rows: parts contiguous
-// ranges whose sizes differ by at most one, concatenating in part order
-// to exactly [0, total). Out-of-range or unpartitioned inputs return the
-// whole range, so a wrapper can apply it unconditionally.
-func PartitionRange(total, parts, part int) (lo, hi int) {
-	if parts <= 1 || part < 0 || part >= parts {
-		return 0, total
-	}
-	return total * part / parts, total * (part + 1) / parts
 }
 
 // CheckRequiredBindings verifies that every required binding has an

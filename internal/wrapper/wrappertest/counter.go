@@ -28,25 +28,22 @@ type Counter struct {
 	// the same reason.
 	CostParams *wrapper.Cost
 
-	mu            sync.Mutex
-	queries       int
-	byCanonical   map[string]int
-	log           []wrapper.SourceQuery
-	inflight      int
-	maxInflight   int
-	relInflight   map[string]int
-	relMaxInflght map[string]int
+	mu          sync.Mutex
+	queries     int
+	byCanonical map[string]int
+	log         []wrapper.SourceQuery
+	inflight    int
+	maxInflight int
 }
 
 // NewCounter instruments inner.
 func NewCounter(inner wrapper.Wrapper) *Counter {
-	return &Counter{Wrapper: inner, byCanonical: map[string]int{},
-		relInflight: map[string]int{}, relMaxInflght: map[string]int{}}
+	return &Counter{Wrapper: inner, byCanonical: map[string]int{}}
 }
 
 // begin records a query's start and returns the matching end callback.
-// The end callback is safe to call from any goroutine: a partitioned
-// fan-out's streams drain — and therefore release — concurrently.
+// The end callback is safe to call from any goroutine: concurrent
+// pipelines' streams drain — and therefore release — concurrently.
 func (c *Counter) begin(q wrapper.SourceQuery) func() {
 	c.mu.Lock()
 	c.queries++
@@ -56,15 +53,10 @@ func (c *Counter) begin(q wrapper.SourceQuery) func() {
 	if c.inflight > c.maxInflight {
 		c.maxInflight = c.inflight
 	}
-	c.relInflight[q.Relation]++
-	if c.relInflight[q.Relation] > c.relMaxInflght[q.Relation] {
-		c.relMaxInflght[q.Relation] = c.relInflight[q.Relation]
-	}
 	c.mu.Unlock()
 	return func() {
 		c.mu.Lock()
 		c.inflight--
-		c.relInflight[q.Relation]--
 		c.mu.Unlock()
 	}
 }
@@ -196,16 +188,6 @@ func (c *Counter) MaxInflight() int {
 	return c.maxInflight
 }
 
-// MaxInflightFor reports the peak number of concurrently running queries
-// against one relation — what a partitioned scan fan-out's admission
-// reservation bounds (see the invariant in planner/access.go): a K-part
-// fan-out shows exactly K here, never more than the per-source pools.
-func (c *Counter) MaxInflightFor(relation string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.relMaxInflght[relation]
-}
-
 // Log snapshots the queries seen, in arrival order.
 func (c *Counter) Log() []wrapper.SourceQuery {
 	c.mu.Lock()
@@ -219,7 +201,5 @@ func (c *Counter) Reset() {
 	defer c.mu.Unlock()
 	c.queries, c.inflight, c.maxInflight = 0, 0, 0
 	c.byCanonical = map[string]int{}
-	c.relInflight = map[string]int{}
-	c.relMaxInflght = map[string]int{}
 	c.log = nil
 }

@@ -34,8 +34,7 @@ func NewGate(inner wrapper.Wrapper) *Gate {
 
 // Allow services n gate cycles (n tuples pass). The cycles are served one
 // at a time but in whatever order blocked streams arrive, so it works
-// unchanged when several partitioned streams of one fan-out block on the
-// gate concurrently.
+// unchanged when several streams block on the gate concurrently.
 func (g *Gate) Allow(n int) {
 	for i := 0; i < n; i++ {
 		<-g.Emitted
@@ -45,8 +44,8 @@ func (g *Gate) Allow(n int) {
 
 // Open releases the gate permanently: every stream blocked on it — and
 // every future tuple — passes immediately and concurrently. It lets a
-// test freeze a parallel fan-out mid-transfer with Allow, assert on the
-// frozen state, then let all partitions drain at full concurrency.
+// test freeze streams mid-transfer with Allow, assert on the frozen
+// state, then let them all drain at full concurrency.
 // Open must be called at most once per Gate.
 func (g *Gate) Open() { close(g.open) }
 
