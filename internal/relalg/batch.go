@@ -1,11 +1,5 @@
 package relalg
 
-// DefaultBatchSize is the row count a consumer requests per Next call
-// when it has no tighter bound (a LIMIT remainder, a governor budget) to
-// propagate down the pipeline. ~1k rows amortizes per-call overhead
-// without letting a single batch dominate memory.
-const DefaultBatchSize = 1024
-
 // Batch is the unit of flow between operators: an ordered block of 1..max
 // tuples. The zero Batch (no rows) marks exhaustion — operators never
 // hand an empty batch to a consumer mid-stream.

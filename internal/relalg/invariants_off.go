@@ -13,6 +13,12 @@ package relalg
 // compiled in (`go build -tags invariants`).
 const InvariantsEnabled = false
 
+// DefaultBatchSize is the row count a consumer requests per Next call
+// when it has no tighter bound (a LIMIT remainder, a governor budget) to
+// propagate down the pipeline. ~1k rows amortizes per-call overhead
+// without letting a single batch dominate memory.
+const DefaultBatchSize = 1024
+
 // Checked returns it unchanged; with the invariants tag it wraps the
 // iterator in a shim asserting the Iterator contract (lifecycle order,
 // batch sizing, exhaustion stability, row arity).

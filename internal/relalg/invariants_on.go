@@ -39,6 +39,11 @@ import (
 // compiled in (`go build -tags invariants`).
 const InvariantsEnabled = true
 
+// DefaultBatchSize is 7 under the tag (1,024 otherwise), so ordinary test
+// data spans batches and every transient arena is recycled, and poisoned,
+// mid-stream.
+const DefaultBatchSize = 7
+
 // poisonKind marks a Value slot whose transient batch has been recycled.
 // No valid Kind comes near it, so the poison can never collide with data.
 const poisonKind Kind = 0xFF
