@@ -16,13 +16,13 @@ FUZZTIME  ?= 10s
 # Budget of live //lint:allow annotations outside testdata/ and bench/
 # (make lint fails above it). A ratchet: lower it when an excuse goes
 # away, never raise it to make room for a new one.
-LINT_ALLOW_BUDGET = 4
+LINT_ALLOW_BUDGET = 3
 
 # Budget of non-test Go lines in the engine packages LOC_PKGS (make lint
 # fails above it). The same kind of ratchet: set to the measured value
 # when code is deleted, never raised; ROADMAP item D heads for 8,500.
 LOC_PKGS   = internal/relalg internal/planner coin
-LOC_BUDGET = 7366
+LOC_BUDGET = 7365
 
 # The same ratchet over the source side: the wrapper layer and the store
 # its relational, REST and SQL fixtures serve (non-test files, the
@@ -143,8 +143,10 @@ lint:
 # Runtime-assertion build: the relalg invariants layer (transient-arena
 # poisoning, iterator-lifecycle shims, key-table consistency) armed
 # via the build tag, under the race detector (see
-# internal/relalg/invariants_on.go). The reference evaluator's sweep runs
-# its GROUP BY, ORDER BY, DISTINCT and UNION cases over poisoned arenas.
+# internal/relalg/invariants_on.go), with 7-row batches so ordinary data
+# spans them. The reference evaluator's sweep runs its GROUP BY, ORDER BY,
+# DISTINCT and UNION cases over poisoned arenas, and TestRefereeReach
+# fails unless that sweep reaches every kind of recycled arena.
 test-invariants:
 	$(GO) test -tags invariants -race ./internal/relalg/ ./internal/planner/ ./coin/ ./internal/golden/ ./internal/refeval/
 

@@ -16,13 +16,9 @@ package analysis
 // Opens reached through the method's receiver (o.child.Open(ctx) inside
 // an operator's own Open) are exempt: that is the operator-composition
 // pattern, where the receiver's Close method — a different function —
-// owns the release. The pass polices local handles, not struct fields.
-// The exemption extends to locals initialized from receiver-reachable
-// state (sub := s.subs[p]; for _, sub := range s.subs): the exchange
-// operators' worker idiom, where a goroutine body opens per-part
-// iterators living in the operator's fields and the operator's Close —
-// after cancel + WaitGroup teardown — closes every part. Such handles
-// are receiver-owned even though the Open sits on a local alias.
+// owns the release. The pass polices local handles, not struct fields:
+// a local alias of receiver state (sub := s.subs[p]) is a local handle,
+// and its Open must be balanced where it stands.
 //
 // Linear position stands in for dominance: a Close anywhere textually
 // before the return satisfies the rule. That under-reports convoluted
@@ -123,50 +119,8 @@ func isStreamAcquire(pass *Pass, call *ast.CallExpr) bool {
 	return sig.Results().Len() >= 1 && hasCloseMethod(sig.Results().At(0).Type())
 }
 
-// recvAliases collects locals initialized from receiver-reachable
-// expressions (sub := s.subs[p]; for _, sub := range s.subs). Handles in
-// this set are receiver-owned: the type's Close — not this function —
-// releases them (the exchange-worker teardown idiom).
-func recvAliases(pass *Pass, body *ast.BlockStmt, recv types.Object) map[types.Object]bool {
-	if recv == nil {
-		return nil
-	}
-	aliases := map[types.Object]bool{}
-	rootsToRecv := func(e ast.Expr) bool {
-		r := rootIdent(ast.Unparen(e))
-		return r != nil && objOf(pass.Info, r) == recv
-	}
-	mark := func(lhs ast.Expr) {
-		if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
-			if obj := objOf(pass.Info, id); obj != nil {
-				aliases[obj] = true
-			}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			if len(st.Lhs) != len(st.Rhs) {
-				return true
-			}
-			for i, rhs := range st.Rhs {
-				if rootsToRecv(rhs) {
-					mark(st.Lhs[i])
-				}
-			}
-		case *ast.RangeStmt:
-			if st.Value != nil && rootsToRecv(st.X) {
-				mark(st.Value)
-			}
-		}
-		return true
-	})
-	return aliases
-}
-
 func checkCloseBalance(pass *Pass, iterIfc *types.Interface, body *ast.BlockStmt, recv types.Object) {
 	var opens []openSite
-	recvOwned := recvAliases(pass, body, recv)
 
 	// errorResultObj pulls the error variable out of an acquisition's
 	// enclosing assignment, when there is one.
@@ -200,7 +154,7 @@ func checkCloseBalance(pass *Pass, iterIfc *types.Interface, body *ast.BlockStmt
 				return true
 			}
 			obj := objOf(pass.Info, root)
-			if obj == nil || (recv != nil && obj == recv) || recvOwned[obj] {
+			if obj == nil || (recv != nil && obj == recv) {
 				return true // receiver-owned: the type's Close releases it
 			}
 			site := openSite{obj: obj, name: root.Name, pos: call.Pos()}

@@ -56,37 +56,3 @@ func transfer(ctx context.Context, w wrapper.Wrapper, q wrapper.SourceQuery) (wr
 	}
 	return st, nil
 }
-
-// exchangeOp is the parallel-scan operator shape: runPart (a worker
-// goroutine body) opens an iterator living in the operator's fields, and
-// the operator's Close — after teardown — releases every part. The open
-// in runPart is receiver-owned even though it sits on a local alias.
-type exchangeOp struct {
-	subs []relalg.Iterator
-}
-
-func (o *exchangeOp) runPart(ctx context.Context, p int) error {
-	sub := o.subs[p]
-	if err := sub.Open(ctx); err != nil { // receiver-owned: Close below releases it
-		return err
-	}
-	for {
-		b, err := sub.Next(64)
-		if err != nil {
-			return err
-		}
-		if len(b.Rows) == 0 {
-			return nil
-		}
-	}
-}
-
-func (o *exchangeOp) Close() error {
-	var err error
-	for _, sub := range o.subs {
-		if cerr := sub.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}

@@ -21,8 +21,8 @@ package planner
 //
 // Only the pipeline breakers materialize, and they buffer in memory
 // (relalg.Collect; there is no disk spill): Sort buffers, the build side
-// of a hash join, the inner side of a nested-loop join, and the feeding
-// side of a bind join (its distinct binding values must all be known
+// of a join (the nested loop's inner side included), and the feeding side
+// of a bind join (its distinct binding values must all be known
 // before the dependent source can be queried). GroupBy streams its input
 // and keeps one first row and the accumulators per group.
 
@@ -426,67 +426,44 @@ func (e *Executor) sourceIter(sess *Session, step *PlanStep, act *StepActuals) (
 }
 
 // joinIter combines the intermediate pipeline with a step's fetched
-// input. Hash join always builds over the newly fetched side and streams
+// input. The join always builds over the newly fetched side and streams
 // the probe (intermediate) side: the intermediate is a stream of unknown
 // cardinality, and hashing it would break the pipeline (and every early
 // exit upstream) — so a step fetching a relation much larger than the
 // intermediate holds the larger hash table; teaching the planner to flip
-// sides from EstRows is future work. Nested loop (keyless joins, and
-// the ForceNestedLoop ablation) materializes the inner (fetched) side and
-// streams the outer.
-// residual, when non-nil, is the conjunction of the step's AfterPreds:
-// every join algorithm applies it to the joined row before emitting, so
-// rejected rows never leave the join (and their arena slots are
-// reclaimed) instead of being materialized and filtered above.
+// sides from EstRows is future work. A keyless join (and every join under
+// the ForceNestedLoop ablation, whose key equalities join the residual)
+// is the nested loop: one chain of every fetched row, never shared.
+// residual, the conjunction of the step's AfterPreds or nil, is applied
+// to each joined pair, so a rejected pair never reaches the join's arena.
 // share is the step's session-wide build memo (buildSharer), nil for a
 // bind join, whose fetched side depends on the feeding rows.
 func (e *Executor) joinIter(share relalg.BuildSharer, cur, next relalg.Iterator, keys []JoinKey, binding string, residual sqlparse.Expr) (relalg.Iterator, error) {
-	if len(keys) > 0 && !e.ForceNestedLoop {
-		aKeys := make([]string, len(keys))
-		bKeys := make([]string, len(keys))
-		for i, k := range keys {
-			aKeys[i] = k.CurQualified
-			bKeys[i] = binding + "." + k.NewColumn
+	var aKeys, bKeys []string
+	var eqs []sqlparse.Expr // the keys as the residual's leading conjuncts, under ForceNestedLoop
+	for _, k := range keys {
+		a, b := k.CurQualified, binding+"."+k.NewColumn
+		if e.ForceNestedLoop {
+			eqs = append(eqs, sqlparse.Bin("=", colRefFromQualified(a), colRefFromQualified(b)))
+		} else {
+			aKeys, bKeys = append(aKeys, a), append(bKeys, b)
 		}
-		hj, err := relalg.NewHashJoin(cur, next, aKeys, bKeys, residual, false /* build the fetched side */, nil)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if eqs != nil {
+		residual = sqlparse.AndAll(append(eqs, residual))
+	}
+	hj, err := relalg.NewHashJoin(cur, next, aKeys, bKeys, residual, false /* build the fetched side */, nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(aKeys) > 0 {
 		hj.Shared = share
-		// cur streams through the probe side: every probe row is either
-		// dropped or re-copied into the join's own output arena before
-		// the next batch is pulled, so cur's rows need not stay alive.
-		relalg.MarkTransient(cur)
-		return hj, nil
 	}
-	var pred sqlparse.Expr
-	if len(keys) > 0 {
-		preds := make([]sqlparse.Expr, 0, len(keys)+1)
-		for _, k := range keys {
-			preds = append(preds, sqlparse.Bin("=",
-				colRefFromQualified(k.CurQualified),
-				colRefFromQualified(binding+"."+k.NewColumn)))
-		}
-		if residual != nil {
-			preds = append(preds, residual)
-		}
-		pred = sqlparse.AndAll(preds)
-	} else {
-		pred = residual
-	}
-	// The inner side is drained at Open; the outer streams — like the
-	// hash-join probe side, its rows are re-copied row by row and need
-	// not stay alive across batches.
+	// cur streams through the probe side: every probe row is either
+	// dropped or re-copied into the join's own output arena before the
+	// next batch is pulled, so cur's rows need not stay alive.
 	relalg.MarkTransient(cur)
-	schema := cur.Schema().Concat(next.Schema())
-	nl := cur
-	return relalg.NewDeferred(schema, func(ctx context.Context) (relalg.Iterator, error) {
-		inner, err := relalg.Collect(ctx, next, "")
-		if err != nil {
-			return nil, err
-		}
-		return relalg.NewNestedLoop(nl, inner, pred), nil
-	}), nil
+	return hj, nil
 }
 
 // BuildStream compiles a prepared plan into an iterator tree governed by
@@ -502,19 +479,21 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 		if len(step.AfterPreds) > 0 {
 			after = sqlparse.AndAll(step.AfterPreds)
 		}
-		afterConsumed := false
-		var next relalg.Iterator
-		var err error
 		if len(step.BindJoins) == 0 {
-			if next, err = e.sourceIter(sess, step, act); err != nil {
+			next, err := e.sourceIter(sess, step, act)
+			if err != nil {
 				return nil, err
 			}
-			if cur == nil {
+			switch {
+			case cur != nil: // the join applies after to each joined pair
+				cur, err = e.joinIter(e.buildSharer(sess, step), cur, next, step.JoinKeys, step.Binding, after)
+			case after != nil:
+				cur = relalg.NewFilter(next, after)
+			default:
 				cur = next
-			} else if cur, err = e.joinIter(e.buildSharer(sess, step), cur, next, step.JoinKeys, step.Binding, after); err != nil {
+			}
+			if err != nil {
 				return nil, err
-			} else {
-				afterConsumed = after != nil
 			}
 		} else {
 			// A bind join is a pipeline breaker on the feeding side: every
@@ -525,11 +504,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 			if cur == nil {
 				return nil, fmt.Errorf("planner: bind join for %s with no prior result", step.Relation)
 			}
-			w, err := e.Catalog.WrapperFor(step.Relation)
-			if err != nil {
-				return nil, err
-			}
-			schema, err := w.Schema(step.Relation)
+			schema, err := e.Catalog.Schema(step.Relation)
 			if err != nil {
 				return nil, err
 			}
@@ -546,10 +521,6 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 				}
 				return e.joinIter(nil, relalg.NewScan(curRel), relalg.NewScan(fetched), step.JoinKeys, step.Binding, after)
 			})
-			afterConsumed = after != nil
-		}
-		if after != nil && !afterConsumed {
-			cur = relalg.NewFilter(cur, after)
 		}
 		if act != nil {
 			// Count the step's downstream output (after joins and local
@@ -566,7 +537,7 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 	for i, o := range plan.OrderBy {
 		keys[i] = relalg.OrderKey{Expr: o.Expr, Desc: o.Desc}
 	}
-	var out relalg.Iterator
+	out := cur
 	projSchema := relalg.ProjectionSchema(items, cur.Schema())
 	if len(plan.OrderBy) > 0 && !orderKeysResolve(plan.OrderBy, projSchema) {
 		// ORDER BY references source columns the projection drops: sort
@@ -574,11 +545,15 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 		// including its quirk of skipping DISTINCT on this path).
 		out = relalg.NewProject(relalg.NewSort(cur, keys, nil), items)
 	} else {
-		// The projection re-copies every surviving value per batch, so
-		// the operator feeding it may recycle its output batches. (The
-		// sort-first branch above must NOT mark: Sort retains cur's rows.)
-		relalg.MarkTransient(cur)
-		out = relalg.NewProject(cur, items)
+		// The select list folds into the last step's join, whose arena is
+		// then the branch's output, marked only by its consumer. With no
+		// join to fold into, a projection re-copies every value, so its
+		// input may recycle (not on the sort-first road above: Sort
+		// retains cur's rows).
+		if !relalg.FuseProject(cur, items) {
+			relalg.MarkTransient(cur)
+			out = relalg.NewProject(cur, items)
+		}
 		if plan.Distinct {
 			out = relalg.NewDistinct(out)
 		}

@@ -123,8 +123,8 @@ func sharedBig() *store.DB {
 // requires c.s) and the unrestricted ones the evaluator reads through.
 func sources(rng *rand.Rand) (engine []wrapper.Wrapper, ref map[string]wrapper.Wrapper) {
 	dbA, dbB, dbC := store.NewDB("s1"), store.NewDB("s2"), store.NewDB("s3")
-	fillTable(rng, dbA, "a", rng.Intn(30), 6)
-	if err := fillTable(rng, dbB, "b", rng.Intn(30), 6).CreateIndex("k"); err != nil {
+	fillTable(rng, dbA, "a", rng.Intn(40), 6)
+	if err := fillTable(rng, dbB, "b", rng.Intn(40), 6).CreateIndex("k"); err != nil {
 		panic(err)
 	}
 	fillTable(rng, dbC, "c", rng.Intn(20), 6)
@@ -388,7 +388,7 @@ func (g *qgen) query() sqlparse.Statement {
 	switch kind := g.pick(10); {
 	case kind < 4:
 		sel.Items = g.items(from)
-		sel.Distinct = g.pick(3) == 0 && from[len(from)-1] != "big"
+		sel.Distinct = g.pick(2) == 0 && from[len(from)-1] != "big"
 		if g.pick(2) == 0 {
 			g.orderAll(sel)
 		}

@@ -198,9 +198,13 @@ func checkSeed(t *testing.T, seed int64, n int) {
 	w := newWorld(rng)
 	g := &qgen{rng: rng}
 	for qi := 0; qi < n; qi++ {
-		w.check(t, seed, g.query())
+		census(func() { w.check(t, seed, g.query()) })
 	}
 }
+
+// census runs one generated query; under the invariants build it also
+// takes the query's reach census (sweep_test.go).
+var census = func(query func()) { query() }
 
 // check holds the engine to the evaluator on stmt under every config, and
 // every config of one plan to the others row for row, then runs the wire

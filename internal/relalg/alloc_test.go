@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -127,5 +128,68 @@ func TestBuildTableApproxBytes(t *testing.T) {
 		if slack := alloc/10 + 256; own < alloc-slack || own > alloc+slack {
 			t.Errorf("%d rows: the table's own ApproxBytes is %d, building it allocated %d", rows, own, alloc)
 		}
+	}
+}
+
+// TestFoldedJoinAllocatesItemsOnly pins what folding a select list into
+// a join buys: over a 10,000-row probe, the folded join's arena holds
+// len(items) values per row, where the plain join's holds the whole
+// concatenated row, and a projection over the join (its arena recycled,
+// as the planner marks it) still pays for the join's arena besides its
+// own.
+func TestFoldedJoinAllocatesItemsOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	const rows = 10000
+	ra, rb := allocRelations(rows)
+	items := []ProjectItem{{Name: "w2", Expr: expr(t, "b.w * 2")}}
+	join := func() *HashJoinIter {
+		hj, err := NewHashJoin(NewScan(ra), NewScan(rb), []string{"a.k"}, []string{"b.k"}, nil, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hj
+	}
+	drained := func(mk func() Iterator) int64 {
+		least := int64(math.MaxInt64)
+		for range 5 {
+			it := mk()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			rel, err := Collect(context.Background(), it, "")
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rel.Len() != rows {
+				t.Fatalf("%d rows, want %d", rel.Len(), rows)
+			}
+			least = min(least, int64(after.TotalAlloc-before.TotalAlloc))
+		}
+		return least
+	}
+	wide := drained(func() Iterator { return join() })
+	folded := drained(func() Iterator {
+		hj := join()
+		if !FuseProject(NewCounted(hj, new(atomic.Int64)), items) {
+			t.Fatal("FuseProject did not reach the join")
+		}
+		return hj
+	})
+	projected := drained(func() Iterator {
+		hj := join()
+		MarkTransient(hj)
+		return NewProject(hj, items)
+	})
+	perRow := float64(wide-folded) / rows / float64(unsafe.Sizeof(Value{}))
+	t.Logf("bytes: plain join %d, folded %d, projection over the recycled join %d; the fold saves %.2f values per row of the plain join",
+		wide, folded, projected, perRow)
+	if want := float64(4 - len(items)); perRow < 0.9*want || perRow > 1.1*want {
+		t.Errorf("the folded join saves %.2f values per row of the plain join's arena, want %.0f (4 columns, %d items)", perRow, want, len(items))
+	}
+	if projected-folded < DefaultBatchSize*4*int64(unsafe.Sizeof(Value{}))/2 {
+		t.Errorf("a projection over the join allocates %d B, the folded join %d B: the fold should save the join's arena", projected, folded)
 	}
 }

@@ -20,13 +20,13 @@ func (b Batch) Len() int { return len(b.Rows) }
 func (b Batch) Empty() bool { return len(b.Rows) == 0 }
 
 // BatchBuilder assembles output batches for operators that construct new
-// rows (projections, join concatenations). Row headers live in a buffer
-// reused across batches; the Values live in an append-only arena shared
-// by every batch the builder produces: handed-out tuples alias their
-// arena slots forever (slots are never rewritten, satisfying tuple
-// durability), and the unused tail keeps serving subsequent rows, so the
-// builder costs ~1 chunk allocation per few hundred rows instead of one
-// tuple allocation per row.
+// rows (projections, joins). Row headers live in a buffer reused across
+// batches; the Values live in an append-only arena shared by every batch
+// the builder produces: handed-out tuples alias their arena slots
+// forever (slots are never rewritten, satisfying tuple durability), and
+// the unused tail keeps serving subsequent rows, so the builder costs ~1
+// chunk allocation per few hundred rows instead of one tuple allocation
+// per row.
 type BatchBuilder struct {
 	arity int
 	arena []Value
@@ -66,8 +66,7 @@ func (bb *BatchBuilder) Reset(capRows int) {
 func (bb *BatchBuilder) Len() int { return len(bb.rows) }
 
 // Row appends one row and returns it for in-place filling. The caller
-// must set every column (a slot reclaimed by DropLast may hold stale
-// values).
+// must set every column (a reclaimed slot may hold stale values).
 func (bb *BatchBuilder) Row() Tuple {
 	if cap(bb.arena)-len(bb.arena) < bb.arity {
 		// A fresh chunk; rows already handed out keep aliasing the old
@@ -100,16 +99,7 @@ func (bb *BatchBuilder) Row() Tuple {
 	return row
 }
 
-// Concat appends the concatenation of a and b as one row and returns it.
-func (bb *BatchBuilder) Concat(a, b Tuple) Tuple {
-	row := bb.Row()
-	copy(row, a)
-	copy(row[len(a):], b)
-	return row
-}
-
-// DropLast discards the most recently appended row (a residual predicate
-// rejected it after assembly).
+// DropLast discards the most recently appended row.
 func (bb *BatchBuilder) DropLast() {
 	bb.rows = bb.rows[:len(bb.rows)-1]
 	bb.arena = bb.arena[:len(bb.arena)-bb.arity]
@@ -123,12 +113,13 @@ func (bb *BatchBuilder) Batch() Batch { return Batch{Rows: bb.rows} }
 // of a batch after the next Next or Close call on it, so row-building
 // operators may recycle their output arenas between batches instead of
 // keeping every row alive. It is a planner-side promise: calling it on an
-// iterator whose rows ARE retained (a Collect, a breaker's build side)
-// corrupts results. Wrappers whose output IS their child's rows (the
-// forwarders: counters, filters, limits, DISTINCT) pass the mark to the
-// operator that actually builds rows, a union to each of its inputs and a
-// DeferredIter to the child it builds at Open; iterators that build no
-// rows ignore it. Must be called before Open.
+// iterator whose rows ARE retained (a Collect, a breaker's build side, a
+// folded join under either) corrupts results. Wrappers whose output IS
+// their child's rows (the forwarders: counters, filters, limits,
+// DISTINCT) pass the mark to the operator that actually builds rows, a
+// union to each of its inputs and a DeferredIter to the child it builds
+// at Open; iterators that build no rows ignore it. Must be called before
+// Open.
 func MarkTransient(it Iterator) {
 	for {
 		switch x := it.(type) {
@@ -136,9 +127,6 @@ func MarkTransient(it Iterator) {
 			x.bb.Transient = true
 			return
 		case *HashJoinIter:
-			x.bb.Transient = true
-			return
-		case *NestedLoopIter:
 			x.bb.Transient = true
 			return
 		case *UnionAllIter:
@@ -153,6 +141,29 @@ func MarkTransient(it Iterator) {
 			it, _ = x.forward()
 		default:
 			return
+		}
+	}
+}
+
+// FuseProject folds the select list items into the join that builds
+// its rows, through counters and a DeferredIter (which folds them into
+// the join it builds at Open), and reports whether it reached one. The
+// join then writes only the items of each pair it keeps into its arena:
+// one copy per row, not a concatenation and a projection. Must be called
+// before Open.
+func FuseProject(it Iterator, items []ProjectItem) bool {
+	for {
+		switch x := it.(type) {
+		case *HashJoinIter:
+			x.fold(items)
+			return true
+		case *DeferredIter:
+			x.items, x.schema = items, ProjectionSchema(items, x.schema)
+			return true
+		case *CountedIter:
+			it = x.child
+		default:
+			return false
 		}
 	}
 }

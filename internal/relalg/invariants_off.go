@@ -24,6 +24,9 @@ const DefaultBatchSize = 1024
 // batch sizing, exhaustion stability, row arity).
 func Checked(it Iterator) Iterator { return it }
 
+// checkedAs returns it unchanged; with the tag it also keeps the census.
+func checkedAs(_ string, it Iterator) Iterator { return it }
+
 // poisonValues marks recycled transient-arena slots; no-op without the
 // tag.
 func poisonValues([]Value) {}

@@ -19,10 +19,10 @@ package relalg
 //     moment it touches a value (Equal, Compare, SortKey, key encoding)
 //     instead of silently computing with overwritten data.
 //   - Iterator lifecycle (closebalance's dynamic twin): Checked wraps
-//     pipeline roots (Collect, BuildStream) in a state machine
+//     pipeline roots, and checkedAs operator inputs, in a state machine
 //     asserting Open-before-Next, no use after Close, single Close,
-//     batches within the requested bound, rows matching the schema's
-//     arity, and exhaustion stability (no rows after the empty batch).
+//     batches within the bound, rows of the schema's arity and
+//     exhaustion stability; the inputs also keep the reach census.
 //   - Key-table consistency (keytable.go): after every hash-join build
 //     and when DISTINCT closes or GROUP BY has grouped, the table's ids
 //     are dense and in insertion order (their keys lie in the arena in id
@@ -33,6 +33,7 @@ package relalg
 import (
 	"context"
 	"fmt"
+	"sync"
 )
 
 // InvariantsEnabled reports whether the runtime-assertion layer is
@@ -99,6 +100,56 @@ func checkTable(t *keyTable) {
 // roots, where the engine (not an operator) drives the lifecycle.
 func Checked(it Iterator) Iterator { return &checkedIter{it: it} }
 
+// checkedAs is Checked around the input of an operator of kind, whose
+// second pull from it feeds the reach census.
+func checkedAs(kind string, it Iterator) Iterator { return &checkedIter{it: it, kind: kind} }
+
+// reachSeen holds the reach kinds seen since ReachCensus last read them.
+var reachMu, reachSeen = sync.Mutex{}, map[string]bool{}
+
+// ReachCensus returns the reach kinds seen since its last call and
+// forgets them. A second pull from an input that builds its rows in an
+// arena (a projection or a join, found through the forwarders) shows the
+// puller's kind ("sort", "group-by", "distinct", "union", "probe" or
+// "keyless probe") and the builder's ("projection", "join" or "folded
+// join", prefixed "transient " when the arena recycles): the pulls where
+// the poison meets an operator that keeps a row of a recycled arena.
+func ReachCensus() map[string]bool {
+	reachMu.Lock()
+	defer reachMu.Unlock()
+	seen := reachSeen
+	reachSeen = map[string]bool{}
+	delete(seen, "") // a pipeline root's pull names no operator
+	return seen
+}
+
+// noteReach records the kinds a second pull from c.it shows.
+func (c *checkedIter) noteReach() {
+	in := c.it
+	for f, ok := in.(forwarder); ok; f, ok = in.(forwarder) {
+		in, _ = f.forward()
+	}
+	var bb *BatchBuilder
+	builder := "projection"
+	switch x := in.(type) {
+	case *ProjectIter:
+		bb = x.bb
+	case *HashJoinIter:
+		bb, builder = x.bb, "join"
+		if x.fns != nil {
+			builder = "folded join"
+		}
+	default:
+		return
+	}
+	if bb.Transient {
+		builder = "transient " + builder
+	}
+	reachMu.Lock()
+	defer reachMu.Unlock()
+	reachSeen[builder], reachSeen[c.kind] = true, true
+}
+
 // checkedIter asserts the Iterator contract of iterator.go around an
 // inner iterator.
 type checkedIter struct {
@@ -107,6 +158,8 @@ type checkedIter struct {
 	closed    bool
 	exhausted bool
 	failed    bool
+	kind      string // the puller, for the reach census
+	pulls     int
 }
 
 func (c *checkedIter) Schema() Schema { return c.it.Schema() }
@@ -164,6 +217,8 @@ func (c *checkedIter) Next(max int) (Batch, error) {
 		c.failed = true
 	} else if len(b.Rows) == 0 {
 		c.exhausted = true
+	} else if c.pulls++; c.pulls == 2 {
+		c.noteReach()
 	}
 	return b, err
 }

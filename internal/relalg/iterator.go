@@ -234,16 +234,15 @@ func (s *ScanIter) Close() error { return nil }
 // RowCountHint implements RowCountHint: a scan's yield is exact.
 func (s *ScanIter) RowCountHint() int { return len(s.rel.Tuples) }
 
-// DeferredIter delays building its child until Open: the planner uses it
-// to keep whole mediation branches unplanned and unexecuted until the
-// consumer actually pulls from them (so an upstream LIMIT can skip later
-// branches entirely). The Open context is handed to the build function so
-// deferred work (bind-join fetches, feeder drains) stays cancellable.
+// DeferredIter delays building its child until Open: the planner's bind
+// join drains its feeding rows and fetches there. The Open context is
+// handed to the build function, so that work stays cancellable.
 type DeferredIter struct {
 	schema    Schema
 	build     func(ctx context.Context) (Iterator, error)
 	child     Iterator
-	transient bool // forward MarkTransient to the built child
+	transient bool          // forward MarkTransient to the built child
+	items     []ProjectItem // fold into the built child (FuseProject)
 }
 
 // NewDeferred returns an iterator with the given schema whose child is
@@ -260,6 +259,9 @@ func (d *DeferredIter) Open(ctx context.Context) error {
 	child, err := d.build(ctx)
 	if err != nil {
 		return err
+	}
+	if d.items != nil && !FuseProject(child, d.items) {
+		child = NewProject(child, d.items)
 	}
 	if d.transient {
 		MarkTransient(child)

@@ -83,8 +83,6 @@ func (f *FilterIter) forward() (Iterator, int) { return f.child, 0 }
 // batch, not one tuple allocation per row).
 type ProjectIter struct {
 	child  Iterator
-	items  []ProjectItem
-	in     Schema // child schema, resolved once
 	schema Schema
 	fns    []CompiledExpr // compiled items, one per output column
 	bb     *BatchBuilder
@@ -104,7 +102,7 @@ func ProjectionSchema(items []ProjectItem, in Schema) Schema {
 // the child schema.
 func NewProject(child Iterator, items []ProjectItem) *ProjectIter {
 	in := child.Schema()
-	return &ProjectIter{child: child, items: items, in: in, schema: ProjectionSchema(items, in),
+	return &ProjectIter{child: child, schema: ProjectionSchema(items, in), fns: compileItems(items, in),
 		bb: NewBatchBuilder(len(items))}
 }
 
@@ -112,12 +110,27 @@ func NewProject(child Iterator, items []ProjectItem) *ProjectIter {
 func (p *ProjectIter) Schema() Schema { return p.schema }
 
 // Open implements Iterator.
-func (p *ProjectIter) Open(ctx context.Context) error {
-	p.fns = make([]CompiledExpr, len(p.items))
-	for i, it := range p.items {
-		p.fns[i] = Compile(it.Expr, p.in)
+func (p *ProjectIter) Open(ctx context.Context) error { return p.child.Open(ctx) }
+
+// compileItems compiles items against in.
+func compileItems(items []ProjectItem, in Schema) []CompiledExpr {
+	fns := make([]CompiledExpr, len(items))
+	for i, it := range items {
+		fns[i] = Compile(it.Expr, in)
 	}
-	return p.child.Open(ctx)
+	return fns
+}
+
+// evalItems fills out with the compiled items evaluated over t.
+func evalItems(out Tuple, fns []CompiledExpr, t Tuple) error {
+	for i, fn := range fns {
+		v, err := fn(t)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+	}
+	return nil
 }
 
 // Next implements Iterator.
@@ -128,13 +141,8 @@ func (p *ProjectIter) Next(max int) (Batch, error) {
 	}
 	p.bb.Reset(len(b.Rows))
 	for _, t := range b.Rows {
-		row := p.bb.Row()
-		for i, fn := range p.fns {
-			v, err := fn(t)
-			if err != nil {
-				return Batch{}, err
-			}
-			row[i] = v
+		if err := evalItems(p.bb.Row(), p.fns, t); err != nil {
+			return Batch{}, err
 		}
 	}
 	return p.bb.Batch(), nil
@@ -225,7 +233,9 @@ type DistinctIter struct {
 }
 
 // NewDistinct deduplicates child.
-func NewDistinct(child Iterator) *DistinctIter { return &DistinctIter{child: child} }
+func NewDistinct(child Iterator) *DistinctIter {
+	return &DistinctIter{child: checkedAs("distinct", child)}
+}
 
 // Schema implements Iterator.
 func (d *DistinctIter) Schema() Schema { return d.child.Schema() }
@@ -314,14 +324,14 @@ func NewUnionAll(children ...Iterator) (*UnionAllIter, error) {
 	if len(children) == 0 {
 		return nil, fmt.Errorf("relalg: union of no inputs")
 	}
-	arity := len(children[0].Schema().Columns)
-	for _, c := range children[1:] {
-		if len(c.Schema().Columns) != arity {
-			return nil, fmt.Errorf("relalg: UNION arity mismatch: %d vs %d",
-				arity, len(c.Schema().Columns))
+	u, arity := &UnionAllIter{}, len(children[0].Schema().Columns)
+	for _, c := range children {
+		if n := len(c.Schema().Columns); n != arity {
+			return nil, fmt.Errorf("relalg: UNION arity mismatch: %d vs %d", arity, n)
 		}
+		u.children = append(u.children, checkedAs("union", c))
 	}
-	return &UnionAllIter{children: children}, nil
+	return u, nil
 }
 
 // Schema implements Iterator.
@@ -406,115 +416,20 @@ func (u *UnionAllIter) Close() error {
 	return first
 }
 
-// NestedLoopIter joins a streaming outer side against a materialized
-// inner relation, emitting concatenated rows where pred holds (nil pred:
-// cross product). The outer side streams; the inner is re-scanned per
-// outer tuple. Candidate rows are assembled directly in the output
-// batch's arena and rolled back when the predicate rejects them, so
-// allocation is O(batches of matches), not O(pairs).
-type NestedLoopIter struct {
-	outer  Iterator
-	inner  *Relation
-	pred   sqlparse.Expr
-	schema Schema
-	predFn func(Tuple) (bool, error) // pred compiled against schema
-
-	ob   Batch // current outer batch
-	oi   int   // next outer row within ob
-	cur  Tuple // current outer tuple, nil before first
-	pos  int   // next inner index
-	bb   *BatchBuilder
-	pend error // error to surface after a flushed partial batch
-}
-
-// NewNestedLoop joins outer against inner on pred.
-func NewNestedLoop(outer Iterator, inner *Relation, pred sqlparse.Expr) *NestedLoopIter {
-	schema := outer.Schema().Concat(inner.Schema)
-	return &NestedLoopIter{outer: outer, inner: inner, pred: pred, schema: schema,
-		bb: NewBatchBuilder(len(schema.Columns))}
-}
-
-// Schema implements Iterator.
-func (n *NestedLoopIter) Schema() Schema { return n.schema }
-
-// Open implements Iterator.
-func (n *NestedLoopIter) Open(ctx context.Context) error {
-	n.ob, n.oi, n.cur, n.pos, n.pend = Batch{}, 0, nil, 0, nil
-	if n.pred != nil {
-		n.predFn = CompileBool(n.pred, n.schema)
-	}
-	return n.outer.Open(ctx)
-}
-
-// fail flushes an accumulated partial batch before surfacing err.
-func (n *NestedLoopIter) fail(err error) (Batch, error) {
-	if n.bb.Len() > 0 {
-		n.pend = err
-		return n.bb.Batch(), nil
-	}
-	return Batch{}, err
-}
-
-// Next implements Iterator.
-func (n *NestedLoopIter) Next(max int) (Batch, error) {
-	if n.pend != nil {
-		err := n.pend
-		n.pend = nil
-		return Batch{}, err
-	}
-	if max <= 0 {
-		max = DefaultBatchSize
-	}
-	n.bb.Reset(max)
-	for n.bb.Len() < max {
-		if n.cur == nil || n.pos >= len(n.inner.Tuples) {
-			if n.oi >= len(n.ob.Rows) {
-				b, err := n.outer.Next(max)
-				if err != nil {
-					return n.fail(err)
-				}
-				if b.Empty() {
-					break
-				}
-				//lint:allow batchretain pull-synchronized: the stashed batch is fully consumed before the next outer Next
-				n.ob, n.oi = b, 0
-			}
-			n.cur, n.pos = n.ob.Rows[n.oi], 0
-			n.oi++
-			continue
-		}
-		it := n.inner.Tuples[n.pos]
-		n.pos++
-		row := n.bb.Concat(n.cur, it)
-		if n.predFn != nil {
-			ok, err := n.predFn(row)
-			if err != nil {
-				n.bb.DropLast()
-				return n.fail(err)
-			}
-			if !ok {
-				n.bb.DropLast()
-			}
-		}
-	}
-	return n.bb.Batch(), nil
-}
-
-// Close implements Iterator.
-func (n *NestedLoopIter) Close() error { return n.outer.Close() }
-
 // HashJoinIter equi-joins two inputs: the build side is drained and
 // hashed at Open (a pipeline breaker, buffered in memory), the probe
-// side streams. Output columns are always left.Schema ++ right.Schema
-// regardless of which side builds; output order follows the probe
-// stream, with matches in build-insertion order (see BuildTable). Probing
-// allocates nothing, and building allocates per table, not per row.
+// side streams. Its rows are left.Schema ++ right.Schema regardless of
+// which side builds or, once FuseProject has folded a select list into
+// it, that list computed over them; output order follows the probe
+// stream, with matches in build-insertion order (see BuildTable). With
+// no keys every build row is a candidate for every probe row: the nested
+// loop. Probing allocates nothing, and building allocates per table, not
+// per row.
 type HashJoinIter struct {
 	left, right       Iterator
 	leftIdx, rightIdx []int // key positions in each side's schema
-	residual          sqlparse.Expr
 	buildLeft         bool
-	schema            Schema
+	in, schema        Schema // left ++ right, and the output's
 	// Shared optionally obtains the build table through the planner's
 	// per-session memo instead of building privately; set it before Open
 	// (nil: the operator drains and hashes its own build side).
@@ -523,7 +438,9 @@ type HashJoinIter struct {
 	tbl      *BuildTable
 	probe    Iterator                  // the streaming side and its key positions,
 	probeIdx []int                     // set by openBuild
-	resFn    func(Tuple) (bool, error) // residual compiled against schema
+	resFn    func(Tuple) (bool, error) // the residual, compiled against in
+	fns      []CompiledExpr            // the folded items over in; nil: the output is in
+	pair     Tuple                     // a folded join's candidate pair, in left ++ right order
 
 	buf  []byte // probe key scratch
 	pb   Batch  // current probe batch
@@ -558,7 +475,9 @@ type BuildSharer func(ctx context.Context, build func() (*BuildTable, error)) (*
 // out of every chain.
 func buildHJTable(rows []Tuple, idx []int) *BuildTable {
 	t := &BuildTable{rows: rows, head: make([]int32, 0, len(rows)), next: make([]int32, len(rows))}
-	t.keys.reserve(len(rows))
+	if len(idx) > 0 { // a keyless table holds one key, the empty one, chaining every row
+		t.keys.reserve(len(rows))
+	}
 	var buf []byte
 	// Back to front, so that pushing each row onto its chain's head
 	// leaves every chain in build order.
@@ -607,12 +526,13 @@ func (t *BuildTable) ApproxBytes() int64 {
 }
 
 // NewHashJoin prepares a hash join of left and right on pairwise equal
-// key columns (resolved in each side's schema). buildLeft selects which
-// side is materialized and hashed; the other side streams. A residual
-// predicate, if non-nil, applies to the concatenated row.
+// key columns (resolved in each side's schema; none: every pair is a
+// candidate). buildLeft selects which side is materialized and hashed;
+// the other side streams. A residual predicate, if non-nil, applies to
+// the concatenated row.
 func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sqlparse.Expr, buildLeft bool, _ Stager) (*HashJoinIter, error) {
-	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
-		return nil, fmt.Errorf("relalg: hash join requires matching non-empty key lists")
+	if len(leftKeys) != len(rightKeys) {
+		return nil, fmt.Errorf("relalg: hash join requires key lists of one length")
 	}
 	ls, rs := left.Schema(), right.Schema()
 	li := make([]int, len(leftKeys))
@@ -624,12 +544,21 @@ func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sq
 			return nil, fmt.Errorf("relalg: hash join key %s/%s not found", leftKeys[i], rightKeys[i])
 		}
 	}
-	schema := ls.Concat(rs)
-	return &HashJoinIter{
-		left: left, right: right, leftIdx: li, rightIdx: ri,
-		residual: residual, buildLeft: buildLeft, schema: schema,
-		mr: -1, bb: NewBatchBuilder(len(schema.Columns)),
-	}, nil
+	in := ls.Concat(rs)
+	h := &HashJoinIter{left: left, right: right, leftIdx: li, rightIdx: ri, buildLeft: buildLeft,
+		in: in, schema: in, mr: -1, bb: NewBatchBuilder(len(in.Columns))}
+	if residual != nil {
+		h.resFn = CompileBool(residual, in)
+	}
+	return h, nil
+}
+
+// NewNestedLoop joins outer against inner on pred (nil: the cross
+// product) as a keyless hash join: its one chain holds inner in order,
+// so each outer row meets every inner row in turn.
+func NewNestedLoop(outer Iterator, inner *Relation, pred sqlparse.Expr) *HashJoinIter {
+	hj, _ := NewHashJoin(outer, NewScan(inner), nil, nil, pred, false, nil)
+	return hj
 }
 
 // NewParallelHashJoin is a no-op alias of NewHashJoin kept for bench/
@@ -664,7 +593,11 @@ func (h *HashJoinIter) openBuild(ctx context.Context) (err error) {
 		tbl, err = h.Shared(ctx, mk)
 	}
 	if err == nil {
-		h.tbl, h.probe, h.probeIdx = tbl, probe, probeIdx
+		kind := "probe"
+		if len(probeIdx) == 0 {
+			kind = "keyless probe"
+		}
+		h.tbl, h.probe, h.probeIdx = tbl, checkedAs(kind, probe), probeIdx
 	}
 	return err
 }
@@ -674,10 +607,6 @@ func (h *HashJoinIter) Open(ctx context.Context) error {
 	if err := h.openBuild(ctx); err != nil {
 		return err
 	}
-	if h.residual != nil {
-		h.resFn = CompileBool(h.residual, h.schema)
-	}
-	h.pb, h.pi, h.cur, h.mr, h.pend = Batch{}, 0, nil, -1, nil
 	return h.probe.Open(ctx)
 }
 
@@ -721,25 +650,44 @@ func (h *HashJoinIter) Next(max int) (Batch, error) {
 		}
 		bt := h.tbl.rows[h.mr]
 		h.mr = h.tbl.next[h.mr]
-		// Assemble in left ++ right order: bt came from the build side,
-		// h.cur from the probe side.
+		// Assemble the pair in left ++ right order (bt came from the build
+		// side, h.cur from the probe side): in the arena, or, folded, in
+		// the scratch row, so that only a kept pair's items reach it.
 		l, r := h.cur, bt
 		if h.buildLeft {
 			l, r = bt, h.cur
 		}
-		row := h.bb.Concat(l, r)
+		row := h.pair
+		if h.fns == nil {
+			row = h.bb.Row()
+		}
+		copy(row, l)
+		copy(row[len(l):], r)
 		if h.resFn != nil {
-			ok, err := h.resFn(row)
-			if err != nil {
-				h.bb.DropLast()
-				return h.fail(err)
+			if ok, err := h.resFn(row); err != nil || !ok {
+				if h.fns == nil {
+					h.bb.DropLast()
+				}
+				if err != nil {
+					return h.fail(err)
+				}
+				continue
 			}
-			if !ok {
-				h.bb.DropLast()
+		}
+		if h.fns != nil {
+			if err := evalItems(h.bb.Row(), h.fns, row); err != nil {
+				return Batch{}, err // as a projection fails: the batch is lost
 			}
 		}
 	}
 	return h.bb.Batch(), nil
+}
+
+// fold makes the join emit items computed over each joined row instead
+// of the row (see FuseProject).
+func (h *HashJoinIter) fold(items []ProjectItem) {
+	h.fns, h.schema, h.pair = compileItems(items, h.in), ProjectionSchema(items, h.in), make(Tuple, len(h.in.Columns))
+	h.bb = &BatchBuilder{arity: len(items), Transient: h.bb.Transient}
 }
 
 // Close implements Iterator.
@@ -785,7 +733,7 @@ func (d *drained) RowCountHint() int {
 
 // NewSort sorts child by keys (stable).
 func NewSort(child Iterator, keys []OrderKey, _ Stager) *SortIter {
-	return &SortIter{child: child, keys: keys}
+	return &SortIter{child: checkedAs("sort", child), keys: keys}
 }
 
 // Schema implements Iterator.
@@ -826,7 +774,7 @@ func NewGroupBy(child Iterator, keys []sqlparse.Expr, items []AggItem, having sq
 		cols[i] = Column{Name: it.Name, Type: aggType(it.Expr, in)}
 	}
 	MarkTransient(child)
-	return &GroupByIter{child: child, group: compileGrouping(in, keys, items, having),
+	return &GroupByIter{child: checkedAs("group-by", child), group: compileGrouping(in, keys, items, having),
 		schema: Schema{Columns: cols}}
 }
 

@@ -1,9 +1,13 @@
 package relalg
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -156,5 +160,103 @@ func TestGroupBySignedZero(t *testing.T) {
 	}
 	if g.Len() != 1 || g.Tuples[0][1].N != 3 {
 		t.Errorf("GROUP BY over {-0, 0, -0} = %v, want one group of 3", g.Tuples)
+	}
+}
+
+// TestFoldedJoinMatchesProjection: a join with a select list folded into
+// it (FuseProject) emits, row for row and in order, what a projection
+// over the same join emits — keyed and keyless, on either build side,
+// with and without a residual that rejects pairs the keys admit, at any
+// batch size — under the projection's schema, and an item that fails
+// fails the join.
+func TestFoldedJoinMatchesProjection(t *testing.T) {
+	items := []ProjectItem{{Name: "vw", Expr: mustExpr("a.v + b.w")}, {Name: "k", Expr: mustExpr("b.k")}}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, b := testRel("a", "a.k:num, a.v:num"), testRel("b", "b.k:num, b.w:num")
+		for _, rel := range []*Relation{a, b} {
+			for i := rng.Intn(40); i > 0; i-- {
+				rel.MustAdd(NumV(float64(rng.Intn(5))), NumV(float64(rng.Intn(100))))
+			}
+		}
+		for _, keys := range [][]string{{"k"}, nil} {
+			for _, residual := range []sqlparse.Expr{nil, mustExpr("a.v < b.w")} {
+				for _, buildLeft := range []bool{false, true} {
+					join := func() *HashJoinIter {
+						var lk, rk []string
+						for _, k := range keys {
+							lk, rk = append(lk, "a."+k), append(rk, "b."+k)
+						}
+						hj, err := NewHashJoin(NewScan(a), NewScan(b), lk, rk, residual, buildLeft, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return hj
+					}
+					label := fmt.Sprintf("seed %d keys %v residual %v buildLeft %v", seed, keys, residual, buildLeft)
+					max := 1 + rng.Intn(9)
+					proj := NewProject(join(), items)
+					want := drainOrdered(t, proj, max)
+					folded := join()
+					var n atomic.Int64
+					if !FuseProject(NewCounted(folded, &n), items) {
+						t.Fatalf("%s: FuseProject did not reach the join under its counter", label)
+					}
+					if got, want := folded.Schema(), proj.Schema(); !slices.Equal(got.Columns, want.Columns) {
+						t.Fatalf("%s: folded schema %v, want %v", label, got, want)
+					}
+					requireSameRows(t, label, want, drainOrdered(t, folded, max))
+				}
+			}
+		}
+	}
+	a0, b0 := testRel("a", "a.v:num", []Value{NumV(1)}), testRel("b", "b.w:num", []Value{NumV(0)})
+	hj, err := NewHashJoin(NewScan(a0), NewScan(b0), nil, nil, nil, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	FuseProject(hj, []ProjectItem{{Name: "q", Expr: mustExpr("a.v / b.w")}})
+	if _, err := collect(hj, nil); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("a failing item: err = %v, want division by zero", err)
+	}
+	if _, err := NewHashJoin(NewScan(a0), NewScan(b0), []string{"a.v"}, nil, nil, false, nil); err == nil {
+		t.Fatal("NewHashJoin took key lists of different lengths")
+	}
+}
+
+// TestFuseProjectThroughDeferred: a DeferredIter takes the fold at once
+// (its schema becomes the projection's) and hands it to the child it
+// builds at Open; a child with no join to fold into is projected
+// instead. Anything else — a filter above the join — refuses the fold.
+func TestFuseProjectThroughDeferred(t *testing.T) {
+	a := testRel("a", "a.k:num, a.v:num", []Value{NumV(1), NumV(10)}, []Value{NumV(2), NumV(20)})
+	b := testRel("b", "b.k:num, b.w:num", []Value{NumV(1), NumV(5)}, []Value{NumV(1), NumV(6)})
+	items := []ProjectItem{{Name: "vw", Expr: mustExpr("a.v + b.w")}}
+	join := func() *HashJoinIter {
+		hj, err := NewHashJoin(NewScan(a), NewScan(b), []string{"a.k"}, []string{"b.k"}, nil, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hj
+	}
+	want := drain(t, NewProject(join(), items))
+	var built *HashJoinIter
+	d := NewDeferred(join().Schema(), func(context.Context) (Iterator, error) { built = join(); return built, nil })
+	if !FuseProject(d, items) {
+		t.Fatal("FuseProject did not take the DeferredIter")
+	}
+	if got := d.Schema(); !slices.Equal(got.Columns, want.Schema.Columns) {
+		t.Fatalf("deferred schema %v, want %v", got, want.Schema)
+	}
+	sameRows(t, "deferred join", drain(t, d), want)
+	if built.fns == nil {
+		t.Fatal("the join built at Open was not folded")
+	}
+	flat := NewDeferred(a.Schema, func(context.Context) (Iterator, error) { return NewScan(a), nil })
+	scanItems := []ProjectItem{{Name: "v2", Expr: mustExpr("a.v * 2")}}
+	FuseProject(flat, scanItems)
+	sameRows(t, "deferred scan", drain(t, flat), drain(t, NewProject(NewScan(a), scanItems)))
+	if FuseProject(NewFilter(join(), mustExpr("a.v > 0")), items) {
+		t.Fatal("FuseProject folded through a filter")
 	}
 }

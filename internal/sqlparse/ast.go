@@ -143,10 +143,14 @@ func Str(s string) StringLit { return StringLit(s) }
 // Bin builds a binary expression.
 func Bin(op string, l, r Expr) *BinaryExpr { return &BinaryExpr{Op: op, L: l, R: r} }
 
-// AndAll folds a slice of predicates with AND; nil for an empty slice.
+// AndAll folds a slice of predicates with AND, skipping nil ones; nil
+// when none is left.
 func AndAll(preds []Expr) Expr {
 	var out Expr
 	for _, p := range preds {
+		if p == nil {
+			continue
+		}
 		if out == nil {
 			out = p
 			continue
