@@ -22,7 +22,7 @@ LINT_ALLOW_BUDGET = 3
 # fails above it). The same kind of ratchet: set to the measured value
 # when code is deleted, never raised; ROADMAP item D heads for 8,500.
 LOC_PKGS   = internal/relalg internal/planner coin
-LOC_BUDGET = 7365
+LOC_BUDGET = 7243
 
 # The same ratchet over the source side: the wrapper layer and the store
 # its relational, REST and SQL fixtures serve (non-test files, the
@@ -39,7 +39,7 @@ SURFACE_LOC_BUDGET = 1736
 # The same ratchet over the mediator: the context mediator, the datalog
 # engine under it and the domain model it compiles.
 MEDIATOR_LOC_PKGS   = internal/core internal/datalog internal/domain
-MEDIATOR_LOC_BUDGET = 4365
+MEDIATOR_LOC_BUDGET = 4348
 
 .PHONY: all build test test-bench test-race test-chaos test-invariants vet lint docs-check examples bench bench-smoke bench-base bench-compare golden golden-update fuzz clean
 

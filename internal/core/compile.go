@@ -30,7 +30,7 @@ type queryCompile struct {
 	orderTerms []orderTerm
 
 	aggregated bool
-	post       *Post
+	post       *sqlparse.Select // the post-union step of an aggregated query
 
 	auxCount int
 }
@@ -482,7 +482,7 @@ func anyAggregate(sel *sqlparse.Select) bool {
 // mutually exclusive cases, so aggregating over their UNION ALL equals
 // aggregating over the (virtual) mediated relation.
 func (qc *queryCompile) compileAggregated() error {
-	post := &Post{Limit: qc.sel.Limit, Distinct: qc.sel.Distinct}
+	post := &sqlparse.Select{Limit: qc.sel.Limit, Distinct: qc.sel.Distinct}
 
 	// Group keys become branch output columns g*.
 	keyNames := make([]string, len(qc.sel.GroupBy))

@@ -81,11 +81,12 @@ type Mediation struct {
 	// UnionAll records whether branches must be combined with bag
 	// semantics (required when Post aggregates over the union).
 	UnionAll bool
-	// Post describes processing that must run over the union of the
+	// Post is the processing that must run over the union of the
 	// branches rather than inside each branch: aggregation, and ORDER
-	// BY/LIMIT/DISTINCT when there is more than one branch. Nil when the
-	// branches are self-contained.
-	Post *Post
+	// BY/LIMIT/DISTINCT when there is more than one branch. It is a SELECT
+	// without FROM, its column references naming output columns of the
+	// branches; nil when the branches are self-contained.
+	Post *sqlparse.Select
 	// Solutions are the raw abductive answers, for inspection and tests.
 	Solutions []datalog.Solution
 
@@ -124,25 +125,14 @@ func (m *Mediation) ExplainText() string {
 	return b.String()
 }
 
-// Post is the post-union processing step of a mediation (see
-// Mediation.Post). Column references in its expressions name output
-// columns of the branches.
-type Post struct {
-	GroupBy  []sqlparse.Expr
-	Items    []sqlparse.SelectItem // final projection over the union
-	Having   sqlparse.Expr
-	OrderBy  []sqlparse.OrderItem
-	Limit    int // -1 when absent
-	Distinct bool
-}
-
-// clone deep-copies a Post (nil stays nil): the one a compiled query
-// holds is shared between requests, a Mediation's belongs to its consumer.
-func (p *Post) clone() *Post {
+// clonePost deep-copies a post-union step (nil stays nil): the one a
+// compiled query holds is shared between requests, a Mediation's belongs
+// to its consumer.
+func clonePost(p *sqlparse.Select) *sqlparse.Select {
 	if p == nil {
 		return nil
 	}
-	c := &Post{Having: sqlparse.CloneExpr(p.Having), Limit: p.Limit, Distinct: p.Distinct}
+	c := &sqlparse.Select{Having: sqlparse.CloneExpr(p.Having), Limit: p.Limit, Distinct: p.Distinct}
 	for _, g := range p.GroupBy {
 		c.GroupBy = append(c.GroupBy, sqlparse.CloneExpr(g))
 	}
@@ -162,15 +152,8 @@ func (p *Post) clone() *Post {
 func (m *Mediation) SQL() string {
 	out := sqlparse.Pretty(m.Mediated)
 	if m.Post != nil {
-		post := &sqlparse.Select{
-			Items:    m.Post.Items,
-			From:     []sqlparse.TableRef{{Table: "mediated_union"}},
-			GroupBy:  m.Post.GroupBy,
-			Having:   m.Post.Having,
-			OrderBy:  m.Post.OrderBy,
-			Limit:    m.Post.Limit,
-			Distinct: m.Post.Distinct,
-		}
+		post := *m.Post
+		post.From = []sqlparse.TableRef{{Table: "mediated_union"}}
 		out = "-- post-processing over the mediated union:\n-- " +
 			post.String() + "\n" + out
 	}
@@ -335,7 +318,7 @@ func (qc *queryCompile) assemble(sel *sqlparse.Select, sols []datalog.Solution, 
 		med.Branches = append(med.Branches, branch)
 	}
 
-	med.Post = qc.post.clone()
+	med.Post = clonePost(qc.post)
 	med.UnionAll = qc.aggregated
 	if !qc.aggregated {
 		if len(med.Branches) == 1 {
@@ -360,7 +343,7 @@ func (qc *queryCompile) assemble(sel *sqlparse.Select, sols []datalog.Solution, 
 			for i, it := range qc.outItems {
 				items[i] = sqlparse.SelectItem{Expr: &sqlparse.ColRef{Column: it.name}}
 			}
-			med.Post = &Post{Items: items, OrderBy: ord, Limit: sel.Limit}
+			med.Post = &sqlparse.Select{Items: items, OrderBy: ord, Limit: sel.Limit}
 		}
 	}
 	stmts := make([]sqlparse.Statement, len(med.Branches))

@@ -249,8 +249,7 @@ func (e *Executor) buildSharer(sess *Session, step *PlanStep) relalg.BuildSharer
 		var key strings.Builder
 		key.WriteString("build\x00" + step.Source + "\x00")
 		key.WriteString(wrapper.SourceQuery{Relation: step.Relation, Filters: step.Pushed}.Canonical())
-		key.WriteString("\x00")
-		key.WriteString(wrapper.SourceQuery{Relation: step.Binding, Filters: step.Local}.Canonical())
+		key.WriteString("\x00" + step.Binding)
 		for _, p := range step.LocalPreds {
 			key.WriteString("\x00" + p.String())
 		}

@@ -13,23 +13,13 @@ import (
 // AnalyzeSelect plans one SELECT block, executes it under sess with
 // per-step actual counters attached, and returns the analyzed plan —
 // BranchPlan.Explain then renders estimated-vs-actual rows, queries and
-// cost per step. For an aggregated block the select-project-join core is
-// what gets planned and analyzed (exactly what the executor's aggregate
-// path plans); the aggregation itself adds no source communication. The
-// executed answer is discarded: ANALYZE is about the plan, and the
-// observed cardinalities still feed the adaptive statistics through the
-// session as in any run.
+// cost per step. The block runs whole, as selectStream plans it, its
+// grouping and the rest of its tail included; the tail adds no source
+// communication. The executed answer is discarded: ANALYZE is about the
+// plan, and the observed cardinalities still feed the adaptive
+// statistics through the session as in any run.
 func (e *Executor) AnalyzeSelect(sess *Session, sel *sqlparse.Select) (*BranchPlan, error) {
-	run := sel
-	if hasAggregates(sel) {
-		spj := *sel
-		spj.Items = []sqlparse.SelectItem{{Star: true}}
-		spj.GroupBy, spj.Having, spj.OrderBy = nil, nil, nil
-		spj.Limit = -1
-		spj.Distinct = false
-		run = &spj
-	}
-	plan, err := e.PlanCtx(sess.Context(), run)
+	plan, err := e.PlanCtx(sess.Context(), sel)
 	if err != nil {
 		return nil, err
 	}

@@ -212,15 +212,6 @@ func (e *Executor) fetchBindStep(ctx context.Context, sess *Session, step *PlanS
 	}
 
 	rel := raw.Qualify(step.Binding)
-	if len(step.Local) > 0 {
-		qualified := make([]wrapper.Filter, len(step.Local))
-		for i, f := range step.Local {
-			qualified[i] = wrapper.Filter{Column: step.Binding + "." + f.Column, Op: f.Op, Value: f.Value}
-		}
-		if rel, err = wrapper.ApplyFilters(rel, qualified); err != nil {
-			return nil, err
-		}
-	}
 	if len(step.LocalPreds) > 0 {
 		kept := relalg.NewFilter(relalg.NewScan(rel), sqlparse.AndAll(step.LocalPreds))
 		if rel, err = relalg.Collect(ctx, kept, rel.Name); err != nil {
@@ -343,15 +334,7 @@ func projectItems(items []sqlparse.SelectItem, schema relalg.Schema) ([]relalg.P
 			}
 			continue
 		}
-		n := it.Alias
-		if n == "" {
-			if c, ok := it.Expr.(*sqlparse.ColRef); ok {
-				n = c.Column
-			} else {
-				n = "col" + strconv.Itoa(i+1)
-			}
-		}
-		out = append(out, relalg.ProjectItem{Name: name(n), Expr: it.Expr})
+		out = append(out, relalg.ProjectItem{Name: name(itemName(it, i)), Expr: it.Expr})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("planner: empty projection")
@@ -370,23 +353,25 @@ func plainName(qualified string) string {
 	return qualified
 }
 
-func hasAggregates(sel *sqlparse.Select) bool {
-	if len(sel.GroupBy) > 0 {
+// itemName names select item i: its alias, else the column it names,
+// else col<i+1>.
+func itemName(it sqlparse.SelectItem, i int) string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	if c, ok := it.Expr.(*sqlparse.ColRef); ok {
+		return c.Column
+	}
+	return "col" + strconv.Itoa(i+1)
+}
+
+// aggregated reports whether sel groups its rows: a GROUP BY, a HAVING or
+// an aggregate call in the select list.
+func aggregated(sel *sqlparse.Select) bool {
+	if len(sel.GroupBy) > 0 || sel.Having != nil {
 		return true
 	}
 	for _, it := range sel.Items {
-		if !it.Star && relalg.IsAggregate(it.Expr) {
-			return true
-		}
-	}
-	if sel.Having != nil {
-		return true
-	}
-	return false
-}
-
-func anyAggItems(items []sqlparse.SelectItem) bool {
-	for _, it := range items {
 		if !it.Star && relalg.IsAggregate(it.Expr) {
 			return true
 		}

@@ -29,7 +29,6 @@ type relBinding struct {
 	w        wrapper.Wrapper
 
 	pushed     []wrapper.Filter
-	local      []wrapper.Filter
 	localPreds []sqlparse.Expr
 	// reqCovered marks required bindings satisfied by pushed constant
 	// equalities; the rest must be fed by join edges (a bind join).
@@ -143,12 +142,16 @@ func (e *Executor) buildLogical(sel *sqlparse.Select) (*logicalQuery, error) {
 		return mask, nil
 	}
 
-	filters := map[string][]wrapper.Filter{}
+	type filter struct {
+		wrapper.Filter
+		expr sqlparse.Expr // the conjunct it was parsed from
+	}
+	filters := map[string][]filter{}
 	for _, p := range sqlparse.Conjuncts(sel.Where) {
 		if f, b, ok, err := simpleFilter(p, resolve); err != nil {
 			return nil, err
 		} else if ok {
-			filters[b.name] = append(filters[b.name], f)
+			filters[b.name] = append(filters[b.name], filter{f, p})
 			continue
 		}
 		if jp, ok, err := equiJoin(p, resolve); err != nil {
@@ -175,8 +178,11 @@ func (e *Executor) buildLogical(sel *sqlparse.Select) (*logicalQuery, error) {
 	// Partition each binding's simple filters into pushed and local, and
 	// record which required bindings pushed constants already cover. The
 	// split depends only on capabilities and the pushdown ablation, never
-	// on placement, so it is computed once here.
+	// on placement, so it is computed once here. A local filter stays the
+	// conjunct it was parsed from, ahead of the binding's complex
+	// predicates.
 	for _, b := range lq.rels {
+		var local []sqlparse.Expr
 		required := map[string]bool{}
 		for _, rc := range b.caps.RequiredBindings {
 			required[rc] = true
@@ -188,14 +194,15 @@ func (e *Executor) buildLogical(sel *sqlparse.Select) (*logicalQuery, error) {
 				pushable = false
 			}
 			if pushable {
-				b.pushed = append(b.pushed, f)
+				b.pushed = append(b.pushed, f.Filter)
 				if f.Op == "=" {
 					b.reqCovered[f.Column] = true
 				}
 			} else {
-				b.local = append(b.local, f)
+				local = append(local, f.expr)
 			}
 		}
+		b.localPreds = append(local, b.localPreds...)
 	}
 	return lq, nil
 }

@@ -170,7 +170,6 @@ func (pb *planBuilder) candidate(b *relBinding, placed uint64, curRows float64) 
 		Relation:   b.relation,
 		Source:     b.w.Source(),
 		Pushed:     b.pushed,
-		Local:      b.local,
 		LocalPreds: b.localPreds,
 		BindJoins:  bindJoins,
 		JoinKeys:   keys,
@@ -288,7 +287,7 @@ func (pb *planBuilder) dpOrder() ([]int, error) {
 func (pb *planBuilder) build(order []int) (*BranchPlan, error) {
 	lq := pb.lq
 	sel := lq.sel
-	plan := &BranchPlan{Limit: sel.Limit, Distinct: sel.Distinct, OrderBy: sel.OrderBy, Items: sel.Items}
+	plan := &BranchPlan{Select: sel}
 	var placed uint64
 	curRows := 1.0
 	residualDone := make([]bool, len(lq.residuals))

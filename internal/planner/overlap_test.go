@@ -54,7 +54,7 @@ func slowExecutor(cat *Catalog) *Executor {
 // keeps every branch unopened until the union gets to it.
 func lazyRoad(med *core.Mediation) *core.Mediation {
 	lazy := *med
-	post := core.Post{Limit: math.MaxInt32}
+	post := sqlparse.Select{Limit: math.MaxInt32}
 	if med.Post != nil {
 		post = *med.Post
 	}
@@ -323,7 +323,7 @@ func TestOverlapNeedsSlowSources(t *testing.T) {
 func TestOverlapLimitKeepsLaterBranchesLazy(t *testing.T) {
 	f := newShareFixture(t)
 	med := overlapMediation(t)
-	med.Post = &core.Post{Limit: 1}
+	med.Post = &sqlparse.Select{Limit: 1}
 	ex := slowExecutor(f.cat)
 	res, err := executeMediation(bg, ex, med)
 	if err != nil {

@@ -32,12 +32,12 @@ type PlanStep struct {
 	Relation string
 	Source   string
 
-	// Pushed filters are sent to the source; Local ones the engine applies
-	// after transfer (the source lacks the capability).
+	// Pushed filters are sent to the source.
 	Pushed []wrapper.Filter
-	Local  []wrapper.Filter
-	// LocalPreds are single-binding predicates too complex for the filter
-	// protocol, applied by the engine right after transfer.
+	// LocalPreds are the single-binding conjuncts the engine applies right
+	// after transfer: the simple filters the source cannot take, in
+	// conjunct order, then the predicates too complex for the filter
+	// protocol.
 	LocalPreds []sqlparse.Expr
 	// BindJoins are required bindings fed from earlier columns; non-empty
 	// means one source query per distinct combination.
@@ -93,12 +93,11 @@ type PlanActuals struct {
 
 // BranchPlan is the plan for one SELECT block.
 type BranchPlan struct {
-	Steps    []PlanStep
-	EstCost  float64
-	Items    []sqlparse.SelectItem
-	Distinct bool
-	OrderBy  []sqlparse.OrderItem
-	Limit    int
+	Steps   []PlanStep
+	EstCost float64
+	// Select is the block the plan was made from; its clauses after FROM
+	// and WHERE are the pipeline's tail.
+	Select *sqlparse.Select
 
 	// Actuals, when non-nil (EnableAnalyze), makes the compiled pipeline
 	// count per-step actual rows and queries as it runs; Explain then
@@ -147,8 +146,8 @@ func (p *BranchPlan) Explain() string {
 			}
 			b.WriteString("]")
 		}
-		if len(s.Local) > 0 || len(s.LocalPreds) > 0 {
-			fmt.Fprintf(&b, " local[%d]", len(s.Local)+len(s.LocalPreds))
+		if len(s.LocalPreds) > 0 {
+			fmt.Fprintf(&b, " local[%d]", len(s.LocalPreds))
 		}
 		if len(s.BindJoins) > 0 {
 			b.WriteString(" bind[")

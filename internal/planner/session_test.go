@@ -344,7 +344,7 @@ func TestStreamsClosedOnAllPaths(t *testing.T) {
 		med := &core.Mediation{
 			Branches: []*sqlparse.Select{b1, b2},
 			UnionAll: true,
-			Post:     &core.Post{Limit: 3},
+			Post:     &sqlparse.Select{Limit: 3},
 		}
 		if _, err := executeMediation(bg, ex, med); err != nil {
 			t.Fatal(err)

@@ -224,7 +224,7 @@ func TestSharedBuildFaultNotMemoisedPartial(t *testing.T) {
 // contacts no source.
 func TestSharedBuildKeepsEarlyExit(t *testing.T) {
 	f := newShareFixture(t)
-	med := &core.Mediation{UnionAll: true, Post: &core.Post{Limit: 1}, Branches: []*sqlparse.Select{
+	med := &core.Mediation{UnionAll: true, Post: &sqlparse.Select{Limit: 1}, Branches: []*sqlparse.Select{
 		shareBranch(t, "JPY", ""), shareBranch(t, "USD", ""), shareBranch(t, "EUR", "")}}
 	ex := NewExecutor(f.cat)
 	sess := zeroSession(t, ex)

@@ -29,7 +29,6 @@ package planner
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -406,19 +405,7 @@ func (e *Executor) sourceIter(sess *Session, step *PlanStep, act *StepActuals) (
 	}
 	q := wrapper.SourceQuery{Relation: step.Relation, Filters: step.Pushed}
 	leaf := &sourceScanIter{e: e, sess: sess, w: w, schema: schema, act: act, est: int(step.EstRows), q: q}
-	qualified := schema.Qualify(step.Binding)
-	var it relalg.Iterator = relalg.NewRename(leaf, qualified)
-	if len(step.Local) > 0 {
-		filters := make([]wrapper.Filter, len(step.Local))
-		for i, f := range step.Local {
-			filters[i] = wrapper.Filter{Column: step.Binding + "." + f.Column, Op: f.Op, Value: f.Value}
-		}
-		match, err := wrapper.Matcher(qualified, filters)
-		if err != nil {
-			return nil, err
-		}
-		it = relalg.NewFilterFunc(it, match)
-	}
+	var it relalg.Iterator = relalg.NewRename(leaf, schema.Qualify(step.Binding))
 	if len(step.LocalPreds) > 0 {
 		it = relalg.NewFilter(it, sqlparse.AndAll(step.LocalPreds))
 	}
@@ -529,39 +516,10 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 		}
 	}
 
-	items, err := projectItems(plan.Items, cur.Schema())
+	out, err := tail(cur, plan.Select)
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]relalg.OrderKey, len(plan.OrderBy))
-	for i, o := range plan.OrderBy {
-		keys[i] = relalg.OrderKey{Expr: o.Expr, Desc: o.Desc}
-	}
-	out := cur
-	projSchema := relalg.ProjectionSchema(items, cur.Schema())
-	if len(plan.OrderBy) > 0 && !orderKeysResolve(plan.OrderBy, projSchema) {
-		// ORDER BY references source columns the projection drops: sort
-		// before projecting (as the materialized executor's fallback did —
-		// including its quirk of skipping DISTINCT on this path).
-		out = relalg.NewProject(relalg.NewSort(cur, keys, nil), items)
-	} else {
-		// The select list folds into the last step's join, whose arena is
-		// then the branch's output, marked only by its consumer. With no
-		// join to fold into, a projection re-copies every value, so its
-		// input may recycle (not on the sort-first road above: Sort
-		// retains cur's rows).
-		if !relalg.FuseProject(cur, items) {
-			relalg.MarkTransient(cur)
-			out = relalg.NewProject(cur, items)
-		}
-		if plan.Distinct {
-			out = relalg.NewDistinct(out)
-		}
-		if len(plan.OrderBy) > 0 {
-			out = relalg.NewSort(out, keys, nil)
-		}
-	}
-	out = relalg.NewLimit(out, plan.Limit)
 	if plan.Actuals != nil {
 		out = relalg.NewCounted(out, &plan.Actuals.Rows)
 	}
@@ -572,34 +530,78 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 	})), nil
 }
 
-// orderKeysResolve reports whether every column reference in the ORDER BY
-// keys resolves in the projected schema (mirroring Compile's two-step
-// lookup), deciding whether to sort after or before projection.
-func orderKeysResolve(order []sqlparse.OrderItem, schema relalg.Schema) bool {
+// tail compiles the clauses of sel that follow FROM and WHERE over in,
+// the rows they leave: the grouping (GROUP BY, HAVING, aggregates) or the
+// select list, then DISTINCT, ORDER BY and LIMIT. A branch, a grouped
+// SELECT and a mediation's post-union step (a SELECT without FROM over
+// the union) all end here.
+//
+// The select list folds into the join that builds in's rows
+// (relalg.FuseProject), whose arena is then the answer's, marked only by
+// its consumer. With no join to fold into, a projection re-copies every
+// value, so in may recycle. A select list that hands in's columns through
+// unchanged, as core's over a multi-branch union does, adds no
+// projection. ORDER BY keys the select list drops are sorted on before
+// projecting (Sort keeps in's rows, so in is not marked); a SELECT
+// DISTINCT refuses them, as its rows have no one value of such a key.
+func tail(in relalg.Iterator, sel *sqlparse.Select) (relalg.Iterator, error) {
+	keys := make([]relalg.OrderKey, len(sel.OrderBy))
+	for i, o := range sel.OrderBy {
+		keys[i] = relalg.OrderKey{Expr: o.Expr, Desc: o.Desc}
+	}
+	out := in
+	if aggregated(sel) {
+		items := make([]relalg.AggItem, len(sel.Items))
+		for i, it := range sel.Items {
+			items[i] = relalg.AggItem{Name: itemName(it, i), Expr: it.Expr}
+		}
+		out = relalg.NewGroupBy(in, sel.GroupBy, items, sel.Having, nil)
+	} else if len(sel.Items) > 0 {
+		items, err := projectItems(sel.Items, in.Schema())
+		if err != nil {
+			return nil, err
+		}
+		if key := unselectedKey(sel.OrderBy, relalg.ProjectionSchema(items, in.Schema())); key != nil {
+			if sel.Distinct {
+				return nil, fmt.Errorf("planner: ORDER BY key %s of a SELECT DISTINCT must be a selected column", key)
+			}
+			return relalg.NewLimit(relalg.NewProject(relalg.NewSort(in, keys, nil), items), sel.Limit), nil
+		}
+		if !identity(items, in.Schema()) && !relalg.FuseProject(in, items) {
+			relalg.MarkTransient(in)
+			out = relalg.NewProject(in, items)
+		}
+	}
+	if sel.Distinct {
+		out = relalg.NewDistinct(out)
+	}
+	if len(keys) > 0 {
+		out = relalg.NewSort(out, keys, nil)
+	}
+	return relalg.NewLimit(out, sel.Limit), nil
+}
+
+// unselectedKey returns the first ORDER BY key with a column reference
+// that does not resolve in the projected schema (mirroring Compile's
+// two-step lookup), nil when every key resolves.
+func unselectedKey(order []sqlparse.OrderItem, schema relalg.Schema) sqlparse.Expr {
 	for _, o := range order {
 		ok := true
 		sqlparse.WalkExprs(o.Expr, func(x sqlparse.Expr) bool {
-			if c, isRef := x.(*sqlparse.ColRef); isRef {
-				if schema.Index(c.String()) < 0 && schema.Index(c.Column) < 0 {
-					ok = false
-					return false
-				}
+			if c, isRef := x.(*sqlparse.ColRef); isRef && schema.Index(c.String()) < 0 && schema.Index(c.Column) < 0 {
+				ok = false
 			}
-			return true
+			return ok
 		})
 		if !ok {
-			return false
+			return o.Expr
 		}
 	}
-	return true
+	return nil
 }
 
-// selectStream compiles one SELECT block (aggregated or not) into an
-// iterator tree.
+// selectStream compiles one SELECT block into an iterator tree.
 func (e *Executor) selectStream(sess *Session, sel *sqlparse.Select) (relalg.Iterator, error) {
-	if hasAggregates(sel) {
-		return e.aggregateStream(sess, sel)
-	}
 	plan, err := e.PlanCtx(sess.Context(), sel)
 	if err != nil {
 		return nil, err
@@ -635,63 +637,6 @@ func (e *Executor) StatementStream(sess *Session, stmt sqlparse.Statement) (rela
 		return relalg.NewDistinct(u), nil
 	}
 	return nil, fmt.Errorf("planner: cannot execute %T", stmt)
-}
-
-// aggregateStream compiles a grouped SELECT: the SPJ core streams into a
-// GroupBy breaker, then order/distinct/limit apply.
-func (e *Executor) aggregateStream(sess *Session, sel *sqlparse.Select) (relalg.Iterator, error) {
-	spj := *sel
-	spj.Items = nil
-	spj.GroupBy, spj.Having, spj.OrderBy = nil, nil, nil
-	spj.Limit = -1
-	spj.Distinct = false
-	// Every column keeps its qualified name through the projection, so a
-	// key or aggregate over b.k cannot resolve to a.k when both relations
-	// have a column k.
-	for _, tr := range sel.From {
-		schema, err := e.Catalog.Schema(tr.Table)
-		if err != nil {
-			return nil, err
-		}
-		for _, c := range schema.Columns {
-			q := tr.Binding() + "." + c.Name
-			spj.Items = append(spj.Items, sqlparse.SelectItem{Expr: colRefFromQualified(q), Alias: q})
-		}
-	}
-	plan, err := e.PlanCtx(sess.Context(), &spj)
-	if err != nil {
-		return nil, err
-	}
-	wide, err := e.BuildStream(sess, plan)
-	if err != nil {
-		return nil, err
-	}
-	// Aggregate over the wide result with the original expressions:
-	// qualified references resolve exactly, bare ones by unique suffix.
-	items := make([]relalg.AggItem, len(sel.Items))
-	for i, it := range sel.Items {
-		n := it.Alias
-		if n == "" {
-			if c, ok := it.Expr.(*sqlparse.ColRef); ok {
-				n = c.Column
-			} else {
-				n = "col" + strconv.Itoa(i+1)
-			}
-		}
-		items[i] = relalg.AggItem{Name: n, Expr: it.Expr}
-	}
-	var out relalg.Iterator = relalg.NewGroupBy(wide, sel.GroupBy, items, sel.Having, nil)
-	if len(sel.OrderBy) > 0 {
-		keys := make([]relalg.OrderKey, len(sel.OrderBy))
-		for i, o := range sel.OrderBy {
-			keys[i] = relalg.OrderKey{Expr: o.Expr, Desc: o.Desc}
-		}
-		out = relalg.NewSort(out, keys, nil)
-	}
-	if sel.Distinct {
-		out = relalg.NewDistinct(out)
-	}
-	return relalg.NewLimit(out, sel.Limit), nil
 }
 
 // MediationStream compiles a mediated query into one iterator tree
@@ -742,7 +687,7 @@ func (e *Executor) MediationStream(sess *Session, med *core.Mediation) (relalg.I
 	if med.Post == nil {
 		return united, nil
 	}
-	return postStream(med.Post, united)
+	return tail(united, med.Post)
 }
 
 // aheadLatency is the learned mean query latency from which a source is
@@ -833,47 +778,6 @@ func (d *degradedIter) Close() error {
 	}
 	d.opened = false
 	return d.inner.Close()
-}
-
-// postStream applies a mediation's post-union step to the union stream.
-func postStream(post *core.Post, in relalg.Iterator) (relalg.Iterator, error) {
-	out := in
-	if len(post.GroupBy) > 0 || anyAggItems(post.Items) {
-		items := make([]relalg.AggItem, len(post.Items))
-		for i, it := range post.Items {
-			items[i] = relalg.AggItem{Name: it.Alias, Expr: it.Expr}
-			if items[i].Name == "" {
-				items[i].Name = "col" + strconv.Itoa(i+1)
-			}
-		}
-		out = relalg.NewGroupBy(out, post.GroupBy, items, post.Having, nil)
-	} else if len(post.Items) > 0 {
-		items := make([]relalg.ProjectItem, len(post.Items))
-		for i, it := range post.Items {
-			items[i] = relalg.ProjectItem{Name: it.Alias, Expr: it.Expr}
-			if items[i].Name == "" {
-				if c, ok := it.Expr.(*sqlparse.ColRef); ok {
-					items[i].Name = c.Column
-				} else {
-					items[i].Name = "col" + strconv.Itoa(i+1)
-				}
-			}
-		}
-		if !identity(items, out.Schema()) {
-			out = relalg.NewProject(out, items)
-		}
-	}
-	if post.Distinct {
-		out = relalg.NewDistinct(out)
-	}
-	if len(post.OrderBy) > 0 {
-		keys := make([]relalg.OrderKey, len(post.OrderBy))
-		for i, o := range post.OrderBy {
-			keys[i] = relalg.OrderKey{Expr: o.Expr, Desc: o.Desc}
-		}
-		out = relalg.NewSort(out, keys, nil)
-	}
-	return relalg.NewLimit(out, post.Limit), nil
 }
 
 // identity reports whether items project in unchanged: one bare

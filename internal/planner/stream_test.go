@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -73,6 +74,33 @@ func TestLimitWithLocalFilterStaysSublinear(t *testing.T) {
 	}
 }
 
+// TestLocalFiltersRunFirst: a simple filter the source does not take
+// runs ahead of the binding's complex predicates, whatever the conjunct
+// order, so nums.n <> 0 drops the row 10 / nums.n would divide by zero.
+func TestLocalFiltersRunFirst(t *testing.T) {
+	ex := NewExecutor(bigCatalog(6))
+	ex.DisablePushdown = true
+	res, err := execute(bg, ex, sqlparse.MustParse("SELECT nums.n FROM nums WHERE 10 / nums.n > 1 AND nums.n <> 0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 5 {
+		t.Errorf("result = %s, want the 5 rows n = 1..5", res)
+	}
+}
+
+// TestDistinctOrderKeyMustBeSelected: SELECT DISTINCT ordered by a
+// column it does not select has no one order for a row that stands for
+// several: the query fails, naming the key, instead of sorting before
+// projecting and dropping the DISTINCT.
+func TestDistinctOrderKeyMustBeSelected(t *testing.T) {
+	ex := NewExecutor(bigCatalog(6))
+	res, err := execute(bg, ex, sqlparse.MustParse("SELECT DISTINCT nums.grp FROM nums ORDER BY nums.n"))
+	if err == nil || !strings.Contains(err.Error(), "nums.n") {
+		t.Fatalf("got %v, %v; want an error naming nums.n", res, err)
+	}
+}
+
 // TestFullScanStillCountsEverything: without a LIMIT the stream drains,
 // and the stats match the materialized executor's accounting.
 func TestFullScanStillCountsEverything(t *testing.T) {
@@ -95,7 +123,7 @@ func TestMediationBranchesLazilySkipped(t *testing.T) {
 	med := &core.Mediation{
 		Branches: []*sqlparse.Select{b1, b2},
 		UnionAll: true,
-		Post:     &core.Post{Limit: 3},
+		Post:     &sqlparse.Select{Limit: 3},
 	}
 	ex := NewExecutor(cat)
 	res, err := executeMediation(bg, ex, med)
@@ -151,7 +179,7 @@ func TestBuildStreamHasNoSideEffects(t *testing.T) {
 // LIMIT met by branch 1 leaves the sources of branches 2 and 3 untouched.
 func TestMediationStreamBuildContactsNoSource(t *testing.T) {
 	f := newChaosFixture(t)
-	med := &core.Mediation{Branches: f.med.Branches, UnionAll: true, Post: &core.Post{Limit: 2}}
+	med := &core.Mediation{Branches: f.med.Branches, UnionAll: true, Post: &sqlparse.Select{Limit: 2}}
 	ex := NewExecutor(f.cat)
 	sess := zeroSession(t, ex)
 	it, err := ex.MediationStream(sess, med)
@@ -206,7 +234,7 @@ func TestMediationPlanningErrorFailsBuild(t *testing.T) {
 
 // TestIdentityPostItems: the select list core gives a multi-branch ORDER
 // BY (one bare reference per union column, in order) is recognised as the
-// identity, so postStream adds no projection; anything that renames,
+// identity, so the post-union tail adds no projection; anything that renames,
 // reorders, drops or computes a column is not.
 func TestIdentityPostItems(t *testing.T) {
 	med, err := core.New(fixture.Registry()).MediateSQL(

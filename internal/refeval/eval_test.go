@@ -122,17 +122,26 @@ func evalSelect(ctx context.Context, src sourceFor, sel *sqlparse.Select) (answe
 		}
 	}
 	loop(0, nil)
+	return evalTail(sel, cols, joined)
+}
 
+// evalTail runs the clauses of sel that follow FROM and WHERE over rows,
+// whose columns are cols: the grouping or the select list, then DISTINCT,
+// ORDER BY and LIMIT. An item is named by its alias, else by the column
+// it names, else colN.
+func evalTail(sel *sqlparse.Select, cols []string, rows []relalg.Tuple) (answer, error) {
 	out := answer{}
 	for i, it := range sel.Items {
 		name := it.Alias
-		if name == "" {
+		if c, ok := it.Expr.(*sqlparse.ColRef); ok && name == "" {
+			name = c.Column
+		} else if name == "" {
 			name = fmt.Sprintf("col%d", i+1)
 		}
 		out.cols = append(out.cols, name)
 	}
 	if len(sel.GroupBy) > 0 || hasAggregate(sel) {
-		if err := aggregate(sel, cols, joined, &out); err != nil {
+		if err := aggregate(sel, cols, rows, &out); err != nil {
 			return answer{}, err
 		}
 	} else {
@@ -144,7 +153,7 @@ func evalSelect(ctx context.Context, src sourceFor, sel *sqlparse.Select) (answe
 			}
 			items[i] = fn
 		}
-		for _, row := range joined {
+		for _, row := range rows {
 			o := make(relalg.Tuple, len(items))
 			for i, fn := range items {
 				o[i] = fn(row)

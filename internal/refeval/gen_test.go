@@ -279,8 +279,9 @@ func (g *qgen) items(from []string) []sqlparse.SelectItem {
 // a unary minus. HAVING, drawn for three grouped queries in four (the
 // dialect takes it only after GROUP BY), compares an aggregate or a key
 // with a literal, sometimes two such terms ANDed.
-func (g *qgen) aggItems(from []string, grouped bool) ([]sqlparse.SelectItem, []sqlparse.Expr, sqlparse.Expr) {
-	cols := columns(from)
+// cols are the columns the terms may name, and kind gives each column's
+// kind.
+func (g *qgen) aggItems(cols [][2]string, kind func(rel, name string) column, grouped bool) ([]sqlparse.SelectItem, []sqlparse.Expr, sqlparse.Expr) {
 	var items []sqlparse.SelectItem
 	var keys []sqlparse.Expr
 	var keyKinds []relalg.Kind
@@ -288,7 +289,7 @@ func (g *qgen) aggItems(from []string, grouped bool) ([]sqlparse.SelectItem, []s
 	if grouped {
 		for n := 1 + g.pick(2); n > 0; n-- {
 			c := cols[g.pick(len(cols))]
-			kc := kindOf(c[0], c[1])
+			kc := kind(c[0], c[1])
 			var k sqlparse.Expr = col(c[0], c[1])
 			if kc.kind == relalg.KindNumber {
 				switch g.pick(4) {
@@ -304,19 +305,19 @@ func (g *qgen) aggItems(from []string, grouped bool) ([]sqlparse.SelectItem, []s
 		}
 	}
 	for n := 1 + g.pick(3); n > 0; n-- {
-		e, _ := g.aggregate(cols)
+		e, _ := g.aggregate(cols, kind)
 		items = append(items, sqlparse.SelectItem{Expr: e, Alias: alias()})
 	}
 	var having sqlparse.Expr
 	for n := []int{0, 1, 1, 2}[g.pick(4)]; grouped && n > 0; n-- {
-		e, kind := g.aggregate(cols)
+		e, k := g.aggregate(cols, kind)
 		if len(keys) > 0 && g.pick(4) == 0 {
 			i := g.pick(len(keys))
-			e, kind = keys[i], keyKinds[i]
+			e, k = keys[i], keyKinds[i]
 		}
 		ops := []string{"<>", "<", "<=", ">", ">="} // "=" against a literal rarely holds
 		var lit sqlparse.Expr = sqlparse.Num(float64(g.pick(4)))
-		if kind == relalg.KindString {
+		if k == relalg.KindString {
 			lit = sqlparse.Str(string(rune('p' + g.pick(4))))
 		}
 		having = sqlparse.AndAll([]sqlparse.Expr{having, sqlparse.Bin(ops[g.pick(len(ops))], e, lit)})
@@ -325,7 +326,7 @@ func (g *qgen) aggItems(from []string, grouped bool) ([]sqlparse.SelectItem, []s
 }
 
 // aggregate draws one aggregate term over cols and reports its kind.
-func (g *qgen) aggregate(cols [][2]string) (sqlparse.Expr, relalg.Kind) {
+func (g *qgen) aggregate(cols [][2]string, kindOf func(rel, name string) column) (sqlparse.Expr, relalg.Kind) {
 	c := cols[g.pick(len(cols))]
 	kind := kindOf(c[0], c[1]).kind
 	call := func(name string) *sqlparse.FuncCall {
@@ -380,11 +381,7 @@ func refs(from []string) []sqlparse.TableRef {
 // wrong unless its key covers those filters.
 func (g *qgen) query() sqlparse.Statement {
 	from, joins := g.from()
-	sel := &sqlparse.Select{From: refs(from), Limit: -1}
-	where := func() sqlparse.Expr {
-		return sqlparse.AndAll(append(append([]sqlparse.Expr(nil), joins...), g.filters(from)...))
-	}
-	sel.Where = where()
+	sel := &sqlparse.Select{From: refs(from), Limit: -1, Where: g.where(from, joins)}
 	switch kind := g.pick(10); {
 	case kind < 4:
 		sel.Items = g.items(from)
@@ -393,15 +390,27 @@ func (g *qgen) query() sqlparse.Statement {
 			g.orderAll(sel)
 		}
 	case kind < 7:
-		sel.Items, sel.GroupBy, sel.Having = g.aggItems(from, kind < 6)
+		sel.Items, sel.GroupBy, sel.Having = g.aggItems(columns(from), kindOf, kind < 6)
 		if g.pick(2) == 0 {
 			g.orderAll(sel)
 		}
 	default:
-		sel.Items = g.items(from)
-		other := *sel
-		other.Where = where()
-		return &sqlparse.Union{Left: sel, Right: &other, All: g.pick(2) == 0}
+		return g.union(sel, from, joins)
 	}
 	return sel
+}
+
+// where draws a WHERE clause: the FROM list's join predicates and extra
+// filters.
+func (g *qgen) where(from []string, joins []sqlparse.Expr) sqlparse.Expr {
+	return sqlparse.AndAll(append(append([]sqlparse.Expr(nil), joins...), g.filters(from)...))
+}
+
+// union draws a select list for sel and a second SELECT like it under
+// other filters, and unites them, with ALL or without.
+func (g *qgen) union(sel *sqlparse.Select, from []string, joins []sqlparse.Expr) *sqlparse.Union {
+	sel.Items = g.items(from)
+	other := *sel
+	other.Where = g.where(from, joins)
+	return &sqlparse.Union{Left: sel, Right: &other, All: g.pick(2) == 0}
 }

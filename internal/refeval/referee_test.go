@@ -97,8 +97,8 @@ func (w *world) source(rel string) (wrapper.Wrapper, error) {
 	return nil, fmt.Errorf("no relation %s", rel)
 }
 
-// run answers stmt on the engine under k.
-func (w *world) run(k knobs, stmt sqlparse.Statement) (*relalg.Relation, error) {
+// executor is the engine under k.
+func (w *world) executor(k knobs) *planner.Executor {
 	ex := w.exs[k]
 	if ex == nil {
 		ex = planner.NewExecutor(w.cats[k.chunk])
@@ -108,6 +108,12 @@ func (w *world) run(k knobs, stmt sqlparse.Statement) (*relalg.Relation, error) 
 		ex.AdaptiveStats = nil
 		w.exs[k] = ex
 	}
+	return ex
+}
+
+// run answers stmt on the engine under k.
+func (w *world) run(k knobs, stmt sqlparse.Statement) (*relalg.Relation, error) {
+	ex := w.executor(k)
 	sess := ex.NewSession(context.Background(), planner.Limits{})
 	defer sess.Close()
 	return ex.ExecuteSession(sess, stmt)
@@ -217,18 +223,30 @@ func (w *world) check(t *testing.T, seed int64, stmt sqlparse.Statement) answer 
 	if err != nil {
 		t.Fatalf("seed %d: evaluator: %v\n%s", seed, err, stmt)
 	}
+	w.agree(t, seed, stmt, want, ordered(stmt), func(k knobs) (*relalg.Relation, error) { return w.run(k, stmt) })
+	w.checkWire(t, seed, stmt, want)
+	settle(t, seed, goroutines, stmt)
+	return want
+}
+
+// agree holds the engine's answer to stmt, as run gives it under every
+// config, to the evaluator's answer want, in order when ordered, and
+// every config of one plan to the others row for row. After each run no
+// source stream may stay open.
+func (w *world) agree(t *testing.T, seed int64, stmt fmt.Stringer, want answer, ordered bool, run func(knobs) (*relalg.Relation, error)) {
+	t.Helper()
 	wantRows := render(want.rows, canon)
-	if !ordered(stmt) {
+	if !ordered {
 		sort.Strings(wantRows)
 	}
 	same := map[plan][]string{}
 	for _, k := range configs {
-		got, err := w.run(k, stmt)
+		got, err := run(k)
 		if err != nil {
 			t.Fatalf("seed %d %+v: engine: %v\n%s", seed, k, err, stmt)
 		}
 		gotRows := render(got.Tuples, canon)
-		if !ordered(stmt) {
+		if !ordered {
 			sort.Strings(gotRows)
 		}
 		if d := diff(wantRows, gotRows); d != "" {
@@ -245,13 +263,17 @@ func (w *world) check(t *testing.T, seed int64, stmt sqlparse.Statement) answer 
 			t.Fatalf("seed %d %+v: %d source streams left open\n%s", seed, k, open, stmt)
 		}
 	}
-	w.checkWire(t, seed, stmt, want)
+}
+
+// settle waits for the goroutines a query started to end: no more than
+// the goroutines that ran before it may outlive it.
+func settle(t *testing.T, seed int64, goroutines int, stmt fmt.Stringer) {
+	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("seed %d: %d goroutines outlive the query (%d before)\n%s", seed, runtime.NumGoroutine(), goroutines, stmt)
 		}
 	}
-	return want
 }
 
 // diff describes the first difference between two renderings.

@@ -18,11 +18,6 @@ type FilterIter struct {
 	out   []Tuple
 }
 
-// NewFilterFunc filters child by an arbitrary per-tuple predicate.
-func NewFilterFunc(child Iterator, pred func(Tuple) (bool, error)) *FilterIter {
-	return &FilterIter{child: child, pred: pred}
-}
-
 // NewFilter filters child by a sqlparse expression evaluated against the
 // child schema (SQL three-valued logic collapsed to two as in
 // CompileBool).

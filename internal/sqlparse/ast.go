@@ -8,7 +8,10 @@
 // prototype exposed: SELECT [DISTINCT] items FROM tables WHERE expr
 // [GROUP BY exprs [HAVING expr]] [ORDER BY items] [LIMIT n], combined with
 // UNION / UNION ALL, with arithmetic, comparison and boolean expressions,
-// and aggregate functions COUNT/SUM/AVG/MIN/MAX.
+// and aggregate functions COUNT/SUM/AVG/MIN/MAX. An ORDER BY key may name
+// a column the select list drops, except under SELECT DISTINCT, whose
+// keys must be selected columns (the engine refuses others, naming the
+// key).
 package sqlparse
 
 import "fmt"
