@@ -255,6 +255,38 @@ func scaledCatalog(n int, seed int64) (*planner.Catalog, *fixture.ScaledWorkload
 	return cat, w
 }
 
+// scaledSystem serves the same workload through a coin.System: r1 and r2
+// elevated as Figure2System elevates them, the rates as a relational r3.
+func scaledSystem(n int, seed int64) *coin.System {
+	w := fixture.NewScaledWorkload(n, seed)
+	sys := coin.New(fixture.Model())
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	must(sys.AddContext(fixture.ContextC1()))
+	must(sys.AddContext(fixture.ContextC2()))
+	add := func(src string, rel *relalg.Relation, ctx, col string) {
+		db := store.NewDB(src)
+		tab := db.MustCreateTable(rel.Name, rel.Schema)
+		for _, row := range rel.Tuples {
+			must(tab.Insert(row))
+		}
+		var elev map[string]*coin.Elevation
+		if ctx != "" {
+			elev = map[string]*coin.Elevation{rel.Name: {Relation: rel.Name, Context: ctx, Columns: []coin.ElevatedColumn{
+				{Column: "cname", SemType: "companyName"}, {Column: col, SemType: "companyFinancials"}}}}
+		}
+		must(sys.AddRelationalSource(db, elev))
+	}
+	add("source1", w.R1, "c1", "revenue")
+	add("source2", w.R2, "c2", "expenses")
+	add("currencyweb", w.R3, "", "")
+	must(sys.AddAncillary("rate", "r3"))
+	return sys
+}
+
 // BenchmarkE9_MediatedExecutionScale executes the paper-shaped mediated
 // query over growing workloads.
 func BenchmarkE9_MediatedExecutionScale(b *testing.B) {

@@ -280,12 +280,13 @@ func (s *System) Schema(relation string) (Schema, error) {
 func (s *System) Handler() http.Handler { return server.New(serverView{s}) }
 
 // serverView adapts System to server.Service: Run's *RowStream returned
-// as the server's RowStream interface; everything else System implements
+// as the server's RowStream interface, over a tree whose rows live one
+// batch (server.RowStream's contract); everything else System implements
 // directly.
 type serverView struct{ *System }
 
 func (v serverView) QueryStream(ctx context.Context, sql, receiver string, naive bool, opts QueryOptions) (server.RowStream, error) {
-	rs, err := v.Run(ctx, sql, receiver, naive, opts)
+	rs, err := v.run(ctx, sql, receiver, naive, opts, true)
 	if err != nil {
 		return nil, err
 	}

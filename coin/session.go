@@ -89,6 +89,12 @@ type RowStream struct {
 // and canceling ctx (or exceeding opts.Timeout) aborts the stream
 // mid-flight, source fetches included.
 func (s *System) Run(ctx context.Context, sql, receiver string, naive bool, opts QueryOptions) (*RowStream, error) {
+	return s.run(ctx, sql, receiver, naive, opts, false)
+}
+
+// run is Run; with transient set its caller uses no row of a batch after
+// the next call (server.RowStream's contract), so row arenas recycle.
+func (s *System) run(ctx context.Context, sql, receiver string, naive bool, opts QueryOptions, transient bool) (*RowStream, error) {
 	var med *Mediation
 	if !naive {
 		var err error
@@ -108,6 +114,9 @@ func (s *System) Run(ctx context.Context, sql, receiver string, naive bool, opts
 	})
 	if err != nil {
 		return nil, err
+	}
+	if transient {
+		relalg.MarkTransient(it)
 	}
 	if err := it.Open(sess.Context()); err != nil {
 		sess.Close()

@@ -119,9 +119,7 @@ func (r *Result) String() string {
 		cells[ri] = make([]string, len(row))
 		for i, v := range row {
 			cells[ri][i] = fmt.Sprintf("%v", v)
-			if len(cells[ri][i]) > widths[i] {
-				widths[i] = len(cells[ri][i])
-			}
+			widths[i] = max(widths[i], len(cells[ri][i]))
 		}
 	}
 	writeRow := func(row []string) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/relalg"
@@ -296,10 +297,8 @@ func (e *Executor) fetchBindBatched(ctx context.Context, sess *Session, w wrappe
 }
 
 func colRefFromQualified(q string) *sqlparse.ColRef {
-	for i := 0; i < len(q); i++ {
-		if q[i] == '.' {
-			return &sqlparse.ColRef{Table: q[:i], Column: q[i+1:]}
-		}
+	if t, c, ok := strings.Cut(q, "."); ok {
+		return &sqlparse.ColRef{Table: t, Column: c}
 	}
 	return &sqlparse.ColRef{Column: q}
 }
@@ -324,11 +323,11 @@ func projectItems(items []sqlparse.SelectItem, schema relalg.Schema) ([]relalg.P
 	for i, it := range items {
 		if it.Star {
 			for _, col := range schema.Columns {
-				if it.StarTable != "" && !hasPrefix(col.Name, it.StarTable+".") {
+				if it.StarTable != "" && !strings.HasPrefix(col.Name, it.StarTable+".") {
 					continue
 				}
 				out = append(out, relalg.ProjectItem{
-					Name: name(plainName(col.Name)),
+					Name: name(col.Name[strings.LastIndexByte(col.Name, '.')+1:]),
 					Expr: colRefFromQualified(col.Name),
 				})
 			}
@@ -340,17 +339,6 @@ func projectItems(items []sqlparse.SelectItem, schema relalg.Schema) ([]relalg.P
 		return nil, fmt.Errorf("planner: empty projection")
 	}
 	return out, nil
-}
-
-func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
-
-func plainName(qualified string) string {
-	for i := len(qualified) - 1; i >= 0; i-- {
-		if qualified[i] == '.' {
-			return qualified[i+1:]
-		}
-	}
-	return qualified
 }
 
 // itemName names select item i: its alias, else the column it names,

@@ -10,6 +10,7 @@ package planner
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/relalg"
 	"repro/internal/sqlparse"
@@ -164,7 +165,7 @@ func (e *Executor) buildLogical(sel *sqlparse.Select) (*logicalQuery, error) {
 		if err != nil {
 			return nil, err
 		}
-		if popcount(mask) == 1 {
+		if bits.OnesCount64(mask) == 1 {
 			for _, b := range lq.rels {
 				if mask == b.bit() {
 					b.localPreds = append(b.localPreds, p)
@@ -221,12 +222,4 @@ func (lq *logicalQuery) feedFor(b *relBinding, rc string, placed uint64) string 
 		}
 	}
 	return ""
-}
-
-func popcount(m uint64) int {
-	n := 0
-	for ; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
 }

@@ -200,10 +200,7 @@ func (s *Session) tupleBudget() (int, bool) {
 		return 0, false
 	}
 	rem := int64(s.limits.MaxTuples) - s.tuples.Load()
-	if rem < 0 {
-		rem = 0
-	}
-	return int(rem), true
+	return int(max(rem, 0)), true
 }
 
 // chargeTupleBatch records n source tuples against the session's transfer
@@ -214,10 +211,7 @@ func (s *Session) tupleBudget() (int, bool) {
 func (s *Session) chargeTupleBatch(n int) (int, error) {
 	total := s.tuples.Add(int64(n))
 	if s.limits.MaxTuples > 0 && total > int64(s.limits.MaxTuples) {
-		allowed := n - int(total-int64(s.limits.MaxTuples))
-		if allowed < 0 {
-			allowed = 0
-		}
+		allowed := max(n-int(total-int64(s.limits.MaxTuples)), 0)
 		return allowed, fmt.Errorf("%w (%d > %d)", ErrTuplesExceeded, total, s.limits.MaxTuples)
 	}
 	return n, nil

@@ -29,6 +29,8 @@ package planner
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -458,14 +460,34 @@ func (e *Executor) joinIter(share relalg.BuildSharer, cur, next relalg.Iterator,
 // session's context; Collect it for a materialized answer. The tree is
 // single-use.
 func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator, error) {
+	// reads[:later[i]]: what the steps after step i and the tail read of
+	// the rows step i leaves, all that its join carries on (kept).
+	sel := plan.Select
+	reads := append(make([]sqlparse.Expr, 0, 32), sel.Having) // on the stack for most plans
+	reads = append(reads, sel.GroupBy...)
+	for _, it := range sel.Items {
+		if reads = append(reads, it.Expr); it.Star {
+			reads = append(reads, sqlparse.Col(it.StarTable, "*"))
+		}
+	}
+	for _, o := range sel.OrderBy {
+		reads = append(reads, o.Expr)
+	}
+	later := make([]int, len(plan.Steps))
+	for i := len(plan.Steps) - 1; i > 0; i-- {
+		later[i], reads = len(reads), append(reads, plan.Steps[i].AfterPreds...)
+		for _, k := range plan.Steps[i].JoinKeys {
+			reads = append(reads, colRefFromQualified(k.CurQualified))
+		}
+		for _, b := range plan.Steps[i].BindJoins {
+			reads = append(reads, colRefFromQualified(b.FromQualified))
+		}
+	}
 	var cur relalg.Iterator
 	for i := range plan.Steps {
 		step := &plan.Steps[i]
 		act := plan.stepActuals(i)
-		var after sqlparse.Expr
-		if len(step.AfterPreds) > 0 {
-			after = sqlparse.AndAll(step.AfterPreds)
-		}
+		after := sqlparse.AndAll(step.AfterPreds)
 		if len(step.BindJoins) == 0 {
 			next, err := e.sourceIter(sess, step, act)
 			if err != nil {
@@ -509,6 +531,11 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 				return e.joinIter(nil, relalg.NewScan(curRel), relalg.NewScan(fetched), step.JoinKeys, step.Binding, after)
 			})
 		}
+		if i > 0 && i < len(plan.Steps)-1 {
+			if items := kept(cur.Schema(), reads[:later[i]]); items != nil {
+				relalg.FuseProject(cur, items)
+			}
+		}
 		if act != nil {
 			// Count the step's downstream output (after joins and local
 			// predicates) for the act_out column of EXPLAIN ANALYZE.
@@ -528,6 +555,34 @@ func (e *Executor) BuildStream(sess *Session, plan *BranchPlan) (relalg.Iterator
 		e.stats.BranchesRun++
 		e.mu.Unlock()
 	})), nil
+}
+
+// kept returns the items that keep, in order and under their own names,
+// the columns of schema that reads may name, or nil for every column. A
+// qualified reference names its own column when schema has it, and
+// otherwise, like an unqualified one under Compile's fallback, every
+// column of its plain name; "*" and "t.*" name what they expand to. Name
+// resolution downstream, and its ambiguity errors, are thereby unchanged.
+func kept(schema relalg.Schema, reads []sqlparse.Expr) []relalg.ProjectItem {
+	refs := sqlparse.ColumnsOf(reads...)
+	var items []relalg.ProjectItem
+	for _, c := range schema.Columns {
+		if slices.ContainsFunc(refs, func(r *sqlparse.ColRef) bool {
+			switch {
+			case r.Column == "*":
+				return r.Table == "" || strings.HasPrefix(c.Name, r.Table+".")
+			case r.Table != "" && schema.Index(r.String()) >= 0:
+				return c.Name == r.String()
+			}
+			return c.Name == r.Column || strings.HasSuffix(c.Name, "."+r.Column)
+		}) {
+			items = append(items, relalg.ProjectItem{Name: c.Name, Expr: colRefFromQualified(c.Name)})
+		}
+	}
+	if len(items) == len(schema.Columns) {
+		return nil
+	}
+	return items
 }
 
 // tail compiles the clauses of sel that follow FROM and WHERE over in,
@@ -586,15 +641,10 @@ func tail(in relalg.Iterator, sel *sqlparse.Select) (relalg.Iterator, error) {
 // two-step lookup), nil when every key resolves.
 func unselectedKey(order []sqlparse.OrderItem, schema relalg.Schema) sqlparse.Expr {
 	for _, o := range order {
-		ok := true
-		sqlparse.WalkExprs(o.Expr, func(x sqlparse.Expr) bool {
-			if c, isRef := x.(*sqlparse.ColRef); isRef && schema.Index(c.String()) < 0 && schema.Index(c.Column) < 0 {
-				ok = false
+		for _, c := range sqlparse.ColumnsOf(o.Expr) {
+			if schema.Index(c.String()) < 0 && schema.Index(c.Column) < 0 {
+				return o.Expr
 			}
-			return ok
-		})
-		if !ok {
-			return o.Expr
 		}
 	}
 	return nil

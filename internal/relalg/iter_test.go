@@ -693,3 +693,50 @@ func TestCountedIter(t *testing.T) {
 		t.Errorf("limited rows = %d, counted = %d, want 3", lim.Len(), n.Load())
 	}
 }
+
+// TestDistinctOverUnionReservesOnce: a union reports the sum of its
+// children's row hints and a projection its child's, so the DISTINCT over
+// a mediated union (projected branches over hinted scans) sizes its key
+// table once at Open and never rehashes or regrows its entries.
+func TestDistinctOverUnionReservesOnce(t *testing.T) {
+	const n = 3000
+	branch := func(base int) Iterator {
+		rel := testRel("r", "r.k:num, r.v:num")
+		for i := 0; i < n; i++ {
+			rel.MustAdd(NumV(float64(base+i)), NumV(float64(i)))
+		}
+		return NewProject(NewScan(rel), []ProjectItem{{Name: "k", Expr: sqlparse.Col("r", "k")}})
+	}
+	u, err := NewUnionAll(branch(0), branch(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDistinct(u)
+	if err := d.Open(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ents := cap(d.seen.ents)
+	if ents < 2*n {
+		t.Fatalf("key table reserved %d entries at Open, want the union's %d rows", ents, 2*n)
+	}
+	slots := &d.seen.slots[0]
+	rows := 0
+	for {
+		b, err := d.Next(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Empty() {
+			break
+		}
+		rows += b.Len()
+	}
+	if rows != 2*n {
+		t.Fatalf("DISTINCT emitted %d rows, want %d", rows, 2*n)
+	}
+	if &d.seen.slots[0] != slots || cap(d.seen.ents) != ents {
+		t.Errorf("key table regrew: %d entries reserved at Open, %d after the drain (slots moved: %v)",
+			ents, cap(d.seen.ents), &d.seen.slots[0] != slots)
+	}
+}

@@ -95,7 +95,8 @@ type Stager interface {
 // RowCountHint is optionally implemented by iterators that know how many
 // rows they will yield: exactly ScanIter, and SortIter and GroupByIter
 // once Open has drained their input; the planner's scan leaves by their
-// transfer estimate. Full drains (Collect, DISTINCT's key table) use it
+// transfer estimate; a projection by its child's hint and a union by the
+// sum of its children's. Full drains (Collect, DISTINCT's key table) use it
 // only to presize their buffers, so a wrong hint costs memory or a
 // regrow, never correctness. It is queried after Open, through the
 // forwarders above the reporter.

@@ -146,6 +146,9 @@ func (p *ProjectIter) Next(max int) (Batch, error) {
 // Close implements Iterator.
 func (p *ProjectIter) Close() error { return p.child.Close() }
 
+// RowCountHint implements RowCountHint: one row per child row.
+func (p *ProjectIter) RowCountHint() int { return presizeHint(p.child) }
+
 // LimitIter passes through the first n tuples and then reports
 // exhaustion without pulling from its child again — the early-exit
 // operator that makes the streaming executor worthwhile. It propagates
@@ -311,6 +314,7 @@ type UnionAllIter struct {
 	cur    int          // the child being pulled
 	live   bool         // children[cur] is open
 	ahead  []chan error // ahead[i]: children[i]'s early Open result, nil once awaited
+	hint   int          // the sum of the children's hints before they opened
 }
 
 // NewUnionAll concatenates children; schemas must have equal arity
@@ -334,7 +338,10 @@ func (u *UnionAllIter) Schema() Schema { return u.children[0].Schema() }
 
 // Open implements Iterator.
 func (u *UnionAllIter) Open(ctx context.Context) error {
-	u.ctx, u.cur = ctx, 0
+	u.ctx, u.cur, u.hint = ctx, 0, 0
+	for _, c := range u.children { // before they open: an Open ahead runs on another goroutine
+		u.hint += presizeHint(c)
+	}
 	if u.Ahead && len(u.children) > 1 {
 		actx, cancel := context.WithCancel(ctx)
 		u.ctx, u.cancel = actx, cancel
@@ -351,6 +358,10 @@ func (u *UnionAllIter) Open(ctx context.Context) error {
 	u.live = true
 	return nil
 }
+
+// RowCountHint implements RowCountHint: the sum of the children's hints,
+// read at Open before any child opened.
+func (u *UnionAllIter) RowCountHint() int { return u.hint }
 
 // openAhead opens children[i] on its own goroutine, reporting on done.
 func (u *UnionAllIter) openAhead(ctx context.Context, i int, done chan<- error) {
@@ -546,14 +557,6 @@ func NewHashJoin(left, right Iterator, leftKeys, rightKeys []string, residual sq
 		h.resFn = CompileBool(residual, in)
 	}
 	return h, nil
-}
-
-// NewNestedLoop joins outer against inner on pred (nil: the cross
-// product) as a keyless hash join: its one chain holds inner in order,
-// so each outer row meets every inner row in turn.
-func NewNestedLoop(outer Iterator, inner *Relation, pred sqlparse.Expr) *HashJoinIter {
-	hj, _ := NewHashJoin(outer, NewScan(inner), nil, nil, pred, false, nil)
-	return hj
 }
 
 // NewParallelHashJoin is a no-op alias of NewHashJoin kept for bench/

@@ -14,6 +14,14 @@ import (
 	"repro/internal/sqlparse"
 )
 
+// NewNestedLoop joins outer against inner on pred (nil: the cross
+// product) as a keyless hash join: its one chain holds inner in order,
+// so each outer row meets every inner row in turn.
+func NewNestedLoop(outer Iterator, inner *Relation, pred sqlparse.Expr) *HashJoinIter {
+	hj, _ := NewHashJoin(outer, NewScan(inner), nil, nil, pred, false, nil)
+	return hj
+}
+
 // Property: the hash join agrees with the nested-loop join (the
 // reference), including on duplicate keys and NULL keys (which never
 // join).

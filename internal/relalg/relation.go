@@ -194,9 +194,7 @@ func (r *Relation) String() string {
 		row := make([]string, len(t))
 		for i, v := range t {
 			row[i] = v.String()
-			if len(row[i]) > widths[i] {
-				widths[i] = len(row[i])
-			}
+			widths[i] = max(widths[i], len(row[i]))
 		}
 		cells[ti] = row
 	}

@@ -47,9 +47,9 @@ type RowStream interface {
 	// Mediation returns the mediated query, or nil for a naive stream.
 	Mediation() *core.Mediation
 	// NextBatch returns the next block of rows (1..max; nil at end, or
-	// the terminal error). The slice is valid until the next call. The
-	// stream handler drains blocks so encode+flush overhead is paid per
-	// batch, not per row.
+	// the terminal error). The slice and its tuples are valid only until
+	// the next call: the engine recycles them. Handlers drain blocks so
+	// encode+flush overhead is paid per batch, not per row.
 	NextBatch(max int) ([]relalg.Tuple, error)
 	// Warnings returns the degraded-branch warnings of a partial-results
 	// stream accumulated so far (nil otherwise); final once NextBatch
@@ -184,9 +184,9 @@ func (s *srv) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // answer computes a buffered answer. A naive one is the naive stream
-// drained; a mediated one is mediated once and executed, rather than
-// streamed, so the answer is collected presized from the plan's row
-// estimate.
+// drained, each row copied (the stream recycles them); a mediated one is
+// mediated once and executed, rather than streamed, so the answer is
+// collected presized from the plan's row estimate.
 func (s *srv) answer(ctx context.Context, req *wire.QueryRequest, opts planner.Limits) (*relalg.Relation, *core.Mediation, []planner.Warning, error) {
 	if req.Naive {
 		rs, err := s.svc.QueryStream(ctx, req.SQL, req.Context, true, opts)
@@ -200,7 +200,9 @@ func (s *srv) answer(ctx context.Context, req *wire.QueryRequest, opts planner.L
 			if err != nil || len(batch) == 0 {
 				return rel, nil, nil, err
 			}
-			rel.Tuples = append(rel.Tuples, batch...)
+			for _, t := range batch {
+				rel.Tuples = append(rel.Tuples, t.Clone())
+			}
 		}
 	}
 	med, err := s.svc.Mediate(req.SQL, req.Context)

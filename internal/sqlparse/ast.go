@@ -219,21 +219,18 @@ func WalkExprs(e Expr, fn func(Expr) bool) {
 	}
 }
 
-// ColumnsOf returns the distinct column references in e, in first-seen
-// order.
-func ColumnsOf(e Expr) []*ColRef {
+// ColumnsOf returns the column references in es, in order; a column
+// referenced twice is returned twice.
+func ColumnsOf(es ...Expr) []*ColRef {
 	var out []*ColRef
-	seen := map[string]bool{}
-	WalkExprs(e, func(x Expr) bool {
-		if c, ok := x.(*ColRef); ok {
-			key := c.Table + "." + c.Column
-			if !seen[key] {
-				seen[key] = true
+	for _, e := range es {
+		WalkExprs(e, func(x Expr) bool {
+			if c, ok := x.(*ColRef); ok {
 				out = append(out, c)
 			}
-		}
-		return true
-	})
+			return true
+		})
+	}
 	return out
 }
 

@@ -73,10 +73,7 @@ func (r *RelationStream) NextBatch(max int) ([]relalg.Tuple, error) {
 	if max <= 0 {
 		max = relalg.DefaultBatchSize
 	}
-	end := r.pos + max
-	if end > len(r.rel.Tuples) {
-		end = len(r.rel.Tuples)
-	}
+	end := min(r.pos+max, len(r.rel.Tuples))
 	rows := r.rel.Tuples[r.pos:end]
 	r.pos = end
 	return rows, nil
@@ -242,6 +239,9 @@ func (c *cursor) NextBatch(max int) ([]relalg.Tuple, error) {
 	for n < max {
 		want := max - n
 		rows, err := c.raw.NextBatch(want)
+		if c.out == nil && c.projIdx == nil { // sized once, by the first block: a 4-row source reserves 4 slots
+			c.out = make([]relalg.Tuple, 0, len(rows))
+		}
 		for _, t := range rows {
 			keep, merr := c.match(t)
 			if merr != nil {
